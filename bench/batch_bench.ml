@@ -1,14 +1,15 @@
 (* Batch scheduler smoke: runs a small mixed batch (devices x precisions
    x kinds, one executed job, one poisoned job) on the shared domain
    pool and checks the emitted JSON lines round-trip through
-   [Sched.Scheduler.outcome_of_json] / [Harness.Report.of_json].  Part
+   [Sched.Engine.outcome_of_json] / [Harness.Report.of_json].  Part
    of the @bench-smoke regression gate; exits 1 on any mismatch. *)
 
 module P = Multidouble.Precision
 module Json = Harness.Json
 module Report = Harness.Report
 module Job = Sched.Job
-module S = Sched.Scheduler
+module S = Sched.Engine
+module F = Sched.Fleet
 
 let fail fmt = Printf.ksprintf (fun m -> prerr_endline m; exit 1) fmt
 
@@ -31,7 +32,7 @@ let smoke () =
         ~dim:256 ~tile:32 ~retries:1 ~inject_failures:99 ();
     ]
   in
-  let outcomes = S.run (S.Config.batch ~parallel:2 ~backoff_ms:0.0 ()) jobs in
+  let outcomes = F.run (F.Config.batch ~parallel:2 ~backoff_ms:0.0 ()) jobs in
   if List.length outcomes <> List.length jobs then
     fail "batch-smoke: %d outcomes for %d jobs" (List.length outcomes)
       (List.length jobs);

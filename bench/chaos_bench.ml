@@ -1,6 +1,6 @@
 (* Chaos smoke: the resilience-plane regression gate.
 
-   Four phases, all seeded and deterministic, exiting 1 on any broken
+   Three phases, all seeded and deterministic, exiting 1 on any broken
    invariant and writing BENCH_chaos.json:
 
    1. Chaos campaign + crash/resume.  A crash+hang+brownout campaign
@@ -14,21 +14,12 @@
       lines are byte-identical, migrated jobs carry their migration
       trail, and the final journal replay shows every job committed.
 
-   2. Hedged execution.  A straggler (failure-injected job sleeping in
-      retry backoff) on a two-instance pool must get a duplicate, the
-      ticket must settle exactly once with the hedge flag, and the
-      byte-equality check must record zero mismatches.  (In this
-      simulated world stragglers are deterministic, so the duplicate
-      reproduces the straggle and the original usually wins — the win
-      rate is recorded, not gated.)
-
-   3. Circuit breakers.  Poison jobs (every attempt fails) must open an
+   2. Circuit breakers.  Poison jobs (every attempt fails) must open an
       instance breaker; after the cool-off, healthy traffic must probe
       it half-open and close it.
 
-   4. Overhead.  The full resilience plane armed but quiet (chaos drawn
-      at rate 0, hedging enabled with an unreachable floor, breakers
-      on) must cost <= 1.10x the wall time of a plain fleet on the same
+   3. Overhead.  The full resilience plane armed but quiet (chaos drawn
+      at rate 0, breakers on) must cost <= 1.10x the wall time of a plain fleet on the same
       batch (min of 5 runs each). *)
 
 module P = Multidouble.Precision
@@ -36,7 +27,7 @@ module D = Gpusim.Device
 module Json = Harness.Json
 module Job = Sched.Job
 module F = Sched.Fleet
-module S = Sched.Scheduler
+module S = Sched.Engine
 module Jn = Sched.Journal
 module Chaos = Fault.Chaos
 module M = Obs.Metrics
@@ -287,49 +278,7 @@ let phase_chaos () =
     campaign_wall_s,
     dealt )
 
-(* ---- phase 2: hedged execution ---- *)
-
-let phase_hedge () =
-  let launched0 = counter "fleet.hedge.launched" in
-  let mismatches0 = counter "fleet.hedge.mismatches" in
-  let config =
-    {
-      F.Config.default with
-      pool = [ (None, 2) ];
-      max_queue_depth = F.Config.unbounded;
-      (* The straggle: one injected failure puts the job into a real
-         ~60-120 ms backoff sleep, far past the hedge floor. *)
-      backoff_ms = 60.0;
-      retain_outcomes = true;
-      hedge_ms = Some 5.0;
-    }
-  in
-  let fleet = F.create config in
-  let ticket =
-    F.submit_blocking fleet
-      (solve ~id:"hedge-0" ~inject_failures:1 ~retries:1 ())
-  in
-  let outcome = F.await fleet ticket in
-  F.quiesce fleet;
-  F.shutdown fleet;
-  let launched = counter "fleet.hedge.launched" - launched0 in
-  let wins = counter "fleet.hedge.wins" in
-  let mismatches = counter "fleet.hedge.mismatches" - mismatches0 in
-  if launched < 1 then fail "chaos-smoke: straggler was never hedged";
-  if mismatches <> 0 then
-    fail "chaos-smoke: %d hedge byte-equality mismatches" mismatches;
-  (match outcome.S.status with
-  | S.Completed _ -> ()
-  | S.Failed f -> fail "chaos-smoke: hedged job failed: %s" f.S.message);
-  (match outcome.S.placement with
-  | Some p when p.S.hedged -> ()
-  | _ -> fail "chaos-smoke: hedged outcome does not carry the hedge flag");
-  let win_rate = float_of_int wins /. float_of_int launched in
-  pf "  hedge: %d launched, %d won (the duplicate), 0 mismatches\n" launched
-    wins;
-  (launched, win_rate)
-
-(* ---- phase 3: circuit breakers ---- *)
+(* ---- phase 2: circuit breakers ---- *)
 
 let phase_breakers () =
   let opened0 = counter "fleet.breaker.opened" in
@@ -379,7 +328,7 @@ let phase_breakers () =
   pf "  breakers: opened %d, closed %d after cool-off probe\n" opened closed;
   (opened, closed)
 
-(* ---- phase 4: chaos-off overhead ---- *)
+(* ---- phase 3: chaos-off overhead ---- *)
 
 let phase_overhead () =
   let jobs =
@@ -389,7 +338,7 @@ let phase_overhead () =
     let best = ref Float.infinity in
     for _ = 1 to 5 do
       let t0 = Unix.gettimeofday () in
-      let outcomes = S.run config jobs in
+      let outcomes = F.run config jobs in
       let dt = Unix.gettimeofday () -. t0 in
       if List.length outcomes <> List.length jobs then
         fail "chaos-smoke: overhead run lost outcomes";
@@ -400,14 +349,12 @@ let phase_overhead () =
   let plain =
     { F.Config.default with max_queue_depth = F.Config.unbounded }
   in
-  (* The whole plane armed but quiet: chaos drawn at rate 0 (supervisor
-     running, nothing struck), hedging enabled with an unreachable
-     floor, breakers on. *)
+  (* The whole plane armed but quiet: chaos drawn at rate 0 (nothing
+     struck), breakers on. *)
   let armed =
     {
       plain with
       F.Config.chaos = Some (Chaos.config ~seed:7 ~rate:0.0 ());
-      hedge_ms = Some 1.0e9;
       breakers = true;
     }
   in
@@ -421,7 +368,7 @@ let phase_overhead () =
   overhead
 
 let smoke () =
-  pf "\n%s\nChaos smoke: device chaos, migration, hedging, breakers, journal\n%s\n"
+  pf "\n%s\nChaos smoke: device chaos, migration, breakers, journal\n%s\n"
     (String.make 100 '-') (String.make 100 '-');
   M.reset (M.default ());
   let ( total,
@@ -433,7 +380,6 @@ let smoke () =
         dealt ) =
     phase_chaos ()
   in
-  let hedges, hedge_win_rate = phase_hedge () in
   let opened, closed = phase_breakers () in
   let overhead = phase_overhead () in
   let json =
@@ -454,8 +400,6 @@ let smoke () =
         ("recovery_rate", Json.Float recovery_rate);
         ("migration_queue_wait_ms", Json.Float migration_wait_ms);
         ("journal_replay_exact", Json.Bool true);
-        ("hedges_launched", Json.Int hedges);
-        ("hedge_win_rate", Json.Float hedge_win_rate);
         ("breaker_opened", Json.Int opened);
         ("breaker_closed", Json.Int closed);
         ("chaos_off_overhead", Json.Float overhead);

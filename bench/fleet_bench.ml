@@ -11,7 +11,8 @@
 module P = Multidouble.Precision
 module Json = Harness.Json
 module Job = Sched.Job
-module S = Sched.Scheduler
+module S = Sched.Engine
+module F = Sched.Fleet
 module M = Obs.Metrics
 
 let pf = Printf.printf
@@ -29,7 +30,7 @@ let smoke () =
   M.reset (M.default ());
   let jobs = Sched.Sweep.jobs "fleet" in
   let t0 = Unix.gettimeofday () in
-  let outcomes = S.run S.Config.default jobs in
+  let outcomes = F.run F.Config.default jobs in
   let wall_s = Unix.gettimeofday () -. t0 in
   if List.length outcomes <> List.length jobs then
     fail "fleet-smoke: %d outcomes for %d jobs" (List.length outcomes)

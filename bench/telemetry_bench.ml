@@ -11,7 +11,8 @@
 
 module Json = Harness.Json
 module Obs_io = Harness.Obs_io
-module S = Sched.Scheduler
+module S = Sched.Engine
+module F = Sched.Fleet
 module M = Obs.Metrics
 
 let pf = Printf.printf
@@ -20,7 +21,7 @@ let fail fmt = Printf.ksprintf (fun m -> prerr_endline m; exit 1) fmt
 let run_sweep () =
   let jobs = Sched.Sweep.jobs "fleet" in
   let t0 = Unix.gettimeofday () in
-  let outcomes = S.run S.Config.default jobs in
+  let outcomes = F.run F.Config.default jobs in
   let wall_s = Unix.gettimeofday () -. t0 in
   if List.length outcomes <> List.length jobs then
     fail "telemetry-smoke: %d outcomes for %d jobs" (List.length outcomes)

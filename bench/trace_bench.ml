@@ -7,7 +7,8 @@
 module P = Multidouble.Precision
 module Json = Harness.Json
 module Job = Sched.Job
-module S = Sched.Scheduler
+module S = Sched.Engine
+module F = Sched.Fleet
 
 let fail fmt = Printf.ksprintf (fun m -> prerr_endline m; exit 1) fmt
 
@@ -36,7 +37,7 @@ let smoke () =
   let outcomes =
     Fun.protect
       ~finally:(fun () -> Obs.Tracer.stop ())
-      (fun () -> S.run (S.Config.batch ~parallel:2 ~backoff_ms:0.0 ()) jobs)
+      (fun () -> F.run (F.Config.batch ~parallel:2 ~backoff_ms:0.0 ()) jobs)
   in
   if List.length outcomes <> List.length jobs then
     fail "trace-smoke: %d outcomes for %d jobs" (List.length outcomes)

@@ -659,7 +659,7 @@ let toeplitz_cmd =
       & info [ "degree" ] ~docv:"D" ~doc:"Truncation degree of the series.")
   in
   let run device p blockdim degree complex =
-    let (module K) = Harness.Runners.scalar_of ~complex p in
+    let (module K) = Lsq_core.Solver.scalar_of ~complex p in
     let module BT = Mdseries.Block_toeplitz.Make (K) in
     let module Qrm = Lsq_core.Blocked_qr.Make (K) in
     let module Bsm = Lsq_core.Tiled_back_sub.Make (K) in
@@ -878,27 +878,26 @@ let batch_cmd =
     in
     let outcomes =
       with_observability obs (fun () ->
-          Sched.Scheduler.run
-            (Sched.Scheduler.Config.batch ~parallel ()) jobs)
+          Sched.Fleet.run (Sched.Fleet.Config.batch ~parallel ()) jobs)
     in
     let summary_oc =
       match out_file with
       | Some file ->
         let oc = open_out file in
-        Sched.Scheduler.write_jsonl oc outcomes;
+        Sched.Engine.write_jsonl oc outcomes;
         close_out oc;
         stdout
       | None ->
-        Sched.Scheduler.write_jsonl stdout outcomes;
+        Sched.Engine.write_jsonl stdout outcomes;
         flush stdout;
         stderr
     in
     let completed, failed =
       List.partition
         (fun o ->
-          match o.Sched.Scheduler.status with
-          | Sched.Scheduler.Completed _ -> true
-          | Sched.Scheduler.Failed _ -> false)
+          match o.Sched.Engine.status with
+          | Sched.Engine.Completed _ -> true
+          | Sched.Engine.Failed _ -> false)
         outcomes
     in
     Printf.fprintf summary_oc
@@ -908,19 +907,19 @@ let batch_cmd =
       (List.length completed) (List.length failed) parallel;
     List.iter
       (fun o ->
-        match o.Sched.Scheduler.status with
-        | Sched.Scheduler.Failed f ->
+        match o.Sched.Engine.status with
+        | Sched.Engine.Failed f ->
           Printf.fprintf summary_oc "  failed %-24s attempts=%d%s (%s): %s\n"
-            o.Sched.Scheduler.job.Sched.Job.id o.Sched.Scheduler.attempts
-            (if f.Sched.Scheduler.timed_out then " (timed out)" else "")
-            (if f.Sched.Scheduler.retryable then "transient" else "permanent")
-            f.Sched.Scheduler.message
-        | Sched.Scheduler.Completed _ -> ())
+            o.Sched.Engine.job.Sched.Job.id o.Sched.Engine.attempts
+            (if f.Sched.Engine.timed_out then " (timed out)" else "")
+            (if f.Sched.Engine.retryable then "transient" else "permanent")
+            f.Sched.Engine.message
+        | Sched.Engine.Completed _ -> ())
       failed;
     (match out_file with
     | Some file ->
       Printf.fprintf summary_oc "outcomes written to %s (JSON lines, schema %d)\n"
-        file Sched.Scheduler.schema_version
+        file Sched.Engine.schema_version
     | None -> ());
     flush summary_oc
   in
@@ -998,16 +997,6 @@ let serve_cmd =
       & info [ "chaos-seed" ] ~docv:"SEED"
           ~doc:"Seed of the chaos campaign (deterministic per seed).")
   in
-  let hedge_arg =
-    Arg.(
-      value
-      & opt (some float) None
-      & info [ "hedge-ms" ] ~docv:"MS"
-          ~doc:
-            "Enable hedged execution: a job in flight longer than \
-             max($(docv), 3x its class p95) gets a duplicate on another \
-             instance and the first result wins.")
-  in
   let breakers_arg =
     Arg.(
       value & flag
@@ -1053,7 +1042,7 @@ let serve_cmd =
   in
   let run pool_spec depth no_steal (rate, seed, kinds) solver out_file obs
       telemetry telemetry_prom telemetry_interval_ms log_level journal_file
-      resume chaos_rate chaos_seed hedge_ms breakers =
+      resume chaos_rate chaos_seed breakers =
     let default_solver = solver_of solver in
     let usage_error fmt =
       Printf.ksprintf
@@ -1106,7 +1095,6 @@ let serve_cmd =
         retain_outcomes = false;
         chaos;
         max_migrations = Sched.Fleet.Config.default.max_migrations;
-        hedge_ms;
         breakers;
       }
     in
@@ -1134,11 +1122,11 @@ let serve_cmd =
     let journal = Option.map Sched.Journal.create journal_file in
     (* Exactly-once emission across a crash: the outcome line is durable
        in the journal before it reaches the client. *)
-    let emit_outcome (o : Sched.Scheduler.outcome) =
-      let line = Harness.Json.to_string (Sched.Scheduler.outcome_to_json o) in
+    let emit_outcome (o : Sched.Engine.outcome) =
+      let line = Harness.Json.to_string (Sched.Engine.outcome_to_json o) in
       (match journal with
       | Some j ->
-        Sched.Journal.commit j ~job_id:o.Sched.Scheduler.job.Sched.Job.id ~line
+        Sched.Journal.commit j ~job_id:o.Sched.Engine.job.Sched.Job.id ~line
       | None -> ());
       emit_line line
     in
@@ -1289,7 +1277,7 @@ let serve_cmd =
       const run $ pool_spec $ depth $ no_steal $ fault_flags $ solver_name
       $ out_arg $ obs_flags $ telemetry_arg $ telemetry_prom_arg
       $ telemetry_interval_arg $ log_level_arg $ journal_arg $ resume_arg
-      $ chaos_rate_arg $ chaos_seed_arg $ hedge_arg $ breakers_arg)
+      $ chaos_rate_arg $ chaos_seed_arg $ breakers_arg)
 
 let monitor_cmd =
   let file_arg =

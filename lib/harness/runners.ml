@@ -11,17 +11,6 @@ open Mdlinalg
 open Lsq_core
 module P = Multidouble.Precision
 
-let scalar_of ?(complex = false) (tag : P.tag) : (module Scalar.S) =
-  match (tag, complex) with
-  | P.D, false -> (module Scalar.D)
-  | P.DD, false -> (module Scalar.Dd)
-  | P.QD, false -> (module Scalar.Qd)
-  | P.OD, false -> (module Scalar.Od)
-  | P.D, true -> (module Scalar.Zd)
-  | P.DD, true -> (module Scalar.Zdd)
-  | P.QD, true -> (module Scalar.Zqd)
-  | P.OD, true -> (module Scalar.Zod)
-
 let describe what ?(complex = false) tag device shape =
   Printf.sprintf "%s %s%s %s %s" what (P.label tag)
     (if complex then " complex" else "")
@@ -29,7 +18,7 @@ let describe what ?(complex = false) tag device shape =
 
 (* Blocked Householder QR (Algorithm 2), cost accounting only. *)
 let qr ?complex ?rows ?fault tag device ~n ~tile =
-  let (module K) = scalar_of ?complex tag in
+  let (module K) = Solver.scalar_of ?complex tag in
   let module Q = Blocked_qr.Make (K) in
   let rows = Option.value rows ~default:n in
   let r = Q.run_plan ?fault ~device ~rows ~cols:n ~tile () in
@@ -52,7 +41,7 @@ let qr ?complex ?rows ?fault tag device ~n ~tile =
 
 (* Tiled back substitution (Algorithm 1), cost accounting only. *)
 let bs ?complex ?fault tag device ~dim ~tile =
-  let (module K) = scalar_of ?complex tag in
+  let (module K) = Solver.scalar_of ?complex tag in
   let module B = Tiled_back_sub.Make (K) in
   let r = B.run_plan ?fault ~device ~dim ~tile () in
   {
@@ -83,6 +72,22 @@ let method_what what (method_ : Solver.method_) =
   | Solver.Qr_direct -> what
   | m -> Printf.sprintf "%s[%s]" what (Solver.method_name m)
 
+(* [Solver.Make] plus its phase split — "QR"/"BS", or the iterative
+   ladder's rungs — as report parts. *)
+module Solver_of (K : Scalar.S) = struct
+  include Solver.Make (K)
+
+  let report_parts =
+    List.map (fun (p : part) ->
+        {
+          Report.Part.name = p.name;
+          kernel_ms = p.kernel_ms;
+          wall_ms = p.wall_ms;
+          kernel_gflops = p.kernel_gflops;
+          wall_gflops = p.wall_gflops;
+        })
+end
+
 (* Least squares solve behind the pluggable engine seam (cost accounting
    only): the direct QR + BS plan — the two phases appear as the "QR"
    and "BS" parts, timed apart as in Table 10 — or one modeled rung of
@@ -91,8 +96,8 @@ let method_what what (method_ : Solver.method_) =
    record. *)
 let solve ?complex ?fault ?(method_ = Solver.Qr_direct) ?rows ?iterations tag
     device ~n ~tile =
-  let (module K) = scalar_of ?complex tag in
-  let module S = Solver.Make (K) in
+  let (module K) = Solver.scalar_of ?complex tag in
+  let module S = Solver_of (K) in
   let rows = Option.value rows ~default:n in
   let r = S.plan ~method_ ?fault ?iterations ~device ~rows ~cols:n ~tile () in
   {
@@ -100,17 +105,7 @@ let solve ?complex ?fault ?(method_ = Solver.Qr_direct) ?rows ?iterations tag
       describe (method_what "solve" method_) ?complex tag device
         (Printf.sprintf "%dx%d tile=%d" rows n tile);
     stages = List.map Report.Row.of_profile r.S.stages;
-    parts =
-      List.map
-        (fun (p : S.part) ->
-          {
-            Report.Part.name = p.S.name;
-            kernel_ms = p.S.kernel_ms;
-            wall_ms = p.S.wall_ms;
-            kernel_gflops = p.S.kernel_gflops;
-            wall_gflops = p.S.wall_gflops;
-          })
-        r.S.parts;
+    parts = S.report_parts r.S.parts;
     kernel_ms = r.S.kernel_ms;
     wall_ms = r.S.wall_ms;
     kernel_gflops = r.S.kernel_gflops;
@@ -127,7 +122,7 @@ let solve ?complex ?fault ?(method_ = Solver.Qr_direct) ?rows ?iterations tag
    stage from the accumulated cost-model terms. *)
 
 let qr_roofline ?complex ?rows tag device ~n ~tile =
-  let (module K) = scalar_of ?complex tag in
+  let (module K) = Solver.scalar_of ?complex tag in
   let module Q = Blocked_qr.Make (K) in
   let rows = Option.value rows ~default:n in
   let sim = Gpusim.Sim.create ~execute:false ~device ~prec:K.prec () in
@@ -135,7 +130,7 @@ let qr_roofline ?complex ?rows tag device ~n ~tile =
   Gpusim.Sim.roofline sim
 
 let bs_roofline ?complex tag device ~dim ~tile =
-  let (module K) = scalar_of ?complex tag in
+  let (module K) = Solver.scalar_of ?complex tag in
   let module B = Tiled_back_sub.Make (K) in
   let sim = Gpusim.Sim.create ~execute:false ~device ~prec:K.prec () in
   B.plan sim ~dim ~tile;
@@ -153,7 +148,7 @@ let solve_roofline ?complex ?(method_ = Solver.Qr_direct) ?rows tag device ~n
          kernels come out memory-bound at double double (routing those
          jobs to bandwidth-rich device classes) and drift compute-bound
          as the Table 1 multipliers grow. *)
-      let (module K) = scalar_of ?complex tag in
+      let (module K) = Solver.scalar_of ?complex tag in
       let module S = Solver.Make (K) in
       let rows = Option.value rows ~default:n in
       let r = S.plan ~method_:m ~device ~rows ~cols:n ~tile () in
@@ -198,7 +193,7 @@ let log_ladder_start ?(complex = false) tag (s : Report.solver) =
    factorization residual), exercising the very code the tables cost. *)
 
 let verify_qr ?complex ?fault tag device ~n ~tile =
-  let (module K) = scalar_of ?complex tag in
+  let (module K) = Solver.scalar_of ?complex tag in
   let module Q = Blocked_qr.Make (K) in
   let module H = Host_qr.Make (K) in
   let module Rand = Randmat.Make (K) in
@@ -220,7 +215,7 @@ let verify_qr ?complex ?fault tag device ~n ~tile =
 
 let verify_solve ?complex ?fault ?(method_ = Solver.Qr_direct) ?rows tag
     device ~n ~tile =
-  let (module K) = scalar_of ?complex tag in
+  let (module K) = Solver.scalar_of ?complex tag in
   let module S = Solver.Make (K) in
   let module Rand = Randmat.Make (K) in
   let module V = Vec.Make (K) in
@@ -253,7 +248,7 @@ let verify_solve ?complex ?fault ?(method_ = Solver.Qr_direct) ?rows tag
   }
 
 let verify_bs ?complex ?fault tag device ~dim ~tile =
-  let (module K) = scalar_of ?complex tag in
+  let (module K) = Solver.scalar_of ?complex tag in
   let module B = Tiled_back_sub.Make (K) in
   let module Rand = Randmat.Make (K) in
   let module Tri = Host_tri.Make (K) in
@@ -301,8 +296,8 @@ let salted (cfg : Fault.Plan.config) =
 
 let solve_ft ?(complex = false) ?fault ?(method_ = Solver.Qr_direct) tag
     device ~n ~tile =
-  let (module K) = scalar_of ~complex tag in
-  let module S = Solver.Make (K) in
+  let (module K) = Solver.scalar_of ~complex tag in
+  let module S = Solver_of (K) in
   let module M = Mat.Make (K) in
   let module V = Vec.Make (K) in
   let module Rand = Randmat.Make (K) in
@@ -330,7 +325,7 @@ let solve_ft ?(complex = false) ?fault ?(method_ = Solver.Qr_direct) tag
     match next_tag tag with
     | None -> (clean ()).S.x
     | Some hi ->
-        let (module KH) = scalar_of ~complex hi in
+        let (module KH) = Solver.scalar_of ~complex hi in
         let module Rf = Refine.Make_scalar (K) (KH) in
         let ah = Rf.MH.init n n (fun i j -> Rf.promote (M.get a i j)) in
         let bh = Array.map Rf.promote b in
@@ -358,17 +353,7 @@ let solve_ft ?(complex = false) ?fault ?(method_ = Solver.Qr_direct) tag
   {
     Report.label = describe what ~complex tag device shape;
     stages = List.map Report.Row.of_profile r.S.stages;
-    parts =
-      List.map
-        (fun (p : S.part) ->
-          {
-            Report.Part.name = p.S.name;
-            kernel_ms = p.S.kernel_ms;
-            wall_ms = p.S.wall_ms;
-            kernel_gflops = p.S.kernel_gflops;
-            wall_gflops = p.S.wall_gflops;
-          })
-        r.S.parts;
+    parts = S.report_parts r.S.parts;
     kernel_ms = r.S.kernel_ms;
     wall_ms = r.S.wall_ms;
     kernel_gflops = r.S.kernel_gflops;

@@ -6,10 +6,6 @@
     numeric execution); the [verify_*] functions execute the same code
     paths numerically at moderate dimensions and report residuals. *)
 
-val scalar_of :
-  ?complex:bool -> Multidouble.Precision.tag -> (module Mdlinalg.Scalar.S)
-(** The shared scalar instantiation for a precision tag. *)
-
 val qr :
   ?complex:bool ->
   ?rows:int ->

@@ -1,8 +1,7 @@
 (* The per-job execution engine: one job's full lifecycle (validation,
    bounded retry with exponential backoff, cooperative timeout) settling
    into a structured outcome, plus the versioned JSON-lines outcome
-   codec.  The fleet service and the batch wrapper both drive jobs
-   through [settle]; neither ever sees an exception escape it. *)
+   codec.  The fleet service drives every job through [settle]; neither ever sees an exception escape it. *)
 
 module Json = Harness.Json
 module Report = Harness.Report
@@ -27,7 +26,6 @@ type placement = {
   steals : int;
   queue_depth : int;
   migrations : string list;
-  hedged : bool;
 }
 
 type outcome = {
@@ -41,12 +39,12 @@ type outcome = {
   status : status;
 }
 
-(* v6: solver-engine seam — jobs carry an optional solver method and
-   completed reports embed the schema-4 report with its solver record;
-   v5 added the resilience plane (migration trail and hedge flag in the
-   placement record), v4 fleet placement, v3 the retryable
-   classification, v2 per-attempt timing. *)
-let schema_version = 6
+(* v7: the placement record lost its duplicate-execution flag; v6 the
+   solver-engine seam (jobs carry an optional solver method, completed
+   reports embed the schema-4 report with its solver record), v5 the
+   resilience plane's migration trail, v4 fleet placement, v3 the
+   retryable classification, v2 per-attempt timing. *)
+let schema_version = 7
 
 exception Injected_failure
 
@@ -271,7 +269,6 @@ let json_of_placement p =
       ("steals", Json.Int p.steals);
       ("queue_depth", Json.Int p.queue_depth);
       ("migrations", Json.Arr (List.map (fun i -> Json.Str i) p.migrations));
-      ("hedged", Json.Bool p.hedged);
     ]
 
 let placement_of_json j =
@@ -282,7 +279,6 @@ let placement_of_json j =
     queue_depth = Json.get_int (Json.member "queue_depth" j);
     migrations =
       List.map Json.get_string (Json.get_list (Json.member "migrations" j));
-    hedged = Json.get_bool (Json.member "hedged" j);
   }
 
 let outcome_to_json o =

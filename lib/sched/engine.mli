@@ -1,11 +1,7 @@
-(** The per-job execution engine shared by the {!Fleet} service and the
-    batch wrapper in {!Scheduler}: one job's full lifecycle — validation,
-    bounded retry with exponential backoff, cooperative timeout —
-    settling into a structured {!outcome}, plus the versioned JSON-lines
-    outcome codec (schema {!schema_version}).
-
-    {!Scheduler} re-exports every type here under its historical names;
-    new code driving jobs directly should use this module. *)
+(** The per-job execution engine behind the {!Fleet} service: one job's
+    full lifecycle — validation, bounded retry with exponential backoff,
+    cooperative timeout — settling into a structured {!outcome}, plus
+    the versioned JSON-lines outcome codec (schema {!schema_version}). *)
 
 type failure = {
   message : string;
@@ -43,9 +39,6 @@ type placement = {
   migrations : string list;
       (** instances the job was reclaimed from (crashed, hung or
           breaker-evicted), oldest first; [[]] for an undisturbed job *)
-  hedged : bool;
-      (** a hedge duplicate was launched for this job; the outcome is
-          whichever copy finished first *)
 }
 
 type outcome = {
@@ -64,11 +57,11 @@ type outcome = {
 
 val schema_version : int
 (** Version stamped into (and required of) every serialized outcome:
-    6 (solver-engine seam: jobs carry an optional solver method and
+    7 (the placement record lost its duplicate-execution flag; v6 the
+    solver-engine seam — jobs carry an optional solver method and
     completed reports embed the schema-4 report with its solver record;
-    v5 added the migration trail and hedge flag in the placement
-    record, v4 fleet placement, v3 the retryable classification, v2
-    per-attempt timing). *)
+    v5 the migration trail in the placement record, v4 fleet placement,
+    v3 the retryable classification, v2 per-attempt timing). *)
 
 exception Injected_failure
 (** The testing hook raised by the [inject_failures] leading attempts;

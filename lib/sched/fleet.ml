@@ -8,7 +8,7 @@
    regime) to bandwidth-rich classes and compute-bound jobs (octo
    double) to compute-rich ones.  Generic instances (device = None) are
    plain capacity honoring whatever device each job names; the batch
-   wrapper in [Scheduler] runs on an all-generic pool.
+   wrapper [run] uses an all-generic pool.
 
    Admission control bounds every queue: a submission finding all its
    candidate queues at [max_queue_depth] is rejected — backpressure the
@@ -18,15 +18,16 @@
    The resilience plane (all opt-in through [Config]) layers on top:
 
    - Device chaos ([Fault.Chaos]): seeded campaigns deal each instance
-     a crash (the worker domain exits), a hang (the worker stops
-     draining its queue, holding its claimed job) or a brownout (every
+     a crash (the worker domain exits), a hang (the worker parks until
+     shutdown and never drains its queue again) or a brownout (every
      kernel costed [factor] times slower) after a drawn number of
      executed jobs.
 
    - Recovery: jobs stranded on a crashed or hung instance — queued and
-     claimed-but-unstarted alike — are reclaimed and re-placed through
-     the same roofline policy, never silently dropped; the hop is
-     recorded in the outcome's migration trail.  A job migrated more
+     claimed-but-unstarted alike — are handed back by the struck worker
+     itself and re-placed through the same roofline policy, never
+     silently dropped; the hop is recorded in the outcome's migration
+     trail.  A job migrated more
      than [max_migrations] times is quarantined: settled as a permanent
      failure rather than bounced forever.
 
@@ -35,12 +36,6 @@
      latency excursion against the instance's class; an open instance
      is skipped by placement, admits a single probe job after a
      cool-off (half-open), and closes again when the probe succeeds.
-
-   - Hedged execution: a job in flight longer than a p95-based delay
-     gets a duplicate on another instance; the first copy to settle
-     wins and the loser is discarded after a byte-equality check of the
-     two reports (the kernels are deterministic, so divergence is a
-     bug worth a counter).
 
    Locking: one mutex guards the queues, counters, instance states and
    the result table.  Jobs execute outside the lock, wrapped in
@@ -64,7 +59,6 @@ module Config = struct
     retain_outcomes : bool;
     chaos : Chaos.config option;
     max_migrations : int;
-    hedge_ms : float option;
     breakers : bool;
   }
 
@@ -85,7 +79,6 @@ module Config = struct
       retain_outcomes = true;
       chaos = None;
       max_migrations = 3;
-      hedge_ms = None;
       breakers = false;
     }
 
@@ -123,8 +116,7 @@ module Config = struct
 
   (* Structured validation instead of runtime misbehavior: a negative
      depth would admit nothing, a negative backoff would crash the
-     first retry sleep, a non-positive hedge delay would duplicate
-     every job.  [backoff_ms = 0] stays legal — it is the documented
+     first retry sleep.  [backoff_ms = 0] stays legal — it is the documented
      "retry without sleeping" setting the deterministic tests use — and
      unbounded queues are requested explicitly through {!unbounded}. *)
   let validate (c : t) =
@@ -143,11 +135,7 @@ module Config = struct
       Error
         (Printf.sprintf "max_migrations %d must be non-negative"
            c.max_migrations)
-    else
-      match c.hedge_ms with
-      | Some ms when Float.is_nan ms || ms <= 0.0 ->
-        Error (Printf.sprintf "hedge_ms %g must be positive" ms)
-      | _ -> Ok ()
+    else Ok ()
 end
 
 type reject =
@@ -168,7 +156,6 @@ type queued = {
   q_depth : int;  (* queue depth at admission *)
   q_admitted_to : int;  (* instance index *)
   q_migrations : string list;  (* instances reclaimed from, newest first *)
-  q_hedge : bool;  (* duplicate copy of an in-flight ticket *)
 }
 
 (* Instance life under chaos.  [Browned] instances keep executing (just
@@ -196,16 +183,6 @@ type breaker = {
   mutable b_probing : bool;  (* half-open probe currently admitted *)
 }
 
-(* The job an instance's worker is executing right now, tracked so the
-   supervisor can hedge stragglers and reclaim the claimed-but-parked
-   entry of a hung worker. *)
-type inflight = {
-  if_entry : queued;
-  if_job : Job.t;  (* effective job: auto device already resolved *)
-  if_started : float;
-  mutable if_hedged : bool;
-}
-
 type instance = {
   id : string;
   device : D.t option;
@@ -217,19 +194,7 @@ type instance = {
   mutable busy_ms : float;
   mutable state : state;
   chaos_event : Chaos.event option;
-  mutable reclaimed : bool;  (* hung instance already swept *)
-  mutable inflight : inflight option;
   breaker : breaker;
-}
-
-(* Book-keeping for one hedged ticket: how many copies are still out,
-   and the winner's status fingerprint for the byte-equality check.
-   Entries are removed once every copy has settled, so a long-running
-   serve loop does not grow memory. *)
-type hedge_info = {
-  mutable h_remaining : int;
-  mutable h_first : (string * bool) option;
-      (* (status fingerprint, ran browned) of the first copy to settle *)
 }
 
 type t = {
@@ -240,13 +205,11 @@ type t = {
   changed : Condition.t;  (* clients wait here for claims/settlements *)
   instances : instance array;
   results : (ticket, Engine.outcome) Hashtbl.t;
-  hedged : (ticket, hedge_info) Hashtbl.t;
   mutable next_ticket : int;
   mutable unsettled : int;  (* admitted but not yet settled *)
   mutable stopping : bool;
   mutable started : bool;
   mutable workers : unit Domain.t array;
-  mutable supervisor : unit Domain.t option;
   order : int Atomic.t;  (* completion rank *)
   total_steals : int Atomic.t;
   mutable started_at : float;  (* for utilization *)
@@ -265,11 +228,6 @@ let m_completed = Metrics.once (fun () -> m_counter "fleet.completed")
 let m_failed = Metrics.once (fun () -> m_counter "fleet.failed")
 let m_attempts = Metrics.once (fun () -> m_counter "fleet.attempts")
 let m_steals = Metrics.once (fun () -> m_counter "fleet.steals")
-let m_hedge_launched = Metrics.once (fun () -> m_counter "fleet.hedge.launched")
-let m_hedge_wins = Metrics.once (fun () -> m_counter "fleet.hedge.wins")
-
-let m_hedge_mismatches =
-  Metrics.once (fun () -> m_counter "fleet.hedge.mismatches")
 
 let m_breaker_opened =
   Metrics.once (fun () -> m_counter "fleet.breaker.opened")
@@ -297,76 +255,10 @@ let inflight_gauge inst = m_gauge ("fleet.inflight." ^ inst.id)
 
 (* ---- roofline placement ---- *)
 
-(* Jobs are classified compute- vs memory-bound on a fixed reference
-   device (the V100, the paper's flagship) so the verdict — and with it
-   the placement — is deterministic and pool-independent: double double
-   comes out memory-bound, octo double compute-bound, the paper's CGMA
-   shape.  Memoized: a million-job stream re-plans nothing. *)
-let classify_memo :
-    ( Job.kind
-      * Multidouble.Precision.tag
-      * bool
-      * int
-      * int option
-      * int
-      * Lsq_core.Solver.method_,
-      Obs.Roofline.bound )
-    Hashtbl.t =
-  Hashtbl.create 64
-
-let classify_lock = Mutex.create ()
-
-let classify_job (job : Job.t) =
-  let key =
-    ( job.Job.kind,
-      job.Job.prec,
-      job.Job.complex,
-      job.Job.dim,
-      job.Job.rows,
-      job.Job.tile,
-      job.Job.solver )
-  in
-  Mutex.lock classify_lock;
-  let cached = Hashtbl.find_opt classify_memo key in
-  Mutex.unlock classify_lock;
-  match cached with
-  | Some b -> b
-  | None ->
-    let bound =
-      try
-        let complex = job.Job.complex in
-        let prec = job.Job.prec in
-        let dim = job.Job.dim and tile = job.Job.tile in
-        let stages =
-          match job.Job.kind with
-          | Job.Qr ->
-            R.qr_roofline ~complex ?rows:job.Job.rows prec D.v100 ~n:dim ~tile
-          | Job.Backsub -> R.bs_roofline ~complex prec D.v100 ~dim ~tile
-          | Job.Solve ->
-            (* The iterative engines classify memory-bound at every
-               precision (BLAS-1/2 kernels), routing their jobs to
-               bandwidth-rich classes regardless of what the direct
-               plan of the same shape would say. *)
-            R.solve_roofline ~complex ~method_:job.Job.solver
-              ?rows:job.Job.rows prec D.v100 ~n:dim ~tile
-        in
-        (Obs.Roofline.total stages).Obs.Roofline.bound
-      with _ ->
-        (* Unplannable (invalid shape): the class hardly matters, the
-           job will settle as a validation failure anyway. *)
-        Obs.Roofline.Memory
-    in
-    Mutex.lock classify_lock;
-    Hashtbl.replace classify_memo key bound;
-    Mutex.unlock classify_lock;
-    bound
-
-(* Fault-free roofline stage predictions on the device a job actually
-   executed with, feeding the health plane's cost-model drift detector:
-   fault-free measured breakdowns reproduce these exactly, so any gap is
-   either fault recovery or a miscalibrated model.  Memoized like
-   [classify_memo]; [None] marks unplannable shapes. *)
-let predict_memo :
+(* Fault-free roofline stage plans of a job shape on a named device,
+   memoized (a million-job stream re-plans nothing); [None] marks
+   unplannable shapes and unknown devices. *)
+let roofline_memo :
     ( Job.kind
       * Multidouble.Precision.tag
       * bool
@@ -375,13 +267,13 @@ let predict_memo :
       * int
       * Lsq_core.Solver.method_
       * string,
-      (string * float) list option )
+      Obs.Roofline.stage list option )
     Hashtbl.t =
   Hashtbl.create 64
 
-let predict_lock = Mutex.create ()
+let roofline_lock = Mutex.create ()
 
-let predicted_stages (job : Job.t) =
+let roofline_stages (job : Job.t) ~device =
   let key =
     ( job.Job.kind,
       job.Job.prec,
@@ -390,42 +282,58 @@ let predicted_stages (job : Job.t) =
       job.Job.rows,
       job.Job.tile,
       job.Job.solver,
-      job.Job.device )
+      device )
   in
-  Mutex.lock predict_lock;
-  let cached = Hashtbl.find_opt predict_memo key in
-  Mutex.unlock predict_lock;
+  Mutex.lock roofline_lock;
+  let cached = Hashtbl.find_opt roofline_memo key in
+  Mutex.unlock roofline_lock;
   match cached with
-  | Some p -> p
+  | Some s -> s
   | None ->
-    let predicted =
-      match D.by_name job.Job.device with
-      | exception Invalid_argument _ -> None
-      | device -> (
-        try
-          let complex = job.Job.complex in
-          let prec = job.Job.prec in
-          let dim = job.Job.dim and tile = job.Job.tile in
-          let stages =
-            match job.Job.kind with
-            | Job.Qr ->
-              R.qr_roofline ~complex ?rows:job.Job.rows prec device ~n:dim
-                ~tile
-            | Job.Backsub -> R.bs_roofline ~complex prec device ~dim ~tile
-            | Job.Solve ->
-              R.solve_roofline ~complex ~method_:job.Job.solver
-                ?rows:job.Job.rows prec device ~n:dim ~tile
-          in
-          Some
-            (List.map
-               (fun (s : Obs.Roofline.stage) -> (s.Obs.Roofline.stage, s.Obs.Roofline.ms))
-               stages)
-        with _ -> None)
+    let stages =
+      try
+        let device = D.by_name device in
+        let complex = job.Job.complex in
+        let prec = job.Job.prec in
+        let dim = job.Job.dim and tile = job.Job.tile in
+        Some
+          (match job.Job.kind with
+          | Job.Qr ->
+            R.qr_roofline ~complex ?rows:job.Job.rows prec device ~n:dim ~tile
+          | Job.Backsub -> R.bs_roofline ~complex prec device ~dim ~tile
+          | Job.Solve ->
+            R.solve_roofline ~complex ~method_:job.Job.solver
+              ?rows:job.Job.rows prec device ~n:dim ~tile)
+      with _ -> None
     in
-    Mutex.lock predict_lock;
-    Hashtbl.replace predict_memo key predicted;
-    Mutex.unlock predict_lock;
-    predicted
+    Mutex.lock roofline_lock;
+    Hashtbl.replace roofline_memo key stages;
+    Mutex.unlock roofline_lock;
+    stages
+
+(* Jobs are classified compute- vs memory-bound on a fixed reference
+   device (the V100, the paper's flagship) so the verdict — and with it
+   the placement — is deterministic and pool-independent: double double
+   comes out memory-bound, octo double compute-bound, the paper's CGMA
+   shape.  The iterative engines classify memory-bound at every
+   precision (BLAS-1/2 kernels), routing their jobs to bandwidth-rich
+   classes regardless of what the direct plan of the same shape would
+   say.  An unplannable (invalid) shape hardly matters: the job will
+   settle as a validation failure anyway. *)
+let classify_job (job : Job.t) =
+  match roofline_stages job ~device:"v100" with
+  | Some stages -> (Obs.Roofline.total stages).Obs.Roofline.bound
+  | None -> Obs.Roofline.Memory
+
+(* Fault-free roofline stage predictions on the device a job actually
+   executed with, feeding the health plane's cost-model drift detector:
+   fault-free measured breakdowns reproduce these exactly, so any gap is
+   either fault recovery or a miscalibrated model. *)
+let predicted_stages (job : Job.t) =
+  Option.map
+    (List.map (fun (s : Obs.Roofline.stage) ->
+         (s.Obs.Roofline.stage, s.Obs.Roofline.ms)))
+    (roofline_stages job ~device:job.Job.device)
 
 (* Distinct device classes of the pool, in pool order. *)
 let classes t =
@@ -576,10 +484,7 @@ let place t job =
    order, shortest queue, ignoring the depth bound — a migrated job is
    never dropped for want of queue room.  [None] iff nothing is left
    alive. *)
-let place_forced ?exclude t job =
-  let admitted ok i =
-    alive i && (match exclude with Some e -> i != e | None -> ok)
-  in
+let place_forced t job =
   let pick admit =
     let rec first = function
       | [] -> None
@@ -596,9 +501,9 @@ let place_forced ?exclude t job =
     in
     first (candidate_groups t job)
   in
-  match pick (fun i -> admitted true i && breaker_admits t i) with
+  match pick (fun i -> alive i && breaker_admits t i) with
   | Some i -> Some i
-  | None -> pick (admitted true)
+  | None -> pick alive
 
 (* ---- lifecycle ---- *)
 
@@ -615,8 +520,6 @@ let instance_of ?chaos ~index (device, slot) =
     state = Healthy;
     chaos_event =
       (match chaos with Some cfg -> Chaos.draw cfg ~instance:index | None -> None);
-    reclaimed = false;
-    inflight = None;
     breaker =
       { b_state = Closed; b_opened_at = 0.0; b_failures = 0; b_probing = false };
   }
@@ -669,7 +572,6 @@ let quarantine_outcome t entry ~trail ~message ~now =
             steals = 0;
             queue_depth = entry.q_depth;
             migrations = List.rev trail;
-            hedged = false;
           };
       status =
         Engine.Failed { message; timed_out = false; retryable = false };
@@ -684,58 +586,56 @@ let quarantine_outcome t entry ~trail ~message ~now =
 
 (* Move stranded entries off a dead or hung instance.  Called with the
    lock held; returns the quarantined outcomes for the caller to emit
-   (and broadcast) once the lock is released.  Queued hedge duplicates
-   are simply dropped — their original is still executing somewhere and
-   will settle the ticket. *)
+   (and broadcast) once the lock is released. *)
 let migrate_entries t ~from_id entries ~now =
   breaker_tick t ~now;
   let quarantined = ref [] in
   let migrated = ref 0 in
   List.iter
     (fun entry ->
-      if entry.q_hedge then begin
-        match Hashtbl.find_opt t.hedged entry.q_ticket with
-        | Some info ->
-          info.h_remaining <- info.h_remaining - 1;
-          if info.h_remaining <= 0 then Hashtbl.remove t.hedged entry.q_ticket
-        | None -> ()
-      end
-      else begin
-        let trail = from_id :: entry.q_migrations in
-        if List.length trail > t.config.max_migrations then
+      let trail = from_id :: entry.q_migrations in
+      if List.length trail > t.config.max_migrations then
+        quarantined :=
+          quarantine_outcome t entry ~trail
+            ~message:
+              (Printf.sprintf
+                 "quarantined after %d migration%s (last instance: %s)"
+                 (List.length trail)
+                 (if List.length trail = 1 then "" else "s")
+                 from_id)
+            ~now
+          :: !quarantined
+      else
+        match place_forced t entry.q_job with
+        | Some target ->
+          Queue.push { entry with q_migrations = trail } target.queue;
+          note_placed t target;
+          incr migrated;
+          Metrics.Gauge.set (depth_gauge target)
+            (float_of_int (Queue.length target.queue))
+        | None ->
           quarantined :=
             quarantine_outcome t entry ~trail
               ~message:
                 (Printf.sprintf
-                   "quarantined after %d migration%s (last instance: %s)"
-                   (List.length trail)
-                   (if List.length trail = 1 then "" else "s")
-                   from_id)
+                   "lost instance %s and no live instance remains" from_id)
               ~now
-            :: !quarantined
-        else
-          match place_forced t entry.q_job with
-          | Some target ->
-            Queue.push { entry with q_migrations = trail } target.queue;
-            note_placed t target;
-            incr migrated;
-            Metrics.Gauge.set (depth_gauge target)
-              (float_of_int (Queue.length target.queue))
-          | None ->
-            quarantined :=
-              quarantine_outcome t entry ~trail
-                ~message:
-                  (Printf.sprintf
-                     "lost instance %s and no live instance remains" from_id)
-                ~now
-              :: !quarantined
-      end)
+            :: !quarantined)
     entries;
   if !migrated > 0 then begin
     Chaos.note_migration ~instance:from_id ~jobs:!migrated;
     Condition.broadcast t.work
   end;
   List.rev !quarantined
+
+(* A struck worker hands back its claimed entry and everything still
+   queued on its instance.  Called with the lock held; returns the
+   quarantined outcomes, as [migrate_entries]. *)
+let strand t inst entry =
+  let stranded = entry :: List.of_seq (Queue.to_seq inst.queue) in
+  Queue.clear inst.queue;
+  Metrics.Gauge.set (depth_gauge inst) 0.0;
+  migrate_entries t ~from_id:inst.id stranded ~now:(Engine.now_ms ())
 
 (* Deliver settle-time side effects that must not run under the fleet
    lock: the on_outcome callback and the client broadcast. *)
@@ -802,24 +702,9 @@ let breaker_note t inst ~ok ~now =
 
 (* ---- execution ---- *)
 
-(* The deterministic part of an outcome, for the hedge byte-equality
-   check: the report (simulated timings included — the cost model is
-   deterministic) or the failure classification.  Wall-clock fields
-   (timing, order) legitimately differ between copies and stay out. *)
-let status_fingerprint = function
-  | Engine.Completed report ->
-    Harness.Json.to_string (Harness.Report.to_json report)
-  | Engine.Failed f ->
-    Printf.sprintf "failed:%s:%b:%b" f.Engine.message f.Engine.timed_out
-      f.Engine.retryable
-
 (* One claimed entry, start to finish; runs outside the fleet lock. *)
 let execute t inst entry ~stolen =
-  let job =
-    match inst.inflight with
-    | Some inf -> inf.if_job
-    | None -> effective_job t inst entry.q_job
-  in
+  let job = effective_job t inst entry.q_job in
   let admitted_to = t.instances.(entry.q_admitted_to).id in
   if stolen then begin
     Atomic.incr t.total_steals;
@@ -852,142 +737,84 @@ let execute t inst entry ~stolen =
   in
   let now = Engine.now_ms () in
   let latency_ms = Float.max 0.0 (now -. entry.q_admitted_at) in
-  let fingerprint = status_fingerprint status in
-  let ran_browned = slowdown > 1.0 in
-  (* Settlement: first copy of a hedged ticket wins; the loser is
-     checked for byte-equality and discarded. *)
   Mutex.lock t.lock;
   inst.running <- false;
-  inst.inflight <- None;
   inst.executed <- inst.executed + 1;
   if stolen then inst.stolen <- inst.stolen + 1;
   inst.busy_ms <- inst.busy_ms +. elapsed_ms;
-  let verdict =
-    match Hashtbl.find_opt t.hedged entry.q_ticket with
-    | None -> `Winner false
-    | Some info ->
-      info.h_remaining <- info.h_remaining - 1;
-      if info.h_remaining <= 0 then Hashtbl.remove t.hedged entry.q_ticket;
-      (match info.h_first with
-      | None ->
-        info.h_first <- Some (fingerprint, ran_browned);
-        `Winner true
-      | Some (first_fp, first_browned) ->
-        `Loser
-          (first_fp = fingerprint, first_browned || ran_browned))
-  in
   let outcome =
-    match verdict with
-    | `Loser _ -> None
-    | `Winner hedged ->
-      let outcome =
-        {
-          Engine.job;
-          index = entry.q_ticket;
-          order = Atomic.fetch_and_add t.order 1;
-          attempts;
-          elapsed_ms;
-          timing;
-          placement =
-            Some
-              {
-                Engine.device_id = inst.id;
-                admitted_to;
-                steals = (if stolen then 1 else 0);
-                queue_depth = entry.q_depth;
-                migrations = List.rev entry.q_migrations;
-                hedged;
-              };
-          status;
-        }
-      in
-      if hedged && entry.q_hedge then
-        Metrics.Counter.incr (m_hedge_wins ());
-      if t.config.retain_outcomes then
-        Hashtbl.replace t.results entry.q_ticket outcome;
-      t.unsettled <- t.unsettled - 1;
-      Some outcome
+    {
+      Engine.job;
+      index = entry.q_ticket;
+      order = Atomic.fetch_and_add t.order 1;
+      attempts;
+      elapsed_ms;
+      timing;
+      placement =
+        Some
+          {
+            Engine.device_id = inst.id;
+            admitted_to;
+            steals = (if stolen then 1 else 0);
+            queue_depth = entry.q_depth;
+            migrations = List.rev entry.q_migrations;
+          };
+      status;
+    }
   in
+  if t.config.retain_outcomes then
+    Hashtbl.replace t.results entry.q_ticket outcome;
+  t.unsettled <- t.unsettled - 1;
   let ok = match status with Engine.Completed _ -> true | _ -> false in
-  if outcome <> None then breaker_note t inst ~ok ~now;
+  breaker_note t inst ~ok ~now;
   Condition.broadcast t.changed;
   Mutex.unlock t.lock;
   Metrics.Gauge.set (util_gauge inst) (utilization t inst ~now);
   Metrics.Gauge.set (inflight_gauge inst) 0.0;
-  match verdict with
-  | `Loser (byte_equal, any_browned) ->
-    (* Duplicate outcomes of the deterministic kernels must agree to
-       the byte unless a browned copy legitimately ran slower. *)
-    if (not byte_equal) && not any_browned then begin
-      Metrics.Counter.incr (m_hedge_mismatches ());
-      Obs.Log.error "fleet.hedge_mismatch"
-        ~fields:
-          [
-            ("job", Obs.Log.Str job.Job.id);
-            ("instance", Obs.Log.Str inst.id);
-          ]
-    end
-    else
-      Obs.Log.debug "fleet.hedge_loser"
-        ~fields:
-          [
-            ("job", Obs.Log.Str job.Job.id);
-            ("instance", Obs.Log.Str inst.id);
-          ]
-  | `Winner _ ->
-    let outcome = Option.get outcome in
-    Metrics.Counter.incr ~by:attempts (m_attempts ());
-    Metrics.Counter.incr
-      ((match status with
-       | Engine.Completed _ -> m_completed
-       | Engine.Failed _ -> m_failed)
-         ());
-    Metrics.Histogram.observe (latency_histogram inst) latency_ms;
-    let cls = class_slug inst.device in
-    (match status with
-    | Engine.Completed report ->
-      Obs.Health.observe ~cls ~ok:true ~latency_ms;
-      if t.config.breakers then
-        Obs.Health.observe ~cls:inst.id ~ok:true ~latency_ms;
-      Obs.Log.debug "fleet.job_completed"
-        ~fields:
-          [
-            ("job", Obs.Log.Str job.Job.id);
-            ("instance", Obs.Log.Str inst.id);
-            ("attempts", Obs.Log.Int attempts);
-            ("latency_ms", Obs.Log.Float latency_ms);
-          ];
-      (* Drift: fault-free roofline prediction vs the measured breakdown,
-         stage by stage.  Stages the model does not plan (e.g. the ABFT
-         checks of fault-tolerant runs) have no prediction and are
-         skipped. *)
-      (match predicted_stages job with
-      | Some predicted ->
-        List.iter
-          (fun (row : Harness.Report.Row.t) ->
-            match List.assoc_opt row.Harness.Report.Row.stage predicted with
-            | Some predicted_ms ->
-              Obs.Health.observe_model ~stage:row.Harness.Report.Row.stage
-                ~predicted_ms ~measured_ms:row.Harness.Report.Row.ms
-            | None -> ())
-          report.Harness.Report.stages
-      | None -> ())
-    | Engine.Failed f ->
-      Obs.Health.observe ~cls ~ok:false ~latency_ms;
-      if t.config.breakers then
-        Obs.Health.observe ~cls:inst.id ~ok:false ~latency_ms;
-      Obs.Log.error "fleet.job_failed"
-        ~fields:
-          [
-            ("job", Obs.Log.Str job.Job.id);
-            ("instance", Obs.Log.Str inst.id);
-            ("attempts", Obs.Log.Int attempts);
-            ("message", Obs.Log.Str f.Engine.message);
-            ("timed_out", Obs.Log.Bool f.Engine.timed_out);
-          ]);
-    (match t.on_outcome with
-    | Some f -> ( try f outcome with _ -> ())
+  Metrics.Counter.incr ~by:attempts (m_attempts ());
+  Metrics.Counter.incr ((if ok then m_completed else m_failed) ());
+  Metrics.Histogram.observe (latency_histogram inst) latency_ms;
+  let cls = class_slug inst.device in
+  Obs.Health.observe ~cls ~ok ~latency_ms;
+  if t.config.breakers then Obs.Health.observe ~cls:inst.id ~ok ~latency_ms;
+  (match status with
+  | Engine.Completed report ->
+    Obs.Log.debug "fleet.job_completed"
+      ~fields:
+        [
+          ("job", Obs.Log.Str job.Job.id);
+          ("instance", Obs.Log.Str inst.id);
+          ("attempts", Obs.Log.Int attempts);
+          ("latency_ms", Obs.Log.Float latency_ms);
+        ];
+    (* Drift: fault-free roofline prediction vs the measured breakdown,
+       stage by stage.  Stages the model does not plan (e.g. the ABFT
+       checks of fault-tolerant runs) have no prediction and are
+       skipped. *)
+    (match predicted_stages job with
+    | Some predicted ->
+      List.iter
+        (fun (row : Harness.Report.Row.t) ->
+          match List.assoc_opt row.Harness.Report.Row.stage predicted with
+          | Some predicted_ms ->
+            Obs.Health.observe_model ~stage:row.Harness.Report.Row.stage
+              ~predicted_ms ~measured_ms:row.Harness.Report.Row.ms
+          | None -> ())
+        report.Harness.Report.stages
     | None -> ())
+  | Engine.Failed f ->
+    Obs.Log.error "fleet.job_failed"
+      ~fields:
+        [
+          ("job", Obs.Log.Str job.Job.id);
+          ("instance", Obs.Log.Str inst.id);
+          ("attempts", Obs.Log.Int attempts);
+          ("message", Obs.Log.Str f.Engine.message);
+          ("timed_out", Obs.Log.Bool f.Engine.timed_out);
+        ]);
+  match t.on_outcome with
+  | Some f -> ( try f outcome with _ -> ())
+  | None -> ()
 
 (* Claim the next entry for [inst]: its own queue first (FIFO), then —
    when stealing is on — the oldest entry of the deepest foreign queue
@@ -1041,38 +868,24 @@ let worker t index () =
         (* The domain dies with work on its hands: the claimed entry and
            everything still queued migrate, then the worker exits. *)
         inst.state <- Crashed;
-        let stranded =
-          entry :: List.of_seq (Queue.to_seq inst.queue)
-        in
-        Queue.clear inst.queue;
-        let now = Engine.now_ms () in
-        let quarantined = migrate_entries t ~from_id:inst.id stranded ~now in
-        Metrics.Gauge.set (depth_gauge inst) 0.0;
+        let quarantined = strand t inst entry in
         Mutex.unlock t.lock;
         Chaos.note_triggered Chaos.Crash ~instance:inst.id;
         deliver t quarantined;
         continue_ := false
       | Some { Chaos.kind = Chaos.Hang; _ } ->
-        (* The worker freezes holding its claim; the supervisor notices
-           the hung state, reclaims the queue and the held entry, and
-           the park only ends at fleet shutdown. *)
+        (* The worker freezes: like a crash it hands back its claim and
+           its queue at strike time, but the domain stays parked until
+           fleet shutdown instead of exiting. *)
         inst.state <- Hung;
-        inst.running <- true;
-        inst.inflight <-
-          Some
-            {
-              if_entry = entry;
-              if_job = effective_job t inst entry.q_job;
-              if_started = Engine.now_ms ();
-              if_hedged = true;  (* never hedge a hung hold: it migrates *)
-            };
+        let quarantined = strand t inst entry in
         Mutex.unlock t.lock;
         Chaos.note_triggered Chaos.Hang ~instance:inst.id;
+        deliver t quarantined;
         Mutex.lock t.lock;
         while not t.stopping do
           Condition.wait t.work t.lock
         done;
-        inst.running <- false;
         Mutex.unlock t.lock;
         continue_ := false
       | due ->
@@ -1082,14 +895,6 @@ let worker t index () =
           Chaos.note_triggered Chaos.Brownout ~instance:inst.id
         | _ -> ());
         inst.running <- true;
-        inst.inflight <-
-          Some
-            {
-              if_entry = entry;
-              if_job = effective_job t inst entry.q_job;
-              if_started = Engine.now_ms ();
-              if_hedged = entry.q_hedge;  (* never hedge a hedge *)
-            };
         Metrics.Gauge.set (inflight_gauge inst) 1.0;
         Metrics.Gauge.set
           (depth_gauge t.instances.(entry.q_admitted_to))
@@ -1109,91 +914,6 @@ let worker t index () =
   done;
   Metrics.Gauge.set (util_gauge inst) (utilization t inst ~now:(Engine.now_ms ()))
 
-(* ---- the supervisor ----
-
-   A light housekeeping domain, spawned only when the config enables
-   chaos or hedging (an undisturbed fleet pays nothing for it).  Each
-   tick it (1) reclaims the queue and held entry of hung instances, and
-   (2) hedges stragglers: an in-flight job older than
-   max(hedge_ms, 3 x class p95) gets a duplicate on another instance. *)
-let supervisor_tick_s = 0.002
-
-let hedge_delay_ms t inst =
-  let floor_ms = Option.value t.config.hedge_ms ~default:Float.infinity in
-  match Obs.Health.status_of ~cls:(class_slug inst.device) with
-  | Some { Obs.Health.p95_ms = Some p95; window; _ } when window >= 8 ->
-    Float.max floor_ms (3.0 *. p95)
-  | _ -> floor_ms
-
-let supervise t () =
-  let running = ref true in
-  while !running do
-    Mutex.lock t.lock;
-    if t.stopping then begin
-      Mutex.unlock t.lock;
-      running := false
-    end
-    else begin
-      let now = Engine.now_ms () in
-      let quarantined = ref [] in
-      Array.iter
-        (fun inst ->
-          if inst.state = Hung && not inst.reclaimed then begin
-            inst.reclaimed <- true;
-            let held =
-              match inst.inflight with
-              | Some inf ->
-                inst.inflight <- None;
-                [ inf.if_entry ]
-              | None -> []
-            in
-            let stranded = held @ List.of_seq (Queue.to_seq inst.queue) in
-            Queue.clear inst.queue;
-            Metrics.Gauge.set (depth_gauge inst) 0.0;
-            if stranded <> [] then
-              quarantined :=
-                !quarantined @ migrate_entries t ~from_id:inst.id stranded ~now
-          end)
-        t.instances;
-      if t.config.hedge_ms <> None then
-        Array.iter
-          (fun inst ->
-            match inst.inflight with
-            | Some inf
-              when (not inf.if_hedged) && alive inst
-                   && now -. inf.if_started > hedge_delay_ms t inst -> (
-              match place_forced ~exclude:inst t inf.if_job with
-              | Some target ->
-                inf.if_hedged <- true;
-                Hashtbl.replace t.hedged inf.if_entry.q_ticket
-                  { h_remaining = 2; h_first = None };
-                Queue.push
-                  { inf.if_entry with q_job = inf.if_job; q_hedge = true }
-                  target.queue;
-                note_placed t target;
-                Metrics.Counter.incr (m_hedge_launched ());
-                Metrics.Gauge.set (depth_gauge target)
-                  (float_of_int (Queue.length target.queue));
-                Obs.Log.info "fleet.hedge"
-                  ~fields:
-                    [
-                      ("job", Obs.Log.Str inf.if_job.Job.id);
-                      ("straggler", Obs.Log.Str inst.id);
-                      ("duplicate_on", Obs.Log.Str target.id);
-                    ];
-                Condition.broadcast t.work
-              | None -> ())
-            | _ -> ())
-          t.instances;
-      Mutex.unlock t.lock;
-      deliver t !quarantined;
-      Unix.sleepf supervisor_tick_s
-    end
-  done
-
-let needs_supervisor (config : Config.t) =
-  config.Config.chaos <> None || config.Config.hedge_ms <> None
-
 let start t =
   Mutex.lock t.lock;
   let spawn = (not t.started) && not t.stopping in
@@ -1202,13 +922,10 @@ let start t =
     t.started_at <- Engine.now_ms ()
   end;
   Mutex.unlock t.lock;
-  if spawn then begin
+  if spawn then
     t.workers <-
       Array.init (Array.length t.instances) (fun i ->
-          Domain.spawn (worker t i));
-    if needs_supervisor t.config then
-      t.supervisor <- Some (Domain.spawn (supervise t))
-  end
+          Domain.spawn (worker t i))
 
 let create ?on_outcome ?(autostart = true) (config : Config.t) =
   (match Config.validate config with
@@ -1233,13 +950,11 @@ let create ?on_outcome ?(autostart = true) (config : Config.t) =
                instance_of ?chaos:config.Config.chaos ~index s)
              slots);
       results = Hashtbl.create 64;
-      hedged = Hashtbl.create 8;
       next_ticket = 0;
       unsettled = 0;
       stopping = false;
       started = false;
       workers = [||];
-      supervisor = None;
       order = Atomic.make 0;
       total_steals = Atomic.make 0;
       started_at = Engine.now_ms ();
@@ -1284,7 +999,6 @@ let submit t (job : Job.t) =
             q_depth = depth;
             q_admitted_to = inst.index;
             q_migrations = [];
-            q_hedge = false;
           }
           inst.queue;
         note_placed t inst;
@@ -1369,12 +1083,24 @@ let shutdown t =
   Condition.broadcast t.changed;
   Mutex.unlock t.lock;
   Array.iter Domain.join t.workers;
-  t.workers <- [||];
-  (match t.supervisor with
-  | Some d ->
-    Domain.join d;
-    t.supervisor <- None
-  | None -> ())
+  t.workers <- [||]
+
+(* A batch over a fresh fleet: submit everything (blocking on
+   backpressure instead of rejecting — a batch has no client to answer),
+   await each ticket, shut the fleet down.  Outcomes come back in
+   submission order; [retain_outcomes] is forced on since [await] needs
+   the results kept. *)
+let run ?on_outcome (config : Config.t) jobs =
+  if jobs = [] then []
+  else begin
+    let fleet =
+      create ?on_outcome { config with Config.retain_outcomes = true }
+    in
+    let tickets = List.map (submit_blocking fleet) jobs in
+    let outcomes = List.map (await fleet) tickets in
+    shutdown fleet;
+    outcomes
+  end
 
 (* ---- introspection ---- *)
 

@@ -23,13 +23,14 @@
 
     - {e Device chaos} ([Config.chaos]): a seeded {!Fault.Chaos}
       campaign deals each instance at most one fate — crash (the worker
-      domain exits), hang (the worker stops draining its queue, holding
-      its claimed job), or brownout (kernels cost
+      domain exits), hang (the worker parks until shutdown and never
+      drains its queue again), or brownout (kernels cost
       [Chaos.config.brownout_factor] slower) — striking after a drawn
       number of executed jobs.
-    - {e Recovery}: jobs stranded on a crashed or hung instance are
-      reclaimed and re-placed through the same roofline policy, never
-      silently dropped; each hop is recorded in the outcome's
+    - {e Recovery}: jobs stranded on a crashed or hung instance — its
+      claimed job and its queue — are handed back by the struck worker
+      at strike time and re-placed through the same roofline policy,
+      never silently dropped; each hop is recorded in the outcome's
       [placement.migrations] trail.  A job migrated more than
       [Config.max_migrations] times is {e quarantined}: settled as a
       permanent (non-retryable) failure carrying its trail.
@@ -39,30 +40,22 @@
       an open instance is skipped by placement, admits a single probe
       after a 250 ms cool-off (half-open), and closes when the probe
       succeeds.
-    - {e Hedged execution} ([Config.hedge_ms]): a job in flight longer
-      than [max(hedge_ms, 3 x class p95)] gets a duplicate on another
-      instance; the first copy to settle wins ([placement.hedged] is
-      set), the loser is discarded after a byte-equality check of the
-      two results (the kernels are deterministic — divergence counts in
-      [fleet.hedge.mismatches]).
 
     Outcomes are {!Engine.outcome} records whose [placement] field
     carries the executing instance, the admitting instance, the steal
-    count, the queue depth seen at admission, the migration trail and
-    the hedge flag (outcome schema 5).  The fleet also feeds the
+    count, the queue depth seen at admission and the migration trail
+    (outcome schema 7).  The fleet also feeds the
     default {!Obs.Metrics} registry
     ([fleet.submitted/rejected/completed/failed/steals/attempts]
     counters, [fleet.latency_ms.<class>] histograms on
     {!Obs.Metrics.latency_buckets} with per-class p50/p95/p99 in the
     snapshot, [fleet.queue_depth.<id>] and [fleet.util.<id>] gauges,
     and — from the resilience plane —
-    [fleet.chaos.crashes/hangs/brownouts/migrations/quarantined],
-    [fleet.hedge.launched/wins/mismatches] and
+    [fleet.chaos.crashes/hangs/brownouts/migrations/quarantined] and
     [fleet.breaker.opened/half_open/closed] counters) and the tracer
     ([admit]/[steal]/[reject] instants).
 
-    {!Scheduler} runs its batch mode as a thin wrapper over this
-    service. *)
+    {!run} is batch mode: a thin wrapper over this service. *)
 
 module Config : sig
   type t = {
@@ -84,9 +77,6 @@ module Config : sig
             leaves every instance healthy *)
     max_migrations : int;
         (** reclaim hops before a job is quarantined (default 3) *)
-    hedge_ms : float option;
-        (** enable hedged execution with this floor (ms) on the
-            straggler delay; [None] (the default) never hedges *)
     breakers : bool;
         (** drive per-instance circuit breakers from health windows
             (default off) *)
@@ -114,8 +104,7 @@ module Config : sig
   (** Structured validation: rejects an empty pool, non-positive pool
       counts, non-positive [max_queue_depth] (use {!unbounded}),
       negative or NaN [backoff_ms] (zero stays legal: retry without
-      sleeping), negative [max_migrations], and non-positive or NaN
-      [hedge_ms]. *)
+      sleeping) and negative [max_migrations]. *)
 end
 
 type t
@@ -134,8 +123,7 @@ type ticket = int
 
 val create : ?on_outcome:(Engine.outcome -> unit) -> ?autostart:bool -> Config.t -> t
 (** Builds the fleet and (unless [autostart:false]) spawns one worker
-    domain per instance, plus a light supervisor domain when the config
-    enables chaos or hedging.  [on_outcome] is called from the worker
+    domain per instance.  [on_outcome] is called from the worker
     domain that settled the job, as each job finishes (exceptions it
     raises are swallowed).  With [autostart:false] submissions queue but
     nothing executes until {!start} — useful for deterministic
@@ -169,9 +157,22 @@ val drain : t -> Engine.outcome list
 
 val shutdown : t -> unit
 (** Stops admissions, lets the workers finish every queued job, joins
-    them and the supervisor.  Idempotent; a never-started fleet just
-    stops.  Parked hung workers are released; in-flight jobs of hung
-    instances have already been migrated by the supervisor. *)
+    them.  Idempotent; a never-started fleet just stops.  Parked hung
+    workers are released; their jobs were migrated when the hang
+    struck. *)
+
+val run :
+  ?on_outcome:(Engine.outcome -> unit) ->
+  Config.t ->
+  Job.t list ->
+  Engine.outcome list
+(** [run config jobs] runs a batch over a fresh fleet built from
+    [config]: one outcome per job, in submission order, a failing job
+    never aborting the batch.  Backpressure from bounded queues blocks
+    the submitter instead of rejecting (a batch has no client to
+    answer); [retain_outcomes] is forced on.  [on_outcome] is called as
+    each job settles, from the worker domain that ran it — it must be
+    thread-safe.  Never raises on job failures. *)
 
 (** A point-in-time view of one instance. *)
 type stats = {

@@ -3,7 +3,7 @@
     accounting only) or executed numerically.
 
     Jobs serialize to the same versioned JSON schema as the scheduler's
-    outcome records ({!Scheduler.schema_version}); a jobs file is either
+    outcome records ({!Engine.schema_version}); a jobs file is either
     a JSON array of job objects or one job object per line. *)
 
 type kind = Qr | Backsub | Solve

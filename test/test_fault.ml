@@ -13,7 +13,8 @@ module R = Harness.Runners
 module Report = Harness.Report
 module Json = Harness.Json
 module Job = Sched.Job
-module S = Sched.Scheduler
+module S = Sched.Engine
+module Fleet = Sched.Fleet
 
 let check = Alcotest.(check bool)
 let checki = Alcotest.(check int)
@@ -461,7 +462,7 @@ let test_failure_classification () =
   (* The injection hook models a transient fault: retryable, burns the
      retry budget. *)
   (match
-     S.run (S.Config.batch ~parallel:1 ~backoff_ms:0.0 ())
+     Fleet.run (Fleet.Config.batch ~parallel:1 ~backoff_ms:0.0 ())
        [ qr_job ~retries:1 ~inject_failures:99 ~id:"transient" () ]
    with
   | [ o ] ->
@@ -472,7 +473,7 @@ let test_failure_classification () =
   | _ -> Alcotest.fail "expected one outcome");
   (* Validation failures are permanent: no attempt, no retry. *)
   (match
-     S.run (S.Config.batch ~parallel:1 ~backoff_ms:0.0 ())
+     Fleet.run (Fleet.Config.batch ~parallel:1 ~backoff_ms:0.0 ())
        [ qr_job ~tile:30 ~id:"permanent" () ]
    with
   | [ o ] ->
@@ -482,7 +483,7 @@ let test_failure_classification () =
   | _ -> Alcotest.fail "expected one outcome");
   (* Exhausted timeouts are permanent too. *)
   match
-    S.run (S.Config.batch ~parallel:1 ~backoff_ms:5.0 ())
+    Fleet.run (Fleet.Config.batch ~parallel:1 ~backoff_ms:5.0 ())
       [
         qr_job ~retries:5 ~inject_failures:99 ~timeout_ms:1.0 ~id:"deadline" ();
       ]
@@ -506,7 +507,7 @@ let test_faulted_job_completes () =
 let test_serialization () =
   (* Outcomes round-trip with the classification flag, for both values. *)
   let outcomes =
-    S.run (S.Config.batch ~parallel:1 ~backoff_ms:0.0 ())
+    Fleet.run (Fleet.Config.batch ~parallel:1 ~backoff_ms:0.0 ())
       [
         qr_job ~retries:0 ~inject_failures:99 ~id:"retryable" ();
         qr_job ~tile:30 ~id:"permanent" ();

@@ -6,7 +6,7 @@ module P = Multidouble.Precision
 module D = Gpusim.Device
 module Job = Sched.Job
 module F = Sched.Fleet
-module S = Sched.Scheduler
+module S = Sched.Engine
 module Json = Harness.Json
 
 let check = Alcotest.(check bool)
@@ -100,8 +100,8 @@ let test_placement () =
    job's. *)
 let test_pinned_device_kept () =
   let outcomes =
-    S.run
-      (S.Config.batch ~parallel:2 ~backoff_ms:0.0 ())
+    F.run
+      (F.Config.batch ~parallel:2 ~backoff_ms:0.0 ())
       [ solve ~device:"p100" ~id:"pinned" ~prec:P.DD () ]
   in
   match outcomes with
@@ -305,12 +305,12 @@ let test_backpressure () =
   | Ok _ | Error (F.Queue_full _) ->
     Alcotest.fail "submissions after shutdown must report Draining"
 
-(* ---- schema 6 ---- *)
+(* ---- schema 7 ---- *)
 
-let test_schema6_roundtrip () =
+let test_schema7_roundtrip () =
   let outcomes =
-    S.run
-      { S.Config.default with F.Config.max_queue_depth = F.Config.unbounded }
+    F.run
+      { F.Config.default with F.Config.max_queue_depth = F.Config.unbounded }
       [ solve ~id:"rt-dd" ~prec:P.DD (); solve ~id:"rt-od" ~prec:P.OD () ]
   in
   List.iter
@@ -318,12 +318,19 @@ let test_schema6_roundtrip () =
       let line = Json.to_string (S.outcome_to_json o) in
       let o' = S.outcome_of_json (Json.of_string line) in
       check "outcome round-trips with placement" true (o = o');
-      checki "schema is 6" 6 S.schema_version;
+      checki "schema is 7" 7 S.schema_version;
       check "placement survives the codec" true (o'.S.placement <> None);
+      let keys =
+        match Json.member "placement" (Json.of_string line) with
+        | Json.Obj fields -> List.map fst fields
+        | _ -> Alcotest.fail "placement did not serialize to an object"
+      in
+      check "placement keys" true
+        (keys
+        = [ "device_id"; "admitted_to"; "steals"; "queue_depth"; "migrations" ]);
       let p = placement o in
       check "undisturbed job has no migration trail" true
-        (p.S.migrations = []);
-      check "undisturbed job is unhedged" true (p.S.hedged = false))
+        (p.S.migrations = []))
     outcomes;
   (* An old-version stamp must be refused. *)
   let o = List.hd outcomes in
@@ -376,8 +383,8 @@ let () =
         [ Alcotest.test_case "backpressure" `Quick test_backpressure ] );
       ( "schema",
         [
-          Alcotest.test_case "schema 6 round-trip" `Quick
-            test_schema6_roundtrip;
+          Alcotest.test_case "schema 7 round-trip" `Quick
+            test_schema7_roundtrip;
           Alcotest.test_case "auto needs a fleet" `Quick test_auto_needs_fleet;
         ] );
     ]

@@ -4,7 +4,8 @@
 
 module P = Multidouble.Precision
 module Job = Sched.Job
-module S = Sched.Scheduler
+module S = Sched.Engine
+module F = Sched.Fleet
 module Report = Harness.Report
 module Json = Harness.Json
 
@@ -43,7 +44,7 @@ let test_mixed_batch () =
   in
   (* One worker: jobs are claimed in submission order, so completion
      order is fully deterministic. *)
-  let outcomes = S.run (S.Config.batch ~parallel:1 ~backoff_ms:0.0 ()) jobs in
+  let outcomes = F.run (F.Config.batch ~parallel:1 ~backoff_ms:0.0 ()) jobs in
   checki "one outcome per job" (List.length jobs) (List.length outcomes);
   List.iteri
     (fun i o ->
@@ -87,7 +88,7 @@ let test_parallel_batch () =
           [ P.DD; P.QD ])
       [ "c2050"; "k20c"; "p100"; "v100" ]
   in
-  let outcomes = S.run (S.Config.batch ~parallel:4 ~backoff_ms:0.0 ()) jobs in
+  let outcomes = F.run (F.Config.batch ~parallel:4 ~backoff_ms:0.0 ()) jobs in
   checki "all jobs settled" 8 (List.length outcomes);
   List.iteri (fun i o -> checki "in submission order" i o.S.index) outcomes;
   let orders = List.sort compare (List.map (fun o -> o.S.order) outcomes) in
@@ -101,7 +102,7 @@ let test_retry_recovers () =
   let job =
     qr ~id:"flaky" ~dim:128 ~tile:32 ~retries:2 ~inject_failures:1 ()
   in
-  match S.run (S.Config.batch ~parallel:1 ~backoff_ms:0.0 ()) [ job ] with
+  match F.run (F.Config.batch ~parallel:1 ~backoff_ms:0.0 ()) [ job ] with
   | [ o ] ->
     ignore (completed o);
     checki "succeeded on the second attempt" 2 o.S.attempts;
@@ -114,7 +115,7 @@ let test_backoff_recorded () =
   let job =
     qr ~id:"backoff" ~dim:64 ~tile:32 ~retries:2 ~inject_failures:1 ()
   in
-  match S.run (S.Config.batch ~parallel:1 ~backoff_ms:2.0 ()) [ job ] with
+  match F.run (F.Config.batch ~parallel:1 ~backoff_ms:2.0 ()) [ job ] with
   | [ o ] ->
     ignore (completed o);
     checki "two attempts" 2 o.S.attempts;
@@ -133,7 +134,7 @@ let test_poisoned_degrades () =
       qr ~id:"after" ~dim:128 ~tile:32 ();
     ]
   in
-  let outcomes = S.run (S.Config.batch ~parallel:1 ~backoff_ms:0.0 ()) jobs in
+  let outcomes = F.run (F.Config.batch ~parallel:1 ~backoff_ms:0.0 ()) jobs in
   checki "batch continued" 3 (List.length outcomes);
   let o = List.nth outcomes 1 in
   let f = failed o in
@@ -145,7 +146,7 @@ let test_poisoned_degrades () =
 
 let test_validation_rejects () =
   let bad = qr ~id:"bad-tile" ~dim:100 ~tile:32 () in
-  match S.run (S.Config.batch ~parallel:1 ~backoff_ms:1.0 ()) [ bad ] with
+  match F.run (F.Config.batch ~parallel:1 ~backoff_ms:1.0 ()) [ bad ] with
   | [ o ] ->
     let f = failed o in
     checki "never attempted" 0 o.S.attempts;
@@ -162,7 +163,7 @@ let test_timeout_is_cooperative () =
     qr ~id:"slowpoke" ~dim:128 ~tile:32 ~retries:5 ~inject_failures:99
       ~timeout_ms:1.0 ()
   in
-  match S.run (S.Config.batch ~parallel:1 ~backoff_ms:5.0 ()) [ job ] with
+  match F.run (F.Config.batch ~parallel:1 ~backoff_ms:5.0 ()) [ job ] with
   | [ o ] ->
     let f = failed o in
     check "timed out" true f.S.timed_out;
@@ -187,7 +188,7 @@ let test_outcome_roundtrip () =
       qr ~id:"invalid" ~dim:100 ~tile:32 ();
     ]
   in
-  let outcomes = S.run (S.Config.batch ~parallel:1 ~backoff_ms:0.0 ()) jobs in
+  let outcomes = F.run (F.Config.batch ~parallel:1 ~backoff_ms:0.0 ()) jobs in
   List.iter roundtrip outcomes;
   (* A wrong schema version is rejected. *)
   let doctored =
@@ -211,7 +212,7 @@ let test_jsonl_file_roundtrip () =
       qr ~id:"b" ~dim:64 ~tile:32 ~retries:0 ~inject_failures:99 ();
     ]
   in
-  let outcomes = S.run (S.Config.batch ~parallel:1 ~backoff_ms:0.0 ()) jobs in
+  let outcomes = F.run (F.Config.batch ~parallel:1 ~backoff_ms:0.0 ()) jobs in
   let path = Filename.temp_file "lsq_batch" ".jsonl" in
   Fun.protect
     ~finally:(fun () -> Sys.remove path)
