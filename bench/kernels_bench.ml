@@ -241,12 +241,15 @@ let run () =
 (* Smoke: one dd and one (small) od comparison, each finishing in
    seconds; fails the run (exit 1) if either flat path is not faster
    than its generic one, or if the octo double speedup falls below the
-   regression floor — the specialized m = 8 engine holds well above 3x
-   even at this small size, so dipping under it means the engine
-   regressed to replay-level performance.  The od case doubles as a
-   standing bit-identity check on the m = 8 engine ([Bench.matmul]
-   verifies limb for limb while it times). *)
-let od_smoke_floor = 3.0
+   regression floor.  The boxed and flat octo double products share one
+   magnitude sort, so the ratio measures the rest of the engine: twelve
+   runs on a 2-vCPU host gave 2.16-2.96x (median 2.6x; boxed ~260 ms,
+   flat ~100 ms), against 2.05-2.41x with the generic replay engine in
+   its place.  The floor sits below that noise and catches the flat
+   path losing most of its lead, not the specialization.  The od case
+   doubles as a standing bit-identity check on the m = 8 engine
+   ([Bench.matmul] verifies limb for limb while it times). *)
+let od_smoke_floor = 1.7
 
 let smoke () =
   header ();

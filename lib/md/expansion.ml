@@ -77,7 +77,7 @@ module Pre (Z : SIZE) = struct
         incr k
       end
     done;
-    Renorm.sort_by_magnitude buf;
+    Renorm.sort_by_magnitude ~saved:(Array.make !count 0.0) buf;
     Renorm.renormalize ~passes:2 ~m:limbs buf
 
   let add_float a b =
@@ -91,7 +91,7 @@ module Pre (Z : SIZE) = struct
       buf.(2 * i) <- p;
       buf.((2 * i) + 1) <- e
     done;
-    Renorm.sort_by_magnitude buf;
+    Renorm.sort_by_magnitude ~saved:(Array.make (2 * limbs) 0.0) buf;
     Renorm.renormalize ~passes:2 ~m:limbs buf
 
   (* Long division as in QDlib: peel off one double of quotient at a time

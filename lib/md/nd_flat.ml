@@ -30,10 +30,10 @@
    - m = 8 runs a specialized engine for octo double: the same
      [Expansion.Pre] sequences as the generic replay below, but
      monomorphic and straight-line — the 36 partial products of the
-     truncated multiplication hand-unrolled, the 79-slot product buffer
-     sorted by a float-specialized replica of the stdlib heapsort
-     (identical permutation, hence identical bits) instead of a
-     closure-dispatched polymorphic sort.
+     truncated multiplication hand-unrolled into a 79-slot product
+     buffer, ordered by the same [Renorm.sort_by_magnitude] the boxed
+     path calls (with the sort's saved copy in the ctx, so nothing is
+     allocated).
    - every other m >= 3 runs an allocation-free replay of
      [Expansion.Pre]: accurate addition as merge-by-magnitude plus a
      two-pass renormalization, truncated multiplication as the exact
@@ -48,8 +48,10 @@
    algorithms, and bit-identity with the registry path is what the
    dispatchers and the fault plane rely on.  The m = 8 engine IS an
    instance of the expansion algorithms — it exists purely for speed and
-   is pinned to the replay engine by the bit-identity suites.  All are
-   selected once, at plan resolution, never per kernel operation.
+   is pinned to the replay engine by the bit-identity suites.  Since the
+   boxed and flat products share one magnitude sort, those suites also
+   pin both against a reference product built on the stdlib sort.  All
+   are selected once, at plan resolution, never per kernel operation.
 
    Concurrency: a {!plan} is immutable and shared freely; a {!ctx} is
    mutable per-block scratch, so each [Sim.launch] block (or test loop)
@@ -103,6 +105,7 @@ type ctx = {
   nb : float array;   (* m: negated operand of a subtraction *)
   abuf : float array; (* addition merge buffer: 2m generic, 4 for qd *)
   pbuf : float array; (* generic partial-product buffer: m^2 + 2m - 1 *)
+  psave : float array; (* the sort's saved copy of pbuf, same size *)
   rt : float array;   (* qd renormalization input scratch (clobbered) *)
   out : float array;  (* renormalization output, m *)
   uv : float array;   (* sliding window (qd) / running carry (generic) *)
@@ -139,96 +142,6 @@ type plan = {
 let empty = [||]
 
 (* ------------------------------------------------------------------ *)
-(* The magnitude sort, monomorphized                                   *)
-(* ------------------------------------------------------------------ *)
-
-(* [sort_mag a] sorts in place by decreasing absolute value, producing
-   the EXACT permutation of [Renorm.sort_by_magnitude] (stdlib
-   [Array.sort] with [fun x y -> compare (Float.abs y) (Float.abs x)]).
-   The permutation matters: elements of equal magnitude but different
-   sign flow through the renormalization ladder in buffer order, and the
-   boxed path fixed that order when it sorted.  This is a field-for-field
-   replica of the stdlib ternary heapsort with the comparison inlined on
-   floats (the [Bottom] exception becomes a negative return), so the hot
-   mul path pays float compares instead of a closure dispatch and a
-   polymorphic-compare C call per comparison — the single largest cost
-   of the octo double product. *)
-let sort_mag (a : float array) =
-  (* Only the sign of [cmp x y = Float.compare (Float.abs y)
-     (Float.abs x)] is ever consumed, through these two tests; NaN
-     orders below everything and equal to itself, as both
-     [Float.compare] and the polymorphic compare do on floats. *)
-  let[@inline] lt x y =
-    (* cmp x y < 0 *)
-    let ax = Float.abs x and ay = Float.abs y in
-    ay < ax || (ay <> ay && ax = ax)
-  in
-  let[@inline] gt x y =
-    (* cmp x y > 0 *)
-    let ax = Float.abs x and ay = Float.abs y in
-    ay > ax || (ax <> ax && ay = ay)
-  in
-  (* Index of the largest of up to three sons of [i], or [-1 - i'] where
-     [i'] is the sonless node (stdlib's [Bottom i'] exception). *)
-  let maxson l i =
-    let i31 = i + i + i + 1 in
-    if i31 + 2 < l then begin
-      let x =
-        if lt (Array.unsafe_get a i31) (Array.unsafe_get a (i31 + 1)) then
-          i31 + 1
-        else i31
-      in
-      if lt (Array.unsafe_get a x) (Array.unsafe_get a (i31 + 2)) then i31 + 2
-      else x
-    end
-    else if
-      i31 + 1 < l && lt (Array.unsafe_get a i31) (Array.unsafe_get a (i31 + 1))
-    then i31 + 1
-    else if i31 < l then i31
-    else -1 - i
-  in
-  let rec trickledown l i e =
-    let j = maxson l i in
-    if j >= 0 then
-      if gt (Array.unsafe_get a j) e then begin
-        Array.unsafe_set a i (Array.unsafe_get a j);
-        trickledown l j e
-      end
-      else Array.unsafe_set a i e
-    else (* Bottom *) Array.unsafe_set a (-1 - j) e
-  in
-  let rec bubbledown l i =
-    let j = maxson l i in
-    if j >= 0 then begin
-      Array.unsafe_set a i (Array.unsafe_get a j);
-      bubbledown l j
-    end
-    else -1 - j
-  in
-  let rec trickleup i e =
-    let father = (i - 1) / 3 in
-    if lt (Array.unsafe_get a father) e then begin
-      Array.unsafe_set a i (Array.unsafe_get a father);
-      if father > 0 then trickleup father e else Array.unsafe_set a 0 e
-    end
-    else Array.unsafe_set a i e
-  in
-  let l = Array.length a in
-  for i = ((l + 1) / 3) - 1 downto 0 do
-    trickledown l i (Array.unsafe_get a i)
-  done;
-  for i = l - 1 downto 2 do
-    let e = Array.unsafe_get a i in
-    Array.unsafe_set a i (Array.unsafe_get a 0);
-    trickleup (bubbledown i 0) e
-  done;
-  if l > 1 then begin
-    let e = Array.unsafe_get a 1 in
-    Array.unsafe_set a 1 (Array.unsafe_get a 0);
-    Array.unsafe_set a 0 e
-  end
-
-(* ------------------------------------------------------------------ *)
 (* m = 2: the unrolled QDlib sequences of [Double_double]              *)
 (* ------------------------------------------------------------------ *)
 
@@ -241,6 +154,7 @@ module Dd = struct
       nb = empty;
       abuf = empty;
       pbuf = empty;
+      psave = empty;
       rt = empty;
       out = empty;
       uv = empty;
@@ -350,6 +264,7 @@ module Qd = struct
       nb = Array.make 4 0.0;
       abuf = Array.make 4 0.0;
       pbuf = empty;
+      psave = empty;
       rt = Array.make 5 0.0;
       out = Array.make 4 0.0;
       uv = Array.make 3 0.0;
@@ -685,16 +600,14 @@ end
 
 (* Octo double is the precision where flat execution should pay off the
    most — the paper's cost-of-arithmetic-to-memory ratio peaks at 8
-   limbs — yet the generic replay below left it at ~2x: both the boxed
-   path and the replay shared the closure-dispatched polymorphic sort of
-   the 79-slot product buffer, which dominates the multiplication.  This
-   engine runs the SAME [Expansion.Pre] operation sequence (so the
-   bit-identity suites pin it against [Octo_double]) with everything
-   monomorphic: the 36 partial products hand-unrolled into straight-line
-   fma code, the magnitude sort through {!sort_mag}, the merge and
-   renormalization ladders over fixed-size scratch with unchecked
-   accesses.  Only the data-dependent forward commit pass (QDlib's zero
-   tests) remains a loop by nature. *)
+   limbs.  This engine runs the SAME [Expansion.Pre] operation sequence
+   (so the bit-identity suites pin it against [Octo_double]) with
+   everything monomorphic: the 36 partial products hand-unrolled into
+   straight-line fma code, the merge and renormalization ladders over
+   fixed-size scratch with unchecked accesses.  The 79-slot magnitude
+   sort is [Renorm.sort_by_magnitude], shared with the boxed path: an
+   insertion sort over the nearly sorted buffer.  Only the data-dependent
+   forward commit pass (QDlib's zero tests) remains a loop by nature. *)
 module Od = struct
   (* m^2 + 2m - 1 at m = 8: 36 two_prod pairs + 7 guard products. *)
   let pcount8 = 79
@@ -707,6 +620,7 @@ module Od = struct
       nb = Array.make 8 0.0;
       abuf = Array.make 16 0.0;
       pbuf = Array.make pcount8 0.0;
+      psave = Array.make pcount8 0.0;
       rt = empty;
       out = Array.make 8 0.0;
       uv = Array.make 1 0.0;
@@ -921,7 +835,7 @@ module Od = struct
     Array.unsafe_set u 76 (a5 *. b3);
     Array.unsafe_set u 77 (a6 *. b2);
     Array.unsafe_set u 78 (a7 *. b1);
-    sort_mag u;
+    Renorm.sort_by_magnitude ~saved:c.psave u;
     renorm_into8 c u pcount8;
     blit_out8 c dst
 
@@ -974,6 +888,7 @@ module Gen = struct
       nb = Array.make m 0.0;
       abuf = Array.make (2 * m) 0.0;
       pbuf = Array.make (pcount m) 0.0;
+      psave = Array.make (pcount m) 0.0;
       rt = empty;
       out = Array.make m 0.0;
       uv = Array.make 1 0.0;
@@ -1056,8 +971,8 @@ module Gen = struct
      [Expansion.Pre.mul] — partial products emitted by increasing order
      (each order-< m product split by fma two_prod), one guard order of
      plain products, sorted by decreasing magnitude, distilled in two
-     passes.  {!sort_mag} is called on the exact-sized buffer so ties
-     land in the same order as the boxed path. *)
+     passes.  The sort runs on the exact-sized buffer, as in the boxed
+     path, so a tie fallback sees the same input. *)
   let mul_into c m (dst : float array) (a : planes) ia (b : planes) ib =
     let buf = c.pbuf in
     c.mk <- 0;
@@ -1077,7 +992,7 @@ module Gen = struct
       buf.(c.mk) <- get a i ia *. get b (m - i) ib;
       c.mk <- c.mk + 1
     done;
-    sort_mag buf;
+    Renorm.sort_by_magnitude ~saved:c.psave buf;
     renorm_into c buf (pcount m) m 2;
     Array.blit c.out 0 dst 0 m
 

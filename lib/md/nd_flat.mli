@@ -12,12 +12,13 @@
     bit-identical limb for limb: [m = 2] runs the unrolled QDlib
     double-double sequences, [m = 4] the QDlib quad-double sequences,
     [m = 8] a specialized straight-line octo double engine (the
-    [Expansion.Pre] sequences hand-unrolled, with a float-monomorphic
-    replica of the stdlib magnitude sort), and every other [m >= 3] an
-    allocation-free replay of [Expansion.Pre] (merge + renormalize
+    [Expansion.Pre] sequences hand-unrolled), and every other [m >= 3]
+    an allocation-free replay of [Expansion.Pre] (merge + renormalize
     addition, truncated partial-product multiplication) — which is what
     keeps triple double and hexa double on flat execution without
-    hand-written kernels. *)
+    hand-written kernels.  The expansion engines order their product
+    buffers with {!Renorm.sort_by_magnitude}, the sort the boxed
+    products call, with its saved copy in preallocated scratch. *)
 
 type fa = (float, Bigarray.float64_elt, Bigarray.c_layout) Bigarray.Array1.t
 (** One limb plane: a flat array of float64 words. *)
@@ -48,12 +49,6 @@ val get : planes -> int -> int -> float
 val set : planes -> int -> int -> float -> unit
 (** [set p limb i v] writes word [i] of plane [limb]; unchecked unless
     {!bounds_checked}. *)
-
-val sort_mag : float array -> unit
-(** Sorts in place by decreasing absolute value, producing the exact
-    permutation of [Renorm.sort_by_magnitude] (a float-monomorphic
-    replica of the stdlib heapsort) — exposed for the bit-identity
-    tests. *)
 
 type ctx
 (** Mutable per-block scratch.  Allocate one per launch block (or test

@@ -159,7 +159,7 @@ module Pre = struct
 
   let add_float a b =
     let buf = [| a.x0; a.x1; a.x2; a.x3; b |] in
-    Renorm.sort_by_magnitude buf;
+    Renorm.sort_by_magnitude ~saved:(Array.make 5 0.0) buf;
     of_array (Renorm.renormalize ~passes:2 ~m:4 buf)
 
   (* Accurate division: five rounds of long division against the leading

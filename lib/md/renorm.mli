@@ -21,9 +21,22 @@ val grow : float array -> float -> float
     (most significant limb first) and returns the carry falling off the
     least significant end. *)
 
-val sort_by_magnitude : float array -> unit
-(** Sorts in place by decreasing absolute value; used to order partial
-    products before distillation. *)
+val sort_by_magnitude : saved:float array -> float array -> unit
+(** [sort_by_magnitude ~saved a] sorts [a] in place by decreasing
+    absolute value, to order partial products before distillation;
+    [saved] is clobbered scratch of length at least [Array.length a]
+    (the flat engines pass a preallocated buffer, so the sort allocates
+    nothing).  The one magnitude sort of the multiple double code.
+
+    Contract: the order among the zeros, and among bit-identical values,
+    is unspecified; everything else is the permutation of the stdlib
+    [Array.sort] with [fun x y -> compare (Float.abs y) (Float.abs x)],
+    so [renormalize] of the result is bit-identical to [renormalize] of
+    that reference.  A stable insertion sort does the work (the buffers
+    arrive nearly sorted); when the input holds a NaN or a nonzero value
+    next to its negation (x and -x, or +-inf), whose order reaches the
+    renormalized bits, the saved input is restored and sorted by a
+    float-specialized replica of the stdlib heapsort instead. *)
 
 val merge_by_magnitude : float array -> float array -> float array
 (** Merges two arrays already sorted by decreasing absolute value (as

@@ -620,12 +620,80 @@ let test_grow () =
   checkf "no carry" 0.0 c2;
   checkf "absorbed" (2.0 ** -40.0) e2.(1)
 
+let sort_mag a =
+  Renorm.sort_by_magnitude ~saved:(Array.make (Array.length a) 0.0) a
+
+(* The reference order: the stdlib sort by decreasing magnitude, whose
+   tie order defines the products' bits. *)
+let stdlib_sort_mag a =
+  Array.sort (fun x y -> compare (Float.abs y) (Float.abs x)) a
+
+let bits a = Array.map Int64.bits_of_float a
+
+(* Sort [src] both ways and require bit-identical renormalizations; when
+   the input holds a NaN or a nonzero value together with its negation
+   the fallback must have produced the stdlib permutation itself. *)
+let check_sort_against_stdlib name src =
+  let got = Array.copy src and want = Array.copy src in
+  sort_mag got;
+  stdlib_sort_mag want;
+  let order_matters =
+    Array.exists Float.is_nan src
+    || Array.exists (fun x -> x <> 0.0 && Array.mem (-.x) src) src
+  in
+  if order_matters then
+    Alcotest.(check (array int64)) (name ^ ": stdlib permutation")
+      (bits want) (bits got);
+  List.iter
+    (fun (m, passes) ->
+      Alcotest.(check (array int64))
+        (Printf.sprintf "%s: renormalize m=%d passes=%d" name m passes)
+        (bits (Renorm.renormalize ~passes ~m want))
+        (bits (Renorm.renormalize ~passes ~m got)))
+    [ (4, 1); (4, 2); (8, 2) ]
+
+let test_sort_fallback () =
+  List.iter
+    (fun (name, src) -> check_sort_against_stdlib name src)
+    [
+      ("x/-x ties", [| 0.5; 1.0; -0.5; 0x1p-60; -1.0; 1.0; 0x1p-60; -0x1p-60 |]);
+      ("+-inf", [| 1.0; infinity; -2.0; neg_infinity; 0.0 |]);
+      ("inf alone", [| 1.0; -0.0; infinity; 0.0; -2.0 |]);
+      ("nan", [| 1.0; Float.nan; -3.0; 2.0; -0.0 |]);
+      ("nan first", [| Float.nan; 1.0; -3.0; 2.0 |]);
+      ("nan last", [| 2.0; -1.0; 0.5; Float.nan |]);
+      ("tie behind a larger value", [| 4.0; -1.0; 3.0; 1.0; -2.0 |]);
+      ("mixed zero tail", [| 0.0; 1.0; -0.0; 0x1p-70; -0.0; 0.0; -0x1p-20 |]);
+      ("all zeros", [| -0.0; 0.0; -0.0 |]);
+      ("all negative zeros", [| -0.0; -0.0; -0.0 |]);
+      ("ties over zeros", [| -0.0; 0x1p-3; 0.0; -0x1p-3; 2.0; -0.0 |]);
+    ];
+  (* Tie-heavy random arrays: a small pool of exact values, their
+     negations, both zeros and the odd infinity or NaN. *)
+  let rng = Dompool.Prng.create 13 in
+  let pool = [| 1.0; 0.5; 3.0; 0x1p-53; 0.0; 0x1p-80; 6.0 |] in
+  for t = 1 to 2000 do
+    let n = 1 + Dompool.Prng.int rng 40 in
+    let src =
+      Array.init n (fun _ ->
+          let r = Dompool.Prng.int rng 100 in
+          let x =
+            if r = 0 then infinity
+            else if r = 1 && t mod 4 = 0 then Float.nan
+            else if r < 10 then Dompool.Prng.sym_float rng
+            else pool.(Dompool.Prng.int rng (Array.length pool))
+          in
+          if Dompool.Prng.int rng 2 = 0 then -.x else x)
+    in
+    check_sort_against_stdlib (Printf.sprintf "random %d" t) src
+  done
+
 let test_merge_by_magnitude () =
   let rng = Dompool.Prng.create 9 in
   for _ = 1 to 200 do
     let mk n =
       let a = Array.init n (fun _ -> Dompool.Prng.sym_float rng) in
-      Renorm.sort_by_magnitude a;
+      sort_mag a;
       a
     in
     let a = mk (1 + Dompool.Prng.int rng 8) in
@@ -638,9 +706,9 @@ let test_merge_by_magnitude () =
     done;
     check "sorted" true !ok;
     let all = Array.append a b in
-    Renorm.sort_by_magnitude all;
+    sort_mag all;
     let m' = Array.copy m in
-    Renorm.sort_by_magnitude m';
+    sort_mag m';
     Alcotest.(check (array (float 0.0))) "permutation" all m'
   done;
   (* degenerate shapes *)
@@ -713,6 +781,7 @@ let () =
           Alcotest.test_case "grow" `Quick test_grow;
           Alcotest.test_case "merge by magnitude" `Quick
             test_merge_by_magnitude;
+          Alcotest.test_case "sort tie fallback" `Quick test_sort_fallback;
           Alcotest.test_case "renormalize into" `Quick test_renormalize_into;
           Alcotest.test_case "renormalize degenerate" `Quick
             test_renormalize_zeros;

@@ -239,7 +239,7 @@ module Flat_props (S : Md_sig.S) = struct
 
   (* Full-precision staggered values: a random limb at every scale, with
      a random binary exponent (the generator of [Props]). *)
-  let gen_val : S.t Gen.t =
+  let gen_full : S.t Gen.t =
     let open Gen in
     let* limbs = array_size (return m) (float_range (-1.0) 1.0) in
     let* e = int_range (-24) 24 in
@@ -249,6 +249,45 @@ module Flat_props (S : Md_sig.S) = struct
         limbs
     in
     return (S.of_limbs l)
+
+  (* Full-limb values alone never tie in a product buffer.  Small exact
+     integers, signed powers of two and expansions with zero limbs fill
+     it with exact zeros and equal magnitudes. *)
+  let gen_val : S.t Gen.t =
+    let open Gen in
+    frequency
+      [
+        (3, gen_full);
+        (1, map S.of_int (int_range (-64) 64));
+        ( 1,
+          let+ e = int_range (-40) 40 and+ neg = bool in
+          S.of_float (if neg then -.ldexp 1.0 e else ldexp 1.0 e) );
+        ( 1,
+          let+ x = gen_full and+ keep = array_size (return m) bool in
+          S.of_limbs
+            (Array.mapi (fun i l -> if keep.(i) then l else 0.0) (S.to_limbs x))
+        );
+      ]
+
+  (* [x] with the signs of its odd limbs flipped: the cross products
+     x_i * y_j and x_j * y_i of [x] and this value are exact negations of
+     each other, the nonzero ties the shared sort falls back on. *)
+  let alternate x =
+    S.of_limbs_exact
+      (Array.mapi (fun i l -> if i land 1 = 1 then -.l else l) (S.to_limbs x))
+
+  (* Operand pairs: independent draws, x with -x, and x with its
+     alternation. *)
+  let gen_pair : (S.t * S.t) Gen.t =
+    Gen.frequency
+      [
+        (3, Gen.pair gen_val gen_val);
+        (1, Gen.map (fun x -> (x, S.neg x)) gen_val);
+        (1, Gen.map (fun x -> (x, alternate x)) gen_val);
+      ]
+
+  let gen_triple : (S.t * S.t * S.t) Gen.t =
+    Gen.map (fun (c, (a, b)) -> (c, a, b)) (Gen.pair gen_val gen_pair)
 
   let bits_eq (a : float array) (b : float array) =
     Array.length a = Array.length b
@@ -292,24 +331,21 @@ module Flat_props (S : Md_sig.S) = struct
             let ctx = make_ctx () in
             load ctx (stage [| x |]) 0;
             bits_eq (S.to_limbs x) (acc_limbs ctx));
-        to_alco ~count:200 "add" (Gen.pair gen_val gen_val) (fun (a, b) ->
+        to_alco ~count:200 "add" gen_pair (fun (a, b) ->
             let ctx = make_ctx () in
             load ctx (stage [| a |]) 0;
             add ctx (stage [| b |]) 0;
             check_op "add" (S.add a b) (acc_limbs ctx));
-        to_alco ~count:200 "mul_set" (Gen.pair gen_val gen_val)
-          (fun (a, b) ->
+        to_alco ~count:200 "mul_set" gen_pair (fun (a, b) ->
             let ctx = make_ctx () in
             mul_set ctx (stage [| a |]) 0 (stage [| b |]) 0;
             check_op "mul_set" (S.mul a b) (acc_limbs ctx));
-        to_alco ~count:200 "mul_add" (Gen.triple gen_val gen_val gen_val)
-          (fun (c, a, b) ->
+        to_alco ~count:200 "mul_add" gen_triple (fun (c, a, b) ->
             let ctx = make_ctx () in
             load ctx (stage [| c |]) 0;
             mul_add ctx (stage [| a |]) 0 (stage [| b |]) 0;
             check_op "mul_add" (S.add c (S.mul a b)) (acc_limbs ctx));
-        to_alco ~count:200 "sub_from" (Gen.pair gen_val gen_val)
-          (fun (x, c) ->
+        to_alco ~count:200 "sub_from" gen_pair (fun (x, c) ->
             let ctx = make_ctx () in
             load ctx (stage [| c |]) 0;
             let xs = stage [| x |] in
@@ -368,6 +404,81 @@ let replay_suites =
     P3.suite "triple double (replay)";
     P6.suite "sexa double (replay)";
     P16.suite "hexa double (replay)";
+  ]
+
+(* The boxed and flat expansion products share [Renorm.sort_by_magnitude],
+   so their agreement alone cannot catch a wrong sort.  This reference is
+   [Expansion.Pre.mul] spelled out: the partial products in its emission
+   order, sorted by the stdlib sort the products were defined by (so
+   ties land in the same order), then the two-pass renormalization. *)
+let product_buffer m (a : float array) (b : float array) =
+  let buf = ref [] in
+  for o = 0 to m - 1 do
+    for i = 0 to o do
+      let p, e = Eft.two_prod a.(i) b.(o - i) in
+      buf := e :: p :: !buf
+    done
+  done;
+  for i = 1 to m - 1 do
+    buf := (a.(i) *. b.(m - i)) :: !buf
+  done;
+  Array.of_list (List.rev !buf)
+
+let reference_mul m a b =
+  let buf = product_buffer m a b in
+  Array.sort (fun x y -> compare (Float.abs y) (Float.abs x)) buf;
+  Renorm.renormalize ~passes:2 ~m buf
+
+(* A buffer whose order reaches the renormalized bits: it holds a nonzero
+   value and its negation. *)
+let has_signed_tie m a b =
+  let buf = product_buffer m a b in
+  Array.exists (fun x -> x <> 0.0 && Array.mem (-.x) buf) buf
+
+module Reference_props (S : Md_sig.S) = struct
+  module F = Flat_props (S)
+
+  let m = S.limbs
+
+  let suite name =
+    let { Nd_flat.make_ctx; mul_set; mul_add; load; _ } = F.fp in
+    let reference a b =
+      S.of_limbs_exact (reference_mul m (S.to_limbs a) (S.to_limbs b))
+    in
+    ( name ^ " reference product",
+      [
+        to_alco ~count:1000 "boxed mul" F.gen_pair (fun (a, b) ->
+            F.check_op "boxed mul" (reference a b) (S.to_limbs (S.mul a b)));
+        to_alco ~count:1000 "flat mul_set" F.gen_pair (fun (a, b) ->
+            let ctx = make_ctx () in
+            mul_set ctx (F.stage [| a |]) 0 (F.stage [| b |]) 0;
+            F.check_op "mul_set" (reference a b) (F.acc_limbs ctx));
+        to_alco ~count:1000 "flat mul_add" F.gen_triple (fun (c, a, b) ->
+            let ctx = make_ctx () in
+            load ctx (F.stage [| c |]) 0;
+            mul_add ctx (F.stage [| a |]) 0 (F.stage [| b |]) 0;
+            F.check_op "mul_add" (S.add c (reference a b)) (F.acc_limbs ctx));
+        Alcotest.test_case "generator reaches the tie fallback" `Quick
+          (fun () ->
+            let rand = Random.State.make [| m |] in
+            let ties = ref 0 in
+            for _ = 1 to 200 do
+              let a, b = QCheck2.Gen.generate1 ~rand F.gen_pair in
+              if has_signed_tie m (S.to_limbs a) (S.to_limbs b) then incr ties
+            done;
+            if !ties < 10 then
+              Alcotest.failf "only %d of 200 operand pairs tie" !ties);
+      ] )
+end
+
+let reference_suites =
+  let module R3 = Reference_props (Triple_double) in
+  let module R8 = Reference_props (Octo_double) in
+  let module R16 = Reference_props (Hexa_double) in
+  [
+    R3.suite "triple double";
+    R8.suite "octo double";
+    R16.suite "hexa double";
   ]
 
 let flat_gate_suite =
@@ -652,7 +763,7 @@ let () =
       Rqd.suite "quad double";
       Rod.suite "octo double";
     ]
-    @ flat_suites @ replay_suites
+    @ flat_suites @ replay_suites @ reference_suites
     @ [
       flat_gate_suite;
       Ld.suite "double";
