@@ -11,7 +11,7 @@
 
      dune exec bench/main.exe -- kernels        # full matrix, writes
                                                 # BENCH_kernels.json
-     dune exec bench/main.exe -- kernels-smoke  # one dd comparison,
+     dune exec bench/main.exe -- kernels-smoke  # 1d, dd and od rows,
                                                 # exits 1 on regression
 *)
 
@@ -96,6 +96,7 @@ module Bench (K : Scalar.S) = struct
     (g, f)
 end
 
+module Bd = Bench (Scalar.D)
 module Bdd = Bench (Scalar.Dd)
 module Bqd = Bench (Scalar.Qd)
 module Bod = Bench (Scalar.Od)
@@ -238,10 +239,12 @@ let run () =
   close_out oc;
   pf "  [json written to %s]\n" path
 
-(* Smoke: one dd and one (small) od comparison, each finishing in
-   seconds; fails the run (exit 1) if either flat path is not faster
+(* Smoke: one 1d, one dd and one (small) od comparison, each finishing
+   in seconds; fails the run (exit 1) if any flat path is not faster
    than its generic one, or if the octo double speedup falls below the
-   regression floor.  The boxed and flat octo double products share one
+   regression floor.  The 1d row is the standing bit-identity check on
+   the m = 1 engine, and its gate holds the claim that an unboxed plain
+   double kernel beats the boxed one despite the staging.  The boxed and flat octo double products share one
    magnitude sort, so the ratio measures the rest of the engine: twelve
    runs on a 2-vCPU host gave 2.16-2.96x (median 2.6x; boxed ~260 ms,
    flat ~100 ms), against 2.05-2.41x with the generic replay engine in
@@ -272,6 +275,8 @@ let smoke () =
         exit 1
     | _ -> ()
   in
+  let g, f = Bd.matmul ~n:192 in
+  gate { prec = "1d"; n = 192; generic_ms = g; flat_ms = f };
   let g, f = Bdd.matmul ~n:192 in
   gate { prec = "2d"; n = 192; generic_ms = g; flat_ms = f };
   let g, f = Bod.matmul ~n:32 in

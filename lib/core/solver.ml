@@ -246,7 +246,7 @@ module Make (K : Scalar.S) = struct
 
      Instantiated per ladder rung with that rung's scalar; every vector
      operation is a staged kernel launch on the rung's simulator, with
-     the flat limb-plane path taken whenever the scalar supports it
+     the flat limb-plane path taken whenever the ladder staged A
      (results are bit-identical to the boxed path by [Flat_kernels]'
      replay guarantee, so the choice is invisible downstream). *)
 
@@ -289,57 +289,84 @@ module Make (K : Scalar.S) = struct
 
     let vcopy flat v = dvec_of flat (vread v)
 
-    (* The staged matrix: [ah] is the pristine host copy faults never
-       touch (the restage source); the working representation is either
-       staged planes or a boxed copy.  The digest convicts corruption of
-       exactly the words the kernels read. *)
+    (* Where a rung's matrix comes from, which also picks the arm: a
+       boxed matrix runs the boxed kernels; staged limb planes — the
+       leading planes of the solve's one staging of A, which a rung only
+       ever reads — run the flat ones. *)
+    type source = Matrix of ME.t | Staged of FK.planes
+
+    (* The device-resident matrix: [src] / [ah] is the pristine copy
+       faults never touch (the restage source), [work] / [wh] the working
+       copy the kernels read and the corruptor strikes.  Armed runs keep
+       a digest that convicts corruption of exactly those words. *)
+    type repr =
+      | Flat of { src : FK.planes; work : FK.planes }
+      | Boxed of { ah : KE.t array; wh : KE.t array }
+
     type dmat = {
       rows : int;
       cols : int;
-      ah : KE.t array;  (* pristine row-major copy *)
-      wh : KE.t array;  (* working boxed copy (the boxed-arm operand) *)
-      mutable mp : FK.planes option;
-      mutable digest : Fault.Checksum.t;
+      repr : repr;
+      mutable digest : Fault.Checksum.t option;
     }
 
-    let mat_digest mp wh =
-      match mp with
-      | Some (pl : FK.planes) ->
+    let mat_digest dm =
+      match dm.repr with
+      | Flat { work; _ } ->
           Fault.Checksum.of_iter (fun f ->
               Array.iter
                 (fun plane ->
                   for i = 0 to Multidouble.Nd_flat.plane_dim plane - 1 do
                     f (Bigarray.Array1.unsafe_get plane i)
                   done)
-                pl.FK.p)
-      | None -> Fault.Checksum.of_scalars ~to_planes:KE.to_planes wh
+                work.FK.p)
+      | Boxed { wh; _ } -> Fault.Checksum.of_scalars ~to_planes:KE.to_planes wh
 
-    let dmat_of flat (a : ME.t) =
-      let rows = ME.rows a and cols = ME.cols a in
-      let ah = Array.copy a.ME.a in
-      let wh = Array.copy a.ME.a in
-      let mp =
-        if flat then
-          Some (FK.stage ~rows ~cols ~get:(fun i j -> ah.((i * cols) + j)))
-        else None
+    let copy_planes (t : FK.planes) =
+      let copy plane =
+        let c =
+          Bigarray.Array1.create Bigarray.Float64 Bigarray.C_layout
+            (Multidouble.Nd_flat.plane_dim plane)
+        in
+        Bigarray.Array1.blit plane c;
+        c
       in
-      { rows; cols; ah; wh; mp; digest = mat_digest mp wh }
+      { t with FK.p = Array.map copy t.FK.p }
+
+    let dmat_of sim source =
+      let rows, cols, repr =
+        match source with
+        | Staged src ->
+            (src.FK.rows, src.FK.cols, Flat { src; work = copy_planes src })
+        | Matrix a ->
+            ( ME.rows a,
+              ME.cols a,
+              Boxed { ah = Array.copy a.ME.a; wh = Array.copy a.ME.a } )
+      in
+      let dm = { rows; cols; repr; digest = None } in
+      if Option.is_some (Sim.fault_plan sim) then
+        dm.digest <- Some (mat_digest dm);
+      dm
 
     let mat_restage dm =
-      (match dm.mp with
-      | Some _ ->
-          dm.mp <-
-            Some
-              (FK.stage ~rows:dm.rows ~cols:dm.cols ~get:(fun i j ->
-                   dm.ah.((i * dm.cols) + j)))
-      | None -> Array.blit dm.ah 0 dm.wh 0 (Array.length dm.ah));
-      dm.digest <- mat_digest dm.mp dm.wh
+      (match dm.repr with
+      | Flat { src; work } ->
+          Array.iteri
+            (fun i plane -> Bigarray.Array1.blit plane work.FK.p.(i))
+            src.FK.p
+      | Boxed { ah; wh } -> Array.blit ah 0 wh 0 (Array.length ah));
+      dm.digest <- Some (mat_digest dm)
 
     (* Checksum the working matrix against its staging-time digest;
-       restage from the pristine copy on mismatch. *)
+       restage from the pristine copy on mismatch.  Unarmed runs keep no
+       digest and have nothing to repair. *)
     let mat_repair dm =
-      if not (Fault.Checksum.matches dm.digest (mat_digest dm.mp dm.wh)) then
-        mat_restage dm
+      match dm.digest with
+      | Some d when not (Fault.Checksum.matches d (mat_digest dm)) ->
+          mat_restage dm
+      | _ -> ()
+
+    let is_flat dm = match dm.repr with Flat _ -> true | Boxed _ -> false
 
     (* ---- kernels: one modeled cost, the body picks the arm.  The
        boxed bodies use the exact accumulator sequences the flat plan
@@ -355,13 +382,14 @@ module Make (K : Scalar.S) = struct
         else if trans then Stage.matvec_t
         else Stage.matvec
       in
-      match (a.mp, x.p, y.p) with
-      | Some ap, Some xp, Some yp ->
+      match (a.repr, x.p, y.p) with
+      | Flat { work = ap; _ }, Some xp, Some yp ->
           Sim.launch ~protected sim ~stage ~cost (fun blk ->
               if trans then FK.gemv_t_block ~threads ap xp yp blk
               else FK.gemv_block ~threads ap xp yp blk)
-      | _ ->
-          let wh = a.wh and xh = x.h and yh = y.h in
+      | Flat _, _, _ -> invalid_arg "Solver: boxed vector on the flat arm"
+      | Boxed { wh; _ }, _, _ ->
+          let xh = x.h and yh = y.h in
           Sim.launch ~protected sim ~stage ~cost (fun blk ->
               let lo = blk * threads in
               if trans then begin
@@ -468,11 +496,13 @@ module Make (K : Scalar.S) = struct
 
     (* ---- the ABFT harness around the recurrence loops ---- *)
 
+    (* The checkpoint exists on armed runs only: unarmed runs never
+       take the state snapshot. *)
     type 'snap guard = {
       plan : Fault.Plan.t option;
       stage : string;
       mutable replays_left : int;
-      mutable ckpt : 'snap;
+      mutable ckpt : 'snap option;
       mutable ckpt_iter : int;
     }
 
@@ -483,7 +513,7 @@ module Make (K : Scalar.S) = struct
         stage;
         replays_left =
           (match plan with Some p -> Fault.Plan.max_replays p | None -> 0);
-        ckpt = snap;
+        ckpt = Option.map (fun _ -> snap ()) plan;
         ckpt_iter = 0;
       }
 
@@ -499,7 +529,7 @@ module Make (K : Scalar.S) = struct
       | None -> true
       | Some p ->
           if ok () then begin
-            g.ckpt <- snap ();
+            g.ckpt <- Some (snap ());
             g.ckpt_iter <- iter;
             true
           end
@@ -508,7 +538,7 @@ module Make (K : Scalar.S) = struct
             if g.replays_left > 0 then begin
               g.replays_left <- g.replays_left - 1;
               Fault.Plan.note_replay p ~stage:g.stage;
-              restore g.ckpt;
+              Option.iter restore g.ckpt;
               false
             end
             else begin
@@ -536,13 +566,13 @@ module Make (K : Scalar.S) = struct
         arr.(idx) <- KE.of_planes planes;
         Printf.sprintf "%s[%d] plane %d bit %d" name idx p bit
       in
-      let msize = Array.length dm.ah in
+      let msize = dm.rows * dm.cols in
       let total = List.fold_left (fun acc (_, v) -> acc + v.len) msize vecs in
       let pick = Dompool.Prng.int rng (max 1 total) in
       if pick < msize then
-        match dm.mp with
-        | Some pl -> flip_planes pl "A" pick
-        | None -> flip_boxed dm.wh "A" pick
+        match dm.repr with
+        | Flat { work; _ } -> flip_planes work "A" pick
+        | Boxed { wh; _ } -> flip_boxed wh "A" pick
       else begin
         let rec find off = function
           | [] -> assert false
@@ -573,11 +603,11 @@ module Make (K : Scalar.S) = struct
        history records norms of the recurrence A^H (b - A x), the
        quantity CG drives to zero (the plain residual ||b - A x|| stays
        at its nonzero minimum on inconsistent systems). ---- *)
-    let cg sim ~(a : ME.t) ~(b : KE.t array) ~tile ~max_iter ~rtol =
-      let m = ME.rows a and n = ME.cols a in
+    let cg sim ~(a : source) ~(b : KE.t array) ~tile ~max_iter ~rtol =
+      let dm = dmat_of sim a in
+      let m = dm.rows and n = dm.cols in
       let threads = max 1 tile in
-      let flat = sim.Sim.execute && FK.available () in
-      let dm = dmat_of flat a in
+      let flat = is_flat dm in
       stage_operands sim dm;
       let bd = dvec_of flat (Array.copy b) in
       let x = dvec_zero flat n in
@@ -610,7 +640,7 @@ module Make (K : Scalar.S) = struct
         history := sh;
         mat_repair dm
       in
-      let g = guard_of sim ~stage:"cg.recurrence" ~snap:(snap ()) in
+      let g = guard_of sim ~stage:"cg.recurrence" ~snap in
       (* The recomputed truth: q_true = A^H (b - A x) through protected
          launches, compared elementwise against the r recurrence. *)
       let recurrence_ok () =
@@ -694,11 +724,11 @@ module Make (K : Scalar.S) = struct
        kernel.  [phibar] is the estimate of ||b - A x|| the recurrence
        maintains — the quantity the ABFT check verifies against a
        recomputed true residual. ---- *)
-    let lsqr sim ~(a : ME.t) ~(b : KE.t array) ~tile ~max_iter ~rtol =
-      let m = ME.rows a and n = ME.cols a in
+    let lsqr sim ~(a : source) ~(b : KE.t array) ~tile ~max_iter ~rtol =
+      let dm = dmat_of sim a in
+      let m = dm.rows and n = dm.cols in
       let threads = max 1 tile in
-      let flat = sim.Sim.execute && FK.available () in
-      let dm = dmat_of flat a in
+      let flat = is_flat dm in
       stage_operands sim dm;
       let u = dvec_of flat (Array.copy b) in
       let v = dvec_zero flat n in
@@ -763,7 +793,7 @@ module Make (K : Scalar.S) = struct
             history := sh;
             mat_repair dm
           in
-          let g = guard_of sim ~stage:"lsqr.recurrence" ~snap:(snap ()) in
+          let g = guard_of sim ~stage:"lsqr.recurrence" ~snap in
           let recurrence_ok () =
             mat_repair dm;
             if not (finite_r !phibar && finite_r !alpha && finite_r !rhobar)
@@ -870,22 +900,105 @@ module Make (K : Scalar.S) = struct
     in
     match List.find_opt fits P.all with Some t -> t | None -> K.prec
 
+  (* ---- the host-side products around the ladder ----
+
+     Real targets with a flat plan stage A once per solve, at the target
+     precision.  Demotion to a rung truncates to the leading limbs and
+     staging adopts limbs as-is, so a rung's matrix is exactly the first
+     [width] planes of that staging, and the double-precision matrix is
+     plane 0.  The residuals, the certification and the condition
+     estimate read it with the operation sequences of the boxed
+     [M.matvec], [M.adjoint], [M.frobenius] and [M.matmul], so both
+     arms agree bit for bit.  None of this launches a kernel. *)
+
+  module FT = Flat_kernels.Make (K)
+  module MD = Mat.Make (Scalar.D)
+  module CD = Cond.Make (Scalar.D)
+
+  let vector_of (t : FT.planes) =
+    let out = Array.make t.FT.rows K.zero in
+    FT.unstage_vec t ~store:(fun i s -> out.(i) <- s);
+    out
+
+  let stage_vector (v : V.t) =
+    FT.stage_vec ~n:(Array.length v) ~get:(Array.get v)
+
+  (* A x *)
+  let a_times staged a (x : V.t) =
+    match staged with
+    | None -> M.matvec a x
+    | Some (st : FT.planes) ->
+        let y = FT.alloc ~rows:st.FT.rows ~cols:1 in
+        FT.gemv_block ~threads:(max 1 st.FT.rows) st (stage_vector x) y 0;
+        vector_of y
+
+  (* A^H r *)
+  let adjoint_times staged a (r : V.t) =
+    match staged with
+    | None -> M.matvec (M.adjoint a) r
+    | Some (st : FT.planes) ->
+        let y = FT.alloc ~rows:st.FT.cols ~cols:1 in
+        FT.gemv_t_block ~threads:(max 1 st.FT.cols) st (stage_vector r) y 0;
+        vector_of y
+
+  (* ||A||_F: the sum of squares as one dot product of the staging with
+     itself, in [M.frobenius2]'s row-major order. *)
+  let frobenius staged a =
+    match staged with
+    | None -> M.frobenius a
+    | Some (st : FT.planes) ->
+        let out = FT.alloc ~rows:1 ~cols:1 in
+        FT.dot ~n:(st.FT.rows * st.FT.cols) st st out 0;
+        K.R.sqrt (K.re (vector_of out).(0))
+
+  (* A^T A in plain double from plane 0, unboxed: each entry accumulates
+     from 0.0 over ascending k like [M.matmul (M.adjoint a) a], and
+     a_ki * a_kj = a_kj * a_ki exactly, so only j >= i is computed and
+     the rest mirrored. *)
+  let normal_of_plane0 (st : FT.planes) =
+    let m = st.FT.rows and n = st.FT.cols in
+    let get = Multidouble.Nd_flat.get st.FT.p 0 in
+    let ata = Array.make (n * n) 0.0 in
+    for k = 0 to m - 1 do
+      let base = k * n in
+      for i = 0 to n - 1 do
+        let aki = get (base + i) and row = i * n in
+        for j = i to n - 1 do
+          ata.(row + j) <- ata.(row + j) +. (aki *. get (base + j))
+        done
+      done
+    done;
+    for i = 1 to n - 1 do
+      for j = 0 to i - 1 do
+        ata.((i * n) + j) <- ata.((j * n) + i)
+      done
+    done;
+    { MD.rows = n; cols = n; a = ata }
+
   (* cond1 of the double-precision normal matrix: cond(A)^2, the
      conditioning CG on the normal equations actually sees (an upper
      bound on what LSQR sees).  Runs on the host in plain double — the
      cheap estimate the ladder start is allowed to be wrong about, since
      a too-low rung only costs wasted inner iterations, never
-     accuracy. *)
-  let estimate_cond (a : M.t) =
-    let module KD = (val scalar_of ~complex:K.is_complex P.D : Scalar.S) in
-    let module Rf = Refine.Make_scalar (KD) (K) in
-    let module CD = Cond.Make (KD) in
-    let ad = Rf.demote_mat a in
-    let ata = Rf.ML.matmul (Rf.ML.adjoint ad) ad in
-    match KD.R.to_float (CD.cond1 ata) with
-    | c when Float.is_finite c && c > 0.0 -> c
-    | _ -> Float.infinity
-    | exception _ -> Float.infinity
+     accuracy.  A singular normal matrix has no finite estimate. *)
+  let estimate_cond staged (a : M.t) =
+    let finite_or_inf c =
+      if Float.is_finite c && c > 0.0 then c else Float.infinity
+    in
+    match staged with
+    | Some st -> (
+        match CD.cond1 (normal_of_plane0 st) with
+        | c -> finite_or_inf c
+        | exception CD.Lu.Singular _ -> Float.infinity)
+    | None -> (
+        let module KD = (val scalar_of ~complex:K.is_complex P.D : Scalar.S) in
+        let module Rf = Refine.Make_scalar (KD) (K) in
+        let module CDk = Cond.Make (KD) in
+        let ad = Rf.demote_mat a in
+        let ata = Rf.ML.matmul (Rf.ML.adjoint ad) ad in
+        match KD.R.to_float (CDk.cond1 ata) with
+        | c -> finite_or_inf c
+        | exception CDk.Lu.Singular _ -> Float.infinity)
 
   let rungs_from start =
     let target = P.limbs K.prec in
@@ -898,6 +1011,10 @@ module Make (K : Scalar.S) = struct
     let m = M.rows a and n = M.cols a in
     if m < n then invalid_arg "Solver: more columns than rows";
     if Array.length b <> m then invalid_arg "Solver: rhs length mismatch";
+    let staged =
+      if FT.available () then Some (FT.stage ~rows:m ~cols:n ~get:(M.get a))
+      else None
+    in
     let cond_estimate, start =
       match ladder_start with
       | Some t ->
@@ -907,7 +1024,7 @@ module Make (K : Scalar.S) = struct
       | None ->
           if K.prec = P.D then (None, P.D)
           else
-            let c = estimate_cond a in
+            let c = estimate_cond staged a in
             let digits =
               if c = Float.infinity then Float.infinity else Float.log10 c
             in
@@ -923,7 +1040,7 @@ module Make (K : Scalar.S) = struct
     let total_iters = ref 0 in
     List.iteri
       (fun idx tag ->
-        let r_t = V.sub b (M.matvec a x) in
+        let r_t = V.sub b (a_times staged a x) in
         history := K.R.to_float (V.norm r_t) :: !history;
         let module KE = (val scalar_of ~complex:K.is_complex tag : Scalar.S)
         in
@@ -933,7 +1050,13 @@ module Make (K : Scalar.S) = struct
           Sim.create ~execute:true ?fault ~fault_salt:(16 + idx) ~device
             ~prec:tag ()
         in
-        let a_lo = Rf.demote_mat a in
+        let a_lo =
+          match staged with
+          | Some st ->
+              E.Staged
+                { E.FK.rows = m; cols = n; p = Array.sub st.FT.p 0 KE.width }
+          | None -> E.Matrix (Rf.demote_mat a)
+        in
         let b_lo = Array.map Rf.demote r_t in
         let rtol =
           let e = KE.R.eps *. float_of_int n in
@@ -951,15 +1074,15 @@ module Make (K : Scalar.S) = struct
         ladder := (tag, iters) :: !ladder;
         total_iters := !total_iters + iters)
       (rungs_from start);
-    let r = V.sub b (M.matvec a x) in
+    let r = V.sub b (a_times staged a x) in
     let rnorm = K.R.to_float (V.norm r) in
     history := rnorm :: !history;
     (* Least-squares convergence is the normal-equations residual
        A^H r = 0, tested against its attainable rounding level at the
        target precision: ||A^H r|| is O(eps ||A|| (||A|| ||x|| + ||b||))
        for a backward-stable x. *)
-    let gnorm = K.R.to_float (V.norm (M.matvec (M.adjoint a) r)) in
-    let anorm = K.R.to_float (M.frobenius a) in
+    let gnorm = K.R.to_float (V.norm (adjoint_times staged a r)) in
+    let anorm = K.R.to_float (frobenius staged a) in
     let bnorm = K.R.to_float (V.norm b) in
     let xnorm = K.R.to_float (V.norm x) in
     let converged =

@@ -11,8 +11,9 @@
    limb), through the limb-generic [Nd_flat.plan] record: precision
    selection happens exactly once, at functor application, when the plan
    is resolved from the limb count — every kernel below is written once
-   against the record, for any supported width (double double, quad
-   double, octo double, and any future Expansion precision alike).  The
+   against the record, for any supported width (plain double, double
+   double, quad double, octo double, and any future Expansion precision
+   alike).  The
    plan's engines replay the boxed operation sequences floating point
    operation for floating point operation, so the flat kernels produce
    results that are limb for limb identical to the generic path; the
@@ -24,8 +25,8 @@
    from the cost model: NR = 8 output columns per micro-tile (one 64-byte
    line of each B limb plane), KC chosen so the B panel of a chunk
    (KC * NR elements * width limbs * 8 bytes, double-buffered) fits in a
-   32 KiB L1 slice — 128 for double double, 64 for quad double, 32 for
-   octo double.  Each of the NR lanes owns its own kernel context, so a
+   32 KiB L1 slice — 256 for plain double, 128 for double double, 64
+   for quad double, 32 for octo double.  Each of the NR lanes owns its own kernel context, so a
    lane's operation sequence is exactly the untiled per-element sequence
    (clear, ascending-k multiply-accumulate, store); spilling the partial
    accumulator to the C planes between KC chunks is a plain limb copy in
@@ -68,12 +69,12 @@ module Make (K : Scalar.S) = struct
 
   (* THE dispatch point: the kernel-ops record for this scalar's limb
      count, resolved here and nowhere else.  [None] only for widths
-     without a flat engine (plain double). *)
+     without a flat engine. *)
   let plan = Nd_flat.plan ~limbs:K.width
 
-  (* The flat plane covers every real uninstrumented multiple double
-     precision with a plan; complex and instrumented scalars keep the
-     generic path. *)
+  (* The flat plane covers every real uninstrumented precision with a
+     plan, plain double included; complex and instrumented scalars keep
+     the generic path. *)
   let available () =
     !enabled && K.flat_ok && (not K.is_complex) && Option.is_some plan
 

@@ -6,8 +6,9 @@
     limb count — the single dispatch point.  The plan's engines replay
     the boxed operation sequences floating point operation for floating
     point operation, so the flat kernels are limb for limb identical to
-    the generic [Scalar.S] path at every supported width (double double,
-    quad double, octo double, and any future Expansion precision);
+    the generic [Scalar.S] path at every supported width (plain double,
+    double double, quad double, octo double, and any future Expansion
+    precision);
     consumers switch paths on {!Make.available} with no numerical
     consequences.
 
@@ -39,14 +40,16 @@ module Make (K : Scalar.S) : sig
 
   val available : unit -> bool
   (** The flat plane covers every real uninstrumented width with an
-      [Nd_flat] plan (all multiple double precisions); complex,
-      instrumented and plain double scalars keep the generic path. *)
+      [Nd_flat] plan (plain double and every multiple double
+      precision); complex and instrumented scalars keep the generic
+      path. *)
 
   val tile : tile
   (** The microkernel tile resolved for this scalar: NR = 8 column lanes
       (a 64-byte line of each B limb plane), KC sized so a
-      double-buffered B panel fits a 32 KiB L1 slice — 128 for double
-      double, 64 for quad double, 32 for octo double. *)
+      double-buffered B panel fits a 32 KiB L1 slice — 256 for plain
+      double, 128 for double double, 64 for quad double, 32 for octo
+      double. *)
 
   val alloc : rows:int -> cols:int -> planes
 

@@ -1,6 +1,6 @@
 (* The limb-generic flat kernel plane: allocation-free multiple double
    arithmetic computed directly on staggered limb planes, for any limb
-   count m >= 2, behind one first-class dispatch record.
+   count m >= 1, behind one first-class dispatch record.
 
    The generic kernel path executes every operation through a [Scalar.S]
    record, boxing one multiple double value per addition and
@@ -23,6 +23,10 @@
    floating point operation sequence of the boxed module it mirrors, so
    results agree limb for limb.
 
+   - m = 1 runs the plain double operations of [Float_double.Pre]
+     (one rounded multiply, one rounded add, no fused multiply-add).
+     The boxed plain double path allocates a float per operation, so
+     the unboxed engine pays for its staging like the wider ones do.
    - m = 2 runs the unrolled QDlib sequences of [Double_double]
      (two_sum / quick_two_sum ieee_add, fma-based two_prod).
    - m = 4 runs the QDlib sequences of [Quad_double] (merge by
@@ -140,6 +144,46 @@ type plan = {
 }
 
 let empty = [||]
+
+(* ------------------------------------------------------------------ *)
+(* m = 1: the plain double operations of [Float_double.Pre]            *)
+(* ------------------------------------------------------------------ *)
+
+module D = struct
+  let make_ctx () =
+    {
+      acc = Array.make 1 0.0;
+      tmp = empty;
+      prod = empty;
+      nb = empty;
+      abuf = empty;
+      pbuf = empty;
+      psave = empty;
+      rt = empty;
+      out = empty;
+      uv = empty;
+      mi = 0;
+      mj = 0;
+      mk = 0;
+    }
+
+  let[@inline] clear c = c.acc.(0) <- 0.0
+  let[@inline] load c (p : planes) i = c.acc.(0) <- get p 0 i
+  let[@inline] store c (p : planes) i = set p 0 i c.acc.(0)
+  let[@inline] add c (p : planes) i = c.acc.(0) <- c.acc.(0) +. get p 0 i
+
+  let[@inline] mul_set c (a : planes) ia (b : planes) ib =
+    c.acc.(0) <- get a 0 ia *. get b 0 ib
+
+  (* [K.add acc (K.mul a b)]: two roundings, deliberately not an fma. *)
+  let[@inline] mul_add c (a : planes) ia (b : planes) ib =
+    c.acc.(0) <- c.acc.(0) +. (get a 0 ia *. get b 0 ib)
+
+  let[@inline] sub_from c (p : planes) i = set p 0 i (get p 0 i -. c.acc.(0))
+
+  let plan =
+    { limbs = 1; make_ctx; clear; load; store; add; mul_set; mul_add; sub_from }
+end
 
 (* ------------------------------------------------------------------ *)
 (* m = 2: the unrolled QDlib sequences of [Double_double]              *)
@@ -1055,12 +1099,11 @@ end
 (* The single dispatch point                                           *)
 (* ------------------------------------------------------------------ *)
 
-(* Plain double (m = 1) is left out: its boxed path does one machine
-   operation per kernel operation, so limb staging could only lose. *)
-let supported m = m >= 2
+let supported m = m >= 1
 
 let plan ~limbs =
-  if limbs = 2 then Some Dd.plan
+  if limbs = 1 then Some D.plan
+  else if limbs = 2 then Some Dd.plan
   else if limbs = 4 then Some Qd.plan
   else if limbs = 8 then Some Od.plan
   else if supported limbs then Some (Gen.plan limbs)

@@ -1,7 +1,7 @@
 (** Limb-generic flat kernel plane.
 
     Allocation-free multiple double arithmetic computed directly on
-    staggered limb planes for any limb count [m >= 2], behind one
+    staggered limb planes for any limb count [m >= 1], behind one
     first-class dispatch record.  A plane is a [Bigarray.Array1] of
     float64 ({!fa}): flat 8-byte words outside the OCaml heap, accessed
     without bounds checks in the kernel loops (set [MDLS_FLAT_BOUNDS=1]
@@ -9,8 +9,10 @@
 
     Every operation replays the exact floating point sequence of the
     boxed module registered for that limb count, so results are
-    bit-identical limb for limb: [m = 2] runs the unrolled QDlib
-    double-double sequences, [m = 4] the QDlib quad-double sequences,
+    bit-identical limb for limb: [m = 1] runs the plain double
+    operations of [Float_double] (no fused multiply-add), [m = 2] the
+    unrolled QDlib double-double sequences, [m = 4] the QDlib
+    quad-double sequences,
     [m = 8] a specialized straight-line octo double engine (the
     [Expansion.Pre] sequences hand-unrolled), and every other [m >= 3]
     an allocation-free replay of [Expansion.Pre] (merge + renormalize
@@ -81,9 +83,7 @@ type plan = {
 
 val supported : int -> bool
 (** [supported m] is [true] iff a flat plan exists for limb count [m],
-    i.e. [m >= 2].  Plain double ([m = 1]) is excluded: its boxed path
-    is one machine operation per kernel op, so limb staging could only
-    lose. *)
+    i.e. [m >= 1]. *)
 
 val plan : limbs:int -> plan option
 (** [plan ~limbs] resolves the flat kernel-ops record for a limb count.

@@ -1,11 +1,10 @@
 (* Tests for the flat limb-planar kernel layer: the plane microkernels
    must be bit-for-bit (limb-exact) equivalent to the generic scalar
-   path at every covered precision (dd, qd and — through the generic
-   Nd_flat engine — od), the dispatchers in the blocked QR and the
-   tiled back substitution must produce limb-identical results with the
-   flat path on and off, the staggered staging must round-trip exactly,
-   and the capability gate must exclude the scalars the flat plane does
-   not cover (complex, instrumented, plain double). *)
+   path at every covered precision (d, dd, qd and od), the dispatchers
+   in the blocked QR and the tiled back substitution must produce
+   limb-identical results with the flat path on and off, the staggered
+   staging must round-trip exactly, and the capability gate must exclude
+   the scalars the flat plane does not cover (complex, instrumented). *)
 
 open Multidouble
 open Mdlinalg
@@ -203,6 +202,7 @@ module Equiv (K : Scalar.S) = struct
     ]
 end
 
+module Ed = Equiv (Scalar.D)
 module Edd = Equiv (Scalar.Dd)
 module Eqd = Equiv (Scalar.Qd)
 module Eod = Equiv (Scalar.Od)
@@ -247,6 +247,7 @@ module Roundtrip (K : Scalar.S) = struct
     [ Alcotest.test_case (prefix ^ " staging round trip") `Quick test_roundtrip ]
 end
 
+module Rd = Roundtrip (Scalar.D)
 module Rdd = Roundtrip (Scalar.Dd)
 module Rqd = Roundtrip (Scalar.Qd)
 module Rod = Roundtrip (Scalar.Od)
@@ -259,12 +260,12 @@ let test_gating () =
     let module F = Flat_kernels.Make (Km) in
     F.available ()
   in
+  check "d available" true (avail (module Scalar.D));
   check "dd available" true (avail (module Scalar.Dd));
   check "qd available" true (avail (module Scalar.Qd));
   check "od available" true (avail (module Scalar.Od));
-  (* The flat plane covers real multiple doubles only; plain double has
-     no plan (one machine op per kernel op — staging could only lose). *)
-  check "d excluded" false (avail (module Scalar.D));
+  (* The flat plane covers real scalars only. *)
+  check "complex d excluded" false (avail (module Scalar.Zd));
   check "complex dd excluded" false (avail (module Scalar.Zdd));
   check "complex qd excluded" false (avail (module Scalar.Zqd));
   (* Instrumented arithmetic must stay generic so every operation is
@@ -281,9 +282,11 @@ let test_gating () =
 let () =
   Alcotest.run "flat kernels"
     [
+      ("d equivalence", Ed.tests "d");
       ("dd equivalence", Edd.tests "dd");
       ("qd equivalence", Eqd.tests "qd");
       ("od equivalence", Eod.tests "od");
+      ("d staging", Rd.tests "d");
       ("staging", Rdd.tests "dd" @ Rqd.tests "qd" @ Rod.tests "od");
       ("gating", [ Alcotest.test_case "capability gate" `Quick test_gating ]);
     ]

@@ -484,8 +484,10 @@ let reference_suites =
 let flat_gate_suite =
   ( "flat plan gating",
     [
-      Alcotest.test_case "plain double has no plan" `Quick (fun () ->
-          Alcotest.(check bool) "limbs=1" true (Nd_flat.plan ~limbs:1 = None));
+      Alcotest.test_case "plain double has the m=1 plan" `Quick (fun () ->
+          match Nd_flat.plan ~limbs:1 with
+          | Some p -> Alcotest.(check int) "limbs" 1 p.Nd_flat.limbs
+          | None -> Alcotest.fail "no plan for plain double");
       Alcotest.test_case "every multiple double has a plan" `Quick (fun () ->
           List.iter
             (fun tag ->

@@ -1,5 +1,6 @@
 (* The solver-engine seam: method dispatch and codecs, engine agreement
    on executed problems, determinism of the iterative ladder, the
+   ladder's one flat staging of A against the boxed arm, the
    schema-4 report round-trip with the solver record, and the job-level
    solver field's validation and JSON codec. *)
 
@@ -93,6 +94,107 @@ let test_deterministic () =
       | _ -> Alcotest.fail "iter record flickered between runs")
     [ Solver.Cg_normal; Solver.Lsqr ]
 
+(* ---- the ladder's flat staging against the boxed arm ----
+
+   With a flat plan the ladder stages A once at the target precision and
+   every rung, residual, certification and the condition estimate read
+   limb-plane prefixes of it; with the flat layer switched off every
+   consumer runs on boxed scalars.  The two arms must agree on
+   everything a solve reports. *)
+
+let with_flat on f =
+  let prev = !Mdlinalg.Flat_kernels.enabled in
+  Mdlinalg.Flat_kernels.enabled := on;
+  Fun.protect ~finally:(fun () -> Mdlinalg.Flat_kernels.enabled := prev) f
+
+let bits_eq x y = Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)
+
+let limbs_eq (a : V.t) (b : V.t) =
+  Array.length a = Array.length b
+  && Array.for_all2
+       (fun x y -> Array.for_all2 bits_eq (K.to_planes x) (K.to_planes y))
+       a b
+
+let test_flat_matches_boxed () =
+  let solve, _ = agreement_problem () in
+  List.iter
+    (fun m ->
+      let name = Solver.method_name m in
+      let flat = with_flat true (fun () -> solve m) in
+      let boxed = with_flat false (fun () -> solve m) in
+      let fi = Option.get flat.iter and bi = Option.get boxed.iter in
+      check (name ^ ": the ladder starts below the target") true
+        (List.map fst fi.Solver.ladder = [ P.D; P.DD ]);
+      check (name ^ ": x limbs") true (limbs_eq flat.x boxed.x);
+      checki (name ^ ": iterations") bi.Solver.iterations fi.Solver.iterations;
+      check (name ^ ": ladder") true (fi.Solver.ladder = bi.Solver.ladder);
+      check (name ^ ": cond estimate") true
+        (match (fi.Solver.cond_estimate, bi.Solver.cond_estimate) with
+        | Some c1, Some c2 -> bits_eq c1 c2
+        | _ -> false);
+      check (name ^ ": residual history") true
+        (List.equal bits_eq fi.Solver.residual_history
+           bi.Solver.residual_history);
+      checki (name ^ ": launches") boxed.launches flat.launches;
+      check (name ^ ": kernel ms") true (bits_eq flat.kernel_ms boxed.kernel_ms))
+    [ Solver.Cg_normal; Solver.Lsqr ]
+
+(* A bit flip in a rung's working planes is detected and replayed, and
+   the restage comes from the shared staging, which no corruption
+   reaches: the next rung and the certification still see the true A,
+   so the solve lands on the known solution.  The seeds are pinned to
+   campaigns that detect and replay without escalating. *)
+let test_flat_fault_replay () =
+  let rng = Dompool.Prng.create 2024 in
+  let a = Rand.matrix rng 256 12 in
+  let b, x_true = Rand.rhs_for rng a in
+  List.iter
+    (fun (m, seed) ->
+      let name = Solver.method_name m in
+      let fault =
+        Fault.Plan.config ~kinds:[ Fault.Plan.Bitflip ] ~max_replays:4 ~seed
+          ~rate:0.05 ()
+      in
+      let r =
+        with_flat true (fun () ->
+            S.solve ~method_:m ~fault ~device:Gpusim.Device.v100 ~a ~b
+              ~tile:16 ())
+      in
+      let t = Option.get r.faults in
+      check (name ^ ": a flip was detected") true (t.Fault.Plan.detected >= 1);
+      check (name ^ ": and replayed") true (t.Fault.Plan.replays >= 1);
+      check (name ^ ": certified") true (Option.get r.iter).Solver.converged;
+      let err =
+        K.R.to_float (V.norm (V.sub r.x x_true))
+        /. K.R.to_float (V.norm x_true)
+      in
+      check (name ^ ": reaches the known solution") true
+        (err < 1e6 *. Multidouble.Double_double.eps))
+    [ (Solver.Cg_normal, 9); (Solver.Lsqr, 15) ]
+
+(* A zero column makes the normal matrix exactly singular: the estimate
+   is infinite and the ladder starts at the target, on both arms. *)
+let test_singular_estimate () =
+  let rng = Dompool.Prng.create 99 in
+  let a = Rand.matrix rng 128 8 in
+  for i = 0 to M.rows a - 1 do
+    M.set a i 3 K.zero
+  done;
+  let b = Rand.vector rng 128 in
+  List.iter
+    (fun on ->
+      let r =
+        with_flat on (fun () ->
+            S.solve ~method_:Solver.Cg_normal ~device:Gpusim.Device.v100 ~a ~b
+              ~tile:16 ())
+      in
+      let it = Option.get r.iter in
+      check "cond estimate is infinite" true
+        (it.Solver.cond_estimate = Some Float.infinity);
+      check "ladder starts at the target" true (it.Solver.ladder_start = P.DD);
+      check "single rung" true (List.map fst it.Solver.ladder = [ P.DD ]))
+    [ true; false ]
+
 (* ---- report schema 4 ---- *)
 
 let test_report_roundtrip () =
@@ -170,6 +272,15 @@ let () =
         [
           Alcotest.test_case "engines agree" `Slow test_engines_agree;
           Alcotest.test_case "bit-deterministic" `Slow test_deterministic;
+        ] );
+      ( "flat staging",
+        [
+          Alcotest.test_case "flat and boxed arms agree" `Slow
+            test_flat_matches_boxed;
+          Alcotest.test_case "armed flat run replays" `Slow
+            test_flat_fault_replay;
+          Alcotest.test_case "singular normal matrix" `Quick
+            test_singular_estimate;
         ] );
       ( "codec",
         [
