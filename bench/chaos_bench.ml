@@ -3,16 +3,18 @@
    Three phases, all seeded and deterministic, exiting 1 on any broken
    invariant and writing BENCH_chaos.json:
 
-   1. Chaos campaign + crash/resume.  A crash+hang+brownout campaign
-      (seed searched deterministically so all three kinds strike the
-      8-instance pool) runs under a write-ahead journal, with the serve
-      process "killed" mid-campaign: only part of the stream was
-      submitted, only part of the settled outcomes reached the client,
-      and the journal tail is torn.  A resumed run replays the journal
-      and finishes the stream.  Gates: every job yields exactly one
-      schema-valid outcome line across the union of both runs, replayed
-      lines are byte-identical, migrated jobs carry their migration
-      trail, and the final journal replay shows every job committed.
+   1. Chaos campaign + crash/resume, through the service loop that
+      [lsq_cli serve] runs ([Sched.Service]).  A crash+hang+brownout
+      campaign (seed searched deterministically so all three kinds
+      strike the 8-instance pool) is served under a write-ahead
+      journal, then the service "crashes": the rest of the stream was
+      admitted but never submitted, only part of the settled outcomes
+      reached the client, and the journal tail is torn.  A resumed
+      service replays the journal and finishes the stream.  Gates:
+      every job yields exactly one schema-valid outcome line across the
+      union of both runs, replayed lines are byte-identical, migrated
+      jobs carry their migration trail, and the final journal replay
+      shows every job committed.
 
    2. Circuit breakers.  Poison jobs (every attempt fails) must open an
       instance breaker; after the cool-off, healthy traffic must probe
@@ -29,6 +31,7 @@ module Job = Sched.Job
 module F = Sched.Fleet
 module S = Sched.Engine
 module Jn = Sched.Journal
+module Sv = Sched.Service
 module Chaos = Fault.Chaos
 module M = Obs.Metrics
 
@@ -77,11 +80,22 @@ let campaign_jobs n =
   List.init n (fun i ->
       solve ~device:classes.(i mod 4) ~id:(Printf.sprintf "cj-%03d" i) ())
 
-let outcome_line (o : S.outcome) = Json.to_string (S.outcome_to_json o)
-
 let id_of_line line =
   let o = S.outcome_of_json (Json.of_string line) in
   (o.S.job.Job.id, o)
+
+(* One service run over [jobs] as its input lines, sent through a pipe
+   (small enough a stream to fit its buffer). *)
+let serve ?resume ~journal config jobs ~emit =
+  let r, w = Unix.pipe ~cloexec:true () in
+  let oc = Unix.out_channel_of_descr w in
+  List.iter
+    (fun j -> output_string oc (Json.to_string (Job.to_json j) ^ "\n"))
+    jobs;
+  close_out oc;
+  Fun.protect
+    ~finally:(fun () -> Unix.close r)
+    (fun () -> Sv.run ~journal ?resume config r ~emit)
 
 let phase_chaos () =
   let cfg, dealt = campaign_seed () in
@@ -93,96 +107,66 @@ let phase_chaos () =
   let jobs = campaign_jobs 64 in
   let total = List.length jobs in
   let submitted_before_crash = 40 and emitted_before_crash = 25 in
+  let served = List.filteri (fun i _ -> i < submitted_before_crash) jobs
+  and unserved = List.filteri (fun i _ -> i >= submitted_before_crash) jobs in
   let config =
     {
       F.Config.default with
       max_queue_depth = F.Config.unbounded;
       backoff_ms = 0.5;
-      retain_outcomes = false;
       chaos = Some cfg;
     }
   in
-  (* Run 1: the process that will "crash".  It admitted (journaled an
-     intent for) the whole stream, submitted only a prefix, and the
-     client saw only a prefix of the settlements. *)
-  let journal = Jn.create journal_path in
-  List.iter (fun j -> Jn.intent journal j) jobs;
-  let lock = Mutex.create () in
+  (* Run 1: the service that will "crash".  It served a prefix of the
+     stream, and the client saw only a prefix of the settlements. *)
   let run1_lines = ref [] and run1_settled = ref 0 in
-  let on_outcome o =
-    let line = outcome_line o in
-    Mutex.lock lock;
-    Jn.commit journal ~job_id:o.S.job.Job.id ~line;
+  let emit line =
     incr run1_settled;
     if !run1_settled <= emitted_before_crash then
-      run1_lines := line :: !run1_lines;
-    Mutex.unlock lock
+      run1_lines := line :: !run1_lines
   in
   let t0 = Unix.gettimeofday () in
-  let fleet = F.create ~on_outcome config in
-  List.iteri
-    (fun i job ->
-      if i < submitted_before_crash then ignore (F.submit_blocking fleet job))
-    jobs;
-  F.quiesce fleet;
-  F.shutdown fleet;
+  let run1 = serve ~journal:journal_path config served ~emit in
   let campaign_wall_s = Unix.gettimeofday () -. t0 in
-  Jn.close journal;
   let struck =
-    List.filter (fun (s : F.stats) -> s.F.state <> "ok") (F.stats fleet)
+    List.filter (fun (s : F.stats) -> s.F.state <> "ok") run1.Sv.stats
   in
   if struck = [] then fail "chaos-smoke: no chaos event triggered";
   pf "  run 1: %d/%d submitted, %d settled, %d emitted before the crash\n"
-    submitted_before_crash total !run1_settled emitted_before_crash;
+    run1.Sv.submitted total !run1_settled emitted_before_crash;
   List.iter
     (fun (s : F.stats) -> pf "    struck: %-12s %s\n" s.F.id s.F.state)
     struck;
   if !run1_settled <> submitted_before_crash then
     fail "chaos-smoke: run 1 settled %d of %d submitted jobs" !run1_settled
       submitted_before_crash;
-  (* Tear the journal tail, as a crash mid-append would. *)
+  (* The crash: the process had admitted (journaled an intent for) the
+     rest of the stream without submitting it, and died mid-append. *)
+  let journal = Jn.create journal_path in
+  List.iter (Jn.intent journal) unserved;
+  Jn.close journal;
   let oc =
     open_out_gen [ Open_append; Open_wronly ] 0o644 journal_path
   in
   output_string oc "{\"j\":\"commit\",\"id\":\"torn";
   close_out oc;
-  (* Run 2: resume.  Replay re-emits every committed line and returns
-     the jobs the crashed process admitted but never settled; the rest
-     of the stream then arrives as new submissions.  No chaos this time
-     — the replacement process got healthy hardware. *)
-  let replayed = Jn.replay journal_path in
-  if replayed.Jn.malformed <> 1 then
-    fail "chaos-smoke: torn tail not counted (malformed = %d)"
-      replayed.Jn.malformed;
-  if List.length replayed.Jn.committed <> submitted_before_crash then
-    fail "chaos-smoke: replay found %d commits, expected %d"
-      (List.length replayed.Jn.committed)
-      submitted_before_crash;
-  if List.length replayed.Jn.pending <> total - submitted_before_crash then
-    fail "chaos-smoke: replay found %d pending intents, expected %d"
-      (List.length replayed.Jn.pending)
-      (total - submitted_before_crash);
-  let journal2 = Jn.create journal_path in
+  (* Run 2: resume, with no new input.  It re-emits every committed
+     line and runs the intents the crashed process never settled.  No
+     chaos this time — the replacement process got healthy hardware. *)
   let run2_lines = ref [] in
-  let on_outcome2 o =
-    let line = outcome_line o in
-    Mutex.lock lock;
-    Jn.commit journal2 ~job_id:o.S.job.Job.id ~line;
-    run2_lines := line :: !run2_lines;
-    Mutex.unlock lock
-  in
-  let fleet2 =
-    F.create ~on_outcome:on_outcome2
+  let run2 =
+    serve ~journal:journal_path ~resume:true
       { config with F.Config.chaos = None }
+      []
+      ~emit:(fun line -> run2_lines := line :: !run2_lines)
   in
-  List.iter (fun (_, line) -> run2_lines := line :: !run2_lines)
-    replayed.Jn.committed;
-  List.iter
-    (fun j -> ignore (F.submit_blocking fleet2 j))
-    replayed.Jn.pending;
-  F.quiesce fleet2;
-  F.shutdown fleet2;
-  Jn.close journal2;
+  if run2.Sv.replayed <> submitted_before_crash then
+    fail "chaos-smoke: resume replayed %d commits, expected %d"
+      run2.Sv.replayed submitted_before_crash;
+  if run2.Sv.submitted <> total - submitted_before_crash then
+    fail "chaos-smoke: resume resubmitted %d pending intents, expected %d"
+      run2.Sv.submitted
+      (total - submitted_before_crash);
   (* The union of what the client saw across the crash: exactly one
      schema-valid line per job, byte-identical where both runs emitted
      the same job. *)

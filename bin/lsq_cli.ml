@@ -20,6 +20,15 @@ module R = Harness.Runners
 
 let pf = Printf.printf
 
+(* Bad flags exit 2 with one "error:" line on stderr, before anything
+   runs. *)
+let usage_error fmt =
+  Printf.ksprintf
+    (fun m ->
+      Printf.eprintf "error: %s\n" m;
+      exit 2)
+    fmt
+
 (* ---- common options ---- *)
 
 let device_arg =
@@ -76,9 +85,7 @@ let solver_name =
    the fault flags. *)
 let solver_of name =
   try Lsq_core.Solver.method_of_string name
-  with Invalid_argument m ->
-    Printf.eprintf "error: %s\n" m;
-    exit 2
+  with Invalid_argument m -> usage_error "%s" m
 
 let tile =
   Arg.(
@@ -136,9 +143,7 @@ let fault_config_of ~rate ~seed ~kinds =
                  if s = "" then None else Some (Fault.Plan.kind_of_string s))
       in
       Some (Fault.Plan.config ~kinds ~seed ~rate ())
-    with Invalid_argument m ->
-      Printf.eprintf "error: %s\n" m;
-      exit 2
+    with Invalid_argument m -> usage_error "%s" m
 
 let trace_file =
   Arg.(
@@ -255,11 +260,8 @@ let print_faults (r : Harness.Report.t) =
       pf "  %-24s %12d\n" "fault escalations" f.Harness.Report.escalations
 
 let check_tile ~dim ~tile =
-  if tile <= 0 || dim mod tile <> 0 then begin
-    Printf.eprintf "error: the tile size (%d) must divide the dimension (%d)\n"
-      tile dim;
-    exit 2
-  end
+  if tile <= 0 || dim mod tile <> 0 then
+    usage_error "the tile size (%d) must divide the dimension (%d)" tile dim
 
 (* ---- subcommands ---- *)
 
@@ -314,11 +316,8 @@ let solve_cmd =
     check_tile ~dim ~tile;
     let method_ = solver_of solver in
     let m = Option.value rows ~default:dim in
-    if m < dim then begin
-      Printf.eprintf "error: --rows (%d) must be at least the dimension (%d)\n"
-        m dim;
-      exit 2
-    end;
+    if m < dim then
+      usage_error "--rows (%d) must be at least the dimension (%d)" m dim;
     let fault = fault_config_of ~rate ~seed ~kinds in
     with_observability obs (fun () ->
         let r = R.solve ~complex ?fault ~method_ ?rows p device ~n:dim ~tile in
@@ -411,10 +410,7 @@ let faults_cmd =
   in
   let run device p dim tile complex runs rate seed kinds json obs =
     check_tile ~dim ~tile;
-    if runs < 1 then begin
-      Printf.eprintf "error: --runs must be at least 1\n";
-      exit 2
-    end;
+    if runs < 1 then usage_error "--runs must be at least 1";
     with_observability obs (fun () ->
         let reports =
           List.init runs (fun i ->
@@ -606,10 +602,8 @@ let refine_cmd =
   in
   let run device lo hi dim tile =
     check_tile ~dim ~tile;
-    if P.limbs lo >= P.limbs hi then begin
-      Printf.eprintf "error: --lo must be a lower precision than --hi\n";
-      exit 2
-    end;
+    if P.limbs lo >= P.limbs hi then
+      usage_error "--lo must be a lower precision than --hi";
     let (module L) = Multidouble.Registry.module_of_tag lo in
     let (module H) = Multidouble.Registry.module_of_tag hi in
     let module Rf = Lsq_core.Refine.Make (L) (H) in
@@ -720,12 +714,9 @@ let psolve_cmd =
         Printf.eprintf "parse error: %s\n" m;
         exit 2
     in
-    if Array.length sys <> List.length vars then begin
-      Printf.eprintf
-        "error: %d equations in %d variables (need a square system)\n"
+    if Array.length sys <> List.length vars then
+      usage_error "%d equations in %d variables (need a square system)"
         (Array.length sys) (List.length vars);
-      exit 2
-    end;
     pf "solving %d equations in (%s), total degree %d, %s, on the %s\n"
       (Array.length sys)
       (String.concat ", " vars)
@@ -841,41 +832,19 @@ let batch_cmd =
     let default_solver = solver_of solver in
     let jobs =
       match (jobs_file, sweep_name) with
-      | Some _, Some _ ->
-        Printf.eprintf "error: --jobs and --sweep are mutually exclusive\n";
-        exit 2
+      | Some _, Some _ -> usage_error "--jobs and --sweep are mutually exclusive"
       | Some file, None -> (
         try Sched.Job.load_file file
         with Harness.Json.Error m | Sys_error m ->
-          Printf.eprintf "error: cannot load jobs from %s: %s\n" file m;
-          exit 2)
+          usage_error "cannot load jobs from %s: %s" file m)
       | None, Some name -> (
-        try Sched.Sweep.jobs name
-        with Invalid_argument m ->
-          Printf.eprintf "error: %s\n" m;
-          exit 2)
-      | None, None ->
-        Printf.eprintf "error: one of --jobs FILE or --sweep NAME is required\n";
-        exit 2
+        try Sched.Sweep.jobs name with Invalid_argument m -> usage_error "%s" m)
+      | None, None -> usage_error "one of --jobs FILE or --sweep NAME is required"
     in
-    if parallel < 1 then begin
-      Printf.eprintf "error: --parallel must be at least 1\n";
-      exit 2
-    end;
+    if parallel < 1 then usage_error "--parallel must be at least 1";
     (* Like serve's --fault-* flags, --solver is a default: it rewires
        solve jobs that did not pick an engine themselves. *)
-    let jobs =
-      if default_solver = Lsq_core.Solver.Qr_direct then jobs
-      else
-        List.map
-          (fun (job : Sched.Job.t) ->
-            if
-              job.Sched.Job.kind = Sched.Job.Solve
-              && job.Sched.Job.solver = Lsq_core.Solver.Qr_direct
-            then { job with Sched.Job.solver = default_solver }
-            else job)
-          jobs
-    in
+    let jobs = List.map (Sched.Job.with_defaults ~solver:default_solver) jobs in
     let outcomes =
       with_observability obs (fun () ->
           Sched.Fleet.run (Sched.Fleet.Config.batch ~parallel ()) jobs)
@@ -931,10 +900,6 @@ let batch_cmd =
     Term.(
       const run $ jobs_file $ sweep_name $ parallel_arg $ solver_name
       $ out_arg $ obs_flags)
-
-(* Raised from the SIGTERM handler to interrupt serve's blocking stdin
-   read: admissions stop, admitted jobs drain. *)
-exception Drain_signal
 
 let serve_cmd =
   let pool_spec =
@@ -1044,13 +1009,6 @@ let serve_cmd =
       telemetry telemetry_prom telemetry_interval_ms log_level journal_file
       resume chaos_rate chaos_seed breakers =
     let default_solver = solver_of solver in
-    let usage_error fmt =
-      Printf.ksprintf
-        (fun m ->
-          Printf.eprintf "error: %s\n" m;
-          exit 2)
-        fmt
-    in
     let pool =
       try Sched.Fleet.Config.pool_of_string pool_spec
       with Invalid_argument m -> usage_error "%s" m
@@ -1070,12 +1028,25 @@ let serve_cmd =
     let chaos =
       if chaos_rate = 0.0 then None
       else
-        match
-          Fault.Chaos.config ~seed:chaos_seed ~rate:chaos_rate ()
-        with
-        | cfg -> Some cfg
-        | exception Invalid_argument m -> usage_error "%s" m
+        try Some (Fault.Chaos.config ~seed:chaos_seed ~rate:chaos_rate ())
+        with Invalid_argument m -> usage_error "%s" m
     in
+    (* The --fault-* flags are defaults: they arm jobs that do not carry
+       their own fault plan.  Resolved here, so bad flags exit before a
+       journal is replayed or a fleet is built. *)
+    let fault = fault_config_of ~rate ~seed ~kinds in
+    let config =
+      {
+        Sched.Fleet.Config.default with
+        pool;
+        max_queue_depth =
+          (if depth = 0 then Sched.Fleet.Config.unbounded else depth);
+        steal = not no_steal;
+        chaos;
+        breakers;
+      }
+    in
+    Result.iter_error (usage_error "%s") (Sched.Fleet.Config.validate config);
     (* With a telemetry stream the log records ride inside it; without
        one they go to stderr as JSON lines, keeping stdout pure outcome
        lines either way. *)
@@ -1083,86 +1054,8 @@ let serve_cmd =
       (match telemetry with
       | Some _ -> Obs.Log.Buffered
       | None -> Obs.Log.Channel stderr);
-    let config =
-      {
-        Sched.Fleet.Config.pool;
-        max_queue_depth =
-          (if depth = 0 then Sched.Fleet.Config.unbounded else depth);
-        backoff_ms = 1.0;
-        steal = not no_steal;
-        (* A service must not grow with its uptime: outcomes stream out
-           through [on_outcome] and are not retained. *)
-        retain_outcomes = false;
-        chaos;
-        max_migrations = Sched.Fleet.Config.default.max_migrations;
-        breakers;
-      }
-    in
-    (match Sched.Fleet.Config.validate config with
-    | Ok () -> ()
-    | Error m -> usage_error "%s" m);
     let oc = match out_file with Some f -> open_out f | None -> stdout in
-    (* Outcome lines arrive from the worker domains; one lock keeps the
-       stream line-atomic. *)
-    let out_lock = Mutex.create () in
-    let emit_line line =
-      Mutex.lock out_lock;
-      output_string oc line;
-      output_char oc '\n';
-      flush oc;
-      Mutex.unlock out_lock
-    in
-    let emit json = emit_line (Harness.Json.to_string json) in
-    (* Replay happens before the journal reopens for appending, so the
-       reader never sees this process's own writes. *)
-    let replayed =
-      if resume then Sched.Journal.replay (Option.get journal_file)
-      else { Sched.Journal.committed = []; pending = []; malformed = 0 }
-    in
-    let journal = Option.map Sched.Journal.create journal_file in
-    (* Exactly-once emission across a crash: the outcome line is durable
-       in the journal before it reaches the client. *)
-    let emit_outcome (o : Sched.Engine.outcome) =
-      let line = Harness.Json.to_string (Sched.Engine.outcome_to_json o) in
-      (match journal with
-      | Some j ->
-        Sched.Journal.commit j ~job_id:o.Sched.Engine.job.Sched.Job.id ~line
-      | None -> ());
-      emit_line line
-    in
-    (* The --fault-* flags are defaults: they arm jobs that do not carry
-       their own fault plan. *)
-    let with_default_faults (job : Sched.Job.t) =
-      if rate > 0.0 && job.Sched.Job.fault_rate = 0.0 then
-        match fault_config_of ~rate ~seed ~kinds with
-        | Some _ ->
-          {
-            job with
-            Sched.Job.fault_rate = rate;
-            fault_seed = seed;
-            fault_kinds =
-              (if String.lowercase_ascii (String.trim kinds) = "all" then
-                 Fault.Plan.all_kinds
-               else
-                 String.split_on_char ',' kinds
-                 |> List.filter_map (fun s ->
-                        let s = String.trim s in
-                        if s = "" then None
-                        else Some (Fault.Plan.kind_of_string s)));
-          }
-        | None -> job
-      else job
-    in
-    (* --solver is a default too: it rewires solve jobs that did not pick
-       an engine themselves (the JSON default is the direct QR engine). *)
-    let with_default_solver (job : Sched.Job.t) =
-      if
-        default_solver <> Lsq_core.Solver.Qr_direct
-        && job.Sched.Job.kind = Sched.Job.Solve
-        && job.Sched.Job.solver = Lsq_core.Solver.Qr_direct
-      then { job with Sched.Job.solver = default_solver }
-      else job
-    in
+    let emit line = output_string oc (line ^ "\n"); flush oc in
     with_observability obs (fun () ->
         let exporter =
           Option.map
@@ -1173,91 +1066,29 @@ let serve_cmd =
                 (Obs.Telemetry.File path))
             telemetry
         in
-        let fleet = Sched.Fleet.create ~on_outcome:emit_outcome config in
-        let submitted = ref 0 and rejected = ref 0 and skipped = ref 0 in
-        (* Resume: committed lines first, byte-identical and in their
-           original commit order, then the jobs the crashed process
-           admitted but never settled. *)
-        List.iter (fun (_, line) -> emit_line line) replayed.Sched.Journal.committed;
-        if replayed.Sched.Journal.malformed > 0 then
-          Obs.Log.warn "serve.journal_malformed"
-            ~fields:[ ("lines", Obs.Log.Int replayed.Sched.Journal.malformed) ];
-        List.iter
-          (fun job ->
-            (* The intent is already journaled; blocking submission so a
-               resumed backlog larger than the queues still runs. *)
-            ignore (Sched.Fleet.submit_blocking fleet job);
-            incr submitted)
-          replayed.Sched.Journal.pending;
-        (* SIGTERM means drain, not die: the handler interrupts the
-           blocking read, admissions stop, and every admitted job still
-           settles (and journals) before exit. *)
-        let drain_now = ref false in
-        let previous_sigterm =
-          match
-            Sys.signal Sys.sigterm
-              (Sys.Signal_handle (fun _ -> raise Drain_signal))
-          with
-          | h -> Some h
-          | exception (Invalid_argument _ | Sys_error _) -> None
+        let s =
+          Sched.Service.run ?journal:journal_file ~resume ?fault
+            ~solver:default_solver config Unix.stdin ~emit
         in
-        (try
-           while true do
-             let line = input_line stdin in
-             if String.trim line <> "" then
-               match Sched.Job.of_json (Harness.Json.of_string line) with
-               | job -> (
-                 let job = with_default_solver (with_default_faults job) in
-                 (match journal with
-                 | Some j -> Sched.Journal.intent j job
-                 | None -> ());
-                 match Sched.Fleet.submit fleet job with
-                 | Ok _ -> incr submitted
-                 | Error r ->
-                   incr rejected;
-                   (match journal with
-                   | Some j ->
-                     Sched.Journal.reject j ~job_id:job.Sched.Job.id
-                   | None -> ());
-                   emit (Sched.Fleet.reject_to_json job r))
-               | exception Harness.Json.Error m ->
-                 incr skipped;
-                 Printf.eprintf "serve: skipping bad job line: %s\n%!" m
-           done
-         with
-        | End_of_file -> ()
-        | Drain_signal ->
-          drain_now := true;
-          Obs.Log.warn "serve.sigterm_drain");
-        (match previous_sigterm with
-        | Some h -> ( try Sys.set_signal Sys.sigterm h with _ -> ())
-        | None -> ());
-        Sched.Fleet.quiesce fleet;
-        Sched.Fleet.shutdown fleet;
-        Option.iter Sched.Journal.close journal;
         Option.iter Obs.Telemetry.stop exporter;
         (* The human summary is observability, not output: it obeys the
            log threshold (--log-level warn runs silent). *)
         if Obs.Log.enabled Obs.Log.Info then begin
           Printf.eprintf
             "serve: %d submitted, %d rejected, %d skipped, %d stolen%s%s\n"
-            !submitted !rejected !skipped
-            (Sched.Fleet.steals fleet)
-            (match replayed.Sched.Journal.committed with
-            | [] -> ""
-            | c -> Printf.sprintf ", %d replayed" (List.length c))
-            (if !drain_now then " (drained on SIGTERM)" else "");
+            s.submitted s.rejected s.skipped
+            (List.fold_left (fun n i -> n + i.Sched.Fleet.stolen) 0 s.stats)
+            (if s.replayed = 0 then ""
+             else Printf.sprintf ", %d replayed" s.replayed)
+            (if s.drained then " (drained on SIGTERM)" else "");
           List.iter
-            (fun (s : Sched.Fleet.stats) ->
+            (fun (i : Sched.Fleet.stats) ->
               Printf.eprintf
                 "  %-12s %4d executed (%d stolen)  utilization %5.1f%%%s%s\n"
-                s.Sched.Fleet.id s.Sched.Fleet.executed s.Sched.Fleet.stolen
-                (100.0 *. s.Sched.Fleet.utilization)
-                (if s.Sched.Fleet.state = "ok" then ""
-                 else "  " ^ s.Sched.Fleet.state)
-                (if s.Sched.Fleet.breaker = "closed" then ""
-                 else "  breaker " ^ s.Sched.Fleet.breaker))
-            (Sched.Fleet.stats fleet)
+                i.id i.executed i.stolen (100.0 *. i.utilization)
+                (if i.state = "ok" then "" else "  " ^ i.state)
+                (if i.breaker = "closed" then "" else "  breaker " ^ i.breaker))
+            s.stats
         end);
     if out_file <> None then close_out oc
   in
@@ -1305,9 +1136,7 @@ let monitor_cmd =
      process appends whole lines, but a poll can land mid-write. *)
   let read_complete_lines path =
     match open_in_bin path with
-    | exception Sys_error m ->
-      Printf.eprintf "error: %s\n" m;
-      exit 2
+    | exception Sys_error m -> usage_error "%s" m
     | ic ->
       let len = in_channel_length ic in
       let buf = really_input_string ic len in

@@ -342,24 +342,6 @@ let outcome_of_json j =
     status;
   }
 
-(* A submission the fleet's admission control refused: not an outcome
-   (the job never entered a queue), but serve mode still answers with a
-   schema-stamped line so a client can tell backpressure from silence. *)
-let rejection_to_json (job : Job.t) ~message ~device_id ~queue_depth =
-  Json.Obj
-    [
-      ("schema", Json.Int schema_version);
-      ("status", Json.Str "rejected");
-      ("job", Job.to_json job);
-      ( "error",
-        Json.Obj
-          [
-            ("message", Json.Str message);
-            ("device_id", Json.Str device_id);
-            ("queue_depth", Json.Int queue_depth);
-          ] );
-    ]
-
 let write_jsonl oc outcomes =
   List.iter
     (fun o ->

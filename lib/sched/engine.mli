@@ -110,16 +110,6 @@ val outcome_of_json : Harness.Json.t -> outcome
 (** Raises [Harness.Json.Error] on malformed documents or a
     schema-version mismatch. *)
 
-val rejection_to_json :
-  Job.t ->
-  message:string ->
-  device_id:string ->
-  queue_depth:int ->
-  Harness.Json.t
-(** The schema-stamped line serve mode answers for a submission the
-    fleet's admission control refused ([{"status": "rejected"}]) — not
-    an outcome, the job never entered a queue. *)
-
 val write_jsonl : out_channel -> outcome list -> unit
 (** One outcome object per line. *)
 

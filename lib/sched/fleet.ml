@@ -1142,10 +1142,22 @@ let size t = Array.length t.instances
 let config t = t.config
 
 let reject_to_json job r =
-  match r with
-  | Queue_full { device_id; queue_depth } ->
-    Engine.rejection_to_json job ~message:(reject_message r) ~device_id
-      ~queue_depth
-  | Draining ->
-    Engine.rejection_to_json job ~message:(reject_message r) ~device_id:"-"
-      ~queue_depth:0
+  let device_id, queue_depth =
+    match r with
+    | Queue_full { device_id; queue_depth } -> (device_id, queue_depth)
+    | Draining -> ("-", 0)
+  in
+  Harness.Json.(
+    Obj
+      [
+        ("schema", Int Engine.schema_version);
+        ("status", Str "rejected");
+        ("job", Job.to_json job);
+        ( "error",
+          Obj
+            [
+              ("message", Str (reject_message r));
+              ("device_id", Str device_id);
+              ("queue_depth", Int queue_depth);
+            ] );
+      ])

@@ -55,7 +55,9 @@
     [fleet.breaker.opened/half_open/closed] counters) and the tracer
     ([admit]/[steal]/[reject] instants).
 
-    {!run} is batch mode: a thin wrapper over this service. *)
+    Callers with a whole batch use {!run}, a thin wrapper over this
+    service; callers serving a stream of JSON job lines (with a journal,
+    rejection lines and SIGTERM drain) use {!Service.run}. *)
 
 module Config : sig
   type t = {
@@ -207,4 +209,5 @@ val classify_job : Job.t -> Obs.Roofline.bound
 
 val reject_to_json : Job.t -> reject -> Harness.Json.t
 (** The schema-stamped [{"status": "rejected"}] line serve mode emits
-    for a refused submission. *)
+    for a refused submission: not an outcome (the job never entered a
+    queue), but it lets a client tell backpressure from silence. *)

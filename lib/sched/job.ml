@@ -66,6 +66,18 @@ let fault_config t =
          ~rate:t.fault_rate ())
   else None
 
+let with_defaults ?solver ?fault t =
+  let t =
+    match solver with
+    | Some solver when t.kind = Solve && t.solver = Solver.Qr_direct ->
+      { t with solver }
+    | _ -> t
+  in
+  match fault with
+  | Some { Fault.Plan.rate; seed; kinds; _ } when t.fault_rate = 0.0 ->
+    { t with fault_rate = rate; fault_seed = seed; fault_kinds = kinds }
+  | _ -> t
+
 let string_of_kind = function
   | Qr -> "qr"
   | Backsub -> "backsub"

@@ -86,6 +86,14 @@ val fault_config : t -> Fault.Plan.config option
 (** The armed fault plan of the job ([None] when [fault_rate] is 0).
     Validate first: an out-of-range rate raises [Invalid_argument]. *)
 
+val with_defaults :
+  ?solver:Lsq_core.Solver.method_ -> ?fault:Fault.Plan.config -> t -> t
+(** Service-wide defaults for jobs that did not choose for themselves:
+    [solver] rewires a solve job left on the direct QR engine (the JSON
+    default), [fault] arms a job whose fault plane is disarmed
+    ([fault_rate = 0]) with the plan's rate, seed and kinds.  Any other
+    job is returned unchanged. *)
+
 val string_of_kind : kind -> string
 val kind_of_string : string -> kind
 (** Raises [Invalid_argument] on unknown kinds. *)

@@ -1,8 +1,8 @@
 (* Tests for the fleet resilience plane: seeded device chaos (crash /
    hang / brownout), job migration and quarantine, circuit breakers,
    the write-ahead outcome journal and its shipped example, the seeded retry
-   jitter, the hardened telemetry-line parser, and concurrent
-   backpressure. *)
+   jitter, the hardened telemetry-line parser, concurrent backpressure,
+   and the service loop behind serve. *)
 
 module P = Multidouble.Precision
 module D = Gpusim.Device
@@ -10,6 +10,7 @@ module Job = Sched.Job
 module F = Sched.Fleet
 module S = Sched.Engine
 module Jn = Sched.Journal
+module Sv = Sched.Service
 module Chaos = Fault.Chaos
 module Json = Harness.Json
 module M = Obs.Metrics
@@ -421,6 +422,210 @@ let test_concurrent_backpressure () =
   | Ok _ | Error (F.Queue_full _) ->
     Alcotest.fail "submissions after shutdown must report Draining"
 
+(* ---- the service loop ---- *)
+
+(* Plan-only jobs pinned to one class: each settles in milliseconds. *)
+let quick ?inject_failures ?retries id =
+  Job.make ?inject_failures ?retries ~id ~kind:Job.Solve ~device:"v100"
+    ~prec:P.DD ~dim:128 ~tile:32 ()
+
+let job_line j = Json.to_string (Job.to_json j)
+
+(* One v100 instance: one FIFO worker, so emission order is commit
+   order. *)
+let one_v100 =
+  {
+    F.Config.default with
+    pool = [ (Some D.v100, 1) ];
+    max_queue_depth = F.Config.unbounded;
+    backoff_ms = 0.0;
+  }
+
+(* One [Service.run] over [lines] as its input; returns the summary and
+   the emitted lines in emission order. *)
+let serve ?journal ?resume config lines =
+  let path = Filename.temp_file "test_service" ".jobs" in
+  Out_channel.with_open_text path (fun oc ->
+      List.iter (fun l -> output_string oc (l ^ "\n")) lines);
+  let fd = Unix.openfile path [ Unix.O_RDONLY ] 0 in
+  let out = ref [] in
+  let s =
+    Fun.protect
+      ~finally:(fun () ->
+        Unix.close fd;
+        Sys.remove path)
+      (fun () ->
+        Sv.run ?journal ?resume config fd ~emit:(fun l -> out := l :: !out))
+  in
+  (s, List.rev !out)
+
+let line_field key line = Json.member key (Json.of_string line)
+let line_id line = Json.get_string (Json.member "id" (line_field "job" line))
+let line_status line = Json.get_string (line_field "status" line)
+
+let test_service_resume () =
+  with_temp_journal (fun path ->
+      let s1, run1 =
+        serve ~journal:path one_v100
+          (List.map job_line [ quick "r0"; quick "r1"; quick "r2" ])
+      in
+      checki "run 1 submitted" 3 s1.Sv.submitted;
+      check "run 1 emitted one outcome per job" true
+        (List.map line_id run1 = [ "r0"; "r1"; "r2" ]);
+      (* The crash: two more jobs admitted but never submitted, and a
+         torn final append. *)
+      let j = Jn.create path in
+      Jn.intent j (quick "p0");
+      Jn.intent j (quick "p1");
+      Jn.close j;
+      Out_channel.with_open_gen [ Open_append; Open_wronly ] 0o644 path
+        (fun oc -> output_string oc "{\"j\":\"commit\",\"id\":\"p");
+      checki "torn tail counted" 1 (Jn.replay path).Jn.malformed;
+      let s2, run2 =
+        serve ~journal:path ~resume:true one_v100 [ job_line (quick "n0") ]
+      in
+      checki "committed lines replayed" 3 s2.Sv.replayed;
+      checki "pending intents and the new job submitted" 3 s2.Sv.submitted;
+      check "committed lines first and byte-identical" true
+        (List.filteri (fun i _ -> i < 3) run2 = run1);
+      check "pending intents run, then new input" true
+        (List.map line_id (List.filteri (fun i _ -> i >= 3) run2)
+        = [ "p0"; "p1"; "n0" ]);
+      List.iter
+        (fun l -> checks "outcome line" "completed" (line_status l))
+        run2;
+      let final = Jn.replay path in
+      checki "final replay: every job committed" 6
+        (List.length final.Jn.committed);
+      check "final replay: nothing pending" true (final.Jn.pending = []);
+      checki "final replay: the torn line only" 1 final.Jn.malformed)
+
+let test_service_rejection () =
+  with_temp_journal (fun path ->
+      (* Depth 1 and jobs that hold the worker for a 50 ms backoff: of
+         three submissions in quick succession at least one finds the
+         single queue full. *)
+      let config =
+        { one_v100 with F.Config.max_queue_depth = 1; backoff_ms = 50.0 }
+      in
+      let jobs =
+        List.init 3 (fun i ->
+            quick ~inject_failures:1 ~retries:1 (Printf.sprintf "q%d" i))
+      in
+      let s, lines = serve ~journal:path config (List.map job_line jobs) in
+      check "some submission rejected" true (s.Sv.rejected >= 1);
+      checki "every line answered" 3 (s.Sv.submitted + s.Sv.rejected);
+      let rejected =
+        List.filter (fun l -> line_status l = "rejected") lines
+      in
+      checki "one rejected line per rejection" s.Sv.rejected
+        (List.length rejected);
+      List.iter
+        (fun l ->
+          let j = Json.of_string l in
+          let e = Json.member "error" j in
+          checki "rejection schema" S.schema_version
+            (Json.get_int (Json.member "schema" j));
+          checks "refusing instance" "v100#0"
+            (Json.get_string (Json.member "device_id" e));
+          checki "depth seen" 1 (Json.get_int (Json.member "queue_depth" e)))
+        rejected;
+      let records =
+        In_channel.with_open_text path In_channel.input_all
+        |> String.split_on_char '\n'
+        |> List.filter (fun l -> l <> "")
+        |> List.map Json.of_string
+      in
+      List.iter
+        (fun l ->
+          let id = line_id l in
+          check ("journal reject record for " ^ id) true
+            (List.exists
+               (fun r ->
+                 Json.get_string (Json.member "j" r) = "reject"
+                 && Json.get_string (Json.member "id" r) = id)
+               records))
+        rejected;
+      (* Resume: the commits replay, the rejected job stays settled. *)
+      let s2, lines2 = serve ~journal:path ~resume:true config [] in
+      checki "nothing resubmitted" 0 s2.Sv.submitted;
+      checki "the admitted jobs replay" s.Sv.submitted s2.Sv.replayed;
+      List.iter
+        (fun l ->
+          check "rejected job not replayed" false
+            (List.mem (line_id l) (List.map line_id rejected)))
+        lines2)
+
+let test_service_bad_lines () =
+  let s, lines =
+    serve one_v100
+      [ "not json"; "{\"id\":\"x\"}"; ""; job_line (quick "m0"); "   " ]
+  in
+  checki "bad lines skipped and counted" 2 s.Sv.skipped;
+  checki "the good line submitted" 1 s.Sv.submitted;
+  check "the good line answered" true (List.map line_id lines = [ "m0" ])
+
+(* [elsewhere]: the main thread blocks SIGTERM while it serves and the
+   client thread takes it, so the signal cannot interrupt the service's
+   wait for input (as when the kernel picks another thread). *)
+let sigterm_drain ~elsewhere () =
+  with_temp_journal (fun path ->
+      let n = 3 in
+      let r, w = Unix.pipe () in
+      let oc = Unix.out_channel_of_descr w in
+      let emitted = Atomic.make 0 and finished = Atomic.make false in
+      let forced = Atomic.make false in
+      (* The client: sends N jobs, keeps the pipe open, and sends SIGTERM
+         once all N outcomes are out.  Should the signal not end the
+         service within 5 s, closing the pipe does, and the test fails
+         instead of hanging. *)
+      let client =
+        Domain.spawn (fun () ->
+            if elsewhere then
+              ignore (Unix.sigprocmask Unix.SIG_UNBLOCK [ Sys.sigterm ]);
+            for i = 1 to n do
+              output_string oc (job_line (quick (Printf.sprintf "d%d" i)) ^ "\n")
+            done;
+            flush oc;
+            while Atomic.get emitted < n do
+              Unix.sleepf 0.002
+            done;
+            Unix.kill (Unix.getpid ()) Sys.sigterm;
+            let t0 = Unix.gettimeofday () in
+            while (not (Atomic.get finished)) && Unix.gettimeofday () -. t0 < 5.0
+            do
+              Unix.sleepf 0.01
+            done;
+            Atomic.set forced (not (Atomic.get finished));
+            close_out oc)
+      in
+      let mask =
+        if elsewhere then Unix.sigprocmask Unix.SIG_BLOCK [ Sys.sigterm ]
+        else []
+      in
+      let s =
+        Fun.protect
+          ~finally:(fun () ->
+            if elsewhere then ignore (Unix.sigprocmask Unix.SIG_SETMASK mask))
+          (fun () ->
+            Sv.run ~journal:path one_v100 r
+              ~emit:(fun _ -> Atomic.incr emitted))
+      in
+      Atomic.set finished true;
+      Domain.join client;
+      Unix.close r;
+      check "drained by the signal, not by end of input" false
+        (Atomic.get forced);
+      check "drained on SIGTERM" true s.Sv.drained;
+      checki "all N submitted" n s.Sv.submitted;
+      let r = Jn.replay path in
+      checki "N commits" n (List.length r.Jn.committed);
+      check "no pending intents" true (r.Jn.pending = []);
+      match Sys.signal Sys.sigterm Sys.Signal_default with
+      | Sys.Signal_default -> ()
+      | Sys.Signal_ignore | Sys.Signal_handle _ ->
+        Alcotest.fail "SIGTERM disposition not restored")
+
 let () =
   Alcotest.run "resilience"
     [
@@ -464,5 +669,18 @@ let () =
         [
           Alcotest.test_case "concurrent submitters" `Quick
             test_concurrent_backpressure;
+        ] );
+      ( "service",
+        [
+          Alcotest.test_case "resume replays, then runs the backlog" `Quick
+            test_service_resume;
+          Alcotest.test_case "queue-full rejection is journaled" `Quick
+            test_service_rejection;
+          Alcotest.test_case "bad job lines are skipped" `Quick
+            test_service_bad_lines;
+          Alcotest.test_case "SIGTERM drains" `Quick
+            (sigterm_drain ~elsewhere:false);
+          Alcotest.test_case "SIGTERM on another thread drains" `Quick
+            (sigterm_drain ~elsewhere:true);
         ] );
     ]
