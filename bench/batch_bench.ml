@@ -5,7 +5,7 @@
    of the @bench-smoke regression gate; exits 1 on any mismatch. *)
 
 module P = Multidouble.Precision
-module Json = Harness.Json
+module Json = Obs.Json
 module Report = Harness.Report
 module Job = Sched.Job
 module S = Sched.Engine

@@ -26,7 +26,7 @@
 
 module P = Multidouble.Precision
 module D = Gpusim.Device
-module Json = Harness.Json
+module Json = Obs.Json
 module Job = Sched.Job
 module F = Sched.Fleet
 module S = Sched.Engine

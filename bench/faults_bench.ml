@@ -23,7 +23,7 @@
 module P = Multidouble.Precision
 module R = Harness.Runners
 module Report = Harness.Report
-module Json = Harness.Json
+module Json = Obs.Json
 
 let pf = Printf.printf
 let device = Gpusim.Device.v100

@@ -9,7 +9,7 @@
    gate; exits 1 on any mismatch. *)
 
 module P = Multidouble.Precision
-module Json = Harness.Json
+module Json = Obs.Json
 module Job = Sched.Job
 module S = Sched.Engine
 module F = Sched.Fleet

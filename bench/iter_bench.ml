@@ -22,7 +22,7 @@
    Part of the @bench-smoke regression gate; exits 1 on any mismatch. *)
 
 module P = Multidouble.Precision
-module Json = Harness.Json
+module Json = Obs.Json
 module Solver = Lsq_core.Solver
 
 let pf = Printf.printf

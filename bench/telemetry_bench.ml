@@ -5,12 +5,12 @@
    monotone across snapshots, the Prometheus text exposition parses
    (known types, declared-before-use, cumulative buckets), the drift
    detector stays quiet on the default cost model and flags an
-   artificially miscalibrated one, and the export overhead against a
-   telemetry-off baseline lands in BENCH_obs.json.  Part of the
+   artificially miscalibrated one, and the export overhead — the median
+   on/off ratio of alternating pairs — lands in BENCH_obs.json.  Part of the
    @bench-smoke regression gate; exits 1 on any mismatch. *)
 
-module Json = Harness.Json
-module Obs_io = Harness.Obs_io
+module Json = Obs.Json
+module Tel = Obs.Telemetry
 module S = Sched.Engine
 module F = Sched.Fleet
 module M = Obs.Metrics
@@ -28,14 +28,42 @@ let run_sweep () =
       (List.length jobs);
   wall_s
 
-(* Best-of-n wall clock: the overhead ratio compares identical minimum
-   workloads, not scheduler noise. *)
-let best_of n f =
-  let best = ref infinity in
-  for _ = 1 to n do
-    best := Float.min !best (f ())
-  done;
-  !best
+let fresh_registries () =
+  M.reset (M.default ());
+  Obs.Health.reset ()
+
+let run_off () =
+  fresh_registries ();
+  run_sweep ()
+
+(* Telemetry on: buffered debug-level logging riding the stream, the
+   exporter ticking fast on its own domain.  Each on-run rewrites both
+   files, so the streams validated below are the last run's. *)
+let run_on ~jsonl ~prom =
+  fresh_registries ();
+  Obs.Log.set_level Obs.Log.Debug;
+  Obs.Log.set_sink Obs.Log.Buffered;
+  let exporter =
+    Obs.Telemetry.start ~interval_ms:50.0
+      ~prom:(Obs.Telemetry.File prom)
+      (Obs.Telemetry.File jsonl)
+  in
+  let wall_s = run_sweep () in
+  Obs.Telemetry.stop exporter;
+  Obs.Log.set_sink Obs.Log.Off;
+  Obs.Log.set_level Obs.Log.Info;
+  (wall_s, Obs.Telemetry.ticks exporter)
+
+(* The overhead gate times alternating off/on pairs, half of them
+   on-first, and reads the median per-pair ratio: machine-wide drift
+   and the process's warm-up land on both sides of a pair instead of
+   on one side of a best-of-n. *)
+let pairs = 10
+
+let median xs =
+  let a = Array.of_list (List.sort Float.compare xs) in
+  let n = Array.length a in
+  if n mod 2 = 1 then a.(n / 2) else 0.5 *. (a.((n / 2) - 1) +. a.(n / 2))
 
 let read_lines path =
   let ic = open_in path in
@@ -148,36 +176,26 @@ let smoke () =
   let jsonl = Filename.temp_file "telemetry" ".jsonl" in
   let prom = Filename.temp_file "telemetry" ".prom" in
 
-  (* Baseline: telemetry off. *)
-  M.reset (M.default ());
-  Obs.Health.reset ();
-  let wall_off_s = best_of 2 run_sweep in
-
-  (* Telemetry on: buffered debug-level logging riding the stream, the
-     exporter ticking fast on its own domain. *)
-  M.reset (M.default ());
-  Obs.Health.reset ();
-  Obs.Log.set_level Obs.Log.Debug;
-  Obs.Log.set_sink Obs.Log.Buffered;
-  let exporter =
-    Obs.Telemetry.start ~interval_ms:50.0
-      ~prom:(Obs.Telemetry.File prom)
-      (Obs.Telemetry.File jsonl)
+  (* Pairs alternate which side runs first. *)
+  let timed =
+    List.init pairs (fun i ->
+        if i mod 2 = 1 then
+          let on = run_on ~jsonl ~prom in
+          (true, run_off (), on)
+        else
+          let off = run_off () in
+          (false, off, run_on ~jsonl ~prom))
   in
-  let wall_on_s = best_of 2 run_sweep in
-  Obs.Telemetry.stop exporter;
-  Obs.Log.set_sink Obs.Log.Off;
-  Obs.Log.set_level Obs.Log.Info;
-
-  let ticks = Obs.Telemetry.ticks exporter in
+  let overhead = median (List.map (fun (_, off, (on, _)) -> on /. off) timed) in
+  let _, _, (_, ticks) = List.nth timed (pairs - 1) in
   if ticks < 2 then fail "telemetry-smoke: only %d exporter ticks" ticks;
 
   (* The JSON-lines stream: every line parses; snapshots carry the
      per-instance gauges and per-class latency quantiles. *)
-  let lines = List.map Obs_io.telemetry_line_of_string (read_lines jsonl) in
+  let lines = List.map Tel.line_of_string (read_lines jsonl) in
   let snapshots =
     List.filter_map
-      (function Obs_io.Snapshot s -> Some s | Obs_io.Log_line _ -> None)
+      (function Tel.Snapshot s -> Some s | Tel.Log_line _ -> None)
       lines
   in
   let log_lines = List.length lines - List.length snapshots in
@@ -193,7 +211,7 @@ let smoke () =
         | M.Gauge _ -> String.length name > String.length p
                        && String.sub name 0 (String.length p) = p
         | _ -> false)
-      last.Obs_io.metrics
+      last.Tel.metrics
   in
   if not (has_prefix "fleet.util.") then
     fail "telemetry-smoke: no per-instance utilization gauges in snapshot";
@@ -211,11 +229,11 @@ let smoke () =
              && String.length name > 17
              && String.sub name 0 17 = "fleet.latency_ms."
            | _ -> false)
-         last.Obs_io.metrics)
+         last.Tel.metrics)
   then fail "telemetry-smoke: no populated fleet latency histogram";
   (* Counters are monotone tick over tick. *)
   let counter_of s name =
-    match List.assoc_opt name s.Obs_io.metrics with
+    match List.assoc_opt name s.Tel.metrics with
     | Some (M.Counter c) -> c
     | _ -> 0
   in
@@ -249,11 +267,11 @@ let smoke () =
   let drift_quiet =
     List.for_all
       (fun (d : Obs.Health.stage_drift) -> not d.Obs.Health.drifted)
-      last.Obs_io.drift
+      last.Tel.drift
   in
   if not drift_quiet then
     fail "telemetry-smoke: drift detector fired on the default cost model";
-  if last.Obs_io.drift = [] then
+  if last.Tel.drift = [] then
     fail "telemetry-smoke: no drift accumulators fed by the sweep";
   Obs.Health.reset ();
   Obs.Health.observe_model ~stage:"smoke" ~predicted_ms:1.0 ~measured_ms:2.0;
@@ -267,23 +285,33 @@ let smoke () =
     fail "telemetry-smoke: miscalibrated cost model not flagged";
   Obs.Health.reset ();
 
-  let overhead = wall_on_s /. wall_off_s in
-  pf "  off %.3f s, on %.3f s: overhead %.3fx; %d ticks, %d snapshots, %d \
-      log lines\n"
-    wall_off_s wall_on_s overhead ticks (List.length snapshots) log_lines;
+  List.iter
+    (fun (on_first, off, (on, _)) ->
+      pf "  %s: off %.3f s, on %.3f s, ratio %.3fx\n"
+        (if on_first then "on first " else "off first") off on (on /. off))
+    timed;
+  pf "  overhead %.3fx (median of %d pairs); last on-run %d ticks, %d \
+      snapshots, %d log lines\n"
+    overhead pairs ticks (List.length snapshots) log_lines;
   pf "  prometheus: %d families, %d samples; drift quiet on defaults, \
       flags 2x miscalibration\n"
     families samples;
-  if overhead > 1.05 then
-    fail "telemetry-smoke: export overhead %.3fx exceeds the 1.05x budget"
-      overhead;
-
   let json =
     Json.Obj
       [
         ("bench", Json.Str "obs");
-        ("wall_off_s", Json.Float wall_off_s);
-        ("wall_on_s", Json.Float wall_on_s);
+        ( "pairs",
+          Json.Arr
+            (List.map
+               (fun (on_first, off, (on, _)) ->
+                 Json.Obj
+                   [
+                     ("on_first", Json.Bool on_first);
+                     ("wall_off_s", Json.Float off);
+                     ("wall_on_s", Json.Float on);
+                     ("ratio", Json.Float (on /. off));
+                   ])
+               timed) );
         ("overhead_ratio", Json.Float overhead);
         ("ticks", Json.Int ticks);
         ("snapshots", Json.Int (List.length snapshots));
@@ -301,4 +329,9 @@ let smoke () =
   close_out oc;
   Sys.remove jsonl;
   Sys.remove prom;
-  pf "  [json written to %s]\n" path
+  pf "  [json written to %s]\n" path;
+  (* Gated after the write, so a failing run still leaves its pairs. *)
+  if overhead > 1.05 then
+    fail "telemetry-smoke: median export overhead %.3fx exceeds the 1.05x \
+          budget"
+      overhead

@@ -1,11 +1,11 @@
 (* Trace/metrics smoke: runs a small batch with the tracer and the
    default metrics registry armed, exports both artifacts, and checks
    that the Chrome trace-event JSON and the metrics snapshot parse with
-   [Harness.Json], are non-empty, and carry the mandatory event fields.
+   [Obs.Json], are non-empty, and carry the mandatory event fields.
    Part of the @bench-smoke regression gate; exits 1 on any mismatch. *)
 
 module P = Multidouble.Precision
-module Json = Harness.Json
+module Json = Obs.Json
 module Job = Sched.Job
 module S = Sched.Engine
 module F = Sched.Fleet
@@ -53,7 +53,7 @@ let smoke () =
       let oc = open_out metrics_path in
       output_string oc
         (Json.to_string
-           (Harness.Obs_io.json_of_metrics
+           (Obs.Metrics.to_json
               (Obs.Metrics.snapshot (Obs.Metrics.default ()))));
       output_char oc '\n';
       close_out oc;
@@ -90,7 +90,7 @@ let smoke () =
       (* The metrics snapshot must parse, be non-empty, and count the
          batch's kernel launches. *)
       let snap =
-        try Harness.Obs_io.metrics_of_json (Json.of_string (read_file metrics_path))
+        try Obs.Metrics.of_json (Json.of_string (read_file metrics_path))
         with Json.Error m -> fail "trace-smoke: metrics do not parse: %s" m
       in
       if snap = [] then fail "trace-smoke: metrics snapshot is empty";

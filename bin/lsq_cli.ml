@@ -213,7 +213,7 @@ let with_observability (trace, metrics) f =
           let snap = Obs.Metrics.snapshot (Obs.Metrics.default ()) in
           let oc = open_out path in
           output_string oc
-            (Harness.Json.to_string (Harness.Obs_io.json_of_metrics snap));
+            (Obs.Json.to_string (Obs.Metrics.to_json snap));
           output_char oc '\n';
           close_out oc;
           Printf.eprintf "metrics written to %s (%d metrics)\n" path
@@ -449,32 +449,32 @@ let faults_cmd =
         in
         if json then
           print_endline
-            (Harness.Json.to_string
-               (Harness.Json.Obj
+            (Obs.Json.to_string
+               (Obs.Json.Obj
                   [
                     ( "campaign",
-                      Harness.Json.Obj
+                      Obs.Json.Obj
                         [
-                          ("device", Harness.Json.Str device.Gpusim.Device.name);
-                          ("prec", Harness.Json.Str (P.label p));
-                          ("complex", Harness.Json.Bool complex);
-                          ("dim", Harness.Json.Int dim);
-                          ("tile", Harness.Json.Int tile);
-                          ("runs", Harness.Json.Int runs);
-                          ("fault_rate", Harness.Json.Float rate);
-                          ("fault_seed", Harness.Json.Int seed);
+                          ("device", Obs.Json.Str device.Gpusim.Device.name);
+                          ("prec", Obs.Json.Str (P.label p));
+                          ("complex", Obs.Json.Bool complex);
+                          ("dim", Obs.Json.Int dim);
+                          ("tile", Obs.Json.Int tile);
+                          ("runs", Obs.Json.Int runs);
+                          ("fault_rate", Obs.Json.Float rate);
+                          ("fault_seed", Obs.Json.Int seed);
                         ] );
-                    ("injected", Harness.Json.Int injected);
-                    ("detected", Harness.Json.Int detected);
-                    ("replays", Harness.Json.Int replays);
-                    ("escalations", Harness.Json.Int escalations);
-                    ("refined_runs", Harness.Json.Int refined_runs);
-                    ("recovered_runs", Harness.Json.Int recovered_runs);
+                    ("injected", Obs.Json.Int injected);
+                    ("detected", Obs.Json.Int detected);
+                    ("replays", Obs.Json.Int replays);
+                    ("escalations", Obs.Json.Int escalations);
+                    ("refined_runs", Obs.Json.Int refined_runs);
+                    ("recovered_runs", Obs.Json.Int recovered_runs);
                     ( "recovery_rate",
-                      Harness.Json.Float
+                      Obs.Json.Float
                         (float_of_int recovered_runs /. float_of_int runs) );
                     ( "reports",
-                      Harness.Json.Arr
+                      Obs.Json.Arr
                         (List.map Harness.Report.to_json reports) );
                   ]))
         else begin
@@ -532,7 +532,7 @@ let roofline_cmd =
     Arg.(
       value & flag
       & info [ "json" ]
-          ~doc:"Emit the table as JSON (see Harness.Obs_io) on stdout.")
+          ~doc:"Emit the table as JSON (see Obs.Roofline.to_json) on stdout.")
   in
   let run device p kind dim rows tile complex solver json =
     check_tile ~dim ~tile;
@@ -558,8 +558,8 @@ let roofline_cmd =
     in
     if json then
       print_endline
-        (Harness.Json.to_string
-           (Harness.Obs_io.json_of_roofline ~label
+        (Obs.Json.to_string
+           (Obs.Roofline.to_json ~label
               ~device:device.Gpusim.Device.name ~ridge rows_all))
     else begin
       pf "roofline of %s in %s%s on the simulated %s\n" kind_name (P.name p)
@@ -835,7 +835,7 @@ let batch_cmd =
       | Some _, Some _ -> usage_error "--jobs and --sweep are mutually exclusive"
       | Some file, None -> (
         try Sched.Job.load_file file
-        with Harness.Json.Error m | Sys_error m ->
+        with Obs.Json.Error m | Sys_error m ->
           usage_error "cannot load jobs from %s: %s" file m)
       | None, Some name -> (
         try Sched.Sweep.jobs name with Invalid_argument m -> usage_error "%s" m)
@@ -1149,9 +1149,9 @@ let monitor_cmd =
     let n = max 0 (min width (int_of_float (frac *. float_of_int width))) in
     String.make n '#' ^ String.make (width - n) '.'
   in
-  let render (s : Harness.Obs_io.telemetry_snapshot) =
+  let render (s : Obs.Telemetry.snapshot) =
     let counter name =
-      match List.assoc_opt name s.Harness.Obs_io.metrics with
+      match List.assoc_opt name s.Obs.Telemetry.metrics with
       | Some (Obs.Metrics.Counter c) -> c
       | _ -> 0
     in
@@ -1165,9 +1165,9 @@ let monitor_cmd =
                   (String.length name - String.length prefix),
                 g )
           | _ -> None)
-        s.Harness.Obs_io.metrics
+        s.Obs.Telemetry.metrics
     in
-    pf "snapshot #%d\n" s.Harness.Obs_io.seq;
+    pf "snapshot #%d\n" s.Obs.Telemetry.seq;
     pf "  fleet: %d submitted, %d completed, %d failed, %d rejected, %d steals\n"
       (counter "fleet.submitted") (counter "fleet.completed")
       (counter "fleet.failed") (counter "fleet.rejected")
@@ -1197,7 +1197,7 @@ let monitor_cmd =
             (String.sub name 17 (String.length name - 17))
             p50 p95 p99 count
         | _ -> ())
-      s.Harness.Obs_io.metrics;
+      s.Obs.Telemetry.metrics;
     List.iter
       (fun (h : Obs.Health.class_status) ->
         pf "  slo %-12s p95 %s%s  %s | budget %d/%d failed%s  %s\n"
@@ -1215,12 +1215,12 @@ let monitor_cmd =
                         (100.0 *. h.Obs.Health.budget_used) b
           | None -> "")
           (if h.Obs.Health.budget_ok then "ok" else "EXHAUSTED"))
-      s.Harness.Obs_io.health;
+      s.Obs.Telemetry.health;
     (match List.filter (fun (d : Obs.Health.stage_drift) -> d.Obs.Health.drifted)
-             s.Harness.Obs_io.drift
+             s.Obs.Telemetry.drift
      with
     | [] ->
-      if s.Harness.Obs_io.drift <> [] then pf "  cost model: no drift\n"
+      if s.Obs.Telemetry.drift <> [] then pf "  cost model: no drift\n"
     | drifted ->
       List.iter
         (fun (d : Obs.Health.stage_drift) ->
@@ -1245,16 +1245,16 @@ let monitor_cmd =
       List.iter
         (fun line ->
           if String.trim line <> "" then
-            match Harness.Obs_io.telemetry_line_of_string line with
-            | Harness.Obs_io.Snapshot s -> last := Some s
-            | Harness.Obs_io.Log_line r ->
+            match Obs.Telemetry.line_of_string line with
+            | Obs.Telemetry.Snapshot s -> last := Some s
+            | Obs.Telemetry.Log_line r ->
               if
                 echo_logs
                 && match r.Obs.Log.level with
                    | Obs.Log.Warn | Obs.Log.Error -> true
                    | Obs.Log.Debug | Obs.Log.Info -> false
               then pf "%s\n" (Obs.Log.to_json_line r)
-            | exception Harness.Json.Error _ ->
+            | exception Obs.Json.Error _ ->
               incr parse_errors;
               Obs.Metrics.Counter.incr parse_errors_counter)
         fresh

@@ -264,7 +264,7 @@ let to_json t =
       );
       ( "metrics",
         match t.metrics with
-        | Some m -> Obs_io.json_of_metrics m
+        | Some m -> Obs.Metrics.to_json m
         | None -> Json.Null );
       ( "faults",
         match t.faults with Some f -> json_of_faults f | None -> Json.Null );
@@ -289,7 +289,7 @@ let of_json j =
     wall_gflops = Json.(get_float (member "wall_gflops" j));
     launches = Json.(get_int (member "launches" j));
     residual = Json.to_option residual_of_json (Json.member "residual" j);
-    metrics = Json.to_option Obs_io.metrics_of_json (Json.member "metrics" j);
+    metrics = Json.to_option Obs.Metrics.of_json (Json.member "metrics" j);
     faults = Json.to_option faults_of_json (Json.member "faults" j);
     solver = Json.to_option solver_of_json (Json.member "solver" j);
   }

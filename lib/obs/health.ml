@@ -63,10 +63,11 @@ let set_slo ~cls ~p95_ms =
   locked (fun () -> Hashtbl.replace slos cls p95_ms)
 
 (* [fraction] is the tolerated failed share of all outcomes, e.g. 0.05
-   allows one failure in twenty. *)
+   allows one failure in twenty.  It is positive, so the share of the
+   budget used is always finite. *)
 let set_error_budget ~cls fraction =
-  if not (Float.is_finite fraction) || fraction < 0.0 || fraction > 1.0 then
-    invalid_arg "Health.set_error_budget: fraction must be in [0,1]";
+  if not (Float.is_finite fraction) || fraction <= 0.0 || fraction > 1.0 then
+    invalid_arg "Health.set_error_budget: fraction must be in (0,1]";
   locked (fun () -> Hashtbl.replace budgets cls fraction)
 
 let set_drift_tolerance tol =
@@ -152,10 +153,7 @@ let class_status_locked s =
     else float_of_int s.w.failures /. float_of_int s.w.total
   in
   let budget_used =
-    match budget with
-    | Some b when b > 0.0 -> failure_rate /. b
-    | Some _ -> if s.w.failures > 0 then Float.infinity else 0.0
-    | None -> 0.0
+    match budget with Some b -> failure_rate /. b | None -> 0.0
   in
   let budget_ok = budget = None || budget_used <= 1.0 in
   {

@@ -20,7 +20,9 @@ val set_slo : cls:string -> p95_ms:float -> unit
 
 val set_error_budget : cls:string -> float -> unit
 (** Sets the tolerated failed fraction of outcomes for [cls], in
-    [\[0,1\]] — e.g. [0.05] allows one failure in twenty. *)
+    [(0,1\]] — e.g. [0.05] allows one failure in twenty; a tiny positive
+    fraction tolerates no failures.  Raises [Invalid_argument] outside
+    that range (including on [0.0]). *)
 
 val window_capacity : int
 (** Maximum samples retained per class window. *)

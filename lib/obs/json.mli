@@ -1,10 +1,12 @@
-(** A minimal JSON value with a printer and a parser, enough for the
-    report and batch-job schemas (no external dependency is available in
-    the build environment).
+(** A minimal JSON value with a printer and a parser: the one codec for
+    every JSON document the process writes or reads — reports, job and
+    outcome lines, Chrome traces, log and telemetry lines (no external
+    dependency is available in the build environment).
 
     Floats are printed with 17 significant digits, so every finite float
     round-trips bit for bit through {!to_string} and {!of_string};
-    non-finite floats are not representable in JSON and raise. *)
+    non-finite floats are not representable in JSON and raise (see
+    {!finite}). *)
 
 type t =
   | Null
@@ -20,6 +22,14 @@ exception Error of string
 
 val to_string : t -> string
 (** Compact one-line rendering (no insignificant whitespace). *)
+
+val finite : t -> t
+(** [finite v] is [v] with every non-finite [Float] (NaN, ±∞) replaced
+    by [Float 0.0].  The trace, log and telemetry writers pass their
+    documents through it before {!to_string}: they run inside logging
+    calls and on the telemetry ticker domain, where a NaN gauge must not
+    raise.  Reports and outcome lines do not, so a non-finite value
+    there still fails loudly. *)
 
 val of_string : string -> t
 (** Parses one JSON value; raises {!Error} on malformed input or on

@@ -3,12 +3,12 @@
 
    Recording follows the tracer's discipline: after the level check (one
    atomic load) a record is either written straight to a channel (the
-   operator-facing mode, one mutex around the write) or pushed onto a
-   per-domain buffer.  Buffers are per-domain atomics — a push only ever
-   contends with the telemetry drainer, never with another worker — so
-   logging from every fleet worker at once stays lock-free on the hot
-   path.  [drain] hands the buffered records to whoever exports them
-   (the telemetry ticker, or a flush at exit).
+   operator-facing mode, one mutex around the write) or pushed onto the
+   same per-domain {!Domain_buffer} the tracer records into — a push
+   only ever contends with the telemetry drainer, never with another
+   worker — so logging from every fleet worker at once stays lock-free
+   on the hot path.  [drain] hands the buffered records to whoever
+   exports them (the telemetry ticker, or a flush at exit).
 
    A global cap bounds buffered memory: past [capacity] records the
    logger drops and counts instead of growing, so a serve loop whose
@@ -32,7 +32,14 @@ let level_of_string s =
   | "error" -> Error
   | s -> invalid_arg (Printf.sprintf "unknown log level '%s'" s)
 
-type field = Str of string | Int of int | Float of float | Bool of bool
+type field = Json.t =
+  | Null
+  | Bool of bool
+  | Int of int
+  | Float of float
+  | Str of string
+  | Arr of field list
+  | Obj of (string * field) list
 
 type record = {
   ts_ms : float;  (* epoch milliseconds *)
@@ -53,93 +60,59 @@ let enabled l = severity l >= severity (Atomic.get current_level)
 
 (* ---- buffered mode ----
 
-   One cell per (domain, sink generation), discovered through a DLS
-   slot; a new [set_sink Buffered] bumps the generation so stale
-   buffers never leak into a fresh stream. *)
+   A global cap around the shared per-domain buffer bounds memory: past
+   [capacity] records a push drops and counts instead. *)
 
-type cell = { gen : int; buf : record list Atomic.t }
-
-let generation = Atomic.make 0
-let registry_lock = Mutex.create ()
-let registry : cell list ref = ref []
+let records : record Domain_buffer.t = Domain_buffer.create ()
 let buffered_records = Atomic.make 0
 let dropped_records = Atomic.make 0
 let capacity = 65536
-
-let slot : cell option ref Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> ref None)
-
-let cell () =
-  let r = Domain.DLS.get slot in
-  let gen = Atomic.get generation in
-  match !r with
-  | Some c when c.gen = gen -> c
-  | _ ->
-    let c = { gen; buf = Atomic.make [] } in
-    Mutex.lock registry_lock;
-    registry := c :: !registry;
-    Mutex.unlock registry_lock;
-    r := Some c;
-    c
 
 let push r =
   if Atomic.get buffered_records >= capacity then Atomic.incr dropped_records
   else begin
     Atomic.incr buffered_records;
-    let c = cell () in
-    let rec go () =
-      let old = Atomic.get c.buf in
-      if not (Atomic.compare_and_set c.buf old (r :: old)) then go ()
-    in
-    go ()
+    Domain_buffer.push records r
   end
 
 let buffered () = Atomic.get buffered_records
 let dropped () = Atomic.get dropped_records
 
 let drain () =
-  Mutex.lock registry_lock;
-  let cells = !registry in
-  Mutex.unlock registry_lock;
-  let all =
-    List.concat_map (fun c -> List.rev (Atomic.exchange c.buf [])) cells
-  in
+  let all = List.concat_map snd (Domain_buffer.drain records) in
   ignore (Atomic.fetch_and_add buffered_records (-List.length all));
   List.stable_sort (fun a b -> Float.compare a.ts_ms b.ts_ms) all
 
-(* ---- rendering ---- *)
+(* ---- JSON codec ----
 
-let buf_field b = function
-  | Str s -> Jtext.string b s
-  | Int i -> Jtext.int b i
-  | Float f -> Jtext.float b f
-  | Bool v -> Jtext.bool b v
+   The ["type"] tag keeps log lines distinguishable inside a telemetry
+   stream. *)
 
-(* One JSON line, matching what [Harness.Obs_io.telemetry_of_json]
-   parses back: the ["type"] tag keeps log lines distinguishable inside
-   a telemetry stream. *)
-let to_json_line r =
-  let b = Buffer.create 160 in
-  Buffer.add_char b '{';
-  Jtext.key b true "type";
-  Jtext.string b "log";
-  Jtext.key b false "ts_ms";
-  Jtext.float b r.ts_ms;
-  Jtext.key b false "level";
-  Jtext.string b (level_name r.level);
-  Jtext.key b false "domain";
-  Jtext.int b r.domain;
-  Jtext.key b false "event";
-  Jtext.string b r.event;
-  Jtext.key b false "fields";
-  Buffer.add_char b '{';
-  List.iteri
-    (fun i (k, v) ->
-      Jtext.key b (i = 0) k;
-      buf_field b v)
-    r.fields;
-  Buffer.add_string b "}}";
-  Buffer.contents b
+let to_json r =
+  Json.Obj
+    [
+      ("type", Json.Str "log");
+      ("ts_ms", Json.Float r.ts_ms);
+      ("level", Json.Str (level_name r.level));
+      ("domain", Json.Int r.domain);
+      ("event", Json.Str r.event);
+      ("fields", Json.Obj r.fields);
+    ]
+
+let to_json_line r = Json.to_string (Json.finite (to_json r))
+
+let of_json j =
+  {
+    ts_ms = Json.(get_float (member "ts_ms" j));
+    level = level_of_string Json.(get_string (member "level" j));
+    domain = Json.(get_int (member "domain" j));
+    event = Json.(get_string (member "event" j));
+    fields =
+      (match Json.member "fields" j with
+      | Json.Obj kvs -> kvs
+      | Json.Null -> []
+      | _ -> raise (Json.Error "log fields must be an object"));
+  }
 
 (* ---- recording ---- *)
 
@@ -149,12 +122,9 @@ let set_sink s =
   (match s with
   | Buffered ->
     (* Fresh stream: retire every existing buffer. *)
-    Mutex.lock registry_lock;
-    registry := [];
-    Atomic.incr generation;
+    Domain_buffer.reset records;
     Atomic.set buffered_records 0;
-    Atomic.set dropped_records 0;
-    Mutex.unlock registry_lock
+    Atomic.set dropped_records 0
   | Off | Channel _ -> ());
   Atomic.set current_sink s
 

@@ -3,9 +3,9 @@
     One process-wide logger with an atomic level gate and three sink
     modes.  [Off] (the default) makes every call a single atomic load;
     [Channel] writes JSON lines immediately (the [serve] stderr mode);
-    [Buffered] pushes onto per-domain lock-free buffers for a drainer —
-    the telemetry exporter — to collect, mirroring {!Tracer}'s
-    per-domain sink discipline. *)
+    [Buffered] pushes onto a lock-free {!Domain_buffer} — the one the
+    {!Tracer} also records into — for a drainer (the telemetry exporter)
+    to collect. *)
 
 type level = Debug | Info | Warn | Error
 
@@ -16,7 +16,16 @@ val level_of_string : string -> level
 (** Inverse of {!level_name} (also accepts ["warning"]); raises
     [Invalid_argument] on unknown names. *)
 
-type field = Str of string | Int of int | Float of float | Bool of bool
+(** Field values are JSON values; a non-finite float is written as [0]
+    (see {!Json.finite}). *)
+type field = Json.t =
+  | Null
+  | Bool of bool
+  | Int of int
+  | Float of float
+  | Str of string
+  | Arr of field list
+  | Obj of (string * field) list
 
 type record = {
   ts_ms : float;  (** epoch milliseconds *)
@@ -57,6 +66,16 @@ val buffered : unit -> int
 val dropped : unit -> int
 (** Records discarded because the buffer cap was reached. *)
 
+(** {2 JSON codec} *)
+
+val to_json : record -> Json.t
+(** [{"type":"log","ts_ms":…,"level":…,"domain":…,"event":…,"fields":{…}}]. *)
+
 val to_json_line : record -> string
-(** One-line JSON rendering:
-    [{"type":"log","ts_ms":…,"level":…,"domain":…,"event":…,"fields":{…}}]. *)
+(** {!to_json} on one line, non-finite floats written as [0]: never
+    raises. *)
+
+val of_json : Json.t -> record
+(** Inverse of {!to_json} for finite records.  Raises {!Json.Error} on
+    missing or mistyped keys and [Invalid_argument] on an unknown level
+    name. *)

@@ -218,3 +218,74 @@ let snapshot t =
          in
          (name, v))
   |> List.sort (fun (a, _) (b, _) -> String.compare a b)
+
+(* ---- JSON codec ---- *)
+
+let metric_to_json (name, value) =
+  let fields =
+    match value with
+    | Counter v -> [ ("kind", Json.Str "counter"); ("value", Json.Int v) ]
+    | Gauge v -> [ ("kind", Json.Str "gauge"); ("value", Json.Float v) ]
+    | Histogram { bounds; counts; count; sum; p50; p95; p99 } ->
+      [
+        ("kind", Json.Str "histogram");
+        ( "bounds",
+          Json.Arr (Array.to_list (Array.map (fun b -> Json.Float b) bounds))
+        );
+        ( "counts",
+          Json.Arr (Array.to_list (Array.map (fun c -> Json.Int c) counts)) );
+        ("count", Json.Int count);
+        ("sum", Json.Float sum);
+      ]
+      (* Quantiles of an empty distribution are undefined, not 0: the
+         keys are omitted so consumers can tell "no data" from "zero
+         latency". *)
+      @
+      if count = 0 then []
+      else
+        [
+          ("p50", Json.Float p50);
+          ("p95", Json.Float p95);
+          ("p99", Json.Float p99);
+        ]
+  in
+  Json.Obj (("name", Json.Str name) :: fields)
+
+let metric_of_json j =
+  let name = Json.(get_string (member "name" j)) in
+  let value =
+    match Json.(get_string (member "kind" j)) with
+    | "counter" -> Counter Json.(get_int (member "value" j))
+    | "gauge" -> Gauge Json.(get_float (member "value" j))
+    | "histogram" ->
+      let bounds =
+        Array.of_list
+          (List.map Json.get_float Json.(get_list (member "bounds" j)))
+      in
+      let counts =
+        Array.of_list
+          (List.map Json.get_int Json.(get_list (member "counts" j)))
+      in
+      (* Quantiles are recomputed from the buckets when absent, so
+         snapshots written before the percentile fields still parse. *)
+      let q p key =
+        match Json.to_option Json.get_float (Json.member key j) with
+        | Some v -> v
+        | None -> quantile ~bounds ~counts p
+      in
+      Histogram
+        {
+          bounds;
+          counts;
+          count = Json.(get_int (member "count" j));
+          sum = Json.(get_float (member "sum" j));
+          p50 = q 0.50 "p50";
+          p95 = q 0.95 "p95";
+          p99 = q 0.99 "p99";
+        }
+    | k -> raise (Json.Error (Printf.sprintf "unknown metric kind '%s'" k))
+  in
+  (name, value)
+
+let to_json (snap : snapshot) = Json.Arr (List.map metric_to_json snap)
+let of_json j : snapshot = List.map metric_of_json (Json.get_list j)

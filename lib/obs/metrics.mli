@@ -5,11 +5,7 @@
     updates are atomics (fetch-and-add counts, a compare-and-set loop
     for the histogram sum), so concurrent hammering stays exact.
     Handles returned by {!counter}/{!gauge}/{!histogram} stay valid
-    across {!reset} (which zeroes values in place).
-
-    The JSON codec for {!snapshot} lives in [Harness.Obs_io], so a
-    snapshot can ride inside a [Harness.Report] without this library
-    depending on the harness. *)
+    across {!reset} (which zeroes values in place). *)
 
 module Counter : sig
   type t
@@ -103,3 +99,18 @@ type snapshot = (string * value) list
 (** Sorted by metric name. *)
 
 val snapshot : t -> snapshot
+
+(** {2 JSON codec} — the one metric encoder: reports carry a snapshot
+    through it and every telemetry line embeds one. *)
+
+val to_json : snapshot -> Json.t
+(** A list of [{"name":…,"kind":…,…}] objects.  Zero-count histograms
+    omit their [p50]/[p95]/[p99] keys — the quantiles of an empty
+    distribution are undefined, and emitting [0.0] would be
+    indistinguishable from a measured zero latency. *)
+
+val of_json : Json.t -> snapshot
+(** Inverse of {!to_json}; raises {!Json.Error} on malformed documents.
+    Histogram percentile fields are recomputed from the bucket counts
+    when absent (zero-count histograms, or documents predating the
+    fields). *)

@@ -85,3 +85,64 @@ let total ?(stage = "all kernels") stages =
     ~compute_ms:(sum (fun s -> s.compute_ms))
     ~memory_ms:(sum (fun s -> s.memory_ms))
     ~peak_gflops
+
+(* ---- JSON codec: the machine-readable output of `lsq_cli roofline` ---- *)
+
+let stage_to_json s =
+  Json.Obj
+    [
+      ("stage", Json.Str s.stage);
+      ("ms", Json.Float s.ms);
+      ("launches", Json.Int s.launches);
+      ("flops", Json.Float s.flops);
+      ("bytes", Json.Float s.bytes);
+      ("intensity", Json.Float s.intensity);
+      ("gflops", Json.Float s.gflops);
+      ("pct_peak", Json.Float s.pct_peak);
+      ("compute_ms", Json.Float s.compute_ms);
+      ("memory_ms", Json.Float s.memory_ms);
+      ("bound", Json.Str (bound_name s.bound));
+    ]
+
+let stage_of_json j =
+  {
+    stage = Json.(get_string (member "stage" j));
+    ms = Json.(get_float (member "ms" j));
+    launches = Json.(get_int (member "launches" j));
+    flops = Json.(get_float (member "flops" j));
+    bytes = Json.(get_float (member "bytes" j));
+    intensity = Json.(get_float (member "intensity" j));
+    gflops = Json.(get_float (member "gflops" j));
+    pct_peak = Json.(get_float (member "pct_peak" j));
+    compute_ms = Json.(get_float (member "compute_ms" j));
+    memory_ms = Json.(get_float (member "memory_ms" j));
+    bound =
+      (match Json.(get_string (member "bound" j)) with
+      | "compute" -> Compute
+      | "memory" -> Memory
+      | b -> raise (Json.Error (Printf.sprintf "unknown bound '%s'" b)));
+  }
+
+let schema_version = 1
+
+let to_json ~label ~device ~ridge stages =
+  Json.Obj
+    [
+      ("schema", Json.Int schema_version);
+      ("label", Json.Str label);
+      ("device", Json.Str device);
+      ("ridge", Json.Float ridge);
+      ("stages", Json.Arr (List.map stage_to_json stages));
+    ]
+
+let of_json j =
+  let v = Json.(get_int (member "schema" j)) in
+  if v <> schema_version then
+    raise
+      (Json.Error
+         (Printf.sprintf "roofline schema %d, this build reads schema %d" v
+            schema_version));
+  ( Json.(get_string (member "label" j)),
+    Json.(get_string (member "device" j)),
+    Json.(get_float (member "ridge" j)),
+    List.map stage_of_json Json.(get_list (member "stages" j)) )

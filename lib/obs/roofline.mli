@@ -6,7 +6,7 @@
     decides what a launch costs — while the raw arithmetic intensity and
     the device ridge point are reported alongside for classical roofline
     plots.  [Gpusim.Sim.roofline] produces these from a simulator's
-    profile; the JSON codec lives in [Harness.Obs_io]. *)
+    profile. *)
 
 type bound = Compute | Memory
 
@@ -56,3 +56,14 @@ val microkernel :
 val total : ?stage:string -> stage list -> stage
 (** The aggregate row (default name ["all kernels"]): sums classified
     like one big stage. *)
+
+(** {2 JSON codec} — the machine-readable output of
+    [lsq_cli roofline --json]; round-trips exactly. *)
+
+val to_json :
+  label:string -> device:string -> ridge:float -> stage list -> Json.t
+
+val of_json : Json.t -> string * string * float * stage list
+(** [(label, device, ridge, stages)] of a serialized table; raises
+    {!Json.Error} on malformed documents or a table of another schema
+    version. *)

@@ -40,127 +40,113 @@ let close_sink s =
   flush s.oc;
   if s.owned then close_out s.oc
 
-(* ---- JSON lines ---- *)
+(* ---- JSON lines ----
 
-(* Mirrors [Harness.Obs_io.json_of_metric]: same keys, and the same
-   rule that zero-count histograms omit their quantile estimates. *)
-let buf_metric b (name, value) =
-  Buffer.add_char b '{';
-  Jtext.key b true "name";
-  Jtext.string b name;
-  (match value with
-  | Metrics.Counter v ->
-    Jtext.key b false "kind";
-    Jtext.string b "counter";
-    Jtext.key b false "value";
-    Jtext.int b v
-  | Metrics.Gauge v ->
-    Jtext.key b false "kind";
-    Jtext.string b "gauge";
-    Jtext.key b false "value";
-    Jtext.float b v
-  | Metrics.Histogram { bounds; counts; count; sum; p50; p95; p99 } ->
-    Jtext.key b false "kind";
-    Jtext.string b "histogram";
-    Jtext.key b false "bounds";
-    Buffer.add_char b '[';
-    Array.iteri
-      (fun i bound ->
-        if i > 0 then Buffer.add_char b ',';
-        Jtext.float b bound)
-      bounds;
-    Buffer.add_char b ']';
-    Jtext.key b false "counts";
-    Buffer.add_char b '[';
-    Array.iteri
-      (fun i c ->
-        if i > 0 then Buffer.add_char b ',';
-        Jtext.int b c)
-      counts;
-    Buffer.add_char b ']';
-    Jtext.key b false "count";
-    Jtext.int b count;
-    Jtext.key b false "sum";
-    Jtext.float b sum;
-    if count > 0 then begin
-      Jtext.key b false "p50";
-      Jtext.float b p50;
-      Jtext.key b false "p95";
-      Jtext.float b p95;
-      Jtext.key b false "p99";
-      Jtext.float b p99
-    end);
-  Buffer.add_char b '}'
+   The codec `lsq_cli monitor` tails a telemetry file through. *)
 
-let buf_opt_float b first k = function
-  | None -> ()
-  | Some v ->
-    Jtext.key b first k;
-    Jtext.float b v
+type snapshot = {
+  seq : int;
+  ts_ms : float;
+  metrics : Metrics.snapshot;
+  health : Health.class_status list;
+  drift : Health.stage_drift list;
+}
 
-let buf_class_status b (s : Health.class_status) =
-  Buffer.add_char b '{';
-  Jtext.key b true "cls";
-  Jtext.string b s.cls;
-  Jtext.key b false "window";
-  Jtext.int b s.window;
-  buf_opt_float b false "p95_ms" s.p95_ms;
-  buf_opt_float b false "slo_ms" s.slo_ms;
-  Jtext.key b false "slo_ok";
-  Jtext.bool b s.slo_ok;
-  Jtext.key b false "total";
-  Jtext.int b s.total;
-  Jtext.key b false "failures";
-  Jtext.int b s.failures;
-  buf_opt_float b false "budget" s.budget;
-  Jtext.key b false "budget_used";
-  Jtext.float b s.budget_used;
-  Jtext.key b false "budget_ok";
-  Jtext.bool b s.budget_ok;
-  Buffer.add_char b '}'
+type line = Snapshot of snapshot | Log_line of Log.record
 
-let buf_stage_drift b (d : Health.stage_drift) =
-  Buffer.add_char b '{';
-  Jtext.key b true "stage";
-  Jtext.string b d.stage;
-  Jtext.key b false "predicted_ms";
-  Jtext.float b d.predicted_ms;
-  Jtext.key b false "measured_ms";
-  Jtext.float b d.measured_ms;
-  Jtext.key b false "ratio";
-  Jtext.float b d.ratio;
-  Jtext.key b false "samples";
-  Jtext.int b d.samples;
-  Jtext.key b false "drifted";
-  Jtext.bool b d.drifted;
-  Buffer.add_char b '}'
+let opt_float k = function None -> [] | Some v -> [ (k, Json.Float v) ]
 
-let buf_list b f xs =
-  Buffer.add_char b '[';
-  List.iteri
-    (fun i x ->
-      if i > 0 then Buffer.add_char b ',';
-      f b x)
-    xs;
-  Buffer.add_char b ']'
+let class_status_to_json (s : Health.class_status) =
+  Json.Obj
+    ([ ("cls", Json.Str s.cls); ("window", Json.Int s.window) ]
+    @ opt_float "p95_ms" s.p95_ms
+    @ opt_float "slo_ms" s.slo_ms
+    @ [
+        ("slo_ok", Json.Bool s.slo_ok);
+        ("total", Json.Int s.total);
+        ("failures", Json.Int s.failures);
+      ]
+    @ opt_float "budget" s.budget
+    @ [
+        ("budget_used", Json.Float s.budget_used);
+        ("budget_ok", Json.Bool s.budget_ok);
+      ])
 
-let snapshot_line ~seq ~ts_ms snap health drift =
-  let b = Buffer.create 4096 in
-  Buffer.add_char b '{';
-  Jtext.key b true "type";
-  Jtext.string b "snapshot";
-  Jtext.key b false "seq";
-  Jtext.int b seq;
-  Jtext.key b false "ts_ms";
-  Jtext.float b ts_ms;
-  Jtext.key b false "metrics";
-  buf_list b buf_metric snap;
-  Jtext.key b false "health";
-  buf_list b buf_class_status health;
-  Jtext.key b false "drift";
-  buf_list b buf_stage_drift drift;
-  Buffer.add_char b '}';
-  Buffer.contents b
+let class_status_of_json j : Health.class_status =
+  {
+    cls = Json.(get_string (member "cls" j));
+    window = Json.(get_int (member "window" j));
+    p95_ms = Json.(to_option get_float (member "p95_ms" j));
+    slo_ms = Json.(to_option get_float (member "slo_ms" j));
+    slo_ok = Json.(get_bool (member "slo_ok" j));
+    total = Json.(get_int (member "total" j));
+    failures = Json.(get_int (member "failures" j));
+    budget = Json.(to_option get_float (member "budget" j));
+    budget_used = Json.(get_float (member "budget_used" j));
+    budget_ok = Json.(get_bool (member "budget_ok" j));
+  }
+
+let stage_drift_to_json (d : Health.stage_drift) =
+  Json.Obj
+    [
+      ("stage", Json.Str d.stage);
+      ("predicted_ms", Json.Float d.predicted_ms);
+      ("measured_ms", Json.Float d.measured_ms);
+      ("ratio", Json.Float d.ratio);
+      ("samples", Json.Int d.samples);
+      ("drifted", Json.Bool d.drifted);
+    ]
+
+let stage_drift_of_json j : Health.stage_drift =
+  {
+    stage = Json.(get_string (member "stage" j));
+    predicted_ms = Json.(get_float (member "predicted_ms" j));
+    measured_ms = Json.(get_float (member "measured_ms" j));
+    ratio = Json.(get_float (member "ratio" j));
+    samples = Json.(get_int (member "samples" j));
+    drifted = Json.(get_bool (member "drifted" j));
+  }
+
+let line_to_json = function
+  | Log_line r -> Log.to_json r
+  | Snapshot s ->
+    Json.Obj
+      [
+        ("type", Json.Str "snapshot");
+        ("seq", Json.Int s.seq);
+        ("ts_ms", Json.Float s.ts_ms);
+        ("metrics", Metrics.to_json s.metrics);
+        ("health", Json.Arr (List.map class_status_to_json s.health));
+        ("drift", Json.Arr (List.map stage_drift_to_json s.drift));
+      ]
+
+let line_to_string l = Json.to_string (Json.finite (line_to_json l))
+
+let line_of_json j =
+  match Json.(get_string (member "type" j)) with
+  | "snapshot" ->
+    Snapshot
+      {
+        seq = Json.(get_int (member "seq" j));
+        ts_ms = Json.(get_float (member "ts_ms" j));
+        metrics = Metrics.of_json (Json.member "metrics" j);
+        health =
+          List.map class_status_of_json Json.(get_list (member "health" j));
+        drift =
+          List.map stage_drift_of_json Json.(get_list (member "drift" j));
+      }
+  | "log" -> Log_line (Log.of_json j)
+  | t -> raise (Json.Error (Printf.sprintf "unknown telemetry line type '%s'" t))
+
+(* A tail-follower can race the writer and hand us a torn line; every
+   parse failure — bad JSON, a truncated document that parses but lacks
+   fields, an unknown level name ([Invalid_argument]) — must surface as
+   the one [Json.Error] the caller already counts, never as a crash. *)
+let line_of_string line =
+  try line_of_json (Json.of_string line) with
+  | Json.Error _ as e -> raise e
+  | Invalid_argument m | Failure m ->
+    raise (Json.Error (Printf.sprintf "malformed telemetry line: %s" m))
 
 (* ---- Prometheus text exposition ---- *)
 
@@ -276,24 +262,22 @@ let write_prom t exposition =
       output_string s.oc exposition;
       flush s.oc)
 
-let tick t =
+let tick (t : t) =
   let ts_ms = Unix.gettimeofday () *. 1000.0 in
-  let snap = Metrics.snapshot t.registry in
+  let metrics = Metrics.snapshot t.registry in
   let health = Health.status () in
   let drift = Health.drift () in
+  let write l =
+    output_string t.jsonl.oc (line_to_string l);
+    output_char t.jsonl.oc '\n'
+  in
   (match Log.sink () with
-  | Log.Buffered ->
-    List.iter
-      (fun r ->
-        output_string t.jsonl.oc (Log.to_json_line r);
-        output_char t.jsonl.oc '\n')
-      (Log.drain ())
+  | Log.Buffered -> List.iter (fun r -> write (Log_line r)) (Log.drain ())
   | _ -> ());
-  output_string t.jsonl.oc (snapshot_line ~seq:!(t.seq) ~ts_ms snap health drift);
-  output_char t.jsonl.oc '\n';
+  write (Snapshot { seq = !(t.seq); ts_ms; metrics; health; drift });
   flush t.jsonl.oc;
   incr t.seq;
-  write_prom t (prometheus_of_snapshot snap);
+  write_prom t (prometheus_of_snapshot metrics);
   Atomic.incr t.ticks
 
 let slice_ms = 50.0

@@ -39,3 +39,30 @@ val prometheus_of_snapshot : ?prefix:string -> Metrics.snapshot -> string
     counters gain the [_total] suffix; histograms expand to cumulative
     [_bucket{le=...}] series plus [_sum]/[_count].  [prefix] defaults to
     ["mdls_"]. *)
+
+(** {2 The JSON-lines stream}
+
+    The codec of the stream {!start} writes and [lsq_cli monitor] tails:
+    one [{"type":"snapshot",...}] object per tick, with
+    [{"type":"log",...}] records ({!Log.to_json}) interleaved. *)
+
+type snapshot = {
+  seq : int;
+  ts_ms : float;
+  metrics : Metrics.snapshot;  (** in {!Metrics.to_json} form *)
+  health : Health.class_status list;
+  drift : Health.stage_drift list;
+}
+
+type line = Snapshot of snapshot | Log_line of Log.record
+
+val line_to_string : line -> string
+(** One line, without the newline; non-finite floats are written as [0]
+    ({!Json.finite}), so this never raises. *)
+
+val line_of_string : string -> line
+(** Inverse of {!line_to_string} for finite values.  Raises
+    {!Json.Error} — and only [Json.Error] — on any malformed line,
+    including truncated documents and torn tail-follow reads that would
+    otherwise surface as [Invalid_argument]/[Failure] from the field
+    accessors.  Callers skip-and-count on it. *)

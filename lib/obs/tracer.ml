@@ -3,20 +3,25 @@
    chrome://tracing.
 
    Recording is lock-free on the hot path: each domain appends to its own
-   sink (a plain list it alone writes), discovered once per domain per
-   trace through a DLS slot; the registry mutex is taken only when a
-   domain records its first event of a trace.  Timestamps are
+   cell of one {!Domain_buffer}, which [start] resets.  Timestamps are
    microseconds of the monotonic host clock relative to [start]; the
    simulated device clock is published as a counter track by the
    simulator (see {!Gpusim.Sim}), so both clocks appear side by side in
    the viewer.
 
-   This module sits below every other library (its only dependency is
+   This library sits below every other one (its only dependency is
    [Unix] for the clock), which is what lets the domain pool, the GPU
    simulator and the scheduler all instrument themselves without a
    dependency cycle. *)
 
-type arg = Str of string | Int of int | Float of float | Bool of bool
+type arg = Json.t =
+  | Null
+  | Bool of bool
+  | Int of int
+  | Float of float
+  | Str of string
+  | Arr of arg list
+  | Obj of (string * arg) list
 
 type event =
   | Complete of {
@@ -34,50 +39,22 @@ type event =
     }
   | Counter of { name : string; ts : float; value : float }
 
-(* One sink per (domain, trace generation); a domain whose sink belongs
-   to an earlier [start] lazily replaces it, so stale events never leak
-   into a new trace. *)
-type sink = { gen : int; tid : int; mutable events : event list }
-
 let enabled_flag = Atomic.make false
-let generation = Atomic.make 0
 let start_us = Atomic.make 0.0
-let registry_lock = Mutex.create ()
-let registry : sink list ref = ref []
-
-let slot : sink option ref Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> ref None)
+let events : event Domain_buffer.t = Domain_buffer.create ()
 
 let enabled () = Atomic.get enabled_flag
 
 let now_us () = (Unix.gettimeofday () *. 1e6) -. Atomic.get start_us
 
 let start () =
-  Mutex.lock registry_lock;
-  registry := [];
-  Atomic.incr generation;
+  Domain_buffer.reset events;
   Atomic.set start_us (Unix.gettimeofday () *. 1e6);
-  Atomic.set enabled_flag true;
-  Mutex.unlock registry_lock
+  Atomic.set enabled_flag true
 
 let stop () = Atomic.set enabled_flag false
 
-let sink () =
-  let r = Domain.DLS.get slot in
-  let gen = Atomic.get generation in
-  match !r with
-  | Some s when s.gen = gen -> s
-  | _ ->
-    let s = { gen; tid = (Domain.self () :> int); events = [] } in
-    Mutex.lock registry_lock;
-    registry := s :: !registry;
-    Mutex.unlock registry_lock;
-    r := Some s;
-    s
-
-let add e =
-  let s = sink () in
-  s.events <- e :: s.events
+let add e = Domain_buffer.push events e
 
 let span ?(cat = "app") ?(args = []) name f =
   if not (enabled ()) then f ()
@@ -103,105 +80,46 @@ let counter name value =
   if enabled () then add (Counter { name; ts = now_us (); value })
 
 let event_count () =
-  Mutex.lock registry_lock;
-  let sinks = !registry in
-  Mutex.unlock registry_lock;
-  List.fold_left (fun acc s -> acc + List.length s.events) 0 sinks
+  List.fold_left
+    (fun acc (_, es) -> acc + List.length es)
+    0
+    (Domain_buffer.contents events)
 
-(* ---- Chrome trace-event JSON ----
+(* ---- Chrome trace-event JSON ---- *)
 
-   The exporter writes its own (tiny) JSON so this library keeps zero
-   in-repo dependencies; the output is plain trace-event objects that
-   [Harness.Json] parses back in the tests. *)
-
-let buf_string b s =
-  Buffer.add_char b '"';
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\r' -> Buffer.add_string b "\\r"
-      | '\t' -> Buffer.add_string b "\\t"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.add_char b '"'
-
-let buf_float b f =
-  if Float.is_finite f then begin
-    let s = Printf.sprintf "%.17g" f in
-    Buffer.add_string b s;
-    (* "%.17g" may print an integral float without '.' or 'e'; that is
-       still valid JSON, nothing to fix. *)
-    ()
-  end
-  else Buffer.add_string b "0"
-
-let buf_arg b = function
-  | Str s -> buf_string b s
-  | Int i -> Buffer.add_string b (string_of_int i)
-  | Float f -> buf_float b f
-  | Bool v -> Buffer.add_string b (if v then "true" else "false")
-
-let buf_args b args =
-  Buffer.add_string b "\"args\":{";
-  List.iteri
-    (fun i (k, v) ->
-      if i > 0 then Buffer.add_char b ',';
-      buf_string b k;
-      Buffer.add_char b ':';
-      buf_arg b v)
-    args;
-  Buffer.add_char b '}'
-
-let buf_common b ~name ~cat ~ph ~ts ~tid =
-  Buffer.add_string b "\"name\":";
-  buf_string b name;
-  Buffer.add_string b ",\"cat\":";
-  buf_string b cat;
-  Buffer.add_string b ",\"ph\":\"";
-  Buffer.add_string b ph;
-  Buffer.add_string b "\",\"ts\":";
-  buf_float b ts;
-  Buffer.add_string b ",\"pid\":1,\"tid\":";
-  Buffer.add_string b (string_of_int tid)
-
-let buf_event b tid = function
-  | Complete { name; cat; ts; dur; args } ->
-    Buffer.add_char b '{';
-    buf_common b ~name ~cat ~ph:"X" ~ts ~tid;
-    Buffer.add_string b ",\"dur\":";
-    buf_float b dur;
-    Buffer.add_char b ',';
-    buf_args b args;
-    Buffer.add_char b '}'
-  | Instant { name; cat; ts; args } ->
-    Buffer.add_char b '{';
-    buf_common b ~name ~cat ~ph:"i" ~ts ~tid;
-    Buffer.add_string b ",\"s\":\"t\",";
-    buf_args b args;
-    Buffer.add_char b '}'
-  | Counter { name; ts; value } ->
-    Buffer.add_char b '{';
-    buf_common b ~name ~cat:"counter" ~ph:"C" ~ts ~tid;
-    Buffer.add_char b ',';
-    buf_args b [ ("value", Float value) ];
-    Buffer.add_char b '}'
+let event_json tid e =
+  let common ~name ~cat ~ph ~ts =
+    [
+      ("name", Json.Str name);
+      ("cat", Json.Str cat);
+      ("ph", Json.Str ph);
+      ("ts", Json.Float ts);
+      ("pid", Json.Int 1);
+      ("tid", Json.Int tid);
+    ]
+  in
+  Json.Obj
+    (match e with
+    | Complete { name; cat; ts; dur; args } ->
+      common ~name ~cat ~ph:"X" ~ts
+      @ [ ("dur", Json.Float dur); ("args", Json.Obj args) ]
+    | Instant { name; cat; ts; args } ->
+      common ~name ~cat ~ph:"i" ~ts
+      @ [ ("s", Json.Str "t"); ("args", Json.Obj args) ]
+    | Counter { name; ts; value } ->
+      common ~name ~cat:"counter" ~ph:"C" ~ts
+      @ [ ("args", Json.Obj [ ("value", Json.Float value) ]) ])
 
 let event_ts = function
   | Complete { ts; _ } | Instant { ts; _ } | Counter { ts; _ } -> ts
 
+(* A trace can hold half a million events, so each is printed into the
+   document as it is built rather than as one tree. *)
 let export () =
-  Mutex.lock registry_lock;
-  let sinks = !registry in
-  Mutex.unlock registry_lock;
   let all =
     List.concat_map
-      (fun s -> List.rev_map (fun e -> (s.tid, e)) s.events)
-      sinks
+      (fun (tid, es) -> List.map (fun e -> (tid, e)) es)
+      (Domain_buffer.contents events)
   in
   let all =
     List.stable_sort
@@ -213,7 +131,7 @@ let export () =
   List.iteri
     (fun i (tid, e) ->
       if i > 0 then Buffer.add_char b ',';
-      buf_event b tid e)
+      Buffer.add_string b (Json.to_string (Json.finite (event_json tid e))))
     all;
   Buffer.add_string b "]}";
   Buffer.contents b

@@ -3,17 +3,24 @@
     chrome://tracing).
 
     Recording costs one atomic load when tracing is off; when on, each
-    domain appends to a sink it alone writes (the registry mutex is
-    taken only for a domain's first event of a trace).  Timestamps are
+    domain appends to its own cell of a {!Domain_buffer} (the registry
+    mutex is taken only for a domain's first event of a trace).  Timestamps are
     microseconds of the host clock relative to {!start}; the simulated
     device clock is published by the simulator as a counter track.
 
     [export] is meant to be called after the traced work has completed
     (there is no synchronization against domains still recording). *)
 
-(** Typed span/instant arguments, rendered into the event's ["args"]
-    object. *)
-type arg = Str of string | Int of int | Float of float | Bool of bool
+(** Span/instant arguments: JSON values, rendered into the event's
+    ["args"] object (a non-finite float as [0], see {!Json.finite}). *)
+type arg = Json.t =
+  | Null
+  | Bool of bool
+  | Int of int
+  | Float of float
+  | Str of string
+  | Arr of arg list
+  | Obj of (string * arg) list
 
 val start : unit -> unit
 (** Starts a fresh trace: drops all previously recorded events, zeroes

@@ -3,7 +3,7 @@
    into a structured outcome, plus the versioned JSON-lines outcome
    codec.  The fleet service drives every job through [settle]; neither ever sees an exception escape it. *)
 
-module Json = Harness.Json
+module Json = Obs.Json
 module Report = Harness.Report
 module R = Harness.Runners
 

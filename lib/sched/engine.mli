@@ -105,9 +105,9 @@ val settle :
     wall-clock budget with seeded-jitter exponential backoff
     ({!backoff_pause_ms}).  Never raises. *)
 
-val outcome_to_json : outcome -> Harness.Json.t
-val outcome_of_json : Harness.Json.t -> outcome
-(** Raises [Harness.Json.Error] on malformed documents or a
+val outcome_to_json : outcome -> Obs.Json.t
+val outcome_of_json : Obs.Json.t -> outcome
+(** Raises [Obs.Json.Error] on malformed documents or a
     schema-version mismatch. *)
 
 val write_jsonl : out_channel -> outcome list -> unit

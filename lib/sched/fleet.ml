@@ -1147,7 +1147,7 @@ let reject_to_json job r =
     | Queue_full { device_id; queue_depth } -> (device_id, queue_depth)
     | Draining -> ("-", 0)
   in
-  Harness.Json.(
+  Obs.Json.(
     Obj
       [
         ("schema", Int Engine.schema_version);

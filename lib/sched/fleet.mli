@@ -207,7 +207,7 @@ val classify_job : Job.t -> Obs.Roofline.bound
     classify as [Memory]; the job would settle as a validation failure
     anyway. *)
 
-val reject_to_json : Job.t -> reject -> Harness.Json.t
+val reject_to_json : Job.t -> reject -> Obs.Json.t
 (** The schema-stamped [{"status": "rejected"}] line serve mode emits
     for a refused submission: not an outcome (the job never entered a
     queue), but it lets a client tell backpressure from silence. *)

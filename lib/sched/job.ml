@@ -2,7 +2,7 @@
    schema shared with the scheduler's outcome records. *)
 
 module P = Multidouble.Precision
-module Json = Harness.Json
+module Json = Obs.Json
 module Solver = Lsq_core.Solver
 
 type kind = Qr | Backsub | Solve

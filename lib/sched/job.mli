@@ -105,9 +105,9 @@ val validate : t -> (unit, string) result
     with at least one kind armed.  A failing validation is permanent —
     the scheduler records the error without retrying. *)
 
-val to_json : t -> Harness.Json.t
-val of_json : Harness.Json.t -> t
-(** Raises [Harness.Json.Error] on malformed documents.  Optional fields
+val to_json : t -> Obs.Json.t
+val of_json : Obs.Json.t -> t
+(** Raises [Obs.Json.Error] on malformed documents.  Optional fields
     ([complex], [rows], [solver], [execute], [timeout_ms], [retries],
     [inject_failures], [fault_rate], [fault_seed], [fault_kinds]) take
     the {!make} defaults when absent; a missing [device] defaults to
@@ -115,5 +115,5 @@ val of_json : Harness.Json.t -> t
 
 val load_file : string -> t list
 (** Reads a jobs file: a JSON array of job objects, or one job object
-    per non-empty line (JSON lines).  Raises [Harness.Json.Error] or
+    per non-empty line (JSON lines).  Raises [Obs.Json.Error] or
     [Sys_error]. *)

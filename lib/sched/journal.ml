@@ -18,7 +18,7 @@
    The reader never raises on content: a crash can tear the final
    append mid-line, so anything unparseable is skipped and counted. *)
 
-module Json = Harness.Json
+module Json = Obs.Json
 
 type t = { oc : out_channel; lock : Mutex.t }
 

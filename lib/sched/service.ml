@@ -1,7 +1,7 @@
 (* The serve loop: journal replay, then per line intent -> submit, with
    every outcome committed before it is emitted. *)
 
-module Json = Harness.Json
+module Json = Obs.Json
 
 type summary = {
   submitted : int;

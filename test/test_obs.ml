@@ -48,7 +48,9 @@ let test_recording () =
 let test_export_schema () =
   T.start ();
   ignore (T.span ~cat:"a" "alpha" (fun () -> T.span ~cat:"b" "beta" Fun.id));
-  T.instant ~args:[ ("why", T.Str "x"); ("on", T.Bool true) ] "mark";
+  T.instant
+    ~args:[ ("why", T.Str "x"); ("on", T.Bool true); ("f2", T.Float 2.0) ]
+    "mark";
   T.counter "track" 3.25;
   T.stop ();
   let doc = Json.of_string (T.export ()) in
@@ -73,7 +75,12 @@ let test_export_schema () =
     List.sort compare
       (List.map (fun e -> Json.(get_string (member "ph" e))) events)
   in
-  Alcotest.(check (list string)) "phases" [ "C"; "X"; "X"; "i" ] phs
+  Alcotest.(check (list string)) "phases" [ "C"; "X"; "X"; "i" ] phs;
+  let mark =
+    List.find (fun e -> Json.(get_string (member "name" e)) = "mark") events
+  in
+  check "an integral float arg stays a float" true
+    (Json.(member "f2" (member "args" mark)) = Json.Float 2.0)
 
 let test_span_nesting () =
   T.start ();
@@ -256,8 +263,7 @@ let test_snapshot_roundtrip () =
   check "sorted by name" true
     (List.map fst snap = List.sort compare (List.map fst snap));
   let back =
-    Harness.Obs_io.metrics_of_json
-      (Json.of_string (Json.to_string (Harness.Obs_io.json_of_metrics snap)))
+    M.of_json (Json.of_string (Json.to_string (M.to_json snap)))
   in
   check "snapshot round-trips" true (back = snap)
 
@@ -269,7 +275,7 @@ let test_empty_histogram_omits_quantiles () =
   ignore (M.histogram reg "empty.hist");
   M.Histogram.observe (M.histogram reg "full.hist") 1.0;
   let snap = M.snapshot reg in
-  let doc = Harness.Obs_io.json_of_metrics snap in
+  let doc = M.to_json snap in
   let metric name =
     List.find
       (fun j -> Json.(get_string (member "name" j)) = name)
@@ -283,9 +289,7 @@ let test_empty_histogram_omits_quantiles () =
     (Json.member "p99" (metric "empty.hist") = Json.Null);
   check "populated histogram keeps p50" true
     (Json.member "p50" (metric "full.hist") <> Json.Null);
-  let back =
-    Harness.Obs_io.metrics_of_json (Json.of_string (Json.to_string doc))
-  in
+  let back = M.of_json (Json.of_string (Json.to_string doc)) in
   check "omission round-trips" true (back = snap)
 
 let test_sim_metrics_counted () =
@@ -378,11 +382,11 @@ let test_roofline_json_roundtrip () =
       ~dram_gb_s:v100.Gpusim.Device.dram_gb_s
   in
   let doc =
-    Harness.Obs_io.json_of_roofline ~label:"bs 4d dim=2560" ~device:"v100"
-      ~ridge stages
+    Obs.Roofline.to_json ~label:"bs 4d dim=2560" ~device:"v100" ~ridge
+      stages
   in
   let label, device, ridge', stages' =
-    Harness.Obs_io.roofline_of_json (Json.of_string (Json.to_string doc))
+    Obs.Roofline.of_json (Json.of_string (Json.to_string doc))
   in
   Alcotest.(check string) "label" "bs 4d dim=2560" label;
   Alcotest.(check string) "device" "v100" device;
@@ -394,7 +398,6 @@ let test_roofline_json_roundtrip () =
 module L = Obs.Log
 module H = Obs.Health
 module Tel = Obs.Telemetry
-module OIO = Harness.Obs_io
 
 let contains haystack needle =
   let n = String.length needle and h = String.length haystack in
@@ -451,14 +454,15 @@ let test_log_json_roundtrip () =
         ("s", L.Str "a\"b\\c\nd");
         ("i", L.Int (-3));
         ("f", L.Float 0.25);
+        ("f2", L.Float 2.0);
         ("ok", L.Bool false);
       ];
   let r = List.hd (L.drain ()) in
   L.set_sink L.Off;
   L.set_level L.Info;
-  match OIO.telemetry_line_of_string (L.to_json_line r) with
-  | OIO.Log_line r' -> check "log line round-trips" true (r' = r)
-  | OIO.Snapshot _ -> Alcotest.fail "log line parsed as a snapshot"
+  match Tel.line_of_string (L.to_json_line r) with
+  | Tel.Log_line r' -> check "log line round-trips" true (r' = r)
+  | Tel.Snapshot _ -> Alcotest.fail "log line parsed as a snapshot"
 
 (* ---- health / SLO ---- *)
 
@@ -489,6 +493,31 @@ let test_health_slo_and_budget () =
     check "budget exhausted" false s.H.budget_ok
   | _ -> Alcotest.fail "expected one class");
   H.reset ()
+
+(* A budget's share used is finite (the budget is positive) and reads
+   the same after the telemetry line round trip. *)
+let test_budget_roundtrip () =
+  H.reset ();
+  (match H.set_error_budget ~cls:"c" 0.0 with
+  | () -> Alcotest.fail "a zero budget was accepted"
+  | exception Invalid_argument _ -> ());
+  H.set_error_budget ~cls:"c" 1e-9;
+  H.observe ~cls:"c" ~ok:true ~latency_ms:1.0;
+  H.observe ~cls:"c" ~ok:false ~latency_ms:1.0;
+  let health = H.status () in
+  H.reset ();
+  (match health with
+  | [ st ] ->
+    check "budget used is finite" true (Float.is_finite st.H.budget_used);
+    check "tiny budget exhausted by one failure" false st.H.budget_ok
+  | _ -> Alcotest.fail "expected one class");
+  let line =
+    Tel.line_to_string
+      (Tel.Snapshot { seq = 0; ts_ms = 0.0; metrics = []; health; drift = [] })
+  in
+  match Tel.line_of_string line with
+  | Tel.Snapshot s -> check "budget status survives" true (s.Tel.health = health)
+  | Tel.Log_line _ -> Alcotest.fail "snapshot parsed as a log line"
 
 let test_health_drift () =
   H.reset ();
@@ -521,6 +550,72 @@ let test_health_drift () =
           (L.drain ())));
   L.set_sink L.Off;
   H.reset ()
+
+(* ---- hardened telemetry-line parser ---- *)
+
+let test_telemetry_parser_hardened () =
+  let raises_json_error s =
+    match Tel.line_of_string s with
+    | _ -> false
+    | exception Json.Error _ -> true
+    | exception _ -> false
+  in
+  (* A torn tail-follow read in every flavor: truncated JSON, valid JSON
+     missing fields, bad level names, wrong field types — all must be
+     the one skip-and-count exception, never a crash. *)
+  check "truncated JSON" true (raises_json_error "{\"type\":\"log\",\"ts");
+  check "missing fields" true (raises_json_error "{\"type\":\"log\"}");
+  check "unknown level" true
+    (raises_json_error
+       "{\"type\":\"log\",\"ts_ms\":1,\"level\":\"loud\",\"domain\":0,\"event\":\"e\",\"fields\":{}}");
+  check "wrong type tag" true (raises_json_error "{\"type\":\"nope\"}");
+  check "non-object" true (raises_json_error "42");
+  (* And an intact line still parses. *)
+  match
+    Tel.line_of_string
+      "{\"type\":\"log\",\"ts_ms\":1.5,\"level\":\"warn\",\"domain\":0,\"event\":\"e\",\"fields\":{\"k\":\"v\"}}"
+  with
+  | Tel.Log_line r -> Alcotest.(check string) "intact line parses" "e" r.L.event
+  | Tel.Snapshot _ -> Alcotest.fail "parsed as a snapshot"
+
+(* The trace, log and telemetry writers never raise: a non-finite
+   float is written as 0 and the line still parses. *)
+let test_non_finite_lines_parse () =
+  T.start ();
+  T.counter "nan track" Float.nan;
+  T.instant ~args:[ ("inf", T.Float Float.infinity) ] "mark";
+  T.stop ();
+  let events =
+    Json.get_list (Json.member "traceEvents" (Json.of_string (T.export ())))
+  in
+  checki "both events exported" 2 (List.length events);
+  let r =
+    {
+      L.ts_ms = 1.0;
+      level = L.Warn;
+      domain = 0;
+      event = "e";
+      fields = [ ("inf", L.Float Float.infinity); ("i", L.Int 1) ];
+    }
+  in
+  (match Tel.line_of_string (L.to_json_line r) with
+  | Tel.Log_line r' ->
+    check "infinite field written as 0" true
+      (r'.L.fields = [ ("inf", L.Float 0.0); ("i", L.Int 1) ])
+  | Tel.Snapshot _ -> Alcotest.fail "log line parsed as a snapshot");
+  let reg = M.create () in
+  M.Gauge.set (M.gauge reg "nan.gauge") Float.nan;
+  let line =
+    Tel.line_to_string
+      (Tel.Snapshot
+         { seq = 0; ts_ms = 0.0; metrics = M.snapshot reg; health = [];
+           drift = [] })
+  in
+  match Tel.line_of_string line with
+  | Tel.Snapshot s ->
+    check "nan gauge written as 0" true
+      (s.Tel.metrics = [ ("nan.gauge", M.Gauge 0.0) ])
+  | Tel.Log_line _ -> Alcotest.fail "snapshot parsed as a log line"
 
 (* ---- telemetry exporter ---- *)
 
@@ -557,26 +652,26 @@ let test_telemetry_exporter () =
   let ic = open_in path in
   let rec go acc =
     match input_line ic with
-    | line -> go (OIO.telemetry_line_of_string line :: acc)
+    | line -> go (Tel.line_of_string line :: acc)
     | exception End_of_file ->
       close_in ic;
       List.rev acc
   in
   let snapshots =
     List.filter_map
-      (function OIO.Snapshot s -> Some s | OIO.Log_line _ -> None)
+      (function Tel.Snapshot s -> Some s | Tel.Log_line _ -> None)
       (go [])
   in
   Sys.remove path;
   check "one snapshot per tick" true (List.length snapshots = Tel.ticks t);
-  let submitted (s : OIO.telemetry_snapshot) =
-    match List.assoc_opt "fleet.submitted" s.OIO.metrics with
+  let submitted (s : Tel.snapshot) =
+    match List.assoc_opt "fleet.submitted" s.Tel.metrics with
     | Some (M.Counter c) -> c
     | _ -> Alcotest.fail "snapshot lost the counter"
   in
   let first = List.hd snapshots in
   let last = List.nth snapshots (List.length snapshots - 1) in
-  checki "sequence starts at zero" 0 first.OIO.seq;
+  checki "sequence starts at zero" 0 first.Tel.seq;
   checki "immediate first tick sees the initial value" 3 (submitted first);
   checki "final tick sees the update" 5 (submitted last);
   check "counter monotone across snapshots" true
@@ -585,8 +680,126 @@ let test_telemetry_exporter () =
           (fun (ok, prev) s -> (ok && submitted s >= prev, submitted s))
           (true, 0) snapshots));
   check "gauge survives the stream" true
-    (List.assoc_opt "fleet.util.v100#0" last.OIO.metrics
+    (List.assoc_opt "fleet.util.v100#0" last.Tel.metrics
     = Some (M.Gauge 0.5))
+
+(* ---- codec round trips ---- *)
+
+module G = QCheck.Gen
+
+(* Finite floats, integral ones included: an integral float must come
+   back a [Float], not an [Int]. *)
+let finite_float =
+  G.oneof
+    [
+      G.map float_of_int G.small_signed_int;
+      G.float_range (-1e6) 1e6;
+      G.map (fun f -> if Float.is_finite f then f else 0.0) G.float;
+    ]
+
+(* Strings over every byte, control characters included. *)
+let any_string = G.string_size ~gen:G.char (G.int_bound 12)
+let small_list g = G.list_size (G.int_bound 4) g
+
+let metric =
+  let open G in
+  let counter = map (fun v -> M.Counter v) nat in
+  let gauge = map (fun v -> M.Gauge v) finite_float in
+  let histogram =
+    small_list finite_float >>= fun bounds ->
+    let bounds = Array.of_list bounds in
+    array_repeat (Array.length bounds + 1) (oneof [ return 0; small_nat ])
+    >>= fun counts ->
+    let count = Array.fold_left ( + ) 0 counts in
+    triple finite_float finite_float finite_float >>= fun (p50, p95, p99) ->
+    map
+      (fun sum ->
+        (* A zero-count histogram's quantiles are what the snapshot (and
+           the decoder) estimate for it. *)
+        let q p = if count = 0 then M.quantile ~bounds ~counts p else p in
+        M.Histogram
+          { bounds; counts; count; sum; p50 = q p50; p95 = q p95; p99 = q p99 })
+      finite_float
+  in
+  pair any_string (oneof [ counter; gauge; histogram ])
+
+let rec field depth =
+  let open G in
+  let leaves =
+    [
+      return L.Null;
+      map (fun b -> L.Bool b) bool;
+      map (fun i -> L.Int i) int;
+      map (fun f -> L.Float f) finite_float;
+      map (fun s -> L.Str s) any_string;
+    ]
+  in
+  if depth = 0 then oneof leaves
+  else
+    oneof
+      (leaves
+      @ [
+          map (fun vs -> L.Arr vs) (small_list (field (depth - 1)));
+          map (fun kvs -> L.Obj kvs)
+            (small_list (pair any_string (field (depth - 1))));
+        ])
+
+let log_record =
+  let open G in
+  map
+    (fun (ts_ms, level, domain, (event, fields)) ->
+      { L.ts_ms; level; domain; event; fields })
+    (quad finite_float
+       (oneofl [ L.Debug; L.Info; L.Warn; L.Error ])
+       small_nat
+       (pair any_string (small_list (pair any_string (field 2)))))
+
+let class_status =
+  let open G in
+  let opt = opt finite_float in
+  map
+    (fun ((cls, window, p95_ms, slo_ms), (slo_ok, total, failures),
+          (budget, budget_used, budget_ok)) ->
+      { H.cls; window; p95_ms; slo_ms; slo_ok; total; failures; budget;
+        budget_used; budget_ok })
+    (triple
+       (quad any_string small_nat opt opt)
+       (triple bool small_nat small_nat)
+       (triple opt finite_float bool))
+
+let stage_drift =
+  let open G in
+  map
+    (fun ((stage, predicted_ms, measured_ms), (ratio, samples, drifted)) ->
+      { H.stage; predicted_ms; measured_ms; ratio; samples; drifted })
+    (pair
+       (triple any_string finite_float finite_float)
+       (triple finite_float small_nat bool))
+
+let snapshot_line =
+  let open G in
+  map
+    (fun ((seq, ts_ms), metrics, health, drift) ->
+      Tel.Snapshot { seq; ts_ms; metrics; health; drift })
+    (quad (pair small_nat finite_float) (small_list metric)
+       (small_list class_status) (small_list stage_drift))
+
+let roundtrip name gen ok =
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~count:300 ~name (QCheck.make gen) ok)
+
+let prop_metrics =
+  roundtrip "metric snapshots" (small_list metric) (fun snap ->
+      M.of_json (Json.of_string (Json.to_string (M.to_json snap))) = snap)
+
+let prop_log_records =
+  roundtrip "log records" log_record (fun r ->
+      L.of_json (L.to_json r) = r
+      && Tel.line_of_string (L.to_json_line r) = Tel.Log_line r)
+
+let prop_telemetry_lines =
+  roundtrip "health and drift snapshot lines" snapshot_line (fun l ->
+      Tel.line_of_string (Tel.line_to_string l) = l)
 
 let () =
   Alcotest.run "obs"
@@ -631,6 +844,8 @@ let () =
         [
           Alcotest.test_case "slo and error budget" `Quick
             test_health_slo_and_budget;
+          Alcotest.test_case "budget survives the telemetry line" `Quick
+            test_budget_roundtrip;
           Alcotest.test_case "cost-model drift" `Quick test_health_drift;
         ] );
       ( "telemetry",
@@ -638,7 +853,12 @@ let () =
           Alcotest.test_case "prometheus exposition" `Quick
             test_prometheus_exposition;
           Alcotest.test_case "exporter stream" `Quick test_telemetry_exporter;
+          Alcotest.test_case "parser never raises past Json.Error" `Quick
+            test_telemetry_parser_hardened;
+          Alcotest.test_case "non-finite floats still parse" `Quick
+            test_non_finite_lines_parse;
         ] );
+      ("codecs", [ prop_metrics; prop_log_records; prop_telemetry_lines ]);
       ( "roofline",
         [
           Alcotest.test_case "dd memory, od compute" `Quick

@@ -1,8 +1,7 @@
 (* Tests for the fleet resilience plane: seeded device chaos (crash /
    hang / brownout), job migration and quarantine, circuit breakers,
    the write-ahead outcome journal and its shipped example, the seeded retry
-   jitter, the hardened telemetry-line parser, concurrent backpressure,
-   and the service loop behind serve. *)
+   jitter, concurrent backpressure, and the service loop behind serve. *)
 
 module P = Multidouble.Precision
 module D = Gpusim.Device
@@ -316,33 +315,6 @@ let test_journal_example () =
       | o -> checks "commit decodes to its own job" id o.S.job.Job.id
       | exception Json.Error m -> Alcotest.failf "commit for %s: %s" id m)
     r.Jn.committed
-
-(* ---- hardened telemetry-line parser ---- *)
-
-let test_telemetry_parser_hardened () =
-  let raises_json_error s =
-    match Harness.Obs_io.telemetry_line_of_string s with
-    | _ -> false
-    | exception Json.Error _ -> true
-    | exception _ -> false
-  in
-  (* A torn tail-follow read in every flavor: truncated JSON, valid JSON
-     missing fields, bad level names, wrong field types — all must be
-     the one skip-and-count exception, never a crash. *)
-  check "truncated JSON" true (raises_json_error "{\"type\":\"log\",\"ts");
-  check "missing fields" true (raises_json_error "{\"type\":\"log\"}");
-  check "unknown level" true
-    (raises_json_error
-       "{\"type\":\"log\",\"ts_ms\":1,\"level\":\"loud\",\"domain\":0,\"event\":\"e\",\"fields\":{}}");
-  check "wrong type tag" true (raises_json_error "{\"type\":\"nope\"}");
-  check "non-object" true (raises_json_error "42");
-  (* And an intact line still parses. *)
-  match
-    Harness.Obs_io.telemetry_line_of_string
-      "{\"type\":\"log\",\"ts_ms\":1.5,\"level\":\"warn\",\"domain\":0,\"event\":\"e\",\"fields\":{\"k\":\"v\"}}"
-  with
-  | Harness.Obs_io.Log_line r -> checks "intact line parses" "e" r.Obs.Log.event
-  | Harness.Obs_io.Snapshot _ -> Alcotest.fail "parsed as a snapshot"
 
 (* ---- concurrent backpressure ---- *)
 
@@ -659,11 +631,6 @@ let () =
             test_journal_missing_and_dedup;
           Alcotest.test_case "shipped example replays and decodes" `Quick
             test_journal_example;
-        ] );
-      ( "telemetry",
-        [
-          Alcotest.test_case "parser never raises past Json.Error" `Quick
-            test_telemetry_parser_hardened;
         ] );
       ( "backpressure",
         [
