@@ -9,8 +9,8 @@
      against the clean run is the price of the fault plane at that
      rate; the disarmed run must match the clean run exactly.
 
-   - recovery: seeded campaigns of executed fault-tolerant solves
-     (Runners.solve_ft) per precision, counting injections, detections,
+   - recovery: seeded campaigns of executed fault-armed solves (which
+     Runners.run takes down its fault-tolerant path) per precision, counting injections, detections,
      replays, escalations and refined runs, and the fraction of runs
      whose final forward error still passes.
 
@@ -27,6 +27,9 @@ module Json = Obs.Json
 
 let pf = Printf.printf
 let device = Gpusim.Device.v100
+
+let solve ?fault ?execute prec ~dim ~tile =
+  R.run (R.request ?fault ?execute ~kind:R.Solve ~prec ~device ~dim ~tile ())
 
 (* ---- overhead (plan mode) ---- *)
 
@@ -48,7 +51,7 @@ let overhead_rows () =
   pf "%-6s %10s %14s %10s\n" "prec" "rate" "wall ms" "overhead";
   List.concat_map
     (fun prec ->
-      let clean = R.solve prec device ~n:overhead_dim ~tile:overhead_tile in
+      let clean = solve prec ~dim:overhead_dim ~tile:overhead_tile in
       let clean_ms = clean.Report.wall_ms in
       if clean.Report.faults <> None then begin
         Printf.eprintf "faults bench: clean run carries a fault record\n";
@@ -60,7 +63,7 @@ let overhead_rows () =
             if rate = 0.0 then clean_ms
             else
               let fault = Fault.Plan.config ~seed:303 ~rate () in
-              (R.solve ~fault prec device ~n:overhead_dim ~tile:overhead_tile)
+              (solve ~fault prec ~dim:overhead_dim ~tile:overhead_tile)
                 .Report.wall_ms
           in
           let row =
@@ -97,7 +100,7 @@ let recovery_tile = 8
 let campaign ~prec ~runs ~rate ~seed =
   List.init runs (fun i ->
       let fault = Fault.Plan.config ~seed:(seed + i) ~rate () in
-      R.solve_ft ~fault prec device ~n:recovery_dim ~tile:recovery_tile)
+      solve ~fault ~execute:true prec ~dim:recovery_dim ~tile:recovery_tile)
 
 let recovered (r : Report.t) =
   match r.Report.residual with Some v -> v.Report.ok | None -> false
@@ -239,7 +242,9 @@ let smoke () =
     Printf.eprintf "fault-smoke: campaign replay was not bit-identical\n";
     exit 1
   end;
-  let clean = R.solve_ft P.DD device ~n:recovery_dim ~tile:recovery_tile in
+  let clean =
+    solve ~execute:true P.DD ~dim:recovery_dim ~tile:recovery_tile
+  in
   if clean.Report.faults <> None then begin
     Printf.eprintf "fault-smoke: clean run carries a fault record\n";
     exit 1

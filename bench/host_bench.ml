@@ -108,12 +108,21 @@ let table_regeneration () =
             ignore (Harness.Runners.qr P.DD Gpusim.Device.p100 ~n:1024 ~tile:128));
         t "table4" (fun () -> ignore (Harness.Runners.qr P.QD d ~n:1024 ~tile:128));
         t "table5" (fun () ->
-            ignore (Harness.Runners.qr ~complex:true P.DD d ~n:512 ~tile:64));
+            ignore
+              Harness.Runners.(
+                run
+                  (request ~complex:true ~kind:Qr ~prec:P.DD ~device:d
+                     ~dim:512 ~tile:64 ())));
         t "table6" (fun () -> ignore (Harness.Runners.qr P.OD d ~n:2048 ~tile:128));
         t "table7" (fun () -> ignore (Harness.Runners.bs P.OD d ~dim:10240 ~tile:128));
         t "table8" (fun () -> ignore (Harness.Runners.bs P.QD d ~dim:17920 ~tile:224));
         t "table9" (fun () -> ignore (Harness.Runners.bs P.QD d ~dim:20480 ~tile:64));
-        t "table10" (fun () -> ignore (Harness.Runners.solve P.QD d ~n:1024 ~tile:128));
+        t "table10" (fun () ->
+            ignore
+              Harness.Runners.(
+                run
+                  (request ~kind:Solve ~prec:P.QD ~device:d ~dim:1024
+                     ~tile:128 ())));
       ]
   in
   let results = run_tests ~quota:0.1 tests in

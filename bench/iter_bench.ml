@@ -191,8 +191,10 @@ let smoke () =
     List.concat_map
       (fun prec ->
         let stages =
-          Harness.Runners.solve_roofline ~method_:Solver.Lsqr ~rows prec
-            device ~n:cols ~tile
+          Harness.Runners.(
+            roofline
+              (request ~solver:Solver.Lsqr ~rows ~kind:Solve ~prec ~device
+                 ~dim:cols ~tile ()))
         in
         List.filter_map
           (fun (s : Obs.Roofline.stage) ->
@@ -215,7 +217,9 @@ let smoke () =
         (Obs.Roofline.bound_name s.Obs.Roofline.bound))
     matvec_stages;
   let qr_compute =
-    Harness.Runners.qr_roofline P.QD device ~n:1024 ~tile:128
+    Harness.Runners.(
+      roofline
+        (request ~kind:Qr ~prec:P.QD ~device ~dim:1024 ~tile:128 ()))
     |> List.exists (fun (s : Obs.Roofline.stage) ->
            s.Obs.Roofline.bound = Obs.Roofline.Compute)
   in

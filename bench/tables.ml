@@ -246,7 +246,11 @@ let table5 () =
   stage_table ~cols
     ~paper_kernels:[ 97.4; 227.4; 238.5; 420.8 ]
     (List.map
-       (fun (_, t) -> Harness.Runners.qr ~complex:true P.DD Device.v100 ~n:512 ~tile:t)
+       (fun (_, t) ->
+         Harness.Runners.(
+           run
+             (request ~complex:true ~kind:Qr ~prec:P.DD ~device:Device.v100
+                ~dim:512 ~tile:t ())))
        tiles)
 
 let table6 () =
@@ -450,10 +454,15 @@ let table10 () =
     (fun (d, pqr, pbs, pkf) ->
       pf "\n-- times on the %s --\n" d.Device.name;
       let runs =
-        List.map (fun p -> Harness.Runners.solve p d ~n:1024 ~tile:128) precisions
+        List.map
+          (fun prec ->
+            Harness.Runners.(
+              run
+                (request ~kind:Solve ~prec ~device:d ~dim:1024 ~tile:128 ())))
+          precisions
       in
-      let qr_of r = Harness.Report.part r Harness.Runners.qr_part in
-      let bs_of r = Harness.Report.part r Harness.Runners.bs_part in
+      let qr_of r = Harness.Report.part r Lsq_core.Solver.qr_part in
+      let bs_of r = Harness.Report.part r Lsq_core.Solver.bs_part in
       header "stage" (List.map P.label precisions);
       row ~paper:pqr "QR kernel time"
         (List.map (fun r -> (qr_of r).Harness.Report.Part.kernel_ms) runs);

@@ -17,18 +17,26 @@ let run () =
       v.Harness.Report.residual
       (if v.Harness.Report.ok then "ok" else "FAILED")
   in
+  let verify ?complex kind prec ~dim ~tile =
+    let open Harness.Runners in
+    Option.get
+      (run
+         (request ?complex ~execute:true ~kind ~prec ~device:d ~dim ~tile ()))
+        .Harness.Report.residual
+  in
   List.iter report
-    [
-      Harness.Runners.verify_qr P.D d ~n:64 ~tile:16;
-      Harness.Runners.verify_qr P.DD d ~n:64 ~tile:16;
-      Harness.Runners.verify_qr P.QD d ~n:48 ~tile:16;
-      Harness.Runners.verify_qr P.OD d ~n:32 ~tile:8;
-      Harness.Runners.verify_qr ~complex:true P.DD d ~n:32 ~tile:8;
-      Harness.Runners.verify_qr ~complex:true P.QD d ~n:24 ~tile:8;
-      Harness.Runners.verify_bs P.DD d ~dim:96 ~tile:16;
-      Harness.Runners.verify_bs P.QD d ~dim:64 ~tile:16;
-      Harness.Runners.verify_bs P.OD d ~dim:32 ~tile:8;
-      Harness.Runners.verify_solve P.DD d ~n:48 ~tile:16;
-      Harness.Runners.verify_solve P.QD d ~n:32 ~tile:8;
-      Harness.Runners.verify_solve ~complex:true P.DD d ~n:24 ~tile:8;
-    ]
+    Harness.Runners.
+      [
+        verify Qr P.D ~dim:64 ~tile:16;
+        verify Qr P.DD ~dim:64 ~tile:16;
+        verify Qr P.QD ~dim:48 ~tile:16;
+        verify Qr P.OD ~dim:32 ~tile:8;
+        verify ~complex:true Qr P.DD ~dim:32 ~tile:8;
+        verify ~complex:true Qr P.QD ~dim:24 ~tile:8;
+        verify Backsub P.DD ~dim:96 ~tile:16;
+        verify Backsub P.QD ~dim:64 ~tile:16;
+        verify Backsub P.OD ~dim:32 ~tile:8;
+        verify Solve P.DD ~dim:48 ~tile:16;
+        verify Solve P.QD ~dim:32 ~tile:8;
+        verify ~complex:true Solve P.DD ~dim:24 ~tile:8;
+      ]

@@ -259,18 +259,29 @@ let print_faults (r : Harness.Report.t) =
     if f.Harness.Report.escalations > 0 then
       pf "  %-24s %12d\n" "fault escalations" f.Harness.Report.escalations
 
-let check_tile ~dim ~tile =
-  if tile <= 0 || dim mod tile <> 0 then
-    usage_error "the tile size (%d) must divide the dimension (%d)" tile dim
+(* The subcommand's request; a shape the runner rejects exits 2 with
+   one "error:" line, before anything runs. *)
+let request ?complex ?rows ?solver ?fault kind device p ~dim ~tile =
+  let req =
+    R.request ?complex ?rows ?solver ?fault ~kind ~prec:p ~device ~dim ~tile
+      ()
+  in
+  Result.iter_error (usage_error "%s") (R.validate req);
+  req
+
+(* [--execute]: the residual of a second, executed run of the request,
+   at the capped dimensions [req] gives. *)
+let executed_residual req =
+  Option.get (R.run { req with R.execute = true }).Harness.Report.residual
 
 (* ---- subcommands ---- *)
 
 let qr_cmd =
   let run device p dim rows tile complex execute (rate, seed, kinds) obs =
-    check_tile ~dim ~tile;
     let fault = fault_config_of ~rate ~seed ~kinds in
+    let req = request ~complex ?rows ?fault R.Qr device p ~dim ~tile in
     with_observability obs (fun () ->
-        let r = R.qr ~complex ?rows ?fault p device ~n:dim ~tile in
+        let r = R.run req in
         print_run
           (Printf.sprintf "blocked Householder QR of a %dx%d matrix"
              (Option.value rows ~default:dim)
@@ -279,8 +290,8 @@ let qr_cmd =
         print_faults r;
         if execute then
           print_residual "executed residual"
-            (R.verify_qr ~complex ?fault p device ~n:(min dim 96)
-               ~tile:(min tile 16)))
+            (executed_residual
+               { req with dim = min dim 96; rows = None; tile = min tile 16 }))
   in
   Cmd.v
     (Cmd.info "qr" ~doc:"Blocked Householder QR (Algorithm 2).")
@@ -290,10 +301,10 @@ let qr_cmd =
 
 let backsub_cmd =
   let run device p dim tile complex execute (rate, seed, kinds) obs =
-    check_tile ~dim ~tile;
     let fault = fault_config_of ~rate ~seed ~kinds in
+    let req = request ~complex ?fault R.Backsub device p ~dim ~tile in
     with_observability obs (fun () ->
-        let r = R.bs ~complex ?fault p device ~dim ~tile in
+        let r = R.run req in
         print_run
           (Printf.sprintf "tiled back substitution of dimension %d (%d tiles)"
              dim (dim / tile))
@@ -301,8 +312,8 @@ let backsub_cmd =
         print_faults r;
         if execute then
           print_residual "executed residual"
-            (R.verify_bs ~complex ?fault p device ~dim:(min dim 96)
-               ~tile:(min tile 16)))
+            (executed_residual
+               { req with dim = min dim 96; tile = min tile 16 }))
   in
   Cmd.v
     (Cmd.info "backsub" ~doc:"Tiled accelerated back substitution (Algorithm 1).")
@@ -313,22 +324,22 @@ let backsub_cmd =
 let solve_cmd =
   let run device p dim rows tile complex solver execute (rate, seed, kinds) obs
       =
-    check_tile ~dim ~tile;
-    let method_ = solver_of solver in
-    let m = Option.value rows ~default:dim in
-    if m < dim then
-      usage_error "--rows (%d) must be at least the dimension (%d)" m dim;
+    let solver = solver_of solver in
     let fault = fault_config_of ~rate ~seed ~kinds in
+    let req =
+      request ~complex ?rows ~solver ?fault R.Solve device p ~dim ~tile
+    in
+    let m = Option.value rows ~default:dim in
     with_observability obs (fun () ->
-        let r = R.solve ~complex ?fault ~method_ ?rows p device ~n:dim ~tile in
+        let r = R.run req in
         pf "least squares solve of a %dx%d system in %s%s on the simulated %s\n"
           m dim (P.name p)
           (if complex then " complex" else "")
           device.Gpusim.Device.name;
         (match r.Harness.Report.solver with
         | None ->
-          let qr = Harness.Report.part r R.qr_part in
-          let bs = Harness.Report.part r R.bs_part in
+          let qr = Harness.Report.part r Lsq_core.Solver.qr_part in
+          let bs = Harness.Report.part r Lsq_core.Solver.bs_part in
           pf "  %-24s %12.3f ms\n" "QR kernel time"
             qr.Harness.Report.Part.kernel_ms;
           pf "  %-24s %12.3f ms\n" "QR wall time"
@@ -363,8 +374,8 @@ let solve_cmd =
           let n' = min dim 64 in
           let rows' = Option.map (fun m -> max n' (min m (8 * n'))) rows in
           print_residual "executed forward error"
-            (R.verify_solve ~complex ?fault ~method_ ?rows:rows' p device
-               ~n:n' ~tile:(min tile 16))
+            (executed_residual
+               { req with dim = n'; rows = rows'; tile = min tile 16 })
         end)
   in
   Cmd.v
@@ -409,13 +420,13 @@ let faults_cmd =
           ~doc:"Emit the campaign summary and reports as JSON on stdout.")
   in
   let run device p dim tile complex runs rate seed kinds json obs =
-    check_tile ~dim ~tile;
+    let req = request ~complex R.Solve device p ~dim ~tile in
     if runs < 1 then usage_error "--runs must be at least 1";
     with_observability obs (fun () ->
         let reports =
           List.init runs (fun i ->
               let fault = fault_config_of ~rate ~seed:(seed + i) ~kinds in
-              R.solve_ft ~complex ?fault p device ~n:dim ~tile)
+              R.run { req with fault; execute = true })
         in
         let ok (r : Harness.Report.t) =
           match r.Harness.Report.residual with
@@ -524,8 +535,8 @@ let roofline_cmd =
     Arg.(
       value
       & pos 0
-          (enum [ ("qr", `Qr); ("backsub", `Backsub); ("solve", `Solve) ])
-          `Qr
+          (enum [ ("qr", R.Qr); ("backsub", R.Backsub); ("solve", R.Solve) ])
+          R.Qr
       & info [] ~docv:"KIND" ~doc:"Experiment: qr, backsub or solve.")
   in
   let json_flag =
@@ -535,16 +546,10 @@ let roofline_cmd =
           ~doc:"Emit the table as JSON (see Obs.Roofline.to_json) on stdout.")
   in
   let run device p kind dim rows tile complex solver json =
-    check_tile ~dim ~tile;
-    let method_ = solver_of solver in
-    let kind_name =
-      match kind with `Qr -> "qr" | `Backsub -> "backsub" | `Solve -> "solve"
-    in
+    let solver = solver_of solver in
+    let kind_name = Sched.Job.string_of_kind kind in
     let stages =
-      match kind with
-      | `Qr -> R.qr_roofline ~complex ?rows p device ~n:dim ~tile
-      | `Backsub -> R.bs_roofline ~complex p device ~dim ~tile
-      | `Solve -> R.solve_roofline ~complex ~method_ ?rows p device ~n:dim ~tile
+      R.roofline (request ~complex ?rows ~solver kind device p ~dim ~tile)
     in
     let rows_all = stages @ [ Obs.Roofline.total stages ] in
     let ridge =
@@ -601,7 +606,7 @@ let refine_cmd =
       & info [ "hi" ] ~docv:"PREC" ~doc:"Target (residual) precision.")
   in
   let run device lo hi dim tile =
-    check_tile ~dim ~tile;
+    ignore (request R.Solve device lo ~dim ~tile);
     if P.limbs lo >= P.limbs hi then
       usage_error "--lo must be a lower precision than --hi";
     let (module L) = Multidouble.Registry.module_of_tag lo in

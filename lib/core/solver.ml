@@ -56,6 +56,9 @@ let method_of_string s =
 
 let is_iterative = function Qr_direct -> false | Cg_normal | Lsqr -> true
 
+let qr_part = "QR"
+let bs_part = "BS"
+
 (* The scalar instance of a (precision, realness) pair — the dispatch
    the precision ladder climbs through. *)
 let scalar_of ?(complex = false) (tag : P.tag) : (module Scalar.S) =
@@ -125,9 +128,6 @@ module Make (K : Scalar.S) = struct
   }
 
   (* ---- engine one: the existing QR + BS pipeline, rewrapped ---- *)
-
-  let qr_part = "QR"
-  let bs_part = "BS"
 
   let of_ls (r : L.result) =
     {

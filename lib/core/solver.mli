@@ -29,6 +29,13 @@ val method_of_string : string -> method_
 
 val is_iterative : method_ -> bool
 
+val qr_part : string
+(** ["QR"]: the direct engine's factorization phase, timed apart from
+    the back substitution as in Table 10. *)
+
+val bs_part : string
+(** ["BS"]: the direct engine's back substitution phase. *)
+
 val scalar_of :
   ?complex:bool -> Multidouble.Precision.tag -> (module Mdlinalg.Scalar.S)
 (** The scalar instance of a (precision, realness) pair — the dispatch
@@ -79,9 +86,6 @@ module Make (K : Mdlinalg.Scalar.S) : sig
     faults : Fault.Plan.tally option;
     iter : iter_info option;  (** [None] exactly for [Qr_direct] *)
   }
-
-  val qr_part : string
-  val bs_part : string
 
   val of_ls : Least_squares.Make(K).result -> result
   (** Wrap a direct-solver result into the common shape. *)

@@ -1,286 +1,106 @@
-(* Uniform entry points the table generators, the CLI and the batch
-   scheduler call: run one experiment at a given precision (real or
-   complex) on a given device and return the unified [Report.t].
+(* The one runner: a request names the experiment (QR, back substitution
+   or the least squares solve), its precision, shape and device, and
+   whether to execute it numerically; [run] turns it into the unified
+   [Report.t].
 
    Tables are generated in planning mode (cost accounting without numeric
    execution), which is what lets the paper's largest dimensions run in
-   seconds; the verification section executes the same code paths
-   numerically at smaller dimensions. *)
+   seconds; executed requests run the same code paths numerically at
+   smaller dimensions and attach the residual. *)
 
 open Mdlinalg
 open Lsq_core
 module P = Multidouble.Precision
 
-let describe what ?(complex = false) tag device shape =
-  Printf.sprintf "%s %s%s %s %s" what (P.label tag)
-    (if complex then " complex" else "")
-    shape device.Gpusim.Device.name
+type kind = Qr | Backsub | Solve
 
-(* Blocked Householder QR (Algorithm 2), cost accounting only. *)
-let qr ?complex ?rows ?fault tag device ~n ~tile =
-  let (module K) = Solver.scalar_of ?complex tag in
-  let module Q = Blocked_qr.Make (K) in
-  let rows = Option.value rows ~default:n in
-  let r = Q.run_plan ?fault ~device ~rows ~cols:n ~tile () in
-  {
-    Report.label =
-      describe "qr" ?complex tag device
-        (Printf.sprintf "%dx%d tile=%d" rows n tile);
-    stages = List.map Report.Row.of_profile r.Q.stages;
-    parts = [];
-    kernel_ms = r.Q.kernel_ms;
-    wall_ms = r.Q.wall_ms;
-    kernel_gflops = r.Q.kernel_gflops;
-    wall_gflops = r.Q.wall_gflops;
-    launches = r.Q.launches;
-    residual = None;
-    metrics = None;
-    faults = Option.map Report.faults_of_tally r.Q.faults;
-    solver = None;
-  }
+type request = {
+  kind : kind;
+  prec : P.tag;
+  complex : bool;
+  device : Gpusim.Device.t;
+  dim : int;
+  rows : int option;
+  tile : int;
+  solver : Solver.method_;
+  fault : Fault.Plan.config option;
+  execute : bool;
+}
 
-(* Tiled back substitution (Algorithm 1), cost accounting only. *)
-let bs ?complex ?fault tag device ~dim ~tile =
-  let (module K) = Solver.scalar_of ?complex tag in
-  let module B = Tiled_back_sub.Make (K) in
-  let r = B.run_plan ?fault ~device ~dim ~tile () in
-  {
-    Report.label =
-      describe "backsub" ?complex tag device
-        (Printf.sprintf "dim=%d tile=%d" dim tile);
-    stages = List.map Report.Row.of_profile r.B.stages;
-    parts = [];
-    kernel_ms = r.B.kernel_ms;
-    wall_ms = r.B.wall_ms;
-    kernel_gflops = r.B.kernel_gflops;
-    wall_gflops = r.B.wall_gflops;
-    launches = r.B.launches;
-    residual = None;
-    metrics = None;
-    faults = Option.map Report.faults_of_tally r.B.faults;
-    solver = None;
-  }
+let request ?(complex = false) ?rows ?(solver = Solver.Qr_direct) ?fault
+    ?(execute = false) ~kind ~prec ~device ~dim ~tile () =
+  { kind; prec; complex; device; dim; rows; tile; solver; fault; execute }
 
-let qr_part = "QR"
-let bs_part = "BS"
+let rows_of r = Option.value r.rows ~default:r.dim
 
-(* The engine-qualified experiment name: the default direct engine keeps
-   the historical bare names ("solve", "solve-ft"), so every pre-existing
-   label is unchanged; the iterative engines tag theirs. *)
-let method_what what (method_ : Solver.method_) =
-  match method_ with
+let validate r =
+  let err fmt = Printf.ksprintf (fun m -> Error m) fmt in
+  if r.dim <= 0 then err "dimension %d <= 0" r.dim
+  else if r.tile <= 0 || r.dim mod r.tile <> 0 then
+    err "tile %d does not divide dimension %d" r.tile r.dim
+  else if rows_of r < r.dim then err "rows < cols"
+  else if r.rows <> None && r.kind = Backsub then
+    err "rows only applies to qr and solve jobs"
+  else if Solver.is_iterative r.solver && r.kind <> Solve then
+    err "solver '%s' only applies to solve jobs" (Solver.method_name r.solver)
+  else Ok ()
+
+let check r = Result.iter_error invalid_arg (validate r)
+
+(* ---- names ---- *)
+
+(* "<what> <prec>[ complex] <shape>": report labels and residual names. *)
+let describe r what shape =
+  Printf.sprintf "%s %s%s %s" what (P.label r.prec)
+    (if r.complex then " complex" else "")
+    shape
+
+(* The engine-qualified solve name: the direct engine keeps the bare
+   name ("solve", "solve-ft"), the iterative engines tag theirs. *)
+let engine r what =
+  match r.solver with
   | Solver.Qr_direct -> what
   | m -> Printf.sprintf "%s[%s]" what (Solver.method_name m)
 
-(* [Solver.Make] plus its phase split — "QR"/"BS", or the iterative
-   ladder's rungs — as report parts. *)
-module Solver_of (K : Scalar.S) = struct
-  include Solver.Make (K)
+let plan_shape r =
+  match r.kind with
+  | Backsub -> Printf.sprintf "dim=%d tile=%d" r.dim r.tile
+  | Qr | Solve -> Printf.sprintf "%dx%d tile=%d" (rows_of r) r.dim r.tile
 
-  let report_parts =
-    List.map (fun (p : part) ->
-        {
-          Report.Part.name = p.name;
-          kernel_ms = p.kernel_ms;
-          wall_ms = p.wall_ms;
-          kernel_gflops = p.kernel_gflops;
-          wall_gflops = p.wall_gflops;
-        })
-end
+(* Executed square systems are named by their order, tall ones by both
+   dimensions. *)
+let verify_shape r =
+  if r.kind <> Backsub && rows_of r = r.dim then
+    Printf.sprintf "n=%d tile=%d" r.dim r.tile
+  else plan_shape r
 
-(* Least squares solve behind the pluggable engine seam (cost accounting
-   only): the direct QR + BS plan — the two phases appear as the "QR"
-   and "BS" parts, timed apart as in Table 10 — or one modeled rung of
-   an iterative engine (CG on the normal equations, LSQR), whose rung
-   appears as its part and whose report carries the schema-4 solver
-   record. *)
-let solve ?complex ?fault ?(method_ = Solver.Qr_direct) ?rows ?iterations tag
-    device ~n ~tile =
-  let (module K) = Solver.scalar_of ?complex tag in
-  let module S = Solver_of (K) in
-  let rows = Option.value rows ~default:n in
-  let r = S.plan ~method_ ?fault ?iterations ~device ~rows ~cols:n ~tile () in
-  {
-    Report.label =
-      describe (method_what "solve" method_) ?complex tag device
-        (Printf.sprintf "%dx%d tile=%d" rows n tile);
-    stages = List.map Report.Row.of_profile r.S.stages;
-    parts = S.report_parts r.S.parts;
-    kernel_ms = r.S.kernel_ms;
-    wall_ms = r.S.wall_ms;
-    kernel_gflops = r.S.kernel_gflops;
-    wall_gflops = r.S.wall_gflops;
-    launches = r.S.launches;
-    residual = None;
-    metrics = None;
-    faults = Option.map Report.faults_of_tally r.S.faults;
-    solver = Option.map (Report.solver_of_iter method_) r.S.iter;
-  }
-
-(* Per-stage roofline diagnostics (the paper's CGMA analysis, §4.1):
-   plan the experiment on a throw-away simulator and classify every
-   stage from the accumulated cost-model terms. *)
-
-let qr_roofline ?complex ?rows tag device ~n ~tile =
-  let (module K) = Solver.scalar_of ?complex tag in
-  let module Q = Blocked_qr.Make (K) in
-  let rows = Option.value rows ~default:n in
-  let sim = Gpusim.Sim.create ~execute:false ~device ~prec:K.prec () in
-  Q.plan sim ~rows ~cols:n ~tile;
-  Gpusim.Sim.roofline sim
-
-let bs_roofline ?complex tag device ~dim ~tile =
-  let (module K) = Solver.scalar_of ?complex tag in
-  let module B = Tiled_back_sub.Make (K) in
-  let sim = Gpusim.Sim.create ~execute:false ~device ~prec:K.prec () in
-  B.plan sim ~dim ~tile;
-  Gpusim.Sim.roofline sim
-
-let solve_roofline ?complex ?(method_ = Solver.Qr_direct) ?rows tag device ~n
-    ~tile =
-  match method_ with
-  | Solver.Qr_direct ->
-      qr_roofline ?complex ?rows tag device ~n ~tile
-      @ bs_roofline ?complex tag device ~dim:n ~tile
-  | (Solver.Cg_normal | Solver.Lsqr) as m ->
-      (* The iterative engines' stages classify from the same cost
-         terms as the direct ones: the O(1) flops-per-byte BLAS-1/2
-         kernels come out memory-bound at double double (routing those
-         jobs to bandwidth-rich device classes) and drift compute-bound
-         as the Table 1 multipliers grow. *)
-      let (module K) = Solver.scalar_of ?complex tag in
-      let module S = Solver.Make (K) in
-      let rows = Option.value rows ~default:n in
-      let r = S.plan ~method_:m ~device ~rows ~cols:n ~tile () in
-      List.map
-        (fun (row : Gpusim.Profile.row) ->
-          Obs.Roofline.classify ~stage:row.Gpusim.Profile.stage
-            ~ms:row.Gpusim.Profile.ms ~launches:row.Gpusim.Profile.launches
-            ~flops:(Gpusim.Counter.flops K.prec row.Gpusim.Profile.ops)
-            ~bytes:
-              (row.Gpusim.Profile.cold_bytes
-              +. row.Gpusim.Profile.thread_bytes)
-            ~compute_ms:row.Gpusim.Profile.compute_ms
-            ~memory_ms:row.Gpusim.Profile.memory_ms
-            ~peak_gflops:device.Gpusim.Device.dp_peak_gflops)
-        r.S.stages
-
-(* Satellite of the engine seam: when an executed iterative run chose
-   its ladder start (from [Mdlinalg.Cond]'s double-precision estimate or
-   an explicit override), surface the choice as a structured log record.
-   Lives here rather than in [lsq_core], which deliberately has no [Obs]
-   dependency. *)
-let log_ladder_start ?(complex = false) tag (s : Report.solver) =
+(* When an executed iterative run chose its ladder start (from
+   [Mdlinalg.Cond]'s double-precision estimate or an explicit override),
+   surface the choice as a structured log record.  Lives here rather
+   than in [lsq_core], which deliberately has no [Obs] dependency. *)
+let log_ladder_start r iter =
   if Obs.Log.enabled Obs.Log.Info then
-    let fields =
-      [
-        ("method", Obs.Log.Str (Solver.method_name s.Report.method_));
-        ("target", Obs.Log.Str (P.label tag));
-        ("start", Obs.Log.Str (P.label s.Report.ladder_start));
-        ("iterations", Obs.Log.Int s.Report.iterations);
-        ("converged", Obs.Log.Bool s.Report.converged);
-        ("complex", Obs.Log.Bool complex);
-      ]
-      @
-      match s.Report.cond_estimate with
-      | Some c -> [ ("cond", Obs.Log.Float c) ]
-      | None -> []
-    in
-    Obs.Log.info ~fields "solver.ladder_start"
+    Option.iter
+      (fun it ->
+        let s = Report.solver_of_iter r.solver it in
+        let fields =
+          [
+            ("method", Obs.Log.Str (Solver.method_name s.Report.method_));
+            ("target", Obs.Log.Str (P.label r.prec));
+            ("start", Obs.Log.Str (P.label s.Report.ladder_start));
+            ("iterations", Obs.Log.Int s.Report.iterations);
+            ("converged", Obs.Log.Bool s.Report.converged);
+            ("complex", Obs.Log.Bool r.complex);
+          ]
+          @
+          match s.Report.cond_estimate with
+          | Some c -> [ ("cond", Obs.Log.Float c) ]
+          | None -> []
+        in
+        Obs.Log.info ~fields "solver.ladder_start")
+      iter
 
-(* Numerically executed verification: factor, solve and report residuals
-   (forward error against a known solution, orthogonality defect and
-   factorization residual), exercising the very code the tables cost. *)
-
-let verify_qr ?complex ?fault tag device ~n ~tile =
-  let (module K) = Solver.scalar_of ?complex tag in
-  let module Q = Blocked_qr.Make (K) in
-  let module H = Host_qr.Make (K) in
-  let module Rand = Randmat.Make (K) in
-  let rng = Dompool.Prng.create 4242 in
-  let a = Rand.matrix rng n n in
-  let r = Q.run ?fault ~device ~a ~tile () in
-  let defect = K.R.to_float (H.orthogonality_defect r.Q.q) in
-  let resid = K.R.to_float (H.factorization_residual a r.Q.q r.Q.r) in
-  let worst = Float.max defect resid in
-  {
-    Report.what =
-      Printf.sprintf "QR %s%s n=%d tile=%d" (P.label tag)
-        (if Option.value complex ~default:false then " complex" else "")
-        n tile;
-    residual = worst /. K.R.eps;
-    eps = K.R.eps;
-    ok = worst < 1e6 *. K.R.eps;
-  }
-
-let verify_solve ?complex ?fault ?(method_ = Solver.Qr_direct) ?rows tag
-    device ~n ~tile =
-  let (module K) = Solver.scalar_of ?complex tag in
-  let module S = Solver.Make (K) in
-  let module Rand = Randmat.Make (K) in
-  let module V = Vec.Make (K) in
-  let rng = Dompool.Prng.create 2424 in
-  let rows = Option.value rows ~default:n in
-  let a = Rand.matrix rng rows n in
-  let b, x_true = Rand.rhs_for rng a in
-  let r = S.solve ~method_ ?fault ~device ~a ~b ~tile () in
-  Option.iter
-    (fun it -> log_ladder_start ?complex tag (Report.solver_of_iter method_ it))
-    r.S.iter;
-  let err =
-    K.R.to_float (V.norm (V.sub r.S.x x_true))
-    /. K.R.to_float (V.norm x_true)
-  in
-  let shape =
-    if rows = n then Printf.sprintf "n=%d" n
-    else Printf.sprintf "%dx%d" rows n
-  in
-  {
-    Report.what =
-      Printf.sprintf "%s %s%s %s tile=%d"
-        (method_what "least squares" method_)
-        (P.label tag)
-        (if Option.value complex ~default:false then " complex" else "")
-        shape tile;
-    residual = err /. K.R.eps;
-    eps = K.R.eps;
-    ok = err < 1e10 *. K.R.eps;
-  }
-
-let verify_bs ?complex ?fault tag device ~dim ~tile =
-  let (module K) = Solver.scalar_of ?complex tag in
-  let module B = Tiled_back_sub.Make (K) in
-  let module Rand = Randmat.Make (K) in
-  let module Tri = Host_tri.Make (K) in
-  let rng = Dompool.Prng.create 3434 in
-  let u = Rand.upper rng dim in
-  let b, _ = Rand.rhs_for rng u in
-  let r = B.run ?fault ~device ~u ~b ~tile () in
-  let resid = K.R.to_float (Tri.residual u r.B.x b) in
-  {
-    Report.what =
-      Printf.sprintf "back substitution %s%s dim=%d tile=%d" (P.label tag)
-        (if Option.value complex ~default:false then " complex" else "")
-        dim tile;
-    residual = resid /. K.R.eps;
-    eps = K.R.eps;
-    ok = resid < 1e6 *. K.R.eps;
-  }
-
-(* Fault-tolerant executed solve: the top rung of the recovery ladder.
-   The solver-level rungs (relaunch, panel/tile replay) act underneath;
-   what reaches this level is either an escalation (budgets exhausted,
-   [Fault.Plan.Injected]) or a silent corruption that slipped past the
-   ABFT probes and only shows in the final forward error.  Escalations
-   replay the whole solve under a decorrelated seed; a bad residual
-   falls back to a fault-free mixed-precision refinement pass at the
-   next precision up the D -> DD -> QD -> OD ladder (a plain clean
-   re-solve at the top).  Never raises: [residual.ok] carries the final
-   verdict, and the report's fault record is flagged [refined] when the
-   fallback ran.  A fully escalated attempt dies before its simulator
-   tally can be read back, so those strikes go uncounted — the campaign
-   still sees them as a [refined] report with a zero tally. *)
-
+(* The fault-tolerant solve's ladder: the next precision up, if any. *)
 let next_tag = function
   | P.D -> Some P.DD
   | P.DD -> Some P.QD
@@ -294,80 +114,237 @@ let salted (cfg : Fault.Plan.config) =
     ~seed:(cfg.Fault.Plan.seed + 0x5bd1e995)
     ~rate:cfg.Fault.Plan.rate ()
 
-let solve_ft ?(complex = false) ?fault ?(method_ = Solver.Qr_direct) tag
-    device ~n ~tile =
-  let (module K) = Solver.scalar_of ~complex tag in
-  let module S = Solver_of (K) in
-  let module M = Mat.Make (K) in
-  let module V = Vec.Make (K) in
-  let module Rand = Randmat.Make (K) in
-  let rng = Dompool.Prng.create 6060 in
-  let a = Rand.matrix rng n n in
-  let b, x_true = Rand.rhs_for rng a in
-  let err_of x =
+module Make (K : Scalar.S) = struct
+  module S = Solver.Make (K)
+  module Q = Blocked_qr.Make (K)
+  module B = Tiled_back_sub.Make (K)
+  module M = Mat.Make (K)
+  module V = Vec.Make (K)
+  module Rand = Randmat.Make (K)
+  module Sim = Gpusim.Sim
+
+  (* The plan of a QR (of a solve's shape, too) or a back substitution
+     on a fresh simulator. *)
+  let plan_sim ?fault r =
+    let sim = Sim.create ~execute:false ?fault ~device:r.device ~prec:K.prec () in
+    (match r.kind with
+    | Backsub -> B.plan sim ~dim:r.dim ~tile:r.tile
+    | Qr | Solve -> Q.plan sim ~rows:(rows_of r) ~cols:r.dim ~tile:r.tile);
+    sim
+
+  (* Cost accounting only, in the solver's result shape. *)
+  let plan r =
+    match r.kind with
+    | Solve ->
+      S.plan ~method_:r.solver ?fault:r.fault ~device:r.device
+        ~rows:(rows_of r) ~cols:r.dim ~tile:r.tile ()
+    | Qr | Backsub ->
+      let sim = plan_sim ?fault:r.fault r in
+      let stages =
+        if r.kind = Qr then Stage.qr_stages else Stage.bs_stages
+      in
+      {
+        S.x = [||];
+        method_ = r.solver;
+        parts = [];
+        stages = List.map (Gpusim.Profile.row sim.Sim.profile) stages;
+        kernel_ms = Sim.kernel_ms sim;
+        wall_ms = Sim.wall_ms sim;
+        kernel_gflops = Sim.kernel_gflops sim;
+        wall_gflops = Sim.wall_gflops sim;
+        launches = Sim.launches sim;
+        faults = Sim.fault_tally sim;
+        iter = None;
+      }
+
+  let report ?(refined = false) ?residual r what (x : S.result) =
+    {
+      Report.label =
+        describe r what (plan_shape r) ^ " " ^ r.device.Gpusim.Device.name;
+      stages = List.map Report.Row.of_profile x.S.stages;
+      parts =
+        List.map
+          (fun (p : S.part) ->
+            {
+              Report.Part.name = p.S.name;
+              kernel_ms = p.S.kernel_ms;
+              wall_ms = p.S.wall_ms;
+              kernel_gflops = p.S.kernel_gflops;
+              wall_gflops = p.S.wall_gflops;
+            })
+          x.S.parts;
+      kernel_ms = x.S.kernel_ms;
+      wall_ms = x.S.wall_ms;
+      kernel_gflops = x.S.kernel_gflops;
+      wall_gflops = x.S.wall_gflops;
+      launches = x.S.launches;
+      residual;
+      metrics = None;
+      faults = Option.map (Report.faults_of_tally ~refined) x.S.faults;
+      solver = Option.map (Report.solver_of_iter r.solver) x.S.iter;
+    }
+
+  let plan_name r =
+    match r.kind with
+    | Qr -> "qr"
+    | Backsub -> "backsub"
+    | Solve -> engine r "solve"
+
+  (* A relative error (or residual) in units of eps against [bound]. *)
+  let residual what ~bound err =
+    {
+      Report.what;
+      residual = err /. K.R.eps;
+      eps = K.R.eps;
+      ok = err < bound *. K.R.eps;
+    }
+
+  let rel_err x x_true =
     K.R.to_float (V.norm (V.sub x x_true)) /. K.R.to_float (V.norm x_true)
-  in
-  let clean () =
-    S.solve ~method_ ~device ~a:(M.copy a) ~b:(V.copy b) ~tile ()
-  in
-  let rec attempt retries cfg =
-    match
-      S.solve ~method_ ?fault:cfg ~device ~a:(M.copy a) ~b:(V.copy b) ~tile ()
-    with
-    | r -> r
-    | exception Fault.Plan.Injected _ when retries > 0 ->
+
+  (* Numerically executed verification on a seeded random system:
+     orthogonality defect and factorization residual of the QR, the
+     back substitution's residual, or the solve's forward error against
+     a known solution. *)
+  let verify r =
+    let fault = r.fault and device = r.device and tile = r.tile in
+    let what name = describe r name (verify_shape r) in
+    match r.kind with
+    | Qr ->
+      let module H = Host_qr.Make (K) in
+      let rng = Dompool.Prng.create 4242 in
+      let a = Rand.matrix rng (rows_of r) r.dim in
+      let f = Q.run ?fault ~device ~a ~tile () in
+      let defect = K.R.to_float (H.orthogonality_defect f.Q.q) in
+      let resid = K.R.to_float (H.factorization_residual a f.Q.q f.Q.r) in
+      residual (what "QR") ~bound:1e6 (Float.max defect resid)
+    | Backsub ->
+      let module Tri = Host_tri.Make (K) in
+      let rng = Dompool.Prng.create 3434 in
+      let u = Rand.upper rng r.dim in
+      let b, _ = Rand.rhs_for rng u in
+      let s = B.run ?fault ~device ~u ~b ~tile () in
+      residual (what "back substitution") ~bound:1e6
+        (K.R.to_float (Tri.residual u s.B.x b))
+    | Solve ->
+      let rng = Dompool.Prng.create 2424 in
+      let a = Rand.matrix rng (rows_of r) r.dim in
+      let b, x_true = Rand.rhs_for rng a in
+      let s = S.solve ~method_:r.solver ?fault ~device ~a ~b ~tile () in
+      log_ladder_start r s.S.iter;
+      residual
+        (what (engine r "least squares"))
+        ~bound:1e10 (rel_err s.S.x x_true)
+
+  (* Fault-tolerant executed solve: the top rung of the recovery ladder.
+     The solver-level rungs (relaunch, panel/tile replay) act underneath;
+     what reaches this level is either an escalation (budgets exhausted,
+     [Fault.Plan.Injected]) or a silent corruption that slipped past the
+     ABFT probes and only shows in the final forward error.  Escalations
+     replay the whole solve under a decorrelated seed; a bad forward
+     error falls back to a fault-free mixed-precision refinement pass at
+     the next precision up (a clean re-solve at the top of the ladder or
+     on a tall system, which [Refine] does not take).  A fully escalated
+     attempt dies before its simulator tally can be read back, so those
+     strikes go uncounted: the campaign still sees them as a [refined]
+     report with a zero tally. *)
+  let solve_ft r =
+    let device = r.device and tile = r.tile in
+    let rows = rows_of r and n = r.dim in
+    let rng = Dompool.Prng.create 6060 in
+    let a = Rand.matrix rng rows n in
+    let b, x_true = Rand.rhs_for rng a in
+    let solve ?fault () =
+      S.solve ~method_:r.solver ?fault ~device ~a:(M.copy a) ~b:(V.copy b)
+        ~tile ()
+    in
+    let rec attempt retries cfg =
+      match solve ?fault:cfg () with
+      | s -> s
+      | exception Fault.Plan.Injected _ when retries > 0 ->
         attempt (retries - 1) (Option.map salted cfg)
-    | exception Fault.Plan.Injected _ -> clean ()
-  in
-  (* Fault-free refinement at the next precision up; at the top of the
-     ladder a clean re-solve is all that is left. *)
-  let refined_solve () =
-    match next_tag tag with
-    | None -> (clean ()).S.x
-    | Some hi ->
-        let (module KH) = Solver.scalar_of ~complex hi in
+      | exception Fault.Plan.Injected _ -> solve ()
+    in
+    let refined_solve () =
+      match next_tag r.prec with
+      | Some hi when rows = n ->
+        let (module KH) = Solver.scalar_of ~complex:r.complex hi in
         let module Rf = Refine.Make_scalar (K) (KH) in
         let ah = Rf.MH.init n n (fun i j -> Rf.promote (M.get a i j)) in
         let bh = Array.map Rf.promote b in
         let res = Rf.solve ~device ~a:ah ~b:bh ~tile () in
         Array.map Rf.demote res.Rf.x
-  in
-  let threshold = 1e10 *. K.R.eps in
-  let r = attempt 1 fault in
-  Option.iter
-    (fun it -> log_ladder_start ~complex tag (Report.solver_of_iter method_ it))
-    r.S.iter;
-  let first_err = err_of r.S.x in
-  let refined = Float.is_nan first_err || first_err >= threshold in
-  let err = if refined then err_of (refined_solve ()) else first_err in
-  let faults =
-    match fault with
-    | None -> Option.map (Report.faults_of_tally ~refined) r.S.faults
-    | Some _ ->
-        Some
-          (Report.faults_of_tally ~refined
-             (Option.value r.S.faults ~default:Fault.Plan.zero_tally))
-  in
-  let shape = Printf.sprintf "%dx%d tile=%d" n n tile in
-  let what = method_what "solve-ft" method_ in
-  {
-    Report.label = describe what ~complex tag device shape;
-    stages = List.map Report.Row.of_profile r.S.stages;
-    parts = S.report_parts r.S.parts;
-    kernel_ms = r.S.kernel_ms;
-    wall_ms = r.S.wall_ms;
-    kernel_gflops = r.S.kernel_gflops;
-    wall_gflops = r.S.wall_gflops;
-    launches = r.S.launches;
-    residual =
-      Some
-        {
-          Report.what = Printf.sprintf "%s %s %s" what (P.label tag) shape;
-          residual = err /. K.R.eps;
-          eps = K.R.eps;
-          ok = (not (Float.is_nan err)) && err < threshold;
-        };
-    metrics = None;
-    faults;
-    solver = Option.map (Report.solver_of_iter method_) r.S.iter;
-  }
+      | _ -> (solve ()).S.x
+    in
+    let s = attempt 1 r.fault in
+    log_ladder_start r s.S.iter;
+    let first_err = rel_err s.S.x x_true in
+    let refined = not (first_err < 1e10 *. K.R.eps) in
+    let err = if refined then rel_err (refined_solve ()) x_true else first_err in
+    let what = engine r "solve-ft" in
+    (* The residual name has never carried the complex flag. *)
+    let residual =
+      residual
+        (describe { r with complex = false } what (plan_shape r))
+        ~bound:1e10 err
+    in
+    report ~refined ~residual r what
+      {
+        s with
+        S.faults =
+          Some (Option.value s.S.faults ~default:Fault.Plan.zero_tally);
+      }
+
+  let run r =
+    match r with
+    | { execute = false; _ } -> report r (plan_name r) (plan r)
+    | { kind = Solve; fault = Some _; _ } -> solve_ft r
+    | _ ->
+      let cost = plan { r with fault = None } in
+      report ~residual:(verify r) r (plan_name r) cost
+
+  (* Per-stage roofline diagnostics (the paper's CGMA analysis, §4.1),
+     classified from the accumulated cost-model terms of the plan. *)
+  let roofline r =
+    match (r.kind, r.solver) with
+    | (Qr | Backsub), _ -> Sim.roofline (plan_sim r)
+    | Solve, Solver.Qr_direct ->
+      Sim.roofline (plan_sim r)
+      @ Sim.roofline (plan_sim { r with kind = Backsub; rows = None })
+    | Solve, m ->
+      (* The iterative engines' stages classify from the same cost
+         terms: the O(1) flops-per-byte BLAS-1/2 kernels come out
+         memory-bound at double double (routing those jobs to
+         bandwidth-rich device classes) and drift compute-bound as the
+         Table 1 multipliers grow. *)
+      let p =
+        S.plan ~method_:m ~device:r.device ~rows:(rows_of r) ~cols:r.dim
+          ~tile:r.tile ()
+      in
+      List.map
+        (fun (row : Gpusim.Profile.row) ->
+          Obs.Roofline.classify ~stage:row.Gpusim.Profile.stage
+            ~ms:row.Gpusim.Profile.ms ~launches:row.Gpusim.Profile.launches
+            ~flops:(Gpusim.Counter.flops K.prec row.Gpusim.Profile.ops)
+            ~bytes:
+              (row.Gpusim.Profile.cold_bytes +. row.Gpusim.Profile.thread_bytes)
+            ~compute_ms:row.Gpusim.Profile.compute_ms
+            ~memory_ms:row.Gpusim.Profile.memory_ms
+            ~peak_gflops:r.device.Gpusim.Device.dp_peak_gflops)
+        p.S.stages
+end
+
+let run r =
+  check r;
+  let (module K) = Solver.scalar_of ~complex:r.complex r.prec in
+  let module X = Make (K) in
+  X.run r
+
+let roofline r =
+  check r;
+  let (module K) = Solver.scalar_of ~complex:r.complex r.prec in
+  let module X = Make (K) in
+  X.roofline r
+
+let qr prec device ~n ~tile = run (request ~kind:Qr ~prec ~device ~dim:n ~tile ())
+let bs prec device ~dim ~tile = run (request ~kind:Backsub ~prec ~device ~dim ~tile ())

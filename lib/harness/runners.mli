@@ -1,149 +1,87 @@
-(** Uniform entry points the table generators, the CLI and the batch
-    scheduler share: run one experiment at a given precision (real or
-    complex) on a given device and return the unified {!Report.t}.
+(** The one runner the table generators, the CLI, the batch scheduler
+    and the tests share: describe one experiment as a {!request} — the
+    paper's blocked QR (Tables 3–6), tiled back substitution (Tables
+    7–9) or least squares solve (Table 10), at a given precision (real
+    or complex) on a given device — and {!run} it into the unified
+    {!Report.t}.
 
-    Tables are generated in planning mode (cost accounting without
-    numeric execution); the [verify_*] functions execute the same code
-    paths numerically at moderate dimensions and report residuals. *)
+    Tables run in planning mode (cost accounting without numeric
+    execution); an executed request additionally runs the same code
+    paths numerically on a seeded random system and reports the
+    residual. *)
+
+type kind = Qr | Backsub | Solve
+
+type request = {
+  kind : kind;
+  prec : Multidouble.Precision.tag;
+  complex : bool;
+  device : Gpusim.Device.t;
+  dim : int;  (** columns (QR, solve) or dimension (back substitution) *)
+  rows : int option;
+      (** QR and solve: row count ([None]: square).  A tall solve runs
+          the economy factorization, or the overdetermined system the
+          iterative engines are built for. *)
+  tile : int;
+  solver : Lsq_core.Solver.method_;  (** solve: the engine *)
+  fault : Fault.Plan.config option;  (** an armed simulator fault plane *)
+  execute : bool;  (** also execute numerically and attach the residual *)
+}
+
+val request :
+  ?complex:bool ->
+  ?rows:int ->
+  ?solver:Lsq_core.Solver.method_ ->
+  ?fault:Fault.Plan.config ->
+  ?execute:bool ->
+  kind:kind ->
+  prec:Multidouble.Precision.tag ->
+  device:Gpusim.Device.t ->
+  dim:int ->
+  tile:int ->
+  unit ->
+  request
+(** Defaults: real data, square, direct QR engine, no fault plane, plan
+    only. *)
+
+val validate : request -> (unit, string) result
+(** The shape checks: a positive dimension, a tile dividing it, at
+    least as many rows as columns, rows only on QR and solve, iterative
+    engines only on solve. *)
+
+val run : request -> Report.t
+(** Runs the request:
+    - plan only: the cost plan, under the fault plane if one is armed
+      (its tally lands in the report's fault record);
+    - executed, fault-armed solve: the fault-tolerant solve.  An
+      escalation ([Fault.Plan.Injected]) replays the whole solve under
+      a decorrelated seed; an escaped corruption caught by the final
+      forward-error check is repaired by a fault-free mixed-precision
+      refinement at the next precision up the D/DD/QD/OD ladder (a
+      clean re-solve at OD or on a tall system), flagged [refined].
+      Never raises an injected fault;
+    - any other executed run: the fault-free plan for the cost figures,
+      then a numeric run under the fault plane for the residual.  An
+      escalation out of that run raises [Fault.Plan.Injected].
+
+    A direct solve reports its phases as the ["QR"] and ["BS"] parts;
+    an iterative one its ladder rungs, plus the schema-4 solver record.
+    @raise Invalid_argument when {!validate} fails. *)
+
+val roofline : request -> Obs.Roofline.stage list
+(** Per-stage roofline diagnostics of the fault-free plan ([fault] and
+    [execute] are ignored): the QR stages, the back substitution stages,
+    both in turn for a direct solve, or the iterative engines' matvec
+    and BLAS-1 stages.
+    @raise Invalid_argument when {!validate} fails. *)
 
 val qr :
-  ?complex:bool ->
-  ?rows:int ->
-  ?fault:Fault.Plan.config ->
-  Multidouble.Precision.tag ->
-  Gpusim.Device.t ->
-  n:int ->
-  tile:int ->
-  Report.t
-(** Blocked Householder QR (Algorithm 2), cost accounting only.  An
-    armed [?fault] plan attaches the fault tally to the report. *)
+  Multidouble.Precision.tag -> Gpusim.Device.t -> n:int -> tile:int -> Report.t
+(** [run] of a square plan-only QR request.  A shorthand kept because
+    the performance ledger (perfbench/model.ml) calls it. *)
 
 val bs :
-  ?complex:bool ->
-  ?fault:Fault.Plan.config ->
-  Multidouble.Precision.tag ->
-  Gpusim.Device.t ->
-  dim:int ->
-  tile:int ->
+  Multidouble.Precision.tag -> Gpusim.Device.t -> dim:int -> tile:int ->
   Report.t
-(** Tiled back substitution (Algorithm 1), cost accounting only. *)
-
-val qr_part : string
-(** The part name of the solver's factorization phase ("QR"). *)
-
-val bs_part : string
-(** The part name of the solver's back substitution phase ("BS"). *)
-
-val solve :
-  ?complex:bool ->
-  ?fault:Fault.Plan.config ->
-  ?method_:Lsq_core.Solver.method_ ->
-  ?rows:int ->
-  ?iterations:int ->
-  Multidouble.Precision.tag ->
-  Gpusim.Device.t ->
-  n:int ->
-  tile:int ->
-  Report.t
-(** The least squares solve behind the pluggable engine seam, cost
-    accounting only.  The default [Qr_direct] engine plans QR then back
-    substitution — the two phases appear as the {!qr_part} and
-    {!bs_part} parts of the report, and its output is unchanged from
-    before the seam existed.  [Cg_normal] / [Lsqr] plan one modeled
-    rung of [?iterations] iterative sweeps
-    (default {!Lsq_core.Solver.planned_iterations}) and attach the
-    schema-4 solver record.  [?rows] makes the system tall
-    (default [n], i.e. square). *)
-
-val solve_ft :
-  ?complex:bool ->
-  ?fault:Fault.Plan.config ->
-  ?method_:Lsq_core.Solver.method_ ->
-  Multidouble.Precision.tag ->
-  Gpusim.Device.t ->
-  n:int ->
-  tile:int ->
-  Report.t
-(** Numerically executed fault-tolerant solve on a seeded random
-    system with the chosen engine: the top rung of the recovery ladder.
-    Escalations from the solver ([Fault.Plan.Injected]) — including the
-    iterative engines' failed final certification under an armed plan —
-    replay the whole solve under a decorrelated seed; an escaped
-    corruption caught by the final forward-error check triggers a
-    fault-free mixed-precision refinement pass at the next precision up
-    the D/DD/QD/OD ladder (flagged [refined] in the report's fault
-    record).  Never raises; [residual.ok] carries the final verdict. *)
-
-val log_ladder_start :
-  ?complex:bool -> Multidouble.Precision.tag -> Report.solver -> unit
-(** Emit the [solver.ladder_start] structured log record for an
-    executed iterative run: the engine, the target precision, the
-    ladder rung the condition estimate (or explicit override) chose,
-    the estimate itself when automatic, and how the run went.  Gated on
-    [Obs.Log.enabled Info]; the executed runners call it themselves. *)
-
-val qr_roofline :
-  ?complex:bool ->
-  ?rows:int ->
-  Multidouble.Precision.tag ->
-  Gpusim.Device.t ->
-  n:int ->
-  tile:int ->
-  Obs.Roofline.stage list
-(** Per-stage roofline diagnostics of the QR plan, in
-    {!Lsq_core.Stage.qr_stages} order. *)
-
-val bs_roofline :
-  ?complex:bool ->
-  Multidouble.Precision.tag ->
-  Gpusim.Device.t ->
-  dim:int ->
-  tile:int ->
-  Obs.Roofline.stage list
-(** Per-stage roofline diagnostics of the back substitution plan. *)
-
-val solve_roofline :
-  ?complex:bool ->
-  ?method_:Lsq_core.Solver.method_ ->
-  ?rows:int ->
-  Multidouble.Precision.tag ->
-  Gpusim.Device.t ->
-  n:int ->
-  tile:int ->
-  Obs.Roofline.stage list
-(** Per-stage roofline diagnostics of the chosen engine's plan: QR
-    stages followed by back substitution stages for the direct engine;
-    the matvec / BLAS-1 stages — memory-bound at every precision — for
-    the iterative ones. *)
-
-val verify_qr :
-  ?complex:bool ->
-  ?fault:Fault.Plan.config ->
-  Multidouble.Precision.tag ->
-  Gpusim.Device.t ->
-  n:int ->
-  tile:int ->
-  Report.residual
-
-val verify_solve :
-  ?complex:bool ->
-  ?fault:Fault.Plan.config ->
-  ?method_:Lsq_core.Solver.method_ ->
-  ?rows:int ->
-  Multidouble.Precision.tag ->
-  Gpusim.Device.t ->
-  n:int ->
-  tile:int ->
-  Report.residual
-(** Numerically executed solve with the chosen engine on a seeded
-    random system ([?rows] by [n], default square) with a known
-    solution, reporting the forward error in units of eps. *)
-
-val verify_bs :
-  ?complex:bool ->
-  ?fault:Fault.Plan.config ->
-  Multidouble.Precision.tag ->
-  Gpusim.Device.t ->
-  dim:int ->
-  tile:int ->
-  Report.residual
+(** [run] of a plan-only back substitution request.  A shorthand kept
+    because the performance ledger (perfbench/model.ml) calls it. *)

@@ -5,7 +5,6 @@
 
 module Json = Obs.Json
 module Report = Harness.Report
-module R = Harness.Runners
 
 type failure = { message : string; timed_out : bool; retryable : bool }
 
@@ -86,45 +85,9 @@ let backoff_pause_ms ~backoff_ms (job : Job.t) ~attempt =
   let u = Dompool.Prng.float (Dompool.Prng.create seed) in
   backoff_ms *. Float.of_int (1 lsl (attempt - 1)) *. (1.0 +. u)
 
-(* One synchronous run of the job proper: plan (or, with [execute], plan
-   plus a numeric verification whose residual lands in the report).  An
-   armed fault plan is threaded into the simulators; executed solve jobs
-   switch to the fault-tolerant runner, whose report already carries the
-   residual, the fault tally and the refinement flag. *)
-let run_job (job : Job.t) =
-  let device = Gpusim.Device.by_name job.Job.device in
-  let complex = job.Job.complex in
-  let prec = job.Job.prec in
-  let dim = job.Job.dim and tile = job.Job.tile in
-  let fault = Job.fault_config job in
-  let method_ = job.Job.solver in
-  let rows = job.Job.rows in
-  match (job.Job.execute, job.Job.kind, fault) with
-  | true, Job.Solve, Some _ ->
-    R.solve_ft ~complex ?fault ~method_ prec device ~n:dim ~tile
-  | false, _, _ ->
-    (match job.Job.kind with
-    | Job.Qr -> R.qr ~complex ?rows ?fault prec device ~n:dim ~tile
-    | Job.Backsub -> R.bs ~complex ?fault prec device ~dim ~tile
-    | Job.Solve -> R.solve ~complex ?fault ~method_ ?rows prec device ~n:dim ~tile)
-  | true, _, _ ->
-    (* Plan for the cost figures, verify (under the fault plan, if any)
-       for the residual; an escalation out of the verification run is a
-       retryable failure for [settle]. *)
-    let base =
-      match job.Job.kind with
-      | Job.Qr -> R.qr ~complex ?rows prec device ~n:dim ~tile
-      | Job.Backsub -> R.bs ~complex prec device ~dim ~tile
-      | Job.Solve -> R.solve ~complex ~method_ ?rows prec device ~n:dim ~tile
-    in
-    let residual =
-      match job.Job.kind with
-      | Job.Qr -> R.verify_qr ~complex ?fault prec device ~n:dim ~tile
-      | Job.Backsub -> R.verify_bs ~complex ?fault prec device ~dim ~tile
-      | Job.Solve ->
-        R.verify_solve ~complex ?fault ~method_ ?rows prec device ~n:dim ~tile
-    in
-    { base with Report.residual = Some residual }
+(* One synchronous run of the job proper; [Harness.Runners.run] decides
+   how (plan, verify, or the fault-tolerant solve). *)
+let run_job job = Harness.Runners.run (Job.request job)
 
 (* The full lifecycle of one job: validation, then up to [1 + retries]
    attempts under the cooperative wall-clock budget, with exponential

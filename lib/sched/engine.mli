@@ -75,16 +75,14 @@ val now_ms : unit -> float
 
 val run_job : Job.t -> Harness.Report.t
 (** Runs one job synchronously (no retry, timeout or failure injection):
-    dispatches on the kind — solve jobs through the engine the job's
-    [solver] method names — and when [job.execute] is set additionally
-    executes the kernels numerically and attaches the residual record.
-    A positive [fault_rate] arms the simulator fault plane
-    ({!Job.fault_config}); executed solve jobs then run through
-    {!Harness.Runners.solve_ft}, whose report carries the fault tally
-    and refinement flag.  Raises whatever the runner raises — including
-    [Fault.Plan.Injected] on an escalated fault, which {!settle}
-    classifies as retryable — and [Invalid_argument] on an unresolved
-    {!Job.auto_device}. *)
+    {!Harness.Runners.run} of {!Job.request}.  That plans the job, and
+    when [job.execute] is set also executes it numerically and attaches
+    the residual; an executed solve under an armed fault plane
+    ({!Job.fault_config}) takes the fault-tolerant path, whose report
+    carries the fault tally and refinement flag.  Raises whatever the
+    runner raises — including [Fault.Plan.Injected] on an escalated
+    fault, which {!settle} classifies as retryable — and
+    [Invalid_argument] on an unresolved {!Job.auto_device}. *)
 
 val backoff_pause_ms : backoff_ms:float -> Job.t -> attempt:int -> float
 (** The jittered pause (in ms) {!settle} sleeps after the [attempt]-th

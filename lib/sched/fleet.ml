@@ -256,60 +256,31 @@ let inflight_gauge inst = m_gauge ("fleet.inflight." ^ inst.id)
 (* ---- roofline placement ---- *)
 
 (* Fault-free roofline stage plans of a job shape on a named device,
-   memoized (a million-job stream re-plans nothing); [None] marks
-   unplannable shapes and unknown devices. *)
-let roofline_memo :
-    ( Job.kind
-      * Multidouble.Precision.tag
-      * bool
-      * int
-      * int option
-      * int
-      * Lsq_core.Solver.method_
-      * string,
-      Obs.Roofline.stage list option )
-    Hashtbl.t =
+   memoized on the request (a million-job stream re-plans nothing);
+   [None] marks unplannable shapes and unknown devices. *)
+let roofline_memo : (R.request, Obs.Roofline.stage list option) Hashtbl.t =
   Hashtbl.create 64
 
 let roofline_lock = Mutex.create ()
 
 let roofline_stages (job : Job.t) ~device =
-  let key =
-    ( job.Job.kind,
-      job.Job.prec,
-      job.Job.complex,
-      job.Job.dim,
-      job.Job.rows,
-      job.Job.tile,
-      job.Job.solver,
-      device )
-  in
-  Mutex.lock roofline_lock;
-  let cached = Hashtbl.find_opt roofline_memo key in
-  Mutex.unlock roofline_lock;
-  match cached with
-  | Some s -> s
-  | None ->
-    let stages =
-      try
-        let device = D.by_name device in
-        let complex = job.Job.complex in
-        let prec = job.Job.prec in
-        let dim = job.Job.dim and tile = job.Job.tile in
-        Some
-          (match job.Job.kind with
-          | Job.Qr ->
-            R.qr_roofline ~complex ?rows:job.Job.rows prec device ~n:dim ~tile
-          | Job.Backsub -> R.bs_roofline ~complex prec device ~dim ~tile
-          | Job.Solve ->
-            R.solve_roofline ~complex ~method_:job.Job.solver
-              ?rows:job.Job.rows prec device ~n:dim ~tile)
-      with _ -> None
-    in
+  match
+    Job.request ~device:(D.by_name device)
+      { job with Job.fault_rate = 0.0; execute = false }
+  with
+  | exception Invalid_argument _ -> None
+  | key -> (
     Mutex.lock roofline_lock;
-    Hashtbl.replace roofline_memo key stages;
+    let cached = Hashtbl.find_opt roofline_memo key in
     Mutex.unlock roofline_lock;
-    stages
+    match cached with
+    | Some s -> s
+    | None ->
+      let stages = try Some (R.roofline key) with _ -> None in
+      Mutex.lock roofline_lock;
+      Hashtbl.replace roofline_memo key stages;
+      Mutex.unlock roofline_lock;
+      stages)
 
 (* Jobs are classified compute- vs memory-bound on a fixed reference
    device (the V100, the paper's flagship) so the verdict — and with it

@@ -4,8 +4,9 @@
 module P = Multidouble.Precision
 module Json = Obs.Json
 module Solver = Lsq_core.Solver
+module Runners = Harness.Runners
 
-type kind = Qr | Backsub | Solve
+type kind = Runners.kind = Qr | Backsub | Solve
 
 type t = {
   id : string;
@@ -90,38 +91,45 @@ let kind_of_string s =
   | "solve" -> Solve
   | s -> invalid_arg (Printf.sprintf "unknown job kind '%s'" s)
 
+let request ?device t =
+  let device =
+    match device with Some d -> d | None -> Gpusim.Device.by_name t.device
+  in
+  Runners.request ~complex:t.complex ?rows:t.rows ~solver:t.solver
+    ?fault:(fault_config t) ~execute:t.execute ~kind:t.kind ~prec:t.prec
+    ~device ~dim:t.dim ~tile:t.tile ()
+
 let validate t =
   let err fmt = Printf.ksprintf (fun m -> Error m) fmt in
+  (* The shape checks ignore the device and the fault plane. *)
+  let shape () =
+    Runners.validate
+      (request ~device:Gpusim.Device.v100 { t with fault_rate = 0.0 })
+  in
   if t.id = "" then err "job has an empty id"
-  else if t.dim <= 0 then err "job '%s': dimension %d <= 0" t.id t.dim
-  else if t.tile <= 0 || t.dim mod t.tile <> 0 then
-    err "job '%s': tile %d does not divide dimension %d" t.id t.tile t.dim
-  else if
-    match t.rows with Some m -> m < t.dim | None -> false
-  then err "job '%s': rows < cols" t.id
-  else if t.rows <> None && t.kind = Backsub then
-    err "job '%s': rows only applies to qr and solve jobs" t.id
-  else if Solver.is_iterative t.solver && t.kind <> Solve then
-    err "job '%s': solver '%s' only applies to solve jobs" t.id
-      (Solver.method_name t.solver)
-  else if t.retries < 0 then err "job '%s': negative retries" t.id
-  else if t.inject_failures < 0 then
-    err "job '%s': negative inject_failures" t.id
-  else if
-    (* [not (ms > 0)] rather than [ms <= 0] so NaN is rejected too. *)
-    match t.timeout_ms with Some ms -> not (ms > 0.0) | None -> false
-  then err "job '%s': timeout must be a positive number" t.id
-  else if Float.is_nan t.fault_rate then
-    err "job '%s': fault rate must not be NaN" t.id
-  else if t.fault_rate < 0.0 || t.fault_rate > 1.0 then
-    err "job '%s': fault rate %g outside [0, 1]" t.id t.fault_rate
-  else if t.fault_rate > 0.0 && t.fault_kinds = [] then
-    err "job '%s': fault rate %g with no fault kinds armed" t.id t.fault_rate
-  else if is_auto t then Ok ()
   else
-    match Gpusim.Device.by_name t.device with
-    | (_ : Gpusim.Device.t) -> Ok ()
-    | exception Invalid_argument m -> err "job '%s': %s" t.id m
+    match shape () with
+    | Error m -> err "job '%s': %s" t.id m
+    | Ok () ->
+      if t.retries < 0 then err "job '%s': negative retries" t.id
+      else if t.inject_failures < 0 then
+        err "job '%s': negative inject_failures" t.id
+      else if
+        (* [not (ms > 0)] rather than [ms <= 0] so NaN is rejected too. *)
+        match t.timeout_ms with Some ms -> not (ms > 0.0) | None -> false
+      then err "job '%s': timeout must be a positive number" t.id
+      else if Float.is_nan t.fault_rate then
+        err "job '%s': fault rate must not be NaN" t.id
+      else if t.fault_rate < 0.0 || t.fault_rate > 1.0 then
+        err "job '%s': fault rate %g outside [0, 1]" t.id t.fault_rate
+      else if t.fault_rate > 0.0 && t.fault_kinds = [] then
+        err "job '%s': fault rate %g with no fault kinds armed" t.id
+          t.fault_rate
+      else if is_auto t then Ok ()
+      else
+        match Gpusim.Device.by_name t.device with
+        | (_ : Gpusim.Device.t) -> Ok ()
+        | exception Invalid_argument m -> err "job '%s': %s" t.id m
 
 let to_json t =
   Json.Obj

@@ -6,7 +6,7 @@
     outcome records ({!Engine.schema_version}); a jobs file is either
     a JSON array of job objects or one job object per line. *)
 
-type kind = Qr | Backsub | Solve
+type kind = Harness.Runners.kind = Qr | Backsub | Solve
 
 type t = {
   id : string;  (** unique within the batch; used in the result records *)
@@ -86,6 +86,12 @@ val fault_config : t -> Fault.Plan.config option
 (** The armed fault plan of the job ([None] when [fault_rate] is 0).
     Validate first: an out-of-range rate raises [Invalid_argument]. *)
 
+val request : ?device:Gpusim.Device.t -> t -> Harness.Runners.request
+(** The job as a runner request, on [device] when given and otherwise on
+    the device the job names.  Raises [Invalid_argument] on an unknown
+    device (including an unplaced {!auto_device}) or an out-of-range
+    fault rate. *)
+
 val with_defaults :
   ?solver:Lsq_core.Solver.method_ -> ?fault:Fault.Plan.config -> t -> t
 (** Service-wide defaults for jobs that did not choose for themselves:
@@ -103,7 +109,8 @@ val validate : t -> (unit, string) result
     positive dimensions, tile dividing the dimension, sane retry and
     timeout bounds (NaN timeouts rejected), fault rate inside [0, 1]
     with at least one kind armed.  A failing validation is permanent —
-    the scheduler records the error without retrying. *)
+    the scheduler records the error without retrying.  The shape checks
+    are {!Harness.Runners.validate}'s, prefixed with ["job '<id>': "]. *)
 
 val to_json : t -> Obs.Json.t
 val of_json : Obs.Json.t -> t

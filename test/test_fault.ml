@@ -269,11 +269,16 @@ let test_sim_retransfers () =
 
 (* ---- runners under fault ---- *)
 
+let run ?fault ?execute ?(prec = P.DD) kind ~dim ~tile =
+  R.run (R.request ?fault ?execute ~kind ~prec ~device ~dim ~tile ())
+
+let residual_of (r : Report.t) = Option.get r.Report.residual
+
 let test_plan_runner_tallies () =
   let cfg kinds rate =
     Plan.config ~kinds ~max_relaunches:16 ~seed:23 ~rate ()
   in
-  let faulted = R.qr ~fault:(cfg [ Plan.Launch_fail ] 0.2) P.DD device ~n:128 ~tile:32 in
+  let faulted = run ~fault:(cfg [ Plan.Launch_fail ] 0.2) R.Qr ~dim:128 ~tile:32 in
   (match faulted.Report.faults with
   | Some f ->
     check "launch failures injected" true (f.Report.launch_fails > 0);
@@ -283,7 +288,7 @@ let test_plan_runner_tallies () =
     checki "no bitflips from a launch-only plan" 0 f.Report.bitflips;
     check "refinement never ran in plan mode" false f.Report.refined
   | None -> Alcotest.fail "armed run carries no fault record");
-  let again = R.qr ~fault:(cfg [ Plan.Launch_fail ] 0.2) P.DD device ~n:128 ~tile:32 in
+  let again = run ~fault:(cfg [ Plan.Launch_fail ] 0.2) R.Qr ~dim:128 ~tile:32 in
   check "campaign replays bit-identically" true
     (faulted.Report.faults = again.Report.faults
     && faulted.Report.wall_ms = again.Report.wall_ms);
@@ -294,7 +299,7 @@ let test_plan_runner_tallies () =
     (faulted.Report.kernel_ms > clean.Report.kernel_ms);
   (* An armed-but-silent plan (rate 0) tallies nothing; it still pays
      for the ABFT check kernels arming adds, but not for recovery. *)
-  let silent = R.qr ~fault:(cfg Plan.all_kinds 0.0) P.DD device ~n:128 ~tile:32 in
+  let silent = run ~fault:(cfg Plan.all_kinds 0.0) R.Qr ~dim:128 ~tile:32 in
   (match silent.Report.faults with
   | Some f -> checki "rate 0 injects nothing" 0 (Report.faults_injected f)
   | None -> Alcotest.fail "armed run carries no fault record");
@@ -302,7 +307,7 @@ let test_plan_runner_tallies () =
     (silent.Report.wall_ms >= clean.Report.wall_ms
     && silent.Report.wall_ms < faulted.Report.wall_ms);
   (* Plan mode never executes, so a bitflip-only plan cannot strike. *)
-  let flips = R.bs ~fault:(cfg [ Plan.Bitflip ] 1.0) P.DD device ~dim:128 ~tile:32 in
+  let flips = run ~fault:(cfg [ Plan.Bitflip ] 1.0) R.Backsub ~dim:128 ~tile:32 in
   match flips.Report.faults with
   | Some f -> checki "no bitflips without execution" 0 (Report.faults_injected f)
   | None -> Alcotest.fail "armed run carries no fault record"
@@ -312,7 +317,7 @@ let test_plan_runner_escalates () =
     Plan.config ~kinds:[ Plan.Launch_fail ] ~max_relaunches:1 ~seed:2
       ~rate:1.0 ()
   in
-  match R.qr ~fault:cfg P.DD device ~n:64 ~tile:32 with
+  match run ~fault:cfg R.Qr ~dim:64 ~tile:32 with
   | exception Plan.Injected (Plan.Launch_fail, _) -> ()
   | _ -> Alcotest.fail "rate-1 launch failures did not escalate"
 
@@ -320,39 +325,43 @@ let test_executed_recovery_is_exact () =
   (* Launch failures strike before the kernel body runs, so a recovered
      run executes every body exactly once: the residual must be
      bit-identical to the clean run's. *)
-  let clean = R.verify_qr P.DD device ~n:16 ~tile:4 in
+  let clean = residual_of (run ~execute:true R.Qr ~dim:16 ~tile:4) in
   let faulted =
-    R.verify_qr
-      ~fault:
-        (Plan.config ~kinds:[ Plan.Launch_fail ] ~max_relaunches:16 ~seed:9
-           ~rate:0.2 ())
-      P.DD device ~n:16 ~tile:4
+    residual_of
+      (run ~execute:true
+         ~fault:
+           (Plan.config ~kinds:[ Plan.Launch_fail ] ~max_relaunches:16 ~seed:9
+              ~rate:0.2 ())
+         R.Qr ~dim:16 ~tile:4)
   in
   check "clean verification passes" true clean.Report.ok;
   check "recovered run is bit-identical to the clean run" true
     (faulted = clean)
 
 let test_solve_ft () =
-  let clean = R.solve_ft P.DD device ~n:32 ~tile:8 in
-  check "clean solve_ft has no fault record" true (clean.Report.faults = None);
-  check "clean solve_ft passes" true
-    (match clean.Report.residual with Some v -> v.Report.ok | None -> false);
+  let solve_ft fault ~dim ~tile =
+    run ~execute:true ~fault R.Solve ~dim ~tile
+  in
+  let clean = run ~execute:true R.Solve ~dim:32 ~tile:8 in
+  check "clean executed solve has no fault record" true
+    (clean.Report.faults = None);
+  check "clean executed solve passes" true (residual_of clean).Report.ok;
   let cfg seed = Plan.config ~seed ~rate:1e-2 () in
-  let first = R.solve_ft ~fault:(cfg 11) P.DD device ~n:32 ~tile:8 in
+  let first = solve_ft (cfg 11) ~dim:32 ~tile:8 in
   check "faulted solve recovers" true
     (match first.Report.residual with Some v -> v.Report.ok | None -> false);
   check "faulted solve carries its tally" true
     (first.Report.faults <> None);
-  let second = R.solve_ft ~fault:(cfg 11) P.DD device ~n:32 ~tile:8 in
+  let second = solve_ft (cfg 11) ~dim:32 ~tile:8 in
   check "solve_ft replays bit-identically" true
     (first.Report.faults = second.Report.faults
     && first.Report.residual = second.Report.residual);
   (* A pure bit-flip campaign at a heavy rate: corruption is injected
      into live data and the final verdict still passes. *)
   let flips =
-    R.solve_ft
-      ~fault:(Plan.config ~kinds:[ Plan.Bitflip ] ~seed:29 ~rate:0.05 ())
-      P.DD device ~n:32 ~tile:8
+    solve_ft
+      (Plan.config ~kinds:[ Plan.Bitflip ] ~seed:29 ~rate:0.05 ())
+      ~dim:32 ~tile:8
   in
   (match flips.Report.faults with
   | Some f -> check "bitflips struck" true (f.Report.bitflips > 0)
@@ -369,9 +378,9 @@ let test_od_flat_fault () =
     (Mdlinalg.Scalar.Od.flat_ok
     && Multidouble.Nd_flat.supported Mdlinalg.Scalar.Od.width);
   let flips =
-    R.solve_ft
+    run ~execute:true ~prec:P.OD
       ~fault:(Plan.config ~kinds:[ Plan.Bitflip ] ~seed:23 ~rate:0.05 ())
-      P.OD device ~n:16 ~tile:4
+      R.Solve ~dim:16 ~tile:4
   in
   (match flips.Report.faults with
   | Some f -> check "bitflips struck the od planes" true (f.Report.bitflips > 0)

@@ -8,12 +8,19 @@ module Rep = Harness.Report
 
 let check = Alcotest.(check bool)
 
+let run ?complex ?rows ?solver ?execute kind p ~dim ~tile =
+  R.run
+    (R.request ?complex ?rows ?solver ?execute ~kind ~prec:p
+       ~device:Gpusim.Device.v100 ~dim ~tile ())
+
+let residual_of (r : Rep.t) = Option.get r.Rep.residual
+
 let test_qr_runner_all_precisions () =
   List.iter
     (fun p ->
       List.iter
         (fun complex ->
-          let r = R.qr ~complex p Gpusim.Device.v100 ~n:256 ~tile:64 in
+          let r = run ~complex R.Qr p ~dim:256 ~tile:64 in
           check "kernel time positive" true (r.Rep.kernel_ms > 0.0);
           check "wall >= kernels" true (r.Rep.wall_ms >= r.Rep.kernel_ms);
           check "stages labeled" true
@@ -39,7 +46,7 @@ let test_qr_runner_all_precisions () =
                r.Rep.stages);
           (* complex costs more than real at the same shape *)
           if complex then begin
-            let real = R.qr ~complex:false p Gpusim.Device.v100 ~n:256 ~tile:64 in
+            let real = R.qr p Gpusim.Device.v100 ~n:256 ~tile:64 in
             check "complex dearer" true (r.Rep.kernel_ms > real.Rep.kernel_ms)
           end)
         [ false; true ])
@@ -55,8 +62,9 @@ let test_bs_runner () =
     P.all
 
 let test_solve_runner () =
-  let r = R.solve P.QD Gpusim.Device.v100 ~n:1024 ~tile:128 in
-  let qr = Rep.part r R.qr_part and bs = Rep.part r R.bs_part in
+  let r = run R.Solve P.QD ~dim:1024 ~tile:128 in
+  let qr = Rep.part r Lsq_core.Solver.qr_part
+  and bs = Rep.part r Lsq_core.Solver.bs_part in
   check "qr dominates bs" true
     (qr.Rep.Part.kernel_ms > 10.0 *. bs.Rep.Part.kernel_ms);
   check "total between parts" true
@@ -74,7 +82,7 @@ let test_report_json_roundtrip () =
     (Rep.of_json_string (Rep.to_json_string qr) = qr);
   (* A composite report with parts, a residual and a metrics snapshot
      attached. *)
-  let solve = R.solve P.QD Gpusim.Device.v100 ~n:64 ~tile:16 in
+  let solve = run R.Solve P.QD ~dim:64 ~tile:16 in
   let metrics =
     let reg = Obs.Metrics.create () in
     Obs.Metrics.Counter.incr ~by:7 (Obs.Metrics.counter reg "test.count");
@@ -85,7 +93,7 @@ let test_report_json_roundtrip () =
   let solve =
     {
       solve with
-      Rep.residual = Some (R.verify_solve P.QD Gpusim.Device.v100 ~n:16 ~tile:8);
+      Rep.residual = (run ~execute:true R.Solve P.QD ~dim:16 ~tile:8).Rep.residual;
       metrics = Some metrics;
     }
   in
@@ -106,12 +114,44 @@ let test_rates_scale_with_device () =
   check "v100 beats c2050" true (v.Rep.kernel_gflops > 4.0 *. c.Rep.kernel_gflops)
 
 let test_verifiers () =
-  let d = Gpusim.Device.v100 in
-  check "qr ok" true (R.verify_qr P.DD d ~n:32 ~tile:8).Rep.ok;
-  check "bs ok" true (R.verify_bs P.QD d ~dim:32 ~tile:8).Rep.ok;
-  check "solve ok" true (R.verify_solve P.DD d ~n:16 ~tile:8).Rep.ok;
-  check "complex qr ok" true
-    (R.verify_qr ~complex:true P.DD d ~n:16 ~tile:8).Rep.ok
+  let ok ?complex ?rows kind p ~dim ~tile =
+    (residual_of (run ?complex ?rows ~execute:true kind p ~dim ~tile)).Rep.ok
+  in
+  check "qr ok" true (ok R.Qr P.DD ~dim:32 ~tile:8);
+  check "bs ok" true (ok R.Backsub P.QD ~dim:32 ~tile:8);
+  check "solve ok" true (ok R.Solve P.DD ~dim:16 ~tile:8);
+  check "complex qr ok" true (ok ~complex:true R.Qr P.DD ~dim:16 ~tile:8);
+  check "tall qr ok" true (ok ~rows:64 R.Qr P.DD ~dim:16 ~tile:8)
+
+(* The runner validates its own requests: [validate] names the bad
+   shape, [run] and [roofline] refuse it with the same message. *)
+let test_validate () =
+  let bad ?rows ?solver kind ~dim ~tile msg =
+    let req =
+      R.request ?rows ?solver ~kind ~prec:P.DD ~device:Gpusim.Device.v100
+        ~dim ~tile ()
+    in
+    Alcotest.(check (result unit string)) msg (Error msg) (R.validate req);
+    (match R.run req with
+    | exception Invalid_argument m -> Alcotest.(check string) "run" msg m
+    | _ -> Alcotest.failf "run accepted: %s" msg);
+    match R.roofline req with
+    | exception Invalid_argument m -> Alcotest.(check string) "roofline" msg m
+    | _ -> Alcotest.failf "roofline accepted: %s" msg
+  in
+  bad R.Qr ~dim:0 ~tile:8 "dimension 0 <= 0";
+  bad R.Qr ~dim:64 ~tile:24 "tile 24 does not divide dimension 64";
+  bad R.Qr ~rows:16 ~dim:64 ~tile:16 "rows < cols";
+  bad R.Solve ~rows:16 ~dim:64 ~tile:16 "rows < cols";
+  bad R.Backsub ~rows:128 ~dim:64 ~tile:16
+    "rows only applies to qr and solve jobs";
+  bad R.Qr ~solver:Lsq_core.Solver.Lsqr ~dim:64 ~tile:16
+    "solver 'lsqr' only applies to solve jobs";
+  check "tall iterative solve accepted" true
+    (R.validate
+       (R.request ~rows:512 ~solver:Lsq_core.Solver.Cg_normal ~kind:R.Solve
+          ~prec:P.DD ~device:Gpusim.Device.v100 ~dim:64 ~tile:16 ())
+    = Ok ())
 
 (* ---- multicore host kernels ---- *)
 
@@ -166,6 +206,7 @@ let () =
           Alcotest.test_case "device scaling" `Quick
             test_rates_scale_with_device;
           Alcotest.test_case "verifiers" `Quick test_verifiers;
+          Alcotest.test_case "request validation" `Quick test_validate;
           Alcotest.test_case "report json round-trip" `Quick
             test_report_json_roundtrip;
         ] );

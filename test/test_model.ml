@@ -108,8 +108,11 @@ let test_table9_wall_trend () =
 (* ---- Table 10: the solver ---- *)
 
 let test_solver_ratio () =
-  let r = R.solve P.QD v100 ~n:1024 ~tile:128 in
-  let qr = Rep.part r R.qr_part and bs = Rep.part r R.bs_part in
+  let r =
+    R.run (R.request ~kind:R.Solve ~prec:P.QD ~device:v100 ~dim:1024 ~tile:128 ())
+  in
+  let qr = Rep.part r Lsq_core.Solver.qr_part
+  and bs = Rep.part r Lsq_core.Solver.bs_part in
   let ratio = qr.Rep.Part.kernel_ms /. bs.Rep.Part.kernel_ms in
   (* two orders of magnitude, not three (paper: ~108) *)
   in_range "QR/BS ratio" 15.0 300.0 ratio;

@@ -314,8 +314,10 @@ let test_roofline_classification () =
      octo double stages compute-bound (the Table 1 multipliers raise the
      arithmetic intensity ~12x). *)
   let v100 = Gpusim.Device.v100 in
-  let dd = R.qr_roofline P.DD v100 ~n:1024 ~tile:128 in
-  let od = R.qr_roofline P.OD v100 ~n:1024 ~tile:128 in
+  let qr prec =
+    R.roofline (R.request ~kind:R.Qr ~prec ~device:v100 ~dim:1024 ~tile:128 ())
+  in
+  let dd = qr P.DD and od = qr P.OD in
   checki "one row per stage" (List.length Lsq_core.Stage.qr_stages)
     (List.length dd);
   check "dd aggregate memory-bound" true
@@ -376,7 +378,10 @@ let test_microkernel_tiles () =
 
 let test_roofline_json_roundtrip () =
   let v100 = Gpusim.Device.v100 in
-  let stages = R.bs_roofline P.QD v100 ~dim:2560 ~tile:32 in
+  let stages =
+    R.roofline
+      (R.request ~kind:R.Backsub ~prec:P.QD ~device:v100 ~dim:2560 ~tile:32 ())
+  in
   let ridge =
     Obs.Roofline.ridge ~peak_gflops:v100.Gpusim.Device.dp_peak_gflops
       ~dram_gb_s:v100.Gpusim.Device.dram_gb_s

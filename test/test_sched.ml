@@ -70,8 +70,8 @@ let test_mixed_batch () =
   let solve = List.nth outcomes 2 in
   let r = completed solve in
   check "solve has both parts" true
-    (Option.is_some (Report.part_opt r Harness.Runners.qr_part)
-    && Option.is_some (Report.part_opt r Harness.Runners.bs_part))
+    (Option.is_some (Report.part_opt r Lsq_core.Solver.qr_part)
+    && Option.is_some (Report.part_opt r Lsq_core.Solver.bs_part))
 
 let test_parallel_batch () =
   (* Four workers over eight mixed device x precision jobs on the shared

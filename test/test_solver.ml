@@ -200,14 +200,21 @@ let test_singular_estimate () =
 let test_report_roundtrip () =
   checki "report schema is 4" 4 Report.schema_version;
   let r =
-    Harness.Runners.solve ~method_:Solver.Lsqr ~rows:512 P.DD
-      Gpusim.Device.v100 ~n:16 ~tile:16
+    Harness.Runners.(
+      run
+        (request ~solver:Solver.Lsqr ~rows:512 ~kind:Solve ~prec:P.DD
+           ~device:Gpusim.Device.v100 ~dim:16 ~tile:16 ()))
   in
   check "iterative run attaches the solver record" true (r.Report.solver <> None);
   let r' = Report.of_json (Report.to_json r) in
   check "schema-4 report round-trips" true (r = r');
   (* A direct run keeps the solver field absent and round-trips too. *)
-  let d = Harness.Runners.solve P.DD Gpusim.Device.v100 ~n:32 ~tile:8 in
+  let d =
+    Harness.Runners.(
+      run
+        (request ~kind:Solve ~prec:P.DD ~device:Gpusim.Device.v100 ~dim:32
+           ~tile:8 ()))
+  in
   check "direct run has no solver record" true (d.Report.solver = None);
   check "direct report round-trips" true (d = Report.of_json (Report.to_json d));
   match Report.to_json r with
