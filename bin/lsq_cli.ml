@@ -269,10 +269,18 @@ let request ?complex ?rows ?solver ?fault kind device p ~dim ~tile =
   Result.iter_error (usage_error "%s") (R.validate req);
   req
 
-(* [--execute]: the residual of a second, executed run of the request,
-   at the capped dimensions [req] gives. *)
-let executed_residual req =
-  Option.get (R.run { req with R.execute = true }).Harness.Report.residual
+(* The cost plan of the request.  With [--execute] the fault plane
+   strikes the executed run instead, as it does for an executed job, so
+   the plan shown is fault-free. *)
+let plan ~execute req =
+  R.run (if execute then { req with R.fault = None } else req)
+
+(* [--execute]: a second, executed run of the request at the capped
+   dimensions [req] gives; prints its fault record and residual. *)
+let print_executed what req =
+  let r = R.run { req with R.execute = true } in
+  print_faults r;
+  print_residual what (Option.get r.Harness.Report.residual)
 
 (* ---- subcommands ---- *)
 
@@ -281,7 +289,7 @@ let qr_cmd =
     let fault = fault_config_of ~rate ~seed ~kinds in
     let req = request ~complex ?rows ?fault R.Qr device p ~dim ~tile in
     with_observability obs (fun () ->
-        let r = R.run req in
+        let r = plan ~execute req in
         print_run
           (Printf.sprintf "blocked Householder QR of a %dx%d matrix"
              (Option.value rows ~default:dim)
@@ -289,9 +297,8 @@ let qr_cmd =
           device p ~complex r;
         print_faults r;
         if execute then
-          print_residual "executed residual"
-            (executed_residual
-               { req with dim = min dim 96; rows = None; tile = min tile 16 }))
+          print_executed "executed residual"
+            { req with dim = min dim 96; rows = None; tile = min tile 16 })
   in
   Cmd.v
     (Cmd.info "qr" ~doc:"Blocked Householder QR (Algorithm 2).")
@@ -304,16 +311,15 @@ let backsub_cmd =
     let fault = fault_config_of ~rate ~seed ~kinds in
     let req = request ~complex ?fault R.Backsub device p ~dim ~tile in
     with_observability obs (fun () ->
-        let r = R.run req in
+        let r = plan ~execute req in
         print_run
           (Printf.sprintf "tiled back substitution of dimension %d (%d tiles)"
              dim (dim / tile))
           device p ~complex r;
         print_faults r;
         if execute then
-          print_residual "executed residual"
-            (executed_residual
-               { req with dim = min dim 96; tile = min tile 16 }))
+          print_executed "executed residual"
+            { req with dim = min dim 96; tile = min tile 16 })
   in
   Cmd.v
     (Cmd.info "backsub" ~doc:"Tiled accelerated back substitution (Algorithm 1).")
@@ -331,7 +337,7 @@ let solve_cmd =
     in
     let m = Option.value rows ~default:dim in
     with_observability obs (fun () ->
-        let r = R.run req in
+        let r = plan ~execute req in
         pf "least squares solve of a %dx%d system in %s%s on the simulated %s\n"
           m dim (P.name p)
           (if complex then " complex" else "")
@@ -373,9 +379,8 @@ let solve_cmd =
         if execute then begin
           let n' = min dim 64 in
           let rows' = Option.map (fun m -> max n' (min m (8 * n'))) rows in
-          print_residual "executed forward error"
-            (executed_residual
-               { req with dim = n'; rows = rows'; tile = min tile 16 })
+          print_executed "executed forward error"
+            { req with dim = n'; rows = rows'; tile = min tile 16 }
         end)
   in
   Cmd.v

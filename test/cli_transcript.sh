@@ -2,7 +2,8 @@
 # Usage: cli_transcript.sh LSQ_CLI
 #
 # Prints a transcript of fixed lsq_cli runs: each command line, then
-# its stdout, then its exit status when it is not 0.  test/dune diffs
+# its stdout (and, for the usage errors, its stderr), then its exit
+# status when it is not 0.  test/dune diffs
 # the transcript against cli_transcript.expected, so any change to the
 # CLI's output shows up there; accept an intended one with
 # `dune promote`.
@@ -14,6 +15,10 @@ run() {
   local rc=$?
   [ "$rc" -eq 0 ] || printf '[exit %d]\n' "$rc"
 }
+# A shape the runner rejects: exit 2 and one "error:" line on stderr.
+usage_error() {
+  run "$@" 2>&1
+}
 run qr
 run backsub
 run solve
@@ -24,3 +29,15 @@ run backsub --execute --prec 2d --dim 64 --tile 16
 run roofline qr --json
 run roofline backsub --json
 run roofline solve --json
+run roofline solve --solver lsqr --rows 16384 --dim 64 --tile 64 --prec 2d
+# An executed fault-armed solve takes the fault-tolerant path.
+run solve --execute --fault-rate 0.5 --dim 32 --tile 8 --prec 2d --fault-seed 1
+run solve --execute --fault-rate 0.5 --dim 32 --tile 8 --prec 2d --fault-seed 2
+run solve --execute --fault-rate 0.5 --dim 32 --tile 8 --prec 2d --fault-seed 3
+usage_error qr --dim 64 --rows 16 --tile 16
+usage_error roofline solve --solver cg --rows 16 --dim 64
+usage_error roofline solve --solver cg --rows 16 --dim 64 --tile 16
+usage_error roofline backsub --rows 16
+usage_error roofline backsub --rows 2048
+usage_error roofline qr --solver lsqr
+usage_error solve --dim 100 --tile 32

@@ -7,8 +7,9 @@
 
    The jobs: the first plan-only job of each paper table (Tables 3-10),
    executed square QR, back substitution and solve at every precision,
-   executed tall CG and LSQR, a complex executed QR, a fault-armed plan
-   and a fault-armed executed square solve. *)
+   executed tall CG and LSQR, a complex executed QR, a fault-armed plan,
+   a fault-armed executed square solve, and an executed tall QR and
+   fault-armed tall solve. *)
 
 module P = Multidouble.Precision
 module Job = Sched.Job
@@ -52,6 +53,10 @@ let jobs =
         ~fault_rate:0.01 ~fault_seed:7 ();
       job ~id:"exec-solve-fault" ~kind:Job.Solve ~prec:P.DD ~dim:32 ~tile:8
         ~fault_rate:0.01 ~fault_seed:11 ~execute:true ();
+      job ~id:"exec-qr-tall" ~kind:Job.Qr ~prec:P.DD ~rows:256 ~dim:32 ~tile:8
+        ~execute:true ();
+      job ~id:"exec-solve-fault-tall" ~kind:Job.Solve ~prec:P.DD ~rows:256
+        ~dim:32 ~tile:8 ~fault_rate:0.01 ~execute:true ();
     ]
 
 let () =

@@ -369,6 +369,24 @@ let test_solve_ft () =
   check "bitflip campaign recovers" true
     (match flips.Report.residual with Some v -> v.Report.ok | None -> false)
 
+let test_tall_solve_ft () =
+  (* A tall system cannot take [Refine]'s square refinement: an escaped
+     corruption is repaired by a clean re-solve instead (seed 2 strikes
+     one that the final forward-error check catches). *)
+  let r =
+    R.run
+      (R.request ~rows:64 ~execute:true ~kind:R.Solve ~prec:P.DD ~device
+         ~fault:(Plan.config ~kinds:[ Plan.Bitflip ] ~seed:2 ~rate:0.05 ())
+         ~dim:16 ~tile:4 ())
+  in
+  (match r.Report.faults with
+  | Some f -> check "refined by a clean re-solve" true f.Report.refined
+  | None -> Alcotest.fail "armed run carries no fault record");
+  let v = residual_of r in
+  Alcotest.(check string) "names the tall shape" "solve-ft 2d 64x16 tile=4"
+    v.Report.what;
+  check "tall bitflip campaign recovers" true v.Report.ok
+
 let test_od_flat_fault () =
   (* Octo double executes on the flat limb planes since the limb-generic
      kernel plane landed: the bit-flip corruptor strikes the raw staged
@@ -600,6 +618,8 @@ let () =
           Alcotest.test_case "executed recovery is exact" `Quick
             test_executed_recovery_is_exact;
           Alcotest.test_case "fault-tolerant solve" `Quick test_solve_ft;
+          Alcotest.test_case "tall fault-tolerant solve" `Quick
+            test_tall_solve_ft;
           Alcotest.test_case "od bitflips over the flat path" `Quick
             test_od_flat_fault;
           Alcotest.test_case "raw strikes on Bigarray planes detected" `Quick

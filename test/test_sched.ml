@@ -155,6 +155,51 @@ let test_validation_rejects () =
       (String.length f.S.message > 0 && not f.S.timed_out)
   | _ -> Alcotest.fail "expected one outcome"
 
+(* The shape checks are the runner's, behind the job's id. *)
+let test_shape_messages () =
+  let msg job =
+    match Job.validate job with Error m -> m | Ok () -> "ok"
+  in
+  let job ?rows ?solver kind ~dim ~tile =
+    Job.make ?rows ?solver ~id:"j" ~kind ~device:"v100" ~prec:P.DD ~dim ~tile
+      ()
+  in
+  let is = Alcotest.(check string) in
+  is "dim" "job 'j': dimension 0 <= 0" (msg (job Job.Qr ~dim:0 ~tile:8));
+  is "tile" "job 'j': tile 32 does not divide dimension 100"
+    (msg (job Job.Qr ~dim:100 ~tile:32));
+  is "rows" "job 'j': rows < cols" (msg (job Job.Qr ~rows:16 ~dim:64 ~tile:16));
+  is "rows on backsub" "job 'j': rows only applies to qr and solve jobs"
+    (msg (job Job.Backsub ~rows:128 ~dim:64 ~tile:16));
+  is "solver on qr" "job 'j': solver 'cg' only applies to solve jobs"
+    (msg (job Job.Qr ~solver:Lsq_core.Solver.Cg_normal ~dim:64 ~tile:16));
+  is "empty id" "job has an empty id"
+    (msg { (job Job.Qr ~dim:0 ~tile:8) with Job.id = "" })
+
+(* Executed tall jobs keep their row count all the way into the
+   residual: the verification of a QR, and the fault-tolerant solve
+   (whose refinement rung re-solves cleanly, as [Refine] is square
+   only). *)
+let tall ?fault_rate kind =
+  Job.make ?fault_rate ~id:"tall" ~kind ~device:"v100" ~prec:P.DD ~dim:32
+    ~rows:256 ~tile:8 ~execute:true ()
+
+let check_tall (r : Report.t) ~label ~what =
+  let v = Option.get r.Report.residual in
+  Alcotest.(check string) "label" label r.Report.label;
+  Alcotest.(check string) "residual" what v.Report.what;
+  check (what ^ " ok") true v.Report.ok
+
+let test_tall_qr () =
+  check_tall (S.run_job (tall Job.Qr)) ~label:"qr 2d 256x32 tile=8 V100"
+    ~what:"QR 2d 256x32 tile=8"
+
+let test_tall_solve_ft () =
+  let r = S.run_job (tall ~fault_rate:0.01 Job.Solve) in
+  check_tall r ~label:"solve-ft 2d 256x32 tile=8 V100"
+    ~what:"solve-ft 2d 256x32 tile=8";
+  check "fault record attached" true (r.Report.faults <> None)
+
 let test_timeout_is_cooperative () =
   (* First attempt fails (injected) almost instantly; the 5ms backoff
      then overruns the 1ms budget, so the deadline check fires before
@@ -277,6 +322,11 @@ let () =
             test_validation_rejects;
           Alcotest.test_case "cooperative timeout" `Quick
             test_timeout_is_cooperative;
+          Alcotest.test_case "shape messages" `Quick test_shape_messages;
+          Alcotest.test_case "executed tall qr keeps its rows" `Quick
+            test_tall_qr;
+          Alcotest.test_case "fault-tolerant tall solve keeps its rows"
+            `Quick test_tall_solve_ft;
         ] );
       ( "serialization",
         [
