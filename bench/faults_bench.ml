@@ -9,10 +9,11 @@
      against the clean run is the price of the fault plane at that
      rate; the disarmed run must match the clean run exactly.
 
-   - recovery: seeded campaigns of executed fault-armed solves (which
-     Runners.run takes down its fault-tolerant path) per precision, counting injections, detections,
-     replays, escalations and refined runs, and the fraction of runs
-     whose final forward error still passes.
+   - recovery: seeded campaigns of executed fault-armed solves, which
+     Runners.run takes down its fault-tolerant path, per precision,
+     counting injections, detections, replays, escalations and refined
+     runs, and the fraction of runs whose final forward error still
+     passes.
 
      dune exec bench/main.exe -- faults       # full matrix, writes
                                               # BENCH_faults.json

@@ -1,6 +1,5 @@
-(** The unified experiment report: one record for every runner (QR, back
-    substitution, least squares solve), replacing the former ad-hoc
-    [Runners.run] / [Runners.solve_run] pair.
+(** The unified experiment report: one record for every experiment
+    {!Runners.run} runs (QR, back substitution, least squares solve).
 
     A report always carries the per-stage kernel breakdown — since
     schema 2 each stage row also records its launch count and operation

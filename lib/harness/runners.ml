@@ -126,7 +126,9 @@ module Make (K : Scalar.S) = struct
   (* The plan of a QR (of a solve's shape, too) or a back substitution
      on a fresh simulator. *)
   let plan_sim ?fault r =
-    let sim = Sim.create ~execute:false ?fault ~device:r.device ~prec:K.prec () in
+    let sim =
+      Sim.create ~execute:false ?fault ~device:r.device ~prec:K.prec ()
+    in
     (match r.kind with
     | Backsub -> B.plan sim ~dim:r.dim ~tile:r.tile
     | Qr | Solve -> Q.plan sim ~rows:(rows_of r) ~cols:r.dim ~tile:r.tile);
@@ -280,9 +282,12 @@ module Make (K : Scalar.S) = struct
     log_ladder_start r s.S.iter;
     let first_err = rel_err s.S.x x_true in
     let refined = not (first_err < 1e10 *. K.R.eps) in
-    let err = if refined then rel_err (refined_solve ()) x_true else first_err in
+    let err =
+      if refined then rel_err (refined_solve ()) x_true else first_err
+    in
     let what = engine r "solve-ft" in
-    (* The residual name has never carried the complex flag. *)
+    (* This residual's name omits the complex flag: outcome lines of
+       complex fault-tolerant solves keep their bytes. *)
     let residual =
       residual
         (describe { r with complex = false } what (plan_shape r))
@@ -346,5 +351,8 @@ let roofline r =
   let module X = Make (K) in
   X.roofline r
 
-let qr prec device ~n ~tile = run (request ~kind:Qr ~prec ~device ~dim:n ~tile ())
-let bs prec device ~dim ~tile = run (request ~kind:Backsub ~prec ~device ~dim ~tile ())
+let qr prec device ~n ~tile =
+  run (request ~kind:Qr ~prec ~device ~dim:n ~tile ())
+
+let bs prec device ~dim ~tile =
+  run (request ~kind:Backsub ~prec ~device ~dim ~tile ())

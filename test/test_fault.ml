@@ -278,7 +278,9 @@ let test_plan_runner_tallies () =
   let cfg kinds rate =
     Plan.config ~kinds ~max_relaunches:16 ~seed:23 ~rate ()
   in
-  let faulted = run ~fault:(cfg [ Plan.Launch_fail ] 0.2) R.Qr ~dim:128 ~tile:32 in
+  let faulted =
+    run ~fault:(cfg [ Plan.Launch_fail ] 0.2) R.Qr ~dim:128 ~tile:32
+  in
   (match faulted.Report.faults with
   | Some f ->
     check "launch failures injected" true (f.Report.launch_fails > 0);
@@ -288,7 +290,9 @@ let test_plan_runner_tallies () =
     checki "no bitflips from a launch-only plan" 0 f.Report.bitflips;
     check "refinement never ran in plan mode" false f.Report.refined
   | None -> Alcotest.fail "armed run carries no fault record");
-  let again = run ~fault:(cfg [ Plan.Launch_fail ] 0.2) R.Qr ~dim:128 ~tile:32 in
+  let again =
+    run ~fault:(cfg [ Plan.Launch_fail ] 0.2) R.Qr ~dim:128 ~tile:32
+  in
   check "campaign replays bit-identically" true
     (faulted.Report.faults = again.Report.faults
     && faulted.Report.wall_ms = again.Report.wall_ms);
@@ -307,7 +311,9 @@ let test_plan_runner_tallies () =
     (silent.Report.wall_ms >= clean.Report.wall_ms
     && silent.Report.wall_ms < faulted.Report.wall_ms);
   (* Plan mode never executes, so a bitflip-only plan cannot strike. *)
-  let flips = run ~fault:(cfg [ Plan.Bitflip ] 1.0) R.Backsub ~dim:128 ~tile:32 in
+  let flips =
+    run ~fault:(cfg [ Plan.Bitflip ] 1.0) R.Backsub ~dim:128 ~tile:32
+  in
   match flips.Report.faults with
   | Some f -> checki "no bitflips without execution" 0 (Report.faults_injected f)
   | None -> Alcotest.fail "armed run carries no fault record"

@@ -93,7 +93,8 @@ let test_report_json_roundtrip () =
   let solve =
     {
       solve with
-      Rep.residual = (run ~execute:true R.Solve P.QD ~dim:16 ~tile:8).Rep.residual;
+      Rep.residual =
+        (run ~execute:true R.Solve P.QD ~dim:16 ~tile:8).Rep.residual;
       metrics = Some metrics;
     }
   in

@@ -109,7 +109,8 @@ let test_table9_wall_trend () =
 
 let test_solver_ratio () =
   let r =
-    R.run (R.request ~kind:R.Solve ~prec:P.QD ~device:v100 ~dim:1024 ~tile:128 ())
+    R.run
+      (R.request ~kind:R.Solve ~prec:P.QD ~device:v100 ~dim:1024 ~tile:128 ())
   in
   let qr = Rep.part r Lsq_core.Solver.qr_part
   and bs = Rep.part r Lsq_core.Solver.bs_part in
