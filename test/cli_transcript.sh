@@ -34,6 +34,10 @@ run roofline solve --solver lsqr --rows 16384 --dim 64 --tile 64 --prec 2d
 run solve --execute --fault-rate 0.5 --dim 32 --tile 8 --prec 2d --fault-seed 1
 run solve --execute --fault-rate 0.5 --dim 32 --tile 8 --prec 2d --fault-seed 2
 run solve --execute --fault-rate 0.5 --dim 32 --tile 8 --prec 2d --fault-seed 3
+# Every Newton correction of the path tracker is a direct least squares
+# solve; the printed solutions pin their digits.
+run psolve --prec 1d "x^2 + y^2 - 4; x*y - 1"
+run psolve --prec 2d "x^2 + y^2 - 4; x*y - 1"
 usage_error qr --dim 64 --rows 16 --tile 16
 usage_error roofline solve --solver cg --rows 16 --dim 64
 usage_error roofline solve --solver cg --rows 16 --dim 64 --tile 16
