@@ -587,7 +587,7 @@ let ablation_refinement () =
   title "Ablation E"
     "mixed-precision iterative refinement vs direct high precision (n=128)";
   let module R = Lsq_core.Refine.Make (Multidouble.Double_double) (Multidouble.Quad_double) in
-  let module Direct = Lsq_core.Least_squares.Make (R.KH) in
+  let module Direct = Lsq_core.Solver.Make (R.KH) in
   let module MH = R.MH in
   let module VH = R.VH in
   let module RandH = Mdlinalg.Randmat.Make (R.KH) in
@@ -610,15 +610,23 @@ let ablation_refinement () =
   let t0 = Unix.gettimeofday () in
   let refined = R.solve ~a ~b ~tile:32 () in
   let t1 = Unix.gettimeofday () in
-  let direct = Direct.solve ~device:Device.v100 ~a ~b ~tile:32 () in
+  let direct =
+    Direct.solve ~method_:Lsq_core.Solver.Qr_direct ~device:Device.v100 ~a ~b
+      ~tile:32 ()
+  in
   let t2 = Unix.gettimeofday () in
   pf "%-28s %16s %16s %14s\n" "method" "QR kernels (ms)" "fwd error"
     "host time (s)";
   pf "%-28s %16.3f %16.2e %14.2f\n"
     (Printf.sprintf "dd factor + %d refinements" refined.R.iterations)
     refined.R.qr_kernel_ms (err refined.R.x) (t1 -. t0);
-  pf "%-28s %16.3f %16.2e %14.2f\n" "direct qd factor"
-    direct.Direct.qr_kernel_ms (err direct.Direct.x) (t2 -. t1);
+  let qr =
+    List.find
+      (fun (p : Direct.part) -> p.Direct.name = Lsq_core.Solver.qr_part)
+      direct.Direct.parts
+  in
+  pf "%-28s %16.3f %16.2e %14.2f\n" "direct qd factor" qr.Direct.kernel_ms
+    (err direct.Direct.x) (t2 -. t1);
   pf
     "(same quad double accuracy, with the factorization flops paid in \
      double double — the modeled device time ratio matches the ~7x \
@@ -704,17 +712,33 @@ let ablation_application () =
 let ablation_thin () =
   title "Ablation I"
     "full-Q solver (the paper's pipeline) vs thin xGELS-style solver";
-  let module Ls = Lsq_core.Least_squares.Make (Mdlinalg.Scalar.Qd) in
+  let module K = Mdlinalg.Scalar.Qd in
+  let module S = Lsq_core.Solver.Make (K) in
+  let module Qr = Lsq_core.Blocked_qr.Make (K) in
   pf "%-8s %18s %18s %10s\n" "dim" "full QR (ms)" "thin QR (ms)" "saving";
   List.iter
     (fun n ->
-      let full = Ls.plan ~device:Device.v100 ~rows:n ~cols:n ~tile:128 () in
-      let thin =
-        Ls.plan_thin ~device:Device.v100 ~rows:n ~cols:n ~tile:128 ()
+      (* A square system takes the full-Q path through the solver; the
+         thin factorization is planned on its own simulator. *)
+      let full =
+        let r =
+          S.plan ~method_:Lsq_core.Solver.Qr_direct ~device:Device.v100
+            ~rows:n ~cols:n ~tile:128 ()
+        in
+        (List.find
+           (fun (p : S.part) -> p.S.name = Lsq_core.Solver.qr_part)
+           r.S.parts)
+          .S.kernel_ms
       in
-      pf "%-8d %18.1f %18.1f %9.1f%%\n" n full.Ls.qr_kernel_ms
-        thin.Ls.qr_kernel_ms
-        (100.0 *. (1.0 -. (thin.Ls.qr_kernel_ms /. full.Ls.qr_kernel_ms))))
+      let thin =
+        let sim =
+          Sim.create ~execute:false ~device:Device.v100 ~prec:K.prec ()
+        in
+        Qr.plan_thin sim ~rows:n ~cols:n ~tile:128;
+        Sim.kernel_ms sim
+      in
+      pf "%-8d %18.1f %18.1f %9.1f%%\n" n full thin
+        (100.0 *. (1.0 -. (thin /. full))))
     [ 512; 1024; 2048 ];
   pf
     "(the paper accumulates the full M-by-M Q — its Q*WY^T kernel is the \

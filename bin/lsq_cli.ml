@@ -275,6 +275,13 @@ let request ?complex ?rows ?solver ?fault kind device p ~dim ~tile =
 let plan ~execute req =
   R.run (if execute then { req with R.fault = None } else req)
 
+(* The capped shape an [--execute] run uses: a tile of at most 16 and
+   the largest multiple of it not above [min dim cap], so the tile
+   still divides the dimension. *)
+let executed_shape ~cap ~dim ~tile =
+  let tile = min tile 16 in
+  (min dim cap / tile * tile, tile)
+
 (* [--execute]: a second, executed run of the request at the capped
    dimensions [req] gives; prints its fault record and residual. *)
 let print_executed what req =
@@ -296,9 +303,10 @@ let qr_cmd =
              dim)
           device p ~complex r;
         print_faults r;
-        if execute then
-          print_executed "executed residual"
-            { req with dim = min dim 96; rows = None; tile = min tile 16 })
+        if execute then begin
+          let dim, tile = executed_shape ~cap:96 ~dim ~tile in
+          print_executed "executed residual" { req with dim; rows = None; tile }
+        end)
   in
   Cmd.v
     (Cmd.info "qr" ~doc:"Blocked Householder QR (Algorithm 2).")
@@ -317,9 +325,10 @@ let backsub_cmd =
              dim (dim / tile))
           device p ~complex r;
         print_faults r;
-        if execute then
-          print_executed "executed residual"
-            { req with dim = min dim 96; tile = min tile 16 })
+        if execute then begin
+          let dim, tile = executed_shape ~cap:96 ~dim ~tile in
+          print_executed "executed residual" { req with dim; tile }
+        end)
   in
   Cmd.v
     (Cmd.info "backsub" ~doc:"Tiled accelerated back substitution (Algorithm 1).")
@@ -377,10 +386,10 @@ let solve_cmd =
           r.Harness.Report.wall_gflops;
         print_faults r;
         if execute then begin
-          let n' = min dim 64 in
+          let n', tile' = executed_shape ~cap:64 ~dim ~tile in
           let rows' = Option.map (fun m -> max n' (min m (8 * n'))) rows in
           print_executed "executed forward error"
-            { req with dim = n'; rows = rows'; tile = min tile 16 }
+            { req with dim = n'; rows = rows'; tile = tile' }
         end)
   in
   Cmd.v

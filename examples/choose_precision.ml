@@ -51,11 +51,14 @@ let () =
     let module K = Scalar.Real (R) in
     let module M = Mat.Make (K) in
     let module V = Vec.Make (K) in
-    let module S = Lsq_core.Least_squares.Make (K) in
+    let module S = Lsq_core.Solver.Make (K) in
     let h = M.init n n (fun i j -> R.div R.one (R.of_int (i + j + 1))) in
     let x_true = V.init n (fun i -> R.of_int (i + 1)) in
     let b = M.matvec h x_true in
-    let res = S.solve ~device:Gpusim.Device.v100 ~a:h ~b ~tile:4 () in
+    let res =
+      S.solve ~method_:Lsq_core.Solver.Qr_direct ~device:Gpusim.Device.v100
+        ~a:h ~b ~tile:4 ()
+    in
     let err =
       R.to_float (V.norm (V.sub res.S.x x_true)) /. R.to_float (V.norm x_true)
     in

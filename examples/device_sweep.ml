@@ -8,7 +8,7 @@
 open Lsq_core
 module P = Multidouble.Precision
 module K = Mdlinalg.Scalar.Qd
-module Solver = Least_squares.Make (K)
+module Solver = Solver.Make (K)
 
 let () =
   let dims = [ 256; 512; 1024; 2048; 4096 ] in
@@ -22,8 +22,10 @@ let () =
       Printf.printf "%-12s" d.Gpusim.Device.name;
       List.iter
         (fun n ->
-          let r = Solver.plan ~device:d ~rows:n ~cols:n ~tile:128 () in
-          Printf.printf " %9.1f" r.Solver.total_kernel_gflops)
+          let r =
+            Solver.plan ~method_:Qr_direct ~device:d ~rows:n ~cols:n ~tile:128 ()
+          in
+          Printf.printf " %9.1f" r.Solver.kernel_gflops)
         dims;
       print_newline ())
     Gpusim.Device.catalog;
@@ -34,8 +36,11 @@ let () =
       let found =
         List.find_opt
           (fun n ->
-            let r = Solver.plan ~device:d ~rows:n ~cols:n ~tile:128 () in
-            r.Solver.total_kernel_gflops >= 1000.0)
+            let r =
+              Solver.plan ~method_:Qr_direct ~device:d ~rows:n ~cols:n
+                ~tile:128 ()
+            in
+            r.Solver.kernel_gflops >= 1000.0)
           dims
       in
       Printf.printf "  %-12s %s\n" d.Gpusim.Device.name

@@ -16,7 +16,7 @@ module Fit (R : Multidouble.Md_sig.S) = struct
   module K = Scalar.Real (R)
   module M = Mat.Make (K)
   module V = Vec.Make (K)
-  module Solver = Least_squares.Make (K)
+  module Solver = Solver.Make (K)
 
   let degree = 23
   let samples = 48
@@ -42,7 +42,7 @@ module Fit (R : Multidouble.Md_sig.S) = struct
 
   let run device =
     let a, b = build () in
-    let res = Solver.solve ~device ~a ~b ~tile:8 () in
+    let res = Solver.solve ~method_:Qr_direct ~device ~a ~b ~tile:8 () in
     (* Worst relative coefficient error. *)
     let worst = ref R.zero in
     Array.iteri

@@ -566,10 +566,4 @@ module Make (K : Scalar.S) = struct
     let sim = Sim.create ~execute ?fault ~device ~prec:K.prec () in
     let q, r = factor sim a ~tile in
     result_of_sim sim q r
-
-  (* Timing-only run from the dimensions alone. *)
-  let run_plan ?fault ~device ~rows ~cols ~tile () =
-    let sim = Sim.create ~execute:false ?fault ~device ~prec:K.prec () in
-    plan sim ~rows ~cols ~tile;
-    result_of_sim sim (M.create 0 0) (M.create 0 0)
 end

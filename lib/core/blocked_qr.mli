@@ -61,13 +61,4 @@ module Make (K : Mdlinalg.Scalar.S) : sig
     tile:int ->
     unit ->
     result
-
-  val run_plan :
-    ?fault:Fault.Plan.config ->
-    device:Gpusim.Device.t ->
-    rows:int ->
-    cols:int ->
-    tile:int ->
-    unit ->
-    result
 end

@@ -1,14 +1,14 @@
 (* The solver-engine abstraction: one pluggable solve path, three
    engines.
 
-   The paper's blocked QR + tiled back substitution ([Least_squares]) is
-   engine number one — a direct O(mn^2) factorization whose multiple
-   double kernels sit on the compute side of the roofline.  The two
-   iterative engines — conjugate gradient on the normal equations and
-   LSQR — are thin loops over a staged matrix-vector product and a
-   handful of BLAS-1 kernels, O(1) flops per element moved: memory-bound
-   at every precision, and the natural engine for tall-skinny
-   well-conditioned systems where a full factorization is overkill.
+   The paper's blocked QR + tiled back substitution is engine number
+   one — a direct O(mn^2) factorization whose multiple double kernels
+   sit on the compute side of the roofline.  The two iterative engines —
+   conjugate gradient on the normal equations and LSQR — are thin loops
+   over a staged matrix-vector product and a handful of BLAS-1 kernels,
+   O(1) flops per element moved: memory-bound at every precision, and
+   the natural engine for tall-skinny well-conditioned systems where a
+   full factorization is overkill.
 
    Mixed precision enters as an *outer* refinement ladder around the
    iterative engines, reusing [Refine]'s limb-plane promote / demote
@@ -103,7 +103,6 @@ let stall_limit = 6
 module Make (K : Scalar.S) = struct
   module M = Mat.Make (K)
   module V = Vec.Make (K)
-  module L = Least_squares.Make (K)
 
   type part = {
     name : string;
@@ -127,40 +126,7 @@ module Make (K : Scalar.S) = struct
     iter : iter_info option;
   }
 
-  (* ---- engine one: the existing QR + BS pipeline, rewrapped ---- *)
-
-  let of_ls (r : L.result) =
-    {
-      x = r.L.x;
-      method_ = Qr_direct;
-      parts =
-        [
-          {
-            name = qr_part;
-            kernel_ms = r.L.qr_kernel_ms;
-            wall_ms = r.L.qr_wall_ms;
-            kernel_gflops = r.L.qr_kernel_gflops;
-            wall_gflops = r.L.qr_wall_gflops;
-          };
-          {
-            name = bs_part;
-            kernel_ms = r.L.bs_kernel_ms;
-            wall_ms = r.L.bs_wall_ms;
-            kernel_gflops = r.L.bs_kernel_gflops;
-            wall_gflops = r.L.bs_wall_gflops;
-          };
-        ];
-      stages = r.L.qr_stages @ r.L.bs_stages;
-      kernel_ms = r.L.qr_kernel_ms +. r.L.bs_kernel_ms;
-      wall_ms = r.L.qr_wall_ms +. r.L.bs_wall_ms;
-      kernel_gflops = r.L.total_kernel_gflops;
-      wall_gflops = r.L.total_wall_gflops;
-      launches = r.L.launches;
-      faults = r.L.faults;
-      iter = None;
-    }
-
-  (* ---- result assembly over the ladder's simulators ---- *)
+  (* ---- result assembly over an engine's simulators ---- *)
 
   (* Stage rows from several rungs share labels (every rung launches
      "A*v"); merge them so the report keeps one row per kernel, in
@@ -192,7 +158,13 @@ module Make (K : Scalar.S) = struct
 
   let gflops_over flops ms = if ms > 0.0 then flops /. (ms *. 1e6) else 0.0
 
-  let result_of_sims ~method_ ~x ~iter named_sims =
+  let breakdowns named_sims =
+    List.concat_map (fun (_, sim) -> Sim.breakdown sim) named_sims
+
+  (* [stages] are the result's per-kernel rows: the ladder merges its
+     rungs' rows, the direct engine keeps its two phases' rows apart (an
+     armed solve has an "ABFT check" row in each). *)
+  let result_of_sims ~method_ ~x ~stages ?iter named_sims =
     let flops =
       List.fold_left
         (fun acc (_, sim) ->
@@ -227,9 +199,7 @@ module Make (K : Scalar.S) = struct
               wall_gflops = Sim.wall_gflops sim;
             })
           named_sims;
-      stages =
-        merge_rows
-          (List.concat_map (fun (_, sim) -> Sim.breakdown sim) named_sims);
+      stages;
       kernel_ms;
       wall_ms;
       kernel_gflops = gflops_over flops kernel_ms;
@@ -239,8 +209,108 @@ module Make (K : Scalar.S) = struct
           (fun acc (_, sim) -> acc + Sim.launches sim)
           0 named_sims;
       faults;
-      iter = Some iter;
+      iter;
     }
+
+  (* ---- engine one: the paper's blocked QR + tiled back substitution ----
+
+     Householder QR (Algorithm 2) and then the tiled back substitution
+     (Algorithm 1) on R x = Q^H b, each phase on its own simulator so the
+     two are timed apart as in Table 10; distinct fault salts keep the
+     phases' fault streams independent under one campaign seed.  The QR
+     has cubic cost against the quadratic cost of the back substitution,
+     so at dimension 1,024 the QR dominates and the lower performance of
+     the back substitution in small dimensions does not prevent teraflop
+     performance of the solver (§4.9). *)
+
+  module Qr = Blocked_qr.Make (K)
+  module Bs = Tiled_back_sub.Make (K)
+
+  let sb = float_of_int (8 * K.width)
+
+  (* Q^H b on the device: one matvec kernel, accounted with the QR. *)
+  let launch_qtb qr_sim ~mrows ~n ~tile body =
+    let f = float_of_int in
+    let o =
+      let o = Counter.make ~adds:(f n *. f mrows) ~muls:(f n *. f mrows) () in
+      if K.is_complex then Counter.complexify o else o
+    in
+    let cost =
+      Cost.launch
+        ~blocks:(max 1 ((n + tile - 1) / tile))
+        ~threads:tile
+        ~cold_bytes:((f (mrows * n) +. (2.0 *. f mrows)) *. sb)
+        ~thread_bytes:(2.0 *. f (mrows * n) *. sb)
+        ~working_set:(f mrows *. f n *. 8.0)
+        ~strided:true o
+    in
+    Sim.launch qr_sim ~stage:"Q^T*b" ~cost body
+
+  (* The back substitution phase after [qr_sim]'s factorization:
+     R[0:n, 0:n] x = (Q^H b)[0:n] executed for [Some (r, qtb)], its cost
+     plan alone for [None]. *)
+  let back_substitute ?fault ~device ~n ~tile qr_sim system =
+    let bs_sim =
+      Sim.create ~execute:(Option.is_some system) ?fault ~fault_salt:2 ~device
+        ~prec:K.prec ()
+    in
+    let x =
+      match system with
+      | Some (r, qtb) ->
+          Bs.solve bs_sim
+            (M.sub_matrix r ~r0:0 ~r1:n ~c0:0 ~c1:n)
+            (Array.sub qtb 0 n) ~tile
+      | None ->
+          Bs.plan bs_sim ~dim:n ~tile;
+          V.create 0
+    in
+    let sims = [ (qr_part, qr_sim); (bs_part, bs_sim) ] in
+    result_of_sims ~method_:Qr_direct ~x ~stages:(breakdowns sims) sims
+
+  (* A tall system takes the economy ("thin") path: the reflectors are
+     applied to b during the factorization and Q is never formed — the
+     xGELS shape, which saves the Q*WY^T update, the dominant kernel of
+     the full factorization.  A square one accumulates Q and forms Q^H b
+     with one more kernel. *)
+  let solve_direct ~execute ?fault ~device ~(a : M.t) ~(b : V.t) ~tile () =
+    let n = M.cols a and mrows = M.rows a in
+    let qr_sim =
+      Sim.create ~execute ?fault ~fault_salt:1 ~device ~prec:K.prec ()
+    in
+    let r, qtb =
+      if mrows > n then begin
+        let qtb = V.copy b in
+        (Qr.factor_thin qr_sim a ~b:qtb ~tile, qtb)
+      end
+      else begin
+        let q, r = Qr.factor qr_sim a ~tile in
+        let qtb = V.create n in
+        launch_qtb qr_sim ~mrows ~n ~tile (fun blk ->
+            let lo = blk * tile in
+            let hi = min n (lo + tile) in
+            for j = lo to hi - 1 do
+              let s = ref K.zero in
+              for i = 0 to mrows - 1 do
+                s := K.add !s (K.mul (K.conj (M.get q i j)) b.(i))
+              done;
+              qtb.(j) <- !s
+            done);
+        (r, qtb)
+      end
+    in
+    back_substitute ?fault ~device ~n ~tile qr_sim
+      (if execute then Some (r, qtb) else None)
+
+  let plan_direct ?fault ~device ~rows ~cols ~tile () =
+    let qr_sim =
+      Sim.create ~execute:false ?fault ~fault_salt:1 ~device ~prec:K.prec ()
+    in
+    if rows > cols then Qr.plan_thin qr_sim ~rows ~cols ~tile
+    else begin
+      Qr.plan qr_sim ~rows ~cols ~tile;
+      launch_qtb qr_sim ~mrows:rows ~n:cols ~tile (fun _ -> ())
+    end;
+    back_substitute ?fault ~device ~n:cols ~tile qr_sim None
 
   (* ---- the iterative engine at one rung's precision ----
 
@@ -1117,7 +1187,9 @@ module Make (K : Scalar.S) = struct
         converged;
       }
     in
-    result_of_sims ~method_ ~x ~iter (List.rev !sims)
+    let sims = List.rev !sims in
+    result_of_sims ~method_ ~x ~stages:(merge_rows (breakdowns sims)) ~iter
+      sims
 
   (* ---- planning (cost accounting only, from the dimensions) ---- *)
 
@@ -1125,7 +1197,6 @@ module Make (K : Scalar.S) = struct
     let sim =
       Sim.create ~execute:false ?fault ~fault_salt:16 ~device ~prec:K.prec ()
     in
-    let sb = float_of_int (8 * K.width) in
     let threads = max 1 tile in
     let cx = K.is_complex in
     Sim.transfer sim
@@ -1195,18 +1266,15 @@ module Make (K : Scalar.S) = struct
         converged = false;
       }
     in
-    result_of_sims ~method_ ~x:(V.create 0) ~iter [ (label, sim) ]
+    result_of_sims ~method_ ~x:(V.create 0) ~stages:(Sim.breakdown sim) ~iter
+      [ (label, sim) ]
 
   (* ---- the pluggable solve path ---- *)
 
   let solve ~method_ ?(execute = true) ?fault ?ladder_start ?max_iterations
       ~device ~(a : M.t) ~(b : V.t) ~tile () =
     match method_ with
-    | Qr_direct ->
-        let thin = M.rows a > M.cols a in
-        of_ls
-          ((if thin then L.solve_thin else L.solve)
-             ~execute ?fault ~device ~a ~b ~tile ())
+    | Qr_direct -> solve_direct ~execute ?fault ~device ~a ~b ~tile ()
     | Cg_normal | Lsqr ->
         if execute then
           solve_iter method_ ?fault ?ladder_start ?max_iterations ~device ~a
@@ -1217,10 +1285,7 @@ module Make (K : Scalar.S) = struct
 
   let plan ~method_ ?fault ?iterations ~device ~rows ~cols ~tile () =
     match method_ with
-    | Qr_direct ->
-        of_ls
-          ((if rows > cols then L.plan_thin else L.plan)
-             ?fault ~device ~rows ~cols ~tile ())
+    | Qr_direct -> plan_direct ?fault ~device ~rows ~cols ~tile ()
     | Cg_normal | Lsqr ->
         plan_iter method_ ?fault ?iterations ~device ~rows ~cols ~tile ()
 end

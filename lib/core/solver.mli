@@ -1,8 +1,10 @@
 (** The solver-engine abstraction: one pluggable solve path, three
     engines behind it.
 
-    [Qr_direct] is the paper's blocked QR + tiled back substitution
-    ([Least_squares]) — the compute-bound direct factorization.
+    [Qr_direct] is the paper's solver: blocked Householder QR
+    ([Blocked_qr], Algorithm 2) followed by the tiled back substitution
+    ([Tiled_back_sub], Algorithm 1) on R x = Q^H b, the two phases timed
+    apart as in Table 10 — the compute-bound direct factorization.
     [Cg_normal] (conjugate gradient on the normal equations) and [Lsqr]
     are iterative engines: thin loops over a staged matrix-vector
     product and BLAS-1 kernels — memory-bound at double precision and
@@ -77,7 +79,9 @@ module Make (K : Mdlinalg.Scalar.S) : sig
     method_ : method_;
     parts : part list;
     stages : Gpusim.Profile.row list;
-        (** per-kernel rows, merged across the ladder's simulators *)
+        (** per-kernel rows: the QR phase's then the BS phase's for
+            [Qr_direct], merged across the ladder's simulators for the
+            iterative engines *)
     kernel_ms : float;
     wall_ms : float;
     kernel_gflops : float;
@@ -86,9 +90,6 @@ module Make (K : Mdlinalg.Scalar.S) : sig
     faults : Fault.Plan.tally option;
     iter : iter_info option;  (** [None] exactly for [Qr_direct] *)
   }
-
-  val of_ls : Least_squares.Make(K).result -> result
-  (** Wrap a direct-solver result into the common shape. *)
 
   val solve :
     method_:method_ ->
@@ -104,7 +105,9 @@ module Make (K : Mdlinalg.Scalar.S) : sig
     result
   (** Minimize ||b - a x||_2 with the chosen engine.  [Qr_direct] runs
       the economy (thin) factorization when the system is tall and the
-      full one when square.  The iterative engines run the refinement
+      full one when square, and needs a column count that is a multiple
+      of [tile]; an armed [fault] plan strikes both of its phases under
+      distinct salts.  The iterative engines run the refinement
       ladder from [ladder_start] (default: chosen from a double
       precision condition estimate of the normal matrix) up to [K]'s
       precision; [max_iterations] caps the inner iterations per rung

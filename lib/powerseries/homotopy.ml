@@ -14,7 +14,21 @@ open Mdlinalg
 module Make (K : Scalar.S) = struct
   module M = Mat.Make (K)
   module V = Vec.Make (K)
-  module Solver = Lsq_core.Least_squares.Make (K)
+  module Solver = Lsq_core.Solver.Make (K)
+
+  (* One Newton correction or Euler predictor step: the least squares
+     solve of j d = rhs on the direct solver, its QR and back
+     substitution kernel times added to [device_ms] in that order. *)
+  let solve_step ~device device_ms j rhs ~tile =
+    let res =
+      Solver.solve ~method_:Lsq_core.Solver.Qr_direct ~device ~a:j ~b:rhs
+        ~tile ()
+    in
+    device_ms :=
+      List.fold_left
+        (fun acc (p : Solver.part) -> acc +. p.Solver.kernel_ms)
+        !device_ms res.Solver.parts;
+    res.Solver.x
 
   type system = {
     dim : int;
@@ -71,10 +85,7 @@ module Make (K : Scalar.S) = struct
          end;
          let j = sys.jac t !p in
          incr solves;
-         let res = Solver.solve ~device ~a:j ~b:(V.neg r) ~tile:sys.dim () in
-         device_ms :=
-           !device_ms +. res.Solver.qr_kernel_ms +. res.Solver.bs_kernel_ms;
-         p := V.add !p res.Solver.x
+         p := V.add !p (solve_step ~device device_ms j (V.neg r) ~tile:sys.dim)
        done;
        if residual_inf sys t !p < opts.tolerance then converged := true
      with Exit -> ());
@@ -111,11 +122,8 @@ module Make (K : Scalar.S) = struct
             let j = sys.jac (K.of_float !t) !x in
             let rhs = V.neg (ht (K.of_float !t) !x) in
             incr solves;
-            let res = Solver.solve ~device ~a:j ~b:rhs ~tile:sys.dim () in
-            device_ms :=
-              !device_ms +. res.Solver.qr_kernel_ms
-              +. res.Solver.bs_kernel_ms;
-            V.add !x (V.scale res.Solver.x (K.R.of_float (t' -. !t)))
+            let d = solve_step ~device device_ms j rhs ~tile:sys.dim in
+            V.add !x (V.scale d (K.R.of_float (t' -. !t)))
         in
         let corrected, ok =
           correct ~device sys opts tt' guess solves device_ms

@@ -26,6 +26,10 @@ run solve --solver lsqr --rows 512 --dim 64 --tile 32
 run solve --execute --prec 2d --dim 32 --tile 8
 run qr --execute --complex --prec 2d --dim 64 --tile 16
 run backsub --execute --prec 2d --dim 64 --tile 16
+# The executed run caps the shape; the capped tile must still divide it.
+run qr --dim 100 --tile 10 --execute
+run backsub --dim 100 --tile 10 --execute
+run solve --dim 100 --tile 10 --execute
 run roofline qr --json
 run roofline backsub --json
 run roofline solve --json

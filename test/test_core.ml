@@ -20,7 +20,7 @@ module Generic (K : Scalar.S) = struct
   module Bs = Tiled_back_sub.Make (K)
   module Nbs = Naive_back_sub.Make (K)
   module Qr = Blocked_qr.Make (K)
-  module Ls = Least_squares.Make (K)
+  module Ls = Solver.Make (K)
 
   let tol factor = K.R.of_float (factor *. K.R.eps)
 
@@ -151,13 +151,33 @@ module Generic (K : Scalar.S) = struct
     done;
     below "|R| matches host" !d (K.R.mul (M.max_abs a) (tol 1e8))
 
+  let solve a b = Ls.solve ~method_:Solver.Qr_direct ~device ~a ~b ~tile:4 ()
+
+  (* The direct solve [Solver] does not select for a shape, from the two
+     phases on one simulator: the full-Q factorization with Q^H b formed
+     on the host, or the economy one applying the reflectors to b. *)
+  let back_substitute sim r qtb ~n =
+    Bs.solve sim (M.sub_matrix r ~r0:0 ~r1:n ~c0:0 ~c1:n) (Array.sub qtb 0 n)
+      ~tile:4
+
+  let solve_full a b =
+    let sim = Gpusim.Sim.create ~device ~prec:K.prec () in
+    let q, r = Qr.factor sim a ~tile:4 in
+    back_substitute sim r (M.matvec (M.adjoint q) b) ~n:(M.cols a)
+
+  let solve_thin a b =
+    let sim = Gpusim.Sim.create ~device ~prec:K.prec () in
+    let qtb = V.copy b in
+    let r = Qr.factor_thin sim a ~b:qtb ~tile:4 in
+    back_substitute sim r qtb ~n:(M.cols a)
+
   let test_least_squares () =
     let rng = Dompool.Prng.create 108 in
     (* Square system with known solution. *)
     let n = 16 in
     let a = Rand.matrix rng n n in
     let b, x_true = Rand.rhs_for rng a in
-    let res = Ls.solve ~device ~a ~b ~tile:4 () in
+    let res = solve a b in
     below "square solve"
       (V.norm (V.sub res.Ls.x x_true))
       (K.R.mul (V.norm x_true) (tol 1e10));
@@ -165,7 +185,7 @@ module Generic (K : Scalar.S) = struct
     let m = 24 and n = 8 in
     let a = Rand.matrix rng m n in
     let b = Rand.vector rng m in
-    let res = Ls.solve ~device ~a ~b ~tile:4 () in
+    let res = solve a b in
     let g = M.matvec (M.adjoint a) (V.sub b (M.matvec a res.Ls.x)) in
     below "normal equations" (V.norm g) (K.R.mul (V.norm b) (tol 1e10));
     (* And it agrees with the host least squares. *)
@@ -177,23 +197,35 @@ module Generic (K : Scalar.S) = struct
   let test_thin_solver () =
     let rng = Dompool.Prng.create 112 in
     (* Square and overdetermined systems: the economy path must agree
-       with the full-Q solver to working precision. *)
+       with the full-Q solver to working precision.  [Solver] takes the
+       full path on the square system and the thin one on the tall. *)
     List.iter
       (fun (m, n) ->
         let a = Rand.matrix rng m n in
         let b = Rand.vector rng m in
-        let full = Ls.solve ~device ~a ~b ~tile:4 () in
-        let thin = Ls.solve_thin ~device ~a ~b ~tile:4 () in
+        let x = (solve a b).Ls.x in
+        let full = if m > n then solve_full a b else x in
+        let thin = if m > n then x else solve_thin a b in
         below
           (Printf.sprintf "thin matches full (%dx%d)" m n)
-          (V.norm (V.sub thin.Ls.x full.Ls.x))
-          (K.R.mul (K.R.add_float (V.norm full.Ls.x) 1.0) (tol 1e10)))
+          (V.norm (V.sub thin full))
+          (K.R.mul (K.R.add_float (V.norm full) 1.0) (tol 1e10)))
       [ (16, 16); (24, 12) ];
     (* and it saves the dominant Q update: strictly cheaper kernels *)
-    let full = Ls.plan ~device ~rows:1024 ~cols:1024 ~tile:128 () in
-    let thin = Ls.plan_thin ~device ~rows:1024 ~cols:1024 ~tile:128 () in
-    check "thin is cheaper" true
-      (thin.Ls.qr_kernel_ms < 0.8 *. full.Ls.qr_kernel_ms)
+    let full =
+      let res =
+        Ls.plan ~method_:Solver.Qr_direct ~device ~rows:1024 ~cols:1024
+          ~tile:128 ()
+      in
+      (List.find (fun (p : Ls.part) -> p.Ls.name = Solver.qr_part) res.Ls.parts)
+        .Ls.kernel_ms
+    in
+    let thin =
+      let sim = Gpusim.Sim.create ~execute:false ~device ~prec:K.prec () in
+      Qr.plan_thin sim ~rows:1024 ~cols:1024 ~tile:128;
+      Gpusim.Sim.kernel_ms sim
+    in
+    check "thin is cheaper" true (thin < 0.8 *. full)
 
   let test_bitwise_determinism () =
     (* The simulated kernels parallelize over blocks writing disjoint
