@@ -1,9 +1,10 @@
 (* Host kernel micro-benchmark: the generic scalar path against the flat
    limb-planar path of [Flat_kernels], on the simulator's dominant kernel
-   (the register-loading matrix product), in every flat-capable real
-   precision (double, quad and octo double), with the launch geometry of
-   the blocked QR (one thread block = [threads] output elements, blocks
-   spread over the domain pool exactly as [Sim.launch] spreads them).
+   (the register-loading matrix product), in every registered real
+   precision (1d, 2d, 4d and 8d: double, double double, quad double and
+   octo double), with the launch geometry of the blocked QR (one thread
+   block = [threads] output elements, blocks spread over the domain pool
+   exactly as [Sim.launch] spreads them).
 
    The flat timings INCLUDE staging the operands into limb planes and
    unstaging the result, i.e. they measure what the dispatcher actually
@@ -120,7 +121,12 @@ let tiles () =
           ~dram_gb_s:dev.Gpusim.Device.dram_gb_s
       in
       (prec, t, s))
-    [ ("2d", Bdd.F.tile); ("4d", Bqd.F.tile); ("8d", Bod.F.tile) ]
+    [
+      ("1d", Bd.F.tile);
+      ("2d", Bdd.F.tile);
+      ("4d", Bqd.F.tile);
+      ("8d", Bod.F.tile);
+    ]
 
 let report_tiles ts =
   let dev = Gpusim.Device.v100 in
@@ -192,7 +198,7 @@ let json_of_rows rows =
   Buffer.add_string b "  ]\n}\n";
   Buffer.contents b
 
-(* Full matrix: dd and qd at n in {256, 512, 1024}, od at reduced sizes
+(* Full matrix: d, dd and qd at n in {256, 512, 1024}, od at reduced sizes
    (a boxed octo double mul costs ~40x a quad double one — the 79-slot
    product buffer plus its magnitude sort dominate — so smaller n keeps
    the row affordable while the fixed inner dimension still amortizes
@@ -204,6 +210,15 @@ let run () =
   let od_sizes = [ 64; 96; 128; 256 ] in
   (* Bound one group at a time: [@] gives no evaluation order, and the
      progress rows should print in the order they land in the json. *)
+  let d_rows =
+    List.map
+      (fun n ->
+        let g, f = Bd.matmul ~n in
+        let r = { prec = "1d"; n; generic_ms = g; flat_ms = f } in
+        report r;
+        r)
+      sizes
+  in
   let dd_rows =
     List.map
       (fun n ->
@@ -231,7 +246,7 @@ let run () =
         r)
       od_sizes
   in
-  let rows = dd_rows @ qd_rows @ od_rows in
+  let rows = d_rows @ dd_rows @ qd_rows @ od_rows in
   report_tiles (tiles ());
   let path = "BENCH_kernels.json" in
   let oc = open_out path in

@@ -982,8 +982,6 @@ module Make (K : Scalar.S) = struct
      arms agree bit for bit.  None of this launches a kernel. *)
 
   module FT = Flat_kernels.Make (K)
-  module MD = Mat.Make (Scalar.D)
-  module CD = Cond.Make (Scalar.D)
 
   let vector_of (t : FT.planes) =
     let out = Array.make t.FT.rows K.zero in
@@ -1043,23 +1041,23 @@ module Make (K : Scalar.S) = struct
         ata.((i * n) + j) <- ata.((j * n) + i)
       done
     done;
-    { MD.rows = n; cols = n; a = ata }
+    ata
 
   (* cond1 of the double-precision normal matrix: cond(A)^2, the
      conditioning CG on the normal equations actually sees (an upper
      bound on what LSQR sees).  Runs on the host in plain double — the
      cheap estimate the ladder start is allowed to be wrong about, since
      a too-low rung only costs wasted inner iterations, never
-     accuracy.  A singular normal matrix has no finite estimate. *)
+     accuracy.  A singular normal matrix has no finite estimate.  The
+     staged arm runs the boxed [cond1]'s operation sequence on unboxed
+     floats ([Cond.cond1_float]), bit for bit. *)
   let estimate_cond staged (a : M.t) =
     let finite_or_inf c =
       if Float.is_finite c && c > 0.0 then c else Float.infinity
     in
     match staged with
-    | Some st -> (
-        match CD.cond1 (normal_of_plane0 st) with
-        | c -> finite_or_inf c
-        | exception CD.Lu.Singular _ -> Float.infinity)
+    | Some st ->
+        finite_or_inf (Cond.cond1_float ~n:st.FT.cols (normal_of_plane0 st))
     | None -> (
         let module KD = (val scalar_of ~complex:K.is_complex P.D : Scalar.S) in
         let module Rf = Refine.Make_scalar (KD) (K) in

@@ -25,3 +25,9 @@ module Make (K : Scalar.S) : sig
   (** [log10 (cond1 a)]: decimal digits a residual-exact solve can
       lose. *)
 end
+
+val cond1_float : n:int -> float array -> float
+(** [cond1_float ~n a] is [Make (Scalar.D).cond1] of the row-major
+    [n]-by-[n] matrix [a], computed on unboxed floats with the same
+    operation sequence, so bit-identical; [infinity] where that raises
+    [Lu.Singular] (a zero or NaN pivot magnitude). *)

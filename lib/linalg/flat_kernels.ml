@@ -35,6 +35,15 @@
    lanes (the untiled loop walked B with column stride) and reuses each
    A element NR times and each B panel across every row of the block.
 
+   No dot-shaped loop here calls [mul_add] per element.  The matrix
+   product and the panel update make one [lanes] call per (k, tile),
+   and the matrix-vector products, [dot] and the back substitution
+   inner products one [dot] call per output, so the engine runs the
+   whole loop behind one indirect call (hand-inlined at m = 1 and
+   m = 2, where a call per element cost as much as the arithmetic).
+   The elementwise kernels ([axpy], [xpay], [scal], [rank1_sub]) keep
+   the per-element operations.
+
    Staging an operand into planes costs O(elements) conversions while a
    matrix product performs O(elements * inner) operations on it, so the
    staging overhead is amortized by the inner dimension; kernels that do
@@ -162,7 +171,7 @@ module Make (K : Scalar.S) = struct
     let lo = blk * threads in
     let hi = min total (lo + threads) in
     if lo < hi then begin
-      let { Nd_flat.make_ctx; clear; load; mul_add; store; _ } = the_plan () in
+      let { Nd_flat.make_ctx; clear; load; lanes; store; _ } = the_plan () in
       let ap = a.p and bp = b.p and cp = c.p in
       let inner = a.cols and cols_o = c.cols and bcols = b.cols in
       let ctxs = Array.init nr_tile (fun _ -> make_ctx ()) in
@@ -197,10 +206,7 @@ module Make (K : Scalar.S) = struct
                   load (Array.unsafe_get ctxs l) cp (cbase + !j0 + l)
                 done;
               for k = !k0 to khi - 1 do
-                let ai = abase + k and bbase = (k * bcols) + !j0 in
-                for l = 0 to nl - 1 do
-                  mul_add (Array.unsafe_get ctxs l) ap ai bp (bbase + l)
-                done
+                lanes ctxs ap (abase + k) 0 bp ((k * bcols) + !j0) 1 nl
               done;
               for l = 0 to nl - 1 do
                 store (Array.unsafe_get ctxs l) cp (cbase + !j0 + l)
@@ -257,15 +263,12 @@ module Make (K : Scalar.S) = struct
   (* x_i := U_i^{-1} b_i: row r of the tile at [r0] dots the inverse row
      (upper triangular, columns r..n-1) with the right-hand side tile. *)
   let bs_xi_block ~dim ~r0 ~n (vp : planes) (bdp : planes) (xp : planes) =
-    let { Nd_flat.make_ctx; clear; mul_add; store; _ } = the_plan () in
+    let { Nd_flat.make_ctx; clear; dot; store; _ } = the_plan () in
     let ctx = make_ctx () in
     let v = vp.p and bd = bdp.p and x = xp.p in
     for r = 0 to n - 1 do
       clear ctx;
-      let row = (r0 + r) * dim in
-      for c = r to n - 1 do
-        mul_add ctx v (row + r0 + c) bd (r0 + c)
-      done;
+      dot ctx v (((r0 + r) * dim) + r0 + r) 1 bd (r0 + r) 1 (n - r);
       store ctx x (r0 + r)
     done
 
@@ -279,7 +282,7 @@ module Make (K : Scalar.S) = struct
      to the untiled loop. *)
   let bs_update_block ~dim ~r0 ~rj ~n (vp : planes) (xp : planes)
       (bdp : planes) =
-    let { Nd_flat.make_ctx; clear; mul_add; sub_from; _ } = the_plan () in
+    let { Nd_flat.make_ctx; clear; lanes; sub_from; _ } = the_plan () in
     let ctxs = Array.init nr_tile (fun _ -> make_ctx ()) in
     let v = vp.p and x = xp.p and bd = bdp.p in
     let r = ref 0 in
@@ -289,10 +292,7 @@ module Make (K : Scalar.S) = struct
         clear (Array.unsafe_get ctxs l)
       done;
       for c = 0 to n - 1 do
-        let xi = r0 + c in
-        for l = 0 to nl - 1 do
-          mul_add (Array.unsafe_get ctxs l) v (((rj + !r + l) * dim) + r0 + c) x xi
-        done
+        lanes ctxs v (((rj + !r) * dim) + r0 + c) dim x (r0 + c) 0 nl
       done;
       for l = 0 to nl - 1 do
         sub_from (Array.unsafe_get ctxs l) bd (rj + !r + l)
@@ -307,12 +307,10 @@ module Make (K : Scalar.S) = struct
 
   (* out[oidx] := sum_i a[i] * b[i] over n vector elements. *)
   let dot ~n (a : planes) (b : planes) (out : planes) oidx =
-    let { Nd_flat.make_ctx; clear; mul_add; store; _ } = the_plan () in
+    let { Nd_flat.make_ctx; clear; dot; store; _ } = the_plan () in
     let ctx = make_ctx () in
     clear ctx;
-    for i = 0 to n - 1 do
-      mul_add ctx a.p i b.p i
-    done;
+    dot ctx a.p 0 1 b.p 0 1 n;
     store ctx out.p oidx
 
   (* y[i] := y[i] + alpha * x[i]; [alpha] is a staged single element. *)
@@ -333,33 +331,28 @@ module Make (K : Scalar.S) = struct
 
   (* y[i] := sum_k a[i, k] * x[k] for rows [blk*threads, (blk+1)*threads). *)
   let gemv_block ~threads (a : planes) (x : planes) (y : planes) blk =
-    let { Nd_flat.make_ctx; clear; mul_add; store; _ } = the_plan () in
+    let { Nd_flat.make_ctx; clear; dot; store; _ } = the_plan () in
     let ctx = make_ctx () in
     let m = a.rows and n = a.cols in
     let lo = blk * threads in
     let hi = min m (lo + threads) in
     for i = lo to hi - 1 do
       clear ctx;
-      let base = i * n in
-      for k = 0 to n - 1 do
-        mul_add ctx a.p (base + k) x.p k
-      done;
+      dot ctx a.p (i * n) 1 x.p 0 1 n;
       store ctx y.p i
     done
 
   (* y[j] := sum_i a[i, j] * x[i] — the transposed product walks each
      column with the row pitch, the strided access of the cost model. *)
   let gemv_t_block ~threads (a : planes) (x : planes) (y : planes) blk =
-    let { Nd_flat.make_ctx; clear; mul_add; store; _ } = the_plan () in
+    let { Nd_flat.make_ctx; clear; dot; store; _ } = the_plan () in
     let ctx = make_ctx () in
     let m = a.rows and n = a.cols in
     let lo = blk * threads in
     let hi = min n (lo + threads) in
     for j = lo to hi - 1 do
       clear ctx;
-      for i = 0 to m - 1 do
-        mul_add ctx a.p ((i * n) + j) x.p i
-      done;
+      dot ctx a.p j n x.p 0 1 m;
       store ctx y.p j
     done
 

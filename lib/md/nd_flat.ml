@@ -18,6 +18,20 @@
    plane access back into a checked one — the debug path for chasing
    indexing bugs in new kernels.
 
+   Besides the per-element operations, a plan carries two loop-level
+   ones, [dot] (one accumulator over a strided run of products) and
+   [lanes] (one product into each of several accumulators), which every
+   dot-shaped kernel of [Flat_kernels] is written against.  At m = 1 and
+   m = 2 a multiply-accumulate is a handful of flops, so one indirect
+   call per element through this record, the per-access plane lookups
+   and the round trip through [ctx.acc] cost about as much as the
+   arithmetic: those two engines hand-write both loops, with the planes
+   hoisted out of the loop and the arithmetic inlined ([dot] keeps its
+   accumulator in locals).  The wider engines derive both loops from
+   their own [mul_add] ([with_loops]): their arithmetic dwarfs a call.
+   Either way each loop replays the per-element [mul_add] sequence, in
+   ascending order, so no output bit depends on which form ran.
+
    Bit-identity is the contract that makes the flat plane safe to
    dispatch on a pure capability check: each engine replays the exact
    floating point operation sequence of the boxed module it mirrors, so
@@ -94,6 +108,15 @@ let[@inline] set (p : planes) pl i v =
   if bounds_checked then Bigarray.Array1.set (Array.get p pl) i v
   else Bigarray.Array1.unsafe_set (Array.unsafe_get p pl) i v
 
+(* One limb plane, and one word of it: what the hand-written loops
+   hoist and read, under the same switch as [get]/[set]. *)
+let[@inline] plane (p : planes) pl =
+  if bounds_checked then Array.get p pl else Array.unsafe_get p pl
+
+let[@inline] word (p : fa) i =
+  if bounds_checked then Bigarray.Array1.get p i
+  else Bigarray.Array1.unsafe_get p i
+
 (* ------------------------------------------------------------------ *)
 (* Scratch and the dispatch record                                     *)
 (* ------------------------------------------------------------------ *)
@@ -129,6 +152,14 @@ type ctx = {
      mul_add  : acc := acc + a[ia] * b[ib]
      sub_from : p[i] := p[i] - acc
 
+   and the two loop-level operations, each exactly the loop of
+   [mul_add] it names:
+
+     dot c a ia sa b ib sb n    : for t = 0 .. n-1,
+                                  c.acc += a[ia + t*sa] * b[ib + t*sb]
+     lanes cs a ia sa b ib sb nl: for l = 0 .. nl-1,
+                                  cs.(l).acc += a[ia + l*sa] * b[ib + l*sb]
+
    Argument order mirrors the generic kernel bodies ([K.add acc x],
    [K.sub x acc]) so ties in magnitude merges break identically. *)
 type plan = {
@@ -141,9 +172,31 @@ type plan = {
   mul_set : ctx -> planes -> int -> planes -> int -> unit;
   mul_add : ctx -> planes -> int -> planes -> int -> unit;
   sub_from : ctx -> planes -> int -> unit;
+  dot : ctx -> planes -> int -> int -> planes -> int -> int -> int -> unit;
+  lanes :
+    ctx array -> planes -> int -> int -> planes -> int -> int -> int -> unit;
 }
 
 let empty = [||]
+
+let[@inline] lane (cs : ctx array) l =
+  if bounds_checked then Array.get cs l else Array.unsafe_get cs l
+
+(* The plan of an engine that does not hand-write its loops: [dot] and
+   [lanes] are plain loops over its own [mul_add]. *)
+let with_loops ~limbs ~make_ctx ~clear ~load ~store ~add ~mul_set ~mul_add
+    ~sub_from =
+  let dot c a ia sa b ib sb n =
+    for t = 0 to n - 1 do
+      mul_add c a (ia + (t * sa)) b (ib + (t * sb))
+    done
+  and lanes cs a ia sa b ib sb nl =
+    for l = 0 to nl - 1 do
+      mul_add (lane cs l) a (ia + (l * sa)) b (ib + (l * sb))
+    done
+  in
+  { limbs; make_ctx; clear; load; store; add; mul_set; mul_add;
+    sub_from; dot; lanes }
 
 (* ------------------------------------------------------------------ *)
 (* m = 1: the plain double operations of [Float_double.Pre]            *)
@@ -181,8 +234,24 @@ module D = struct
 
   let[@inline] sub_from c (p : planes) i = set p 0 i (get p 0 i -. c.acc.(0))
 
+  let dot c (a : planes) ia sa (b : planes) ib sb n =
+    let a0 = plane a 0 and b0 = plane b 0 in
+    let s = ref c.acc.(0) in
+    for t = 0 to n - 1 do
+      s := !s +. (word a0 (ia + (t * sa)) *. word b0 (ib + (t * sb)))
+    done;
+    c.acc.(0) <- !s
+
+  let lanes cs (a : planes) ia sa (b : planes) ib sb nl =
+    let a0 = plane a 0 and b0 = plane b 0 in
+    for l = 0 to nl - 1 do
+      let acc = (lane cs l).acc in
+      acc.(0) <- acc.(0) +. (word a0 (ia + (l * sa)) *. word b0 (ib + (l * sb)))
+    done
+
   let plan =
-    { limbs = 1; make_ctx; clear; load; store; add; mul_set; mul_add; sub_from }
+    { limbs = 1; make_ctx; clear; load; store; add; mul_set; mul_add;
+      sub_from; dot; lanes }
 end
 
 (* ------------------------------------------------------------------ *)
@@ -259,17 +328,18 @@ module Dd = struct
     c.acc.(0) <- hi;
     c.acc.(1) <- lo
 
-  (* acc := acc + a[ia] * b[ib], the fused inner step of every
-     dot-shaped kernel; exactly [K.add acc (K.mul a b)]. *)
-  let[@inline] mul_add c (a : planes) ia (b : planes) ib =
-    let ahi = get a 0 ia and alo = get a 1 ia in
-    let bhi = get b 0 ib and blo = get b 1 ib in
+  (* acc := acc + (ahi, alo) * (bhi, blo), the fused inner step of
+     every dot-shaped kernel; exactly [K.add acc (K.mul a b)]. *)
+  let[@inline] mul_add_parts c ahi alo bhi blo =
     let p = ahi *. bhi in
     let e = Float.fma ahi bhi (-.p) in
     let e = e +. ((ahi *. blo) +. (alo *. bhi)) in
     let phi = p +. e in
     let plo = e -. (phi -. p) in
     add_parts c phi plo
+
+  let[@inline] mul_add c (a : planes) ia (b : planes) ib =
+    mul_add_parts c (get a 0 ia) (get a 1 ia) (get b 0 ib) (get b 1 ib)
 
   (* p[i] := p[i] - acc: [Double_double.Pre.sub], unrolled (two_diff
      based, not add-of-negation, to stay bit-identical). *)
@@ -291,8 +361,53 @@ module Dd = struct
     set p 0 i hi;
     set p 1 i lo
 
+  (* [mul_add_parts] over a strided run, with the running sum in locals
+     instead of [c.acc]: the same product and ieee_add sequences, spelled
+     out once more so nothing but the arithmetic stays in the loop. *)
+  let dot c (a : planes) ia sa (b : planes) ib sb n =
+    let a0 = plane a 0 and a1 = plane a 1 in
+    let b0 = plane b 0 and b1 = plane b 1 in
+    let acc_hi = ref c.acc.(0) and acc_lo = ref c.acc.(1) in
+    for t = 0 to n - 1 do
+      let i = ia + (t * sa) and j = ib + (t * sb) in
+      let ahi = word a0 i and alo = word a1 i in
+      let bhi = word b0 j and blo = word b1 j in
+      (* the product (phi, plo) *)
+      let p = ahi *. bhi in
+      let e = Float.fma ahi bhi (-.p) in
+      let e = e +. ((ahi *. blo) +. (alo *. bhi)) in
+      let phi = p +. e in
+      let plo = e -. (phi -. p) in
+      (* acc := acc + (phi, plo), as in [add_parts] *)
+      let ahi = !acc_hi and alo = !acc_lo in
+      let s = ahi +. phi in
+      let bb = s -. ahi in
+      let e = (ahi -. (s -. bb)) +. (phi -. bb) in
+      let t1 = alo +. plo in
+      let bb2 = t1 -. alo in
+      let t2 = (alo -. (t1 -. bb2)) +. (plo -. bb2) in
+      let e = e +. t1 in
+      let s' = s +. e in
+      let e' = e -. (s' -. s) in
+      let e' = e' +. t2 in
+      let hi = s' +. e' in
+      acc_hi := hi;
+      acc_lo := e' -. (hi -. s')
+    done;
+    c.acc.(0) <- !acc_hi;
+    c.acc.(1) <- !acc_lo
+
+  let lanes cs (a : planes) ia sa (b : planes) ib sb nl =
+    let a0 = plane a 0 and a1 = plane a 1 in
+    let b0 = plane b 0 and b1 = plane b 1 in
+    for l = 0 to nl - 1 do
+      let i = ia + (l * sa) and j = ib + (l * sb) in
+      mul_add_parts (lane cs l) (word a0 i) (word a1 i) (word b0 j) (word b1 j)
+    done
+
   let plan =
-    { limbs = 2; make_ctx; clear; load; store; add; mul_set; mul_add; sub_from }
+    { limbs = 2; make_ctx; clear; load; store; add; mul_set; mul_add;
+      sub_from; dot; lanes }
 end
 
 (* ------------------------------------------------------------------ *)
@@ -635,7 +750,8 @@ module Qd = struct
     store4 c.tmp p i
 
   let plan =
-    { limbs = 4; make_ctx; clear; load; store; add; mul_set; mul_add; sub_from }
+    with_loops ~limbs:4 ~make_ctx ~clear ~load ~store ~add ~mul_set ~mul_add
+      ~sub_from
 end
 
 (* ------------------------------------------------------------------ *)
@@ -911,7 +1027,8 @@ module Od = struct
     store8 c.tmp p i
 
   let plan =
-    { limbs = 8; make_ctx; clear; load; store; add; mul_set; mul_add; sub_from }
+    with_loops ~limbs:8 ~make_ctx ~clear ~load ~store ~add ~mul_set ~mul_add
+      ~sub_from
 end
 
 (* ------------------------------------------------------------------ *)
@@ -1082,17 +1199,9 @@ module Gen = struct
     done
 
   let plan m =
-    {
-      limbs = m;
-      make_ctx = make_ctx m;
-      clear;
-      load = load m;
-      store = store m;
-      add = add m;
-      mul_set = mul_set m;
-      mul_add = mul_add m;
-      sub_from = sub_from m;
-    }
+    with_loops ~limbs:m ~make_ctx:(make_ctx m) ~clear ~load:(load m)
+      ~store:(store m) ~add:(add m) ~mul_set:(mul_set m) ~mul_add:(mul_add m)
+      ~sub_from:(sub_from m)
 end
 
 (* ------------------------------------------------------------------ *)

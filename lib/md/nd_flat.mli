@@ -68,7 +68,21 @@ type ctx
     - [mul_set c a ia b ib] — acc := a\[ia\] * b\[ib\]
     - [mul_add c a ia b ib] — acc := acc + a\[ia\] * b\[ib\]
       (boxed [K.add acc (K.mul a b)])
-    - [sub_from c p i] — p\[i\] := p\[i\] - acc (boxed [K.sub x acc]) *)
+    - [sub_from c p i] — p\[i\] := p\[i\] - acc (boxed [K.sub x acc])
+
+    and two loop-level operations, each exactly a loop of [mul_add]:
+
+    - [dot c a ia sa b ib sb n] — for [t] from 0 to [n-1] in ascending
+      order, acc := acc + a\[ia + t*sa\] * b\[ib + t*sb\]
+    - [lanes cs a ia sa b ib sb nl] — for every lane [l < nl],
+      cs.(l)'s acc := acc + a\[ia + l*sa\] * b\[ib + l*sb\]
+
+    Strides may be 0 (a broadcast operand).  The [m = 1] and [m = 2]
+    engines hand-write both loops, with the planes hoisted and the
+    arithmetic inlined ([dot] keeps its accumulator in locals), because
+    there a call per element costs as much as the arithmetic; the wider
+    engines derive both from their own [mul_add].  Either way the result
+    is bit-identical to the per-element loop. *)
 type plan = {
   limbs : int;
   make_ctx : unit -> ctx;
@@ -79,6 +93,9 @@ type plan = {
   mul_set : ctx -> planes -> int -> planes -> int -> unit;
   mul_add : ctx -> planes -> int -> planes -> int -> unit;
   sub_from : ctx -> planes -> int -> unit;
+  dot : ctx -> planes -> int -> int -> planes -> int -> int -> int -> unit;
+  lanes :
+    ctx array -> planes -> int -> int -> planes -> int -> int -> int -> unit;
 }
 
 val supported : int -> bool

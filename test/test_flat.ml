@@ -279,6 +279,35 @@ let test_gating () =
   Flat_kernels.enabled := true;
   check "re-enabled" true (avail (module Scalar.Dd))
 
+(* ---- the bounds-checked debug path ----
+   Under MDLS_FLAT_BOUNDS=1 (a runtest rule of its own runs this suite
+   so) every plane and lane access checks, the hoisted ones of the
+   hand-written loops included: a loop that walks past a plane or past
+   its lanes must raise.  Without the variable there is nothing to
+   check. *)
+let test_bounds () =
+  if Nd_flat.bounds_checked then
+    List.iter
+      (fun m ->
+        let p = Option.get (Nd_flat.plan ~limbs:m) in
+        let a = Nd_flat.make_planes ~limbs:m 4 in
+        let ctx = p.Nd_flat.make_ctx () in
+        let raises f =
+          match f () with () -> false | exception Invalid_argument _ -> true
+        in
+        let tag s = Printf.sprintf "m=%d %s" m s in
+        check (tag "dot in range") false
+          (raises (fun () -> p.Nd_flat.dot ctx a 0 1 a 3 (-1) 4));
+        check (tag "dot past the end") true
+          (raises (fun () -> p.Nd_flat.dot ctx a 0 1 a 0 1 5));
+        check (tag "strided dot past the end") true
+          (raises (fun () -> p.Nd_flat.dot ctx a 0 0 a 0 2 3));
+        check (tag "lanes past the end") true
+          (raises (fun () -> p.Nd_flat.lanes [| ctx; ctx |] a 3 1 a 0 0 2));
+        check (tag "lanes past the contexts") true
+          (raises (fun () -> p.Nd_flat.lanes [| ctx |] a 0 0 a 0 1 2)))
+      [ 1; 2; 3; 4; 8 ]
+
 let () =
   Alcotest.run "flat kernels"
     [
@@ -289,4 +318,5 @@ let () =
       ("d staging", Rd.tests "d");
       ("staging", Rdd.tests "dd" @ Rqd.tests "qd" @ Rod.tests "od");
       ("gating", [ Alcotest.test_case "capability gate" `Quick test_gating ]);
+      ("bounds", [ Alcotest.test_case "checked loops" `Quick test_bounds ]);
     ]

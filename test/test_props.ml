@@ -309,6 +309,17 @@ module Flat_props (S : Md_sig.S) = struct
       vals;
     p
 
+  (* A strided operand of [count] steps: an offset, a stride of 0
+     (broadcast), 1 or a row pitch, and values covering every step. *)
+  let gen_strided count =
+    let open Gen in
+    let* off = int_range 0 3 in
+    let* stride = frequency [ (1, return 0); (1, return 1); (1, int_range 2 9) ] in
+    let+ vals =
+      array_size (return (off + (max 0 (count - 1) * stride) + 1)) gen_val
+    in
+    (off, stride, vals)
+
   (* Read the accumulator back out through [store]. *)
   let acc_limbs ctx =
     let out = Nd_flat.make_planes ~limbs:m 1 in
@@ -323,7 +334,7 @@ module Flat_props (S : Md_sig.S) = struct
 
   let suite name =
     let { Nd_flat.make_ctx; clear; load; store = _; add; mul_set; mul_add;
-          sub_from; limbs = _ } = fp
+          sub_from; limbs = _; dot; lanes } = fp
     in
     ( name ^ " flat bit-identity",
       [
@@ -371,6 +382,44 @@ module Flat_props (S : Md_sig.S) = struct
               boxed := S.add !boxed (S.mul xs.(i) ys.(i))
             done;
             check_op "dot chain" !boxed (acc_limbs ctx));
+        (* The loop-level ops against a plain loop of the same engine's
+           mul_add, over every stride shape the kernels use. *)
+        to_alco ~count:200 "dot = mul_add loop"
+          Gen.(
+            let* n = int_range 0 12 in
+            triple (return n) (pair (gen_strided n) (gen_strided n)) gen_val)
+          (fun (n, ((ia, sa, av), (ib, sb, bv)), c) ->
+            let ap = stage av and bp = stage bv and cp = stage [| c |] in
+            let got = make_ctx () and want = make_ctx () in
+            load got cp 0;
+            load want cp 0;
+            dot got ap ia sa bp ib sb n;
+            for t = 0 to n - 1 do
+              mul_add want ap (ia + (t * sa)) bp (ib + (t * sb))
+            done;
+            bits_eq (acc_limbs want) (acc_limbs got));
+        to_alco ~count:200 "lanes = mul_add loop"
+          Gen.(
+            let* nl = int_range 0 8 in
+            triple (return nl)
+              (pair (gen_strided nl) (gen_strided nl))
+              (array_size (return 8) gen_val))
+          (fun (nl, ((ia, sa, av), (ib, sb, bv)), init) ->
+            let ap = stage av and bp = stage bv and ip = stage init in
+            let lanes_of () =
+              Array.init 8 (fun l ->
+                  let ctx = make_ctx () in
+                  load ctx ip l;
+                  ctx)
+            in
+            let got = lanes_of () and want = lanes_of () in
+            lanes got ap ia sa bp ib sb nl;
+            for l = 0 to nl - 1 do
+              mul_add want.(l) ap (ia + (l * sa)) bp (ib + (l * sb))
+            done;
+            Array.for_all2
+              (fun g w -> bits_eq (acc_limbs w) (acc_limbs g))
+              got want);
       ] )
 end
 

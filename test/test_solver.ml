@@ -195,6 +195,55 @@ let test_singular_estimate () =
       check "single rung" true (List.map fst it.Solver.ladder = [ P.DD ]))
     [ true; false ]
 
+(* The staged ladder estimate runs [Cond.cond1_float]; it must give the
+   boxed plain double [cond1]'s bits, with [Singular] read as infinity,
+   on random, zero-column and NaN-bearing matrices. *)
+module MD = Mdlinalg.Mat.Make (Mdlinalg.Scalar.D)
+module CD = Mdlinalg.Cond.Make (Mdlinalg.Scalar.D)
+
+let test_cond1_float () =
+  let rng = Dompool.Prng.create 7 in
+  let boxed n a =
+    match CD.cond1 { MD.rows = n; cols = n; a = Array.copy a } with
+    | c -> c
+    | exception CD.Lu.Singular _ -> Float.infinity
+  in
+  let same n a =
+    Int64.equal
+      (Int64.bits_of_float (boxed n a))
+      (Int64.bits_of_float (Mdlinalg.Cond.cond1_float ~n a))
+  in
+  let random n = Array.init (n * n) (fun _ -> Dompool.Prng.sym_float rng) in
+  List.iter
+    (fun n ->
+      let a = random n in
+      check "random" true (same n a);
+      (* a normal matrix, as the ladder estimate sees it *)
+      let ata = Array.make (n * n) 0.0 in
+      for i = 0 to n - 1 do
+        for j = 0 to n - 1 do
+          for k = 0 to n - 1 do
+            ata.((i * n) + j) <-
+              ata.((i * n) + j) +. (a.((k * n) + i) *. a.((k * n) + j))
+          done
+        done
+      done;
+      check "normal" true (same n ata);
+      let z = random n in
+      for i = 0 to n - 1 do
+        z.((i * n) + (n / 2)) <- 0.0
+      done;
+      check "zero column" true (same n z);
+      check "zero column is infinite" true
+        (Mdlinalg.Cond.cond1_float ~n z = Float.infinity);
+      List.iter
+        (fun (i, j) ->
+          let x = random n in
+          x.((i * n) + j) <- Float.nan;
+          check "nan-bearing" true (same n x))
+        [ (0, 0); (n - 1, 0); (n / 2, n - 1); (n - 1, n - 1) ])
+    [ 1; 2; 5; 16; 64 ]
+
 (* ---- report schema 4 ---- *)
 
 let test_report_roundtrip () =
@@ -288,6 +337,8 @@ let () =
             test_flat_fault_replay;
           Alcotest.test_case "singular normal matrix" `Quick
             test_singular_estimate;
+          Alcotest.test_case "unboxed cond1 matches boxed" `Quick
+            test_cond1_float;
         ] );
       ( "codec",
         [
