@@ -15,7 +15,23 @@
         YWTC := YWT * C ("YWT*C") and R := R + YWTC ("R + YWTC").
 
    On complex data every transpose is the Hermitian transpose; the scalar
-   abstraction makes the same code cover both (§3, last paragraph). *)
+   abstraction makes the same code cover both (§3, last paragraph).
+
+   Residency.  As in the paper, the data stays on the device from the
+   transfer of A to the transfer of Q and R: R, Q and the thin path's b
+   for the whole factorization, each panel's Y, W, YWT and product
+   outputs for the panel.  This module prices the launches and the two
+   transfers and issues the launches; the device state and every launch
+   body live in [Flat_kernels.Make(K).Qr], which has two arms:
+   - flat, when executing with [Flat_kernels.available] (real,
+     uninstrumented scalars) and no armed fault plan: everything above
+     is staged limb planes, staged at the first transfer and unstaged
+     at the second, and every stage runs on the [Nd_flat] engines;
+   - boxed otherwise: the host [K.t] arrays, factored in place.  This
+     serves complex and [Counted] scalars and every fault-armed
+     factorization, whose corruptor, ABFT probe, finiteness sweeps and
+     snapshots read the host arrays.
+   The arms agree limb for limb, and plan-only runs allocate no data. *)
 
 open Gpusim
 open Mdlinalg
@@ -45,9 +61,11 @@ module Make (K : Scalar.S) = struct
 
   (* One thread per output element, the register-loading matrix product of
      the paper (no shared memory tiles; the high CGMA ratio of multiple
-     double arithmetic makes direct loads competitive). *)
+     double arithmetic makes direct loads competitive).  The modeled
+     device cost is the same on both arms of the device state; only the
+     host execution of [body] differs. *)
   let launch_matmul sim ~stage ~threads ?(strided = false) ?working_set
-      ~rows_o ~cols_o ~inner ~geta ~getb ~store () =
+      ~rows_o ~cols_o ~inner body =
     let total = rows_o * cols_o in
     if total > 0 && inner > 0 then begin
       let f = float_of_int in
@@ -71,18 +89,11 @@ module Make (K : Scalar.S) = struct
           ~thread_bytes:(2.0 *. f inner *. f total *. sb)
           ~working_set:ws o
       in
-      (* The modeled device cost above is the same on both paths; only
-         the host execution of the kernel body differs.  [F.matmul]
-         picks the path: staged allocation-free plane kernels when flat
-         execution is available, the boxed accessor loop otherwise —
-         limb for limb identical either way. *)
-      F.matmul ~execute:sim.Sim.execute ~threads ~rows_o ~cols_o ~inner
-        ~geta ~getb ~store
-        ~launch:(fun body -> Sim.launch sim ~stage ~cost body)
+      Sim.launch sim ~stage ~cost body
     end
 
   (* Elementwise addition kernel: dst += src. *)
-  let launch_add sim ~stage ~threads ~rows_o ~cols_o ~get ~add_to =
+  let launch_add sim ~stage ~threads ~rows_o ~cols_o body =
     let total = rows_o * cols_o in
     if total > 0 then begin
       let f = float_of_int in
@@ -94,21 +105,7 @@ module Make (K : Scalar.S) = struct
           ~working_set:(2.0 *. f total *. 8.0)
           (ops ~adds:(f total) ())
       in
-      Sim.launch sim ~stage ~cost (fun blk ->
-          let lo = blk * threads in
-          let hi = min total (lo + threads) in
-          (* Running (row, col) pair instead of two div/mod per element;
-             one addition per element cannot amortize limb staging, so
-             this kernel stays on the generic path. *)
-          let i = ref (lo / cols_o) and j = ref (lo mod cols_o) in
-          for _idx = lo to hi - 1 do
-            add_to !i !j (get !i !j);
-            incr j;
-            if !j = cols_o then begin
-              j := 0;
-              incr i
-            end
-          done)
+      Sim.launch sim ~stage ~cost body
     end
 
   (* [factor_gen sim ~mrows ~ncols ~tile ~a] factors the matrix when [a]
@@ -128,13 +125,16 @@ module Make (K : Scalar.S) = struct
     let nt = ncols / tile in
     let f = float_of_int in
     let executing = sim.Sim.execute in
-    let r =
-      match a with
-      | Some a when executing -> M.copy a
-      | _ -> M.create 0 0
-    in
-    let q = if executing then M.identity mrows else M.create 0 0 in
     let guard = Sim.fault_plan sim in
+    (* Host -> device: the matrix A. *)
+    Sim.transfer sim (f (mrows * ncols) *. sb);
+    let st =
+      F.Qr.create ~execute:executing ~fault_armed:(guard <> None)
+        ~accumulate_q ~mrows ~ncols ~tile
+        ~a:(match a with Some a when executing -> a.M.a | _ -> [||])
+        ~b:rhs
+    in
+    let r = F.Qr.r st and q = F.Qr.q st in
     (* A bit-flip corruptor over everything the current panel holds on
        the device: R, Q, the panel's Y/W and (thin path) the right-hand
        side.  One element is picked weighted by size, one limb plane,
@@ -151,7 +151,7 @@ module Make (K : Scalar.S) = struct
       let targets =
         List.filter
           (fun (_, arr) -> Array.length arr > 0)
-          ([ ("R", r.M.a); ("Q", q.M.a); ("Y", y.M.a); ("W", w.M.a) ]
+          ([ ("R", r); ("Q", q); ("Y", y); ("W", w) ]
           @ match rhs with Some b -> [ ("b", (b : K.t array)) ] | None -> [])
       in
       let total =
@@ -170,7 +170,9 @@ module Make (K : Scalar.S) = struct
     (* ABFT panel verification, modeled as one cheap check kernel plus —
        when executing — a random probe through the aggregated reflectors
        (I + W Y^H is unitary, so it must preserve the probe's norm) and
-       finiteness sweeps over the regions the panel wrote. *)
+       finiteness sweeps over the regions the panel wrote.  Fault-armed
+       factorizations run on the boxed arm, so all of it reads the host
+       arrays. *)
     let abft_cost rows =
       Cost.launch
         ~blocks:(max 1 ((rows + tile - 1) / tile))
@@ -183,14 +185,14 @@ module Make (K : Scalar.S) = struct
            ~muls:(2.0 *. f rows *. f tile)
            ())
     in
-    let probe_ok plan ~rows ~y ~w =
+    let probe_ok plan ~rows ~(y : K.t array) ~(w : K.t array) =
       let rng = Fault.Plan.aux_rng plan in
       let u = V.init rows (fun _ -> K.random rng) in
       let yhu = V.create tile in
       for j = 0 to tile - 1 do
         let s = ref K.zero in
         for i = 0 to rows - 1 do
-          s := K.add !s (K.mul (K.conj (M.get y i j)) u.(i))
+          s := K.add !s (K.mul (K.conj y.((i * tile) + j)) u.(i))
         done;
         yhu.(j) <- !s
       done;
@@ -198,7 +200,7 @@ module Make (K : Scalar.S) = struct
         V.init rows (fun i ->
             let s = ref u.(i) in
             for j = 0 to tile - 1 do
-              s := K.add !s (K.mul (M.get w i j) yhu.(j))
+              s := K.add !s (K.mul w.((i * tile) + j) yhu.(j))
             done;
             !s)
       in
@@ -212,13 +214,13 @@ module Make (K : Scalar.S) = struct
       let ok = ref true in
       for i = c0 to mrows - 1 do
         for j = c0 to ncols - 1 do
-          if not (K.is_finite (M.get r i j)) then ok := false
+          if not (K.is_finite r.((i * ncols) + j)) then ok := false
         done
       done;
       if accumulate_q then
         for i = 0 to mrows - 1 do
           for j = c0 to mrows - 1 do
-            if not (K.is_finite (M.get q i j)) then ok := false
+            if not (K.is_finite q.((i * mrows) + j)) then ok := false
           done
         done;
       (match rhs with
@@ -229,8 +231,6 @@ module Make (K : Scalar.S) = struct
       | None -> ());
       !ok
     in
-    (* Host -> device: the matrix A. *)
-    Sim.transfer sim (f (mrows * ncols) *. sb);
     for k = 0 to nt - 1 do
       (* The whole panel iteration — factorization, aggregation, Q and
          trailing updates, then the ABFT verdict.  Restartable: under an
@@ -241,16 +241,13 @@ module Make (K : Scalar.S) = struct
         let c0 = k * tile in
         let c1 = c0 + tile in
         let rows = mrows - c0 in
-        let y = if executing then M.create rows tile else M.create 0 0 in
-        let w = if executing then M.create rows tile else M.create 0 0 in
-        let betas = Array.make tile K.R.zero in
+        let p = F.Qr.panel st ~c0 in
         if executing && guard <> None then
-          Sim.set_corruptor sim (Some (corruptor ~y ~w));
+          Sim.set_corruptor sim (Some (corruptor ~y:(F.Qr.y p) ~w:(F.Qr.w p)));
       (* ---- Stage 1: panel factorization, column by column. ---- *)
       for l = 0 to tile - 1 do
         let c = c0 + l in
         let len = mrows - c in
-        let v = V.create len in
         (* beta, v *)
         let bv_cost =
           Cost.launch
@@ -264,28 +261,11 @@ module Make (K : Scalar.S) = struct
                ~muls:((2.0 *. f len) +. 1.0)
                ~divs:1.0 ~sqrts:1.0 ())
         in
-        Sim.launch sim ~stage:Stage.beta_v ~cost:bv_cost (fun blk ->
-            if blk = 0 then begin
-              for i = 0 to len - 1 do
-                v.(i) <- M.get r (c + i) c
-              done;
-              let sigma = V.norm v in
-              if K.R.is_zero sigma then betas.(l) <- K.R.zero
-              else begin
-                let phase = K.unit_phase v.(0) in
-                v.(0) <- K.add v.(0) (K.scale phase sigma);
-                let vv = V.norm2 v in
-                betas.(l) <- K.R.div (K.R.of_int 2) vv
-              end
-            end);
+        Sim.launch sim ~stage:Stage.beta_v ~cost:bv_cost (F.Qr.beta_v p ~l);
         (* Save v into the trapezoidal Y (rows below c0, zeros above c). *)
-        if sim.Sim.execute then
-          for i = 0 to len - 1 do
-            M.set y (c - c0 + i) l v.(i)
-          done;
+        if executing then F.Qr.save_v p ~l;
         (* beta*R^T*v : the row vector wrow = beta v^H R[c:, c:c1],
            a sum reduction over multiple blocks. *)
-        let wrow = V.create (tile - l) in
         let rtv_cost =
           Cost.launch
             ~blocks:(max 1 (tile - l))
@@ -299,15 +279,7 @@ module Make (K : Scalar.S) = struct
                ~muls:((f len +. 1.0) *. f (tile - l))
                ())
         in
-        Sim.launch sim ~stage:Stage.beta_rtv ~cost:rtv_cost (fun blk ->
-            if blk < tile - l then begin
-              let j = c + blk in
-              let s = ref K.zero in
-              for i = 0 to len - 1 do
-                s := K.add !s (K.mul (K.conj v.(i)) (M.get r (c + i) j))
-              done;
-              wrow.(blk) <- K.scale !s betas.(l)
-            end);
+        Sim.launch sim ~stage:Stage.beta_rtv ~cost:rtv_cost (F.Qr.rtv p ~l);
         (* update R : R[c:, c:c1] -= v wrow *)
         let upd_cost =
           let total = len * (tile - l) in
@@ -320,21 +292,10 @@ module Make (K : Scalar.S) = struct
             ~strided:true
             (ops ~adds:(f total) ~muls:(f total) ())
         in
-        Sim.launch sim ~stage:Stage.update_r ~cost:upd_cost (fun blk ->
-            let total = len * (tile - l) in
-            let lo = blk * tile in
-            let hi = min total (lo + tile) in
-            let w_ = tile - l in
-            for idx = lo to hi - 1 do
-              let i = idx / w_ and jj = idx mod w_ in
-              let j = c + jj in
-              M.set r (c + i) j
-                (K.sub (M.get r (c + i) j) (K.mul v.(i) wrow.(jj)))
-            done)
+        Sim.launch sim ~stage:Stage.update_r ~cost:upd_cost (F.Qr.update_r p ~l)
       done;
       (* ---- Stage 2: aggregate the reflectors into W (and Y). ---- *)
       for l = 0 to tile - 1 do
-        let u = V.create l in
         if l > 0 then begin
           (* u = Y[:, :l]^H v_l *)
           let u_cost =
@@ -344,14 +305,7 @@ module Make (K : Scalar.S) = struct
               ~working_set:(f rows *. f l *. 8.0)
               (ops ~adds:(f rows *. f l) ~muls:(f rows *. f l) ())
           in
-          Sim.launch sim ~stage:Stage.compute_w ~cost:u_cost (fun blk ->
-              if blk < l then begin
-                let s = ref K.zero in
-                for i = 0 to rows - 1 do
-                  s := K.add !s (K.mul (K.conj (M.get y i blk)) (M.get y i l))
-                done;
-                u.(blk) <- !s
-              end)
+          Sim.launch sim ~stage:Stage.compute_w ~cost:u_cost (F.Qr.w_u p ~l)
         end;
         (* z = -beta (v + W[:, :l] u); W[:, l] = z *)
         let z_cost =
@@ -366,48 +320,21 @@ module Make (K : Scalar.S) = struct
                ~muls:((f rows *. f l) +. f rows)
                ())
         in
-        Sim.launch sim ~stage:Stage.compute_w ~cost:z_cost (fun blk ->
-            let lo = blk * tile in
-            let hi = min rows (lo + tile) in
-            let nbeta = K.R.neg betas.(l) in
-            for i = lo to hi - 1 do
-              let s = ref (M.get y i l) in
-              for j = 0 to l - 1 do
-                s := K.add !s (K.mul (M.get w i j) u.(j))
-              done;
-              M.set w i l (K.scale !s nbeta)
-            done)
+        Sim.launch sim ~stage:Stage.compute_w ~cost:z_cost (F.Qr.w_z p ~l)
       done;
       (* ---- YWT = Y * W^H (rows x rows). ---- *)
-      let ywt = if executing then M.create rows rows else M.create 0 0 in
       launch_matmul sim ~stage:Stage.ywt ~threads:tile ~rows_o:rows
-        ~cols_o:rows ~inner:tile
-        ~geta:(fun i k -> M.get y i k)
-        ~getb:(fun k j -> K.conj (M.get w j k))
-        ~store:(fun i j s -> M.set ywt i j s)
-        ();
+        ~cols_o:rows ~inner:tile (F.Qr.ywt p);
       (* ---- Update Q: QWY = Q[:, c0:] * (YWT)^H; Q += QWY. ---- *)
       if accumulate_q then begin
-        let qwy = if executing then M.create mrows rows else M.create 0 0 in
         launch_matmul sim ~stage:Stage.qwyt ~threads:tile ~rows_o:mrows
-          ~cols_o:rows ~inner:rows
-          ~geta:(fun i k -> M.get q i (c0 + k))
-          ~getb:(fun k j -> K.conj (M.get ywt j k))
-          ~store:(fun i j s -> M.set qwy i j s)
-          ();
+          ~cols_o:rows ~inner:rows (F.Qr.qwy p);
         launch_add sim ~stage:Stage.q_plus_qwy ~threads:tile ~rows_o:mrows
-          ~cols_o:rows
-          ~get:(fun i j -> M.get qwy i j)
-          ~add_to:(fun i j s ->
-            M.set q i (c0 + j) (K.add (M.get q i (c0 + j)) s))
+          ~cols_o:rows (F.Qr.q_add p)
       end;
       (* ---- Apply the reflectors to the right-hand side on the fly:
          b[c0:] := b[c0:] + Y (W^H b[c0:]). ---- *)
-      (match rhs with
-      | None -> ()
-      | Some b ->
-        let u = V.create (if executing then tile else 0) in
-        let f = float_of_int in
+      if rhs <> None then begin
         let u_cost =
           Cost.launch ~blocks:tile ~threads:tile
             ~cold_bytes:(((f rows *. f tile) +. f rows +. f tile) *. sb)
@@ -415,14 +342,7 @@ module Make (K : Scalar.S) = struct
             ~working_set:(f rows *. f tile *. 8.0)
             (ops ~adds:(f rows *. f tile) ~muls:(f rows *. f tile) ())
         in
-        Sim.launch sim ~stage:Stage.apply_qt ~cost:u_cost (fun blk ->
-            if blk < tile then begin
-              let sum = ref K.zero in
-              for i = 0 to rows - 1 do
-                sum := K.add !sum (K.mul (K.conj (M.get w i blk)) b.(c0 + i))
-              done;
-              u.(blk) <- !sum
-            end);
+        Sim.launch sim ~stage:Stage.apply_qt ~cost:u_cost (F.Qr.apply_u p);
         let y_cost =
           Cost.launch
             ~blocks:(max 1 ((rows + tile - 1) / tile))
@@ -435,34 +355,18 @@ module Make (K : Scalar.S) = struct
                ~muls:(f rows *. f tile)
                ())
         in
-        Sim.launch sim ~stage:Stage.apply_qt ~cost:y_cost (fun blk ->
-            let lo = blk * tile in
-            let hi = min rows (lo + tile) in
-            for i = lo to hi - 1 do
-              let sum = ref K.zero in
-              for j = 0 to tile - 1 do
-                sum := K.add !sum (K.mul (M.get y i j) u.(j))
-              done;
-              b.(c0 + i) <- K.add b.(c0 + i) !sum
-            done));
+        Sim.launch sim ~stage:Stage.apply_qt ~cost:y_cost (F.Qr.apply_y p)
+      end;
       (* ---- Update the trailing columns C = R[c0:, c1:]. ---- *)
       if k < nt - 1 then begin
         let trail = ncols - c1 in
-        let ywtc = if executing then M.create rows trail else M.create 0 0 in
         (* C lives inside R: its columns are read with the full matrix
            pitch, so the re-read panel is the whole trailing plane of R. *)
         launch_matmul sim ~stage:Stage.ywtc ~threads:tile ~strided:true
           ~working_set:(f rows *. f ncols *. 8.0)
-          ~rows_o:rows ~cols_o:trail ~inner:rows
-          ~geta:(fun i k' -> M.get ywt i k')
-          ~getb:(fun k' j -> M.get r (c0 + k') (c1 + j))
-          ~store:(fun i j s -> M.set ywtc i j s)
-          ();
+          ~rows_o:rows ~cols_o:trail ~inner:rows (F.Qr.ywtc p);
         launch_add sim ~stage:Stage.r_plus_ywtc ~threads:tile ~rows_o:rows
-          ~cols_o:trail
-          ~get:(fun i j -> M.get ywtc i j)
-          ~add_to:(fun i j s ->
-            M.set r (c0 + i) (c1 + j) (K.add (M.get r (c0 + i) (c1 + j)) s))
+          ~cols_o:trail (F.Qr.r_add p)
       end;
       (* ---- ABFT verdict for this panel. ---- *)
       match guard with
@@ -470,7 +374,9 @@ module Make (K : Scalar.S) = struct
       | Some plan ->
           Sim.launch ~protected:true sim ~stage:Stage.abft_check
             ~cost:(abft_cost rows) (fun _ -> ());
-          (not executing) || (probe_ok plan ~rows ~y ~w && region_finite ~c0)
+          (not executing)
+          || probe_ok plan ~rows ~y:(F.Qr.y p) ~w:(F.Qr.w p)
+             && region_finite ~c0
       in
       (match guard with
       | None -> ignore (do_panel () : bool)
@@ -478,15 +384,15 @@ module Make (K : Scalar.S) = struct
           let rec attempt replays =
             let snap =
               if executing then
-                Some (M.copy r, M.copy q, Option.map V.copy rhs)
+                Some (Array.copy r, Array.copy q, Option.map V.copy rhs)
               else None
             in
             let restore () =
               match snap with
               | None -> ()
               | Some (r0, q0, b0) ->
-                  Array.blit r0.M.a 0 r.M.a 0 (Array.length r.M.a);
-                  Array.blit q0.M.a 0 q.M.a 0 (Array.length q.M.a);
+                  Array.blit r0 0 r 0 (Array.length r);
+                  Array.blit q0 0 q 0 (Array.length q);
                   (match (b0, rhs) with
                   | Some src, Some dst ->
                       Array.blit src 0 (dst : K.t array) 0 (Array.length src)
@@ -514,16 +420,21 @@ module Make (K : Scalar.S) = struct
           attempt 0)
     done;
     Sim.set_corruptor sim None;
+    (* Device -> host: Q and R (and the thin path's b). *)
+    Sim.transfer sim (f ((mrows * mrows) + (mrows * ncols)) *. sb);
+    F.Qr.unstage st;
     (* Clean the numerically annihilated subdiagonal of R. *)
-    if sim.Sim.execute then
+    if executing then
       for j = 0 to ncols - 1 do
         for i = j + 1 to mrows - 1 do
-          M.set r i j K.zero
+          r.((i * ncols) + j) <- K.zero
         done
       done;
-    (* Device -> host: Q and R. *)
-    Sim.transfer sim (f ((mrows * mrows) + (mrows * ncols)) *. sb);
-    (q, r)
+    let mat rows cols a =
+      if executing && Array.length a = rows * cols then { M.rows; cols; a }
+      else M.create 0 0
+    in
+    (mat mrows mrows q, mat mrows ncols r)
 
   (* [factor sim a ~tile] returns (q, r) with a = q r, q unitary M-by-M
      and r upper triangular M-by-Nn, computed tile by tile on the

@@ -37,18 +37,22 @@
 
    No dot-shaped loop here calls [mul_add] per element.  The matrix
    product and the panel update make one [lanes] call per (k, tile),
-   and the matrix-vector products, [dot] and the back substitution
-   inner products one [dot] call per output, so the engine runs the
-   whole loop behind one indirect call (hand-inlined at m = 1 and
-   m = 2, where a call per element cost as much as the arithmetic).
-   The elementwise kernels ([axpy], [xpay], [scal], [rank1_sub]) keep
-   the per-element operations.
+   and the matrix-vector products, [dot], the back substitution inner
+   products and the QR's column reductions one [dot] call per output,
+   so the engine runs the whole loop behind one indirect call
+   (hand-inlined at m = 1 and m = 2, where a call per element cost as
+   much as the arithmetic).  The elementwise kernels ([axpy], [xpay],
+   [scal], [rank1_sub], [ewadd], and the QR's "update R" and two
+   additions) keep the per-element operations.
 
-   Staging an operand into planes costs O(elements) conversions while a
-   matrix product performs O(elements * inner) operations on it, so the
-   staging overhead is amortized by the inner dimension; kernels that do
-   O(1) work per element (the elementwise additions) are left on the
-   generic path, where staging would triple their cost.
+   Staging an operand into planes costs O(elements) conversions, which
+   only a kernel doing O(elements * inner) work on it amortizes.  So the
+   solvers stage once per solve and keep their data resident: the back
+   substitution ([Bs]) stages its matrix and right-hand side once and
+   unstages only the solution, and the blocked QR ([Qr]) stages A (and
+   b) once, runs every stage of every panel — the elementwise additions
+   included, which could never pay for staging of their own — on the
+   staged planes, and unstages Q and R once.
 
    Block-level entry points take the same [blk] argument as the generic
    [Sim.launch] bodies and write the same disjoint index ranges, so they
@@ -156,6 +160,10 @@ module Make (K : Scalar.S) = struct
   let read_el (t : planes) i =
     K.of_planes (Array.init K.width (fun pl -> Nd_flat.get t.p pl i))
 
+  (* Write a boxed scalar into element [i] of a staged operand. *)
+  let write_el (t : planes) i x =
+    Array.iteri (fun pl w -> Nd_flat.set t.p pl i w) (K.to_planes x)
+
   (* ---- The register-loading matrix product, one [Sim.launch] block:
      output elements [blk*threads, (blk+1)*threads), each a dot product
      of a row of [a] with a column of [b].  Identical operation sequence
@@ -164,16 +172,27 @@ module Make (K : Scalar.S) = struct
      chunks outermost (the B panel of a chunk stays cache resident
      across every row of the block), then rows, then NR-lane column
      tiles, each lane accumulating in its own context.  Partial sums
-     spill to the C planes between chunks — an exact limb copy. ---- *)
+     spill to the C planes between chunks — an exact limb copy.
 
-  let matmul_block ~threads (a : planes) (b : planes) (c : planes) blk =
+     The operands are strided views, so a product reads its operands
+     where they live on the device: a transposed operand (W^H, YWT^H)
+     is a view with the pitches swapped, a block inside a larger matrix
+     (Q[:, c0:], R[c0:, c1:]) a view with an offset and the parent's
+     row pitch.  The output is a contiguous [planes]. ---- *)
+
+  (* Element (r, c) of a view is word [off + r*pitch + c*step] of [vp]. *)
+  type view = { vp : Nd_flat.planes; off : int; pitch : int; step : int }
+
+  let view (t : planes) = { vp = t.p; off = 0; pitch = t.cols; step = 1 }
+
+  let view_block ~threads ~inner (a : view) (b : view) (c : planes) blk =
     let total = c.rows * c.cols in
     let lo = blk * threads in
     let hi = min total (lo + threads) in
     if lo < hi then begin
       let { Nd_flat.make_ctx; clear; load; lanes; store; _ } = the_plan () in
-      let ap = a.p and bp = b.p and cp = c.p in
-      let inner = a.cols and cols_o = c.cols and bcols = b.cols in
+      let ap = a.vp and bp = b.vp and cp = c.p in
+      let cols_o = c.cols and bstep = b.step in
       let ctxs = Array.init nr_tile (fun _ -> make_ctx ()) in
       if inner = 0 then begin
         (* Degenerate product: every output is the empty sum. *)
@@ -193,7 +212,7 @@ module Make (K : Scalar.S) = struct
             let jstop =
               if i = row_hi then ((hi - 1) mod cols_o) + 1 else cols_o
             in
-            let abase = i * inner and cbase = i * cols_o in
+            let abase = a.off + (i * a.pitch) and cbase = i * cols_o in
             let j0 = ref jstart in
             while !j0 < jstop do
               let nl = min nr_tile (jstop - !j0) in
@@ -205,8 +224,11 @@ module Make (K : Scalar.S) = struct
                 for l = 0 to nl - 1 do
                   load (Array.unsafe_get ctxs l) cp (cbase + !j0 + l)
                 done;
+              let bbase = b.off + (!j0 * bstep) in
               for k = !k0 to khi - 1 do
-                lanes ctxs ap (abase + k) 0 bp ((k * bcols) + !j0) 1 nl
+                lanes ctxs ap (abase + (k * a.step)) 0 bp
+                  (bbase + (k * b.pitch))
+                  bstep nl
               done;
               for l = 0 to nl - 1 do
                 store (Array.unsafe_get ctxs l) cp (cbase + !j0 + l)
@@ -219,41 +241,31 @@ module Make (K : Scalar.S) = struct
       end
     end
 
-  (* The solver-facing matrix product: one entry point, both paths.  The
-     caller computes the modeled device cost (identical on both paths —
-     only the host execution differs) and passes the launch as a
-     closure; this function decides the path.  The flat path stages both
-     operands into limb planes once (O(total) conversions against
-     O(total * inner) kernel operations) and runs the allocation-free
-     plane kernels, limb for limb identical to the generic loop. *)
-  let matmul ~execute ~threads ~rows_o ~cols_o ~inner ~geta ~getb ~store
-      ~launch =
-    if execute && available () then begin
-      let a = stage ~rows:rows_o ~cols:inner ~get:geta in
-      let b = stage ~rows:inner ~cols:cols_o ~get:getb in
-      let c = alloc ~rows:rows_o ~cols:cols_o in
-      launch (fun blk -> matmul_block ~threads a b c blk);
-      unstage c ~store
-    end
-    else
-      launch (fun blk ->
-          let total = rows_o * cols_o in
-          let lo = blk * threads in
-          let hi = min total (lo + threads) in
-          (* Running (row, col) pair instead of a div/mod per element. *)
-          let i = ref (lo / cols_o) and j = ref (lo mod cols_o) in
-          for _idx = lo to hi - 1 do
-            let s = ref K.zero in
-            for k = 0 to inner - 1 do
-              s := K.add !s (K.mul (geta !i k) (getb k !j))
-            done;
-            store !i !j !s;
-            incr j;
-            if !j = cols_o then begin
-              j := 0;
-              incr i
-            end
-          done)
+  (* The contiguous instance: [a] is rows-by-inner, [b] inner-by-cols. *)
+  let matmul_block ~threads (a : planes) (b : planes) (c : planes) blk =
+    view_block ~threads ~inner:a.cols (view a) (view b) c blk
+
+  (* The boxed accessor loop the flat product replays, one launch block:
+     the generic path of the solvers and the oracle of the tests. *)
+  let boxed_matmul_block ~threads ~rows_o ~cols_o ~inner ~geta ~getb ~store
+      blk =
+    let total = rows_o * cols_o in
+    let lo = blk * threads in
+    let hi = min total (lo + threads) in
+    (* Running (row, col) pair instead of a div/mod per element. *)
+    let i = ref (lo / cols_o) and j = ref (lo mod cols_o) in
+    for _idx = lo to hi - 1 do
+      let s = ref K.zero in
+      for k = 0 to inner - 1 do
+        s := K.add !s (K.mul (geta !i k) (getb k !j))
+      done;
+      store !i !j !s;
+      incr j;
+      if !j = cols_o then begin
+        j := 0;
+        incr i
+      end
+    done
 
   (* ---- Tiled back substitution, stage 2.  [vp] is the full dim-by-dim
      matrix with inverted diagonal tiles, [bdp] the evolving right-hand
@@ -588,6 +600,498 @@ module Make (K : Scalar.S) = struct
     let unstage_x t =
       match t.repr with
       | Flat { xp; _ } -> unstage_vec xp ~store:(fun i s -> t.x.(i) <- s)
+      | Boxed -> ()
+  end
+
+  (* ---- The blocked Householder QR device state (Algorithm 2), both
+     paths behind one type, on the pattern of [Bs].  [Blocked_qr] owns
+     the modeled costs, the launches and the fault plane; every kernel
+     body it launches comes from here, so the factorization is written
+     once.
+
+     The flat arm holds what the paper keeps in device memory for the
+     whole factorization: R (staged from A), Q (the identity, staged
+     only when Q is accumulated) and the thin path's right-hand side b
+     are staged once, every panel allocates its Y, W, YWT and product
+     outputs as planes, every stage body runs on the plan, and R, Q and
+     b are unstaged once at the end ([unstage]).  Only the Householder
+     vector's norm, square root and division stay boxed (O(rows) work
+     per column against the O(rows * tile) of the stages around it).
+
+     The boxed arm works on host [K.t] arrays: complex and instrumented
+     scalars, and any factorization under an armed fault plan — its
+     corruptor, ABFT probe, finiteness sweeps and snapshots read the
+     host arrays ([r], [q], [y], [w]).  Both arms replay the same
+     operation sequence with the same argument order, so they agree
+     limb for limb. ---- *)
+  module Qr = struct
+    module V = Vec.Make (K)
+
+    type repr = Flat of resident | Boxed
+
+    (* The flat arm's planes resident for the whole factorization. *)
+    and resident = { rp : planes; qp : planes; bp : planes }
+
+    type t = {
+      mrows : int;
+      ncols : int;
+      tile : int;
+      accumulate_q : bool;
+      execute : bool;
+      r : K.t array; (* row-major mrows*ncols *)
+      q : K.t array; (* row-major mrows*mrows *)
+      b : K.t array; (* the thin path's right-hand side, else empty *)
+      repr : repr;
+    }
+
+    (* A [tile]-column panel at column [c0]: Y and W are rows-by-tile,
+       YWT rows-by-rows, QWY mrows-by-rows and YWTC rows-by-trail. *)
+    type flat_panel = {
+      res : resident;
+      yp : planes;
+      wp : planes;
+      ywtp : planes;
+      qwyp : planes;
+      ywtcp : planes;
+      wrowp : planes; (* beta v^H R[c:, c:c1] of the current column *)
+      up : planes; (* Y^H v (compute W), W^H b (thin path) *)
+      betap : planes; (* beta of column l at l *)
+      nbetap : planes; (* -beta of column l at l *)
+    }
+
+    type boxed_panel = {
+      y : K.t array;
+      w : K.t array;
+      ywt : K.t array;
+      qwy : K.t array;
+      ywtc : K.t array;
+      wrow : K.t array;
+      u : K.t array;
+    }
+
+    type arm = Pflat of flat_panel | Pboxed of boxed_panel
+
+    type panel = {
+      st : t;
+      c0 : int;
+      rows : int;
+      trail : int;
+      betas : K.R.t array;
+      mutable v : K.t array; (* the current Householder vector *)
+      arm : arm;
+    }
+
+    (* Host -> device.  Nothing is allocated when not executing. *)
+    let create ~execute ~fault_armed ~accumulate_q ~mrows ~ncols ~tile ~a ~b =
+      let b = Option.value b ~default:[||] in
+      let st repr ~r ~q =
+        { mrows; ncols; tile; accumulate_q; execute; r; q; b; repr }
+      in
+      if execute && (not fault_armed) && available () then
+        let rp =
+          stage ~rows:mrows ~cols:ncols ~get:(fun i j -> a.((i * ncols) + j))
+        in
+        let qp, q =
+          if accumulate_q then
+            ( stage ~rows:mrows ~cols:mrows ~get:(fun i j ->
+                  if i = j then K.one else K.zero),
+              Array.make (mrows * mrows) K.zero )
+          else (alloc ~rows:0 ~cols:0, [||])
+        in
+        let bp = stage_vec ~n:(Array.length b) ~get:(fun i -> b.(i)) in
+        st (Flat { rp; qp; bp }) ~r:(Array.make (mrows * ncols) K.zero) ~q
+      else if execute then
+        st Boxed ~r:(Array.copy a)
+          ~q:
+            (Array.init (mrows * mrows) (fun idx ->
+                 if idx / mrows = idx mod mrows then K.one else K.zero))
+      else st Boxed ~r:[||] ~q:[||]
+
+    let r t = t.r
+    let q t = t.q
+
+    let panel st ~c0 =
+      let tile = st.tile in
+      let rows = st.mrows - c0 in
+      let trail = st.ncols - c0 - tile in
+      let arm =
+        match st.repr with
+        | Flat res ->
+            let vec n = alloc ~rows:n ~cols:1 in
+            Pflat
+              {
+                res;
+                yp = alloc ~rows ~cols:tile;
+                wp = alloc ~rows ~cols:tile;
+                ywtp = alloc ~rows ~cols:rows;
+                qwyp =
+                  alloc
+                    ~rows:(if st.accumulate_q then st.mrows else 0)
+                    ~cols:rows;
+                ywtcp = alloc ~rows ~cols:trail;
+                wrowp = vec tile;
+                up = vec tile;
+                betap = vec tile;
+                nbetap = vec tile;
+              }
+        | Boxed ->
+            let mk n = if st.execute then Array.make n K.zero else [||] in
+            Pboxed
+              {
+                y = mk (rows * tile);
+                w = mk (rows * tile);
+                ywt = mk (rows * rows);
+                qwy = (if st.accumulate_q then mk (st.mrows * rows) else [||]);
+                ywtc = mk (rows * trail);
+                wrow = mk tile;
+                u = mk tile;
+              }
+      in
+      { st; c0; rows; trail; betas = Array.make tile K.R.zero; v = [||]; arm }
+
+    let y p = match p.arm with Pboxed b -> b.y | Pflat _ -> [||]
+    let w p = match p.arm with Pboxed b -> b.w | Pflat _ -> [||]
+
+    (* beta, v (block 0 only): the column of R below the diagonal, its
+       reflection and beta = 2 / v^H v.  The boxed arm keeps v for
+       [save_v]; the flat arm copies the column into Y, forms both sums
+       of squares there with [dot] (the ascending sum from zero that
+       [V.norm2] is), and boxes only the O(1) square root, phase and
+       division. *)
+    let beta_v p ~l blk =
+      if blk = 0 then begin
+        let st = p.st in
+        let c = p.c0 + l in
+        let len = st.mrows - c in
+        let at = (c * st.ncols) + c and pitch = st.ncols in
+        let reflect ~sigma ~v0 ~set_v0 ~vv =
+          if K.R.is_zero sigma then p.betas.(l) <- K.R.zero
+          else begin
+            let phase = K.unit_phase v0 in
+            set_v0 (K.add v0 (K.scale phase sigma));
+            p.betas.(l) <- K.R.div (K.R.of_int 2) (vv ())
+          end
+        in
+        match p.arm with
+        | Pboxed _ ->
+            let v = Array.init len (fun i -> st.r.(at + (i * pitch))) in
+            reflect ~sigma:(V.norm v) ~v0:v.(0)
+              ~set_v0:(fun x -> v.(0) <- x)
+              ~vv:(fun () -> V.norm2 v);
+            p.v <- v
+        | Pflat f ->
+            let { Nd_flat.make_ctx; clear; dot; store; _ } = the_plan () in
+            let ctx = make_ctx () in
+            let y = f.yp.p and r = f.res.rp.p and tile = st.tile in
+            let top = (l * tile) + l in
+            for pl = 0 to K.width - 1 do
+              for i = 0 to len - 1 do
+                Nd_flat.set y pl
+                  (top + (i * tile))
+                  (Nd_flat.get r pl (at + (i * pitch)))
+              done
+            done;
+            (* beta's slot holds each sum of squares until beta is
+               known. *)
+            let sumsq () =
+              clear ctx;
+              dot ctx y top tile y top tile len;
+              store ctx f.betap.p l;
+              K.re (read_el f.betap l)
+            in
+            reflect
+              ~sigma:(K.R.sqrt (sumsq ()))
+              ~v0:(read_el f.yp top) ~set_v0:(write_el f.yp top) ~vv:sumsq;
+            write_el f.betap l (K.of_real p.betas.(l));
+            write_el f.nbetap l (K.of_real (K.R.neg p.betas.(l)))
+      end
+
+    (* Host side, after the [beta_v] launch: save v into the
+       trapezoidal Y (rows below c0, zeros above c).  The flat arm wrote
+       it there already. *)
+    let save_v p ~l =
+      match p.arm with
+      | Pboxed b ->
+          let tile = p.st.tile in
+          Array.iteri (fun i vi -> b.y.(((l + i) * tile) + l) <- vi) p.v
+      | Pflat _ -> ()
+
+    (* beta*R^T*v: block [blk] forms wrow[blk] = beta v^H R[c:, c+blk]. *)
+    let rtv p ~l blk =
+      let st = p.st in
+      let tile = st.tile in
+      if blk < tile - l then begin
+        let c = p.c0 + l in
+        let len = st.mrows - c in
+        let j = c + blk in
+        match p.arm with
+        | Pflat f ->
+            let { Nd_flat.make_ctx; clear; dot; store; mul_set; _ } =
+              the_plan ()
+            in
+            let ctx = make_ctx () in
+            clear ctx;
+            dot ctx f.yp.p ((l * tile) + l) tile f.res.rp.p
+              ((c * st.ncols) + j)
+              st.ncols len;
+            store ctx f.wrowp.p blk;
+            mul_set ctx f.wrowp.p blk f.betap.p l;
+            store ctx f.wrowp.p blk
+        | Pboxed b ->
+            let v = p.v in
+            let s = ref K.zero in
+            for i = 0 to len - 1 do
+              s :=
+                K.add !s
+                  (K.mul (K.conj v.(i)) st.r.(((c + i) * st.ncols) + j))
+            done;
+            b.wrow.(blk) <- K.scale !s p.betas.(l)
+      end
+
+    (* update R: R[c:, c:c1] -= v wrow, [tile] elements per block. *)
+    let update_r p ~l blk =
+      let st = p.st in
+      let tile = st.tile and ncols = st.ncols in
+      let c = p.c0 + l in
+      let w_ = tile - l in
+      let total = (st.mrows - c) * w_ in
+      let lo = blk * tile in
+      let hi = min total (lo + tile) in
+      match p.arm with
+      | Pflat f ->
+          let { Nd_flat.make_ctx; mul_set; sub_from; _ } = the_plan () in
+          let ctx = make_ctx () in
+          let ytop = (l * tile) + l in
+          for idx = lo to hi - 1 do
+            let i = idx / w_ and jj = idx mod w_ in
+            mul_set ctx f.yp.p (ytop + (i * tile)) f.wrowp.p jj;
+            sub_from ctx f.res.rp.p (((c + i) * ncols) + c + jj)
+          done
+      | Pboxed b ->
+          let v = p.v in
+          for idx = lo to hi - 1 do
+            let i = idx / w_ and jj = idx mod w_ in
+            let at = ((c + i) * ncols) + c + jj in
+            st.r.(at) <- K.sub st.r.(at) (K.mul v.(i) b.wrow.(jj))
+          done
+
+    (* compute W, u step: u[blk] = Y[:, blk]^H v_l for blk < l. *)
+    let w_u p ~l blk =
+      if blk < l then begin
+        let tile = p.st.tile and rows = p.rows in
+        match p.arm with
+        | Pflat f ->
+            let { Nd_flat.make_ctx; clear; dot; store; _ } = the_plan () in
+            let ctx = make_ctx () in
+            clear ctx;
+            dot ctx f.yp.p blk tile f.yp.p l tile rows;
+            store ctx f.up.p blk
+        | Pboxed b ->
+            let s = ref K.zero in
+            for i = 0 to rows - 1 do
+              s :=
+                K.add !s
+                  (K.mul (K.conj b.y.((i * tile) + blk)) b.y.((i * tile) + l))
+            done;
+            b.u.(blk) <- !s
+      end
+
+    (* compute W, z step: W[i, l] = -beta (Y[i, l] + W[i, :l] u) for the
+       [tile] rows of block [blk]. *)
+    let w_z p ~l blk =
+      let tile = p.st.tile in
+      let lo = blk * tile in
+      let hi = min p.rows (lo + tile) in
+      match p.arm with
+      | Pflat f ->
+          let { Nd_flat.make_ctx; load; dot; store; mul_set; _ } =
+            the_plan ()
+          in
+          let ctx = make_ctx () in
+          for i = lo to hi - 1 do
+            let at = (i * tile) + l in
+            load ctx f.yp.p at;
+            dot ctx f.wp.p (i * tile) 1 f.up.p 0 1 l;
+            store ctx f.wp.p at;
+            mul_set ctx f.wp.p at f.nbetap.p l;
+            store ctx f.wp.p at
+          done
+      | Pboxed b ->
+          let nbeta = K.R.neg p.betas.(l) in
+          for i = lo to hi - 1 do
+            let s = ref b.y.((i * tile) + l) in
+            for j = 0 to l - 1 do
+              s := K.add !s (K.mul b.w.((i * tile) + j) b.u.(j))
+            done;
+            b.w.((i * tile) + l) <- K.scale !s nbeta
+          done
+
+    (* The three products.  Each returns the launch body, resolved once
+       per launch. *)
+
+    (* YWT = Y * W^H (rows x rows). *)
+    let ywt p =
+      let tile = p.st.tile and rows = p.rows in
+      match p.arm with
+      | Pflat f ->
+          view_block ~threads:tile ~inner:tile (view f.yp)
+            { vp = f.wp.p; off = 0; pitch = 1; step = tile }
+            f.ywtp
+      | Pboxed b ->
+          boxed_matmul_block ~threads:tile ~rows_o:rows ~cols_o:rows
+            ~inner:tile
+            ~geta:(fun i k -> b.y.((i * tile) + k))
+            ~getb:(fun k j -> K.conj b.w.((j * tile) + k))
+            ~store:(fun i j s -> b.ywt.((i * rows) + j) <- s)
+
+    (* QWY = Q[:, c0:] * YWT^H (mrows x rows). *)
+    let qwy p =
+      let st = p.st in
+      let mrows = st.mrows and rows = p.rows and c0 = p.c0 in
+      match p.arm with
+      | Pflat f ->
+          view_block ~threads:st.tile ~inner:rows
+            { vp = f.res.qp.p; off = c0; pitch = mrows; step = 1 }
+            { vp = f.ywtp.p; off = 0; pitch = 1; step = rows }
+            f.qwyp
+      | Pboxed b ->
+          boxed_matmul_block ~threads:st.tile ~rows_o:mrows ~cols_o:rows
+            ~inner:rows
+            ~geta:(fun i k -> st.q.((i * mrows) + c0 + k))
+            ~getb:(fun k j -> K.conj b.ywt.((j * rows) + k))
+            ~store:(fun i j s -> b.qwy.((i * rows) + j) <- s)
+
+    (* YWTC = YWT * R[c0:, c1:] (rows x trail); C is read in place. *)
+    let ywtc p =
+      let st = p.st in
+      let ncols = st.ncols and rows = p.rows and trail = p.trail in
+      let c_at = (p.c0 * ncols) + p.c0 + st.tile in
+      match p.arm with
+      | Pflat f ->
+          view_block ~threads:st.tile ~inner:rows (view f.ywtp)
+            { vp = f.res.rp.p; off = c_at; pitch = ncols; step = 1 }
+            f.ywtcp
+      | Pboxed b ->
+          boxed_matmul_block ~threads:st.tile ~rows_o:rows ~cols_o:trail
+            ~inner:rows
+            ~geta:(fun i k -> b.ywt.((i * rows) + k))
+            ~getb:(fun k j -> st.r.(c_at + (k * ncols) + j))
+            ~store:(fun i j s -> b.ywtc.((i * trail) + j) <- s)
+
+    (* The two additions, one launch block each: [step idx at] adds
+       element [idx] of the contiguous rows-by-cols source to word
+       [at = off + i*pitch + j] of the destination, for the output
+       elements of block [blk]. *)
+    let add_block ~threads ~rows ~cols ~off ~pitch step blk =
+      let total = rows * cols in
+      let lo = blk * threads in
+      let hi = min total (lo + threads) in
+      (* Running (row, col) pair instead of two div/mod per element. *)
+      let i = ref (lo / cols) and j = ref (lo mod cols) in
+      for idx = lo to hi - 1 do
+        step idx (off + (!i * pitch) + !j);
+        incr j;
+        if !j = cols then begin
+          j := 0;
+          incr i
+        end
+      done
+
+    (* dst += src per element, in the boxed argument order. *)
+    let flat_add (dst : planes) (src : planes) =
+      let { Nd_flat.make_ctx; load; add; store; _ } = the_plan () in
+      let ctx = make_ctx () in
+      fun idx at ->
+        load ctx dst.p at;
+        add ctx src.p idx;
+        store ctx dst.p at
+
+    let boxed_add (dst : K.t array) (src : K.t array) idx at =
+      dst.(at) <- K.add dst.(at) src.(idx)
+
+    (* Q[:, c0:] += QWY. *)
+    let q_add p blk =
+      let st = p.st in
+      add_block ~threads:st.tile ~rows:st.mrows ~cols:p.rows ~off:p.c0
+        ~pitch:st.mrows
+        (match p.arm with
+        | Pflat f -> flat_add f.res.qp f.qwyp
+        | Pboxed b -> boxed_add st.q b.qwy)
+        blk
+
+    (* R[c0:, c1:] += YWTC. *)
+    let r_add p blk =
+      let st = p.st in
+      add_block ~threads:st.tile ~rows:p.rows ~cols:p.trail
+        ~off:((p.c0 * st.ncols) + p.c0 + st.tile)
+        ~pitch:st.ncols
+        (match p.arm with
+        | Pflat f -> flat_add f.res.rp f.ywtcp
+        | Pboxed b -> boxed_add st.r b.ywtc)
+        blk
+
+    (* Thin path, u step: u[blk] = W[:, blk]^H b[c0:]. *)
+    let apply_u p blk =
+      let st = p.st in
+      let tile = st.tile and rows = p.rows and c0 = p.c0 in
+      if blk < tile then
+        match p.arm with
+        | Pflat f ->
+            let { Nd_flat.make_ctx; clear; dot; store; _ } = the_plan () in
+            let ctx = make_ctx () in
+            clear ctx;
+            dot ctx f.wp.p blk tile f.res.bp.p c0 1 rows;
+            store ctx f.up.p blk
+        | Pboxed b ->
+            let sum = ref K.zero in
+            for i = 0 to rows - 1 do
+              sum :=
+                K.add !sum
+                  (K.mul (K.conj b.w.((i * tile) + blk)) st.b.(c0 + i))
+            done;
+            b.u.(blk) <- !sum
+
+    (* Thin path, update: b[c0 + i] += Y[i, :] u for the rows of block
+       [blk].  The sum goes through a scratch word so the addition keeps
+       the boxed argument order, b first. *)
+    let apply_y p blk =
+      let st = p.st in
+      let tile = st.tile and c0 = p.c0 in
+      let lo = blk * tile in
+      let hi = min p.rows (lo + tile) in
+      match p.arm with
+      | Pflat f ->
+          let { Nd_flat.make_ctx; clear; load; dot; add; store; _ } =
+            the_plan ()
+          in
+          let ctx = make_ctx () in
+          let sum = Nd_flat.make_planes ~limbs:K.width 1 in
+          for i = lo to hi - 1 do
+            clear ctx;
+            dot ctx f.yp.p (i * tile) 1 f.up.p 0 1 tile;
+            store ctx sum 0;
+            load ctx f.res.bp.p (c0 + i);
+            add ctx sum 0;
+            store ctx f.res.bp.p (c0 + i)
+          done
+      | Pboxed b ->
+          for i = lo to hi - 1 do
+            let sum = ref K.zero in
+            for j = 0 to tile - 1 do
+              sum := K.add !sum (K.mul b.y.((i * tile) + j) b.u.(j))
+            done;
+            st.b.(c0 + i) <- K.add st.b.(c0 + i) !sum
+          done
+
+    (* Device -> host: R, Q and b back into the host arrays (nothing to
+       do on the boxed arm, which factored in place). *)
+    let unstage t =
+      match t.repr with
+      | Flat { rp; qp; bp; _ } ->
+          let into (dst : K.t array) cols i j s = dst.((i * cols) + j) <- s in
+          unstage rp ~store:(into t.r t.ncols);
+          if t.accumulate_q then unstage qp ~store:(into t.q t.mrows);
+          unstage_vec bp ~store:(fun i s -> t.b.(i) <- s)
       | Boxed -> ()
   end
 end

@@ -61,16 +61,35 @@ module Make (K : Scalar.S) : sig
   val stage_vec : n:int -> get:(int -> K.t) -> planes
   val unstage_vec : planes -> store:(int -> K.t -> unit) -> unit
 
-  val matmul_block : threads:int -> planes -> planes -> planes -> int -> unit
-  (** The register-loading matrix product, one [Sim.launch] block:
-      output elements [blk*threads, (blk+1)*threads), each a dot product
-      of a row of the first operand with a column of the second.
+  type view = {
+    vp : Multidouble.Nd_flat.planes;
+    off : int;
+    pitch : int;
+    step : int;
+  }
+  (** A strided operand of {!view_block}: element (r, c) is word
+      [off + r*pitch + c*step] of [vp] — a transposed operand swaps the
+      pitches, a block inside a larger matrix takes an offset and the
+      parent's row pitch. *)
+
+  val view : planes -> view
+  (** The whole of a row-major staged operand. *)
+
+  val view_block :
+    threads:int -> inner:int -> view -> view -> planes -> int -> unit
+  (** [view_block ~threads ~inner a b c blk]: the register-loading matrix
+      product on strided views, one [Sim.launch] block: output elements
+      [blk*threads, (blk+1)*threads) of the contiguous [c], each the dot
+      product over [inner] of a row of [a] with a column of [b].
       Executes as the {!tile}-shaped cache-blocked microkernel; each
       lane replays the untiled per-element operation sequence exactly,
-      so the result is bit-identical to the generic loop. *)
+      so the result is bit-identical to {!boxed_matmul_block}. *)
 
-  val matmul :
-    execute:bool ->
+  val matmul_block : threads:int -> planes -> planes -> planes -> int -> unit
+  (** {!view_block} on contiguous operands: [a] rows-by-inner, [b]
+      inner-by-cols. *)
+
+  val boxed_matmul_block :
     threads:int ->
     rows_o:int ->
     cols_o:int ->
@@ -78,13 +97,11 @@ module Make (K : Scalar.S) : sig
     geta:(int -> int -> K.t) ->
     getb:(int -> int -> K.t) ->
     store:(int -> int -> K.t -> unit) ->
-    launch:((int -> unit) -> unit) ->
+    int ->
     unit
-  (** The solver-facing matrix product: one entry point, both paths.
-      The caller computes the modeled device cost (identical on both
-      paths) and passes the launch as a closure; this function picks the
-      path — staged flat kernels when [execute] and {!available}, the
-      boxed accessor loop otherwise.  Results are bit-identical. *)
+  (** The boxed accessor loop the flat product replays, one launch
+      block: [store i j (sum_k geta i k * getb k j)] accumulated from
+      [K.zero] in ascending [k] — the generic path and the oracle. *)
 
   val bs_xi_block :
     dim:int -> r0:int -> n:int -> planes -> planes -> planes -> unit
@@ -127,8 +144,7 @@ module Make (K : Scalar.S) : sig
       Householder panel update. *)
 
   val ewadd : planes -> planes -> unit
-  (** dst[i] := dst[i] + src[i] elementwise over whole planes (kept on
-      the generic path in the solvers; here for tests and bench). *)
+  (** dst[i] := dst[i] + src[i] elementwise over whole planes. *)
 
   (** The back substitution device state, both paths behind one type:
       the staged-planes arm when flat execution is on, the boxed host
@@ -184,5 +200,81 @@ module Make (K : Scalar.S) : sig
     val unstage_x : t -> unit
     (** Write the staged solution back into the host array (identity on
         the boxed arm, which solved in place). *)
+  end
+
+  (** The blocked Householder QR device state, both paths behind one
+      type: [Blocked_qr] computes the modeled costs and issues the
+      launches, and every launch body comes from here.
+
+      The flat arm stages R (from A), Q (the identity, only when Q is
+      accumulated) and the thin path's right-hand side once at
+      {!Qr.create}, runs every stage of every panel on the staged planes
+      (Y, W, YWT and the product outputs are planes too) and unstages
+      R, Q and b once at {!Qr.unstage}.  The boxed arm factors the host
+      arrays in place; it serves complex and instrumented scalars and
+      every fault-armed factorization, whose corruptor, probe and
+      snapshots read the host arrays.  Both arms replay one operation
+      sequence, so the results are limb for limb identical. *)
+  module Qr : sig
+    type t
+
+    type panel
+    (** The per-panel device state: Y, W, YWT, the product outputs and
+        the column scratch. *)
+
+    val create :
+      execute:bool ->
+      fault_armed:bool ->
+      accumulate_q:bool ->
+      mrows:int ->
+      ncols:int ->
+      tile:int ->
+      a:K.t array ->
+      b:K.t array option ->
+      t
+    (** [create ~execute ~fault_armed ~accumulate_q ~mrows ~ncols ~tile
+        ~a ~b]: the device state of one factorization of the row-major
+        [mrows]-by-[ncols] [a] (not modified), with the thin path's
+        right-hand side [b] (overwritten with Q^H b by the end).  Flat
+        when [execute], not [fault_armed] and {!available}; allocates
+        nothing when not [execute]. *)
+
+    val r : t -> K.t array
+    (** The host R, row-major: live on the boxed arm, filled by
+        {!unstage} on the flat arm. *)
+
+    val q : t -> K.t array
+    (** The host Q, as {!r}; empty on the flat arm when Q is not
+        accumulated and on both arms when not executing. *)
+
+    val panel : t -> c0:int -> panel
+    val y : panel -> K.t array
+    val w : panel -> K.t array
+    (** The boxed panel's row-major rows-by-tile Y and W (empty on the
+        flat arm). *)
+
+    val beta_v : panel -> l:int -> int -> unit
+    val save_v : panel -> l:int -> unit
+    (** Host side, after the [beta_v] launch: v into column [l] of Y. *)
+
+    val rtv : panel -> l:int -> int -> unit
+    val update_r : panel -> l:int -> int -> unit
+    val w_u : panel -> l:int -> int -> unit
+    val w_z : panel -> l:int -> int -> unit
+    val ywt : panel -> int -> unit
+    val qwy : panel -> int -> unit
+    val q_add : panel -> int -> unit
+    val apply_u : panel -> int -> unit
+    val apply_y : panel -> int -> unit
+    val ywtc : panel -> int -> unit
+    val r_add : panel -> int -> unit
+    (** The launch bodies of the stages, each taking the block index:
+        "beta, v", "beta*R^T*v", "update R", the u and z launches of
+        "compute W", "Y*W^T", "Q*WY^T", "Q + QWY", the two launches of
+        the thin path's Q^H b, "YWT*C" and "R + YWTC". *)
+
+    val unstage : t -> unit
+    (** Device -> host: R, Q and b into the host arrays (nothing to do
+        on the boxed arm). *)
   end
 end

@@ -451,6 +451,62 @@ let test_od_bigarray_corrupt_detected () =
   done;
   check "campaign struck U at least once" true (!struck_u > 0)
 
+let test_fault_armed_qr_stays_boxed () =
+  (* A fault-armed factorization runs on the boxed arm of the QR device
+     state whatever the flat switch says: its corruptor, ABFT probe and
+     snapshots read the host arrays.  So the switch must change nothing
+     under a bit-flip campaign: not R, Q or Q^H b, not the tally, not
+     one corruption site. *)
+  let module K = Mdlinalg.Scalar.Dd in
+  let module M = Mdlinalg.Mat.Make (K) in
+  let module Qr = Lsq_core.Blocked_qr.Make (K) in
+  let bits (a : K.t array) =
+    Array.map (fun x -> Array.map Int64.bits_of_float (K.to_planes x)) a
+  in
+  let corruption_sites () =
+    Json.of_string (Obs.Tracer.export ())
+    |> Json.member "traceEvents" |> Json.get_list
+    |> List.filter (fun e ->
+           Json.(get_string (member "name" e)) = "fault.corrupted")
+    |> List.map (fun e -> Json.(get_string (member "what" (member "args" e))))
+  in
+  let campaign flat f =
+    let prev = !Mdlinalg.Flat_kernels.enabled in
+    Mdlinalg.Flat_kernels.enabled := flat;
+    Fun.protect
+      ~finally:(fun () ->
+        Obs.Tracer.stop ();
+        Mdlinalg.Flat_kernels.enabled := prev)
+      (fun () ->
+        Obs.Tracer.start ();
+        let sim =
+          Sim.create ~device ~prec:P.DD
+            ~fault:(Plan.config ~kinds:[ Plan.Bitflip ] ~seed:7 ~rate:0.05 ())
+            ()
+        in
+        let out = f sim in
+        (out, Option.get (Sim.fault_tally sim), corruption_sites ()))
+  in
+  let rng = Dompool.Prng.create 41 in
+  let a = M.random rng 24 16 in
+  let b = Array.init 24 (fun _ -> K.random rng) in
+  let same what run =
+    let out_f, tally_f, sites_f = campaign true run in
+    let out_b, tally_b, sites_b = campaign false run in
+    check (what ^ ": bit flips struck") true (tally_f.Plan.bitflips > 0);
+    check (what ^ ": corruptions recorded") true (sites_f <> []);
+    check (what ^ ": identical results") true (out_f = out_b);
+    check (what ^ ": identical tallies") true (tally_f = tally_b);
+    Alcotest.(check (list string)) (what ^ ": identical sites") sites_b sites_f
+  in
+  same "qr" (fun sim ->
+      let q, r = Qr.factor sim a ~tile:4 in
+      (bits q.M.a, bits r.M.a));
+  same "thin qr" (fun sim ->
+      let b = Array.copy b in
+      let r = Qr.factor_thin sim a ~b ~tile:4 in
+      (bits r.M.a, bits b))
+
 (* ---- scheduler classification and job validation ---- *)
 
 let solve_job ?(rate = 0.0) ?(seed = 1) ~id () =
@@ -630,6 +686,8 @@ let () =
             test_od_flat_fault;
           Alcotest.test_case "raw strikes on Bigarray planes detected" `Quick
             test_od_bigarray_corrupt_detected;
+          Alcotest.test_case "fault-armed QR stays boxed" `Quick
+            test_fault_armed_qr_stays_boxed;
         ] );
       ( "scheduler",
         [

@@ -1,8 +1,9 @@
 (* Tests for the flat limb-planar kernel layer: the plane microkernels
-   must be bit-for-bit (limb-exact) equivalent to the generic scalar
-   path at every covered precision (d, dd, qd and od), the dispatchers
-   in the blocked QR and the tiled back substitution must produce
-   limb-identical results with the flat path on and off, the staggered
+   (the strided-view matrix product included) must be bit-for-bit
+   (limb-exact) equivalent to the generic scalar path at every covered
+   precision (d, dd, qd and od), the blocked QR (full and thin) and the
+   tiled back substitution must produce limb-identical results, launch
+   counts and stage rows with the flat path on and off, the staggered
    staging must round-trip exactly, and the capability gate must exclude
    the scalars the flat plane does not cover (complex, instrumented). *)
 
@@ -152,6 +153,56 @@ module Equiv (K : Scalar.S) = struct
           cf cg)
       [ (5, 4, 3, 2); (16, 16, 16, 8); (10, 32, 7, 128) ]
 
+  (* ---- the strided-view product against the boxed accessor loop ----
+     Each case reads its operands through views into larger staged
+     parents, exactly as the QR reads W^H, YWT^H, Q[:, c0:] and
+     R[c0:, c1:]; the boxed loop reads the same words of the boxed
+     parents.  Output widths leave lane tails (nl < 8), thread counts
+     split rows across blocks, and one inner dimension exceeds KC so
+     partial sums spill between chunks. *)
+
+  let test_view_blocks () =
+    let rng = Dompool.Prng.create 9 in
+    let case what ~rows_o ~cols_o ~inner ~threads (pa, aoff, apitch, astep)
+        (pb, boff, bpitch, bstep) =
+      let staged (m : M.t) =
+        (F.stage ~rows:(M.rows m) ~cols:(M.cols m) ~get:(M.get m)).F.p
+      in
+      let av = { F.vp = staged pa; off = aoff; pitch = apitch; step = astep } in
+      let bv = { F.vp = staged pb; off = boff; pitch = bpitch; step = bstep } in
+      let cp = F.alloc ~rows:rows_o ~cols:cols_o in
+      let cg = M.create rows_o cols_o in
+      let blocks = ((rows_o * cols_o) + threads - 1) / threads in
+      for blk = 0 to blocks - 1 do
+        F.view_block ~threads ~inner av bv cp blk;
+        F.boxed_matmul_block ~threads ~rows_o ~cols_o ~inner
+          ~geta:(fun i k -> pa.M.a.(aoff + (i * apitch) + (k * astep)))
+          ~getb:(fun k j -> pb.M.a.(boff + (k * bpitch) + (j * bstep)))
+          ~store:(M.set cg) blk
+      done;
+      let cf = M.create rows_o cols_o in
+      F.unstage cp ~store:(M.set cf);
+      check_mat what cf cg
+    in
+    (* Y * W^H: W read transposed, 21 = 8 + 8 + 5 output columns, six
+       threads per block. *)
+    let y = Rand.matrix rng 21 6 and w = Rand.matrix rng 21 6 in
+    case "transposed B" ~rows_o:21 ~cols_o:21 ~inner:6 ~threads:6 (y, 0, 6, 1)
+      (w, 0, 1, 6);
+    (* Q[:, 4:] * YWT^H: a column-offset A with the parent's row pitch. *)
+    let q = Rand.matrix rng 20 20 and ywt = Rand.matrix rng 16 16 in
+    case "offset A" ~rows_o:20 ~cols_o:16 ~inner:16 ~threads:7 (q, 4, 20, 1)
+      (ywt, 0, 1, 16);
+    (* YWT * R[4:, 8:]: a pitched B sub-block four columns wide. *)
+    let ywt = Rand.matrix rng 20 20 and r = Rand.matrix rng 24 12 in
+    case "pitched B" ~rows_o:20 ~cols_o:4 ~inner:20 ~threads:3 (ywt, 0, 20, 1)
+      (r, (4 * 12) + 8, 12, 1);
+    (* inner > KC: the spill path, with a transposed B. *)
+    let inner = F.tile.Flat_kernels.kc + 37 in
+    let a = Rand.matrix rng 5 inner and bt = Rand.matrix rng 11 inner in
+    case "spill" ~rows_o:5 ~cols_o:11 ~inner ~threads:9 (a, 0, inner, 1)
+      (bt, 0, 1, inner)
+
   (* ---- whole-algorithm equivalence: flat dispatch on vs off ---- *)
 
   let with_flat on f =
@@ -159,22 +210,70 @@ module Equiv (K : Scalar.S) = struct
     Flat_kernels.enabled := on;
     Fun.protect ~finally:(fun () -> Flat_kernels.enabled := prev) f
 
+  (* [f] on a fresh simulator with the flat path [on]: its result, the
+     launch count, the stage rows and the modeled wall clock. *)
+  let on_sim on f =
+    with_flat on (fun () ->
+        let sim = Gpusim.Sim.create ~device ~prec:K.prec () in
+        let out = f sim in
+        ( out,
+          Gpusim.Sim.launches sim,
+          Gpusim.Sim.breakdown sim,
+          Gpusim.Sim.wall_ms sim ))
+
+  let same_paths what cmp run =
+    let flat, fl, frows, fms = run true and gen, gl, grows, gms = run false in
+    cmp flat gen;
+    check (what ^ ": same launches") true (fl = gl);
+    check (what ^ ": same stage rows") true (frows = grows);
+    check (what ^ ": same modeled ms") true (fms = gms)
+
+  (* A random matrix with the listed columns zeroed: a zero column
+     below the diagonal gives sigma = 0 and beta = 0. *)
+  let with_zero_cols rng rows cols zeros =
+    let a = Rand.matrix rng rows cols in
+    List.iter
+      (fun j ->
+        for i = 0 to rows - 1 do
+          M.set a i j K.zero
+        done)
+      zeros;
+    a
+
   let test_qr_paths_identical () =
     let rng = Dompool.Prng.create 6 in
+    check "flat dispatch available" true (F.available ());
     List.iter
-      (fun (rows, cols, tile) ->
-        let a = Rand.matrix rng rows cols in
-        let flat = with_flat true (fun () -> Qr.run ~device ~a ~tile ()) in
-        let gen = with_flat false (fun () -> Qr.run ~device ~a ~tile ()) in
-        check
-          (Printf.sprintf "flat dispatch fired (%dx%d)" rows cols)
-          true (F.available ());
-        check_mat "qr: q" flat.Qr.q gen.Qr.q;
-        check_mat "qr: r" flat.Qr.r gen.Qr.r;
-        check "same modeled ms" true
-          (flat.Qr.kernel_ms = gen.Qr.kernel_ms
-          && flat.Qr.wall_ms = gen.Qr.wall_ms))
-      [ (12, 8, 4); (24, 16, 8) ]
+      (fun (rows, cols, tile, zeros) ->
+        let a = with_zero_cols rng rows cols zeros in
+        let what = Printf.sprintf "qr %dx%d/%d" rows cols tile in
+        same_paths what
+          (fun (qf, rf) (qg, rg) ->
+            check_mat (what ^ ": q") qf qg;
+            check_mat (what ^ ": r") rf rg)
+          (fun on -> on_sim on (fun sim -> Qr.factor sim a ~tile)))
+      [
+        (12, 8, 4, []);
+        (24, 16, 8, []);
+        (64, 16, 16, []) (* a single panel *);
+        (8, 8, 8, []) (* rows = cols = tile *);
+        (16, 8, 4, [ 0; 5 ]) (* sigma = 0 *);
+      ];
+    List.iter
+      (fun (rows, cols, tile, zeros) ->
+        let a = with_zero_cols rng rows cols zeros in
+        let b = Rand.vector rng rows in
+        let what = Printf.sprintf "thin qr %dx%d/%d" rows cols tile in
+        same_paths what
+          (fun (rf, bf) (rg, bg) ->
+            check_mat (what ^ ": r") rf rg;
+            check_vec (what ^ ": Q^H b") bf bg)
+          (fun on ->
+            on_sim on (fun sim ->
+                let b = V.copy b in
+                let r = Qr.factor_thin sim a ~b ~tile in
+                (r, b))))
+      [ (40, 8, 4, []); (24, 8, 4, [ 0; 5 ]) ]
 
   let test_back_sub_paths_identical () =
     let rng = Dompool.Prng.create 7 in
@@ -196,6 +295,7 @@ module Equiv (K : Scalar.S) = struct
       Alcotest.test_case (prefix ^ " rank1") `Quick test_rank1;
       Alcotest.test_case (prefix ^ " ewadd") `Quick test_ewadd;
       Alcotest.test_case (prefix ^ " matmul blocks") `Quick test_matmul_blocks;
+      Alcotest.test_case (prefix ^ " view blocks") `Quick test_view_blocks;
       Alcotest.test_case (prefix ^ " qr paths") `Quick test_qr_paths_identical;
       Alcotest.test_case (prefix ^ " back sub paths") `Quick
         test_back_sub_paths_identical;
