@@ -225,6 +225,7 @@ module Make (K : Scalar.S) = struct
 
   module Qr = Blocked_qr.Make (K)
   module Bs = Tiled_back_sub.Make (K)
+  module FT = Flat_kernels.Make (K)
 
   let sb = float_of_int (8 * K.width)
 
@@ -285,16 +286,28 @@ module Make (K : Scalar.S) = struct
       else begin
         let q, r = Qr.factor qr_sim a ~tile in
         let qtb = V.create n in
-        launch_qtb qr_sim ~mrows ~n ~tile (fun blk ->
-            let lo = blk * tile in
-            let hi = min n (lo + tile) in
-            for j = lo to hi - 1 do
-              let s = ref K.zero in
-              for i = 0 to mrows - 1 do
-                s := K.add !s (K.mul (K.conj (M.get q i j)) b.(i))
-              done;
-              qtb.(j) <- !s
-            done);
+        (* On the flat planes each output is the transposed matvec's
+           clear / ascending mul_add / store, the boxed loop's sequence
+           (a real Q has conj = id). *)
+        if execute && FT.available () then begin
+          let qp = FT.stage ~rows:mrows ~cols:n ~get:(M.get q)
+          and bp = FT.stage_vec ~n:mrows ~get:(Array.get b)
+          and yp = FT.alloc ~rows:n ~cols:1 in
+          launch_qtb qr_sim ~mrows ~n ~tile
+            (FT.gemv_t_block ~threads:tile qp bp yp);
+          FT.unstage_vec yp ~store:(Array.set qtb)
+        end
+        else
+          launch_qtb qr_sim ~mrows ~n ~tile (fun blk ->
+              let lo = blk * tile in
+              let hi = min n (lo + tile) in
+              for j = lo to hi - 1 do
+                let s = ref K.zero in
+                for i = 0 to mrows - 1 do
+                  s := K.add !s (K.mul (K.conj (M.get q i j)) b.(i))
+                done;
+                qtb.(j) <- !s
+              done);
         (r, qtb)
       end
     in
@@ -980,8 +993,6 @@ module Make (K : Scalar.S) = struct
      estimate read it with the operation sequences of the boxed
      [M.matvec], [M.adjoint], [M.frobenius] and [M.matmul], so both
      arms agree bit for bit.  None of this launches a kernel. *)
-
-  module FT = Flat_kernels.Make (K)
 
   let vector_of (t : FT.planes) =
     let out = Array.make t.FT.rows K.zero in

@@ -46,12 +46,15 @@
    - m = 4 runs the QDlib sequences of [Quad_double] (merge by
      decreasing magnitude through a sliding window, three_sum towers).
    - m = 8 runs a specialized engine for octo double: the same
-     [Expansion.Pre] sequences as the generic replay below, but
+     [Expansion.Pre] results as the generic replay below, but
      monomorphic and straight-line — the 36 partial products of the
      truncated multiplication hand-unrolled into a 79-slot product
-     buffer, ordered by the same [Renorm.sort_by_magnitude] the boxed
-     path calls (with the sort's saved copy in the ctx, so nothing is
-     allocated).
+     buffer — and doing only the work that can change a bit: an
+     all-zero buffer is +0 without sorting, otherwise only its nonzero
+     terms are sorted (by the checked insertion sort the boxed path runs,
+     [Renorm.sort_prefix_by_magnitude]) and distilled, and a merged sum
+     is distilled without its zero tail; ties, NaNs and infinities fall
+     back to the whole buffer.
    - every other m >= 3 runs an allocation-free replay of
      [Expansion.Pre]: accurate addition as merge-by-magnitude plus a
      two-pass renormalization, truncated multiplication as the exact
@@ -67,7 +70,7 @@
    dispatchers and the fault plane rely on.  The m = 8 engine IS an
    instance of the expansion algorithms — it exists purely for speed and
    is pinned to the replay engine by the bit-identity suites.  Since the
-   boxed and flat products share one magnitude sort, those suites also
+   boxed and flat products share one insertion sort, those suites also
    pin both against a reference product built on the stdlib sort.  All
    are selected once, at plan resolution, never per kernel operation.
 
@@ -123,8 +126,10 @@ let[@inline] word (p : fa) i =
 
 (* Per-block scratch.  One concrete record serves all engines: each
    allocates only the fields its algorithms touch (the rest stay empty),
-   all float state lives in float arrays (unboxed storage), and the
-   mutable ints replace the refs of the reference implementations. *)
+   and all float state that outlives a call lives in float arrays
+   (unboxed storage).  The specialized engines keep their carries and
+   cursors in local refs, which the compiler unboxes; the generic replay
+   keeps them in [uv] and the mutable ints. *)
 type ctx = {
   acc : float array;  (* m: the running accumulator *)
   tmp : float array;  (* m: second operand / write-back scratch *)
@@ -134,11 +139,11 @@ type ctx = {
   pbuf : float array; (* generic partial-product buffer: m^2 + 2m - 1 *)
   psave : float array; (* the sort's saved copy of pbuf, same size *)
   rt : float array;   (* qd renormalization input scratch (clobbered) *)
-  out : float array;  (* renormalization output, m *)
-  uv : float array;   (* sliding window (qd) / running carry (generic) *)
-  mutable mi : int;   (* merge cursor into the first operand *)
-  mutable mj : int;   (* merge cursor into the second operand *)
-  mutable mk : int;   (* next output slot of a merge or emission *)
+  out : float array;  (* renormalization output, m (od, generic) *)
+  uv : float array;   (* running carry (generic) *)
+  mutable mi : int;   (* merge cursor into the first operand (generic) *)
+  mutable mj : int;   (* merge cursor into the second operand (generic) *)
+  mutable mk : int;   (* next output slot of a merge or emission (generic) *)
 }
 
 (* The first-class kernel-ops record.  All operations read operands
@@ -425,8 +430,8 @@ module Qd = struct
       pbuf = empty;
       psave = empty;
       rt = Array.make 5 0.0;
-      out = Array.make 4 0.0;
-      uv = Array.make 3 0.0;
+      out = empty;
+      uv = empty;
       mi = 0;
       mj = 0;
       mk = 0;
@@ -450,140 +455,142 @@ module Qd = struct
     set p 2 i s.(2);
     set p 3 i s.(3)
 
-  (* [renorm c n] compresses c.rt.(0 .. n-1) into c.out, performing
-     exactly the operations of [Renorm.renormalize ~m:4] (single pass).
-     c.rt is clobbered; c.out is zeroed first, as the reference does. *)
-  let renorm c n =
-    let t = c.rt and out = c.out in
-    out.(0) <- 0.0;
-    out.(1) <- 0.0;
-    out.(2) <- 0.0;
-    out.(3) <- 0.0;
-    (* Backward two_sum ladder; the running carry is kept in t.(i)
-       itself (identical values to the ref-carried original). *)
+  (* [renorm c n dst] compresses c.rt.(0 .. n-1) into dst, performing
+     exactly the operations of [Renorm.renormalize ~m:4] (single pass),
+     with the running carry, the commit accumulator and the cursors in
+     local (unboxed) refs.  c.rt is clobbered; dst is zeroed first, as
+     the reference does. *)
+  let renorm c n (dst : float array) =
+    let t = c.rt in
+    clear4 dst;
+    (* Backward two_sum ladder. *)
+    let s = ref t.(n - 1) in
     for i = n - 2 downto 0 do
-      let a = t.(i) and b = t.(i + 1) in
-      let s = a +. b in
-      let bb = s -. a in
-      let e = (a -. (s -. bb)) +. (b -. bb) in
-      t.(i) <- s;
-      t.(i + 1) <- e
+      let a = t.(i) and b = !s in
+      let sum = a +. b in
+      let bb = sum -. a in
+      t.(i + 1) <- (a -. (sum -. bb)) +. (b -. bb);
+      s := sum
     done;
     (* Forward pass: commit each nonzero error as the next output limb. *)
-    c.mi <- 1;
-    c.mk <- 0;
-    c.uv.(0) <- t.(0);
-    while c.mi < n && c.mk < 4 do
-      let a = c.uv.(0) and b = t.(c.mi) in
-      let s = a +. b in
-      let e = b -. (s -. a) in
+    let acc = ref !s and i = ref 1 and k = ref 0 in
+    while !i < n && !k < 4 do
+      let a = !acc and b = t.(!i) in
+      let sum = a +. b in
+      let e = b -. (sum -. a) in
       if e <> 0.0 then begin
-        out.(c.mk) <- s;
-        c.mk <- c.mk + 1;
-        c.uv.(0) <- e
+        dst.(!k) <- sum;
+        incr k;
+        acc := e
       end
-      else c.uv.(0) <- s;
-      c.mi <- c.mi + 1
+      else acc := sum;
+      incr i
     done;
-    if c.mk < 4 then out.(c.mk) <- c.uv.(0)
-
-  (* [merge_next c aa bb] pops the next limb of the merge-by-decreasing-
-     magnitude of aa and bb (the [next] closure of [Quad_double.Pre.add],
-     with the cursors kept in the ctx instead of captured refs). *)
-  let[@inline] merge_next c (aa : float array) (bb : float array) =
-    if c.mi >= 4 then begin
-      let t = bb.(c.mj) in
-      c.mj <- c.mj + 1;
-      t
-    end
-    else if c.mj >= 4 || Float.abs aa.(c.mi) > Float.abs bb.(c.mj) then begin
-      let t = aa.(c.mi) in
-      c.mi <- c.mi + 1;
-      t
-    end
-    else begin
-      let t = bb.(c.mj) in
-      c.mj <- c.mj + 1;
-      t
-    end
+    if !k < 4 then dst.(!k) <- !acc
 
   (* [add4 c x y] sets x := x + y (both 4-limb arrays), the accurate
      ieee_add of [Quad_double.Pre.add]: merge the eight limbs by
      decreasing magnitude through a sliding two-term window, then
-     renormalize. *)
+     renormalize.  The merge cursors, the output cursor and the window
+     are local refs; the pops spell out the [next] closure of the boxed
+     add (the first two cannot find an operand exhausted). *)
   let add4 c (x : float array) (y : float array) =
-    let aa = x and bb = y in
     let w = c.abuf in
-    w.(0) <- 0.0;
-    w.(1) <- 0.0;
-    w.(2) <- 0.0;
-    w.(3) <- 0.0;
-    c.mi <- 0;
-    c.mj <- 0;
-    c.mk <- 0;
-    let uv = c.uv in
-    uv.(0) <- merge_next c aa bb;
-    uv.(1) <- merge_next c aa bb;
+    clear4 w;
+    let i = ref 0 and j = ref 0 and k = ref 0 in
+    let u =
+      if Float.abs x.(0) > Float.abs y.(0) then begin
+        i := 1;
+        x.(0)
+      end
+      else begin
+        j := 1;
+        y.(0)
+      end
+    in
+    let v =
+      if Float.abs x.(!i) > Float.abs y.(!j) then begin
+        let t = x.(!i) in
+        incr i;
+        t
+      end
+      else begin
+        let t = y.(!j) in
+        incr j;
+        t
+      end
+    in
     (* u, v := quick_two_sum u v *)
-    (let a = uv.(0) and b = uv.(1) in
-     let s = a +. b in
-     let e = b -. (s -. a) in
-     uv.(0) <- s;
-     uv.(1) <- e);
-    (try
-       while c.mk < 4 do
-         if c.mi >= 4 && c.mj >= 4 then begin
-           w.(c.mk) <- uv.(0);
-           if c.mk < 3 then begin
-             c.mk <- c.mk + 1;
-             w.(c.mk) <- uv.(1)
-           end;
-           raise Exit
-         end;
-         let t = merge_next c aa bb in
-         (* s, u', v' = quick_three_accum u v t *)
-         let u = uv.(0) and v = uv.(1) in
-         let s1 = v +. t in
-         let bb1 = s1 -. v in
-         let v' = (v -. (s1 -. bb1)) +. (t -. bb1) in
-         let s2 = u +. s1 in
-         let bb2 = s2 -. u in
-         let u' = (u -. (s2 -. bb2)) +. (s1 -. bb2) in
-         let za = u' <> 0.0 and zb = v' <> 0.0 in
-         let s, nu, nv =
-           if za && zb then (s2, u', v')
-           else if not zb then (0.0, s2, u')
-           else (0.0, s2, v')
-         in
-         uv.(0) <- nu;
-         uv.(1) <- nv;
-         if s <> 0.0 then begin
-           w.(c.mk) <- s;
-           c.mk <- c.mk + 1
-         end
-       done;
-       (* All four output slots filled: sweep the leftovers into the
-          tail. *)
-       uv.(2) <- 0.0;
-       for k = c.mi to 3 do
-         uv.(2) <- uv.(2) +. aa.(k)
-       done;
-       for k = c.mj to 3 do
-         uv.(2) <- uv.(2) +. bb.(k)
-       done;
-       w.(3) <- w.(3) +. uv.(2) +. uv.(0) +. uv.(1)
-     with Exit -> ());
+    let s = u +. v in
+    let u = ref s and v = ref (v -. (s -. u)) in
+    let exhausted = ref false in
+    while (not !exhausted) && !k < 4 do
+      if !i >= 4 && !j >= 4 then begin
+        w.(!k) <- !u;
+        if !k < 3 then w.(!k + 1) <- !v;
+        exhausted := true
+      end
+      else begin
+        let t =
+          if !i >= 4 then begin
+            let t = y.(!j) in
+            incr j;
+            t
+          end
+          else if !j >= 4 || Float.abs x.(!i) > Float.abs y.(!j) then begin
+            let t = x.(!i) in
+            incr i;
+            t
+          end
+          else begin
+            let t = y.(!j) in
+            incr j;
+            t
+          end
+        in
+        (* s, u', v' = quick_three_accum u v t *)
+        let u0 = !u and v0 = !v in
+        let s1 = v0 +. t in
+        let bb1 = s1 -. v0 in
+        let v' = (v0 -. (s1 -. bb1)) +. (t -. bb1) in
+        let s2 = u0 +. s1 in
+        let bb2 = s2 -. u0 in
+        let u' = (u0 -. (s2 -. bb2)) +. (s1 -. bb2) in
+        let za = u' <> 0.0 and zb = v' <> 0.0 in
+        if za && zb then begin
+          u := u';
+          v := v';
+          (* s2 is the next output limb (when nonzero) *)
+          if s2 <> 0.0 then begin
+            w.(!k) <- s2;
+            incr k
+          end
+        end
+        else begin
+          u := s2;
+          v := if not zb then u' else v'
+        end
+      end
+    done;
+    if not !exhausted then begin
+      (* All four output slots filled: sweep the leftovers into the
+         tail. *)
+      let tail = ref 0.0 in
+      for k = !i to 3 do
+        tail := !tail +. x.(k)
+      done;
+      for k = !j to 3 do
+        tail := !tail +. y.(k)
+      done;
+      w.(3) <- w.(3) +. !tail +. !u +. !v
+    end;
     (* renorm4 w into x *)
     let rt = c.rt in
     rt.(0) <- w.(0);
     rt.(1) <- w.(1);
     rt.(2) <- w.(2);
     rt.(3) <- w.(3);
-    renorm c 4;
-    x.(0) <- c.out.(0);
-    x.(1) <- c.out.(1);
-    x.(2) <- c.out.(2);
-    x.(3) <- c.out.(3)
+    renorm c 4 x
 
   (* [sub4 c x y] sets x := x - y, as [Quad_double.Pre.sub] does: the
      accurate addition of the negation. *)
@@ -721,11 +728,7 @@ module Qd = struct
     rt.(2) <- s0;
     rt.(3) <- t0;
     rt.(4) <- t1;
-    renorm c 5;
-    dst.(0) <- c.out.(0);
-    dst.(1) <- c.out.(1);
-    dst.(2) <- c.out.(2);
-    dst.(3) <- c.out.(3)
+    renorm c 5 dst
 
   let clear c = clear4 c.acc
   let load c p i = load4 c.acc p i
@@ -760,14 +763,22 @@ end
 
 (* Octo double is the precision where flat execution should pay off the
    most — the paper's cost-of-arithmetic-to-memory ratio peaks at 8
-   limbs.  This engine runs the SAME [Expansion.Pre] operation sequence
-   (so the bit-identity suites pin it against [Octo_double]) with
-   everything monomorphic: the 36 partial products hand-unrolled into
-   straight-line fma code, the merge and renormalization ladders over
-   fixed-size scratch with unchecked accesses.  The 79-slot magnitude
-   sort is [Renorm.sort_by_magnitude], shared with the boxed path: an
-   insertion sort over the nearly sorted buffer.  Only the data-dependent
-   forward commit pass (QDlib's zero tests) remains a loop by nature. *)
+   limbs.  This engine computes the SAME results as [Expansion.Pre] (so
+   the bit-identity suites pin it against [Octo_double]) with everything
+   monomorphic: the 36 partial products hand-unrolled into straight-line
+   fma code, the merge and renormalization ladders over fixed-size
+   scratch with unchecked accesses and their carries in registers.  It
+   skips the work that cannot change a bit.  Operands with zero limbs
+   (single doubles, the identity Q starts from) leave most of the
+   79-slot product buffer zero, and the zeros sort last and pass through
+   both distillation passes as +0: an all-zero buffer is +0 outright,
+   and otherwise the nonzero terms, compacted in emission order, are
+   sorted by the checked insertion sort of the boxed path
+   ([Renorm.sort_prefix_by_magnitude]) and distilled alone.  When the
+   sort reports that the order matters (ties or NaN), or the distilled
+   result is not finite, the whole buffer in emission order is sorted
+   into the stdlib's order and distilled, as the boxed product does.
+   Sums trim the zero tail of their merge the same way. *)
 module Od = struct
   (* m^2 + 2m - 1 at m = 8: 36 two_prod pairs + 7 guard products. *)
   let pcount8 = 79
@@ -783,7 +794,7 @@ module Od = struct
       psave = Array.make pcount8 0.0;
       rt = empty;
       out = Array.make 8 0.0;
-      uv = Array.make 1 0.0;
+      uv = empty;
       mi = 0;
       mj = 0;
       mk = 0;
@@ -823,49 +834,63 @@ module Od = struct
   let load c p i = load8 c.acc p i
   let store c p i = store8 c.acc p i
 
-  (* [renorm_into8 c buf n]: [Renorm.renormalize ~passes:2 ~m:8] over
-     buf.(0 .. n-1) into c.out — the operation sequence of
-     [Gen.renorm_into] at m = 8, monomorphic, with the running carry in
-     the unboxed c.uv slot.  buf is clobbered. *)
-  let renorm_into8 c (buf : float array) n =
-    let uv = c.uv in
+  let[@inline] zero8 (s : float array) =
+    Array.unsafe_set s 0 0.0;
+    Array.unsafe_set s 1 0.0;
+    Array.unsafe_set s 2 0.0;
+    Array.unsafe_set s 3 0.0;
+    Array.unsafe_set s 4 0.0;
+    Array.unsafe_set s 5 0.0;
+    Array.unsafe_set s 6 0.0;
+    Array.unsafe_set s 7 0.0
+
+  (* [distill8 c buf n]: [Renorm.renormalize ~passes:2 ~m:8] over
+     buf.(0 .. n-1), n >= 1, into c.out — the operation sequence of
+     [Gen.renorm_into] at m = 8, monomorphic, with the running carry, the
+     commit accumulator and the cursors in local (unboxed) refs.  buf is
+     clobbered.
+
+     The callers trim the zeros off the end of a sorted or merged buffer
+     first.  That changes no bit while every value stays finite: a zero
+     tail only carries +-0 into the last nonzero term x (x + -0 = x, with
+     error +0) on the first pass and +0 on the second, and a two_sum
+     error, hence every term but the first after a pass, is never -0;
+     so the trimmed prefix distills exactly as in the full buffer, and
+     the commit pass over the remaining +0 slots commits nothing and
+     leaves its (never -0) accumulator as it is.  An infinity or NaN
+     among the terms, or an overflow in the ladders, makes out.(0)
+     non-finite (non-finite values absorb every later carry), and the
+     callers then redo the distillation over the whole buffer. *)
+  let distill8 c (buf : float array) n =
     for _pass = 1 to 2 do
-      Array.unsafe_set uv 0 (Array.unsafe_get buf (n - 1));
+      let s = ref (Array.unsafe_get buf (n - 1)) in
       for i = n - 2 downto 0 do
-        let a = Array.unsafe_get buf i and b = Array.unsafe_get uv 0 in
-        let s = a +. b in
-        let bb = s -. a in
-        let e = (a -. (s -. bb)) +. (b -. bb) in
-        Array.unsafe_set uv 0 s;
-        Array.unsafe_set buf (i + 1) e
+        let a = Array.unsafe_get buf i and b = !s in
+        let t = a +. b in
+        let bb = t -. a in
+        Array.unsafe_set buf (i + 1) ((a -. (t -. bb)) +. (b -. bb));
+        s := t
       done;
-      Array.unsafe_set buf 0 (Array.unsafe_get uv 0)
+      Array.unsafe_set buf 0 !s
     done;
     let out = c.out in
-    Array.unsafe_set out 0 0.0;
-    Array.unsafe_set out 1 0.0;
-    Array.unsafe_set out 2 0.0;
-    Array.unsafe_set out 3 0.0;
-    Array.unsafe_set out 4 0.0;
-    Array.unsafe_set out 5 0.0;
-    Array.unsafe_set out 6 0.0;
-    Array.unsafe_set out 7 0.0;
-    c.mi <- 1;
-    c.mk <- 0;
-    Array.unsafe_set uv 0 (Array.unsafe_get buf 0);
-    while c.mi < n && c.mk < 8 do
-      let a = Array.unsafe_get uv 0 and b = Array.unsafe_get buf c.mi in
+    zero8 out;
+    let acc = ref (Array.unsafe_get buf 0) and i = ref 1 and k = ref 0 in
+    while !i < n && !k < 8 do
+      let a = !acc and b = Array.unsafe_get buf !i in
       let s = a +. b in
       let e = b -. (s -. a) in
       if e <> 0.0 then begin
-        Array.unsafe_set out c.mk s;
-        c.mk <- c.mk + 1;
-        Array.unsafe_set uv 0 e
+        Array.unsafe_set out !k s;
+        incr k;
+        acc := e
       end
-      else Array.unsafe_set uv 0 s;
-      c.mi <- c.mi + 1
+      else acc := s;
+      incr i
     done;
-    if c.mk < 8 then Array.unsafe_set out c.mk (Array.unsafe_get uv 0)
+    if !k < 8 then Array.unsafe_set out !k !acc
+
+  let[@inline] finite_out c = Float.is_finite (Array.unsafe_get c.out 0)
 
   let[@inline] blit_out8 c (dst : float array) =
     let o = c.out in
@@ -878,40 +903,65 @@ module Od = struct
     Array.unsafe_set dst 6 (Array.unsafe_get o 6);
     Array.unsafe_set dst 7 (Array.unsafe_get o 7)
 
-  (* [add_arrays8 c x y]: x := x + y (both 8-limb, normalized hence
-     magnitude-sorted): [Renorm.merge_by_magnitude] into c.abuf followed
-     by the two-pass renormalization — exactly [Expansion.Pre.add] at
-     m = 8 (ties break on [>=], first operand wins, as in the boxed
-     merge). *)
-  let add_arrays8 c (x : float array) (y : float array) =
-    let w = c.abuf in
-    c.mi <- 0;
-    c.mj <- 0;
-    c.mk <- 0;
-    while c.mi < 8 && c.mj < 8 do
-      let a = Array.unsafe_get x c.mi and b = Array.unsafe_get y c.mj in
+  (* [merge8 w x y]: [Renorm.merge_by_magnitude] of x and y (both
+     8-limb) into w.(0 .. 15) (ties break on [>=], first operand wins, as
+     in the boxed merge); returns the length of w without its zero tail. *)
+  let merge8 (w : float array) (x : float array) (y : float array) =
+    let i = ref 0 and j = ref 0 and k = ref 0 in
+    while !i < 8 && !j < 8 do
+      let a = Array.unsafe_get x !i and b = Array.unsafe_get y !j in
       if Float.abs a >= Float.abs b then begin
-        Array.unsafe_set w c.mk a;
-        c.mi <- c.mi + 1
+        Array.unsafe_set w !k a;
+        incr i
       end
       else begin
-        Array.unsafe_set w c.mk b;
-        c.mj <- c.mj + 1
+        Array.unsafe_set w !k b;
+        incr j
       end;
-      c.mk <- c.mk + 1
+      incr k
     done;
-    while c.mi < 8 do
-      Array.unsafe_set w c.mk (Array.unsafe_get x c.mi);
-      c.mi <- c.mi + 1;
-      c.mk <- c.mk + 1
+    while !i < 8 do
+      Array.unsafe_set w !k (Array.unsafe_get x !i);
+      incr i;
+      incr k
     done;
-    while c.mj < 8 do
-      Array.unsafe_set w c.mk (Array.unsafe_get y c.mj);
-      c.mj <- c.mj + 1;
-      c.mk <- c.mk + 1
+    while !j < 8 do
+      Array.unsafe_set w !k (Array.unsafe_get y !j);
+      incr j;
+      incr k
     done;
-    renorm_into8 c w 16;
+    let n = ref 16 in
+    while !n > 0 && Array.unsafe_get w (!n - 1) = 0.0 do
+      decr n
+    done;
+    !n
+
+  (* [add_arrays8 c x y]: x := x + y (both 8-limb, normalized hence
+     magnitude-sorted): the merge followed by the two-pass
+     renormalization — exactly [Expansion.Pre.add] at m = 8.  An all-zero
+     merge distills to +0 in every limb (after two passes every slot is
+     +0); a non-finite result of the trimmed merge is redone in full. *)
+  let add_arrays8 c (x : float array) (y : float array) =
+    let w = c.abuf in
+    let n = merge8 w x y in
+    if n = 0 then zero8 c.out
+    else begin
+      distill8 c w n;
+      if n < 16 && not (finite_out c) then begin
+        ignore (merge8 w x y);
+        distill8 c w 16
+      end
+    end;
     blit_out8 c x
+
+  (* Whether x is zero (either sign, every limb) and y finite: then every
+     partial product and its error is a zero, and the product is +0. *)
+  let[@inline] zero_times_finite x0 x1 x2 x3 x4 x5 x6 x7 y0 y1 y2 y3 y4 y5
+      y6 y7 =
+    x0 = 0.0 && x1 = 0.0 && x2 = 0.0 && x3 = 0.0 && x4 = 0.0 && x5 = 0.0
+    && x6 = 0.0 && x7 = 0.0 && Float.is_finite y0 && Float.is_finite y1
+    && Float.is_finite y2 && Float.is_finite y3 && Float.is_finite y4
+    && Float.is_finite y5 && Float.is_finite y6 && Float.is_finite y7
 
   (* One exact partial product into slots k, k+1 of the buffer. *)
   let[@inline] pp (u : float array) k x y =
@@ -942,61 +992,84 @@ module Od = struct
     and b5 = get b 5 ib
     and b6 = get b 6 ib
     and b7 = get b 7 ib in
-    let u = c.pbuf in
-    (* order 0 *)
-    pp u 0 a0 b0;
-    (* order 1 *)
-    pp u 2 a0 b1;
-    pp u 4 a1 b0;
-    (* order 2 *)
-    pp u 6 a0 b2;
-    pp u 8 a1 b1;
-    pp u 10 a2 b0;
-    (* order 3 *)
-    pp u 12 a0 b3;
-    pp u 14 a1 b2;
-    pp u 16 a2 b1;
-    pp u 18 a3 b0;
-    (* order 4 *)
-    pp u 20 a0 b4;
-    pp u 22 a1 b3;
-    pp u 24 a2 b2;
-    pp u 26 a3 b1;
-    pp u 28 a4 b0;
-    (* order 5 *)
-    pp u 30 a0 b5;
-    pp u 32 a1 b4;
-    pp u 34 a2 b3;
-    pp u 36 a3 b2;
-    pp u 38 a4 b1;
-    pp u 40 a5 b0;
-    (* order 6 *)
-    pp u 42 a0 b6;
-    pp u 44 a1 b5;
-    pp u 46 a2 b4;
-    pp u 48 a3 b3;
-    pp u 50 a4 b2;
-    pp u 52 a5 b1;
-    pp u 54 a6 b0;
-    (* order 7 *)
-    pp u 56 a0 b7;
-    pp u 58 a1 b6;
-    pp u 60 a2 b5;
-    pp u 62 a3 b4;
-    pp u 64 a4 b3;
-    pp u 66 a5 b2;
-    pp u 68 a6 b1;
-    pp u 70 a7 b0;
-    (* the guard order, plain products at i + j = 8 *)
-    Array.unsafe_set u 72 (a1 *. b7);
-    Array.unsafe_set u 73 (a2 *. b6);
-    Array.unsafe_set u 74 (a3 *. b5);
-    Array.unsafe_set u 75 (a4 *. b4);
-    Array.unsafe_set u 76 (a5 *. b3);
-    Array.unsafe_set u 77 (a6 *. b2);
-    Array.unsafe_set u 78 (a7 *. b1);
-    Renorm.sort_by_magnitude ~saved:c.psave u;
-    renorm_into8 c u pcount8;
+    if
+      zero_times_finite a0 a1 a2 a3 a4 a5 a6 a7 b0 b1 b2 b3 b4 b5 b6 b7
+      || zero_times_finite b0 b1 b2 b3 b4 b5 b6 b7 a0 a1 a2 a3 a4 a5 a6 a7
+    then zero8 c.out
+    else begin
+      let u = c.pbuf in
+      (* order 0 *)
+      pp u 0 a0 b0;
+      (* order 1 *)
+      pp u 2 a0 b1;
+      pp u 4 a1 b0;
+      (* order 2 *)
+      pp u 6 a0 b2;
+      pp u 8 a1 b1;
+      pp u 10 a2 b0;
+      (* order 3 *)
+      pp u 12 a0 b3;
+      pp u 14 a1 b2;
+      pp u 16 a2 b1;
+      pp u 18 a3 b0;
+      (* order 4 *)
+      pp u 20 a0 b4;
+      pp u 22 a1 b3;
+      pp u 24 a2 b2;
+      pp u 26 a3 b1;
+      pp u 28 a4 b0;
+      (* order 5 *)
+      pp u 30 a0 b5;
+      pp u 32 a1 b4;
+      pp u 34 a2 b3;
+      pp u 36 a3 b2;
+      pp u 38 a4 b1;
+      pp u 40 a5 b0;
+      (* order 6 *)
+      pp u 42 a0 b6;
+      pp u 44 a1 b5;
+      pp u 46 a2 b4;
+      pp u 48 a3 b3;
+      pp u 50 a4 b2;
+      pp u 52 a5 b1;
+      pp u 54 a6 b0;
+      (* order 7 *)
+      pp u 56 a0 b7;
+      pp u 58 a1 b6;
+      pp u 60 a2 b5;
+      pp u 62 a3 b4;
+      pp u 64 a4 b3;
+      pp u 66 a5 b2;
+      pp u 68 a6 b1;
+      pp u 70 a7 b0;
+      (* the guard order, plain products at i + j = 8 *)
+      Array.unsafe_set u 72 (a1 *. b7);
+      Array.unsafe_set u 73 (a2 *. b6);
+      Array.unsafe_set u 74 (a3 *. b5);
+      Array.unsafe_set u 75 (a4 *. b4);
+      Array.unsafe_set u 76 (a5 *. b3);
+      Array.unsafe_set u 77 (a6 *. b2);
+      Array.unsafe_set u 78 (a7 *. b1);
+      (* Sort and distill the nonzero terms alone, compacted into c.psave
+         in emission order; u keeps the emission for the fallback. *)
+      let v = c.psave in
+      let n = ref 0 in
+      for k = 0 to pcount8 - 1 do
+        let x = Array.unsafe_get u k in
+        Array.unsafe_set v !n x;
+        n := !n + Bool.to_int (x <> 0.0)
+      done;
+      let n = !n in
+      if n = 0 then zero8 c.out
+      else begin
+        let order_matters = Renorm.sort_prefix_by_magnitude v n in
+        if not order_matters then distill8 c v n;
+        if order_matters || not (finite_out c) then begin
+          Renorm.heapsort_by_magnitude u;
+          distill8 c u pcount8
+        end
+      end
+    end;
     blit_out8 c dst
 
   (* acc := acc + p[i], exactly [K.add acc x]. *)

@@ -19,8 +19,9 @@
     addition, truncated partial-product multiplication) — which is what
     keeps triple double and hexa double on flat execution without
     hand-written kernels.  The expansion engines order their product
-    buffers with {!Renorm.sort_by_magnitude}, the sort the boxed
-    products call, with its saved copy in preallocated scratch. *)
+    buffers with the checked insertion sort the boxed products run
+    ({!Renorm.sort_prefix_by_magnitude}); the octo double engine sorts
+    and distills only the nonzero terms of a product buffer. *)
 
 type fa = (float, Bigarray.float64_elt, Bigarray.c_layout) Bigarray.Array1.t
 (** One limb plane: a flat array of float64 words. *)

@@ -69,81 +69,102 @@ let grow e x =
   done;
   !q
 
+(* The two comparison tests of {!heapsort_by_magnitude}.  Only the sign
+   of [cmp x y = Float.compare (Float.abs y) (Float.abs x)] is ever
+   consumed; NaN orders below everything and equal to itself, as both
+   [Float.compare] and the polymorphic compare do on floats. *)
+let[@inline] cmp_lt x y =
+  (* cmp x y < 0 *)
+  let ax = Float.abs x and ay = Float.abs y in
+  ay < ax || (ay <> ay && ax = ax)
+
+let[@inline] cmp_gt x y =
+  (* cmp x y > 0 *)
+  let ax = Float.abs x and ay = Float.abs y in
+  ay > ax || (ax <> ax && ay = ay)
+
+(* Index of the largest of up to three sons of [i] in the heap a.(0 .. l-1),
+   or [-1 - i] when [i] has no son (the stdlib's [Bottom i] exception). *)
+let maxson (a : float array) l i =
+  let i31 = i + i + i + 1 in
+  if i31 + 2 < l then begin
+    let x =
+      if cmp_lt (Array.unsafe_get a i31) (Array.unsafe_get a (i31 + 1)) then
+        i31 + 1
+      else i31
+    in
+    if cmp_lt (Array.unsafe_get a x) (Array.unsafe_get a (i31 + 2)) then
+      i31 + 2
+    else x
+  end
+  else if
+    i31 + 1 < l
+    && cmp_lt (Array.unsafe_get a i31) (Array.unsafe_get a (i31 + 1))
+  then i31 + 1
+  else if i31 < l then i31
+  else -1 - i
+
 (* [heapsort_by_magnitude a] sorts in place by decreasing absolute value
    with the EXACT permutation of the stdlib [Array.sort] called with
    [fun x y -> compare (Float.abs y) (Float.abs x)]: a field-for-field
    replica of the stdlib ternary heapsort with the comparison inlined on
-   floats (the [Bottom] exception becomes a negative return).  It is the
-   fallback of {!sort_by_magnitude} for the inputs whose result depends
-   on the permutation, so it must reproduce the stdlib's tie order. *)
+   floats, its recursive [trickledown]/[bubbledown]/[trickleup] written
+   as loops over local cursors so that the sort allocates nothing.  It
+   is the fallback of {!sort_by_magnitude} for the inputs whose result
+   depends on the permutation, so it must reproduce the stdlib's tie
+   order. *)
 let heapsort_by_magnitude (a : float array) =
-  (* Only the sign of [cmp x y = Float.compare (Float.abs y)
-     (Float.abs x)] is ever consumed, through these two tests; NaN
-     orders below everything and equal to itself, as both
-     [Float.compare] and the polymorphic compare do on floats. *)
-  let[@inline] lt x y =
-    (* cmp x y < 0 *)
-    let ax = Float.abs x and ay = Float.abs y in
-    ay < ax || (ay <> ay && ax = ax)
-  in
-  let[@inline] gt x y =
-    (* cmp x y > 0 *)
-    let ax = Float.abs x and ay = Float.abs y in
-    ay > ax || (ax <> ax && ay = ay)
-  in
-  (* Index of the largest of up to three sons of [i], or [-1 - i'] where
-     [i'] is the sonless node (stdlib's [Bottom i'] exception). *)
-  let maxson l i =
-    let i31 = i + i + i + 1 in
-    if i31 + 2 < l then begin
-      let x =
-        if lt (Array.unsafe_get a i31) (Array.unsafe_get a (i31 + 1)) then
-          i31 + 1
-        else i31
-      in
-      if lt (Array.unsafe_get a x) (Array.unsafe_get a (i31 + 2)) then i31 + 2
-      else x
-    end
-    else if
-      i31 + 1 < l && lt (Array.unsafe_get a i31) (Array.unsafe_get a (i31 + 1))
-    then i31 + 1
-    else if i31 < l then i31
-    else -1 - i
-  in
-  let rec trickledown l i e =
-    let j = maxson l i in
-    if j >= 0 then
-      if gt (Array.unsafe_get a j) e then begin
-        Array.unsafe_set a i (Array.unsafe_get a j);
-        trickledown l j e
-      end
-      else Array.unsafe_set a i e
-    else (* Bottom *) Array.unsafe_set a (-1 - j) e
-  in
-  let rec bubbledown l i =
-    let j = maxson l i in
-    if j >= 0 then begin
-      Array.unsafe_set a i (Array.unsafe_get a j);
-      bubbledown l j
-    end
-    else -1 - j
-  in
-  let rec trickleup i e =
-    let father = (i - 1) / 3 in
-    if lt (Array.unsafe_get a father) e then begin
-      Array.unsafe_set a i (Array.unsafe_get a father);
-      if father > 0 then trickleup father e else Array.unsafe_set a 0 e
-    end
-    else Array.unsafe_set a i e
-  in
   let l = Array.length a in
-  for i = ((l + 1) / 3) - 1 downto 0 do
-    trickledown l i (Array.unsafe_get a i)
+  (* Build the heap: trickledown l i a.(i) for each inner node. *)
+  for i0 = ((l + 1) / 3) - 1 downto 0 do
+    let e = Array.unsafe_get a i0 in
+    let i = ref i0 and go = ref true in
+    while !go do
+      let j = maxson a l !i in
+      if j < 0 then begin
+        Array.unsafe_set a (-1 - j) e;
+        go := false
+      end
+      else if cmp_gt (Array.unsafe_get a j) e then begin
+        Array.unsafe_set a !i (Array.unsafe_get a j);
+        i := j
+      end
+      else begin
+        Array.unsafe_set a !i e;
+        go := false
+      end
+    done
   done;
-  for i = l - 1 downto 2 do
-    let e = Array.unsafe_get a i in
-    Array.unsafe_set a i (Array.unsafe_get a 0);
-    trickleup (bubbledown i 0) e
+  for n = l - 1 downto 2 do
+    let e = Array.unsafe_get a n in
+    Array.unsafe_set a n (Array.unsafe_get a 0);
+    (* bubbledown n 0: move the hole at the root down to a leaf ... *)
+    let i = ref 0 and go = ref true in
+    while !go do
+      let j = maxson a n !i in
+      if j < 0 then go := false
+      else begin
+        Array.unsafe_set a !i (Array.unsafe_get a j);
+        i := j
+      end
+    done;
+    (* ... then trickleup from that leaf with e. *)
+    let go = ref true in
+    while !go do
+      let father = (!i - 1) / 3 in
+      if cmp_lt (Array.unsafe_get a father) e then begin
+        Array.unsafe_set a !i (Array.unsafe_get a father);
+        if father > 0 then i := father
+        else begin
+          Array.unsafe_set a 0 e;
+          go := false
+        end
+      end
+      else begin
+        Array.unsafe_set a !i e;
+        go := false
+      end
+    done
   done;
   if l > 1 then begin
     let e = Array.unsafe_get a 1 in
@@ -151,15 +172,17 @@ let heapsort_by_magnitude (a : float array) =
     Array.unsafe_set a 0 e
   end
 
-(* [sort_by_magnitude ~saved a] sorts [a] in place by decreasing absolute
-   value, to order partial products (or merged limbs) before
-   [renormalize]; [saved] is scratch of length at least [Array.length a].
+(* [sort_prefix_by_magnitude a n] sorts a.(0 .. n-1) in place by
+   decreasing absolute value with a stable insertion sort and returns
+   whether the order among them can reach the renormalized bits, in
+   which case the sorted prefix must not be used: the caller sorts the
+   input by {!heapsort_by_magnitude} instead.
 
    The product buffers arrive nearly sorted (emitted by increasing order
-   i + j), so a stable insertion sort does the work.  Its result can
-   differ from the stdlib order (which defines the products' bits) only
-   among elements of equal magnitude, and that difference is invisible
-   after [renormalize]:
+   i + j), so the insertion sort does the work.  Its result can differ
+   from the stdlib order (which defines the products' bits) only among
+   elements of equal magnitude, and that difference is invisible after
+   [renormalize]:
 
    - equal magnitude and equal sign means bit-identical values (or the
      zeros below), so swapping them changes nothing;
@@ -167,7 +190,8 @@ let heapsort_by_magnitude (a : float array) =
      two_sum pass of [renormalize] writes +0 into every tail slot and
      carries the last nonzero value x through unchanged (x + -0 = x,
      with error +0), whatever the order and signs of the tail; when every
-     element is zero, the carried sum is -0 exactly when all are -0.
+     element is zero, the carry is -0 after one pass exactly when all
+     are -0, and +0 after the second.
 
    The remaining cases are x next to -x (finite or infinite) and NaN,
    where the order does reach the result.  Each inserted element is
@@ -177,13 +201,10 @@ let heapsort_by_magnitude (a : float array) =
    compare equal).  The first member of an equal-magnitude run to carry
    the other sign always lands right behind a member of the first sign,
    and a NaN anywhere meets this test as a key or as the predecessor of
-   the second element.  Then the input, saved before sorting, is
-   restored and sorted by {!heapsort_by_magnitude}.  Exempting the zeros
-   keeps the fallback off the common exact-double operands whose
-   products are half zero. *)
-let sort_by_magnitude ~saved (a : float array) =
-  let n = Array.length a in
-  Array.blit a 0 saved 0 n;
+   the second element (so a lone NaN in a one-element prefix goes
+   unreported).  Exempting the zeros keeps the fallback off the common
+   exact-double operands whose products are half zero. *)
+let sort_prefix_by_magnitude (a : float array) n =
   let order_matters = ref false in
   for i = 1 to n - 1 do
     let x = Array.unsafe_get a i in
@@ -199,7 +220,18 @@ let sort_by_magnitude ~saved (a : float array) =
       if (not (Float.abs w > ax)) && w <> x then order_matters := true
     end
   done;
-  if !order_matters then begin
+  !order_matters
+
+(* [sort_by_magnitude ~saved a] sorts [a] in place by decreasing absolute
+   value, to order partial products (or merged limbs) before
+   [renormalize]; [saved] is scratch of length at least [Array.length a].
+   The insertion sort of {!sort_prefix_by_magnitude} runs over the whole
+   array; when it reports that the order matters, the input, saved
+   before sorting, is restored and sorted by {!heapsort_by_magnitude}. *)
+let sort_by_magnitude ~saved (a : float array) =
+  let n = Array.length a in
+  Array.blit a 0 saved 0 n;
+  if sort_prefix_by_magnitude a n then begin
     Array.blit saved 0 a 0 n;
     heapsort_by_magnitude a
   end

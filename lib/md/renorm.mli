@@ -21,22 +21,37 @@ val grow : float array -> float -> float
     (most significant limb first) and returns the carry falling off the
     least significant end. *)
 
+val sort_prefix_by_magnitude : float array -> int -> bool
+(** [sort_prefix_by_magnitude a n] insertion-sorts [a.(0 .. n-1)] in
+    place by decreasing absolute value and returns [true] when the order
+    among them can reach the renormalized bits: a NaN, or a nonzero value
+    next to its negation (x and -x, or +-inf).  Then the sorted prefix
+    must be discarded and the input sorted by {!heapsort_by_magnitude}.
+    Otherwise [renormalize] of the prefix, followed by any zeros, is
+    bit-identical to [renormalize] of the stdlib order.  Allocates
+    nothing.  The one checked insertion sort of the multiple double
+    code: {!sort_by_magnitude} and the flat octo double engine both run
+    it.  A one-element prefix is never reported, even when it is NaN. *)
+
+val heapsort_by_magnitude : float array -> unit
+(** [heapsort_by_magnitude a] sorts all of [a] in place into exactly the
+    permutation of the stdlib [Array.sort] with
+    [fun x y -> compare (Float.abs y) (Float.abs x)], ties and NaNs
+    included — the order the products are defined by.  A float-specialized
+    replica of the stdlib heapsort that allocates nothing. *)
+
 val sort_by_magnitude : saved:float array -> float array -> unit
 (** [sort_by_magnitude ~saved a] sorts [a] in place by decreasing
     absolute value, to order partial products before distillation;
-    [saved] is clobbered scratch of length at least [Array.length a]
-    (the flat engines pass a preallocated buffer, so the sort allocates
-    nothing).  The one magnitude sort of the multiple double code.
+    [saved] is clobbered scratch of length at least [Array.length a].
 
     Contract: the order among the zeros, and among bit-identical values,
     is unspecified; everything else is the permutation of the stdlib
     [Array.sort] with [fun x y -> compare (Float.abs y) (Float.abs x)],
     so [renormalize] of the result is bit-identical to [renormalize] of
-    that reference.  A stable insertion sort does the work (the buffers
-    arrive nearly sorted); when the input holds a NaN or a nonzero value
-    next to its negation (x and -x, or +-inf), whose order reaches the
-    renormalized bits, the saved input is restored and sorted by a
-    float-specialized replica of the stdlib heapsort instead. *)
+    that reference.  {!sort_prefix_by_magnitude} does the work over the
+    whole array; when it reports that the order matters, the saved input
+    is restored and sorted by {!heapsort_by_magnitude} instead. *)
 
 val merge_by_magnitude : float array -> float array -> float array
 (** Merges two arrays already sorted by decreasing absolute value (as

@@ -408,6 +408,86 @@ let test_bounds () =
           (raises (fun () -> p.Nd_flat.lanes [| ctx |] a 0 0 a 0 1 2)))
       [ 1; 2; 3; 4; 8 ]
 
+(* ---- allocation ----
+   The engines keep every intermediate in unboxed locals or in ctx
+   scratch, so mul_add, add, dot and lanes allocate nothing per
+   operation at the widths with a hand-written engine.  The operands
+   take every path of the octo double product and sum: full-limb
+   values, single doubles, zeros of both signs, and values next to
+   their sign-alternated copies, whose products tie and take the
+   stdlib-order heapsort (allocation-free too). *)
+let test_no_allocation () =
+  List.iter
+    (fun m ->
+      let p = Option.get (Nd_flat.plan ~limbs:m) in
+      let rng = Random.State.make [| m |] in
+      let n = 48 in
+      let full () =
+        let e = Random.State.int rng 48 - 24 in
+        Renorm.renormalize ~m
+          (Array.init m (fun i ->
+               ldexp (Random.State.float rng 2.0 -. 1.0) (e - (53 * i))))
+      in
+      let value i =
+        match i mod 4 with
+        | 0 | 1 -> full ()
+        | 2 ->
+            Array.init m (fun i ->
+                if i = 0 then Random.State.float rng 1.0 else 0.0)
+        | _ -> Array.make m (if i mod 8 = 3 then 0.0 else -0.0)
+      in
+      let xs = Array.init n value in
+      let ys =
+        Array.mapi
+          (fun i x ->
+            if i mod 4 = 1 then
+              Array.mapi (fun k l -> if k land 1 = 1 then -.l else l) x
+            else value (i + 1))
+          xs
+      in
+      let stage vals =
+        let pl = Nd_flat.make_planes ~limbs:m n in
+        Array.iteri
+          (fun i v -> Array.iteri (fun k l -> Nd_flat.set pl k i l) v)
+          vals;
+        pl
+      in
+      let a = stage xs and b = stage ys in
+      let c = p.Nd_flat.make_ctx () in
+      let lanes = Array.init 8 (fun _ -> p.Nd_flat.make_ctx ()) in
+      let words f =
+        let w0 = Gc.minor_words () in
+        f ();
+        Gc.minor_words () -. w0
+      in
+      let nothing = words (fun () -> ()) in
+      let pin name f =
+        f ();
+        let w = words f -. nothing in
+        if w <> 0.0 then
+          Alcotest.failf "m=%d %s: %.0f minor words over %d operations" m
+            name w n
+      in
+      pin "mul_add" (fun () ->
+          p.Nd_flat.clear c;
+          for i = 0 to n - 1 do
+            p.Nd_flat.mul_add c a i b i
+          done);
+      pin "add" (fun () ->
+          p.Nd_flat.clear c;
+          for i = 0 to n - 1 do
+            p.Nd_flat.add c a i;
+            p.Nd_flat.add c b i
+          done);
+      pin "dot" (fun () ->
+          p.Nd_flat.clear c;
+          p.Nd_flat.dot c a 0 1 b 0 1 n);
+      pin "lanes" (fun () ->
+          for t = 0 to (n / 8) - 1 do
+            p.Nd_flat.lanes lanes a (8 * t) 1 b (8 * t) 1 8
+          done))
+    [ 1; 2; 4; 8 ]
+
 let () =
   Alcotest.run "flat kernels"
     [
@@ -419,4 +499,9 @@ let () =
       ("staging", Rdd.tests "dd" @ Rqd.tests "qd" @ Rod.tests "od");
       ("gating", [ Alcotest.test_case "capability gate" `Quick test_gating ]);
       ("bounds", [ Alcotest.test_case "checked loops" `Quick test_bounds ]);
+      ( "allocation",
+        [
+          Alcotest.test_case "engines allocate nothing" `Quick
+            test_no_allocation;
+        ] );
     ]

@@ -632,11 +632,16 @@ let bits a = Array.map Int64.bits_of_float a
 
 (* Sort [src] both ways and require bit-identical renormalizations; when
    the input holds a NaN or a nonzero value together with its negation
-   the fallback must have produced the stdlib permutation itself. *)
+   the fallback must have produced the stdlib permutation itself.  The
+   fallback's heapsort alone always yields that permutation. *)
 let check_sort_against_stdlib name src =
   let got = Array.copy src and want = Array.copy src in
+  let heap = Array.copy src in
   sort_mag got;
   stdlib_sort_mag want;
+  Renorm.heapsort_by_magnitude heap;
+  Alcotest.(check (array int64)) (name ^ ": heapsort permutation")
+    (bits want) (bits heap);
   let order_matters =
     Array.exists Float.is_nan src
     || Array.exists (fun x -> x <> 0.0 && Array.mem (-.x) src) src
@@ -672,8 +677,12 @@ let test_sort_fallback () =
      negations, both zeros and the odd infinity or NaN. *)
   let rng = Dompool.Prng.create 13 in
   let pool = [| 1.0; 0.5; 3.0; 0x1p-53; 0.0; 0x1p-80; 6.0 |] in
-  for t = 1 to 2000 do
-    let n = 1 + Dompool.Prng.int rng 40 in
+  for t = 1 to 2400 do
+    (* the last 400 as long as a full octo double product buffer *)
+    let n =
+      if t > 2000 then 79 + Dompool.Prng.int rng 2
+      else 1 + Dompool.Prng.int rng 40
+    in
     let src =
       Array.init n (fun _ ->
           let r = Dompool.Prng.int rng 100 in

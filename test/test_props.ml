@@ -250,9 +250,22 @@ module Flat_props (S : Md_sig.S) = struct
     in
     return (S.of_limbs l)
 
+  (* Single doubles at a random scale: the values A holds and Q starts
+     from, whose products fill only a corner of the product buffer. *)
+  let gen_single : S.t Gen.t =
+    let open Gen in
+    let+ x = float_range (-1.0) 1.0 and+ e = int_range (-24) 24 in
+    S.of_float (ldexp x e)
+
+  (* The zeros of both signs: -0 in every limb is what negating zero
+     gives. *)
+  let gen_zero : S.t Gen.t = Gen.oneofl [ S.zero; S.neg S.zero ]
+
   (* Full-limb values alone never tie in a product buffer.  Small exact
      integers, signed powers of two and expansions with zero limbs fill
-     it with exact zeros and equal magnitudes. *)
+     it with exact zeros and equal magnitudes; single doubles and the
+     signed zeros leave most or all of it zero, and zero limbs come as
+     +0 and as -0 (the zero tail of a negated value). *)
   let gen_val : S.t Gen.t =
     let open Gen in
     frequency
@@ -267,6 +280,15 @@ module Flat_props (S : Md_sig.S) = struct
           S.of_limbs
             (Array.mapi (fun i l -> if keep.(i) then l else 0.0) (S.to_limbs x))
         );
+        (1, gen_single);
+        (1, gen_zero);
+        ( 1,
+          let+ x = gen_full and+ keep = int_range 1 m in
+          S.of_limbs_exact
+            (Array.mapi
+               (fun i l -> if i < keep then l else -0.0)
+               (S.to_limbs x))
+        );
       ]
 
   (* [x] with the signs of its odd limbs flipped: the cross products
@@ -276,14 +298,16 @@ module Flat_props (S : Md_sig.S) = struct
     S.of_limbs_exact
       (Array.mapi (fun i l -> if i land 1 = 1 then -.l else l) (S.to_limbs x))
 
-  (* Operand pairs: independent draws, x with -x, and x with its
-     alternation. *)
+  (* Operand pairs: independent draws, x with -x, x with its
+     alternation, and a zero of either sign on either side. *)
   let gen_pair : (S.t * S.t) Gen.t =
     Gen.frequency
       [
         (3, Gen.pair gen_val gen_val);
-        (1, Gen.map (fun x -> (x, S.neg x)) gen_val);
-        (1, Gen.map (fun x -> (x, alternate x)) gen_val);
+        (2, Gen.map (fun x -> (x, S.neg x)) gen_val);
+        (2, Gen.map (fun x -> (x, alternate x)) gen_val);
+        (1, Gen.pair gen_val gen_zero);
+        (1, Gen.pair gen_zero gen_val);
       ]
 
   let gen_triple : (S.t * S.t * S.t) Gen.t =
@@ -332,6 +356,11 @@ module Flat_props (S : Md_sig.S) = struct
         (S.to_string boxed)
     else true
 
+  (* The octo double engine has the most data-dependent paths (the
+     zero-aware product, the trimmed distillation and their fallbacks):
+     its product checks run 1000 cases instead of [n]. *)
+  let product_count n = if m = 8 then 1000 else n
+
   let suite name =
     let { Nd_flat.make_ctx; clear; load; store = _; add; mul_set; mul_add;
           sub_from; limbs = _; dot; lanes } = fp
@@ -347,11 +376,12 @@ module Flat_props (S : Md_sig.S) = struct
             load ctx (stage [| a |]) 0;
             add ctx (stage [| b |]) 0;
             check_op "add" (S.add a b) (acc_limbs ctx));
-        to_alco ~count:200 "mul_set" gen_pair (fun (a, b) ->
+        to_alco ~count:(product_count 200) "mul_set" gen_pair (fun (a, b) ->
             let ctx = make_ctx () in
             mul_set ctx (stage [| a |]) 0 (stage [| b |]) 0;
             check_op "mul_set" (S.mul a b) (acc_limbs ctx));
-        to_alco ~count:200 "mul_add" gen_triple (fun (c, a, b) ->
+        to_alco ~count:(product_count 200) "mul_add" gen_triple
+          (fun (c, a, b) ->
             let ctx = make_ctx () in
             load ctx (stage [| c |]) 0;
             mul_add ctx (stage [| a |]) 0 (stage [| b |]) 0;
@@ -363,7 +393,7 @@ module Flat_props (S : Md_sig.S) = struct
             sub_from ctx xs 0;
             let got = Array.init m (fun pl -> Nd_flat.get xs pl 0) in
             check_op "sub_from" (S.sub x c) got);
-        to_alco ~count:100 "dot chain"
+        to_alco ~count:(product_count 100) "dot chain"
           (Gen.pair
              (Gen.array_size (Gen.int_range 1 17) gen_val)
              (Gen.array_size (Gen.int_range 1 17) gen_val))
@@ -484,13 +514,47 @@ let has_signed_tie m a b =
   let buf = product_buffer m a b in
   Array.exists (fun x -> x <> 0.0 && Array.mem (-.x) buf) buf
 
+(* Directed operand pairs for the rare paths of a product or a sum, as
+   raw limbs (adopted as-is): partial products that cancel exactly (a
+   nonzero term next to its negation), zeros of both signs, and
+   infinities, NaNs and overflow, where the zero tail of a product
+   buffer or of a merge does reach the bits, and nonzero operands whose
+   products all underflow to zero.  The last two pairs are not
+   normalized: the first overflows in its guard product alone, the
+   second in the distillation of finite terms. *)
+let directed_operands m =
+  let v l = Array.init m (fun i -> if i < Array.length l then l.(i) else 0.0) in
+  let t = ldexp 1.0 (-60) in
+  let guard = Array.make m 0.0 in
+  guard.(0) <- 1.0;
+  guard.(m - 1) <- 1e300;
+  [
+    (v [| 1.0; t |], v [| 1.0; -.t |]);
+    (v [| 3.0; 3.0 *. t |], v [| -5.0; 5.0 *. t |]);
+    (v [| 1.0; t |], v [| 1.0; t |]);
+    (v [| 1.0; t |], Array.make m (-0.0));
+    (Array.make m (-0.0), v [| -2.0; t |]);
+    (Array.make m (-0.0), Array.make m (-0.0));
+    (v [||], Array.make m (-0.0));
+    (v [| infinity |], v [| 1.0 |]);
+    (v [| infinity |], v [||]);
+    (v [| 1e-200; -1e-217 |], v [| -1e-200 |]);
+    (Array.make m (-0.0), v [| 1.0; Float.nan |]);
+    (v [| 1.0 |], v [| neg_infinity; 1.0 |]);
+    (v [| Float.nan |], v [| 2.0 |]);
+    (v [| max_float |], v [| 2.0 |]);
+    (v [| max_float |], v [| max_float |]);
+    (v [| 1.0; 1e300 |], guard);
+    (v [| 1.0; 1.0 |], v [| max_float; max_float |]);
+  ]
+
 module Reference_props (S : Md_sig.S) = struct
   module F = Flat_props (S)
 
   let m = S.limbs
 
   let suite name =
-    let { Nd_flat.make_ctx; mul_set; mul_add; load; _ } = F.fp in
+    let { Nd_flat.make_ctx; mul_set; mul_add; load; add; _ } = F.fp in
     let reference a b =
       S.of_limbs_exact (reference_mul m (S.to_limbs a) (S.to_limbs b))
     in
@@ -507,6 +571,40 @@ module Reference_props (S : Md_sig.S) = struct
             load ctx (F.stage [| c |]) 0;
             mul_add ctx (F.stage [| a |]) 0 (F.stage [| b |]) 0;
             F.check_op "mul_add" (S.add c (reference a b)) (F.acc_limbs ctx));
+        Alcotest.test_case "directed products and sums" `Quick (fun () ->
+            List.iter
+              (fun (a, b) ->
+                let x = S.of_limbs_exact a and y = S.of_limbs_exact b in
+                let ctx = make_ctx () in
+                mul_set ctx (F.stage [| x |]) 0 (F.stage [| y |]) 0;
+                ignore
+                  (F.check_op "directed mul_set" (reference x y)
+                     (F.acc_limbs ctx)
+                  && F.check_op "directed boxed mul" (reference x y)
+                       (S.to_limbs (S.mul x y)));
+                load ctx (F.stage [| x |]) 0;
+                add ctx (F.stage [| y |]) 0;
+                ignore
+                  (F.check_op "directed add" (S.add x y) (F.acc_limbs ctx)))
+              (directed_operands m));
+        Alcotest.test_case "generator reaches the sparse products" `Quick
+          (fun () ->
+            let rand = Random.State.make [| m |] in
+            let zero = ref 0 and sparse = ref 0 in
+            for _ = 1 to 200 do
+              let a, b = QCheck2.Gen.generate1 ~rand F.gen_pair in
+              let buf = product_buffer m (S.to_limbs a) (S.to_limbs b) in
+              let nonzero =
+                Array.fold_left (fun n x -> if x <> 0.0 then n + 1 else n) 0 buf
+              in
+              if nonzero = 0 then incr zero
+              else if 2 * nonzero < Array.length buf then incr sparse
+            done;
+            if !zero < 10 || !sparse < 10 then
+              Alcotest.failf
+                "of 200 operand pairs, %d give an all-zero and %d a sparse \
+                 product buffer"
+                !zero !sparse);
         Alcotest.test_case "generator reaches the tie fallback" `Quick
           (fun () ->
             let rand = Random.State.make [| m |] in
