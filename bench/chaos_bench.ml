@@ -1,6 +1,6 @@
 (* Chaos smoke: the resilience-plane regression gate.
 
-   Three phases, all seeded and deterministic, exiting 1 on any broken
+   Two phases, both seeded and deterministic, exiting 1 on any broken
    invariant and writing BENCH_chaos.json:
 
    1. Chaos campaign + crash/resume, through the service loop that
@@ -16,16 +16,11 @@
       jobs carry their migration trail, and the final journal replay
       shows every job committed.
 
-   2. Circuit breakers.  Poison jobs (every attempt fails) must open an
-      instance breaker; after the cool-off, healthy traffic must probe
-      it half-open and close it.
-
-   3. Overhead.  The full resilience plane armed but quiet (chaos drawn
-      at rate 0, breakers on) must cost <= 1.10x the wall time of a plain fleet on the same
-      batch (min of 5 runs each). *)
+   2. Overhead.  The resilience plane armed but quiet (chaos drawn at
+      rate 0) must cost <= 1.10x the wall time of a plain fleet on the
+      same batch (min of 5 runs each). *)
 
 module P = Multidouble.Precision
-module D = Gpusim.Device
 module Json = Obs.Json
 module Job = Sched.Job
 module F = Sched.Fleet
@@ -37,9 +32,6 @@ module M = Obs.Metrics
 
 let pf = Printf.printf
 let fail fmt = Printf.ksprintf (fun m -> prerr_endline m; exit 1) fmt
-
-let counter name =
-  M.Counter.value (M.counter (M.default ()) name)
 
 let solve ?(device = "auto") ?inject_failures ?retries ~id () =
   Job.make ?inject_failures ?retries ~id ~kind:Job.Solve ~device ~prec:P.DD
@@ -262,57 +254,7 @@ let phase_chaos () =
     campaign_wall_s,
     dealt )
 
-(* ---- phase 2: circuit breakers ---- *)
-
-let phase_breakers () =
-  let opened0 = counter "fleet.breaker.opened" in
-  let closed0 = counter "fleet.breaker.closed" in
-  let config =
-    {
-      F.Config.default with
-      pool = [ (Some D.v100, 1) ];
-      max_queue_depth = F.Config.unbounded;
-      backoff_ms = 0.0;
-      retain_outcomes = true;
-      breakers = true;
-    }
-  in
-  let fleet = F.create config in
-  (* Poison: every attempt fails, no retries — consecutive failed
-     settlements open the instance's breaker. *)
-  let poison =
-    List.init 4 (fun i ->
-        solve
-          ~device:"v100"
-          ~id:(Printf.sprintf "poison-%d" i)
-          ~inject_failures:99 ~retries:0 ())
-  in
-  List.iter (fun j -> ignore (F.submit_blocking fleet j)) poison;
-  F.quiesce fleet;
-  let opened = counter "fleet.breaker.opened" - opened0 in
-  if opened < 1 then fail "chaos-smoke: poison jobs did not open the breaker";
-  (match F.stats fleet with
-  | [ s ] when s.F.breaker = "open" -> ()
-  | s ->
-    fail "chaos-smoke: breaker state after poison: %s"
-      (String.concat "," (List.map (fun (s : F.stats) -> s.F.breaker) s)));
-  (* Past the cool-off, healthy traffic probes the breaker half-open and
-     closes it again. *)
-  Unix.sleepf 0.3;
-  let good = List.init 3 (fun i -> solve ~device:"v100" ~id:(Printf.sprintf "good-%d" i) ()) in
-  List.iter (fun j -> ignore (F.submit_blocking fleet j)) good;
-  F.quiesce fleet;
-  F.shutdown fleet;
-  let closed = counter "fleet.breaker.closed" - closed0 in
-  if closed < 1 then
-    fail "chaos-smoke: breaker did not close on the half-open probe";
-  (match F.stats fleet with
-  | [ s ] when s.F.breaker = "closed" -> ()
-  | _ -> fail "chaos-smoke: breaker not closed after healthy traffic");
-  pf "  breakers: opened %d, closed %d after cool-off probe\n" opened closed;
-  (opened, closed)
-
-(* ---- phase 3: chaos-off overhead ---- *)
+(* ---- phase 2: chaos-off overhead ---- *)
 
 let phase_overhead () =
   let jobs =
@@ -333,14 +275,10 @@ let phase_overhead () =
   let plain =
     { F.Config.default with max_queue_depth = F.Config.unbounded }
   in
-  (* The whole plane armed but quiet: chaos drawn at rate 0 (nothing
-     struck), breakers on. *)
+  (* The plane armed but quiet: chaos drawn at rate 0 (nothing
+     struck). *)
   let armed =
-    {
-      plain with
-      F.Config.chaos = Some (Chaos.config ~seed:7 ~rate:0.0 ());
-      breakers = true;
-    }
+    { plain with F.Config.chaos = Some (Chaos.config ~seed:7 ~rate:0.0 ()) }
   in
   let base_s = time plain in
   let armed_s = time armed in
@@ -352,7 +290,7 @@ let phase_overhead () =
   overhead
 
 let smoke () =
-  pf "\n%s\nChaos smoke: device chaos, migration, breakers, journal\n%s\n"
+  pf "\n%s\nChaos smoke: device chaos, migration, journal\n%s\n"
     (String.make 100 '-') (String.make 100 '-');
   M.reset (M.default ());
   let ( total,
@@ -364,7 +302,6 @@ let smoke () =
         dealt ) =
     phase_chaos ()
   in
-  let opened, closed = phase_breakers () in
   let overhead = phase_overhead () in
   let json =
     Json.Obj
@@ -384,8 +321,6 @@ let smoke () =
         ("recovery_rate", Json.Float recovery_rate);
         ("migration_queue_wait_ms", Json.Float migration_wait_ms);
         ("journal_replay_exact", Json.Bool true);
-        ("breaker_opened", Json.Int opened);
-        ("breaker_closed", Json.Int closed);
         ("chaos_off_overhead", Json.Float overhead);
       ]
   in

@@ -4,8 +4,8 @@
    the roofline placement (dd admitted to the bandwidth-rich RTX 2080
    class, od to the compute-rich V100 class) and the steal accounting,
    and writes BENCH_fleet.json: throughput, total steals, the placement
-   histogram, and per-device-class latency percentiles (p50/p95/p99) off
-   the fleet's metrics histograms.  Part of the @bench-smoke regression
+   histogram, and per-device-class latency percentiles (p50/p95/p99)
+   over the raw per-job samples.  Part of the @bench-smoke regression
    gate; exits 1 on any mismatch. *)
 
 module P = Multidouble.Precision
@@ -23,6 +23,15 @@ let class_of_instance id =
   match String.index_opt id '#' with
   | Some i -> String.sub id 0 i
   | None -> id
+
+(* Nearest-rank quantile of raw samples; [None] for an empty class. *)
+let quantile xs q =
+  match List.sort Float.compare xs with
+  | [] -> None
+  | sorted ->
+    let n = List.length sorted in
+    let rank = int_of_float (ceil (q *. float_of_int n)) - 1 in
+    Some (List.nth sorted (max 0 (min (n - 1) rank)))
 
 let smoke () =
   pf "\n%s\nFleet smoke: the 'fleet' sweep over the default device pool\n%s\n"
@@ -87,8 +96,9 @@ let smoke () =
                placements) ))
       classes
   in
-  (* Per-class latency percentiles straight off the fleet's metrics
-     histograms (observed by the executing instance's class). *)
+  (* Per-class latency percentiles over each job's admission-to-settle
+     time, grouped by the executing instance's class; the fleet's
+     per-class metrics histogram must have seen the same jobs. *)
   let class_rows =
     List.map
       (fun c ->
@@ -96,30 +106,35 @@ let smoke () =
           M.histogram ~buckets:M.latency_buckets (M.default ())
             ("fleet.latency_ms." ^ c)
         in
-        let executed =
-          List.length
-            (List.filter
-               (fun (_, p) -> class_of_instance p.S.device_id = c)
-               placements)
+        let samples =
+          List.filter_map
+            (fun ((o : S.outcome), p) ->
+              if class_of_instance p.S.device_id = c then
+                Some (o.S.timing.S.queue_wait_ms +. o.S.elapsed_ms)
+              else None)
+            placements
         in
+        let executed = List.length samples in
         if M.Histogram.count h <> executed then
           fail "fleet-smoke: class %s histogram has %d observations, %d jobs"
             c (M.Histogram.count h) executed;
         ( c,
           executed,
-          M.Histogram.quantile h 0.5,
-          M.Histogram.quantile h 0.95,
-          M.Histogram.quantile h 0.99 ))
+          quantile samples 0.5,
+          quantile samples 0.95,
+          quantile samples 0.99 ))
       classes
   in
+  let ms = function Some x -> Printf.sprintf "%8.3f" x | None -> "       -" in
   let throughput = float_of_int (List.length jobs) /. wall_s in
   pf "  %d auto-placed jobs in %.3f s (%.1f jobs/s), %d stolen\n"
     (List.length jobs) wall_s throughput steals;
   List.iter
     (fun (c, executed, p50, p95, p99) ->
-      pf "  %-10s %3d executed  p50 %8.3f ms  p95 %8.3f ms  p99 %8.3f ms\n" c
-        executed p50 p95 p99)
+      pf "  %-10s %3d executed  p50 %s ms  p95 %s ms  p99 %s ms\n" c
+        executed (ms p50) (ms p95) (ms p99))
     class_rows;
+  let json_ms = function Some x -> Json.Float x | None -> Json.Null in
   let json =
     Json.Obj
       [
@@ -139,9 +154,9 @@ let smoke () =
                    [
                      ("class", Json.Str c);
                      ("executed", Json.Int executed);
-                     ("p50_ms", Json.Float p50);
-                     ("p95_ms", Json.Float p95);
-                     ("p99_ms", Json.Float p99);
+                     ("p50_ms", json_ms p50);
+                     ("p95_ms", json_ms p95);
+                     ("p99_ms", json_ms p99);
                    ])
                class_rows) );
       ]

@@ -981,15 +981,6 @@ let serve_cmd =
       & info [ "chaos-seed" ] ~docv:"SEED"
           ~doc:"Seed of the chaos campaign (deterministic per seed).")
   in
-  let breakers_arg =
-    Arg.(
-      value & flag
-      & info [ "breakers" ]
-          ~doc:
-            "Enable per-instance circuit breakers driven by health windows \
-             (open on consecutive failures or p95 excursions, half-open \
-             probe after a cool-off).")
-  in
   let telemetry_arg =
     Arg.(
       value
@@ -1026,7 +1017,7 @@ let serve_cmd =
   in
   let run pool_spec depth no_steal (rate, seed, kinds) solver out_file obs
       telemetry telemetry_prom telemetry_interval_ms log_level journal_file
-      resume chaos_rate chaos_seed breakers =
+      resume chaos_rate chaos_seed =
     let default_solver = solver_of solver in
     let pool =
       try Sched.Fleet.Config.pool_of_string pool_spec
@@ -1062,7 +1053,6 @@ let serve_cmd =
           (if depth = 0 then Sched.Fleet.Config.unbounded else depth);
         steal = not no_steal;
         chaos;
-        breakers;
       }
     in
     Result.iter_error (usage_error "%s") (Sched.Fleet.Config.validate config);
@@ -1103,10 +1093,9 @@ let serve_cmd =
           List.iter
             (fun (i : Sched.Fleet.stats) ->
               Printf.eprintf
-                "  %-12s %4d executed (%d stolen)  utilization %5.1f%%%s%s\n"
+                "  %-12s %4d executed (%d stolen)  utilization %5.1f%%%s\n"
                 i.id i.executed i.stolen (100.0 *. i.utilization)
-                (if i.state = "ok" then "" else "  " ^ i.state)
-                (if i.breaker = "closed" then "" else "  breaker " ^ i.breaker))
+                (if i.state = "ok" then "" else "  " ^ i.state))
             s.stats
         end);
     if out_file <> None then close_out oc
@@ -1127,7 +1116,7 @@ let serve_cmd =
       const run $ pool_spec $ depth $ no_steal $ fault_flags $ solver_name
       $ out_arg $ obs_flags $ telemetry_arg $ telemetry_prom_arg
       $ telemetry_interval_arg $ log_level_arg $ journal_arg $ resume_arg
-      $ chaos_rate_arg $ chaos_seed_arg $ breakers_arg)
+      $ chaos_rate_arg $ chaos_seed_arg)
 
 let monitor_cmd =
   let file_arg =

@@ -174,10 +174,6 @@ let status () =
       Hashtbl.fold (fun _ s acc -> class_status_locked s :: acc) classes []
       |> List.sort (fun a b -> String.compare a.cls b.cls))
 
-let status_of ~cls =
-  locked (fun () ->
-      Option.map class_status_locked (Hashtbl.find_opt classes cls))
-
 (* ---- cost-model drift ---- *)
 
 type stage_drift = {

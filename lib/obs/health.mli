@@ -43,11 +43,6 @@ type class_status = {
 val status : unit -> class_status list
 (** Per-class status, sorted by class name. *)
 
-val status_of : cls:string -> class_status option
-(** The status of one class, or [None] when it has never been observed.
-    The fleet's circuit breakers read per-instance windows through this
-    without paying for a full sorted status sweep. *)
-
 (** {1 Cost-model drift} *)
 
 val observe_model : stage:string -> predicted_ms:float -> measured_ms:float -> unit

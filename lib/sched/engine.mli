@@ -37,8 +37,8 @@ type placement = {
   steals : int;  (** queue hops by work stealing (0 or 1) *)
   queue_depth : int;  (** depth of the admitted queue at admission *)
   migrations : string list;
-      (** instances the job was reclaimed from (crashed, hung or
-          breaker-evicted), oldest first; [[]] for an undisturbed job *)
+      (** instances the job was reclaimed from (crashed or hung),
+          oldest first; [[]] for an undisturbed job *)
 }
 
 type outcome = {

@@ -31,12 +31,6 @@
      than [max_migrations] times is quarantined: settled as a permanent
      failure rather than bounced forever.
 
-   - Circuit breakers: per-instance health windows (fed through
-     [Obs.Health]) open a breaker on consecutive failures or a p95
-     latency excursion against the instance's class; an open instance
-     is skipped by placement, admits a single probe job after a
-     cool-off (half-open), and closes again when the probe succeeds.
-
    Locking: one mutex guards the queues, counters, instance states and
    the result table.  Jobs execute outside the lock, wrapped in
    [Dompool.Domain_pool.isolate] so kernel bodies of executing jobs run
@@ -59,7 +53,6 @@ module Config = struct
     retain_outcomes : bool;
     chaos : Chaos.config option;
     max_migrations : int;
-    breakers : bool;
   }
 
   let unbounded = max_int
@@ -79,7 +72,6 @@ module Config = struct
       retain_outcomes = true;
       chaos = None;
       max_migrations = 3;
-      breakers = false;
     }
 
   let batch ?(parallel = 4) ?(backoff_ms = 1.0) () =
@@ -169,20 +161,6 @@ let state_name = function
   | Hung -> "hung"
   | Crashed -> "crashed"
 
-type breaker_state = Closed | Open | Half_open
-
-let breaker_state_name = function
-  | Closed -> "closed"
-  | Open -> "open"
-  | Half_open -> "half-open"
-
-type breaker = {
-  mutable b_state : breaker_state;
-  mutable b_opened_at : float;
-  mutable b_failures : int;  (* consecutive failed settlements *)
-  mutable b_probing : bool;  (* half-open probe currently admitted *)
-}
-
 type instance = {
   id : string;
   device : D.t option;
@@ -194,7 +172,6 @@ type instance = {
   mutable busy_ms : float;
   mutable state : state;
   chaos_event : Chaos.event option;
-  breaker : breaker;
 }
 
 type t = {
@@ -228,15 +205,6 @@ let m_completed = Metrics.once (fun () -> m_counter "fleet.completed")
 let m_failed = Metrics.once (fun () -> m_counter "fleet.failed")
 let m_attempts = Metrics.once (fun () -> m_counter "fleet.attempts")
 let m_steals = Metrics.once (fun () -> m_counter "fleet.steals")
-
-let m_breaker_opened =
-  Metrics.once (fun () -> m_counter "fleet.breaker.opened")
-
-let m_breaker_half_open =
-  Metrics.once (fun () -> m_counter "fleet.breaker.half_open")
-
-let m_breaker_closed =
-  Metrics.once (fun () -> m_counter "fleet.breaker.closed")
 
 let class_slug = function Some d -> D.slug d | None -> "any"
 
@@ -373,47 +341,13 @@ let alive inst =
   | Healthy | Browned _ -> true
   | Hung | Crashed -> false
 
-(* Open breakers ripen into half-open after the cool-off; called with
-   the lock held before any placement decision. *)
-let breaker_cooloff_ms = 250.0
-
-let breaker_tick t ~now =
-  if t.config.breakers then
-    Array.iter
-      (fun inst ->
-        match inst.breaker.b_state with
-        | Open when now -. inst.breaker.b_opened_at >= breaker_cooloff_ms ->
-          inst.breaker.b_state <- Half_open;
-          inst.breaker.b_probing <- false;
-          Metrics.Counter.incr (m_breaker_half_open ());
-          Obs.Log.info "fleet.breaker_half_open"
-            ~fields:[ ("instance", Obs.Log.Str inst.id) ]
-        | _ -> ())
-      t.instances
-
-(* Placement admits an instance when it is alive and its breaker lets
-   work through: closed freely, half-open for a single probe. *)
-let breaker_admits t inst =
-  (not t.config.breakers)
-  ||
-  match inst.breaker.b_state with
-  | Closed -> true
-  | Open -> false
-  | Half_open -> not inst.breaker.b_probing
-
-(* A job was placed onto [inst]: a half-open breaker spends its probe
-   slot on it. *)
-let note_placed t inst =
-  if t.config.breakers && inst.breaker.b_state = Half_open then
-    inst.breaker.b_probing <- true
-
-(* Shortest queue of the most preferred group with room, among the
-   instances [admit] lets through; [Error] is the preferred instance we
-   would have used, for the rejection record. *)
-let place_with t job ~admit =
+(* Admission placement: shortest live queue of the most preferred
+   group with room; [Error] names the preferred instance we would have
+   used, for the rejection record. *)
+let place t job =
   let groups =
     candidate_groups t job
-    |> List.map (List.filter admit)
+    |> List.map (List.filter alive)
     |> List.filter (fun g -> g <> [])
   in
   let by_depth g =
@@ -435,46 +369,25 @@ let place_with t job ~admit =
   in
   go None groups
 
-(* Admission placement: prefer instances whose breaker admits work, but
-   never let breakers wedge the fleet — when they exclude every live
-   candidate, fall back to live instances alone (a fully-open fleet
-   still beats a rejected job). *)
-let place t job =
-  match place_with t job ~admit:(fun i -> alive i && breaker_admits t i) with
-  | Ok _ as ok -> ok
-  | Error _ as e ->
-    let breaker_excluded =
-      t.config.breakers
-      && Array.exists
-           (fun i -> alive i && not (breaker_admits t i))
-           t.instances
-    in
-    if breaker_excluded then place_with t job ~admit:alive else e
-
 (* Re-placement for reclaimed jobs: first live group in preference
    order, shortest queue, ignoring the depth bound — a migrated job is
    never dropped for want of queue room.  [None] iff nothing is left
    alive. *)
 let place_forced t job =
-  let pick admit =
-    let rec first = function
-      | [] -> None
-      | g :: rest -> (
-        match List.filter admit g with
-        | [] -> first rest
-        | i :: is ->
-          Some
-            (List.fold_left
-               (fun best c ->
-                 if Queue.length c.queue < Queue.length best.queue then c
-                 else best)
-               i is))
-    in
-    first (candidate_groups t job)
+  let rec first = function
+    | [] -> None
+    | g :: rest -> (
+      match List.filter alive g with
+      | [] -> first rest
+      | i :: is ->
+        Some
+          (List.fold_left
+             (fun best c ->
+               if Queue.length c.queue < Queue.length best.queue then c
+               else best)
+             i is))
   in
-  match pick (fun i -> alive i && breaker_admits t i) with
-  | Some i -> Some i
-  | None -> pick alive
+  first (candidate_groups t job)
 
 (* ---- lifecycle ---- *)
 
@@ -491,8 +404,6 @@ let instance_of ?chaos ~index (device, slot) =
     state = Healthy;
     chaos_event =
       (match chaos with Some cfg -> Chaos.draw cfg ~instance:index | None -> None);
-    breaker =
-      { b_state = Closed; b_opened_at = 0.0; b_failures = 0; b_probing = false };
   }
 
 (* The device an auto job executes on when a generic instance claims
@@ -559,7 +470,6 @@ let quarantine_outcome t entry ~trail ~message ~now =
    lock held; returns the quarantined outcomes for the caller to emit
    (and broadcast) once the lock is released. *)
 let migrate_entries t ~from_id entries ~now =
-  breaker_tick t ~now;
   let quarantined = ref [] in
   let migrated = ref 0 in
   List.iter
@@ -580,7 +490,6 @@ let migrate_entries t ~from_id entries ~now =
         match place_forced t entry.q_job with
         | Some target ->
           Queue.push { entry with q_migrations = trail } target.queue;
-          note_placed t target;
           incr migrated;
           Metrics.Gauge.set (depth_gauge target)
             (float_of_int (Queue.length target.queue))
@@ -620,56 +529,6 @@ let deliver t outcomes =
   match t.on_outcome with
   | Some f -> List.iter (fun o -> try f o with _ -> ()) outcomes
   | None -> ()
-
-(* ---- circuit breakers ---- *)
-
-(* Settlement-driven breaker transitions, with the lock held.  The
-   health windows are per-instance ([cls = inst.id], fed only when
-   breakers are enabled) so the p95 excursion compares an instance
-   against its own device class. *)
-let breaker_note t inst ~ok ~now =
-  if t.config.breakers then begin
-    let b = inst.breaker in
-    let open_breaker () =
-      b.b_state <- Open;
-      b.b_opened_at <- now;
-      b.b_probing <- false;
-      Metrics.Counter.incr (m_breaker_opened ());
-      Obs.Log.warn "fleet.breaker_open"
-        ~fields:
-          [
-            ("instance", Obs.Log.Str inst.id);
-            ("failures", Obs.Log.Int b.b_failures);
-          ]
-    in
-    match b.b_state with
-    | Half_open ->
-      b.b_probing <- false;
-      if ok then begin
-        b.b_state <- Closed;
-        b.b_failures <- 0;
-        Metrics.Counter.incr (m_breaker_closed ());
-        Obs.Log.info "fleet.breaker_close"
-          ~fields:[ ("instance", Obs.Log.Str inst.id) ]
-      end
-      else open_breaker ()
-    | Closed ->
-      if ok then b.b_failures <- 0 else b.b_failures <- b.b_failures + 1;
-      let p95_excursion =
-        match
-          ( Obs.Health.status_of ~cls:inst.id,
-            Obs.Health.status_of ~cls:(class_slug inst.device) )
-        with
-        | Some i, Some c -> (
-          match (i.Obs.Health.p95_ms, c.Obs.Health.p95_ms) with
-          | Some ip, Some cp ->
-            i.Obs.Health.window >= 8 && cp > 0.0 && ip > 3.0 *. cp
-          | _ -> false)
-        | _ -> false
-      in
-      if b.b_failures >= 3 || p95_excursion then open_breaker ()
-    | Open -> ()
-  end
 
 (* ---- execution ---- *)
 
@@ -737,7 +596,6 @@ let execute t inst entry ~stolen =
     Hashtbl.replace t.results entry.q_ticket outcome;
   t.unsettled <- t.unsettled - 1;
   let ok = match status with Engine.Completed _ -> true | _ -> false in
-  breaker_note t inst ~ok ~now;
   Condition.broadcast t.changed;
   Mutex.unlock t.lock;
   Metrics.Gauge.set (util_gauge inst) (utilization t inst ~now);
@@ -747,7 +605,6 @@ let execute t inst entry ~stolen =
   Metrics.Histogram.observe (latency_histogram inst) latency_ms;
   let cls = class_slug inst.device in
   Obs.Health.observe ~cls ~ok ~latency_ms;
-  if t.config.breakers then Obs.Health.observe ~cls:inst.id ~ok ~latency_ms;
   (match status with
   | Engine.Completed report ->
     Obs.Log.debug "fleet.job_completed"
@@ -941,7 +798,6 @@ let submit t (job : Job.t) =
      slow first classification never stalls the admission path. *)
   if Job.is_auto job then ignore (classify_job job);
   Mutex.lock t.lock;
-  breaker_tick t ~now:(Engine.now_ms ());
   let result =
     if t.stopping then Error Draining
     else
@@ -972,7 +828,6 @@ let submit t (job : Job.t) =
             q_migrations = [];
           }
           inst.queue;
-        note_placed t inst;
         t.unsettled <- t.unsettled + 1;
         Metrics.Counter.incr (m_submitted ());
         Metrics.Gauge.set (depth_gauge inst) (float_of_int (Queue.length inst.queue));
@@ -1084,7 +939,6 @@ type stats = {
   busy_ms : float;
   utilization : float;
   state : string;
-  breaker : string;
 }
 
 let stats t =
@@ -1102,7 +956,6 @@ let stats t =
              busy_ms = i.busy_ms;
              utilization = utilization t i ~now;
              state = state_name i.state;
-             breaker = breaker_state_name i.breaker.b_state;
            })
   in
   Mutex.unlock t.lock;

@@ -34,12 +34,6 @@
       [placement.migrations] trail.  A job migrated more than
       [Config.max_migrations] times is {e quarantined}: settled as a
       permanent (non-retryable) failure carrying its trail.
-    - {e Circuit breakers} ([Config.breakers]): per-instance health
-      windows open a breaker after 3 consecutive failures or a p95
-      excursion (instance p95 > 3x its class p95 over a warm window);
-      an open instance is skipped by placement, admits a single probe
-      after a 250 ms cool-off (half-open), and closes when the probe
-      succeeds.
 
     Outcomes are {!Engine.outcome} records whose [placement] field
     carries the executing instance, the admitting instance, the steal
@@ -51,8 +45,8 @@
     {!Obs.Metrics.latency_buckets} with per-class p50/p95/p99 in the
     snapshot, [fleet.queue_depth.<id>] and [fleet.util.<id>] gauges,
     and — from the resilience plane —
-    [fleet.chaos.crashes/hangs/brownouts/migrations/quarantined] and
-    [fleet.breaker.opened/half_open/closed] counters) and the tracer
+    [fleet.chaos.crashes/hangs/brownouts/migrations/quarantined]
+    counters) and the tracer
     ([admit]/[steal]/[reject] instants).
 
     Callers with a whole batch use {!run}, a thin wrapper over this
@@ -79,9 +73,6 @@ module Config : sig
             leaves every instance healthy *)
     max_migrations : int;
         (** reclaim hops before a job is quarantined (default 3) *)
-    breakers : bool;
-        (** drive per-instance circuit breakers from health windows
-            (default off) *)
   }
 
   val unbounded : int
@@ -187,7 +178,6 @@ type stats = {
   utilization : float;  (** busy fraction of the fleet's lifetime, 0..1 *)
   state : string;
       (** chaos state: ["ok"], ["browned"], ["hung"] or ["crashed"] *)
-  breaker : string;  (** ["closed"], ["open"] or ["half-open"] *)
 }
 
 val stats : t -> stats list

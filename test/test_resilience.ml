@@ -1,5 +1,5 @@
 (* Tests for the fleet resilience plane: seeded device chaos (crash /
-   hang / brownout), job migration and quarantine, circuit breakers,
+   hang / brownout), job migration and quarantine, poison jobs,
    the write-ahead outcome journal and its shipped example, the seeded retry
    jitter, concurrent backpressure, and the service loop behind serve. *)
 
@@ -12,7 +12,6 @@ module Jn = Sched.Journal
 module Sv = Sched.Service
 module Chaos = Fault.Chaos
 module Json = Harness.Json
-module M = Obs.Metrics
 
 let check = Alcotest.(check bool)
 let checki = Alcotest.(check int)
@@ -21,8 +20,6 @@ let checks = Alcotest.(check string)
 let solve ?(device = "auto") ?inject_failures ?retries ~id () =
   Job.make ?inject_failures ?retries ~id ~kind:Job.Solve ~device ~prec:P.DD
     ~dim:512 ~tile:64 ()
-
-let counter name = M.Counter.value (M.counter (M.default ()) name)
 
 let placement (o : S.outcome) =
   match o.S.placement with
@@ -144,42 +141,60 @@ let test_quarantine () =
         ((placement o).S.migrations = [ "c2050#0" ]))
     outcomes
 
-(* ---- circuit breakers ---- *)
+(* ---- failures follow the job ---- *)
 
-let test_breaker_cycle () =
-  let opened0 = counter "fleet.breaker.opened" in
-  let closed0 = counter "fleet.breaker.closed" in
+(* Every job-failure source (injected failures, fault plans,
+   validation) travels with the job, so a run of failures says nothing
+   about the instance: poison jobs fail where they land, the instance
+   keeps serving, and health is kept per device class only. *)
+let test_poison_fails_in_place () =
+  Obs.Health.reset ();
   let config =
     {
       F.Config.default with
       pool = [ (Some D.v100, 1) ];
       max_queue_depth = F.Config.unbounded;
       backoff_ms = 0.0;
-      breakers = true;
     }
   in
   let fleet = F.create config in
-  List.iter
-    (fun j -> ignore (F.submit_blocking fleet j))
-    (List.init 4 (fun i ->
-         solve ~device:"v100"
-           ~id:(Printf.sprintf "po-%d" i)
-           ~inject_failures:99 ~retries:0 ()));
-  F.quiesce fleet;
-  check "poison opened the breaker" true
-    (counter "fleet.breaker.opened" - opened0 >= 1);
-  checks "breaker open in stats" "open" (List.hd (F.stats fleet)).F.breaker;
-  (* Past the 250 ms cool-off, healthy traffic probes and closes it. *)
-  Unix.sleepf 0.3;
-  List.iter
-    (fun j -> ignore (F.submit_blocking fleet j))
-    (List.init 2 (fun i -> solve ~device:"v100" ~id:(Printf.sprintf "ok-%d" i) ()));
-  F.quiesce fleet;
+  let submit jobs = List.map (F.submit_blocking fleet) jobs in
+  let poison =
+    submit
+      (List.init 4 (fun i ->
+           solve ~device:"v100"
+             ~id:(Printf.sprintf "po-%d" i)
+             ~inject_failures:99 ~retries:0 ()))
+  in
+  let healthy =
+    submit
+      (List.init 2 (fun i ->
+           solve ~device:"v100" ~id:(Printf.sprintf "ok-%d" i) ()))
+  in
+  let settled = List.map (F.await fleet) (poison @ healthy) in
   F.shutdown fleet;
-  check "probe closed the breaker" true
-    (counter "fleet.breaker.closed" - closed0 >= 1);
-  checks "breaker closed in stats" "closed"
-    (List.hd (F.stats fleet)).F.breaker
+  List.iter
+    (fun o ->
+      let p = placement o in
+      checks "settled on the one instance" "v100#0" p.S.device_id;
+      check "no migration trail" true (p.S.migrations = []))
+    settled;
+  List.iteri
+    (fun i o ->
+      match o.S.status with
+      | S.Completed _ -> check "poison completed" true (i >= 4)
+      | S.Failed _ -> check "healthy job failed" true (i < 4))
+    settled;
+  let health = Obs.Health.status () in
+  (match
+     List.find_opt (fun c -> c.Obs.Health.cls = "v100") health
+   with
+  | Some c ->
+    checki "class window outcomes" 6 c.Obs.Health.total;
+    checki "class window failures" 4 c.Obs.Health.failures
+  | None -> Alcotest.fail "no v100 health window");
+  check "no per-instance window" false
+    (List.exists (fun c -> c.Obs.Health.cls = "v100#0") health)
 
 (* ---- config validation ---- *)
 
@@ -611,9 +626,11 @@ let () =
           Alcotest.test_case "quarantine after max migrations" `Quick
             test_quarantine;
         ] );
-      ( "breakers",
-        [ Alcotest.test_case "open, half-open, close" `Quick test_breaker_cycle ]
-      );
+      ( "poison",
+        [
+          Alcotest.test_case "failures follow the job, not the instance"
+            `Quick test_poison_fails_in_place;
+        ] );
       ( "config",
         [
           Alcotest.test_case "structured validation" `Quick
