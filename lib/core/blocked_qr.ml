@@ -10,7 +10,11 @@
         bottleneck in small dimensions (kernel "compute W") — and form the
         product YWT = Y * W^H (kernel "Y*W^T");
      3. update Q in two stages: QWY := Q * (YWT)^H ("Q*WY^T") and
-        Q := Q + QWY ("Q + QWY");
+        Q := Q + QWY ("Q + QWY").  Q starts as the identity, so in the
+        first panel every term of QWY but one per output is a product
+        with an exact zero; the device pays for the full product and so
+        does its modeled cost here, while the flat host body computes
+        the one term per output, with the same bits;
      4. if the panel is not the last, update the trailing columns C:
         YWTC := YWT * C ("YWT*C") and R := R + YWTC ("R + YWTC").
 

@@ -617,6 +617,11 @@ module Make (K : Scalar.S) = struct
      b are unstaged once at the end ([unstage]).  Only the Householder
      vector's norm, square root and division stay boxed (O(rows) work
      per column against the O(rows * tile) of the stages around it).
+     The first panel's Q*WY^T multiplies by a Q that is still the
+     identity, so its flat body ([first_qwy]) computes the one term of
+     each output that is not a product with an exact zero: one product
+     per output instead of [rows], with the same bits.  [Blocked_qr]
+     still prices the full product, which the device pays.
 
      The boxed arm works on host [K.t] arrays: complex and instrumented
      scalars, and any factorization under an armed fault plan — its
@@ -944,11 +949,119 @@ module Make (K : Scalar.S) = struct
             ~getb:(fun k j -> K.conj b.w.((j * tile) + k))
             ~store:(fun i j s -> b.ywt.((i * rows) + j) <- s)
 
-    (* QWY = Q[:, c0:] * YWT^H (mrows x rows). *)
+    (* Whether every limb word of [t] is finite. *)
+    let finite (t : planes) =
+      let ok = ref true in
+      for pl = 0 to K.width - 1 do
+        for i = 0 to (t.rows * t.cols) - 1 do
+          if not (Float.is_finite (Nd_flat.get t.p pl i)) then ok := false
+        done
+      done;
+      !ok
+
+    (* Whether word [ia] of [a] and word [ib] of [b] agree limb for limb,
+       bit for bit. *)
+    let same_word (a : Nd_flat.planes) ia (b : Nd_flat.planes) ib =
+      let same = ref true in
+      for pl = 0 to K.width - 1 do
+        if
+          not
+            (Int64.equal
+               (Int64.bits_of_float (Nd_flat.get a pl ia))
+               (Int64.bits_of_float (Nd_flat.get b pl ib)))
+        then same := false
+      done;
+      !same
+
+    (* QWY of the first panel.  Q[:, c0:] is then all of Q, and Q is
+       still the identity [create] staged: only [q_add] writes Q, after
+       this launch.  Output (i, j) of the full product is the ascending
+       sum over k of Q[i,k] YWT[j,k] from [clear], and every term but
+       k = i multiplies a Q word that is +0 in every limb.  So the body
+       computes clear; mul_add Q[i,i] YWT[j,i]; store — the k = i step
+       of the full loop, one product per output instead of [rows] — and
+       that changes no bit, given two facts about the engine, for finite
+       y:
+
+       (a) clear; mul_add (+0) y leaves every limb +0, so the terms
+           k < i leave the accumulator as [clear] did;
+       (b) after the diagonal term, mul_add (+0) y' leaves the
+           accumulator's bits unchanged, so the terms k > i do too.
+
+       m = 1: +0 * y is +-0 and +0 + +-0 = +0, which is (a).  The
+       diagonal leaves +0 + y_i, never -0, and x + +-0 = x for every x
+       but -0, which is (b).
+
+       m = 2: the unrolled product's p = +0 * yhi is +-0 and its fma
+       error +0, and a zero sum with a +0 operand is +0, so the product
+       is (+0, +0), and its ieee_add to the cleared (+0, +0) is
+       (+0, +0): (a).  The diagonal term leaves (hi, lo) from a
+       quick_two_sum (s', e'), so hi = fl(hi + lo).  Neither limb is -0:
+       a sum is -0 only when both operands are, a difference only when
+       its left operand is, and e' is a sum with the low-order two_sum
+       error, which is +0 when the accumulator was cleared.  Adding
+       (+0, +0) to such a pair, both two_sums return their input with
+       +0 errors and both quick_two_sums return (hi, lo): (b).
+
+       m >= 3: these engines renormalize every sum, and (b) would need
+       the renormalization to be a fixed point on its own output, which
+       neither QDlib's renorm nor the two-pass distillation promises.
+       So they are guarded per output.  Their product +0 * y is +0 in
+       every limb for finite y (every partial product is +-0, every fma
+       error +0, and the distillation of such a buffer +0), so every
+       zero term of an output is the same map acc := acc + (+0).  The
+       body applies one of them after the diagonal, and if it moved a
+       bit, recomputes the output by the full loop.
+
+       test_props pins (a), (b) and the guard's premise at m = 1, 2, 3,
+       4, 8 and 16, (a) and the premise over every limb sign pattern (a
+       product with +0 depends on nothing else of y).  (a) needs y finite
+       (+0 * inf is NaN), so [qwy] sweeps YWT once per launch and a
+       non-finite word anywhere takes the full product. *)
+    let first_qwy ~threads ~rows (f : flat_panel) blk =
+      let total = rows * rows in
+      let lo = blk * threads in
+      let hi = min total (lo + threads) in
+      if lo < hi then begin
+        let { Nd_flat.make_ctx; clear; mul_add; dot; store; _ } =
+          the_plan ()
+        in
+        let ctx = make_ctx () in
+        let q = f.res.qp.p and y = f.ywtp.p and out = f.qwyp.p in
+        let guarded = K.width > 2 && rows > 1 in
+        let probe = Nd_flat.make_planes ~limbs:K.width 1 in
+        let i = ref (lo / rows) and j = ref (lo mod rows) in
+        for idx = lo to hi - 1 do
+          let qrow = !i * rows and yrow = !j * rows in
+          clear ctx;
+          mul_add ctx q (qrow + !i) y (yrow + !i);
+          store ctx out idx;
+          if guarded then begin
+            let k = if !i = 0 then 1 else 0 in
+            mul_add ctx q (qrow + k) y (yrow + k);
+            store ctx probe 0;
+            if not (same_word out idx probe 0) then begin
+              clear ctx;
+              dot ctx q qrow 1 y yrow 1 rows;
+              store ctx out idx
+            end
+          end;
+          incr j;
+          if !j = rows then begin
+            j := 0;
+            incr i
+          end
+        done
+      end
+
+    (* QWY = Q[:, c0:] * YWT^H (mrows x rows); the first panel's on the
+       flat arm is [first_qwy]. *)
     let qwy p =
       let st = p.st in
       let mrows = st.mrows and rows = p.rows and c0 = p.c0 in
       match p.arm with
+      | Pflat f when c0 = 0 && st.accumulate_q && finite f.ywtp ->
+          first_qwy ~threads:st.tile ~rows f
       | Pflat f ->
           view_block ~threads:st.tile ~inner:rows
             { vp = f.res.qp.p; off = c0; pitch = mrows; step = 1 }

@@ -240,18 +240,37 @@ module Equiv (K : Scalar.S) = struct
       zeros;
     a
 
+  (* Entries that stress the first panel's identity product, where each
+     output keeps one term of the full sum: small integers (products
+     that tie), single doubles (mostly-zero product buffers), random
+     values a third of which are -0, and random values scaled by 2^100
+     or 2^-100. *)
+  let special rng kind rows cols =
+    let a = Rand.matrix rng rows cols in
+    let entry x =
+      match kind with
+      | `Ints -> K.of_float (float_of_int (Dompool.Prng.int rng 9 - 4))
+      | `Singles -> K.of_float (Dompool.Prng.sym_float rng)
+      | `Neg_zeros -> if Dompool.Prng.int rng 3 = 0 then K.neg K.zero else x
+      | `Scaled ->
+          K.mul_float x (if Dompool.Prng.bool rng then 0x1p100 else 0x1p-100)
+    in
+    M.map entry a
+
   let test_qr_paths_identical () =
     let rng = Dompool.Prng.create 6 in
     check "flat dispatch available" true (F.available ());
+    let full what a ~tile =
+      same_paths what
+        (fun (qf, rf) (qg, rg) ->
+          check_mat (what ^ ": q") qf qg;
+          check_mat (what ^ ": r") rf rg)
+        (fun on -> on_sim on (fun sim -> Qr.factor sim a ~tile))
+    in
     List.iter
       (fun (rows, cols, tile, zeros) ->
         let a = with_zero_cols rng rows cols zeros in
-        let what = Printf.sprintf "qr %dx%d/%d" rows cols tile in
-        same_paths what
-          (fun (qf, rf) (qg, rg) ->
-            check_mat (what ^ ": q") qf qg;
-            check_mat (what ^ ": r") rf rg)
-          (fun on -> on_sim on (fun sim -> Qr.factor sim a ~tile)))
+        full (Printf.sprintf "qr %dx%d/%d" rows cols tile) a ~tile)
       [
         (12, 8, 4, []);
         (24, 16, 8, []);
@@ -259,6 +278,31 @@ module Equiv (K : Scalar.S) = struct
         (8, 8, 8, []) (* rows = cols = tile *);
         (16, 8, 4, [ 0; 5 ]) (* sigma = 0 *);
       ];
+    List.iter
+      (fun (kind, name) ->
+        List.iter
+          (fun (rows, cols, tile) ->
+            full
+              (Printf.sprintf "qr %s %dx%d/%d" name rows cols tile)
+              (special rng kind rows cols) ~tile)
+          [ (16, 16, 4); (24, 8, 4) ])
+      [
+        (`Ints, "small integers");
+        (`Singles, "single doubles");
+        (`Neg_zeros, "-0 entries");
+        (`Scaled, "2^+-100 scaled");
+      ];
+    (* An infinity in column 0: with one-column panels the first YWT is
+       v w^H, NaN in the rows and columns of v's infinities and +-0
+       elsewhere.  The identity product would keep those zeros where the
+       full product's 0 * NaN terms give NaN, so the full product must
+       run. *)
+    List.iter
+      (fun (rows, cols) ->
+        let a = Rand.matrix rng rows cols in
+        M.set a 5 0 (K.of_float infinity);
+        full (Printf.sprintf "qr with an infinity %dx%d/1" rows cols) a ~tile:1)
+      [ (8, 8); (12, 4) ];
     List.iter
       (fun (rows, cols, tile, zeros) ->
         let a = with_zero_cols rng rows cols zeros in

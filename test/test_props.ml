@@ -453,6 +453,106 @@ module Flat_props (S : Md_sig.S) = struct
       ] )
 end
 
+(* ------------------------------------------------------------------ *)
+(* The first panel's Q*WY^T: zero products against the identity        *)
+(* ------------------------------------------------------------------ *)
+
+(* While Q is still the identity, [Flat_kernels.Make(K).Qr.qwy] computes
+   each output as clear; mul_add Q[i,i] y_i; store, dropping the terms
+   Q[i,k] y_k with Q[i,k] = +0.  That is exact given two facts about the
+   engine, pinned here at every width:
+   (a) clear; mul_add (+0) y, for finite y, leaves every limb +0, so the
+       terms before the diagonal leave the accumulator as [clear] did;
+   (b) after the diagonal term, mul_add (+0) y' leaves the accumulator's
+       bits unchanged, so the terms after it do too.
+   The engines that renormalize a sum (m >= 3) also lean on the premise
+   of the guard [qwy] runs for them: the product +0 * y is +0 in every
+   limb, whatever finite y, so one zero term decides all the others.  A
+   product of +0 with finite limbs depends only on their signs, so the
+   premise and (a) are checked over every sign pattern as well as on
+   the generators; (b) is checked on the generators' pairs, ties
+   included. *)
+module Qwy_props (S : Md_sig.S) = struct
+  module F = Flat_props (S)
+
+  let m = S.limbs
+  let zero_word = F.stage [| S.zero |]
+  let one_word = F.stage [| S.one |]
+
+  let all_pos_zero l =
+    Array.for_all (fun x -> Int64.equal (Int64.bits_of_float x) 0L) l
+
+  (* A finite value with the sign pattern [bits] (bit k: limb k
+     negative); the magnitudes are immaterial to +0 * y. *)
+  let signed bits =
+    S.of_limbs_exact
+      (Array.init m (fun k ->
+           let x = ldexp 1.0 (-60 * k) in
+           if (bits lsr k) land 1 = 1 then -.x else x))
+
+  let { Nd_flat.make_ctx; clear; mul_set; mul_add; _ } = F.fp
+
+  let zero_times y =
+    let ctx = make_ctx () in
+    clear ctx;
+    mul_add ctx zero_word 0 (F.stage [| y |]) 0;
+    F.acc_limbs ctx
+
+  let zero_product y =
+    let ctx = make_ctx () in
+    mul_set ctx zero_word 0 (F.stage [| y |]) 0;
+    F.acc_limbs ctx
+
+  (* The accumulator after the diagonal term 1 * y, then after one more
+     zero term +0 * y'. *)
+  let diagonal_then_zero y y' =
+    let ctx = make_ctx () in
+    clear ctx;
+    mul_add ctx one_word 0 (F.stage [| y |]) 0;
+    let diag = F.acc_limbs ctx in
+    mul_add ctx zero_word 0 (F.stage [| y' |]) 0;
+    (diag, F.acc_limbs ctx)
+
+  let finite y = Array.for_all Float.is_finite (S.to_limbs y)
+
+  let suite name =
+    ( name ^ " identity products",
+      [
+        Alcotest.test_case "(a) over every sign pattern" `Quick (fun () ->
+            for bits = 0 to (1 lsl m) - 1 do
+              let y = signed bits in
+              if not (all_pos_zero (zero_times y)) then
+                Alcotest.failf "m=%d signs %x: clear; +0 * y is not +0" m bits;
+              if m > 1 && not (all_pos_zero (zero_product y)) then
+                Alcotest.failf "m=%d signs %x: +0 * y is not +0" m bits
+            done);
+        to_alco ~count:500 "(a) on the generators" F.gen_val (fun y ->
+            (not (finite y))
+            || all_pos_zero (zero_times y)
+               && (m = 1 || all_pos_zero (zero_product y)));
+        to_alco ~count:(F.product_count 500) "(b) on the generators"
+          F.gen_pair (fun (y, y') ->
+            let diag, after = diagonal_then_zero y y' in
+            F.bits_eq diag after);
+      ] )
+end
+
+let qwy_suites =
+  let module Q1 = Qwy_props (Float_double) in
+  let module Q2 = Qwy_props (Double_double) in
+  let module Q3 = Qwy_props (Triple_double) in
+  let module Q4 = Qwy_props (Quad_double) in
+  let module Q8 = Qwy_props (Octo_double) in
+  let module Q16 = Qwy_props (Hexa_double) in
+  [
+    Q1.suite "double";
+    Q2.suite "double double";
+    Q3.suite "triple double (replay)";
+    Q4.suite "quad double";
+    Q8.suite "octo double";
+    Q16.suite "hexa double (replay)";
+  ]
+
 (* The boxed reference comes from the registry — the same dispatch the
    production stack uses. *)
 let flat_suites =
@@ -912,7 +1012,7 @@ let () =
       Rqd.suite "quad double";
       Rod.suite "octo double";
     ]
-    @ flat_suites @ replay_suites @ reference_suites
+    @ flat_suites @ replay_suites @ reference_suites @ qwy_suites
     @ [
       flat_gate_suite;
       Ld.suite "double";
