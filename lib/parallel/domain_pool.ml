@@ -1,87 +1,94 @@
-(* A fixed pool of worker domains with a blocking task queue.
+(* A fixed pool of worker domains with one dispatch, [parallel_for].
 
    The GPU simulator maps thread blocks onto these workers; the pool is
    created once and reused across kernel launches, since spawning domains
    is far more expensive than a kernel launch.
 
-   Exceptions raised inside tasks are not swallowed: the first one (and
-   its backtrace) is captured and re-raised on the submitting domain once
-   the barrier at the end of [run] has been reached, so a raising kernel
-   body surfaces as an error instead of silently producing garbage. *)
+   A call never waits on a domain that took no work: one factorization
+   is hundreds of launches of a few blocks each, and the caller often
+   does all of a launch's blocks before a parked worker is back on a
+   core.  The first exception of a call (and its backtrace) is re-raised
+   on the caller, so a raising kernel body surfaces as an error instead
+   of silently producing garbage. *)
 
 type task = unit -> unit
 
-(* Set while a domain is executing a pool task: a nested [run] from
-   inside a task executes inline instead of re-entering the queue (which
-   would deadlock waiting for its own ancestors to finish). *)
+(* Set on worker domains, on a caller while it runs its own chunks, and
+   under [isolate]: a nested [parallel_for] from such a context executes
+   inline instead of re-entering the queue. *)
 let inside_task : bool Domain.DLS.key = Domain.DLS.new_key (fun () -> false)
+
+(* The bounded busy-wait, in [Domain.cpu_relax] rounds (~33 ns each on
+   a 2-vCPU x86-64 VM, so 20k is ~0.65 ms): how long a worker that
+   finished a task looks for the next before it parks, and how long a
+   caller waits for claimed chunks before it blocks.  It spans the
+   host-side gap between the back-to-back launches of one panel.  Swept
+   on the perfbench exec_square workload on that VM (8 s runs in
+   rotation, median latency_norm_ms of 3 runs each): 0 rounds (park at
+   once) 16.09 ms, 2k 15.13, 5k 14.95, 20k 15.41, 50k 16.66.  2k-20k is
+   one plateau within the noise; beyond it the spin costs more than it
+   saves. *)
+let spin_rounds = 20_000
 
 type t = {
   queue : task Queue.t;
+  queued : int Atomic.t; (* [Queue.length queue], read without the lock *)
   lock : Mutex.t;
-  nonempty : Condition.t;
-  mutable pending : int;
-  done_ : Condition.t;
-  mutable stop : bool;
+  nonempty : Condition.t; (* idle workers park here *)
+  finished : Condition.t; (* callers waiting for claimed chunks park here *)
+  stop : bool Atomic.t;
   mutable domains : unit Domain.t array;
   size : int;
-  (* First exception of the current [run] batch, re-raised on the
-     submitting domain after the barrier. *)
-  mutable fail : (exn * Printexc.raw_backtrace) option;
+  (* Busy-waiting only pays when every domain can hold a core; a pool
+     with more domains than cores never spins. *)
+  spins : bool;
 }
 
-let record_fail pool e bt =
-  Mutex.lock pool.lock;
-  if pool.fail = None then pool.fail <- Some (e, bt);
-  Mutex.unlock pool.lock
+(* Spins until [ready ()], for at most [spin_rounds]. *)
+let spin_until pool ready =
+  if pool.spins then begin
+    let rounds = ref spin_rounds in
+    while !rounds > 0 && not (ready ()) do
+      Domain.cpu_relax ();
+      decr rounds
+    done
+  end
 
-let run_task pool task =
-  let prev = Domain.DLS.get inside_task in
-  Domain.DLS.set inside_task true;
-  (try
-     (* A span per pool task (on the executing domain's track) when the
-        tracer is recording; [span] re-raises after recording, so the
-        failure capture below is unchanged. *)
-     if Obs.Tracer.enabled () then Obs.Tracer.span ~cat:"pool" "task" task
-     else task ()
-   with e -> record_fail pool e (Printexc.get_raw_backtrace ()));
-  Domain.DLS.set inside_task prev
-
+(* Workers park at spawn and spin only after a task, so an idle pool
+   burns no core. *)
 let worker_loop pool =
-  let continue_ = ref true in
-  while !continue_ do
+  Domain.DLS.set inside_task true;
+  let rec next () =
     Mutex.lock pool.lock;
-    while Queue.is_empty pool.queue && not pool.stop do
+    while Queue.is_empty pool.queue && not (Atomic.get pool.stop) do
       Condition.wait pool.nonempty pool.lock
     done;
-    if pool.stop && Queue.is_empty pool.queue then begin
-      Mutex.unlock pool.lock;
-      continue_ := false
-    end
+    if Queue.is_empty pool.queue then Mutex.unlock pool.lock
     else begin
       let task = Queue.pop pool.queue in
+      Atomic.decr pool.queued;
       Mutex.unlock pool.lock;
-      run_task pool task;
-      Mutex.lock pool.lock;
-      pool.pending <- pool.pending - 1;
-      if pool.pending = 0 then Condition.broadcast pool.done_;
-      Mutex.unlock pool.lock
+      task ();
+      spin_until pool (fun () ->
+          Atomic.get pool.queued > 0 || Atomic.get pool.stop);
+      next ()
     end
-  done
+  in
+  next ()
 
 let create n =
   let n = max 1 n in
   let pool =
     {
       queue = Queue.create ();
+      queued = Atomic.make 0;
       lock = Mutex.create ();
       nonempty = Condition.create ();
-      pending = 0;
-      done_ = Condition.create ();
-      stop = false;
+      finished = Condition.create ();
+      stop = Atomic.make false;
       domains = [||];
       size = n;
-      fail = None;
+      spins = n <= Domain.recommended_domain_count ();
     }
   in
   pool.domains <-
@@ -92,76 +99,19 @@ let size pool = pool.size
 
 let shutdown pool =
   Mutex.lock pool.lock;
-  pool.stop <- true;
+  Atomic.set pool.stop true;
   Condition.broadcast pool.nonempty;
   Mutex.unlock pool.lock;
   Array.iter Domain.join pool.domains;
   pool.domains <- [||]
 
-(* [run pool tasks] executes the closures on the pool (the calling domain
-   participates) and returns when all have completed; if any raised, the
-   first exception is re-raised here with its backtrace. *)
-let run pool tasks =
-  match tasks with
-  | [] -> ()
-  | [ t ] -> t () (* direct call: exceptions propagate naturally *)
-  | tasks when Domain.DLS.get inside_task ->
-    (* Nested parallelism: execute inline on this domain, attempting
-       every task before re-raising the first failure (the semantics of
-       the queued path, minus the queue). *)
-    let first = ref None in
-    List.iter
-      (fun t ->
-        try t ()
-        with e ->
-          if !first = None then first := Some (e, Printexc.get_raw_backtrace ()))
-      tasks;
-    (match !first with
-    | Some (e, bt) -> Printexc.raise_with_backtrace e bt
-    | None -> ())
-  | tasks ->
-    Mutex.lock pool.lock;
-    pool.fail <- None;
-    List.iter (fun t -> Queue.push t pool.queue) tasks;
-    pool.pending <- pool.pending + List.length tasks;
-    Condition.broadcast pool.nonempty;
-    Mutex.unlock pool.lock;
-    (* The caller drains the queue too, then waits for stragglers. *)
-    let rec drain () =
-      Mutex.lock pool.lock;
-      if not (Queue.is_empty pool.queue) then begin
-        let task = Queue.pop pool.queue in
-        Mutex.unlock pool.lock;
-        run_task pool task;
-        Mutex.lock pool.lock;
-        pool.pending <- pool.pending - 1;
-        if pool.pending = 0 then Condition.broadcast pool.done_;
-        Mutex.unlock pool.lock;
-        drain ()
-      end
-      else begin
-        while pool.pending > 0 do
-          Condition.wait pool.done_ pool.lock
-        done;
-        let failure = pool.fail in
-        pool.fail <- None;
-        Mutex.unlock pool.lock;
-        match failure with
-        | Some (e, bt) -> Printexc.raise_with_backtrace e bt
-        | None -> ()
-      end
-    in
-    drain ()
-
-(* [parallel_for pool ~chunk lo hi f] applies [f i] for lo <= i < hi
-   across the pool.  Instead of materializing one closure per chunk
-   behind the queue mutex, the range is distributed through a single
-   atomic next-index counter: min(workers, chunks) self-scheduling loops
-   claim chunks with [Atomic.fetch_and_add], so the hot path allocates
-   nothing per chunk and never takes a lock.  If an [f i] raises, the
-   remaining iterations of other chunks still run (their workers keep
-   draining the counter) and the first exception is re-raised at the
-   barrier; the raising worker's unclaimed share is dropped. *)
+(* The caller queues up to [size - 1] helper tasks and claims chunks
+   itself, all from one atomic next-index counter, so no chunk takes a
+   lock.  It then waits only until the call's count of finished chunks
+   is full; each domain adds its share once, when it stops claiming.  A
+   domain whose chunk raised keeps claiming, so every chunk is attempted
+   and the wait ends even if no helper ever woke; a helper that starts
+   after the range is used up returns at once. *)
 let parallel_for ?chunk pool lo hi f =
   if hi > lo then begin
     let n = hi - lo in
@@ -175,9 +125,14 @@ let parallel_for ?chunk pool lo hi f =
         f i
       done
     else begin
+      let chunks = (n + chunk - 1) / chunk in
       let next = Atomic.make lo in
-      let body () =
-        let continue_ = ref true in
+      let finished = Atomic.make 0 in
+      let failure = Atomic.make None in
+      (* Adds this domain's chunks to [finished] once it stops claiming;
+         true when they completed the call. *)
+      let claim () =
+        let mine = ref 0 and continue_ = ref true in
         while !continue_ do
           let a = Atomic.fetch_and_add next chunk in
           if a >= hi then continue_ := false
@@ -188,40 +143,77 @@ let parallel_for ?chunk pool lo hi f =
                 f j
               done
             in
-            (* One span per claimed chunk, on the claiming domain's
-               track — this is what shows the self-scheduling pattern
-               (and any imbalance) in the trace viewer. *)
-            if Obs.Tracer.enabled () then
-              Obs.Tracer.span ~cat:"pool"
-                ~args:
-                  [ ("lo", Obs.Tracer.Int a); ("hi", Obs.Tracer.Int b) ]
-                "chunk" work
-            else work ()
+            (try
+               (* One span per claimed chunk, on the claiming domain's
+                  track — this is what shows the self-scheduling pattern
+                  (and any imbalance) in the trace viewer. *)
+               if Obs.Tracer.enabled () then
+                 Obs.Tracer.span ~cat:"pool"
+                   ~args:
+                     [ ("lo", Obs.Tracer.Int a); ("hi", Obs.Tracer.Int b) ]
+                   "chunk" work
+               else work ()
+             with e ->
+               let bt = Printexc.get_raw_backtrace () in
+               ignore (Atomic.compare_and_set failure None (Some (e, bt))));
+            incr mine
           end
-        done
+        done;
+        !mine > 0 && Atomic.fetch_and_add finished !mine + !mine = chunks
       in
-      let chunks = (n + chunk - 1) / chunk in
-      let workers = min pool.size chunks in
-      run pool (List.init workers (fun _ -> body))
+      let helper () =
+        if Atomic.get next < hi then begin
+          let last =
+            if Obs.Tracer.enabled () then
+              Obs.Tracer.span ~cat:"pool" "task" claim
+            else claim ()
+          in
+          if last then begin
+            Mutex.lock pool.lock;
+            Condition.broadcast pool.finished;
+            Mutex.unlock pool.lock
+          end
+        end
+      in
+      let helpers = min pool.size chunks - 1 in
+      Mutex.lock pool.lock;
+      for _ = 1 to helpers do
+        Queue.push helper pool.queue
+      done;
+      ignore (Atomic.fetch_and_add pool.queued helpers);
+      Condition.broadcast pool.nonempty;
+      Mutex.unlock pool.lock;
+      Domain.DLS.set inside_task true;
+      ignore (claim ());
+      Domain.DLS.set inside_task false;
+      let all_done () = Atomic.get finished = chunks in
+      if not (all_done ()) then begin
+        spin_until pool all_done;
+        Mutex.lock pool.lock;
+        while not (all_done ()) do
+          Condition.wait pool.finished pool.lock
+        done;
+        Mutex.unlock pool.lock
+      end;
+      match Atomic.get failure with
+      | Some (e, bt) -> Printexc.raise_with_backtrace e bt
+      | None -> ()
     end
   end
 
-(* Marks the calling domain as a task context for the duration of [f]:
-   nested [run]/[parallel_for] calls execute inline instead of entering
-   the shared queue.  Long-running workers that own their domain (the
-   fleet's per-device workers) wrap job execution in [isolate] so
-   concurrent workers never race on the pool's barrier state ([fail],
-   [pending]) — [run] is only re-entrant from inside a task. *)
+(* Marks the calling domain as a task context for the duration of [f],
+   so nested [parallel_for] calls execute inline. *)
 let isolate f =
   let prev = Domain.DLS.get inside_task in
   Domain.DLS.set inside_task true;
   Fun.protect ~finally:(fun () -> Domain.DLS.set inside_task prev) f
 
-(* A lazily created default pool sized to the machine.  Not an OCaml
-   [lazy]: those are not domain-safe (a concurrent force raises
-   [Undefined] in the loser), and the fleet's worker domains all reach
-   for the default pool on their first job.  Double-checked creation
-   under a mutex instead — exactly one pool is ever spawned. *)
+(* A lazily created default pool, one domain per core the process may
+   use.  Not an OCaml [lazy]: those are not domain-safe (a concurrent
+   force raises [Undefined] in the loser), and the fleet's worker
+   domains all reach for the default pool on their first job.
+   Double-checked creation under a mutex instead — exactly one pool is
+   ever spawned. *)
 let default : t option Atomic.t = Atomic.make None
 let default_lock = Mutex.create ()
 
@@ -234,7 +226,7 @@ let get_default () =
       match Atomic.get default with
       | Some pool -> pool
       | None ->
-        let pool = create (max 2 (Domain.recommended_domain_count ())) in
+        let pool = create (Domain.recommended_domain_count ()) in
         Atomic.set default (Some pool);
         pool
     in

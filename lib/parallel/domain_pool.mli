@@ -1,44 +1,44 @@
-(** A fixed pool of worker domains with a blocking task queue.
+(** A fixed pool of worker domains with one dispatch, {!parallel_for}.
 
     The GPU simulator maps thread blocks onto these workers; create the
     pool once and reuse it — spawning domains costs far more than a
-    simulated kernel launch. *)
+    simulated kernel launch.  A call never waits on a worker that took
+    no work: idle workers spin briefly after each task, then park, and
+    a caller that finds them parked does the chunks itself. *)
 
 type t
 
 val create : int -> t
 (** [create n] spawns a pool of [n] workers ([n - 1] new domains; the
-    calling domain participates in {!run}). *)
+    calling domain participates in {!parallel_for}). *)
 
 val size : t -> int
 
 val shutdown : t -> unit
 (** Joins all worker domains.  The pool must not be used afterwards. *)
 
-val run : t -> (unit -> unit) list -> unit
-(** Executes the closures on the pool (the calling domain participates)
-    and returns when all have completed.  Every task is attempted; if any
-    raised, the first exception is re-raised on the calling domain with
-    its backtrace once all tasks have finished.  Nested calls from inside
-    a task execute inline on the calling domain, so parallel code may
-    safely call parallel code. *)
-
 val parallel_for : ?chunk:int -> t -> int -> int -> (int -> unit) -> unit
 (** [parallel_for pool lo hi f] applies [f i] for [lo <= i < hi] across
-    the pool, in chunks of [chunk] (default: range / 4·workers), claimed
-    from a shared atomic counter by self-scheduling workers (no per-chunk
-    closures or locking).  The first exception raised by an [f i] is
-    re-raised on the calling domain after the barrier; iterations not yet
-    claimed by the raising worker may be skipped. *)
+    the pool, in chunks of [chunk] (default: range / 4·workers).  The
+    calling domain and up to [size - 1] helper tasks claim chunks from a
+    shared atomic counter, so no chunk takes a lock; the call returns
+    once every claimed chunk has finished.  Every chunk is attempted: an
+    [f i] that raises ends its own chunk only.  The first exception is
+    re-raised on the calling domain, with its backtrace, after all
+    chunks have finished.  Nested calls from inside a chunk, single-chunk
+    ranges and pools of size 1 run inline on the calling domain, where an
+    exception propagates at once.  Any number of domains may call it on
+    one pool concurrently. *)
 
 val isolate : (unit -> 'a) -> 'a
 (** [isolate f] runs [f] with the calling domain marked as a task
-    context: any nested {!run} or {!parallel_for} executes inline on
-    this domain instead of entering the shared queue.  Long-running
-    workers that own their domain (e.g. the fleet's per-device workers)
-    wrap job execution in [isolate], because {!run} is only re-entrant
-    from inside a pool task — two foreign domains calling it
-    concurrently would race on the pool's barrier state. *)
+    context: any nested {!parallel_for} executes inline on this domain
+    instead of queueing helpers on the pool.  The fleet's per-device
+    workers wrap job execution in [isolate]: each already keeps a domain
+    busy, so a job's launches run on the worker that owns the job rather
+    than competing with the other devices' jobs for the shared pool's
+    domains. *)
 
 val get_default : unit -> t
-(** A lazily created pool sized to the machine. *)
+(** A lazily created pool of [Domain.recommended_domain_count ()]
+    workers: one domain per core the process may use. *)

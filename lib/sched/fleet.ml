@@ -34,9 +34,10 @@
    Locking: one mutex guards the queues, counters, instance states and
    the result table.  Jobs execute outside the lock, wrapped in
    [Dompool.Domain_pool.isolate] so kernel bodies of executing jobs run
-   inline on the worker domain instead of racing on the shared pool's
-   barrier.  Quarantined outcomes produced while migrating under the
-   lock are emitted after it is released. *)
+   inline on the worker domain: every device already keeps one domain
+   busy, and helpers queued on the shared pool would set the devices'
+   jobs competing for its domains.  Quarantined outcomes produced while
+   migrating under the lock are emitted after it is released. *)
 
 module D = Gpusim.Device
 module Pool = Dompool.Domain_pool

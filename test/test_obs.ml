@@ -173,15 +173,18 @@ let test_metrics_basic () =
   checki "handle survives reset" 1 (M.Counter.value c)
 
 let test_metrics_concurrent_exact () =
-  (* Hammer one counter and one histogram from a parallel_for across the
-     pool: totals must be exact, not approximately right. *)
+  (* Hammer one counter and one histogram from a parallel_for across a
+     two-domain pool (the default one has a single domain on a one-core
+     host): totals must be exact, not approximately right. *)
   let reg = M.create () in
   let c = M.counter reg "hammer.count" in
   let h = M.histogram ~buckets:[| 100.0; 1000.0 |] reg "hammer.hist" in
   let n = 21_000 in
-  Pool.parallel_for (Pool.get_default ()) 0 n (fun i ->
+  let pool = Pool.create 2 in
+  Pool.parallel_for pool 0 n (fun i ->
       M.Counter.incr c;
       M.Histogram.observe h (float_of_int (i mod 7)));
+  Pool.shutdown pool;
   checki "counter exact" n (M.Counter.value c);
   checki "histogram count exact" n (M.Histogram.count h);
   (* sum of (i mod 7) over 0..n-1 with n a multiple of 7: n/7 * 21 *)
@@ -219,14 +222,16 @@ let test_histogram_quantiles () =
 
 let test_quantiles_concurrent_exact () =
   (* Bucket counts are atomics, so quantiles are exact — not
-     approximately right — under a parallel_for hammering the same
-     histogram. *)
+     approximately right — under a parallel_for across a two-domain pool
+     hammering the same histogram. *)
   let reg = M.create () in
   let bounds = Array.init 100 (fun i -> float_of_int (i + 1)) in
   let h = M.histogram ~buckets:bounds reg "q.par" in
   let n = 10_000 in
-  Pool.parallel_for (Pool.get_default ()) 0 n (fun i ->
+  let pool = Pool.create 2 in
+  Pool.parallel_for pool 0 n (fun i ->
       M.Histogram.observe h (float_of_int ((i mod 100) + 1)));
+  Pool.shutdown pool;
   checki "count exact" n (M.Histogram.count h);
   check "p50 exact" true (M.Histogram.quantile h 0.5 = 50.0);
   check "p95 exact" true (M.Histogram.quantile h 0.95 = 95.0);

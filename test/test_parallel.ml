@@ -72,23 +72,16 @@ let test_prng_split () =
 
 (* ---- domain pool ---- *)
 
-let test_pool_runs_all () =
-  let pool = Domain_pool.create 4 in
-  let hits = Atomic.make 0 in
-  let tasks = List.init 100 (fun _ () -> Atomic.incr hits) in
-  Domain_pool.run pool tasks;
-  checki "all tasks ran" 100 (Atomic.get hits);
-  (* Reusable. *)
-  Domain_pool.run pool tasks;
-  checki "reusable" 200 (Atomic.get hits);
-  Domain_pool.shutdown pool
-
 let test_pool_parallel_for () =
   let pool = Domain_pool.create 4 in
   let n = 10000 in
   let marks = Array.make n 0 in
   Domain_pool.parallel_for pool 0 n (fun i -> marks.(i) <- marks.(i) + 1);
   check "each index exactly once" true (Array.for_all (fun x -> x = 1) marks);
+  (* Reusable. *)
+  Domain_pool.parallel_for ~chunk:1 pool 0 n (fun i ->
+      marks.(i) <- marks.(i) + 1);
+  check "reusable" true (Array.for_all (fun x -> x = 2) marks);
   (* Empty and single ranges. *)
   Domain_pool.parallel_for pool 5 5 (fun _ -> Alcotest.fail "empty range");
   let hit = ref 0 in
@@ -105,26 +98,49 @@ let test_pool_chunking () =
   checki "sum" (999 * 1000 / 2) (Atomic.get sum);
   Domain_pool.shutdown pool
 
+(* Spins until [ready ()], for at most [limit] seconds; a rendezvous
+   between domains that cannot hang when the other never arrives. *)
+let await ?(limit = 5.0) ready =
+  let t0 = Unix.gettimeofday () in
+  while (not (ready ())) && Unix.gettimeofday () -. t0 < limit do
+    Domain.cpu_relax ()
+  done;
+  ready ()
+
 let test_pool_exception_propagates () =
   let pool = Domain_pool.create 2 in
-  (* A raising task surfaces on the submitting domain... *)
-  let other = ref false in
+  (* A chunk that a helper ran raises, slowly: the exception surfaces on
+     the caller, and only once every chunk (the raising one included)
+     has finished. *)
+  let caller = Domain.self () in
+  let n = 8 in
+  let helper_in = Atomic.make false and ended = Atomic.make 0 in
   (try
-     Domain_pool.run pool
-       [ (fun () -> failwith "boom"); (fun () -> other := true) ];
-     Alcotest.fail "exception swallowed"
-   with Failure m -> check "original exception" true (m = "boom"));
-  (* ...after the barrier: the sibling task still ran. *)
-  check "sibling task completed" true !other;
-  (* One exception surfaces even when every task raises. *)
+     Domain_pool.parallel_for ~chunk:1 pool 0 n (fun i ->
+         if Domain.self () <> caller && not (Atomic.get helper_in) then begin
+           Atomic.set helper_in true;
+           Unix.sleepf 0.02;
+           Atomic.incr ended;
+           failwith "boom"
+         end;
+         (* The caller's first chunk holds until a helper has one. *)
+         if i = 0 then ignore (await (fun () -> Atomic.get helper_in));
+         Atomic.incr ended);
+     Alcotest.fail
+       (if Atomic.get helper_in then "exception swallowed"
+        else "no helper took a chunk")
+   with Failure m ->
+     check "original exception" true (m = "boom");
+     checki "raised after every chunk finished" n (Atomic.get ended));
+  (* One exception surfaces even when every chunk raises. *)
   (try
-     Domain_pool.run pool (List.init 8 (fun _ () -> failwith "multi"));
+     Domain_pool.parallel_for ~chunk:1 pool 0 8 (fun _ -> failwith "multi");
      Alcotest.fail "exception swallowed"
-   with Failure m -> check "a task's exception" true (m = "multi"));
+   with Failure m -> check "a chunk's exception" true (m = "multi"));
   (* The pool must not wedge or die: it is reusable afterwards. *)
-  let ok = ref false in
-  Domain_pool.run pool [ (fun () -> ok := true) ];
-  check "pool survives exceptions" true !ok;
+  let hits = Atomic.make 0 in
+  Domain_pool.parallel_for ~chunk:1 pool 0 4 (fun _ -> Atomic.incr hits);
+  checki "pool survives exceptions" 4 (Atomic.get hits);
   Domain_pool.shutdown pool
 
 let test_parallel_for_exception_propagates () =
@@ -148,34 +164,48 @@ let test_parallel_for_exception_propagates () =
   check "pool still covers ranges" true (Array.for_all (fun x -> x = 1) marks);
   Domain_pool.shutdown pool
 
+let test_raise_while_helper_parked () =
+  (* Workers park at spawn and after their bounded spin: an iteration
+     that raises while the helper sleeps still fails the call, and the
+     caller runs every other chunk itself if the helper never wakes. *)
+  let pool = Domain_pool.create 2 in
+  Unix.sleepf 0.05;
+  let n = 64 in
+  let marks = Array.make n 0 in
+  (match
+     Domain_pool.parallel_for ~chunk:1 pool 0 n (fun i ->
+         if i = 0 then failwith "parked";
+         marks.(i) <- marks.(i) + 1)
+   with
+  | () -> Alcotest.fail "exception swallowed"
+  | exception Failure m -> check "the iteration's exception" true (m = "parked"));
+  check "every other chunk ran once" true
+    (Array.for_all (fun x -> x = 1) (Array.sub marks 1 (n - 1)));
+  Domain_pool.shutdown pool
+
 let test_pool_concurrent_failures () =
-  (* Two tasks rendezvous so both are genuinely in flight, then both
-     raise: the barrier must still release and exactly one of the two
-     exceptions must surface on the submitter. *)
+  (* Two chunks rendezvous so both are genuinely in flight, then both
+     raise: the call must still return and exactly one of the two
+     exceptions must surface on the caller. *)
   let pool = Domain_pool.create 4 in
-  if Domain.recommended_domain_count () >= 2 then begin
-    let ready = Atomic.make 0 in
-    let boom name () =
-      Atomic.incr ready;
-      (* Spin until the sibling is also inside its task, bounded so a
-         single-core fallback (tasks run sequentially) cannot hang. *)
-      let t0 = Unix.gettimeofday () in
-      while Atomic.get ready < 2 && Unix.gettimeofday () -. t0 < 1.0 do
-        Domain.cpu_relax ()
-      done;
-      failwith name
-    in
-    let ok = ref false in
-    (match
-       Domain_pool.run pool
-         [ boom "first"; boom "second"; (fun () -> ok := true) ]
-     with
-    | () -> Alcotest.fail "both exceptions swallowed"
-    | exception Failure m ->
-      check "one of the two exceptions" true (m = "first" || m = "second"));
-    check "sibling ok-task completed" true !ok
-  end;
-  (* parallel_for with simultaneous failing chunks behaves the same. *)
+  let ready = Atomic.make 0 in
+  let ok = ref false in
+  (match
+     Domain_pool.parallel_for ~chunk:1 pool 0 3 (fun i ->
+         if i = 2 then ok := true
+         else begin
+           Atomic.incr ready;
+           (* Bounded, so chunks run one after another (a single core)
+              cannot hang. *)
+           ignore (await ~limit:1.0 (fun () -> Atomic.get ready >= 2));
+           failwith (if i = 0 then "first" else "second")
+         end)
+   with
+  | () -> Alcotest.fail "both exceptions swallowed"
+  | exception Failure m ->
+    check "one of the two exceptions" true (m = "first" || m = "second"));
+  check "sibling ok-chunk completed" true !ok;
+  (* Many simultaneously failing chunks behave the same. *)
   let covered = Atomic.make 0 in
   (match
      Domain_pool.parallel_for ~chunk:1 pool 0 64 (fun i ->
@@ -186,6 +216,7 @@ let test_pool_concurrent_failures () =
   | exception Failure m ->
     check "an even iteration's exception" true
       (String.length m > 5 && String.sub m 0 5 = "even "));
+  checki "every chunk attempted" 64 (Atomic.get covered);
   (* The pool must neither wedge nor lose workers: it still covers a
      full range afterwards. *)
   let n = 500 in
@@ -196,9 +227,38 @@ let test_pool_concurrent_failures () =
     (Array.for_all (fun x -> x = 1) marks);
   Domain_pool.shutdown pool
 
+let test_concurrent_callers () =
+  (* Two foreign domains dispatch on one pool at once, round after
+     round: each call covers its own range exactly once. *)
+  let pool = Domain_pool.create 2 in
+  let rounds = 200 and n = 97 in
+  let caller () =
+    let marks = Array.make n 0 in
+    for _ = 1 to rounds do
+      Domain_pool.parallel_for ~chunk:1 pool 0 n (fun i ->
+          marks.(i) <- marks.(i) + 1)
+    done;
+    Array.for_all (fun x -> x = rounds) marks
+  in
+  let a = Domain.spawn caller and b = Domain.spawn caller in
+  check "first caller's ranges exact" true (Domain.join a);
+  check "second caller's ranges exact" true (Domain.join b);
+  Domain_pool.shutdown pool
+
+let test_create_shutdown_cycles () =
+  (* A worker still spinning after its last task must see [stop]. *)
+  for _ = 1 to 50 do
+    let pool = Domain_pool.create 2 in
+    let hits = Atomic.make 0 in
+    Domain_pool.parallel_for ~chunk:1 pool 0 8 (fun _ -> Atomic.incr hits);
+    checki "ran" 8 (Atomic.get hits);
+    Domain_pool.shutdown pool
+  done
+
 let test_pool_nested () =
-  (* parallel_for from inside a pool task must not deadlock and must
-     still cover the nested range. *)
+  (* parallel_for from inside a chunk must not deadlock and must still
+     cover the nested range, whether the caller or a helper ran the
+     outer chunk. *)
   let pool = Domain_pool.create 3 in
   let outer = 6 and inner = 50 in
   let marks = Array.init outer (fun _ -> Array.make inner 0) in
@@ -212,16 +272,6 @@ let test_pool_nested () =
         true
         (Array.for_all (fun x -> x = 1) row))
     marks;
-  (* nested run as well *)
-  let hits = Atomic.make 0 in
-  Domain_pool.run pool
-    [
-      (fun () ->
-        Domain_pool.run pool
-          [ (fun () -> Atomic.incr hits); (fun () -> Atomic.incr hits) ]);
-      (fun () -> Atomic.incr hits);
-    ];
-  checki "nested run" 3 (Atomic.get hits);
   Domain_pool.shutdown pool
 
 let test_pool_size_one () =
@@ -231,41 +281,45 @@ let test_pool_size_one () =
   let order = ref [] in
   Domain_pool.parallel_for pool 0 5 (fun i -> order := i :: !order);
   Alcotest.(check (list int)) "in order" [ 4; 3; 2; 1; 0 ] !order;
-  Domain_pool.shutdown pool
+  Domain_pool.shutdown pool;
+  (* The default pool has one domain per core the process may use, so
+     on one core every launch runs inline like this. *)
+  checki "default pool size"
+    (Domain.recommended_domain_count ())
+    (Domain_pool.size (Domain_pool.get_default ()))
 
 let test_pool_actually_parallel () =
-  (* With several workers, tasks overlap in time: measure that a barrier
-     of sleeps finishes faster than serial execution would.  On a host
-     with a single core there is nothing to overlap on, so only the
+  (* With several workers, chunks overlap in time: measure that a range
+     of busy chunks finishes faster than serial execution would.  On a
+     host with a single core there is nothing to overlap on, so only the
      completion of the work can be checked. *)
+  let pool = Domain_pool.create 4 in
   if Domain.recommended_domain_count () < 2 then begin
-    let pool = Domain_pool.create 4 in
     let hits = Atomic.make 0 in
-    Domain_pool.run pool (List.init 8 (fun _ () -> Atomic.incr hits));
-    Domain_pool.shutdown pool;
+    Domain_pool.parallel_for ~chunk:1 pool 0 8 (fun _ -> Atomic.incr hits);
     checki "all ran (single core)" 8 (Atomic.get hits)
   end
   else begin
-  let workers = 4 in
-  let pool = Domain_pool.create workers in
-  let spin () =
-    (* ~10ms of busy work *)
+    let spin _ =
+      (* ~10ms of busy work *)
+      let t0 = Unix.gettimeofday () in
+      while Unix.gettimeofday () -. t0 < 0.01 do
+        ()
+      done
+    in
+    (* Measure serial first so the check is relative to this machine's
+       current load rather than an absolute wall time. *)
     let t0 = Unix.gettimeofday () in
-    while Unix.gettimeofday () -. t0 < 0.01 do
-      ()
-    done
-  in
-  (* Measure serial first so the check is relative to this machine's
-     current load rather than an absolute wall time. *)
-  let t0 = Unix.gettimeofday () in
-  List.iter (fun f -> f ()) (List.init 8 (fun _ -> spin));
-  let serial = Unix.gettimeofday () -. t0 in
-  let t0 = Unix.gettimeofday () in
-  Domain_pool.run pool (List.init 8 (fun _ -> spin));
-  let parallel = Unix.gettimeofday () -. t0 in
-  Domain_pool.shutdown pool;
-  check "overlapped" true (parallel < 0.8 *. serial)
-  end
+    for i = 0 to 7 do
+      spin i
+    done;
+    let serial = Unix.gettimeofday () -. t0 in
+    let t0 = Unix.gettimeofday () in
+    Domain_pool.parallel_for ~chunk:1 pool 0 8 spin;
+    let parallel = Unix.gettimeofday () -. t0 in
+    check "overlapped" true (parallel < 0.8 *. serial)
+  end;
+  Domain_pool.shutdown pool
 
 let () =
   Alcotest.run "parallel"
@@ -279,15 +333,20 @@ let () =
         ] );
       ( "domain pool",
         [
-          Alcotest.test_case "runs all tasks" `Quick test_pool_runs_all;
           Alcotest.test_case "parallel_for" `Quick test_pool_parallel_for;
           Alcotest.test_case "chunking" `Quick test_pool_chunking;
           Alcotest.test_case "exception propagation" `Quick
             test_pool_exception_propagates;
           Alcotest.test_case "parallel_for exceptions" `Quick
             test_parallel_for_exception_propagates;
+          Alcotest.test_case "raise while helper parked" `Quick
+            test_raise_while_helper_parked;
           Alcotest.test_case "concurrent failures" `Quick
             test_pool_concurrent_failures;
+          Alcotest.test_case "concurrent callers" `Quick
+            test_concurrent_callers;
+          Alcotest.test_case "create/shutdown cycles" `Quick
+            test_create_shutdown_cycles;
           Alcotest.test_case "nested parallelism" `Quick test_pool_nested;
           Alcotest.test_case "size one" `Quick test_pool_size_one;
           Alcotest.test_case "overlaps work" `Slow test_pool_actually_parallel;
