@@ -8,7 +8,10 @@
      2. aggregate the n reflectors: P = P_0 ... P_{n-1} = I + W Y^H, where
         the columns of W follow z = -beta (v + W Y^H v) — the expected
         bottleneck in small dimensions (kernel "compute W") — and form the
-        product YWT = Y * W^H (kernel "Y*W^T");
+        product YWT = Y * W^H (kernel "Y*W^T").  Only steps 3 and 4 read
+        YWT, so the thin path's last panel (no Q, no trailing columns)
+        reads none: the launch is priced as every other, and the flat
+        host body computes nothing;
      3. update Q in two stages: QWY := Q * (YWT)^H ("Q*WY^T") and
         Q := Q + QWY ("Q + QWY").  Q starts as the identity, so in the
         first panel every term of QWY but one per output is a product
@@ -24,7 +27,8 @@
    Residency.  As in the paper, the data stays on the device from the
    transfer of A to the transfer of Q and R: R, Q and the thin path's b
    for the whole factorization, each panel's Y, W, YWT and product
-   outputs for the panel.  This module prices the launches and the two
+   outputs for the panel (the flat arm allocates no YWT that nothing
+   reads, see step 2).  This module prices the launches and the two
    transfers and issues the launches; the device state and every launch
    body live in [Flat_kernels.Make(K).Qr], which has two arms:
    - flat, when executing with [Flat_kernels.available] (real,

@@ -1030,20 +1030,22 @@ module Make (K : Scalar.S) = struct
         FT.dot ~n:(st.FT.rows * st.FT.cols) st st out 0;
         K.R.sqrt (K.re (vector_of out).(0))
 
-  (* A^T A in plain double from plane 0, unboxed: each entry accumulates
-     from 0.0 over ascending k like [M.matmul (M.adjoint a) a], and
-     a_ki * a_kj = a_kj * a_ki exactly, so only j >= i is computed and
-     the rest mirrored. *)
+  (* A^T A in plain double from plane 0, unboxed and read straight from
+     the plane's Bigarray: each entry accumulates from 0.0 over
+     ascending k like [M.matmul (M.adjoint a) a], and a_ki * a_kj =
+     a_kj * a_ki exactly, so only j >= i is computed and the rest
+     mirrored. *)
   let normal_of_plane0 (st : FT.planes) =
     let m = st.FT.rows and n = st.FT.cols in
-    let get = Multidouble.Nd_flat.get st.FT.p 0 in
+    let a = st.FT.p.(0) in
     let ata = Array.make (n * n) 0.0 in
     for k = 0 to m - 1 do
       let base = k * n in
       for i = 0 to n - 1 do
-        let aki = get (base + i) and row = i * n in
+        let aki = Bigarray.Array1.get a (base + i) and row = i * n in
         for j = i to n - 1 do
-          ata.(row + j) <- ata.(row + j) +. (aki *. get (base + j))
+          ata.(row + j) <-
+            ata.(row + j) +. (aki *. Bigarray.Array1.get a (base + j))
         done
       done
     done;

@@ -621,7 +621,10 @@ module Make (K : Scalar.S) = struct
      identity, so its flat body ([first_qwy]) computes the one term of
      each output that is not a product with an exact zero: one product
      per output instead of [rows], with the same bits.  [Blocked_qr]
-     still prices the full product, which the device pays.
+     still prices the full product, which the device pays.  The thin
+     path's last panel neither updates Q nor has trailing columns, so
+     nothing reads its YWT: the flat arm neither allocates nor computes
+     it, while [Blocked_qr] still launches and prices "Y*W^T".
 
      The boxed arm works on host [K.t] arrays: complex and instrumented
      scalars, and any factorization under an armed fault plan — its
@@ -715,6 +718,11 @@ module Make (K : Scalar.S) = struct
     let r t = t.r
     let q t = t.q
 
+    (* Whether anything reads a panel's YWT: Q*WY^T when Q is
+       accumulated, YWT*C when trailing columns remain.  The thin path's
+       last panel has neither. *)
+    let ywt_read st ~trail = st.accumulate_q || trail > 0
+
     let panel st ~c0 =
       let tile = st.tile in
       let rows = st.mrows - c0 in
@@ -723,12 +731,13 @@ module Make (K : Scalar.S) = struct
         match st.repr with
         | Flat res ->
             let vec n = alloc ~rows:n ~cols:1 in
+            let ywt_rows = if ywt_read st ~trail then rows else 0 in
             Pflat
               {
                 res;
                 yp = alloc ~rows ~cols:tile;
                 wp = alloc ~rows ~cols:tile;
-                ywtp = alloc ~rows ~cols:rows;
+                ywtp = alloc ~rows:ywt_rows ~cols:ywt_rows;
                 qwyp =
                   alloc
                     ~rows:(if st.accumulate_q then st.mrows else 0)
@@ -934,10 +943,11 @@ module Make (K : Scalar.S) = struct
     (* The three products.  Each returns the launch body, resolved once
        per launch. *)
 
-    (* YWT = Y * W^H (rows x rows). *)
+    (* YWT = Y * W^H (rows x rows); on the flat arm only if read. *)
     let ywt p =
       let tile = p.st.tile and rows = p.rows in
       match p.arm with
+      | Pflat _ when not (ywt_read p.st ~trail:p.trail) -> fun _ -> ()
       | Pflat f ->
           view_block ~threads:tile ~inner:tile (view f.yp)
             { vp = f.wp.p; off = 0; pitch = 1; step = tile }

@@ -8,8 +8,9 @@
    The jobs: the first plan-only job of each paper table (Tables 3-10),
    executed square QR, back substitution and solve at every precision,
    executed tall CG and LSQR, a complex executed QR, a fault-armed plan,
-   a fault-armed executed square solve, and an executed tall QR and
-   fault-armed tall solve. *)
+   a fault-armed executed square solve, an executed tall QR and
+   fault-armed tall solve, and an executed tall direct solve (the thin
+   path on the flat arm). *)
 
 module P = Multidouble.Precision
 module Job = Sched.Job
@@ -57,6 +58,8 @@ let jobs =
         ~execute:true ();
       job ~id:"exec-solve-fault-tall" ~kind:Job.Solve ~prec:P.DD ~rows:256
         ~dim:32 ~tile:8 ~fault_rate:0.01 ~execute:true ();
+      job ~id:"exec-solve-tall" ~kind:Job.Solve ~prec:P.DD ~rows:256 ~dim:32
+        ~tile:8 ~execute:true ();
     ]
 
 let () =

@@ -349,6 +349,21 @@ let test_qr_flops () =
   let dyn, ana = count_with (fun sim -> ignore (Qrc.factor sim a ~tile:4)) in
   ops_close "blocked qr" dyn ana
 
+(* The thin path prices its last panel's Y*W^T like every other panel's;
+   the boxed arm (which [Counted] scalars take) executes it, so the
+   counted operations match the priced ones. *)
+let test_thin_qr_flops () =
+  let rng = Dompool.Prng.create 202 in
+  List.iter
+    (fun (rows, cols, tile) ->
+      let a = Randc.matrix rng rows cols in
+      let b = Randc.vector rng rows in
+      let dyn, ana =
+        count_with (fun sim -> ignore (Qrc.factor_thin sim a ~b ~tile))
+      in
+      ops_close (Printf.sprintf "thin qr %dx%d/%d" rows cols tile) dyn ana)
+    [ (20, 8, 4); (20, 4, 4) ]
+
 let () =
   Alcotest.run "lsq_core"
     [
@@ -362,5 +377,6 @@ let () =
         [
           Alcotest.test_case "back substitution" `Quick test_back_sub_flops;
           Alcotest.test_case "blocked qr" `Quick test_qr_flops;
+          Alcotest.test_case "thin blocked qr" `Quick test_thin_qr_flops;
         ] );
     ]
