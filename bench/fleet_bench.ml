@@ -5,8 +5,8 @@
    class, od to the compute-rich V100 class) and the steal accounting,
    and writes BENCH_fleet.json: throughput, total steals, the placement
    histogram, and per-device-class latency percentiles (p50/p95/p99)
-   over the raw per-job samples.  Part of the @bench-smoke regression
-   gate; exits 1 on any mismatch. *)
+   and maxima over the raw per-job samples.  Part of the @bench-smoke
+   regression gate; exits 1 on any mismatch. *)
 
 module P = Multidouble.Precision
 module Json = Obs.Json
@@ -24,14 +24,19 @@ let class_of_instance id =
   | Some i -> String.sub id 0 i
   | None -> id
 
-(* Nearest-rank quantile of raw samples; [None] for an empty class. *)
+(* Nearest-rank quantile of raw samples.  [None] unless the class has
+   at least 1/(1-q) of them (2 for p50, 20 for p95, 100 for p99): with
+   fewer, the nearest rank is the class maximum, not a tail. *)
 let quantile xs q =
-  match List.sort Float.compare xs with
-  | [] -> None
-  | sorted ->
-    let n = List.length sorted in
+  let n = List.length xs in
+  if n = 0 || n < int_of_float (Float.round (1.0 /. (1.0 -. q))) then None
+  else
     let rank = int_of_float (ceil (q *. float_of_int n)) - 1 in
-    Some (List.nth sorted (max 0 (min (n - 1) rank)))
+    Some (List.nth (List.sort Float.compare xs) (max 0 (min (n - 1) rank)))
+
+let maximum = function
+  | [] -> None
+  | x :: xs -> Some (List.fold_left Float.max x xs)
 
 let smoke () =
   pf "\n%s\nFleet smoke: the 'fleet' sweep over the default device pool\n%s\n"
@@ -122,7 +127,8 @@ let smoke () =
           executed,
           quantile samples 0.5,
           quantile samples 0.95,
-          quantile samples 0.99 ))
+          quantile samples 0.99,
+          maximum samples ))
       classes
   in
   let ms = function Some x -> Printf.sprintf "%8.3f" x | None -> "       -" in
@@ -130,9 +136,9 @@ let smoke () =
   pf "  %d auto-placed jobs in %.3f s (%.1f jobs/s), %d stolen\n"
     (List.length jobs) wall_s throughput steals;
   List.iter
-    (fun (c, executed, p50, p95, p99) ->
-      pf "  %-10s %3d executed  p50 %s ms  p95 %s ms  p99 %s ms\n" c
-        executed (ms p50) (ms p95) (ms p99))
+    (fun (c, executed, p50, p95, p99, peak) ->
+      pf "  %-10s %3d executed  p50 %s ms  p95 %s ms  p99 %s ms  max %s ms\n"
+        c executed (ms p50) (ms p95) (ms p99) (ms peak))
     class_rows;
   let json_ms = function Some x -> Json.Float x | None -> Json.Null in
   let json =
@@ -149,7 +155,7 @@ let smoke () =
         ( "classes",
           Json.Arr
             (List.map
-               (fun (c, executed, p50, p95, p99) ->
+               (fun (c, executed, p50, p95, p99, peak) ->
                  Json.Obj
                    [
                      ("class", Json.Str c);
@@ -157,6 +163,7 @@ let smoke () =
                      ("p50_ms", json_ms p50);
                      ("p95_ms", json_ms p95);
                      ("p99_ms", json_ms p99);
+                     ("max_ms", json_ms peak);
                    ])
                class_rows) );
       ]

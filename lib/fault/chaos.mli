@@ -2,8 +2,8 @@
 
     Where {!Plan} injects faults *inside* a solve (bitflips, launch
     errors, transfer corruption), a chaos plan injects *instance-level*
-    failures into a running fleet: a worker domain that crashes, a
-    worker that hangs and stops draining its queue, or a device that
+    failures into a running fleet: an instance that crashes or hangs
+    and is never served again (its work migrates), or a device that
     browns out and runs every kernel slower by a constant factor.
 
     A {!config} describes the campaign; {!draw} is a pure function of
@@ -14,8 +14,8 @@
     [fleet.chaos.*] metrics counters. *)
 
 type kind =
-  | Crash  (** the instance's worker domain exits *)
-  | Hang  (** the worker stops draining its queue, holding its job *)
+  | Crash  (** the instance dies; its claimed job and queue migrate *)
+  | Hang  (** the instance freezes; recovered exactly as a crash *)
   | Brownout  (** every kernel on the device runs [factor] times slower *)
 
 val all_kinds : kind list

@@ -111,7 +111,7 @@ val breakdown : t -> Profile.row list
 (** Per-stage rows (kernel ms, launch counts, op tallies, traffic), in
     first-recorded order.  Profiles are per-simulator state: concurrent
     jobs that each create their own simulators (even on one shared pool)
-    stay isolated. *)
+    never mix. *)
 
 val roofline : t -> Obs.Roofline.stage list
 (** Per-stage roofline diagnostics against this simulator's device:

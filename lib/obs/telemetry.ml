@@ -1,4 +1,4 @@
-(* The continuous-telemetry exporter: a ticker domain that periodically
+(* The continuous-telemetry exporter: a ticker thread that periodically
    snapshots the metrics registry, folds in the health/SLO plane and any
    buffered log records, and writes the result as
 
@@ -11,7 +11,15 @@
    within ~50 ms rather than a full interval.  The first tick fires
    immediately at [start] and a final tick fires inside [stop], so even
    a workload shorter than one interval yields at least two snapshots
-   with a defined end state. *)
+   with a defined end state.
+
+   The ticker is a system thread of the starting domain, not a domain
+   of its own: it sleeps nearly all the time, and a sleeping domain
+   still takes part in every stop-the-world minor collection of the
+   process.  On a loaded machine each collection then waits for that
+   domain to be scheduled, which slowed a fleet sweep on two worker
+   domains more than the ticks themselves did.  The starting domain
+   runs a tick whenever it blocks or yields. *)
 
 type target = File of string | Chan of out_channel
 
@@ -28,8 +36,8 @@ type t = {
   prom : sink option;
   stop_flag : bool Atomic.t;
   ticks : int Atomic.t;
-  seq : int ref;  (* ticker-domain only *)
-  mutable ticker : unit Domain.t option;
+  seq : int ref;  (* ticker thread only *)
+  mutable ticker : Thread.t option;
 }
 
 let open_target = function
@@ -321,7 +329,7 @@ let start ?(interval_ms = 1000.0) ?registry ?prom jsonl =
       ticker = None;
     }
   in
-  t.ticker <- Some (Domain.spawn (fun () -> ticker_loop t));
+  t.ticker <- Some (Thread.create ticker_loop t);
   t
 
 let ticks t = Atomic.get t.ticks
@@ -332,8 +340,8 @@ let stop t =
   | Some d ->
     t.ticker <- None;
     Atomic.set t.stop_flag true;
-    Domain.join d;
-    (* Final tick from the stopping domain: the ticker has exited, so
+    Thread.join d;
+    (* Final tick from the stopping thread: the ticker has exited, so
        the sinks are single-writer again. *)
     tick t;
     close_sink t.jsonl;

@@ -1,4 +1,4 @@
-(** Continuous telemetry: a ticker domain that periodically snapshots a
+(** Continuous telemetry: a ticker thread that periodically snapshots a
     {!Metrics} registry, folds in the {!Health} plane and any buffered
     {!Log} records, and exports JSON lines plus Prometheus text
     exposition.

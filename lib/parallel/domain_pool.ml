@@ -13,9 +13,10 @@
 
 type task = unit -> unit
 
-(* Set on worker domains, on a caller while it runs its own chunks, and
-   under [isolate]: a nested [parallel_for] from such a context executes
-   inline instead of re-entering the queue. *)
+(* Set on worker domains and on a caller while it runs its own chunks:
+   a nested [parallel_for] from such a context executes inline instead
+   of re-entering the queue.  Any other domain — the fleet's workers
+   included — is an external caller and queues helpers. *)
 let inside_task : bool Domain.DLS.key = Domain.DLS.new_key (fun () -> false)
 
 (* The bounded busy-wait, in [Domain.cpu_relax] rounds (~33 ns each on
@@ -200,13 +201,6 @@ let parallel_for ?chunk pool lo hi f =
       | None -> ()
     end
   end
-
-(* Marks the calling domain as a task context for the duration of [f],
-   so nested [parallel_for] calls execute inline. *)
-let isolate f =
-  let prev = Domain.DLS.get inside_task in
-  Domain.DLS.set inside_task true;
-  Fun.protect ~finally:(fun () -> Domain.DLS.set inside_task prev) f
 
 (* A lazily created default pool, one domain per core the process may
    use.  Not an OCaml [lazy]: those are not domain-safe (a concurrent

@@ -30,15 +30,6 @@ val parallel_for : ?chunk:int -> t -> int -> int -> (int -> unit) -> unit
     exception propagates at once.  Any number of domains may call it on
     one pool concurrently. *)
 
-val isolate : (unit -> 'a) -> 'a
-(** [isolate f] runs [f] with the calling domain marked as a task
-    context: any nested {!parallel_for} executes inline on this domain
-    instead of queueing helpers on the pool.  The fleet's per-device
-    workers wrap job execution in [isolate]: each already keeps a domain
-    busy, so a job's launches run on the worker that owns the job rather
-    than competing with the other devices' jobs for the shared pool's
-    domains. *)
-
 val get_default : unit -> t
 (** A lazily created pool of [Domain.recommended_domain_count ()]
     workers: one domain per core the process may use. *)

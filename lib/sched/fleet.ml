@@ -1,46 +1,46 @@
 (* The fleet service: a long-running pool of simulated devices behind a
    submission API.
 
-   Each pool entry is an *instance* — one worker domain owning one work
-   queue.  Classed instances (several C2050s, P100s, V100s, RTX 2080s)
-   give the fleet its heterogeneity: roofline-aware placement routes
-   memory-bound jobs (double double — the paper's bandwidth-bound
-   regime) to bandwidth-rich classes and compute-bound jobs (octo
-   double) to compute-rich ones.  Generic instances (device = None) are
-   plain capacity honoring whatever device each job names; the batch
-   wrapper [run] uses an all-generic pool.
+   Each pool entry is an *instance*, a modeled device and plain data: a
+   work queue, a device class, a health state and a [running] flag.
+   [min instances cores] worker domains serve them, each claiming a job
+   for an idle instance and running it as that instance, so an instance
+   runs one job at a time.  Classed instances (several C2050s, P100s,
+   V100s, RTX 2080s) give the fleet its heterogeneity: roofline-aware
+   placement routes memory-bound jobs (double double — the paper's
+   bandwidth-bound regime) to bandwidth-rich classes and compute-bound
+   jobs (octo double) to compute-rich ones.  Generic instances (device
+   = None) are plain capacity honoring whatever device each job names;
+   the batch wrapper [run] uses an all-generic pool.
 
    Admission control bounds every queue: a submission finding all its
    candidate queues at [max_queue_depth] is rejected — backpressure the
-   caller sees synchronously.  Idle workers steal the oldest entry from
-   the deepest foreign queue, so a hot class drains across the fleet.
+   caller sees synchronously.  An idle instance steals the oldest entry
+   from the deepest queue of a busy one, so a hot class drains across
+   the fleet.
 
    The resilience plane (all opt-in through [Config]) layers on top:
 
    - Device chaos ([Fault.Chaos]): seeded campaigns deal each instance
-     a crash (the worker domain exits), a hang (the worker parks until
-     shutdown and never drains its queue again) or a brownout (every
-     kernel costed [factor] times slower) after a drawn number of
-     executed jobs.
+     a crash or a hang (it is never served again; the worker that found
+     it struck serves the others) or a brownout (every kernel costed
+     [factor] times slower) after a drawn number of executed jobs.
 
    - Recovery: jobs stranded on a crashed or hung instance — queued and
-     claimed-but-unstarted alike — are handed back by the struck worker
-     itself and re-placed through the same roofline policy, never
+     claimed-but-unstarted alike — are handed back by the striking
+     worker and re-placed through the same roofline policy, never
      silently dropped; the hop is recorded in the outcome's migration
-     trail.  A job migrated more
-     than [max_migrations] times is quarantined: settled as a permanent
-     failure rather than bounced forever.
+     trail.  A job migrated more than [max_migrations] times is
+     quarantined: settled as a permanent failure rather than bounced
+     forever.
 
    Locking: one mutex guards the queues, counters, instance states and
-   the result table.  Jobs execute outside the lock, wrapped in
-   [Dompool.Domain_pool.isolate] so kernel bodies of executing jobs run
-   inline on the worker domain: every device already keeps one domain
-   busy, and helpers queued on the shared pool would set the devices'
-   jobs competing for its domains.  Quarantined outcomes produced while
-   migrating under the lock are emitted after it is released. *)
+   the result table.  Jobs execute outside the lock, and their launches
+   go to the shared default domain pool like any other caller's.
+   Quarantined outcomes produced while migrating under the lock are
+   emitted after it is released. *)
 
 module D = Gpusim.Device
-module Pool = Dompool.Domain_pool
 module Metrics = Obs.Metrics
 module R = Harness.Runners
 module Chaos = Fault.Chaos
@@ -167,9 +167,9 @@ type instance = {
   device : D.t option;
   index : int;
   queue : queued Queue.t;
-  mutable running : bool;  (* worker is executing a job right now *)
+  mutable running : bool;  (* a worker is executing a job as this instance *)
   mutable executed : int;
-  mutable stolen : int;  (* jobs this worker claimed from foreign queues *)
+  mutable stolen : int;  (* jobs it claimed from foreign queues *)
   mutable busy_ms : float;
   mutable state : state;
   chaos_event : Chaos.event option;
@@ -187,6 +187,7 @@ type t = {
   mutable unsettled : int;  (* admitted but not yet settled *)
   mutable stopping : bool;
   mutable started : bool;
+  n_workers : int;
   mutable workers : unit Domain.t array;
   order : int Atomic.t;  (* completion rank *)
   total_steals : int Atomic.t;
@@ -218,8 +219,8 @@ let latency_histogram inst =
 let depth_gauge inst = m_gauge ("fleet.queue_depth." ^ inst.id)
 let util_gauge inst = m_gauge ("fleet.util." ^ inst.id)
 
-(* 1.0 while the instance's worker is executing a job — the live
-   counterpart of the time-averaged [util_gauge]. *)
+(* 1.0 while the instance is executing a job — the live counterpart of
+   the time-averaged [util_gauge]. *)
 let inflight_gauge inst = m_gauge ("fleet.inflight." ^ inst.id)
 
 (* ---- roofline placement ---- *)
@@ -509,27 +510,14 @@ let migrate_entries t ~from_id entries ~now =
   end;
   List.rev !quarantined
 
-(* A struck worker hands back its claimed entry and everything still
-   queued on its instance.  Called with the lock held; returns the
+(* A struck instance hands back its claimed entry and everything still
+   queued on it.  Called with the lock held; returns the
    quarantined outcomes, as [migrate_entries]. *)
 let strand t inst entry =
   let stranded = entry :: List.of_seq (Queue.to_seq inst.queue) in
   Queue.clear inst.queue;
   Metrics.Gauge.set (depth_gauge inst) 0.0;
   migrate_entries t ~from_id:inst.id stranded ~now:(Engine.now_ms ())
-
-(* Deliver settle-time side effects that must not run under the fleet
-   lock: the on_outcome callback and the client broadcast. *)
-let deliver t outcomes =
-  (match outcomes with
-  | [] -> ()
-  | _ ->
-    Mutex.lock t.lock;
-    Condition.broadcast t.changed;
-    Mutex.unlock t.lock);
-  match t.on_outcome with
-  | Some f -> List.iter (fun o -> try f o with _ -> ()) outcomes
-  | None -> ()
 
 (* ---- execution ---- *)
 
@@ -557,14 +545,13 @@ let execute t inst entry ~stolen =
         ]
   end;
   let slowdown = match inst.state with Browned f -> f | _ -> 1.0 in
+  let settle () =
+    Engine.settle ~backoff_ms:t.config.backoff_ms
+      ~queued_at:entry.q_admitted_at job
+  in
   let attempts, elapsed_ms, timing, status =
-    Pool.isolate (fun () ->
-        let settle () =
-          Engine.settle ~backoff_ms:t.config.backoff_ms
-            ~queued_at:entry.q_admitted_at job
-        in
-        if slowdown > 1.0 then Gpusim.Sim.with_slowdown slowdown settle
-        else settle ())
+    if slowdown > 1.0 then Gpusim.Sim.with_slowdown slowdown settle
+    else settle ()
   in
   let now = Engine.now_ms () in
   let latency_ms = Float.max 0.0 (now -. entry.q_admitted_at) in
@@ -645,78 +632,69 @@ let execute t inst entry ~stolen =
   | Some f -> ( try f outcome with _ -> ())
   | None -> ()
 
-(* Claim the next entry for [inst]: its own queue first (FIFO), then —
-   when stealing is on — the oldest entry of the deepest foreign queue
-   whose owner cannot get to it (it is executing, or already at the
-   fleet's shutdown with more than one entry waiting, or no longer
-   alive).  An idle live owner keeps its queue: it was woken by the same
-   admission broadcast and claims the entry itself, so stealing never
-   beats the placement policy to a job the preferred device would have
-   started at once.  Called with the lock held. *)
-let claim t inst =
-  if not (Queue.is_empty inst.queue) then Some (Queue.pop inst.queue, false)
-  else if not t.config.steal then None
-  else begin
-    let stealable other =
-      other != inst
-      && (not (Queue.is_empty other.queue))
-      && (other.running || t.stopping
-        || Queue.length other.queue > 1
-        || not (alive other))
-    in
-    let victim = ref None in
-    Array.iter
-      (fun other ->
-        if stealable other then
-          match !victim with
-          | Some v when Queue.length v.queue >= Queue.length other.queue -> ()
-          | _ -> victim := Some other)
-      t.instances;
-    match !victim with
-    | Some v -> Some (Queue.pop v.queue, true)
-    | None -> None
-  end
+let idle inst = alive inst && not inst.running
 
-(* The chaos event destined for this instance fires the first time the
-   worker claims an entry after executing [after] jobs.  Called with
-   the lock held. *)
+(* The next job a free worker serves: [(inst, source, entry)] runs
+   [entry], popped from [source]'s queue, as instance [inst].  Own
+   queues first: of the idle live instances with queued work, the one
+   whose head was admitted first.  Then, when stealing is on, the
+   oldest entry of the deepest queue whose owner is executing, run by
+   the first idle live instance in the job's placement order.  A queued
+   idle owner always takes its own head, so stealing never beats the
+   placement policy to a job the preferred device can start at once.
+   Called with the lock held. *)
+let next_claim t =
+  let head i = (Queue.peek i.queue).q_ticket in
+  let oldest best i =
+    match best with
+    | _ when (not (idle i)) || Queue.is_empty i.queue -> best
+    | Some b when head b < head i -> best
+    | _ -> Some i
+  in
+  let deepest best i =
+    match best with
+    | _ when (not i.running) || Queue.is_empty i.queue -> best
+    | Some b when Queue.length b.queue >= Queue.length i.queue -> best
+    | _ -> Some i
+  in
+  match Array.fold_left oldest None t.instances with
+  | Some i -> Some (i, i, Queue.pop i.queue)
+  | None when not t.config.steal -> None
+  | None -> (
+    match Array.fold_left deepest None t.instances with
+    | None -> None
+    | Some victim ->
+      let entry = Queue.peek victim.queue in
+      List.find_opt idle (List.concat (candidate_groups t entry.q_job))
+      |> Option.map (fun thief -> (thief, victim, Queue.pop victim.queue)))
+
+(* The chaos event destined for an instance fires the first time a
+   worker claims an entry for it after it executed [after] jobs.
+   Called with the lock held. *)
 let chaos_due inst =
   match (inst.state, inst.chaos_event) with
   | Healthy, Some ev when inst.executed >= ev.Chaos.after -> Some ev
   | _ -> None
 
-let worker t index () =
-  let inst = t.instances.(index) in
-  let continue_ = ref true in
-  while !continue_ do
+let worker t () =
+  let rec serve () =
     Mutex.lock t.lock;
-    match claim t inst with
-    | Some (entry, stolen) -> (
+    match next_claim t with
+    | Some (inst, source, entry) -> (
       match chaos_due inst with
-      | Some { Chaos.kind = Chaos.Crash; _ } ->
-        (* The domain dies with work on its hands: the claimed entry and
-           everything still queued migrate, then the worker exits. *)
-        inst.state <- Crashed;
+      | Some { Chaos.kind = (Chaos.Crash | Chaos.Hang) as kind; _ } ->
+        (* The instance dies or freezes with work on its hands: the
+           claimed entry and everything still queued on it migrate, and
+           the worker goes on serving the other instances. *)
+        inst.state <- (if kind = Chaos.Crash then Crashed else Hung);
         let quarantined = strand t inst entry in
+        if quarantined <> [] then Condition.broadcast t.changed;
         Mutex.unlock t.lock;
-        Chaos.note_triggered Chaos.Crash ~instance:inst.id;
-        deliver t quarantined;
-        continue_ := false
-      | Some { Chaos.kind = Chaos.Hang; _ } ->
-        (* The worker freezes: like a crash it hands back its claim and
-           its queue at strike time, but the domain stays parked until
-           fleet shutdown instead of exiting. *)
-        inst.state <- Hung;
-        let quarantined = strand t inst entry in
-        Mutex.unlock t.lock;
-        Chaos.note_triggered Chaos.Hang ~instance:inst.id;
-        deliver t quarantined;
-        Mutex.lock t.lock;
-        while not t.stopping do
-          Condition.wait t.work t.lock
-        done;
-        Mutex.unlock t.lock;
-        continue_ := false
+        Chaos.note_triggered kind ~instance:inst.id;
+        Option.iter
+          (fun f -> List.iter (fun o -> try f o with _ -> ()) quarantined)
+          t.on_outcome;
+        serve ()
       | due ->
         (match due with
         | Some { Chaos.kind = Chaos.Brownout; factor; _ } ->
@@ -725,23 +703,23 @@ let worker t index () =
         | _ -> ());
         inst.running <- true;
         Metrics.Gauge.set (inflight_gauge inst) 1.0;
-        Metrics.Gauge.set
-          (depth_gauge t.instances.(entry.q_admitted_to))
-          (float_of_int (Queue.length t.instances.(entry.q_admitted_to).queue));
+        Metrics.Gauge.set (depth_gauge source)
+          (float_of_int (Queue.length source.queue));
+        (* Work left queued may be claimable by an idle worker now
+           (a busy owner's queue is stealable). *)
+        if Array.exists (fun i -> not (Queue.is_empty i.queue)) t.instances
+        then Condition.signal t.work;
         Condition.broadcast t.changed;
         Mutex.unlock t.lock;
-        execute t inst entry ~stolen)
+        execute t inst entry ~stolen:(source != inst);
+        serve ())
+    | None when t.stopping -> Mutex.unlock t.lock
     | None ->
-      if t.stopping then begin
-        Mutex.unlock t.lock;
-        continue_ := false
-      end
-      else begin
-        Condition.wait t.work t.lock;
-        Mutex.unlock t.lock
-      end
-  done;
-  Metrics.Gauge.set (util_gauge inst) (utilization t inst ~now:(Engine.now_ms ()))
+      Condition.wait t.work t.lock;
+      Mutex.unlock t.lock;
+      serve ()
+  in
+  serve ()
 
 let start t =
   Mutex.lock t.lock;
@@ -752,11 +730,9 @@ let start t =
   end;
   Mutex.unlock t.lock;
   if spawn then
-    t.workers <-
-      Array.init (Array.length t.instances) (fun i ->
-          Domain.spawn (worker t i))
+    t.workers <- Array.init t.n_workers (fun _ -> Domain.spawn (worker t))
 
-let create ?on_outcome ?(autostart = true) (config : Config.t) =
+let create ?on_outcome ?(autostart = true) ?workers (config : Config.t) =
   (match Config.validate config with
   | Ok () -> ()
   | Error message -> invalid_arg ("Fleet.create: " ^ message));
@@ -764,6 +740,12 @@ let create ?on_outcome ?(autostart = true) (config : Config.t) =
     List.concat_map
       (fun (device, count) -> List.init count (fun slot -> (device, slot)))
       config.Config.pool
+  in
+  let workers =
+    min (List.length slots)
+      (match workers with
+      | Some n -> max 1 n
+      | None -> Domain.recommended_domain_count ())
   in
   let t =
     {
@@ -783,6 +765,7 @@ let create ?on_outcome ?(autostart = true) (config : Config.t) =
       unsettled = 0;
       stopping = false;
       started = false;
+      n_workers = workers;
       workers = [||];
       order = Atomic.make 0;
       total_steals = Atomic.make 0;
@@ -909,8 +892,14 @@ let shutdown t =
   Condition.broadcast t.work;
   Condition.broadcast t.changed;
   Mutex.unlock t.lock;
-  Array.iter Domain.join t.workers;
-  t.workers <- [||]
+  if Array.length t.workers > 0 then begin
+    Array.iter Domain.join t.workers;
+    t.workers <- [||];
+    let now = Engine.now_ms () in
+    Array.iter
+      (fun inst -> Metrics.Gauge.set (util_gauge inst) (utilization t inst ~now))
+      t.instances
+  end
 
 (* A batch over a fresh fleet: submit everything (blocking on
    backpressure instead of rejecting — a batch has no client to answer),

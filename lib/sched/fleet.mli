@@ -1,10 +1,11 @@
 (** The fleet service: a long-running pool of simulated devices behind a
     submission API.
 
-    A fleet owns a heterogeneous pool of {e instances} — one worker
-    domain and one bounded work queue per entry, several instances per
-    device class (C2050 / P100 / V100 / RTX 2080 profiles from
-    {!Gpusim.Device}).  Submissions pass admission control
+    A fleet owns a heterogeneous pool of {e instances} — modeled
+    devices, each one bounded work queue with a class and a health
+    state, several instances per device class (C2050 / P100 / V100 /
+    RTX 2080 profiles from {!Gpusim.Device}) — served by up to one
+    worker domain per core.  Submissions pass admission control
     synchronously: jobs naming {!Job.auto_device} are routed by the
     roofline policy (memory-bound work — double double in the paper's
     regime — to bandwidth-rich classes by descending
@@ -13,8 +14,8 @@
     shortest queue of the best class with room and spilling to the next
     class when that one is full.  A submission finding every candidate
     queue at [max_queue_depth] is {e rejected} — backpressure the
-    caller observes immediately.  Idle workers steal the oldest entry
-    from the deepest foreign queue.
+    caller observes immediately.  An idle instance steals the oldest
+    entry from the deepest queue of a busy one.
 
     {2 The resilience plane}
 
@@ -22,14 +23,13 @@
     exactly as before.
 
     - {e Device chaos} ([Config.chaos]): a seeded {!Fault.Chaos}
-      campaign deals each instance at most one fate — crash (the worker
-      domain exits), hang (the worker parks until shutdown and never
-      drains its queue again), or brownout (kernels cost
+      campaign deals each instance at most one fate — crash or hang
+      (the instance is never served again; the worker that found it
+      struck serves the others), or brownout (kernels cost
       [Chaos.config.brownout_factor] slower) — striking after a drawn
       number of executed jobs.
     - {e Recovery}: jobs stranded on a crashed or hung instance — its
-      claimed job and its queue — are handed back by the struck worker
-      at strike time and re-placed through the same roofline policy,
+      claimed job and its queue — are handed back at strike time and re-placed through the same roofline policy,
       never silently dropped; each hop is recorded in the outcome's
       [placement.migrations] trail.  A job migrated more than
       [Config.max_migrations] times is {e quarantined}: settled as a
@@ -63,7 +63,7 @@ module Config : sig
         (** admission bound per queue; must be positive — pass
             {!unbounded} for no bound *)
     backoff_ms : float;  (** base retry backoff, doubling per attempt *)
-    steal : bool;  (** let idle workers steal from foreign queues *)
+    steal : bool;  (** let idle instances steal from busy ones' queues *)
     retain_outcomes : bool;
         (** keep settled outcomes for {!await}/{!drain}; switch off for
             long-running serve loops that stream outcomes via
@@ -114,14 +114,22 @@ type ticket = int
 (** Admission handle, also the outcome's [index]: tickets number
     admissions from 0 in submission order. *)
 
-val create : ?on_outcome:(Engine.outcome -> unit) -> ?autostart:bool -> Config.t -> t
-(** Builds the fleet and (unless [autostart:false]) spawns one worker
-    domain per instance.  [on_outcome] is called from the worker
-    domain that settled the job, as each job finishes (exceptions it
-    raises are swallowed).  With [autostart:false] submissions queue but
-    nothing executes until {!start} — useful for deterministic
-    placement tests.  Raises [Invalid_argument] when
-    {!Config.validate} rejects the config. *)
+val create :
+  ?on_outcome:(Engine.outcome -> unit) ->
+  ?autostart:bool ->
+  ?workers:int ->
+  Config.t ->
+  t
+(** Builds the fleet and (unless [autostart:false]) spawns its worker
+    domains: [min instances workers] of them, [workers] defaulting to
+    [Domain.recommended_domain_count ()].  Instances are data, not
+    domains; any worker serves any instance, one job per instance at a
+    time, and a job's launches run on the shared default domain pool.
+    [on_outcome] is called from the worker domain that settled the job,
+    as each job finishes (exceptions it raises are swallowed).  With
+    [autostart:false] submissions queue but nothing executes until
+    {!start} — useful for deterministic placement tests.  Raises
+    [Invalid_argument] when {!Config.validate} rejects the config. *)
 
 val start : t -> unit
 (** Spawns the worker domains (idempotent). *)
@@ -150,9 +158,9 @@ val drain : t -> Engine.outcome list
 
 val shutdown : t -> unit
 (** Stops admissions, lets the workers finish every queued job, joins
-    them.  Idempotent; a never-started fleet just stops.  Parked hung
-    workers are released; their jobs were migrated when the hang
-    struck. *)
+    them.  Idempotent; a never-started fleet just stops.  Crashed and
+    hung instances hold no work: theirs was migrated when the strike
+    came. *)
 
 val run :
   ?on_outcome:(Engine.outcome -> unit) ->
@@ -171,7 +179,7 @@ val run :
 type stats = {
   id : string;  (** e.g. ["v100#0"] *)
   device : Gpusim.Device.t option;
-  executed : int;  (** jobs this worker settled *)
+  executed : int;  (** jobs this instance settled *)
   stolen : int;  (** of those, claimed from foreign queues *)
   queue_depth : int;
   busy_ms : float;  (** wall clock spent executing (attempts + backoff) *)

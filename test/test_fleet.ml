@@ -115,9 +115,11 @@ let test_pinned_device_kept () =
 
 (* Two instances, every job pinned to one of them.  Holding the workers
    back queues all six jobs on the V100; injected failures make each job
-   sleep in backoff, so the idle C2050 worker provably steals.  The
-   invariant: the fleet's steal counter, the per-outcome steal flags and
-   the admitted/executor mismatches all agree. *)
+   sleep in backoff, so while one worker runs a V100 job the other
+   provably steals for the idle C2050.  Two workers are asked for: on a
+   one-core host the fleet would otherwise run one, which can never
+   steal.  The invariant: the fleet's steal counter, the per-outcome
+   steal flags and the admitted/executor mismatches all agree. *)
 let test_steal_invariants () =
   let config =
     {
@@ -127,7 +129,7 @@ let test_steal_invariants () =
       backoff_ms = 30.0;
     }
   in
-  let fleet = F.create ~autostart:false config in
+  let fleet = F.create ~workers:2 ~autostart:false config in
   let jobs =
     List.init 6 (fun i ->
         solve
@@ -181,7 +183,7 @@ let test_steal_invariants () =
 (* The fleet's steal instant must name both sides of the transfer: the
    thief instance under "by" and the owning (admitted-to) instance under
    "owner", so a trace reader can reconstruct queue migrations without
-   joining against the admit events. *)
+   joining against the admit events.  Two workers, as above. *)
 let test_steal_instant_args () =
   let config =
     {
@@ -192,7 +194,7 @@ let test_steal_instant_args () =
     }
   in
   Obs.Tracer.start ();
-  let fleet = F.create ~autostart:false config in
+  let fleet = F.create ~workers:2 ~autostart:false config in
   let jobs =
     List.init 6 (fun i ->
         solve ~device:"v100"

@@ -245,6 +245,48 @@ let test_concurrent_callers () =
   check "second caller's ranges exact" true (Domain.join b);
   Domain_pool.shutdown pool
 
+exception Boom of int * int
+
+let test_external_callers_fail_apart () =
+  (* Three plain domains — none of them a pool worker, as the fleet's
+     workers are not — dispatch 50 calls each on one 2-domain pool.
+     Caller [c] makes its call [r] raise (one index of it) when
+     [r mod 3 = c]: each call still hits every index exactly once, and
+     each failure re-raises in the caller that made it, never in
+     another. *)
+  let pool = Domain_pool.create 2 in
+  let calls = 50 and n = 61 in
+  let caller c () =
+    let ok = ref true and raised = ref [] in
+    for r = 0 to calls - 1 do
+      let hits = Array.init n (fun _ -> Atomic.make 0) in
+      (match
+         Domain_pool.parallel_for ~chunk:1 pool 0 n (fun i ->
+             Atomic.incr hits.(i);
+             if r mod 3 = c && i = 7 * c then raise (Boom (c, r)))
+       with
+      | () -> ()
+      | exception Boom (c', r') -> raised := (c', r') :: !raised);
+      if not (Array.for_all (fun h -> Atomic.get h = 1) hits) then ok := false
+    done;
+    (!ok, List.rev !raised)
+  in
+  let callers = List.init 3 (fun c -> Domain.spawn (caller c)) in
+  List.iteri
+    (fun c d ->
+      let ok, raised = Domain.join d in
+      check (Printf.sprintf "caller %d: every index once per call" c) true ok;
+      let own =
+        List.filter_map
+          (fun r -> if r mod 3 = c then Some (c, r) else None)
+          (List.init calls Fun.id)
+      in
+      check
+        (Printf.sprintf "caller %d: exactly its own failures" c)
+        true (raised = own))
+    callers;
+  Domain_pool.shutdown pool
+
 let test_create_shutdown_cycles () =
   (* A worker still spinning after its last task must see [stop]. *)
   for _ = 1 to 50 do
@@ -345,6 +387,8 @@ let () =
             test_pool_concurrent_failures;
           Alcotest.test_case "concurrent callers" `Quick
             test_concurrent_callers;
+          Alcotest.test_case "external callers fail apart" `Quick
+            test_external_callers_fail_apart;
           Alcotest.test_case "create/shutdown cycles" `Quick
             test_create_shutdown_cycles;
           Alcotest.test_case "nested parallelism" `Quick test_pool_nested;

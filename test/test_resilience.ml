@@ -12,6 +12,7 @@ module Jn = Sched.Journal
 module Sv = Sched.Service
 module Chaos = Fault.Chaos
 module Json = Harness.Json
+module Rep = Harness.Report
 
 let check = Alcotest.(check bool)
 let checki = Alcotest.(check int)
@@ -26,21 +27,26 @@ let placement (o : S.outcome) =
   | Some p -> p
   | None -> Alcotest.failf "%s has no placement record" o.S.job.Job.id
 
-(* A two-instance campaign where instance 0 is struck by [kind] at its
-   first claim and instance 1 stays healthy; [Chaos.draw] is pure, so
+(* A campaign over [kinds] dealing instance [i] the [i]-th of [fates],
+   each strike at the instance's first claim; [Chaos.draw] is pure, so
    the seed search is deterministic. *)
-let striking_config kind =
+let fated_config kinds fates =
+  let fate cfg i =
+    Option.map (fun e -> e.Chaos.kind) (Chaos.draw cfg ~instance:i)
+  in
   let rec go seed =
     if seed > 10_000 then Alcotest.fail "no chaos seed found"
     else
-      let cfg =
-        Chaos.config ~seed ~rate:0.5 ~kinds:[ kind ] ~after_jobs:(0, 0) ()
-      in
-      match (Chaos.draw cfg ~instance:0, Chaos.draw cfg ~instance:1) with
-      | Some _, None -> cfg
-      | _ -> go (seed + 1)
+      let cfg = Chaos.config ~seed ~rate:0.5 ~kinds ~after_jobs:(0, 0) () in
+      if List.for_all Fun.id (List.mapi (fun i f -> fate cfg i = f) fates)
+      then cfg
+      else go (seed + 1)
   in
   go 0
+
+(* Two instances: instance 0 is struck by [kind], instance 1 stays
+   healthy. *)
+let striking_config kind = fated_config [ kind ] [ Some kind; None ]
 
 (* Two classes, no stealing: jobs pinned to the c2050 all queue on the
    doomed instance 0 and can only settle by migrating to the v100. *)
@@ -54,11 +60,12 @@ let two_class_config chaos =
     chaos = Some chaos;
   }
 
-let run_campaign config n =
-  let fleet = F.create ~autostart:false config in
+let run_campaign ?on_outcome ?workers ?(device = fun _ -> "c2050") config n
+    =
+  let fleet = F.create ?on_outcome ?workers ~autostart:false config in
   let jobs =
     List.init n (fun i ->
-        solve ~device:"c2050" ~id:(Printf.sprintf "cx-%d" i) ())
+        solve ~device:(device i) ~id:(Printf.sprintf "cx-%d" i) ())
   in
   List.iter
     (fun j ->
@@ -105,6 +112,71 @@ let test_hang_reclaimed () =
         ((placement o).S.migrations = [ "c2050#0" ]))
     outcomes
 
+let with_temp_journal f =
+  let path = Filename.temp_file "test_journal" ".jsonl" in
+  Fun.protect
+    ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
+    (fun () -> f path)
+
+(* Three instances on one worker domain: the c2050 crashes and the
+   p100 hangs at their first claim, and the worker serves on.  Jobs are
+   pinned alternately to the two doomed instances, with no stealing, so
+   every job settles on the v100 with a one-hop trail.  Outcomes are
+   committed to a journal as the service commits them; its replay holds
+   every line byte for byte, in emission order. *)
+let test_strikes_spare_the_worker () =
+  with_temp_journal (fun path ->
+      let journal = Jn.create path in
+      let emitted = ref [] in
+      let on_outcome o =
+        let line = Json.to_string (S.outcome_to_json o) in
+        Jn.commit journal ~job_id:o.S.job.Job.id ~line;
+        emitted := (o.S.job.Job.id, line) :: !emitted
+      in
+      let config =
+        {
+          (two_class_config
+             (fated_config [ Chaos.Crash; Chaos.Hang ]
+                [ Some Chaos.Crash; Some Chaos.Hang; None ]))
+          with
+          pool = [ (Some D.c2050, 1); (Some D.p100, 1); (Some D.v100, 1) ];
+        }
+      in
+      let doomed i = if i mod 2 = 0 then "c2050" else "p100" in
+      (* The intents [run_campaign] is about to submit, as serve writes
+         them before admission. *)
+      for i = 0 to 5 do
+        Jn.intent journal
+          (solve ~device:(doomed i) ~id:(Printf.sprintf "cx-%d" i) ())
+      done;
+      let outcomes, stats =
+        run_campaign ~on_outcome ~workers:1 ~device:doomed config 6
+      in
+      Jn.close journal;
+      checki "every job settled" 6 (List.length outcomes);
+      Alcotest.(check (list string))
+        "instance states" [ "crashed"; "hung"; "ok" ]
+        (List.map (fun s -> s.F.state) stats);
+      List.iteri
+        (fun i o ->
+          (match o.S.status with
+          | S.Completed _ -> ()
+          | S.Failed f ->
+            Alcotest.failf "%s failed: %s" o.S.job.Job.id f.S.message);
+          let p = placement o in
+          checks "executed on the survivor" "v100#0" p.S.device_id;
+          Alcotest.(check (list string))
+            "trail names the struck instance"
+            [ doomed i ^ "#0" ]
+            p.S.migrations)
+        outcomes;
+      let r = Jn.replay path in
+      check "journal replays every emitted line exactly" true
+        (r.Jn.committed = List.rev !emitted);
+      checki "one commit per job" 6 (List.length r.Jn.committed);
+      check "every intent committed" true (r.Jn.pending = []);
+      checki "nothing malformed" 0 r.Jn.malformed)
+
 let test_brownout_completes () =
   let cfg = striking_config Chaos.Brownout in
   let outcomes, stats = run_campaign (two_class_config cfg) 4 in
@@ -140,6 +212,57 @@ let test_quarantine () =
       check "quarantined outcome keeps its trail" true
         ((placement o).S.migrations = [ "c2050#0" ]))
     outcomes
+
+(* ---- served equals in-process ---- *)
+
+(* Executed jobs served by a two-instance fleet, their launches on the
+   shared domain pool and two at a time, settle to the very report
+   [Engine.run_job] produces in-process: residual bits (the solution
+   reaches an outcome only through them), modeled milliseconds, launch
+   counts and the fault tally. *)
+let test_served_equals_in_process () =
+  let exec ?rows ?solver ?fault_rate ?fault_seed id dim =
+    Job.make ?rows ?solver ?fault_rate ?fault_seed ~execute:true ~id
+      ~kind:Job.Solve ~device:"v100" ~prec:P.DD ~dim ~tile:16 ()
+  in
+  let jobs =
+    [
+      exec "direct" 64;
+      exec ~rows:1024 ~solver:Lsq_core.Solver.Cg_normal "cg" 32;
+      exec ~rows:1024 ~solver:Lsq_core.Solver.Lsqr "lsqr" 32;
+      exec ~fault_rate:0.05 ~fault_seed:3 "faulty" 64;
+    ]
+  in
+  let served = F.run (F.Config.batch ~parallel:2 ~backoff_ms:0.0 ()) jobs in
+  List.iter2
+    (fun job (o : S.outcome) ->
+      let id = job.Job.id in
+      let r =
+        match o.S.status with
+        | S.Completed r -> r
+        | S.Failed f -> Alcotest.failf "%s failed: %s" id f.S.message
+      in
+      checki (id ^ " settled in one attempt") 1 o.S.attempts;
+      let local = S.run_job job in
+      let bits (r : Rep.t) =
+        Option.map
+          (fun (x : Rep.residual) -> Int64.bits_of_float x.residual)
+          r.residual
+      in
+      check (id ^ " residual bits") true
+        (bits r = bits local && bits r <> None);
+      check (id ^ " modeled ms") true
+        (Int64.bits_of_float r.Rep.kernel_ms
+        = Int64.bits_of_float local.Rep.kernel_ms);
+      checki (id ^ " launches") local.Rep.launches r.Rep.launches;
+      check (id ^ " fault tally") true (r.Rep.faults = local.Rep.faults);
+      checks (id ^ " whole report") (Rep.to_json_string local)
+        (Rep.to_json_string r))
+    jobs served;
+  match List.nth served 3 with
+  | { S.status = S.Completed { Rep.faults = Some f; _ }; _ } ->
+    check "the fault-armed job took strikes" true (Rep.faults_injected f > 0)
+  | _ -> Alcotest.fail "the fault-armed job carries no fault tally"
 
 (* ---- failures follow the job ---- *)
 
@@ -251,12 +374,6 @@ let test_jitter () =
     (List.exists (fun k -> pause a k <> pause b k) [ 1; 2; 3 ])
 
 (* ---- journal ---- *)
-
-let with_temp_journal f =
-  let path = Filename.temp_file "test_journal" ".jsonl" in
-  Fun.protect
-    ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
-    (fun () -> f path)
 
 let test_journal_roundtrip () =
   with_temp_journal (fun path ->
@@ -621,10 +738,17 @@ let () =
           Alcotest.test_case "crash migrates stranded jobs" `Quick
             test_crash_migrates;
           Alcotest.test_case "hang is reclaimed" `Quick test_hang_reclaimed;
+          Alcotest.test_case "strikes spare the worker" `Quick
+            test_strikes_spare_the_worker;
           Alcotest.test_case "brownout keeps executing" `Quick
             test_brownout_completes;
           Alcotest.test_case "quarantine after max migrations" `Quick
             test_quarantine;
+        ] );
+      ( "served",
+        [
+          Alcotest.test_case "served equals in-process" `Quick
+            test_served_equals_in_process;
         ] );
       ( "poison",
         [
