@@ -250,12 +250,12 @@ exception Boom of int * int
 let test_external_callers_fail_apart () =
   (* Three plain domains — none of them a pool worker, as the fleet's
      workers are not — dispatch 50 calls each on one 2-domain pool.
-     Caller [c] makes its call [r] raise (one index of it) when
-     [r mod 3 = c]: each call still hits every index exactly once, and
-     each failure re-raises in the caller that made it, never in
-     another. *)
+     Caller [c] makes its call [r] raise (one index of it) unless
+     [r mod 3 = c], so raising calls of different callers overlap
+     often: each call still hits every index exactly once, and each
+     failure re-raises in the caller that made it, never in another. *)
   let pool = Domain_pool.create 2 in
-  let calls = 50 and n = 61 in
+  let calls = 50 and n = 257 in
   let caller c () =
     let ok = ref true and raised = ref [] in
     for r = 0 to calls - 1 do
@@ -263,7 +263,7 @@ let test_external_callers_fail_apart () =
       (match
          Domain_pool.parallel_for ~chunk:1 pool 0 n (fun i ->
              Atomic.incr hits.(i);
-             if r mod 3 = c && i = 7 * c then raise (Boom (c, r)))
+             if r mod 3 <> c && i = 7 * c then raise (Boom (c, r)))
        with
       | () -> ()
       | exception Boom (c', r') -> raised := (c', r') :: !raised);
@@ -278,7 +278,7 @@ let test_external_callers_fail_apart () =
       check (Printf.sprintf "caller %d: every index once per call" c) true ok;
       let own =
         List.filter_map
-          (fun r -> if r mod 3 = c then Some (c, r) else None)
+          (fun r -> if r mod 3 <> c then Some (c, r) else None)
           (List.init calls Fun.id)
       in
       check
