@@ -260,17 +260,13 @@ let phase_overhead () =
   let jobs =
     List.init 96 (fun i -> solve ~id:(Printf.sprintf "ov-%03d" i) ())
   in
-  let time config =
-    let best = ref Float.infinity in
-    for _ = 1 to 5 do
-      let t0 = Unix.gettimeofday () in
-      let outcomes = F.run config jobs in
-      let dt = Unix.gettimeofday () -. t0 in
-      if List.length outcomes <> List.length jobs then
-        fail "chaos-smoke: overhead run lost outcomes";
-      if dt < !best then best := dt
-    done;
-    !best
+  let run config =
+    let t0 = Unix.gettimeofday () in
+    let outcomes = F.run config jobs in
+    let dt = Unix.gettimeofday () -. t0 in
+    if List.length outcomes <> List.length jobs then
+      fail "chaos-smoke: overhead run lost outcomes";
+    dt
   in
   let plain =
     { F.Config.default with max_queue_depth = F.Config.unbounded }
@@ -280,8 +276,16 @@ let phase_overhead () =
   let armed =
     { plain with F.Config.chaos = Some (Chaos.config ~seed:7 ~rate:0.0 ()) }
   in
-  let base_s = time plain in
-  let armed_s = time armed in
+  (* Best of 5 per side, the runs interleaved (and the order swapped
+     every round) so that drift in background load lands on both sides
+     rather than on whichever block ran second. *)
+  let base_s = ref Float.infinity and armed_s = ref Float.infinity in
+  for round = 1 to 5 do
+    let p () = base_s := Float.min !base_s (run plain)
+    and a () = armed_s := Float.min !armed_s (run armed) in
+    if round mod 2 = 1 then (p (); a ()) else (a (); p ())
+  done;
+  let base_s = !base_s and armed_s = !armed_s in
   let overhead = armed_s /. base_s in
   pf "  overhead: plain %.4f s, armed %.4f s -> %.3fx (budget 1.10x)\n"
     base_s armed_s overhead;

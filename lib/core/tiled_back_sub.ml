@@ -23,7 +23,7 @@ module Make (K : Scalar.S) = struct
   let scalar_bytes = float_of_int (8 * K.width)
 
   let ops ?(adds = 0.0) ?(muls = 0.0) ?(divs = 0.0) ?(sqrts = 0.0) () =
-    let o = Counter.make ~adds ~muls ~divs ~sqrts () in
+    let o = { Counter.adds; muls; divs; sqrts } in
     if K.is_complex then Counter.complexify o else o
 
   type result = {

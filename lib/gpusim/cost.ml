@@ -84,7 +84,16 @@ let occupancy (d : Device.t) ~blocks ~threads =
   let hiding = Float.min 1.0 (resident /. warps_to_hide_latency) in
   sm_util *. warp_eff *. hiding
 
-let kernel_ms (d : Device.t) (p : Multidouble.Precision.tag) (l : launch) =
+(* The shared input panel spills once it outgrows the L2's reach. *)
+let spills (d : Device.t) (l : launch) =
+  not (l.working_set <= l2_reach *. d.l2_mb *. 1e6)
+
+(* One evaluation of the roofline: the modeled milliseconds and the time
+   terms (in seconds) they take the maximum of.  A flat float record, so
+   producing it is one small allocation and reading it none. *)
+type eval = { ms : float; compute_s : float; dram_s : float; cache_s : float }
+
+let evaluate (d : Device.t) (p : Multidouble.Precision.tag) (l : launch) =
   let timing_ops = match l.padded with Some o -> o | None -> l.ops in
   let flops = Counter.flops p timing_ops in
   let occ = occupancy d ~blocks:l.blocks ~threads:l.threads in
@@ -101,13 +110,21 @@ let kernel_ms (d : Device.t) (p : Multidouble.Precision.tag) (l : launch) =
      CGMA ratios of quad and octo double stay compute bound, and what
      makes YWT*C dominate on the small-cache C2050 and K20C (Table 3). *)
   let cache_bw =
-    if l.working_set <= l2_reach *. d.l2_mb *. 1e6 then d.l2_gb_s *. 1e9
+    if not (spills d l) then d.l2_gb_s *. 1e9
     else if l.strided then scatter_efficiency *. d.dram_gb_s *. 1e9
     else d.dram_gb_s *. 1e9
   in
   let cache_s = l.thread_bytes /. cache_bw in
-  (float_of_int l.count *. d.launch_us /. 1e3)
-  +. (1e3 *. Float.max compute_s (Float.max dram_s cache_s))
+  {
+    ms =
+      (float_of_int l.count *. d.launch_us /. 1e3)
+      +. (1e3 *. Float.max compute_s (Float.max dram_s cache_s));
+    compute_s;
+    dram_s;
+    cache_s;
+  }
+
+let kernel_ms d p l = (evaluate d p l).ms
 
 (* ---- Launch builders for the iterative engines' vector kernels ----
 
@@ -208,26 +225,14 @@ let host_pressure_ms (d : Device.t) bytes =
 type binding = Compute | Dram | Cache | Spill
 
 let terms (d : Device.t) (p : Multidouble.Precision.tag) (l : launch) =
-  let timing_ops = match l.padded with Some o -> o | None -> l.ops in
-  let flops = Counter.flops p timing_ops in
-  let occ = occupancy d ~blocks:l.blocks ~threads:l.threads in
-  let peak = d.dp_peak_gflops *. 1e9 *. arithmetic_efficiency in
-  let compute_s = flops /. (peak *. Float.max occ 1e-6) in
-  let dram_s = l.cold_bytes /. (d.dram_gb_s *. 1e9) in
-  let spilled = l.working_set > l2_reach *. d.l2_mb *. 1e6 in
-  let cache_bw =
-    if not spilled then d.l2_gb_s *. 1e9
-    else if l.strided then scatter_efficiency *. d.dram_gb_s *. 1e9
-    else d.dram_gb_s *. 1e9
-  in
-  let cache_s = l.thread_bytes /. cache_bw in
+  let e = evaluate d p l in
   let binding =
-    if compute_s >= dram_s && compute_s >= cache_s then Compute
-    else if dram_s >= cache_s then Dram
-    else if spilled && l.strided then Spill
+    if e.compute_s >= e.dram_s && e.compute_s >= e.cache_s then Compute
+    else if e.dram_s >= e.cache_s then Dram
+    else if spills d l && l.strided then Spill
     else Cache
   in
-  (compute_s *. 1e3, dram_s *. 1e3, cache_s *. 1e3, binding)
+  (e.compute_s *. 1e3, e.dram_s *. 1e3, e.cache_s *. 1e3, binding)
 
 let binding_name = function
   | Compute -> "compute"

@@ -85,6 +85,15 @@ val occupancy : Device.t -> blocks:int -> threads:int -> float
     across SMs, warp rounding inside blocks, resident-warp latency
     hiding. *)
 
+(** One roofline evaluation of a launch: the modeled milliseconds and the
+    three time terms (seconds) whose maximum they add to the launch
+    overhead.  Flat floats: building it is one small allocation. *)
+type eval = { ms : float; compute_s : float; dram_s : float; cache_s : float }
+
+val evaluate : Device.t -> Multidouble.Precision.tag -> launch -> eval
+(** The model, evaluated once; {!kernel_ms} and {!terms} are views of
+    it. *)
+
 val kernel_ms : Device.t -> Multidouble.Precision.tag -> launch -> float
 (** Modeled milliseconds of one launch. *)
 

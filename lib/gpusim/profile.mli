@@ -1,17 +1,11 @@
 (** Per-stage accumulation of kernel times, operation tallies, launch
     counts, memory traffic and roofline time terms, used to print the
     stage-by-stage breakdowns of the paper's tables and to feed the
-    per-stage roofline diagnostics. *)
+    per-stage roofline diagnostics.
 
-type entry = {
-  mutable ms : float;
-  mutable ops : Counter.ops;
-  mutable launches : int;
-  mutable cold_bytes : float;
-  mutable thread_bytes : float;
-  mutable compute_ms : float;  (** summed compute terms of the model *)
-  mutable memory_ms : float;  (** summed max(DRAM, cache) terms *)
-}
+    Recording a launch allocates nothing once its stage exists: the sums
+    are unboxed, and a stage is looked up first by physical equality
+    with the strings that created the first stages, then by content. *)
 
 (** An immutable copy of one stage's accumulated state. *)
 type row = {
@@ -21,26 +15,23 @@ type row = {
   launches : int;
   cold_bytes : float;
   thread_bytes : float;
-  compute_ms : float;
-  memory_ms : float;
+  compute_ms : float;  (** summed compute terms of the model *)
+  memory_ms : float;  (** summed max(DRAM, cache) terms *)
 }
 
-type t = { table : (string, entry) Hashtbl.t; mutable order : string list }
+type t
 
 val create : unit -> t
 
+val reset : t -> unit
+(** Forgets every stage. *)
+
 val record :
-  ?count:int ->
-  ?cold_bytes:float ->
-  ?thread_bytes:float ->
-  ?compute_ms:float ->
-  ?memory_ms:float ->
-  t ->
-  stage:string ->
-  ms:float ->
-  ops:Counter.ops ->
-  unit
-(** Adds one launch (or [count] concurrent launches) to a stage. *)
+  t -> stage:string -> slowdown:float -> Cost.launch -> Cost.eval -> unit
+(** [record t ~stage ~slowdown cost eval] adds one launch record
+    ([cost.count] concurrent launches) to [stage]: its modeled ms and
+    time terms from [eval], each scaled by [slowdown], and its op tally
+    and traffic from [cost].  Stages are keyed by content. *)
 
 val stages : t -> string list
 (** In first-recorded order. *)

@@ -14,7 +14,21 @@
    modeled ms, op tally) plus a counter track carrying the simulated
    device clock, and transfers emit instant events; the process-wide
    [Obs.Metrics] registry always tallies launches, transfers and the
-   modeled kernel milliseconds. *)
+   modeled kernel milliseconds.
+
+   Plan-only jobs at the paper's dimensions are thousands of launches
+   whose only work is this accounting, so one launch evaluates the
+   roofline once ([Cost.evaluate]) and feeds the profile's unboxed sums
+   straight from it; with the tracer off and no fault plan armed it
+   allocates no closure either. *)
+
+(* The wall-clock terms outside the kernels.  A flat float record, so
+   the per-launch [host_ms] update stores unboxed. *)
+type clock = {
+  mutable transfer_ms : float;
+  mutable host_ms : float;
+  mutable peak_bytes : float; (* largest resident data set, for RAM model *)
+}
 
 type t = {
   device : Device.t;
@@ -22,9 +36,7 @@ type t = {
   pool : Dompool.Domain_pool.t;
   mutable execute : bool;
   profile : Profile.t;
-  mutable transfer_ms : float;
-  mutable host_ms : float;
-  mutable peak_bytes : float; (* largest resident data set, for RAM model *)
+  clock : clock;
   fault : Fault.Plan.t option;
   mutable corruptor : (Dompool.Prng.t -> string) option;
 }
@@ -54,9 +66,7 @@ let create ?(execute = true) ?pool ?fault ?(fault_salt = 0) ~device ~prec () =
     pool;
     execute;
     profile = Profile.create ();
-    transfer_ms = 0.0;
-    host_ms = 0.0;
-    peak_bytes = 0.0;
+    clock = { transfer_ms = 0.0; host_ms = 0.0; peak_bytes = 0.0 };
     fault = Option.map (fun cfg -> Fault.Plan.arm ~salt:fault_salt cfg) fault;
     corruptor = None;
   }
@@ -85,27 +95,24 @@ let fault_tally t = Option.map Fault.Plan.snapshot t.fault
 let set_corruptor t c = t.corruptor <- c
 
 let reset t =
-  Hashtbl.reset t.profile.Profile.table;
-  t.profile.Profile.order <- [];
-  t.transfer_ms <- 0.0;
-  t.host_ms <- 0.0;
-  t.peak_bytes <- 0.0
+  Profile.reset t.profile;
+  t.clock.transfer_ms <- 0.0;
+  t.clock.host_ms <- 0.0;
+  t.clock.peak_bytes <- 0.0
 
-(* Cost accounting shared by [launch] and [launch_seq]: the modeled
-   milliseconds plus the roofline time terms land in the profile, the
-   per-launch host cost in [host_ms], and the registry tallies. *)
+(* Cost accounting shared by [launch] and [launch_seq]: one roofline
+   evaluation feeds the modeled milliseconds and time terms to the
+   profile, the per-launch host cost goes to [host_ms], and the registry
+   tallies. *)
 let account t ~stage ~(cost : Cost.launch) =
-  let slow = ambient_slowdown () in
-  let ms = Cost.kernel_ms t.device t.prec cost *. slow in
-  let compute_ms, dram_ms, cache_ms, _ = Cost.terms t.device t.prec cost in
-  Profile.record ~count:cost.Cost.count ~cold_bytes:cost.Cost.cold_bytes
-    ~thread_bytes:cost.Cost.thread_bytes ~compute_ms:(compute_ms *. slow)
-    ~memory_ms:(Float.max dram_ms cache_ms *. slow) t.profile ~stage ~ms
-    ~ops:cost.Cost.ops;
-  t.host_ms <-
-    t.host_ms
+  let slowdown = ambient_slowdown () in
+  let e = Cost.evaluate t.device t.prec cost in
+  Profile.record t.profile ~stage ~slowdown cost e;
+  t.clock.host_ms <-
+    t.clock.host_ms
     +. (float_of_int cost.Cost.count *. Cost.host_launch_ms t.device);
   Obs.Metrics.Counter.incr ~by:cost.Cost.count (m_launches ());
+  let ms = e.Cost.ms *. slowdown in
   Obs.Metrics.Histogram.observe (m_kernel_ms ()) ms;
   ms
 
@@ -175,40 +182,50 @@ let with_faults t ~protected ~stage ~cost run =
   | Some plan when not protected -> run_faulted t plan ~stage ~cost run
   | _ -> run ()
 
+(* Runs the grid when executing: blocks in parallel on the pool, or in
+   increasing order on the calling domain when [seq]. *)
+let run_grid t ~seq ~(cost : Cost.launch) body =
+  if t.execute then
+    if seq then
+      for b = 0 to cost.Cost.blocks - 1 do
+        body b
+      done
+    else if cost.Cost.blocks = 1 then body 0
+    else Dompool.Domain_pool.parallel_for ~chunk:1 t.pool 0 cost.Cost.blocks body
+
+(* The one launch path.  With the tracer off and no fault plan to draw
+   from, [traced] and [with_faults] would only call through, so the grid
+   runs directly and the launch allocates no closure. *)
+let dispatch t ~seq ~protected ~stage ~cost body =
+  let ms = account t ~stage ~cost in
+  if (protected || Option.is_none t.fault) && not (Obs.Tracer.enabled ()) then
+    run_grid t ~seq ~cost body
+  else
+    traced t ~stage ~cost ~ms (fun () ->
+        with_faults t ~protected ~stage ~cost (fun () ->
+            run_grid t ~seq ~cost body))
+
 (* [launch t ~stage ~cost body] accounts one kernel under [stage] and, when
    executing, runs [body block] for every block of the grid in parallel.
    [protected] launches (the solvers' ABFT check kernels) are exempt from
    fault injection. *)
 let launch ?(protected = false) t ~stage ~cost body =
-  let ms = account t ~stage ~cost in
-  traced t ~stage ~cost ~ms (fun () ->
-      with_faults t ~protected ~stage ~cost (fun () ->
-          if t.execute then
-            if cost.Cost.blocks = 1 then body 0
-            else
-              Dompool.Domain_pool.parallel_for ~chunk:1 t.pool 0
-                cost.Cost.blocks body))
+  dispatch t ~seq:false ~protected ~stage ~cost body
 
 (* [launch_seq] is [launch] for bodies that must see blocks in order
    (e.g. when later blocks read results of earlier ones within one launch
    would be a race; the simulator then serializes, the cost is unchanged). *)
 let launch_seq ?(protected = false) t ~stage ~cost body =
-  let ms = account t ~stage ~cost in
-  traced t ~stage ~cost ~ms (fun () ->
-      with_faults t ~protected ~stage ~cost (fun () ->
-          if t.execute then
-            for b = 0 to cost.Cost.blocks - 1 do
-              body b
-            done))
+  dispatch t ~seq:true ~protected ~stage ~cost body
 
 (* Host <-> device staging of [bytes]; shows up in wall clock only.
    Transfer corruption is always caught (staged planes carry checksums
    verified at unpack), so the fault path retransfers — charging the
    transfer time again — up to the relaunch budget, then escalates. *)
 let transfer t bytes =
-  t.peak_bytes <- Float.max t.peak_bytes bytes;
+  t.clock.peak_bytes <- Float.max t.clock.peak_bytes bytes;
   let ms = Cost.transfer_ms t.device bytes *. ambient_slowdown () in
-  t.transfer_ms <- t.transfer_ms +. ms;
+  t.clock.transfer_ms <- t.clock.transfer_ms +. ms;
   Obs.Metrics.Counter.incr (m_transfers ());
   if Obs.Tracer.enabled () then
     Obs.Tracer.instant ~cat:"transfer"
@@ -224,7 +241,7 @@ let transfer t bytes =
         | Some _ ->
             Fault.Plan.note_transfer_fault plan;
             if retransfers < Fault.Plan.max_relaunches plan then begin
-              t.transfer_ms <- t.transfer_ms +. ms;
+              t.clock.transfer_ms <- t.clock.transfer_ms +. ms;
               Fault.Plan.note_retransfer plan;
               settle (retransfers + 1)
             end
@@ -246,8 +263,8 @@ let transfer t bytes =
 let kernel_ms t = Profile.total_ms t.profile
 
 let wall_ms t =
-  kernel_ms t +. t.transfer_ms +. t.host_ms
-  +. Cost.host_pressure_ms t.device t.peak_bytes
+  kernel_ms t +. t.clock.transfer_ms +. t.clock.host_ms
+  +. Cost.host_pressure_ms t.device t.clock.peak_bytes
 
 let launches t = Profile.total_launches t.profile
 

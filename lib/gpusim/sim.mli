@@ -24,15 +24,17 @@
     solvers' detectors.  An unarmed simulator takes none of these paths
     — zero overhead when faults are disabled. *)
 
+type clock
+(** Transfer, host-launch and peak-footprint accumulators behind
+    {!wall_ms}. *)
+
 type t = {
   device : Device.t;
   prec : Multidouble.Precision.tag;
   pool : Dompool.Domain_pool.t;
   mutable execute : bool;
   profile : Profile.t;
-  mutable transfer_ms : float;
-  mutable host_ms : float;
-  mutable peak_bytes : float;
+  clock : clock;
   fault : Fault.Plan.t option;
   mutable corruptor : (Dompool.Prng.t -> string) option;
 }

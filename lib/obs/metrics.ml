@@ -58,15 +58,20 @@ module Histogram = struct
     sum : float Atomic.t;
   }
 
+  (* Loops rather than local recursive functions: one observation per
+     kernel launch, and a closure per call would dominate its cost. *)
   let observe t v =
     let n = Array.length t.bounds in
-    let rec bucket i = if i >= n || v <= t.bounds.(i) then i else bucket (i + 1) in
-    ignore (Atomic.fetch_and_add t.counts.(bucket 0) 1);
-    let rec add () =
+    let i = ref 0 in
+    while !i < n && not (v <= t.bounds.(!i)) do
+      incr i
+    done;
+    ignore (Atomic.fetch_and_add t.counts.(!i) 1);
+    let added = ref false in
+    while not !added do
       let old = Atomic.get t.sum in
-      if not (Atomic.compare_and_set t.sum old (old +. v)) then add ()
-    in
-    add ()
+      added := Atomic.compare_and_set t.sum old (old +. v)
+    done
 
   let count t = Array.fold_left (fun acc c -> acc + Atomic.get c) 0 t.counts
   let sum t = Atomic.get t.sum

@@ -196,15 +196,232 @@ let test_counter_complexify () =
 
 let test_profile () =
   let p = Profile.create () in
-  Profile.record p ~stage:"a" ~ms:1.0 ~ops:(ops 10.0);
-  Profile.record p ~stage:"b" ~ms:2.0 ~ops:(ops 20.0);
-  Profile.record ~count:3 p ~stage:"a" ~ms:0.5 ~ops:(ops 5.0);
+  let record ?(count = 1) stage ms o =
+    Profile.record p ~stage ~slowdown:1.0
+      (Cost.launch ~count ~blocks:1 ~threads:1 o)
+      { Cost.ms; compute_s = 0.0; dram_s = 0.0; cache_s = 0.0 }
+  in
+  record "a" 1.0 (ops 10.0);
+  record "b" 2.0 (ops 20.0);
+  record ~count:3 "a" 0.5 (ops 5.0);
   Alcotest.(check (list string)) "order" [ "a"; "b" ] (Profile.stages p);
   check "a ms" true (Float.abs (Profile.stage_ms p "a" -. 1.5) < 1e-12);
   checki "a launches" 4 (Profile.stage_launches p "a");
   checki "total launches" 5 (Profile.total_launches p);
   check "total ms" true (Float.abs (Profile.total_ms p -. 3.5) < 1e-12);
   check "missing stage" true (Profile.stage_ms p "zzz" = 0.0)
+
+(* ---- accounting: bit-exact against the model's formulas ---- *)
+
+(* The roofline as it read when [Cost.kernel_ms] and [Cost.terms] each
+   evaluated it on their own: the reference the single evaluation behind
+   both must reproduce bit for bit. *)
+let ref_kernel_ms (d : Device.t) p (l : Cost.launch) =
+  let timing_ops = match l.Cost.padded with Some o -> o | None -> l.Cost.ops in
+  let flops = Counter.flops p timing_ops in
+  let occ = Cost.occupancy d ~blocks:l.Cost.blocks ~threads:l.Cost.threads in
+  let peak = d.Device.dp_peak_gflops *. 1e9 *. Cost.arithmetic_efficiency in
+  let compute_s = flops /. (peak *. Float.max occ 1e-6) in
+  let dram_s = l.Cost.cold_bytes /. (d.Device.dram_gb_s *. 1e9) in
+  let cache_bw =
+    if l.Cost.working_set <= Cost.l2_reach *. d.Device.l2_mb *. 1e6 then
+      d.Device.l2_gb_s *. 1e9
+    else if l.Cost.strided then
+      Cost.scatter_efficiency *. d.Device.dram_gb_s *. 1e9
+    else d.Device.dram_gb_s *. 1e9
+  in
+  let cache_s = l.Cost.thread_bytes /. cache_bw in
+  (float_of_int l.Cost.count *. d.Device.launch_us /. 1e3)
+  +. (1e3 *. Float.max compute_s (Float.max dram_s cache_s))
+
+let ref_terms (d : Device.t) p (l : Cost.launch) =
+  let timing_ops = match l.Cost.padded with Some o -> o | None -> l.Cost.ops in
+  let flops = Counter.flops p timing_ops in
+  let occ = Cost.occupancy d ~blocks:l.Cost.blocks ~threads:l.Cost.threads in
+  let peak = d.Device.dp_peak_gflops *. 1e9 *. Cost.arithmetic_efficiency in
+  let compute_s = flops /. (peak *. Float.max occ 1e-6) in
+  let dram_s = l.Cost.cold_bytes /. (d.Device.dram_gb_s *. 1e9) in
+  let spilled = l.Cost.working_set > Cost.l2_reach *. d.Device.l2_mb *. 1e6 in
+  let cache_bw =
+    if not spilled then d.Device.l2_gb_s *. 1e9
+    else if l.Cost.strided then
+      Cost.scatter_efficiency *. d.Device.dram_gb_s *. 1e9
+    else d.Device.dram_gb_s *. 1e9
+  in
+  let cache_s = l.Cost.thread_bytes /. cache_bw in
+  let binding =
+    if compute_s >= dram_s && compute_s >= cache_s then Cost.Compute
+    else if dram_s >= cache_s then Cost.Dram
+    else if spilled && l.Cost.strided then Cost.Spill
+    else Cost.Cache
+  in
+  (compute_s *. 1e3, dram_s *. 1e3, cache_s *. 1e3, binding)
+
+let bits = Int64.bits_of_float
+let check_bits what a b = Alcotest.(check int64) what (bits a) (bits b)
+
+(* Launches covering every branch of the model: padded tallies, strided
+   and compact spills, [count > 1], empty grids and zero-op kernels. *)
+let accounting_grid =
+  let o = Counter.make ~adds:3e6 ~muls:3e6 ~divs:7.0 ~sqrts:2.0 () in
+  [
+    ("plain", Cost.launch ~blocks:160 ~threads:128 ~cold_bytes:4e6
+       ~thread_bytes:9e7 ~working_set:1e5 o);
+    ("padded", Cost.launch ~blocks:33 ~threads:96 ~cold_bytes:1e5
+       ~thread_bytes:2e6 ~padded:(Counter.scale o 1.75) o);
+    ("strided spill", Cost.launch ~blocks:512 ~threads:256 ~cold_bytes:8e7
+       ~thread_bytes:6e9 ~working_set:5e8 ~strided:true o);
+    ("compact spill", Cost.launch ~blocks:512 ~threads:256 ~cold_bytes:8e7
+       ~thread_bytes:6e9 ~working_set:5e8 o);
+    ("strided in cache", Cost.launch ~blocks:7 ~threads:33 ~cold_bytes:1e3
+       ~thread_bytes:4e4 ~working_set:1e3 ~strided:true o);
+    ("count", Cost.launch ~count:127 ~blocks:64 ~threads:64 ~cold_bytes:2e6
+       ~thread_bytes:3e6 (Counter.make ~adds:1e5 ~muls:1e5 ()));
+    ("zero ops", Cost.launch ~blocks:1 ~threads:1 Counter.zero);
+    ("empty grid", Cost.launch ~blocks:0 ~threads:0 ~cold_bytes:5e5 o);
+  ]
+
+let test_accounting_bit_exact () =
+  List.iter
+    (fun (d : Device.t) ->
+      List.iter
+        (fun p ->
+          List.iter
+            (fun slow ->
+              let sim = Sim.create ~execute:false ~device:d ~prec:p () in
+              (* Hand accumulation, per stage, of today's formulas. *)
+              let acc = Hashtbl.create 8 in
+              Sim.with_slowdown slow (fun () ->
+                  for round = 1 to 3 do
+                    List.iter
+                      (fun (stage, (l : Cost.launch)) ->
+                        let tag = Printf.sprintf "%s %s %s" d.Device.name
+                            (P.label p) stage in
+                        check_bits (tag ^ " kernel_ms") (ref_kernel_ms d p l)
+                          (Cost.kernel_ms d p l);
+                        let c, dr, ca, b = ref_terms d p l in
+                        let c', dr', ca', b' = Cost.terms d p l in
+                        check_bits (tag ^ " compute") c c';
+                        check_bits (tag ^ " dram") dr dr';
+                        check_bits (tag ^ " cache") ca ca';
+                        check (tag ^ " binding") true (b = b');
+                        (* Two stages share a row, to interleave sums. *)
+                        let stage = if round = 2 then "shared" else stage in
+                        Sim.launch sim ~stage ~cost:l (fun _ -> ());
+                        let ms, o, n, cold, thr, cms, mms =
+                          Option.value (Hashtbl.find_opt acc stage)
+                            ~default:(0.0, Counter.zero, 0, 0.0, 0.0, 0.0, 0.0)
+                        in
+                        Hashtbl.replace acc stage
+                          ( ms +. (ref_kernel_ms d p l *. slow),
+                            Counter.add o l.Cost.ops,
+                            n + l.Cost.count,
+                            cold +. l.Cost.cold_bytes,
+                            thr +. l.Cost.thread_bytes,
+                            cms +. (c *. slow),
+                            mms +. (Float.max dr ca *. slow) ))
+                      accounting_grid
+                  done);
+              List.iter
+                (fun (r : Profile.row) ->
+                  let tag = Printf.sprintf "%s %s x%g %s" d.Device.name
+                      (P.label p) slow r.Profile.stage in
+                  let ms, o, n, cold, thr, cms, mms =
+                    Hashtbl.find acc r.Profile.stage
+                  in
+                  check_bits (tag ^ " ms") ms r.Profile.ms;
+                  check_bits (tag ^ " adds") o.Counter.adds r.Profile.ops.Counter.adds;
+                  check_bits (tag ^ " muls") o.Counter.muls r.Profile.ops.Counter.muls;
+                  check_bits (tag ^ " divs") o.Counter.divs r.Profile.ops.Counter.divs;
+                  check_bits (tag ^ " sqrts") o.Counter.sqrts
+                    r.Profile.ops.Counter.sqrts;
+                  checki (tag ^ " launches") n r.Profile.launches;
+                  check_bits (tag ^ " cold") cold r.Profile.cold_bytes;
+                  check_bits (tag ^ " thread") thr r.Profile.thread_bytes;
+                  check_bits (tag ^ " compute_ms") cms r.Profile.compute_ms;
+                  check_bits (tag ^ " memory_ms") mms r.Profile.memory_ms)
+                (Sim.breakdown sim);
+              checki "every stage has a row" (Hashtbl.length acc)
+                (List.length (Sim.breakdown sim)))
+            [ 1.0; 1.5 ])
+        P.all)
+    Device.catalog
+
+(* ---- stages are keyed by content ---- *)
+
+let unit_launch = Cost.launch ~blocks:4 ~threads:32 (Counter.make ~adds:64.0 ())
+
+let test_stage_runtime_name () =
+  (* A label built at run time is physically distinct from the literal
+     but must land on the literal's row, whichever comes first. *)
+  let sim = Sim.create ~execute:false ~device:Device.v100 ~prec:P.DD () in
+  let ywtc = "YWT*C" and beta_v = "beta, v" in
+  let built () = String.concat "" [ "YWT"; "*C" ] in
+  check "distinct strings" false (built () == ywtc);
+  Sim.launch sim ~stage:ywtc ~cost:unit_launch ignore;
+  Sim.launch sim ~stage:(built ()) ~cost:unit_launch ignore;
+  Sim.launch sim ~stage:(String.concat " " [ "beta,"; "v" ]) ~cost:unit_launch
+    ignore;
+  Sim.launch sim ~stage:beta_v ~cost:unit_launch ignore;
+  Alcotest.(check (list string)) "two rows" [ "YWT*C"; "beta, v" ]
+    (List.map (fun (r : Profile.row) -> r.Profile.stage) (Sim.breakdown sim));
+  List.iter
+    (fun (r : Profile.row) -> checki r.Profile.stage 2 r.Profile.launches)
+    (Sim.breakdown sim)
+
+let test_stage_reset () =
+  (* [Sim.reset] forgets the lookup cache along with the table: a stale
+     cache would account the old row's string into a dropped entry. *)
+  let sim = Sim.create ~execute:false ~device:Device.v100 ~prec:P.DD () in
+  (* One physical string throughout, so the lookup can hit by address. *)
+  let a = "a" and b = "b" in
+  Sim.launch sim ~stage:a ~cost:unit_launch ignore;
+  Sim.launch sim ~stage:a ~cost:unit_launch ignore;
+  Sim.reset sim;
+  checki "reset empties" 0 (Sim.launches sim);
+  Sim.launch sim ~stage:b ~cost:unit_launch ignore;
+  Sim.launch sim ~stage:a ~cost:unit_launch ignore;
+  Alcotest.(check (list string)) "fresh order" [ "b"; "a" ]
+    (List.map (fun (r : Profile.row) -> r.Profile.stage) (Sim.breakdown sim));
+  checki "a counted once" 1 (Profile.stage_launches sim.Sim.profile a);
+  checki "total" 2 (Sim.launches sim);
+  check_bits "kernel ms"
+    (2.0 *. Cost.kernel_ms Device.v100 P.DD unit_launch)
+    (Sim.kernel_ms sim)
+
+let test_stage_overflow () =
+  (* Far more stages than any lookup cache holds, interleaved over
+     several rounds: every row still accounts exactly. *)
+  let sim = Sim.create ~execute:false ~device:Device.p100 ~prec:P.QD () in
+  let n = 50 and rounds = 4 in
+  let cost i =
+    Cost.launch ~count:(1 + (i mod 3)) ~blocks:(1 + i) ~threads:64
+      ~cold_bytes:(1e4 *. float_of_int i)
+      (Counter.make ~adds:(float_of_int (100 * i)) ())
+  in
+  for _ = 1 to rounds do
+    for i = 0 to n - 1 do
+      Sim.launch sim ~stage:(Printf.sprintf "stage %d" i) ~cost:(cost i) ignore
+    done
+  done;
+  let rows = Sim.breakdown sim in
+  checki "one row per stage" n (List.length rows);
+  List.iteri
+    (fun i (r : Profile.row) ->
+      let c = cost i in
+      let ms = ref 0.0 in
+      for _ = 1 to rounds do
+        ms := !ms +. Cost.kernel_ms Device.p100 P.QD c
+      done;
+      Alcotest.(check string) "first-recorded order"
+        (Printf.sprintf "stage %d" i) r.Profile.stage;
+      checki (r.Profile.stage ^ " launches") (rounds * c.Cost.count)
+        r.Profile.launches;
+      check_bits (r.Profile.stage ^ " ms") !ms r.Profile.ms;
+      check_bits (r.Profile.stage ^ " adds")
+        (float_of_int (rounds * 100 * i))
+        r.Profile.ops.Counter.adds)
+    rows
 
 let test_sim_execution () =
   let sim = Sim.create ~device:Device.v100 ~prec:P.QD () in
@@ -293,5 +510,15 @@ let () =
           Alcotest.test_case "sim sequential" `Quick test_sim_seq;
           Alcotest.test_case "sim body exception" `Quick
             test_sim_body_exception;
+        ] );
+      ( "accounting",
+        [
+          Alcotest.test_case "bit-exact against the formulas" `Quick
+            test_accounting_bit_exact;
+          Alcotest.test_case "run-time stage names" `Quick
+            test_stage_runtime_name;
+          Alcotest.test_case "reset clears the lookup" `Quick test_stage_reset;
+          Alcotest.test_case "more stages than the cache" `Quick
+            test_stage_overflow;
         ] );
     ]

@@ -311,6 +311,58 @@ let test_sim_metrics_counted () =
     checki "every kernel observed" r.Harness.Report.launches count
   | _ -> Alcotest.fail "sim.kernel_ms missing"
 
+let test_traced_equals_untraced () =
+  (* The tracer only observes: a traced planning run accounts the very
+     bits an untraced one does, and its kernel spans carry exactly the
+     milliseconds the [sim.kernel_ms] histogram observed. *)
+  let module Q = Lsq_core.Blocked_qr.Make (Mdlinalg.Scalar.Dd) in
+  let plan traced =
+    M.reset (M.default ());
+    let sim =
+      Gpusim.Sim.create ~execute:false ~device:Gpusim.Device.v100 ~prec:P.DD ()
+    in
+    if traced then T.start ();
+    Q.plan sim ~rows:256 ~cols:256 ~tile:32;
+    if traced then T.stop ();
+    let h =
+      match List.assoc_opt "sim.kernel_ms" (M.snapshot (M.default ())) with
+      | Some (M.Histogram { counts; count; sum; _ }) -> (counts, count, sum)
+      | _ -> Alcotest.fail "sim.kernel_ms missing"
+    in
+    (sim, h)
+  in
+  let plain, (plain_counts, plain_count, _) = plan false in
+  let traced, (counts, count, sum) = plan true in
+  let bits = Int64.bits_of_float in
+  check "kernel_ms bit for bit" true
+    (bits (Gpusim.Sim.kernel_ms plain) = bits (Gpusim.Sim.kernel_ms traced));
+  check "profile rows bit for bit" true
+    (List.for_all2
+       (fun (a : Gpusim.Profile.row) (b : Gpusim.Profile.row) ->
+         a.stage = b.stage && a.launches = b.launches
+         && List.for_all2
+              (fun x y -> bits x = bits y)
+              [ a.ms; a.ops.adds; a.ops.muls; a.ops.divs; a.ops.sqrts;
+                a.cold_bytes; a.thread_bytes; a.compute_ms; a.memory_ms ]
+              [ b.ms; b.ops.adds; b.ops.muls; b.ops.divs; b.ops.sqrts;
+                b.cold_bytes; b.thread_bytes; b.compute_ms; b.memory_ms ])
+       (Gpusim.Sim.breakdown plain) (Gpusim.Sim.breakdown traced));
+  Alcotest.(check (array int)) "histogram unmoved by tracing" plain_counts counts;
+  checki "histogram count" plain_count count;
+  (* Refill a fresh histogram from the kernel spans' device_ms. *)
+  let refill = M.histogram (M.create ()) "refill" in
+  List.iter
+    (fun e ->
+      if Json.member "cat" e = Json.Str "kernel" then
+        M.Histogram.observe refill
+          Json.(get_float (member "device_ms" (member "args" e))))
+    Json.(get_list (member "traceEvents" (of_string (T.export ()))));
+  checki "one span per observation" count (M.Histogram.count refill);
+  Alcotest.(check (array int)) "span buckets" counts
+    (M.Histogram.bucket_counts refill);
+  check "span sum agrees to rounding" true
+    (Float.abs (M.Histogram.sum refill -. sum) <= 1e-12 *. sum)
+
 (* ---- roofline ---- *)
 
 let test_roofline_classification () =
@@ -840,6 +892,8 @@ let () =
             test_empty_histogram_omits_quantiles;
           Alcotest.test_case "simulator counters" `Quick
             test_sim_metrics_counted;
+          Alcotest.test_case "traced equals untraced" `Quick
+            test_traced_equals_untraced;
         ] );
       ( "log",
         [
