@@ -481,8 +481,8 @@ module Make (K : Scalar.S) = struct
       faults = Sim.fault_tally sim;
     }
 
-  let run ?(execute = true) ?fault ~device ~a ~tile () =
-    let sim = Sim.create ~execute ?fault ~device ~prec:K.prec () in
+  let run ?fault ~device ~a ~tile () =
+    let sim = Sim.create ?fault ~device ~prec:K.prec () in
     let q, r = factor sim a ~tile in
     result_of_sim sim q r
 end

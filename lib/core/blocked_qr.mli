@@ -54,7 +54,6 @@ module Make (K : Mdlinalg.Scalar.S) : sig
   val plan_thin : Gpusim.Sim.t -> rows:int -> cols:int -> tile:int -> unit
 
   val run :
-    ?execute:bool ->
     ?fault:Fault.Plan.config ->
     device:Gpusim.Device.t ->
     a:Mdlinalg.Mat.Make(K).t ->

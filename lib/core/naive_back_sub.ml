@@ -75,9 +75,9 @@ module Make (K : Scalar.S) = struct
     Sim.transfer sim (float_of_int dim *. scalar_bytes);
     x
 
-  let run ?(execute = true) ?(threads = 128) ~device ~u ~b () =
+  let run ?(threads = 128) ~device ~u ~b () =
     let dim = M.rows u in
-    let sim = Sim.create ~execute ~device ~prec:K.prec () in
+    let sim = Sim.create ~device ~prec:K.prec () in
     let x = solve_gen sim ~dim ~threads ~data:(Some (u, b)) in
     {
       x;

@@ -13,7 +13,6 @@ module Make (K : Mdlinalg.Scalar.S) : sig
   }
 
   val run :
-    ?execute:bool ->
     ?threads:int ->
     device:Gpusim.Device.t ->
     u:Mdlinalg.Mat.Make(K).t ->

@@ -273,11 +273,9 @@ module Make (K : Scalar.S) = struct
      xGELS shape, which saves the Q*WY^T update, the dominant kernel of
      the full factorization.  A square one accumulates Q and forms Q^H b
      with one more kernel. *)
-  let solve_direct ~execute ?fault ~device ~(a : M.t) ~(b : V.t) ~tile () =
+  let solve_direct ?fault ~device ~(a : M.t) ~(b : V.t) ~tile () =
     let n = M.cols a and mrows = M.rows a in
-    let qr_sim =
-      Sim.create ~execute ?fault ~fault_salt:1 ~device ~prec:K.prec ()
-    in
+    let qr_sim = Sim.create ?fault ~fault_salt:1 ~device ~prec:K.prec () in
     let r, qtb =
       if mrows > n then begin
         let qtb = V.copy b in
@@ -289,7 +287,7 @@ module Make (K : Scalar.S) = struct
         (* On the flat planes each output is the transposed matvec's
            clear / ascending mul_add / store, the boxed loop's sequence
            (a real Q has conj = id). *)
-        if execute && FT.available () then begin
+        if FT.available () then begin
           let qp = FT.stage ~rows:mrows ~cols:n ~get:(M.get q)
           and bp = FT.stage_vec ~n:mrows ~get:(Array.get b)
           and yp = FT.alloc ~rows:n ~cols:1 in
@@ -311,8 +309,7 @@ module Make (K : Scalar.S) = struct
         (r, qtb)
       end
     in
-    back_substitute ?fault ~device ~n ~tile qr_sim
-      (if execute then Some (r, qtb) else None)
+    back_substitute ?fault ~device ~n ~tile qr_sim (Some (r, qtb))
 
   let plan_direct ?fault ~device ~rows ~cols ~tile () =
     let qr_sim =
@@ -1282,17 +1279,13 @@ module Make (K : Scalar.S) = struct
 
   (* ---- the pluggable solve path ---- *)
 
-  let solve ~method_ ?(execute = true) ?fault ?ladder_start ?max_iterations
-      ~device ~(a : M.t) ~(b : V.t) ~tile () =
+  let solve ~method_ ?fault ?ladder_start ?max_iterations ~device
+      ~(a : M.t) ~(b : V.t) ~tile () =
     match method_ with
-    | Qr_direct -> solve_direct ~execute ?fault ~device ~a ~b ~tile ()
+    | Qr_direct -> solve_direct ?fault ~device ~a ~b ~tile ()
     | Cg_normal | Lsqr ->
-        if execute then
-          solve_iter method_ ?fault ?ladder_start ?max_iterations ~device ~a
-            ~b ~tile ()
-        else
-          plan_iter method_ ?fault ?iterations:max_iterations ~device
-            ~rows:(M.rows a) ~cols:(M.cols a) ~tile ()
+        solve_iter method_ ?fault ?ladder_start ?max_iterations ~device ~a ~b
+          ~tile ()
 
   let plan ~method_ ?fault ?iterations ~device ~rows ~cols ~tile () =
     match method_ with

@@ -93,7 +93,6 @@ module Make (K : Mdlinalg.Scalar.S) : sig
 
   val solve :
     method_:method_ ->
-    ?execute:bool ->
     ?fault:Fault.Plan.config ->
     ?ladder_start:Multidouble.Precision.tag ->
     ?max_iterations:int ->
@@ -111,9 +110,7 @@ module Make (K : Mdlinalg.Scalar.S) : sig
       ladder from [ladder_start] (default: chosen from a double
       precision condition estimate of the normal matrix) up to [K]'s
       precision; [max_iterations] caps the inner iterations per rung
-      (default 4n).  With [execute = false] the iterative engines
-      delegate to {!plan} with [max_iterations] as the charged
-      iteration count.
+      (default 4n).  {!plan} is the cost-accounting-only counterpart.
       @raise Invalid_argument when the matrix has more columns than
       rows or the right-hand side length mismatches. *)
 

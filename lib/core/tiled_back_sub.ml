@@ -326,14 +326,14 @@ module Make (K : Scalar.S) = struct
       faults = Sim.fault_tally sim;
     }
 
-  let run ?(execute = true) ?fault ~device ~u ~b ~tile () =
-    let sim = Sim.create ~execute ?fault ~device ~prec:K.prec () in
+  let run ?fault ~device ~u ~b ~tile () =
+    let sim = Sim.create ?fault ~device ~prec:K.prec () in
     let x = solve sim u b ~tile in
     result_of_sim sim x
 
   (* Timing-only run from the dimensions alone. *)
-  let run_plan ?fault ~device ~dim ~tile () =
-    let sim = Sim.create ~execute:false ?fault ~device ~prec:K.prec () in
+  let run_plan ~device ~dim ~tile () =
+    let sim = Sim.create ~execute:false ~device ~prec:K.prec () in
     plan sim ~dim ~tile;
     result_of_sim sim (V.create 0)
 

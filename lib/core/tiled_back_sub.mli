@@ -40,7 +40,6 @@ module Make (K : Mdlinalg.Scalar.S) : sig
   (** Cost accounting only: no data is touched or allocated. *)
 
   val run :
-    ?execute:bool ->
     ?fault:Fault.Plan.config ->
     device:Gpusim.Device.t ->
     u:Mdlinalg.Mat.Make(K).t ->
@@ -51,7 +50,6 @@ module Make (K : Mdlinalg.Scalar.S) : sig
   (** One-call wrapper: fresh simulator, solve, collect the timings. *)
 
   val run_plan :
-    ?fault:Fault.Plan.config ->
     device:Gpusim.Device.t ->
     dim:int ->
     tile:int ->

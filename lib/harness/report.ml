@@ -103,8 +103,9 @@ type t = {
 (* v2: stage rows carry launches and operation tallies, and a report can
    embed a metrics snapshot.  v3: optional per-run fault tally.
    v4: optional solver record (engine method + refinement-ladder
-   trajectory of the iterative engines). *)
-let schema_version = 4
+   trajectory of the iterative engines).  v5: no new field; an executed
+   report describes the executed run, not a fault-free plan. *)
+let schema_version = 5
 
 let part t name = List.find (fun p -> p.Part.name = name) t.parts
 

@@ -11,7 +11,9 @@
     Reports serialize to a versioned JSON schema ({!schema_version},
     stored under the ["schema"] key) and round-trip exactly through
     {!to_json} / {!of_json}: floats are printed with 17 significant
-    digits, so [of_json (to_json r) = r] structurally. *)
+    digits, so [of_json (to_json r) = r] structurally.  Every figure of
+    a report comes from one run: the plan, or (since schema 5) the
+    executed run of an executed request. *)
 
 (** One timed phase of a composite experiment (e.g. the "QR" and "BS"
     phases of the solver, timed apart as in Table 10). *)

@@ -6,7 +6,7 @@
    Tables are generated in planning mode (cost accounting without numeric
    execution), which is what lets the paper's largest dimensions run in
    seconds; executed requests run the same code paths numerically at
-   smaller dimensions and attach the residual. *)
+   smaller dimensions, once, and report that run with its residual. *)
 
 open Mdlinalg
 open Lsq_core
@@ -76,13 +76,12 @@ let verify_shape r =
 
 (* When an executed iterative run chose its ladder start (from
    [Mdlinalg.Cond]'s double-precision estimate or an explicit override),
-   surface the choice as a structured log record.  Lives here rather
-   than in [lsq_core], which deliberately has no [Obs] dependency. *)
-let log_ladder_start r iter =
+   surface its report's record of the choice as a structured log record.
+   Lives here: [lsq_core] deliberately has no [Obs] dependency. *)
+let log_ladder_start r (rep : Report.t) =
   if Obs.Log.enabled Obs.Log.Info then
     Option.iter
-      (fun it ->
-        let s = Report.solver_of_iter r.solver it in
+      (fun (s : Report.solver) ->
         let fields =
           [
             ("method", Obs.Log.Str (Solver.method_name s.Report.method_));
@@ -98,7 +97,7 @@ let log_ladder_start r iter =
           | None -> []
         in
         Obs.Log.info ~fields "solver.ladder_start")
-      iter
+      rep.Report.solver
 
 (* The fault-tolerant solve's ladder: the next precision up, if any. *)
 let next_tag = function
@@ -134,30 +133,31 @@ module Make (K : Scalar.S) = struct
     | Qr | Solve -> Q.plan sim ~rows:(rows_of r) ~cols:r.dim ~tile:r.tile);
     sim
 
+  (* A QR or back substitution simulator, planned or executed, in the
+     solver's result shape. *)
+  let result_of_sim r sim =
+    let stages = if r.kind = Qr then Stage.qr_stages else Stage.bs_stages in
+    {
+      S.x = [||];
+      method_ = r.solver;
+      parts = [];
+      stages = List.map (Gpusim.Profile.row sim.Sim.profile) stages;
+      kernel_ms = Sim.kernel_ms sim;
+      wall_ms = Sim.wall_ms sim;
+      kernel_gflops = Sim.kernel_gflops sim;
+      wall_gflops = Sim.wall_gflops sim;
+      launches = Sim.launches sim;
+      faults = Sim.fault_tally sim;
+      iter = None;
+    }
+
   (* Cost accounting only, in the solver's result shape. *)
   let plan r =
     match r.kind with
     | Solve ->
       S.plan ~method_:r.solver ?fault:r.fault ~device:r.device
         ~rows:(rows_of r) ~cols:r.dim ~tile:r.tile ()
-    | Qr | Backsub ->
-      let sim = plan_sim ?fault:r.fault r in
-      let stages =
-        if r.kind = Qr then Stage.qr_stages else Stage.bs_stages
-      in
-      {
-        S.x = [||];
-        method_ = r.solver;
-        parts = [];
-        stages = List.map (Gpusim.Profile.row sim.Sim.profile) stages;
-        kernel_ms = Sim.kernel_ms sim;
-        wall_ms = Sim.wall_ms sim;
-        kernel_gflops = Sim.kernel_gflops sim;
-        wall_gflops = Sim.wall_gflops sim;
-        launches = Sim.launches sim;
-        faults = Sim.fault_tally sim;
-        iter = None;
-      }
+    | Qr | Backsub -> result_of_sim r (plan_sim ?fault:r.fault r)
 
   let report ?(refined = false) ?residual r what (x : S.result) =
     {
@@ -204,39 +204,43 @@ module Make (K : Scalar.S) = struct
   let rel_err x x_true =
     K.R.to_float (V.norm (V.sub x x_true)) /. K.R.to_float (V.norm x_true)
 
-  (* Numerically executed verification on a seeded random system:
-     orthogonality defect and factorization residual of the QR, the
-     back substitution's residual, or the solve's forward error against
-     a known solution. *)
+  (* The executed run on a seeded random system, with its residual: the
+     orthogonality defect and factorization residual of the QR, the back
+     substitution's residual, or the solve's forward error against a
+     known solution. *)
   let verify r =
     let fault = r.fault and device = r.device and tile = r.tile in
     let what name = describe r name (verify_shape r) in
+    let on_sim name run =
+      let sim = Sim.create ?fault ~device ~prec:K.prec () in
+      let err = run sim in
+      (result_of_sim r sim, residual (what name) ~bound:1e6 err)
+    in
     match r.kind with
     | Qr ->
       let module H = Host_qr.Make (K) in
-      let rng = Dompool.Prng.create 4242 in
-      let a = Rand.matrix rng (rows_of r) r.dim in
-      let f = Q.run ?fault ~device ~a ~tile () in
-      let defect = K.R.to_float (H.orthogonality_defect f.Q.q) in
-      let resid = K.R.to_float (H.factorization_residual a f.Q.q f.Q.r) in
-      residual (what "QR") ~bound:1e6 (Float.max defect resid)
+      let a = Rand.matrix (Dompool.Prng.create 4242) (rows_of r) r.dim in
+      on_sim "QR" (fun sim ->
+          let q, rf = Q.factor sim a ~tile in
+          Float.max
+            (K.R.to_float (H.orthogonality_defect q))
+            (K.R.to_float (H.factorization_residual a q rf)))
     | Backsub ->
       let module Tri = Host_tri.Make (K) in
       let rng = Dompool.Prng.create 3434 in
       let u = Rand.upper rng r.dim in
       let b, _ = Rand.rhs_for rng u in
-      let s = B.run ?fault ~device ~u ~b ~tile () in
-      residual (what "back substitution") ~bound:1e6
-        (K.R.to_float (Tri.residual u s.B.x b))
+      on_sim "back substitution" (fun sim ->
+          K.R.to_float (Tri.residual u (B.solve sim u b ~tile) b))
     | Solve ->
       let rng = Dompool.Prng.create 2424 in
       let a = Rand.matrix rng (rows_of r) r.dim in
       let b, x_true = Rand.rhs_for rng a in
       let s = S.solve ~method_:r.solver ?fault ~device ~a ~b ~tile () in
-      log_ladder_start r s.S.iter;
-      residual
-        (what (engine r "least squares"))
-        ~bound:1e10 (rel_err s.S.x x_true)
+      ( s,
+        residual
+          (what (engine r "least squares"))
+          ~bound:1e10 (rel_err s.S.x x_true) )
 
   (* Fault-tolerant executed solve: the top rung of the recovery ladder.
      The solver-level rungs (relaunch, panel/tile replay) act underneath;
@@ -279,7 +283,6 @@ module Make (K : Scalar.S) = struct
       | _ -> (solve ()).S.x
     in
     let s = attempt 1 r.fault in
-    log_ladder_start r s.S.iter;
     let first_err = rel_err s.S.x x_true in
     let refined = not (first_err < 1e10 *. K.R.eps) in
     let err =
@@ -301,12 +304,16 @@ module Make (K : Scalar.S) = struct
       }
 
   let run r =
-    match r with
-    | { execute = false; _ } -> report r (plan_name r) (plan r)
-    | { kind = Solve; fault = Some _; _ } -> solve_ft r
-    | _ ->
-      let cost = plan { r with fault = None } in
-      report ~residual:(verify r) r (plan_name r) cost
+    let rep =
+      match r with
+      | { execute = false; _ } -> report r (plan_name r) (plan r)
+      | { kind = Solve; fault = Some _; _ } -> solve_ft r
+      | _ ->
+        let x, residual = verify r in
+        report ~residual r (plan_name r) x
+    in
+    if r.execute then log_ladder_start r rep;
+    rep
 
   (* Per-stage roofline diagnostics (the paper's CGMA analysis, §4.1),
      classified from the accumulated cost-model terms of the plan. *)

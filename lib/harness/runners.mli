@@ -6,8 +6,8 @@
     {!Report.t}.
 
     Tables run in planning mode (cost accounting without numeric
-    execution); an executed request additionally runs the same code
-    paths numerically on a seeded random system and reports the
+    execution); an executed request instead runs the same code paths
+    numerically on a seeded random system and reports that run with its
     residual. *)
 
 type kind = Qr | Backsub | Solve
@@ -25,7 +25,7 @@ type request = {
   tile : int;
   solver : Lsq_core.Solver.method_;  (** solve: the engine *)
   fault : Fault.Plan.config option;  (** an armed simulator fault plane *)
-  execute : bool;  (** also execute numerically and attach the residual *)
+  execute : bool;  (** execute numerically and attach the residual *)
 }
 
 val request :
@@ -60,12 +60,13 @@ val run : request -> Report.t
       refinement at the next precision up the D/DD/QD/OD ladder (a
       clean re-solve at OD or on a tall system), flagged [refined].
       Never raises an injected fault;
-    - any other executed run: the fault-free plan for the cost figures,
-      then a numeric run under the fault plane for the residual.  An
-      escalation out of that run raises [Fault.Plan.Injected].
+    - any other executed run: one numeric run under the fault plane,
+      and its report: cost figures, fault tally when armed, ladder of an
+      iterative solve, residual.  An escalation out of that run raises
+      [Fault.Plan.Injected].
 
     A direct solve reports its phases as the ["QR"] and ["BS"] parts;
-    an iterative one its ladder rungs, plus the schema-4 solver record.
+    an iterative one its ladder rungs, plus the solver record.
     @raise Invalid_argument when {!validate} fails. *)
 
 val roofline : request -> Obs.Roofline.stage list

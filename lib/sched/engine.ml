@@ -38,12 +38,13 @@ type outcome = {
   status : status;
 }
 
-(* v7: the placement record lost its duplicate-execution flag; v6 the
-   solver-engine seam (jobs carry an optional solver method, completed
-   reports embed the schema-4 report with its solver record), v5 the
-   resilience plane's migration trail, v4 fleet placement, v3 the
-   retryable classification, v2 per-attempt timing. *)
-let schema_version = 7
+(* v8: the embedded report is schema 5 (executed runs report
+   themselves); v7 the placement record lost its duplicate-execution
+   flag; v6 the solver-engine seam (jobs carry an optional solver method,
+   reports their solver record), v5 the resilience plane's migration
+   trail, v4 fleet placement, v3 the retryable classification, v2
+   per-attempt timing. *)
+let schema_version = 8
 
 exception Injected_failure
 
@@ -86,7 +87,7 @@ let backoff_pause_ms ~backoff_ms (job : Job.t) ~attempt =
   backoff_ms *. Float.of_int (1 lsl (attempt - 1)) *. (1.0 +. u)
 
 (* One synchronous run of the job proper; [Harness.Runners.run] decides
-   how (plan, verify, or the fault-tolerant solve). *)
+   how (plan, executed run, or the fault-tolerant solve). *)
 let run_job job = Harness.Runners.run (Job.request job)
 
 (* The full lifecycle of one job: validation, then up to [1 + retries]

@@ -57,9 +57,10 @@ type outcome = {
 
 val schema_version : int
 (** Version stamped into (and required of) every serialized outcome:
-    7 (the placement record lost its duplicate-execution flag; v6 the
-    solver-engine seam — jobs carry an optional solver method and
-    completed reports embed the schema-4 report with its solver record;
+    8 (the embedded report is schema 5: executed runs report
+    themselves; v7 the placement record lost its duplicate-execution
+    flag; v6 the solver-engine seam — jobs carry an optional solver
+    method and completed reports embed a solver record;
     v5 the migration trail in the placement record, v4 fleet placement,
     v3 the retryable classification, v2 per-attempt timing). *)
 
@@ -75,9 +76,9 @@ val now_ms : unit -> float
 
 val run_job : Job.t -> Harness.Report.t
 (** Runs one job synchronously (no retry, timeout or failure injection):
-    {!Harness.Runners.run} of {!Job.request}.  That plans the job, and
-    when [job.execute] is set also executes it numerically and attaches
-    the residual; an executed solve under an armed fault plane
+    {!Harness.Runners.run} of {!Job.request}.  That plans the job, or
+    with [job.execute] runs it numerically and reports that run with
+    its residual; an executed solve under an armed fault plane
     ({!Job.fault_config}) takes the fault-tolerant path, whose report
     carries the fault tally and refinement flag.  Raises whatever the
     runner raises — including [Fault.Plan.Injected] on an escalated

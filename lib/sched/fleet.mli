@@ -38,7 +38,7 @@
     Outcomes are {!Engine.outcome} records whose [placement] field
     carries the executing instance, the admitting instance, the steal
     count, the queue depth seen at admission and the migration trail
-    (outcome schema 7).  The fleet also feeds the
+    (outcome schema 8).  The fleet also feeds the
     default {!Obs.Metrics} registry
     ([fleet.submitted/rejected/completed/failed/steals/attempts]
     counters, [fleet.latency_ms.<class>] histograms on

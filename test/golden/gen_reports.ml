@@ -1,16 +1,18 @@
-(* Prints the golden report corpus: one schema-4 report per line, each
+(* Prints the golden report corpus: one schema-5 report per line, each
    the [Sched.Engine.run_job] report of a fixed job.  Modeled
    milliseconds are deterministic and executed runs are bit-identical
    from run to run, so the corpus is compared byte for byte
    (test/golden/dune); after an intended change, regenerate it with
-   `dune runtest` followed by `dune promote`.
+   `dune runtest` followed by `dune promote`.  An executed job's line is
+   the report of its one executed run: its ladder, iterations and fault
+   tally are what that run did.
 
    The jobs: the first plan-only job of each paper table (Tables 3-10),
    executed square QR, back substitution and solve at every precision,
    executed tall CG and LSQR, a complex executed QR, a fault-armed plan,
    a fault-armed executed square solve, an executed tall QR and
-   fault-armed tall solve, and an executed tall direct solve (the thin
-   path on the flat arm). *)
+   fault-armed tall solve, an executed tall direct solve (the thin path
+   on the flat arm), and a fault-armed executed QR. *)
 
 module P = Multidouble.Precision
 module Job = Sched.Job
@@ -60,6 +62,8 @@ let jobs =
         ~dim:32 ~tile:8 ~fault_rate:0.01 ~execute:true ();
       job ~id:"exec-solve-tall" ~kind:Job.Solve ~prec:P.DD ~rows:256 ~dim:32
         ~tile:8 ~execute:true ();
+      job ~id:"exec-qr-fault" ~kind:Job.Qr ~prec:P.DD ~dim:32 ~tile:8
+        ~fault_rate:0.01 ~fault_seed:11 ~execute:true ();
     ]
 
 let () =

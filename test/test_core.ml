@@ -252,22 +252,83 @@ module Generic (K : Scalar.S) = struct
     let x4 = with_pool 4 (fun sim -> Bs.solve sim u b ~tile:8) in
     check "x bitwise equal" true (V.equal x1 x4)
 
+  (* Every figure a report carries, bit for bit ([%h] prints a float
+     exactly): the stage rows (with their traffic and roofline terms),
+     the parts, kernel and wall ms and gflops, and the launch count. *)
+  let row_figures (r : Gpusim.Profile.row) =
+    let o = r.Gpusim.Profile.ops in
+    Printf.sprintf
+      "%s: ms %h launches %d ops %h %h %h %h bytes %h %h terms %h %h"
+      r.Gpusim.Profile.stage r.Gpusim.Profile.ms r.Gpusim.Profile.launches
+      o.Gpusim.Counter.adds o.Gpusim.Counter.muls o.Gpusim.Counter.divs
+      o.Gpusim.Counter.sqrts r.Gpusim.Profile.cold_bytes
+      r.Gpusim.Profile.thread_bytes r.Gpusim.Profile.compute_ms
+      r.Gpusim.Profile.memory_ms
+
+  let totals name ~kernel_ms ~wall_ms ~kernel_gflops ~wall_gflops =
+    Printf.sprintf "%s: kernel %h ms wall %h ms gflops %h %h" name kernel_ms
+      wall_ms kernel_gflops wall_gflops
+
+  let sim_figures stages sim =
+    let module Sim = Gpusim.Sim in
+    List.map
+      (fun st -> row_figures (Gpusim.Profile.row sim.Sim.profile st))
+      stages
+    @ [
+        totals "total" ~kernel_ms:(Sim.kernel_ms sim) ~wall_ms:(Sim.wall_ms sim)
+          ~kernel_gflops:(Sim.kernel_gflops sim)
+          ~wall_gflops:(Sim.wall_gflops sim);
+        Printf.sprintf "launches %d" (Sim.launches sim);
+      ]
+
+  let result_figures (x : Ls.result) =
+    List.map row_figures x.Ls.stages
+    @ List.map
+        (fun (p : Ls.part) ->
+          totals p.Ls.name ~kernel_ms:p.Ls.kernel_ms ~wall_ms:p.Ls.wall_ms
+            ~kernel_gflops:p.Ls.kernel_gflops ~wall_gflops:p.Ls.wall_gflops)
+        x.Ls.parts
+    @ [
+        totals "total" ~kernel_ms:x.Ls.kernel_ms ~wall_ms:x.Ls.wall_ms
+          ~kernel_gflops:x.Ls.kernel_gflops ~wall_gflops:x.Ls.wall_gflops;
+        Printf.sprintf "launches %d" x.Ls.launches;
+      ]
+
   let test_timing_independent_of_execution () =
-    (* Costed time must be identical with and without numeric execution:
-       that is what lets the benches time dimensions too big to execute. *)
+    (* The plan prices exactly what the executed run prices: that is what
+       lets the benches time dimensions too big to execute, and what lets
+       an executed report stand for the plan of the same shape. *)
+    let same what = Alcotest.(check (list string)) what in
+    let sim execute = Gpusim.Sim.create ~execute ~device ~prec:K.prec () in
     let rng = Dompool.Prng.create 109 in
     let a = Rand.matrix rng 16 16 in
-    let on = Qr.run ~execute:true ~device ~a ~tile:4 () in
-    let off = Qr.run ~execute:false ~device ~a ~tile:4 () in
-    Alcotest.(check (float 1e-9)) "kernel ms" on.Qr.kernel_ms off.Qr.kernel_ms;
-    Alcotest.(check (float 1e-9)) "wall ms" on.Qr.wall_ms off.Qr.wall_ms;
-    Alcotest.(check int) "launches" on.Qr.launches off.Qr.launches;
+    let run = sim true and plan = sim false in
+    ignore (Qr.factor run a ~tile:4);
+    Qr.plan plan ~rows:16 ~cols:16 ~tile:4;
+    same "qr" (sim_figures Stage.qr_stages plan)
+      (sim_figures Stage.qr_stages run);
+    let tall = Rand.matrix rng 32 16 in
+    let run = sim true and plan = sim false in
+    ignore (Qr.factor_thin run tall ~b:(Rand.vector rng 32) ~tile:4);
+    Qr.plan_thin plan ~rows:32 ~cols:16 ~tile:4;
+    same "thin qr" (sim_figures Stage.qr_stages plan)
+      (sim_figures Stage.qr_stages run);
     let u = Rand.upper rng 16 in
-    let b = Rand.vector rng 16 in
-    let on = Bs.run ~execute:true ~device ~u ~b ~tile:4 () in
-    let off = Bs.run ~execute:false ~device ~u ~b ~tile:4 () in
-    Alcotest.(check (float 1e-9)) "bs kernel ms" on.Bs.kernel_ms
-      off.Bs.kernel_ms
+    let run = sim true and plan = sim false in
+    ignore (Bs.solve run u (Rand.vector rng 16) ~tile:4);
+    Bs.plan plan ~dim:16 ~tile:4;
+    same "back substitution" (sim_figures Stage.bs_stages plan)
+      (sim_figures Stage.bs_stages run);
+    List.iter
+      (fun (m, n) ->
+        let a = Rand.matrix rng m n and b = Rand.vector rng m in
+        same
+          (Printf.sprintf "direct solve %dx%d" m n)
+          (result_figures
+             (Ls.plan ~method_:Solver.Qr_direct ~device ~rows:m ~cols:n
+                ~tile:4 ()))
+          (result_figures (solve a b)))
+      [ (16, 16); (32, 16) ]
 
   let suite name =
     let t n f = Alcotest.test_case n `Quick f in

@@ -1,6 +1,6 @@
 (* Tests for the fleet service: deterministic roofline placement,
    work-stealing steal-count invariants, bounded-queue backpressure, and
-   the schema-4 outcome codec with its placement record. *)
+   the schema-8 outcome codec with its placement record. *)
 
 module P = Multidouble.Precision
 module D = Gpusim.Device
@@ -307,9 +307,9 @@ let test_backpressure () =
   | Ok _ | Error (F.Queue_full _) ->
     Alcotest.fail "submissions after shutdown must report Draining"
 
-(* ---- schema 7 ---- *)
+(* ---- schema 8 ---- *)
 
-let test_schema7_roundtrip () =
+let test_schema8_roundtrip () =
   let outcomes =
     F.run
       { F.Config.default with F.Config.max_queue_depth = F.Config.unbounded }
@@ -320,7 +320,7 @@ let test_schema7_roundtrip () =
       let line = Json.to_string (S.outcome_to_json o) in
       let o' = S.outcome_of_json (Json.of_string line) in
       check "outcome round-trips with placement" true (o = o');
-      checki "schema is 7" 7 S.schema_version;
+      checki "schema is 8" 8 S.schema_version;
       check "placement survives the codec" true (o'.S.placement <> None);
       let keys =
         match Json.member "placement" (Json.of_string line) with
@@ -334,22 +334,26 @@ let test_schema7_roundtrip () =
       check "undisturbed job has no migration trail" true
         (p.S.migrations = []))
     outcomes;
-  (* An old-version stamp must be refused. *)
+  (* An old-version stamp must be refused: schema 3, and schema 7, whose
+     executed reports carried a plan's figures. *)
   let o = List.hd outcomes in
-  let forged =
-    match S.outcome_to_json o with
-    | Json.Obj fields ->
-      Json.Obj
-        (List.map
-           (function
-             | "schema", _ -> ("schema", Json.Int 3)
-             | f -> f)
-           fields)
-    | _ -> Alcotest.fail "outcome did not serialize to an object"
-  in
-  match S.outcome_of_json forged with
-  | _ -> Alcotest.fail "schema mismatch must raise"
-  | exception Json.Error _ -> ()
+  List.iter
+    (fun v ->
+      let forged =
+        match S.outcome_to_json o with
+        | Json.Obj fields ->
+          Json.Obj
+            (List.map
+               (function
+                 | "schema", _ -> ("schema", Json.Int v)
+                 | f -> f)
+               fields)
+        | _ -> Alcotest.fail "outcome did not serialize to an object"
+      in
+      match S.outcome_of_json forged with
+      | _ -> Alcotest.failf "schema %d must be refused" v
+      | exception Json.Error _ -> ())
+    [ 3; 7 ]
 
 (* An unplaced auto job outside any fleet settles as a validation
    failure instead of running on an arbitrary device. *)
@@ -385,8 +389,8 @@ let () =
         [ Alcotest.test_case "backpressure" `Quick test_backpressure ] );
       ( "schema",
         [
-          Alcotest.test_case "schema 7 round-trip" `Quick
-            test_schema7_roundtrip;
+          Alcotest.test_case "schema 8 round-trip" `Quick
+            test_schema8_roundtrip;
           Alcotest.test_case "auto needs a fleet" `Quick test_auto_needs_fleet;
         ] );
     ]

@@ -100,10 +100,23 @@ let test_report_json_roundtrip () =
   in
   exact "solve report round-trips" true
     (Rep.of_json_string (Rep.to_json_string solve) = solve);
-  (* Schema violations are rejected, not silently misread. *)
+  (* Schema violations are rejected, not silently misread: an unknown
+     version, and schema 4, whose executed figures came from a plan. *)
   (match Rep.of_json_string "{\"schema\": 999}" with
   | exception Harness.Json.Error _ -> ()
   | _ -> Alcotest.fail "wrong schema version accepted");
+  (match Rep.to_json qr with
+  | Harness.Json.Obj fields -> (
+    let v4 =
+      Harness.Json.Obj
+        (List.map
+           (function "schema", _ -> ("schema", Harness.Json.Int 4) | f -> f)
+           fields)
+    in
+    match Rep.of_json v4 with
+    | exception Harness.Json.Error _ -> ()
+    | _ -> Alcotest.fail "schema-4 report accepted")
+  | _ -> Alcotest.fail "report must serialize to an object");
   match Rep.of_json_string "[1, 2]" with
   | exception Harness.Json.Error _ -> ()
   | _ -> Alcotest.fail "non-object report accepted"
@@ -123,6 +136,72 @@ let test_verifiers () =
   check "solve ok" true (ok R.Solve P.DD ~dim:16 ~tile:8);
   check "complex qr ok" true (ok ~complex:true R.Qr P.DD ~dim:16 ~tile:8);
   check "tall qr ok" true (ok ~rows:64 R.Qr P.DD ~dim:16 ~tile:8)
+
+(* An executed report is the report of the run that executed it.  The
+   reference runs below rebuild the runner's seeded systems (seeds 2424,
+   4242 and 3434) and run them directly. *)
+module Dd = struct
+  module S = Lsq_core.Solver.Make (Scalar.Dd)
+  module Q = Lsq_core.Blocked_qr.Make (Scalar.Dd)
+  module B = Lsq_core.Tiled_back_sub.Make (Scalar.Dd)
+  module Rand = Randmat.Make (Scalar.Dd)
+end
+
+let device = Gpusim.Device.v100
+
+let test_executed_iterative_reports () =
+  List.iter
+    (fun solver ->
+      let r =
+        run ~rows:256 ~solver ~execute:true R.Solve P.DD ~dim:16 ~tile:16
+      in
+      let rng = Dompool.Prng.create 2424 in
+      let a = Dd.Rand.matrix rng 256 16 in
+      let b, _ = Dd.Rand.rhs_for rng a in
+      let s = Dd.S.solve ~method_:solver ~device ~a ~b ~tile:16 () in
+      let it = Option.get s.Dd.S.iter and rs = Option.get r.Rep.solver in
+      let name = Lsq_core.Solver.method_name solver in
+      check (name ^ " ladder") true (rs.Rep.ladder = it.Lsq_core.Solver.ladder);
+      Alcotest.(check int)
+        (name ^ " iterations") it.Lsq_core.Solver.iterations rs.Rep.iterations;
+      check (name ^ " ladder start") true
+        (rs.Rep.ladder_start = it.Lsq_core.Solver.ladder_start);
+      check (name ^ " cond estimate") true
+        (rs.Rep.cond_estimate = it.Lsq_core.Solver.cond_estimate);
+      check (name ^ " converged") true
+        (rs.Rep.converged = it.Lsq_core.Solver.converged);
+      check (name ^ " climbed a rung and converged") true
+        (List.length rs.Rep.ladder > 1 && rs.Rep.converged);
+      check (name ^ " kernel ms of the executed run") true
+        (Int64.equal
+           (Int64.bits_of_float r.Rep.kernel_ms)
+           (Int64.bits_of_float s.Dd.S.kernel_ms)))
+    [ Lsq_core.Solver.Cg_normal; Lsq_core.Solver.Lsqr ]
+
+let test_executed_fault_tally () =
+  let fault = Fault.Plan.config ~seed:11 ~rate:0.03 () in
+  let executed kind sim_run =
+    let r =
+      R.run
+        (R.request ~fault ~execute:true ~kind ~prec:P.DD ~device ~dim:32
+           ~tile:8 ())
+    in
+    let sim = Gpusim.Sim.create ~fault ~device ~prec:P.DD () in
+    sim_run sim;
+    let tally = Rep.faults_of_tally (Option.get (Gpusim.Sim.fault_tally sim)) in
+    check "faults struck" true (Rep.faults_injected tally > 0);
+    check "report carries the executed tally" true (r.Rep.faults = Some tally);
+    Alcotest.(check int) "launches of the executed run"
+      (Gpusim.Sim.launches sim) r.Rep.launches
+  in
+  executed R.Qr (fun sim ->
+      let a = Dd.Rand.matrix (Dompool.Prng.create 4242) 32 32 in
+      ignore (Dd.Q.factor sim a ~tile:8));
+  executed R.Backsub (fun sim ->
+      let rng = Dompool.Prng.create 3434 in
+      let u = Dd.Rand.upper rng 32 in
+      let b, _ = Dd.Rand.rhs_for rng u in
+      ignore (Dd.B.solve sim u b ~tile:8))
 
 (* The runner validates its own requests: [validate] names the bad
    shape, [run] and [roofline] refuse it with the same message. *)
@@ -210,6 +289,10 @@ let () =
           Alcotest.test_case "request validation" `Quick test_validate;
           Alcotest.test_case "report json round-trip" `Quick
             test_report_json_roundtrip;
+          Alcotest.test_case "executed iterative reports" `Quick
+            test_executed_iterative_reports;
+          Alcotest.test_case "executed fault tally" `Quick
+            test_executed_fault_tally;
         ] );
       ( "multicore host",
         [

@@ -38,6 +38,24 @@ module Props (S : Md_sig.S) = struct
     let m = S.max (S.abs a) (S.abs b) in
     S.compare d (S.mul_float m (tol *. S.eps)) <= 0
 
+  (* The textbook bounds of the approximate laws: an error relative to
+     the operands, |(a+b)+c - (a+(b+c))| <= tol eps (|a|+|b|+|c|) and
+     |a(b+c) - (ab+ac)| <= tol eps |a| (|b|+|c|).  A bound relative to
+     the result does not hold under cancellation (a ~ -b), not even for
+     correctly rounded arithmetic. *)
+  let within ~tol d bound =
+    S.compare (S.abs d) (S.mul_float bound (tol *. S.eps)) <= 0
+
+  let add_associative (a, b, c) =
+    within ~tol:64.0
+      (S.sub (S.add (S.add a b) c) (S.add a (S.add b c)))
+      (S.add (S.abs a) (S.add (S.abs b) (S.abs c)))
+
+  let distributive (a, b, c) =
+    within ~tol:256.0
+      (S.sub (S.mul a (S.add b c)) (S.add (S.mul a b) (S.mul a c)))
+      (S.mul (S.abs a) (S.add (S.abs b) (S.abs c)))
+
   (* The expansion invariant: limbs sorted by decreasing magnitude and
      non-overlapping (each limb below the ulp of its predecessor). *)
   let normalized x =
@@ -51,7 +69,30 @@ module Props (S : Md_sig.S) = struct
     done;
     !ok
 
-  let suite name =
+  (* [pinned] holds fixed limb triples on which the result-relative
+     bounds failed (drawn from [gen] under [Random.State.make [|12345|]]):
+     each must keep the textbook bound of its law. *)
+  let suite ?(pinned = ([], [])) name =
+    let pinned_case law_name law triples =
+      Alcotest.test_case (law_name ^ " (cancellation cases)") `Quick (fun () ->
+          List.iter
+            (fun (a, b, c) ->
+              Alcotest.(check bool)
+                law_name true
+                (law (S.of_limbs a, S.of_limbs b, S.of_limbs c)))
+            triples)
+    in
+    let pinned_cases =
+      List.concat
+        [
+          (match fst pinned with
+          | [] -> []
+          | t -> [ pinned_case "add associative" add_associative t ]);
+          (match snd pinned with
+          | [] -> []
+          | t -> [ pinned_case "distributive" distributive t ]);
+        ]
+    in
     ( name ^ " properties",
       [
         to_alco "add commutative" (Gen.pair gen gen) (fun (a, b) ->
@@ -59,16 +100,11 @@ module Props (S : Md_sig.S) = struct
         to_alco "mul commutative" (Gen.pair gen gen) (fun (a, b) ->
             S.equal (S.mul a b) (S.mul b a));
         to_alco "add associative (approx)" (Gen.triple gen gen gen)
-          (fun (a, b, c) ->
-            close (S.add (S.add a b) c) (S.add a (S.add b c)));
+          add_associative;
         to_alco "mul associative (approx)" (Gen.triple gen gen gen)
           (fun (a, b, c) ->
             close ~tol:256.0 (S.mul (S.mul a b) c) (S.mul a (S.mul b c)));
-        to_alco "distributive (approx)" (Gen.triple gen gen gen)
-          (fun (a, b, c) ->
-            close ~tol:256.0
-              (S.mul a (S.add b c))
-              (S.add (S.mul a b) (S.mul a c)));
+        to_alco "distributive (approx)" (Gen.triple gen gen gen) distributive;
         to_alco "neg involution" gen (fun a -> S.equal (S.neg (S.neg a)) a);
         to_alco "sub is add neg" (Gen.pair gen gen) (fun (a, b) ->
             S.equal (S.sub a b) (S.add a (S.neg b)));
@@ -123,7 +159,8 @@ module Props (S : Md_sig.S) = struct
         to_alco "min/max bracket" (Gen.pair gen gen) (fun (a, b) ->
             S.compare (S.min a b) (S.max a b) <= 0
             && (S.equal (S.min a b) a || S.equal (S.min a b) b));
-      ] )
+      ]
+      @ pinned_cases )
 end
 
 module Pd = Props (Float_double)
@@ -1004,9 +1041,53 @@ module Pr_zqd_zod = Refine_props (Scalar.Zqd) (Scalar.Zod)
 let () =
   Alcotest.run "properties"
     ([
-      Pd.suite "double";
-      Pdd.suite "double double";
-      Pqd.suite "quad double";
+      Pd.suite "double"
+        ~pinned:
+          ( [
+              ( [| 0x1.84433195ea99cp+10 |],
+                [| -0x1.8350be8edb58p+10 |],
+                [| 0x1.04a5cd14a2bccp-21 |] );
+              ( [| 0x1.6de20e31e6a9p+6 |],
+                [| -0x1.6dd4892b25f54p+6 |],
+                [| -0x1.e87d18a9ccda4p-12 |] );
+            ],
+            [
+              ( [| -0x1.ebd389b5c4014p-19 |],
+                [| 0x1.5b8b54fb231b8p+9 |],
+                [| -0x1.5b7fce4da07dp+9 |] );
+              ( [| 0x1.fb316875ba06p+23 |],
+                [| 0x1.7c6a3d4668bbp-11 |],
+                [| -0x1.7ca00b41582bp-11 |] );
+            ] );
+      Pdd.suite "double double"
+        ~pinned:
+          ( [
+              ( [| 0x1.6de20e31e6a9p+6; 0x1.78a8a612bf5p-49 |],
+                [| -0x1.6dd4892b25f55p+6; 0x1.e40e0337ae72p-48 |],
+                [| -0x1.e87d18a9ccda4p-12; 0x1.6b972f3d8cd2p-68 |] );
+              ( [| 0x1.d030a4c981dafp-13; 0x1.e97b7f5c714f4p-67 |],
+                [| -0x1.1ac2878e40cddp-20; -0x1.361bc1db2855p-75 |],
+                [| -0x1.cda59dd5105e5p-13; 0x1.29f3f768992a4p-67 |] );
+            ],
+            [
+              ( [| -0x1.ebd389b5c4014p-19; -0x1.e0f3b9a3e5714p-73 |],
+                [| 0x1.5b8b54fb231b8p+9; 0x1.2d1b2abd18fcp-47 |],
+                [| -0x1.5b7fce4da07cfp+9; -0x1.34a22d950f99cp-45 |] );
+              ( [| -0x1.08837cc5f45f3p-15; 0x1.b917b9deb177p-69 |],
+                [| -0x1.62c1bf30fb897p+9; 0x1.d6b5d7d3ef0ap-47 |],
+                [| 0x1.62a6da8892497p+9; 0x1.21520e1954ep-47 |] );
+            ] );
+      Pqd.suite "quad double"
+        ~pinned:
+          ( [
+              ( [| -0x1.c4c7e7b5bc71cp+0; 0x1.87376fa3d94e2p-54;
+                   -0x1.aae010107964fp-108; 0x1.f6fd85d2ab72p-162 |],
+                [| -0x1.0e04a47ae09a3p+14; -0x1.9687e37a0c2f1p-40;
+                   0x1.d2115c4a41988p-94; -0x1.2a58c736861dp-148 |],
+                [| 0x1.0e0c0839c83e8p+14; -0x1.59b5f4ee5f1b6p-40;
+                   0x1.60ba943b1eec7p-96; -0x1.9b9079123ce8p-150 |] );
+            ],
+            [] );
       Pod.suite "octo double";
       Rdd.suite "double double";
       Rqd.suite "quad double";

@@ -1,7 +1,7 @@
 (* The solver-engine seam: method dispatch and codecs, engine agreement
    on executed problems, determinism of the iterative ladder, the
    ladder's one flat staging of A against the boxed arm, the
-   schema-4 report round-trip with the solver record, and the job-level
+   schema-5 report round-trip with the solver record, and the job-level
    solver field's validation and JSON codec. *)
 
 module P = Multidouble.Precision
@@ -244,10 +244,10 @@ let test_cond1_float () =
         [ (0, 0); (n - 1, 0); (n / 2, n - 1); (n - 1, n - 1) ])
     [ 1; 2; 5; 16; 64 ]
 
-(* ---- report schema 4 ---- *)
+(* ---- report schema 5 ---- *)
 
 let test_report_roundtrip () =
-  checki "report schema is 4" 4 Report.schema_version;
+  checki "report schema is 5" 5 Report.schema_version;
   let r =
     Harness.Runners.(
       run
@@ -256,7 +256,7 @@ let test_report_roundtrip () =
   in
   check "iterative run attaches the solver record" true (r.Report.solver <> None);
   let r' = Report.of_json (Report.to_json r) in
-  check "schema-4 report round-trips" true (r = r');
+  check "schema-5 report round-trips" true (r = r');
   (* A direct run keeps the solver field absent and round-trips too. *)
   let d =
     Harness.Runners.(
@@ -342,7 +342,7 @@ let () =
         ] );
       ( "codec",
         [
-          Alcotest.test_case "report schema 4" `Quick test_report_roundtrip;
+          Alcotest.test_case "report schema 5" `Quick test_report_roundtrip;
           Alcotest.test_case "job solver codec" `Quick test_job_codec;
           Alcotest.test_case "job validation" `Quick test_job_validation;
         ] );
