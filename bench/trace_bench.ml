@@ -87,18 +87,32 @@ let smoke () =
           if not (has cat) then
             fail "trace-smoke: no '%s' events in the trace" cat)
         [ "kernel"; "sched" ];
-      (* The metrics snapshot must parse, be non-empty, and count the
-         batch's kernel launches. *)
+      (* The metrics snapshot must parse, be non-empty, and count every
+         kernel launch the batch's reports count, launched on the
+         fleet's worker domains and summed on this one. *)
       let snap =
         try Obs.Metrics.of_json (Json.of_string (read_file metrics_path))
         with Json.Error m -> fail "trace-smoke: metrics do not parse: %s" m
       in
       if snap = [] then fail "trace-smoke: metrics snapshot is empty";
+      let reported =
+        List.fold_left
+          (fun acc (o : S.outcome) ->
+            match o.S.status with
+            | S.Completed r -> acc + r.Harness.Report.launches
+            | S.Failed _ -> acc)
+          0 outcomes
+      in
       (match List.assoc_opt "sim.launches" snap with
-      | Some (Obs.Metrics.Counter n) when n > 0 -> ()
+      | Some (Obs.Metrics.Counter n) when n > 0 && n >= reported -> ()
       | Some (Obs.Metrics.Counter n) ->
-        fail "trace-smoke: sim.launches = %d, expected > 0" n
+        fail "trace-smoke: sim.launches = %d, expected >= %d reported" n
+          reported
       | _ -> fail "trace-smoke: sim.launches counter missing");
+      (match List.assoc_opt "sim.kernel_ms" snap with
+      | Some (Obs.Metrics.Histogram { count; _ }) when count > 0 -> ()
+      | Some _ -> fail "trace-smoke: sim.kernel_ms observed nothing"
+      | None -> fail "trace-smoke: sim.kernel_ms histogram missing");
       match List.assoc_opt "fleet.completed" snap with
       | Some (Obs.Metrics.Counter n) when n = List.length jobs -> ()
       | _ -> fail "trace-smoke: fleet.completed should equal the batch size");

@@ -51,9 +51,14 @@ module Make (K : Scalar.S) = struct
 
   let sb = float_of_int (8 * K.width)
 
-  let ops ?(adds = 0.0) ?(muls = 0.0) ?(divs = 0.0) ?(sqrts = 0.0) () =
-    let o = { Counter.adds; muls; divs; sqrts } in
-    if K.is_complex then Counter.complexify o else o
+  (* A launch's Table 1 tally, expanded into real operations on complex
+     data. *)
+  let ops (o : Counter.ops) = if K.is_complex then Counter.complexify o else o
+
+  (* The body of a plan-only launch, which never runs: a plan passes it
+     instead of partially applying a stage body, so it allocates no
+     closure. *)
+  let noop (_ : int) = ()
 
   type result = {
     q : M.t;
@@ -71,47 +76,50 @@ module Make (K : Scalar.S) = struct
      the paper (no shared memory tiles; the high CGMA ratio of multiple
      double arithmetic makes direct loads competitive).  The modeled
      device cost is the same on both arms of the device state; only the
-     host execution of [body] differs. *)
-  let launch_matmul sim ~stage ~threads ?(strided = false) ?working_set
+     host execution of [body] differs.  [kernel] is the factorization's
+     launch template (see [factor_gen]). *)
+  let launch_matmul sim ~stage ~(kernel : Cost.launch) ~strided ~working_set
       ~rows_o ~cols_o ~inner body =
     let total = rows_o * cols_o in
     if total > 0 && inner > 0 then begin
       let f = float_of_int in
-      let blocks = (total + threads - 1) / threads in
-      let o =
-        ops
-          ~adds:(f rows_o *. f cols_o *. f inner)
-          ~muls:(f rows_o *. f cols_o *. f inner)
-          ()
-      in
-      let ws =
-        match working_set with
-        | Some w -> w
-        | None -> f inner *. f cols_o *. 8.0
-      in
+      let threads = kernel.Cost.threads in
       let cost =
-        Cost.launch ~blocks ~threads ~strided
-          ~cold_bytes:
-            (((f rows_o *. f inner) +. (f inner *. f cols_o) +. f total)
-            *. sb)
-          ~thread_bytes:(2.0 *. f inner *. f total *. sb)
-          ~working_set:ws o
+        {
+          kernel with
+          Cost.blocks = (total + threads - 1) / threads;
+          ops =
+            ops
+              {
+                Counter.zero with
+                adds = f rows_o *. f cols_o *. f inner;
+                muls = f rows_o *. f cols_o *. f inner;
+              };
+          cold_bytes =
+            ((f rows_o *. f inner) +. (f inner *. f cols_o) +. f total) *. sb;
+          thread_bytes = 2.0 *. f inner *. f total *. sb;
+          working_set;
+          strided;
+        }
       in
       Sim.launch sim ~stage ~cost body
     end
 
   (* Elementwise addition kernel: dst += src. *)
-  let launch_add sim ~stage ~threads ~rows_o ~cols_o body =
+  let launch_add sim ~stage ~(kernel : Cost.launch) ~rows_o ~cols_o body =
     let total = rows_o * cols_o in
     if total > 0 then begin
       let f = float_of_int in
-      let blocks = (total + threads - 1) / threads in
+      let threads = kernel.Cost.threads in
       let cost =
-        Cost.launch ~blocks ~threads
-          ~cold_bytes:(3.0 *. f total *. sb)
-          ~thread_bytes:(2.0 *. f total *. sb)
-          ~working_set:(2.0 *. f total *. 8.0)
-          (ops ~adds:(f total) ())
+        {
+          kernel with
+          Cost.blocks = (total + threads - 1) / threads;
+          ops = ops { Counter.zero with adds = f total };
+          cold_bytes = 3.0 *. f total *. sb;
+          thread_bytes = 2.0 *. f total *. sb;
+          working_set = 2.0 *. f total *. 8.0;
+        }
       in
       Sim.launch sim ~stage ~cost body
     end
@@ -133,6 +141,11 @@ module Make (K : Scalar.S) = struct
     let nt = ncols / tile in
     let f = float_of_int in
     let executing = sim.Sim.execute in
+    (* The launch record every kernel below is a copy of: [tile] threads
+       per block, one launch, its own tally timing it.  A plan issues
+       thousands of launches, and a copy costs no optional-argument
+       wrappers. *)
+    let kernel = Cost.launch ~blocks:1 ~threads:tile Counter.zero in
     let guard = Sim.fault_plan sim in
     (* Host -> device: the matrix A. *)
     Sim.transfer sim (f (mrows * ncols) *. sb);
@@ -182,16 +195,20 @@ module Make (K : Scalar.S) = struct
        factorizations run on the boxed arm, so all of it reads the host
        arrays. *)
     let abft_cost rows =
-      Cost.launch
-        ~blocks:(max 1 ((rows + tile - 1) / tile))
-        ~threads:tile
-        ~cold_bytes:(2.0 *. f rows *. f tile *. sb)
-        ~thread_bytes:(2.0 *. f rows *. f tile *. sb)
-        ~working_set:(f rows *. 8.0)
-        (ops
-           ~adds:(2.0 *. f rows *. f tile)
-           ~muls:(2.0 *. f rows *. f tile)
-           ())
+      {
+        kernel with
+        Cost.blocks = max 1 ((rows + tile - 1) / tile);
+        ops =
+          ops
+            {
+              Counter.zero with
+              adds = 2.0 *. f rows *. f tile;
+              muls = 2.0 *. f rows *. f tile;
+            };
+        cold_bytes = 2.0 *. f rows *. f tile *. sb;
+        thread_bytes = 2.0 *. f rows *. f tile *. sb;
+        working_set = f rows *. 8.0;
+      }
     in
     let probe_ok plan ~rows ~(y : K.t array) ~(w : K.t array) =
       let rng = Fault.Plan.aux_rng plan in
@@ -258,130 +275,175 @@ module Make (K : Scalar.S) = struct
         let len = mrows - c in
         (* beta, v *)
         let bv_cost =
-          Cost.launch
-            ~blocks:(max 1 ((len + tile - 1) / tile))
-            ~threads:tile
-            ~cold_bytes:(3.0 *. f len *. sb)
-            ~thread_bytes:(2.0 *. f len *. sb)
-            ~working_set:(f len *. 8.0)
-            (ops
-               ~adds:((2.0 *. f len) +. 1.0)
-               ~muls:((2.0 *. f len) +. 1.0)
-               ~divs:1.0 ~sqrts:1.0 ())
+          {
+            kernel with
+            Cost.blocks = max 1 ((len + tile - 1) / tile);
+            ops =
+              ops
+                {
+                  Counter.adds = (2.0 *. f len) +. 1.0;
+                  muls = (2.0 *. f len) +. 1.0;
+                  divs = 1.0;
+                  sqrts = 1.0;
+                };
+            cold_bytes = 3.0 *. f len *. sb;
+            thread_bytes = 2.0 *. f len *. sb;
+            working_set = f len *. 8.0;
+          }
         in
-        Sim.launch sim ~stage:Stage.beta_v ~cost:bv_cost (F.Qr.beta_v p ~l);
+        Sim.launch sim ~stage:Stage.beta_v ~cost:bv_cost
+          (if executing then F.Qr.beta_v p ~l else noop);
         (* Save v into the trapezoidal Y (rows below c0, zeros above c). *)
         if executing then F.Qr.save_v p ~l;
         (* beta*R^T*v : the row vector wrow = beta v^H R[c:, c:c1],
            a sum reduction over multiple blocks. *)
         let rtv_cost =
-          Cost.launch
-            ~blocks:(max 1 (tile - l))
-            ~threads:tile
-            ~cold_bytes:(((f len *. f (tile - l)) +. (2.0 *. f len)) *. sb)
-            ~thread_bytes:(2.0 *. f len *. f (tile - l) *. sb)
-            ~working_set:(f len *. f ncols *. 8.0)
-            ~strided:true
-            (ops
-               ~adds:(f len *. f (tile - l))
-               ~muls:((f len +. 1.0) *. f (tile - l))
-               ())
+          {
+            kernel with
+            Cost.blocks = max 1 (tile - l);
+            ops =
+              ops
+                {
+                  Counter.zero with
+                  adds = f len *. f (tile - l);
+                  muls = (f len +. 1.0) *. f (tile - l);
+                };
+            cold_bytes = ((f len *. f (tile - l)) +. (2.0 *. f len)) *. sb;
+            thread_bytes = 2.0 *. f len *. f (tile - l) *. sb;
+            working_set = f len *. f ncols *. 8.0;
+            strided = true;
+          }
         in
-        Sim.launch sim ~stage:Stage.beta_rtv ~cost:rtv_cost (F.Qr.rtv p ~l);
+        Sim.launch sim ~stage:Stage.beta_rtv ~cost:rtv_cost
+          (if executing then F.Qr.rtv p ~l else noop);
         (* update R : R[c:, c:c1] -= v wrow *)
         let upd_cost =
           let total = len * (tile - l) in
-          Cost.launch
-            ~blocks:(max 1 ((total + tile - 1) / tile))
-            ~threads:tile
-            ~cold_bytes:(3.0 *. f total *. sb)
-            ~thread_bytes:(3.0 *. f total *. sb)
-            ~working_set:(f len *. f ncols *. 8.0)
-            ~strided:true
-            (ops ~adds:(f total) ~muls:(f total) ())
+          {
+            kernel with
+            Cost.blocks = max 1 ((total + tile - 1) / tile);
+            ops = ops { Counter.zero with adds = f total; muls = f total };
+            cold_bytes = 3.0 *. f total *. sb;
+            thread_bytes = 3.0 *. f total *. sb;
+            working_set = f len *. f ncols *. 8.0;
+            strided = true;
+          }
         in
-        Sim.launch sim ~stage:Stage.update_r ~cost:upd_cost (F.Qr.update_r p ~l)
+        Sim.launch sim ~stage:Stage.update_r ~cost:upd_cost
+          (if executing then F.Qr.update_r p ~l else noop)
       done;
       (* ---- Stage 2: aggregate the reflectors into W (and Y). ---- *)
       for l = 0 to tile - 1 do
         if l > 0 then begin
           (* u = Y[:, :l]^H v_l *)
           let u_cost =
-            Cost.launch ~blocks:(max 1 l) ~threads:tile
-              ~cold_bytes:(((f rows *. f l) +. f rows +. f l) *. sb)
-              ~thread_bytes:(2.0 *. f rows *. f l *. sb)
-              ~working_set:(f rows *. f l *. 8.0)
-              (ops ~adds:(f rows *. f l) ~muls:(f rows *. f l) ())
+            {
+              kernel with
+              Cost.blocks = max 1 l;
+              ops =
+                ops { Counter.zero with adds = f rows *. f l; muls = f rows *. f l };
+              cold_bytes = ((f rows *. f l) +. f rows +. f l) *. sb;
+              thread_bytes = 2.0 *. f rows *. f l *. sb;
+              working_set = f rows *. f l *. 8.0;
+            }
           in
-          Sim.launch sim ~stage:Stage.compute_w ~cost:u_cost (F.Qr.w_u p ~l)
+          Sim.launch sim ~stage:Stage.compute_w ~cost:u_cost
+            (if executing then F.Qr.w_u p ~l else noop)
         end;
         (* z = -beta (v + W[:, :l] u); W[:, l] = z *)
         let z_cost =
-          Cost.launch
-            ~blocks:(max 1 ((rows + tile - 1) / tile))
-            ~threads:tile
-            ~cold_bytes:(((f rows *. f l) +. (2.0 *. f rows)) *. sb)
-            ~thread_bytes:(((2.0 *. f rows *. f l) +. f rows) *. sb)
-            ~working_set:(f rows *. f l *. 8.0)
-            (ops
-               ~adds:(f rows *. f l)
-               ~muls:((f rows *. f l) +. f rows)
-               ())
+          {
+            kernel with
+            Cost.blocks = max 1 ((rows + tile - 1) / tile);
+            ops =
+              ops
+                {
+                  Counter.zero with
+                  adds = f rows *. f l;
+                  muls = (f rows *. f l) +. f rows;
+                };
+            cold_bytes = ((f rows *. f l) +. (2.0 *. f rows)) *. sb;
+            thread_bytes = ((2.0 *. f rows *. f l) +. f rows) *. sb;
+            working_set = f rows *. f l *. 8.0;
+          }
         in
-        Sim.launch sim ~stage:Stage.compute_w ~cost:z_cost (F.Qr.w_z p ~l)
+        Sim.launch sim ~stage:Stage.compute_w ~cost:z_cost
+          (if executing then F.Qr.w_z p ~l else noop)
       done;
       (* ---- YWT = Y * W^H (rows x rows). ---- *)
-      launch_matmul sim ~stage:Stage.ywt ~threads:tile ~rows_o:rows
-        ~cols_o:rows ~inner:tile (F.Qr.ywt p);
+      launch_matmul sim ~stage:Stage.ywt ~kernel ~strided:false
+        ~working_set:(f tile *. f rows *. 8.0)
+        ~rows_o:rows ~cols_o:rows ~inner:tile
+        (if executing then F.Qr.ywt p else noop);
       (* ---- Update Q: QWY = Q[:, c0:] * (YWT)^H; Q += QWY. ---- *)
       if accumulate_q then begin
-        launch_matmul sim ~stage:Stage.qwyt ~threads:tile ~rows_o:mrows
-          ~cols_o:rows ~inner:rows (F.Qr.qwy p);
-        launch_add sim ~stage:Stage.q_plus_qwy ~threads:tile ~rows_o:mrows
-          ~cols_o:rows (F.Qr.q_add p)
+        launch_matmul sim ~stage:Stage.qwyt ~kernel ~strided:false
+          ~working_set:(f rows *. f rows *. 8.0)
+          ~rows_o:mrows ~cols_o:rows ~inner:rows
+          (if executing then F.Qr.qwy p else noop);
+        launch_add sim ~stage:Stage.q_plus_qwy ~kernel ~rows_o:mrows
+          ~cols_o:rows
+          (if executing then F.Qr.q_add p else noop)
       end;
       (* ---- Apply the reflectors to the right-hand side on the fly:
          b[c0:] := b[c0:] + Y (W^H b[c0:]). ---- *)
       if rhs <> None then begin
         let u_cost =
-          Cost.launch ~blocks:tile ~threads:tile
-            ~cold_bytes:(((f rows *. f tile) +. f rows +. f tile) *. sb)
-            ~thread_bytes:(2.0 *. f rows *. f tile *. sb)
-            ~working_set:(f rows *. f tile *. 8.0)
-            (ops ~adds:(f rows *. f tile) ~muls:(f rows *. f tile) ())
+          {
+            kernel with
+            Cost.blocks = tile;
+            ops =
+              ops
+                {
+                  Counter.zero with
+                  adds = f rows *. f tile;
+                  muls = f rows *. f tile;
+                };
+            cold_bytes = ((f rows *. f tile) +. f rows +. f tile) *. sb;
+            thread_bytes = 2.0 *. f rows *. f tile *. sb;
+            working_set = f rows *. f tile *. 8.0;
+          }
         in
-        Sim.launch sim ~stage:Stage.apply_qt ~cost:u_cost (F.Qr.apply_u p);
+        Sim.launch sim ~stage:Stage.apply_qt ~cost:u_cost
+          (if executing then F.Qr.apply_u p else noop);
         let y_cost =
-          Cost.launch
-            ~blocks:(max 1 ((rows + tile - 1) / tile))
-            ~threads:tile
-            ~cold_bytes:(((f rows *. f tile) +. (2.0 *. f rows)) *. sb)
-            ~thread_bytes:(((2.0 *. f rows *. f tile) +. f rows) *. sb)
-            ~working_set:(f rows *. f tile *. 8.0)
-            (ops
-               ~adds:((f rows *. f tile) +. f rows)
-               ~muls:(f rows *. f tile)
-               ())
+          {
+            kernel with
+            Cost.blocks = max 1 ((rows + tile - 1) / tile);
+            ops =
+              ops
+                {
+                  Counter.zero with
+                  adds = (f rows *. f tile) +. f rows;
+                  muls = f rows *. f tile;
+                };
+            cold_bytes = ((f rows *. f tile) +. (2.0 *. f rows)) *. sb;
+            thread_bytes = ((2.0 *. f rows *. f tile) +. f rows) *. sb;
+            working_set = f rows *. f tile *. 8.0;
+          }
         in
-        Sim.launch sim ~stage:Stage.apply_qt ~cost:y_cost (F.Qr.apply_y p)
+        Sim.launch sim ~stage:Stage.apply_qt ~cost:y_cost
+          (if executing then F.Qr.apply_y p else noop)
       end;
       (* ---- Update the trailing columns C = R[c0:, c1:]. ---- *)
       if k < nt - 1 then begin
         let trail = ncols - c1 in
         (* C lives inside R: its columns are read with the full matrix
            pitch, so the re-read panel is the whole trailing plane of R. *)
-        launch_matmul sim ~stage:Stage.ywtc ~threads:tile ~strided:true
+        launch_matmul sim ~stage:Stage.ywtc ~kernel ~strided:true
           ~working_set:(f rows *. f ncols *. 8.0)
-          ~rows_o:rows ~cols_o:trail ~inner:rows (F.Qr.ywtc p);
-        launch_add sim ~stage:Stage.r_plus_ywtc ~threads:tile ~rows_o:rows
-          ~cols_o:trail (F.Qr.r_add p)
+          ~rows_o:rows ~cols_o:trail ~inner:rows
+          (if executing then F.Qr.ywtc p else noop);
+        launch_add sim ~stage:Stage.r_plus_ywtc ~kernel ~rows_o:rows
+          ~cols_o:trail
+          (if executing then F.Qr.r_add p else noop)
       end;
       (* ---- ABFT verdict for this panel. ---- *)
       match guard with
       | None -> true
       | Some plan ->
           Sim.launch ~protected:true sim ~stage:Stage.abft_check
-            ~cost:(abft_cost rows) (fun _ -> ());
+            ~cost:(abft_cost rows) noop;
           (not executing)
           || probe_ok plan ~rows ~y:(F.Qr.y p) ~w:(F.Qr.w p)
              && region_finite ~c0

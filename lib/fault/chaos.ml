@@ -111,7 +111,7 @@ let note_triggered kind ~instance =
     (Printf.sprintf "fleet.chaos.%s" (kind_name kind))
 
 let note_migration ~instance ~jobs =
-  Obs.Metrics.Counter.incr ~by:jobs (m_migrated ());
+  Obs.Metrics.Counter.add (m_migrated ()) jobs;
   Obs.Log.warn
     ~fields:
       [ ("from", Obs.Log.Str instance); ("jobs", Obs.Log.Int jobs) ]

@@ -61,7 +61,20 @@ let scatter_efficiency = 0.1
    (streaming hits on the hot fraction of the panel). *)
 let l2_reach = 2.5
 
-let occupancy (d : Device.t) ~blocks ~threads =
+(* [Float.max] and [Float.min], copied so that they inline into the
+   roofline: a call boxes its float arguments and result, and one
+   roofline evaluation runs per launch. *)
+let[@inline] fmax (x : float) (y : float) =
+  if y > x || ((not (Float.sign_bit y)) && Float.sign_bit x) then
+    if x <> x then x else y
+  else if y <> y then y else x
+
+let[@inline] fmin (x : float) (y : float) =
+  if y > x || ((not (Float.sign_bit y)) && Float.sign_bit x) then
+    if y <> y then y else x
+  else if x <> x then x else y
+
+let[@inline] occupancy (d : Device.t) ~blocks ~threads =
   let threads = max 1 threads in
   let warps = float_of_int ((threads + 31) / 32) in
   (* Fraction of issue slots lost when the block is not a warp multiple. *)
@@ -77,11 +90,12 @@ let occupancy (d : Device.t) ~blocks ~threads =
   in
   (* Warps resident on one SM once the grid wraps around. *)
   let blocks_per_sm =
-    Float.max 1.0 (Float.of_int blocks /. sm)
-    |> Float.min (float_of_int d.max_resident_warps /. warps)
+    fmin
+      (float_of_int d.max_resident_warps /. warps)
+      (fmax 1.0 (Float.of_int blocks /. sm))
   in
   let resident = warps *. blocks_per_sm in
-  let hiding = Float.min 1.0 (resident /. warps_to_hide_latency) in
+  let hiding = fmin 1.0 (resident /. warps_to_hide_latency) in
   sm_util *. warp_eff *. hiding
 
 (* The shared input panel spills once it outgrows the L2's reach. *)
@@ -94,11 +108,16 @@ let spills (d : Device.t) (l : launch) =
 type eval = { ms : float; compute_s : float; dram_s : float; cache_s : float }
 
 let evaluate (d : Device.t) (p : Multidouble.Precision.tag) (l : launch) =
-  let timing_ops = match l.padded with Some o -> o | None -> l.ops in
-  let flops = Counter.flops p timing_ops in
+  let o = match l.padded with Some o -> o | None -> l.ops in
+  (* [Counter.flops], written out so the sum stays unboxed. *)
+  let w = Counter.weights p in
+  let flops =
+    (o.adds *. w.adds) +. (o.muls *. w.muls) +. (o.divs *. w.divs)
+    +. (o.sqrts *. w.sqrts)
+  in
   let occ = occupancy d ~blocks:l.blocks ~threads:l.threads in
   let peak = d.dp_peak_gflops *. 1e9 *. arithmetic_efficiency in
-  let compute_s = flops /. (peak *. Float.max occ 1e-6) in
+  let compute_s = flops /. (peak *. fmax occ 1e-6) in
   let dram_s = l.cold_bytes /. (d.dram_gb_s *. 1e9) in
   (* The register-loading kernels re-read their inputs per thread.  While
      the shared input panel stays within the cache's reach the L2 absorbs
@@ -118,7 +137,7 @@ let evaluate (d : Device.t) (p : Multidouble.Precision.tag) (l : launch) =
   {
     ms =
       (float_of_int l.count *. d.launch_us /. 1e3)
-      +. (1e3 *. Float.max compute_s (Float.max dram_s cache_s));
+      +. (1e3 *. fmax compute_s (fmax dram_s cache_s));
     compute_s;
     dram_s;
     cache_s;

@@ -39,12 +39,33 @@ let complexify a =
     sqrts = a.sqrts;
   }
 
+(* Table 1's multipliers as floats, tabulated once per precision: the
+   roofline converts a tally into flops at every launch. *)
+let weights_of p =
+  let module P = Multidouble.Precision in
+  {
+    adds = float_of_int (P.add_flops p);
+    muls = float_of_int (P.mul_flops p);
+    divs = float_of_int (P.div_flops p);
+    sqrts = float_of_int (P.sqrt_flops p);
+  }
+
+let weights_d = weights_of Multidouble.Precision.D
+let weights_dd = weights_of Multidouble.Precision.DD
+let weights_qd = weights_of Multidouble.Precision.QD
+let weights_od = weights_of Multidouble.Precision.OD
+
+let weights : Multidouble.Precision.tag -> ops = function
+  | D -> weights_d
+  | DD -> weights_dd
+  | QD -> weights_qd
+  | OD -> weights_od
+
 (* Double precision flops under precision [p]. *)
 let flops p a =
-  (a.adds *. float_of_int (Multidouble.Precision.add_flops p))
-  +. (a.muls *. float_of_int (Multidouble.Precision.mul_flops p))
-  +. (a.divs *. float_of_int (Multidouble.Precision.div_flops p))
-  +. (a.sqrts *. float_of_int (Multidouble.Precision.sqrt_flops p))
+  let w = weights p in
+  (a.adds *. w.adds) +. (a.muls *. w.muls) +. (a.divs *. w.divs)
+  +. (a.sqrts *. w.sqrts)
 
 let of_tally (t : Multidouble.Counted.tally) =
   {

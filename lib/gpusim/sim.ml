@@ -103,7 +103,8 @@ let reset t =
 (* Cost accounting shared by [launch] and [launch_seq]: one roofline
    evaluation feeds the modeled milliseconds and time terms to the
    profile, the per-launch host cost goes to [host_ms], and the registry
-   tallies. *)
+   tallies.  Returns the evaluation, which the tracer reads; a float
+   result would be boxed on every launch. *)
 let account t ~stage ~(cost : Cost.launch) =
   let slowdown = ambient_slowdown () in
   let e = Cost.evaluate t.device t.prec cost in
@@ -111,18 +112,18 @@ let account t ~stage ~(cost : Cost.launch) =
   t.clock.host_ms <-
     t.clock.host_ms
     +. (float_of_int cost.Cost.count *. Cost.host_launch_ms t.device);
-  Obs.Metrics.Counter.incr ~by:cost.Cost.count (m_launches ());
-  let ms = e.Cost.ms *. slowdown in
-  Obs.Metrics.Histogram.observe (m_kernel_ms ()) ms;
-  ms
+  Obs.Metrics.Counter.add (m_launches ()) cost.Cost.count;
+  Obs.Metrics.Histogram.observe (m_kernel_ms ()) (e.Cost.ms *. slowdown);
+  e
 
 (* Runs [run] under a kernel span carrying the launch's shape and cost,
    then samples the simulated device clock as a counter track (the host
    span shows when the simulator worked, the counter what the device
    clock advanced to). *)
-let traced t ~stage ~(cost : Cost.launch) ~ms run =
+let traced t ~stage ~(cost : Cost.launch) (e : Cost.eval) run =
   if not (Obs.Tracer.enabled ()) then run ()
   else begin
+    let ms = e.Cost.ms *. ambient_slowdown () in
     let args =
       [
         ("blocks", Obs.Tracer.Int cost.Cost.blocks);
@@ -151,7 +152,7 @@ let run_faulted t plan ~stage ~cost run =
     | Some Fault.Plan.Launch_fail ->
         Fault.Plan.note_launch_fail plan ~stage;
         if relaunches < Fault.Plan.max_relaunches plan then begin
-          ignore (account t ~stage ~cost : float);
+          ignore (account t ~stage ~cost : Cost.eval);
           Fault.Plan.note_relaunch plan ~stage;
           attempt (relaunches + 1)
         end
@@ -197,11 +198,11 @@ let run_grid t ~seq ~(cost : Cost.launch) body =
    from, [traced] and [with_faults] would only call through, so the grid
    runs directly and the launch allocates no closure. *)
 let dispatch t ~seq ~protected ~stage ~cost body =
-  let ms = account t ~stage ~cost in
+  let e = account t ~stage ~cost in
   if (protected || Option.is_none t.fault) && not (Obs.Tracer.enabled ()) then
     run_grid t ~seq ~cost body
   else
-    traced t ~stage ~cost ~ms (fun () ->
+    traced t ~stage ~cost e (fun () ->
         with_faults t ~protected ~stage ~cost (fun () ->
             run_grid t ~seq ~cost body))
 

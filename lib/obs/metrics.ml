@@ -1,16 +1,31 @@
 (* The metrics registry: named counters, gauges and fixed-bucket
    histograms, safe under concurrent update from many domains.
 
-   The registry mutex is taken only to get-or-create a metric; updates
-   are atomics all the way (fetch-and-add for counts, a compare-and-set
-   loop for the histogram sum), so hammering one counter from every
-   domain of the pool stays exact and lock-free. *)
+   The registry mutex is taken only to get-or-create a metric.  A
+   counter or histogram keeps one shard per domain (a
+   {!Domain_buffer.Cells} cell), which an update changes with plain
+   stores, and a reader sums every domain's shard: hammering one counter
+   from every domain of the pool contends on nothing and stays exact
+   once the updating calls have returned.  The systhreads of one domain
+   share its shard, so no update allocates or calls anything between
+   reading a shard word and writing it back (a systhread switch happens
+   only at those points).  Gauges are last-write-wins, so they stay one
+   atomic. *)
+
+module Cells = Domain_buffer.Cells
 
 module Counter = struct
-  type t = int Atomic.t
+  type t = int ref Cells.t
 
-  let incr ?(by = 1) t = ignore (Atomic.fetch_and_add t by)
-  let value t = Atomic.get t
+  let make () : t = Cells.create (fun () -> ref 0)
+
+  let add t n =
+    let s = Cells.get t in
+    s := !s + n
+
+  let incr t = add t 1
+  let value t = List.fold_left (fun acc (_, s) -> acc + !s) 0 (Cells.all t)
+  let zero t = List.iter (fun (_, s) -> s := 0) (Cells.all t)
 end
 
 module Gauge = struct
@@ -51,12 +66,18 @@ let quantile ~bounds ~counts q =
 
 module Histogram = struct
   (* [counts.(i)] tallies observations with [v <= bounds.(i)] (first
-     matching bucket); [counts.(length bounds)] is the overflow bucket. *)
-  type t = {
-    bounds : float array;
-    counts : int Atomic.t array;
-    sum : float Atomic.t;
-  }
+     matching bucket); [counts.(length bounds)] is the overflow bucket.
+     [sum] is one unboxed float, so adding to it allocates nothing. *)
+  type shard = { counts : int array; sum : float array }
+  type t = { bounds : float array; shards : shard Cells.t }
+
+  let make bounds =
+    let n = Array.length bounds + 1 in
+    {
+      bounds;
+      shards =
+        Cells.create (fun () -> { counts = Array.make n 0; sum = [| 0.0 |] });
+    }
 
   (* Loops rather than local recursive functions: one observation per
      kernel launch, and a closure per call would dominate its cost. *)
@@ -66,18 +87,31 @@ module Histogram = struct
     while !i < n && not (v <= t.bounds.(!i)) do
       incr i
     done;
-    ignore (Atomic.fetch_and_add t.counts.(!i) 1);
-    let added = ref false in
-    while not !added do
-      let old = Atomic.get t.sum in
-      added := Atomic.compare_and_set t.sum old (old +. v)
-    done
+    let s = Cells.get t.shards in
+    let i = !i in
+    s.counts.(i) <- s.counts.(i) + 1;
+    s.sum.(0) <- s.sum.(0) +. v
 
-  let count t = Array.fold_left (fun acc c -> acc + Atomic.get c) 0 t.counts
-  let sum t = Atomic.get t.sum
+  let shards t = List.map snd (Cells.all t.shards)
+
+  let bucket_counts t =
+    let total = Array.make (Array.length t.bounds + 1) 0 in
+    List.iter
+      (fun s -> Array.iteri (fun i c -> total.(i) <- total.(i) + c) s.counts)
+      (shards t);
+    total
+
+  let count t = Array.fold_left ( + ) 0 (bucket_counts t)
+  let sum t = List.fold_left (fun acc s -> acc +. s.sum.(0)) 0.0 (shards t)
   let bounds t = Array.copy t.bounds
-  let bucket_counts t = Array.map Atomic.get t.counts
   let quantile t q = quantile ~bounds:t.bounds ~counts:(bucket_counts t) q
+
+  let zero t =
+    List.iter
+      (fun s ->
+        Array.fill s.counts 0 (Array.length s.counts) 0;
+        s.sum.(0) <- 0.0)
+      (shards t)
 end
 
 type metric =
@@ -129,7 +163,7 @@ let get_or_create t name ~kind ~make ~cast =
 
 let counter t name =
   get_or_create t name ~kind:"counter"
-    ~make:(fun () -> Counter_m (Atomic.make 0))
+    ~make:(fun () -> Counter_m (Counter.make ()))
     ~cast:(function Counter_m c -> Some c | _ -> None)
 
 let gauge t name =
@@ -140,12 +174,7 @@ let gauge t name =
 let histogram ?(buckets = default_buckets) t name =
   get_or_create t name ~kind:"histogram"
     ~make:(fun () ->
-      Histogram_m
-        {
-          Histogram.bounds = Array.copy buckets;
-          counts = Array.init (Array.length buckets + 1) (fun _ -> Atomic.make 0);
-          sum = Atomic.make 0.0;
-        })
+      Histogram_m (Histogram.make (Array.copy buckets)))
     ~cast:(function Histogram_m h -> Some h | _ -> None)
 
 (* Domain-safe lazy resolution for instrumentation handles.  An OCaml
@@ -165,18 +194,18 @@ let once resolve =
       Atomic.set cache (Some h);
       h
 
-(* Zeroes every registered metric in place, keeping registrations (and
-   any handles callers cached) valid. *)
+(* Zeroes every registered metric in place, every domain's shard of it,
+   keeping registrations (and any handles callers cached) valid.  The
+   shards are plain words, so an update racing the reset may survive
+   it: reset a quiescent registry. *)
 let reset t =
   Mutex.lock t.lock;
   Hashtbl.iter
     (fun _ m ->
       match m with
-      | Counter_m c -> Atomic.set c 0
+      | Counter_m c -> Counter.zero c
       | Gauge_m g -> Atomic.set g 0.0
-      | Histogram_m h ->
-        Array.iter (fun c -> Atomic.set c 0) h.Histogram.counts;
-        Atomic.set h.Histogram.sum 0.0)
+      | Histogram_m h -> Histogram.zero h)
     t.table;
   Mutex.unlock t.lock
 

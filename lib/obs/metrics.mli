@@ -1,17 +1,25 @@
 (** The metrics registry: named counters, gauges and fixed-bucket
     histograms, safe under concurrent update from many domains.
 
-    The registry mutex is taken only to get-or-create a metric by name;
-    updates are atomics (fetch-and-add counts, a compare-and-set loop
-    for the histogram sum), so concurrent hammering stays exact.
-    Handles returned by {!counter}/{!gauge}/{!histogram} stay valid
-    across {!reset} (which zeroes values in place). *)
+    The registry mutex is taken only to get-or-create a metric by name.
+    Counters and histograms keep one shard per domain
+    ({!Domain_buffer.Cells}): an update is plain stores to the calling
+    domain's shard, and a read sums every domain's shards, so
+    concurrent hammering stays exact once the updating calls have
+    returned.  Gauges are one atomic.  Handles returned by
+    {!counter}/{!gauge}/{!histogram} stay valid across {!reset} (which
+    zeroes values in place). *)
 
 module Counter : sig
   type t
 
-  val incr : ?by:int -> t -> unit
+  val incr : t -> unit
+
+  val add : t -> int -> unit
+  (** [add t n] adds [n]. *)
+
   val value : t -> int
+  (** The sum over every domain's shard. *)
 end
 
 module Gauge : sig
@@ -58,8 +66,9 @@ val quantile : bounds:float array -> counts:int array -> float -> float
 (** [quantile ~bounds ~counts q] estimates the [q]-quantile of a
     bucketed distribution by linear interpolation inside the bucket
     holding the [q*count]-th observation.  Bucket counts are exact
-    under concurrent {!Histogram.observe} (they are atomics), so the
-    estimate is deterministic in the observations; the resolution is
+    once concurrent {!Histogram.observe}s have returned (each domain
+    counts in its own shard), so the estimate is deterministic in the
+    observations; the resolution is
     the bucket ladder.  Ranks landing in the overflow bucket clamp to
     the largest finite bound; an empty distribution estimates 0. *)
 
@@ -78,8 +87,9 @@ val once : (unit -> 'a) -> unit -> 'a
     harmless for the idempotent get-or-create registrations above. *)
 
 val reset : t -> unit
-(** Zeroes every registered metric in place; cached handles stay
-    valid. *)
+(** Zeroes every registered metric in place, every domain's shard of
+    it; cached handles stay valid.  For a quiescent registry: an update
+    racing the reset may survive it. *)
 
 (** An immutable point-in-time copy of one metric's state. *)
 type value =

@@ -269,12 +269,16 @@ let classify_job (job : Job.t) =
 (* Fault-free roofline stage predictions on the device a job actually
    executed with, feeding the health plane's cost-model drift detector:
    fault-free measured breakdowns reproduce these exactly, so any gap is
-   either fault recovery or a miscalibrated model. *)
+   either fault recovery or a miscalibrated model.  An executed CG or
+   LSQR solve reports the precision ladder it ran, which the plan (its
+   planned iterations at one rung) does not predict, so it has none. *)
 let predicted_stages (job : Job.t) =
-  Option.map
-    (List.map (fun (s : Obs.Roofline.stage) ->
-         (s.Obs.Roofline.stage, s.Obs.Roofline.ms)))
-    (roofline_stages job ~device:job.Job.device)
+  if job.Job.execute && Lsq_core.Solver.is_iterative job.Job.solver then None
+  else
+    Option.map
+      (List.map (fun (s : Obs.Roofline.stage) ->
+           (s.Obs.Roofline.stage, s.Obs.Roofline.ms)))
+      (roofline_stages job ~device:job.Job.device)
 
 (* Distinct device classes of the pool, in pool order. *)
 let classes t =
@@ -588,7 +592,7 @@ let execute t inst entry ~stolen =
   Mutex.unlock t.lock;
   Metrics.Gauge.set (util_gauge inst) (utilization t inst ~now);
   Metrics.Gauge.set (inflight_gauge inst) 0.0;
-  Metrics.Counter.incr ~by:attempts (m_attempts ());
+  Metrics.Counter.add (m_attempts ()) attempts;
   Metrics.Counter.incr ((if ok then m_completed else m_failed) ());
   Metrics.Histogram.observe (latency_histogram inst) latency_ms;
   let cls = class_slug inst.device in

@@ -425,6 +425,33 @@ let test_thin_qr_flops () =
       ops_close (Printf.sprintf "thin qr %dx%d/%d" rows cols tile) dyn ana)
     [ (20, 8, 4); (20, 4, 4) ]
 
+(* ------------------------------------------------------------------ *)
+(* Host cost of a plan-only launch                                      *)
+(* ------------------------------------------------------------------ *)
+
+(* A plan-only launch pays for its roofline evaluation and its profile
+   update: the Table 10 double double solve plans 5,188 of them.
+   Planning runs on the calling domain and does no pool work, so the
+   words it allocates repeat exactly from one plan to the next. *)
+module Sdd = Solver.Make (Scalar.Dd)
+
+let test_plan_launch_words () =
+  let plan () =
+    Sdd.plan ~method_:Solver.Qr_direct ~device ~rows:1024 ~cols:1024
+      ~tile:128 ()
+  in
+  (* The first plan resolves the metric handles and this domain's
+     registry shards. *)
+  ignore (plan () : Sdd.result);
+  let before = Gc.minor_words () in
+  let r = plan () in
+  let words = Gc.minor_words () -. before in
+  Alcotest.(check int) "launches" 5188 r.Sdd.launches;
+  let per_launch = words /. float_of_int r.Sdd.launches in
+  if per_launch > 40.0 then
+    Alcotest.failf "%.1f minor words per plan-only launch, budget 40"
+      per_launch
+
 let () =
   Alcotest.run "lsq_core"
     [
@@ -439,5 +466,10 @@ let () =
           Alcotest.test_case "back substitution" `Quick test_back_sub_flops;
           Alcotest.test_case "blocked qr" `Quick test_qr_flops;
           Alcotest.test_case "thin blocked qr" `Quick test_thin_qr_flops;
+        ] );
+      ( "plan-only launches",
+        [
+          Alcotest.test_case "allocation budget" `Quick
+            test_plan_launch_words;
         ] );
     ]

@@ -1,6 +1,7 @@
 (* Tests for the fleet service: deterministic roofline placement,
-   work-stealing steal-count invariants, bounded-queue backpressure, and
-   the schema-8 outcome codec with its placement record. *)
+   work-stealing steal-count invariants, bounded-queue backpressure, the
+   schema-8 outcome codec with its placement record, and what served
+   jobs feed the cost-model drift detector. *)
 
 module P = Multidouble.Precision
 module D = Gpusim.Device
@@ -369,6 +370,59 @@ let test_auto_needs_fleet () =
   | S.Failed f -> check "names the wildcard" true (f.S.retryable = false)
   | S.Completed _ -> Alcotest.fail "unplaced auto job must not run"
 
+(* ---- cost-model drift ---- *)
+
+(* Serves executed fault-free jobs and returns the drift state and the
+   [model_drift] warnings they left. *)
+let served_drift jobs =
+  let module H = Obs.Health in
+  let module L = Obs.Log in
+  H.reset ();
+  L.set_level L.Warn;
+  L.set_sink L.Buffered;
+  let outcomes =
+    Fun.protect
+      ~finally:(fun () -> L.set_sink L.Off)
+      (fun () -> F.run (F.Config.batch ~parallel:1 ~backoff_ms:0.0 ()) jobs)
+  in
+  List.iter
+    (fun (o : S.outcome) ->
+      match o.S.status with
+      | S.Completed _ -> ()
+      | S.Failed f -> Alcotest.failf "%s failed: %s" o.S.job.Job.id f.S.message)
+    outcomes;
+  let warnings =
+    List.filter (fun (r : L.record) -> r.L.event = "model_drift") (L.drain ())
+  in
+  let drift = H.drift () in
+  H.reset ();
+  (drift, warnings)
+
+(* An executed CG or LSQR solve runs a precision ladder the fault-free
+   plan does not predict, so it feeds no drift samples; an executed
+   direct solve runs what its plan prices and still feeds them. *)
+let test_iterative_no_false_drift () =
+  let executed ~id solver =
+    Job.make ~id ~kind:Job.Solve ~device:"v100" ~prec:P.DD ~dim:32
+      ~rows:256 ~tile:32 ~solver ~execute:true ()
+  in
+  let drift, warnings =
+    served_drift
+      [
+        executed ~id:"cg" Lsq_core.Solver.Cg_normal;
+        executed ~id:"lsqr" Lsq_core.Solver.Lsqr;
+      ]
+  in
+  checki "no model_drift record" 0 (List.length warnings);
+  checki "no drift samples, so no drifted stage" 0 (List.length drift);
+  let drift, warnings =
+    served_drift [ executed ~id:"qr" Lsq_core.Solver.Qr_direct ]
+  in
+  check "direct solve feeds drift" true (drift <> []);
+  checki "no model_drift record (direct)" 0 (List.length warnings);
+  check "direct stages calibrated" true
+    (List.for_all (fun (d : Obs.Health.stage_drift) -> not d.drifted) drift)
+
 let () =
   Alcotest.run "fleet"
     [
@@ -392,5 +446,10 @@ let () =
           Alcotest.test_case "schema 8 round-trip" `Quick
             test_schema8_roundtrip;
           Alcotest.test_case "auto needs a fleet" `Quick test_auto_needs_fleet;
+        ] );
+      ( "drift",
+        [
+          Alcotest.test_case "executed iterative solves raise no drift"
+            `Quick test_iterative_no_false_drift;
         ] );
     ]

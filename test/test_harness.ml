@@ -85,7 +85,7 @@ let test_report_json_roundtrip () =
   let solve = run R.Solve P.QD ~dim:64 ~tile:16 in
   let metrics =
     let reg = Obs.Metrics.create () in
-    Obs.Metrics.Counter.incr ~by:7 (Obs.Metrics.counter reg "test.count");
+    Obs.Metrics.Counter.add (Obs.Metrics.counter reg "test.count") 7;
     Obs.Metrics.Gauge.set (Obs.Metrics.gauge reg "test.level") 2.5;
     Obs.Metrics.Histogram.observe (Obs.Metrics.histogram reg "test.hist") 0.4;
     Obs.Metrics.snapshot reg

@@ -147,7 +147,7 @@ let test_metrics_basic () =
   let reg = M.create () in
   let c = M.counter reg "c" in
   M.Counter.incr c;
-  M.Counter.incr ~by:4 c;
+  M.Counter.add c 4;
   checki "counter" 5 (M.Counter.value c);
   let g = M.gauge reg "g" in
   M.Gauge.set g 2.5;
@@ -192,6 +192,61 @@ let test_metrics_concurrent_exact () =
     (M.Histogram.sum h = float_of_int (n / 7 * 21));
   checki "all in the first bucket" n (M.Histogram.bucket_counts h).(0)
 
+(* Runs [f] once on a worker domain of a two-domain pool, never on the
+   calling domain: a chunk the caller claims waits for the worker's. *)
+let on_pool_worker f =
+  let pool = Pool.create 2 in
+  let caller = Domain.self () in
+  let ran = Atomic.make false in
+  Fun.protect
+    ~finally:(fun () -> Pool.shutdown pool)
+    (fun () ->
+      Pool.parallel_for ~chunk:1 pool 0 2 (fun _ ->
+          if Domain.self () = caller then
+            while not (Atomic.get ran) do
+              Domain.cpu_relax ()
+            done
+          else if not (Atomic.get ran) then begin
+            f ();
+            Atomic.set ran true
+          end))
+
+let test_metrics_worker_shards () =
+  (* Registered and first updated on a pool worker: the worker's shards
+     are what the main domain's snapshot sums once the call returns. *)
+  let reg = M.create () in
+  let update () =
+    M.Counter.add (M.counter reg "w.count") 5;
+    M.Counter.incr (M.counter reg "w.count");
+    let h = M.histogram ~buckets:[| 1.0; 10.0 |] reg "w.hist" in
+    M.Histogram.observe h 0.5;
+    M.Histogram.observe h 20.0
+  in
+  on_pool_worker update;
+  let snap = M.snapshot reg in
+  (match List.assoc_opt "w.count" snap with
+  | Some (M.Counter n) -> checki "worker counter" 6 n
+  | _ -> Alcotest.fail "w.count missing from the snapshot");
+  (match List.assoc_opt "w.hist" snap with
+  | Some (M.Histogram { counts; count; sum; _ }) ->
+    Alcotest.(check (array int)) "worker buckets" [| 1; 0; 1 |] counts;
+    checki "worker count" 2 count;
+    check "worker sum" true (sum = 20.5)
+  | _ -> Alcotest.fail "w.hist missing from the snapshot");
+  (* The main domain's own shard adds to the worker's. *)
+  M.Counter.incr (M.counter reg "w.count");
+  checki "both domains summed" 7 (M.Counter.value (M.counter reg "w.count"));
+  (* reset zeroes the worker's shard too, and its handles keep working. *)
+  M.reset reg;
+  checki "counter reset" 0 (M.Counter.value (M.counter reg "w.count"));
+  let h = M.histogram reg "w.hist" in
+  checki "histogram reset" 0 (M.Histogram.count h);
+  check "histogram sum reset" true (M.Histogram.sum h = 0.0);
+  on_pool_worker update;
+  checki "counts again after reset" 6
+    (M.Counter.value (M.counter reg "w.count"));
+  checki "observes again after reset" 2 (M.Histogram.count h)
+
 let test_histogram_quantiles () =
   (* Uniform 1..100 on unit buckets: the interpolating estimator
      recovers every percentile exactly at the bucket edges. *)
@@ -221,9 +276,9 @@ let test_histogram_quantiles () =
   check "overflow clamps" true (M.Histogram.quantile over 0.99 = 10.0)
 
 let test_quantiles_concurrent_exact () =
-  (* Bucket counts are atomics, so quantiles are exact — not
-     approximately right — under a parallel_for across a two-domain pool
-     hammering the same histogram. *)
+  (* Bucket counts are exact once the updates return, so quantiles are
+     exact — not approximately right — under a parallel_for across a
+     two-domain pool hammering the same histogram. *)
   let reg = M.create () in
   let bounds = Array.init 100 (fun i -> float_of_int (i + 1)) in
   let h = M.histogram ~buckets:bounds reg "q.par" in
@@ -257,7 +312,7 @@ let test_once_concurrent_first_use () =
 
 let test_snapshot_roundtrip () =
   let reg = M.create () in
-  M.Counter.incr ~by:9 (M.counter reg "a.count");
+  M.Counter.add (M.counter reg "a.count") 9;
   M.Gauge.set (M.gauge reg "b.gauge") (-1.75);
   let h = M.histogram reg "c.hist" in
   M.Histogram.observe h 0.005;
@@ -683,7 +738,7 @@ let test_non_finite_lines_parse () =
 
 let test_prometheus_exposition () =
   let reg = M.create () in
-  M.Counter.incr ~by:7 (M.counter reg "fleet.submitted");
+  M.Counter.add (M.counter reg "fleet.submitted") 7;
   M.Gauge.set (M.gauge reg "fleet.util.v100#0") 0.25;
   let h = M.histogram ~buckets:M.latency_buckets reg "fleet.latency_ms.v100" in
   M.Histogram.observe h 1.0;
@@ -703,12 +758,12 @@ let test_prometheus_exposition () =
 
 let test_telemetry_exporter () =
   let reg = M.create () in
-  M.Counter.incr ~by:3 (M.counter reg "fleet.submitted");
+  M.Counter.add (M.counter reg "fleet.submitted") 3;
   M.Gauge.set (M.gauge reg "fleet.util.v100#0") 0.5;
   let path = Filename.temp_file "tel_test" ".jsonl" in
   let t = Tel.start ~interval_ms:10.0 ~registry:reg (Tel.File path) in
   Unix.sleepf 0.05;
-  M.Counter.incr ~by:2 (M.counter reg "fleet.submitted");
+  M.Counter.add (M.counter reg "fleet.submitted") 2;
   Tel.stop t;
   check "at least two ticks" true (Tel.ticks t >= 2);
   let ic = open_in path in
@@ -880,6 +935,8 @@ let () =
           Alcotest.test_case "basics" `Quick test_metrics_basic;
           Alcotest.test_case "concurrent exactness" `Quick
             test_metrics_concurrent_exact;
+          Alcotest.test_case "worker shards summed and reset" `Quick
+            test_metrics_worker_shards;
           Alcotest.test_case "histogram quantiles" `Quick
             test_histogram_quantiles;
           Alcotest.test_case "quantiles exact under parallel_for" `Quick
