@@ -12,7 +12,11 @@
    executed tall CG and LSQR, a complex executed QR, a fault-armed plan,
    a fault-armed executed square solve, an executed tall QR and
    fault-armed tall solve, an executed tall direct solve (the thin path
-   on the flat arm), and a fault-armed executed QR. *)
+   on the flat arm), a fault-armed executed QR, and four fault-armed
+   executed runs that complete through the stage-level recovery ladder:
+   a QR whose panels replay escalated launch failures, a back
+   substitution that replays a tile, and tall CG and LSQR solves that
+   replay their recurrences from a checkpoint. *)
 
 module P = Multidouble.Precision
 module Job = Sched.Job
@@ -64,7 +68,18 @@ let jobs =
         ~tile:8 ~execute:true ();
       job ~id:"exec-qr-fault" ~kind:Job.Qr ~prec:P.DD ~dim:32 ~tile:8
         ~fault_rate:0.01 ~fault_seed:11 ~execute:true ();
+      job ~id:"exec-qr-fault-replay" ~kind:Job.Qr ~prec:P.DD ~dim:32 ~tile:8
+        ~fault_rate:0.5 ~fault_seed:2 ~execute:true ();
+      job ~id:"exec-bs-fault-replay" ~kind:Job.Backsub ~prec:P.DD ~dim:32
+        ~tile:8 ~fault_rate:0.1 ~fault_seed:1 ~execute:true ();
     ]
+  @ List.map
+      (fun (solver, fault_seed) ->
+        job
+          ~id:("exec-tall-" ^ Lsq_core.Solver.method_name solver ^ "-fault")
+          ~kind:Job.Solve ~solver ~prec:P.DD ~rows:256 ~dim:16 ~tile:16
+          ~fault_rate:0.05 ~fault_seed ~execute:true ())
+      [ (Lsq_core.Solver.Cg_normal, 6); (Lsq_core.Solver.Lsqr, 2) ]
 
 let () =
   List.iter

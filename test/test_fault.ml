@@ -507,6 +507,279 @@ let test_fault_armed_qr_stays_boxed () =
       let r = Qr.factor_thin sim a ~b ~tile:4 in
       (bits r.M.a, bits b))
 
+(* ---- every recovery site of the stage-level ladder, pinned ----
+
+   Each case runs one armed double double stage to completion or to
+   escalation and checks the escalated site (or "ok"), the fault tally
+   and the ladder's breadcrumbs in order: every corruption the strike
+   reported and every detection, replay and escalation.  The QR and
+   back substitution cases read their simulator's tally; the iterative
+   solver keeps its simulators to itself, so its cases read the fault
+   counters' deltas instead. *)
+
+module Kdd = Mdlinalg.Scalar.Dd
+module Qdd = Lsq_core.Blocked_qr.Make (Kdd)
+module Bdd = Lsq_core.Tiled_back_sub.Make (Kdd)
+module Sdd = Lsq_core.Solver.Make (Kdd)
+module Rdd = Mdlinalg.Randmat.Make (Kdd)
+
+let ladder_crumbs () =
+  Json.of_string (Obs.Tracer.export ())
+  |> Json.member "traceEvents" |> Json.get_list
+  |> List.filter_map (fun e ->
+         let arg k = Json.(get_string (member k (member "args" e))) in
+         match Json.(get_string (member "name" e)) with
+         | "fault.corrupted" -> Some (arg "what")
+         | ("fault.detected" | "fault.replay" | "fault.escalate") as name ->
+           Some (String.sub name 6 (String.length name - 6) ^ "@" ^ arg "stage")
+         | _ -> None)
+
+let escalated_site f =
+  Obs.Tracer.start ();
+  Fun.protect ~finally:Obs.Tracer.stop (fun () ->
+      match f () with
+      | () -> "ok"
+      | exception Plan.Injected (k, site) ->
+        Printf.sprintf "%s at %s" (Plan.kind_name k) site)
+
+let on_sim fault f =
+  let sim = Sim.create ~fault ~device ~prec:P.DD () in
+  let site = escalated_site (fun () -> f sim) in
+  let tally = Option.get (Sim.fault_tally sim) in
+  (site, Format.asprintf "%a" Plan.pp_tally tally, ladder_crumbs ())
+
+let qr_case fault =
+  on_sim fault (fun sim ->
+      let a = Rdd.matrix (Dompool.Prng.create 4242) 32 32 in
+      ignore (Qdd.factor sim a ~tile:8))
+
+let bs_case fault =
+  on_sim fault (fun sim ->
+      let rng = Dompool.Prng.create 3434 in
+      let u = Rdd.upper rng 32 in
+      let b, _ = Rdd.rhs_for rng u in
+      ignore (Bdd.solve sim u b ~tile:8))
+
+let solver_case method_ ?max_iterations fault =
+  let names = [ "injected"; "detected"; "recovered"; "escaped" ] in
+  let count name =
+    Obs.Metrics.(Counter.value (counter (default ()) ("faults." ^ name)))
+  in
+  let before = List.map count names in
+  let site =
+    escalated_site (fun () ->
+        let rng = Dompool.Prng.create 2424 in
+        let a = Rdd.matrix rng 256 16 in
+        let b, _ = Rdd.rhs_for rng a in
+        ignore
+          (Sdd.solve ~method_ ?max_iterations ~fault ~device ~a ~b ~tile:16
+             ()))
+  in
+  let deltas =
+    List.map2
+      (fun name b -> Printf.sprintf "%s %d" name (count name - b))
+      names before
+  in
+  (site, String.concat " " deltas, ladder_crumbs ())
+
+let flips ?max_replays ~seed ~rate () =
+  Plan.config ~kinds:[ Plan.Bitflip ] ?max_replays ~seed ~rate ()
+
+(* No relaunches: every launch failure escalates into its stage. *)
+let launches ?max_replays ~seed ~rate () =
+  Plan.config ~kinds:[ Plan.Launch_fail ] ~max_relaunches:0 ?max_replays
+    ~seed ~rate ()
+
+let boxed f =
+  let prev = !Mdlinalg.Flat_kernels.enabled in
+  Mdlinalg.Flat_kernels.enabled := false;
+  Fun.protect ~finally:(fun () -> Mdlinalg.Flat_kernels.enabled := prev) f
+
+let recovery_sites =
+  let open Lsq_core.Solver in
+  [
+    ( "qr.panel escalates",
+      (fun () -> qr_case (flips ~max_replays:0 ~seed:1 ~rate:0.05 ())),
+      "bitflip at qr.panel",
+      "injected 4 (flip 4, launch 0, transfer 0) detected 1 "
+      ^ "recovered 0 (relaunch 0, retransfer 0, replay 0) escalated 1",
+      [
+        "Y[26] plane 1 bit 30";
+        "Q[421] plane 0 bit 1";
+        "Q[358] plane 0 bit 53";
+        "Y[16] plane 0 bit 56";
+        "detected@qr.panel";
+        "escalate@qr.panel";
+      ] );
+    ( "qr.panel replays a detection",
+      (fun () -> qr_case (flips ~seed:7 ~rate:0.02 ())),
+      "ok",
+      "injected 5 (flip 5, launch 0, transfer 0) detected 1 "
+      ^ "recovered 1 (relaunch 0, retransfer 0, replay 1) escalated 0",
+      [
+        "Q[825] plane 0 bit 20";
+        "Q[242] plane 1 bit 34";
+        "R[81] plane 0 bit 38";
+        "W[59] plane 1 bit 37";
+        "Y[65] plane 0 bit 36";
+        "detected@qr.panel";
+        "replay@qr.panel";
+      ] );
+    ( "qr.panel replays escalated launches",
+      (fun () -> qr_case (launches ~seed:2 ~rate:0.01 ())),
+      "ok",
+      "injected 2 (flip 0, launch 2, transfer 0) detected 2 "
+      ^ "recovered 2 (relaunch 0, retransfer 0, replay 2) escalated 2",
+      [
+        "escalate@beta, v";
+        "replay@qr.panel";
+        "escalate@compute W";
+        "replay@qr.panel";
+      ] );
+    ( "qr.panel re-raises past its budget",
+      (fun () -> qr_case (launches ~max_replays:1 ~seed:9 ~rate:0.01 ())),
+      "launch at update R",
+      "injected 2 (flip 0, launch 2, transfer 0) detected 2 "
+      ^ "recovered 1 (relaunch 0, retransfer 0, replay 1) escalated 2",
+      [
+        "escalate@update R";
+        "replay@qr.panel";
+        "escalate@update R";
+      ] );
+    ( "bs.tile escalates",
+      (fun () -> bs_case (flips ~max_replays:0 ~seed:1 ~rate:0.1 ())),
+      "bitflip at bs.tile",
+      "injected 1 (flip 1, launch 0, transfer 0) detected 1 "
+      ^ "recovered 0 (relaunch 0, retransfer 0, replay 0) escalated 1",
+      [
+        "b[26] plane 1 bit 30 (raw)";
+        "detected@bs.tile";
+        "escalate@bs.tile";
+      ] );
+    ( "bs.tile replays a detection",
+      (fun () -> bs_case (flips ~seed:1 ~rate:0.1 ())),
+      "ok",
+      "injected 1 (flip 1, launch 0, transfer 0) detected 1 "
+      ^ "recovered 1 (relaunch 0, retransfer 0, replay 1) escalated 0",
+      [
+        "b[26] plane 1 bit 30 (raw)";
+        "detected@bs.tile";
+        "replay@bs.tile";
+      ] );
+    ( "bs.tile replays an escalated launch",
+      (fun () -> bs_case (launches ~seed:1 ~rate:0.1 ())),
+      "ok",
+      "injected 1 (flip 0, launch 1, transfer 0) detected 1 "
+      ^ "recovered 1 (relaunch 0, retransfer 0, replay 1) escalated 1",
+      [
+        "escalate@multiply with inverses";
+        "replay@bs.tile";
+      ] );
+    ( "bs.update escalates",
+      (fun () -> bs_case (flips ~max_replays:0 ~seed:658 ~rate:0.1 ())),
+      "bitflip at bs.update",
+      "injected 1 (flip 1, launch 0, transfer 0) detected 1 "
+      ^ "recovered 0 (relaunch 0, retransfer 0, replay 0) escalated 1",
+      [
+        "U[208] plane 0 bit 62 (raw)";
+        "detected@bs.update";
+        "escalate@bs.update";
+      ] );
+    ( "bs.update replays a detection",
+      (fun () -> bs_case (flips ~seed:658 ~rate:0.1 ())),
+      "bitflip at bs.update",
+      "injected 1 (flip 1, launch 0, transfer 0) detected 3 "
+      ^ "recovered 2 (relaunch 0, retransfer 0, replay 2) escalated 1",
+      [
+        "U[208] plane 0 bit 62 (raw)";
+        "detected@bs.update";
+        "replay@bs.update";
+        "detected@bs.update";
+        "replay@bs.update";
+        "detected@bs.update";
+        "escalate@bs.update";
+      ] );
+    ( "bs.update replays an escalated launch",
+      (fun () -> bs_case (launches ~seed:11 ~rate:0.1 ())),
+      "launch at back substitution",
+      "injected 2 (flip 0, launch 2, transfer 0) detected 2 "
+      ^ "recovered 1 (relaunch 0, retransfer 0, replay 1) escalated 2",
+      [
+        "escalate@back substitution";
+        "replay@bs.update";
+        "escalate@back substitution";
+      ] );
+    ( "cg.recurrence escalates",
+      (fun () ->
+        solver_case Cg_normal (flips ~max_replays:0 ~seed:1 ~rate:0.05 ())),
+      "bitflip at cg.recurrence",
+      "injected 4 detected 1 recovered 0 escaped 1",
+      [
+        "A[3867] plane 0 bit 50 (raw)";
+        "A[4016] plane 0 bit 40 (raw)";
+        "q[10] plane 0 bit 32 (raw)";
+        "A[3269] plane 0 bit 28 (raw)";
+        "detected@cg.recurrence";
+        "escalate@cg.recurrence";
+      ] );
+    ( "lsqr.recurrence escalates",
+      (fun () -> solver_case Lsqr (flips ~max_replays:0 ~seed:1 ~rate:0.05 ())),
+      "bitflip at lsqr.recurrence",
+      "injected 3 detected 1 recovered 0 escaped 1",
+      [
+        "A[2459] plane 0 bit 50 (raw)";
+        "tn[0] plane 0 bit 40 (raw)";
+        "A[3898] plane 0 bit 32 (raw)";
+        "detected@lsqr.recurrence";
+        "escalate@lsqr.recurrence";
+      ] );
+    ( "bs.tile escalates on the boxed arm",
+      (fun () ->
+        boxed (fun () ->
+            bs_case (flips ~max_replays:0 ~seed:1 ~rate:0.1 ()))),
+      "bitflip at bs.tile",
+      "injected 1 (flip 1, launch 0, transfer 0) detected 1 "
+      ^ "recovered 0 (relaunch 0, retransfer 0, replay 0) escalated 1",
+      [
+        "b[26] plane 1 bit 30";
+        "detected@bs.tile";
+        "escalate@bs.tile";
+      ] );
+    ( "cg.recurrence escalates on the boxed arm",
+      (fun () ->
+        boxed (fun () ->
+            solver_case Cg_normal (flips ~max_replays:0 ~seed:1 ~rate:0.05 ()))),
+      "bitflip at cg.recurrence",
+      "injected 4 detected 1 recovered 0 escaped 1",
+      [
+        "A[3867] plane 0 bit 50";
+        "A[4016] plane 0 bit 40";
+        "q[10] plane 0 bit 32";
+        "A[3269] plane 0 bit 28";
+        "detected@cg.recurrence";
+        "escalate@cg.recurrence";
+      ] );
+    ( "solver.converged escalates",
+      (fun () ->
+        solver_case Cg_normal ~max_iterations:1 (flips ~seed:1 ~rate:0.0 ())),
+      "bitflip at solver.converged",
+      "injected 0 detected 1 recovered 0 escaped 1",
+      [
+        "detected@solver.converged";
+        "escalate@solver.converged";
+      ] );
+  ]
+
+let test_recovery_sites () =
+  List.iter
+    (fun (name, run, site, tally, crumbs) ->
+      let site', tally', crumbs' = run () in
+      Alcotest.(check string) (name ^ ": site") site site';
+      Alcotest.(check string) (name ^ ": tally") tally tally';
+      Alcotest.(check (list string)) (name ^ ": breadcrumbs") crumbs crumbs')
+    recovery_sites
+
+
 (* ---- scheduler classification and job validation ---- *)
 
 let solve_job ?(rate = 0.0) ?(seed = 1) ~id () =
@@ -688,6 +961,7 @@ let () =
             test_od_bigarray_corrupt_detected;
           Alcotest.test_case "fault-armed QR stays boxed" `Quick
             test_fault_armed_qr_stays_boxed;
+          Alcotest.test_case "recovery sites" `Quick test_recovery_sites;
         ] );
       ( "scheduler",
         [
