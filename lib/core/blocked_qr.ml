@@ -158,35 +158,13 @@ module Make (K : Scalar.S) = struct
     let r = F.Qr.r st and q = F.Qr.q st in
     (* A bit-flip corruptor over everything the current panel holds on
        the device: R, Q, the panel's Y/W and (thin path) the right-hand
-       side.  One element is picked weighted by size, one limb plane,
-       one bit of its word. *)
-    let flip_at rng name (arr : K.t array) idx =
-      let planes = K.to_planes arr.(idx) in
-      let p = Dompool.Prng.int rng (Array.length planes) in
-      let bit = Dompool.Prng.int rng 64 in
-      planes.(p) <- Fault.Plan.flip_bit planes.(p) bit;
-      arr.(idx) <- K.of_planes planes;
-      Printf.sprintf "%s[%d] plane %d bit %d" name idx p bit
-    in
-    let corruptor ~y ~w rng =
-      let targets =
-        List.filter
-          (fun (_, arr) -> Array.length arr > 0)
-          ([ ("R", r); ("Q", q); ("Y", y); ("W", w) ]
-          @ match rhs with Some b -> [ ("b", (b : K.t array)) ] | None -> [])
-      in
-      let total =
-        List.fold_left (fun acc (_, arr) -> acc + Array.length arr) 0 targets
-      in
-      if total = 0 then "nothing resident"
-      else
-        let rec pick idx = function
-          | [] -> "nothing resident"
-          | (name, arr) :: rest ->
-              if idx < Array.length arr then flip_at rng name arr idx
-              else pick (idx - Array.length arr) rest
-        in
-        pick (Dompool.Prng.int rng total) targets
+       side.  Fault-armed factorizations run on the boxed arm, so every
+       strike is a scalar's limb round-trip. *)
+    let corruptor ~y ~w =
+      let region name arr = (name, Array.length arr, F.flip_limb arr) in
+      Fault.Plan.strike ~limbs:K.width ~raw:false
+        ([ region "R" r; region "Q" q; region "Y" y; region "W" w ]
+        @ match rhs with Some b -> [ region "b" b ] | None -> [])
     in
     (* ABFT panel verification, modeled as one cheap check kernel plus —
        when executing — a random probe through the aggregated reflectors
@@ -451,41 +429,33 @@ module Make (K : Scalar.S) = struct
       (match guard with
       | None -> ignore (do_panel () : bool)
       | Some plan ->
+          let snap =
+            if executing then
+              Some (Array.copy r, Array.copy q, Option.map V.copy rhs)
+            else None
+          in
+          let restore () =
+            match snap with
+            | None -> ()
+            | Some (r0, q0, b0) ->
+                Array.blit r0 0 r 0 (Array.length r);
+                Array.blit q0 0 q 0 (Array.length q);
+                (match (b0, rhs) with
+                | Some src, Some dst ->
+                    Array.blit src 0 (dst : K.t array) 0 (Array.length src)
+                | _ -> ())
+          in
           let rec attempt replays =
-            let snap =
-              if executing then
-                Some (Array.copy r, Array.copy q, Option.map V.copy rhs)
-              else None
-            in
-            let restore () =
-              match snap with
-              | None -> ()
-              | Some (r0, q0, b0) ->
-                  Array.blit r0 0 r 0 (Array.length r);
-                  Array.blit q0 0 q 0 (Array.length q);
-                  (match (b0, rhs) with
-                  | Some src, Some dst ->
-                      Array.blit src 0 (dst : K.t array) 0 (Array.length src)
-                  | _ -> ())
-            in
-            let replay () =
+            let replay cause =
+              Fault.Plan.rung plan ~stage:"qr.panel" ~replays cause;
               restore ();
-              Fault.Plan.note_replay plan ~stage:"qr.panel";
               attempt (replays + 1)
             in
             match do_panel () with
             | true -> ()
-            | false ->
-                Fault.Plan.note_detected plan ~stage:"qr.panel";
-                if replays < Fault.Plan.max_replays plan then replay ()
-                else begin
-                  Fault.Plan.note_escalation plan ~stage:"qr.panel";
-                  raise
-                    (Fault.Plan.Injected (Fault.Plan.Bitflip, "qr.panel"))
-                end
-            | exception Fault.Plan.Injected _
-              when replays < Fault.Plan.max_replays plan ->
-                replay ()
+            | false -> replay Fault.Plan.Detected
+            | exception (Fault.Plan.Injected _ as e) ->
+                replay (Fault.Plan.Escalated e)
           in
           attempt 0)
     done;

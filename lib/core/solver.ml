@@ -576,100 +576,80 @@ module Make (K : Scalar.S) = struct
 
     (* ---- the ABFT harness around the recurrence loops ---- *)
 
-    (* The checkpoint exists on armed runs only: unarmed runs never
-       take the state snapshot. *)
-    type 'snap guard = {
-      plan : Fault.Plan.t option;
-      stage : string;
-      mutable replays_left : int;
-      mutable ckpt : 'snap option;
-      mutable ckpt_iter : int;
-    }
-
-    let guard_of sim ~stage ~snap =
-      let plan = Sim.fault_plan sim in
-      {
-        plan;
-        stage;
-        replays_left =
-          (match plan with Some p -> Fault.Plan.max_replays p | None -> 0);
-        ckpt = Option.map (fun _ -> snap ()) plan;
-        ckpt_iter = 0;
-      }
-
-    let armed g = Option.is_some g.plan
-
-    (* Returns [true] when the run may continue from the current state;
-       [false] when the checkpoint was restored — the caller rewinds its
-       iteration counter to [ckpt_iter] and replays.  Escalates with
-       [Fault.Plan.Injected] once the replay budget is spent, which
-       bounds the replay loop. *)
-    let guard_verify g ~iter ~ok ~snap ~restore =
-      match g.plan with
-      | None -> true
-      | Some p ->
-          if ok () then begin
-            g.ckpt <- Some (snap ());
-            g.ckpt_iter <- iter;
-            true
-          end
-          else begin
-            Fault.Plan.note_detected p ~stage:g.stage;
-            if g.replays_left > 0 then begin
-              g.replays_left <- g.replays_left - 1;
-              Fault.Plan.note_replay p ~stage:g.stage;
-              Option.iter restore g.ckpt;
-              false
-            end
-            else begin
-              Fault.Plan.note_escalation p ~stage:g.stage;
-              raise (Fault.Plan.Injected (Fault.Plan.Bitflip, g.stage))
-            end
-          end
-
-    (* One size-weighted bit flip across the resident state, mirroring
-       the back substitution corruptor: raw plane words on the flat arm,
-       a limb round-trip on the boxed arm. *)
-    let corruptor (dm : dmat) (vecs : (string * dvec) list) rng =
-      let flip_planes (pl : FK.planes) name idx =
-        let p = Dompool.Prng.int rng (Array.length pl.FK.p) in
-        let bit = Dompool.Prng.int rng 64 in
-        Multidouble.Nd_flat.set pl.FK.p p idx
-          (Fault.Plan.flip_bit (Multidouble.Nd_flat.get pl.FK.p p idx) bit);
-        Printf.sprintf "%s[%d] plane %d bit %d (raw)" name idx p bit
-      in
-      let flip_boxed arr name idx =
-        let planes = KE.to_planes arr.(idx) in
-        let p = Dompool.Prng.int rng (Array.length planes) in
-        let bit = Dompool.Prng.int rng 64 in
-        planes.(p) <- Fault.Plan.flip_bit planes.(p) bit;
-        arr.(idx) <- KE.of_planes planes;
-        Printf.sprintf "%s[%d] plane %d bit %d" name idx p bit
-      in
-      let msize = dm.rows * dm.cols in
-      let total = List.fold_left (fun acc (_, v) -> acc + v.len) msize vecs in
-      let pick = Dompool.Prng.int rng (max 1 total) in
-      if pick < msize then
-        match dm.repr with
-        | Flat { work; _ } -> flip_planes work "A" pick
-        | Boxed { wh; _ } -> flip_boxed wh "A" pick
-      else begin
-        let rec find off = function
-          | [] -> assert false
-          | (name, v) :: rest ->
-              if pick < off + v.len then (name, v, pick - off)
-              else find (off + v.len) rest
+    (* One size-weighted bit flip across the resident state: raw plane
+       words on the flat arm, a limb round-trip on the boxed arm.  A
+       vector's planes are re-staged by [vrestore], so its flip looks
+       them up at strike time. *)
+    let arm_corruptor sim dm vecs =
+      if Option.is_some (Sim.fault_plan sim) then begin
+        let mat =
+          match dm.repr with
+          | Flat { work; _ } -> FK.flip_word work
+          | Boxed { wh; _ } -> FK.flip_limb wh
         in
-        let name, v, idx = find msize vecs in
-        match v.p with
-        | Some pl -> flip_planes pl name idx
-        | None -> flip_boxed v.h name idx
+        let region (name, v) =
+          ( name,
+            v.len,
+            fun i limb f ->
+              match v.p with
+              | Some pl -> FK.flip_word pl i limb f
+              | None -> FK.flip_limb v.h i limb f )
+        in
+        Sim.set_corruptor sim
+          (Some
+             (Fault.Plan.strike ~limbs:KE.width ~raw:(is_flat dm)
+                (("A", dm.rows * dm.cols, mat) :: List.map region vecs)))
       end
 
-    let arm_corruptor sim dm vecs =
-      match Sim.fault_plan sim with
-      | Some _ -> Sim.set_corruptor sim (Some (corruptor dm vecs))
-      | None -> ()
+    (* The recurrence loop of both engines.  [running ()] is the loop
+       condition and [step ()] one iteration, which advances [iter] or
+       sets [breakdown].  On an armed simulator the state is verified
+       ([ok]) every [check_every] iterations and once more at loop exit:
+       a pass checkpoints it ([snap]); a failure takes one rung of the
+       plan's ladder — escalating once the replay budget is spent —
+       then restores the checkpoint, rewinds [iter] and re-enters.  Ends
+       with the corruptor disarmed. *)
+    let recurrence sim ~stage ~iter ~breakdown ~running ~step ~ok ~snap
+        ~restore =
+      (match Sim.fault_plan sim with
+      | None ->
+          while running () do
+            step ()
+          done
+      | Some plan ->
+          let ckpt = ref (snap ()) and ckpt_iter = ref 0 and replays = ref 0 in
+          let verify () =
+            if ok () then begin
+              ckpt := snap ();
+              ckpt_iter := !iter
+            end
+            else begin
+              Fault.Plan.rung plan ~stage ~replays:!replays Fault.Plan.Detected;
+              incr replays;
+              restore !ckpt;
+              iter := !ckpt_iter;
+              breakdown := false
+            end
+          in
+          let continue_ = ref true in
+          while !continue_ do
+            while running () do
+              let before = !iter in
+              step ();
+              if !iter <> before && !iter mod check_every = 0 then verify ()
+            done;
+            (* Loop exit (converged, iteration cap, breakdown, or a NaN
+               that poisoned the norm): verify the tail since the last
+               checkpoint.  A restore rewinds and re-enters; the replay
+               budget bounds the number of re-entries. *)
+            if !iter > !ckpt_iter || !breakdown then begin
+              let before = !iter and was = !breakdown in
+              verify ();
+              continue_ := !iter < before || was <> !breakdown
+            end
+            else continue_ := false
+          done);
+      Sim.set_corruptor sim None
 
     let stage_operands sim dm =
       Sim.transfer sim
@@ -720,7 +700,6 @@ module Make (K : Scalar.S) = struct
         history := sh;
         mat_repair dm
       in
-      let g = guard_of sim ~stage:"cg.recurrence" ~snap in
       (* The recomputed truth: q_true = A^H (b - A x) through protected
          launches, compared elementwise against the r recurrence. *)
       let recurrence_ok () =
@@ -746,57 +725,38 @@ module Make (K : Scalar.S) = struct
           !ok
         end
       in
-      let verify () =
-        if not (guard_verify g ~iter:!iter ~ok:recurrence_ok ~snap ~restore)
-        then begin
-          iter := g.ckpt_iter;
-          breakdown := false
+      let step () =
+        gemv sim ~threads ~trans:false dm p w;
+        gemv sim ~threads ~trans:true dm w q;
+        let pq = dot sim ~threads p q in
+        if KE.is_zero pq || not (finite pq) then breakdown := true
+        else begin
+          let alpha = KE.div !rho pq in
+          axpy sim ~threads alpha p x;
+          axpy sim ~threads (KE.neg alpha) q r;
+          let rho' = dot sim ~threads r r in
+          let beta = KE.div rho' !rho in
+          xpay sim ~threads beta r p;
+          rho := rho';
+          rnorm := Float.sqrt (Float.max 0.0 (re_float rho'));
+          incr iter;
+          history := !rnorm :: !history;
+          (* Rounding stagnation: the recurrence has reached its
+             attainable level when the norm stops making relative
+             progress on the best seen (norms may oscillate while
+             converging, so only a sustained failure stops the loop). *)
+          if !rnorm < 0.99 *. !best then begin
+            best := !rnorm;
+            stall := 0
+          end
+          else incr stall;
+          if !stall >= stall_limit then breakdown := true
         end
       in
-      let continue_ = ref true in
-      while !continue_ do
-        while (not !breakdown) && !iter < max_iter && !rnorm > floor_ do
-          gemv sim ~threads ~trans:false dm p w;
-          gemv sim ~threads ~trans:true dm w q;
-          let pq = dot sim ~threads p q in
-          if KE.is_zero pq || not (finite pq) then breakdown := true
-          else begin
-            let alpha = KE.div !rho pq in
-            axpy sim ~threads alpha p x;
-            axpy sim ~threads (KE.neg alpha) q r;
-            let rho' = dot sim ~threads r r in
-            let beta = KE.div rho' !rho in
-            xpay sim ~threads beta r p;
-            rho := rho';
-            rnorm := Float.sqrt (Float.max 0.0 (re_float rho'));
-            incr iter;
-            history := !rnorm :: !history;
-            (* Rounding stagnation: the recurrence has reached its
-               attainable level when the norm stops making relative
-               progress on the best seen (norms may oscillate while
-               converging, so only a sustained failure stops the
-               loop). *)
-            if !rnorm < 0.99 *. !best then begin
-              best := !rnorm;
-              stall := 0
-            end
-            else incr stall;
-            if !stall >= stall_limit then breakdown := true;
-            if armed g && !iter mod check_every = 0 then verify ()
-          end
-        done;
-        (* Loop exit (converged, iteration cap, breakdown, or a NaN that
-           poisoned [rnorm]): verify the tail since the last checkpoint.
-           A restore rewinds and re-enters; the replay budget bounds the
-           number of re-entries. *)
-        if armed g && (!iter > g.ckpt_iter || !breakdown) then begin
-          let before = !iter and was = !breakdown in
-          verify ();
-          continue_ := !iter < before || was <> !breakdown
-        end
-        else continue_ := false
-      done;
-      Sim.set_corruptor sim None;
+      recurrence sim ~stage:"cg.recurrence" ~iter ~breakdown
+        ~running:(fun () ->
+          (not !breakdown) && !iter < max_iter && !rnorm > floor_)
+        ~step ~ok:recurrence_ok ~snap ~restore;
       (vread x, !iter, List.rev !history)
 
     (* ---- LSQR (Paige & Saunders): Golub-Kahan bidiagonalization with
@@ -873,7 +833,6 @@ module Make (K : Scalar.S) = struct
             history := sh;
             mat_repair dm
           in
-          let g = guard_of sim ~stage:"lsqr.recurrence" ~snap in
           let recurrence_ok () =
             mat_repair dm;
             if not (finite_r !phibar && finite_r !alpha && finite_r !rhobar)
@@ -892,74 +851,54 @@ module Make (K : Scalar.S) = struct
               && Float.abs (rn -. Float.abs (KE.R.to_float !phibar)) <= slack
             end
           in
-          let verify () =
-            if
-              not
-                (guard_verify g ~iter:!iter ~ok:recurrence_ok ~snap ~restore)
-            then begin
-              iter := g.ckpt_iter;
-              breakdown := false
-            end
-          in
-          let continue_ = ref true in
-          while !continue_ do
-            while (not !breakdown) && !iter < max_iter && !resid > floor_ do
-              (* u := A v - alpha u;  beta := ||u||;  u /= beta *)
-              gemv sim ~threads ~trans:false dm v tm;
-              xpay sim ~threads (KE.of_real (rneg !alpha)) tm u;
-              beta := vnorm u;
-              if KE.R.to_float !beta = 0.0 || not (finite_r !beta) then
+          let step () =
+            (* u := A v - alpha u;  beta := ||u||;  u /= beta *)
+            gemv sim ~threads ~trans:false dm v tm;
+            xpay sim ~threads (KE.of_real (rneg !alpha)) tm u;
+            beta := vnorm u;
+            if KE.R.to_float !beta = 0.0 || not (finite_r !beta) then
+              breakdown := true
+            else begin
+              inv_scale u !beta;
+              (* v := A^H u - beta v;  alpha := ||v||;  v /= alpha *)
+              gemv sim ~threads ~trans:true dm u tn;
+              xpay sim ~threads (KE.of_real (rneg !beta)) tn v;
+              alpha := vnorm v;
+              if KE.R.to_float !alpha = 0.0 || not (finite_r !alpha) then
                 breakdown := true
               else begin
-                inv_scale u !beta;
-                (* v := A^H u - beta v;  alpha := ||v||;  v /= alpha *)
-                gemv sim ~threads ~trans:true dm u tn;
-                xpay sim ~threads (KE.of_real (rneg !beta)) tn v;
-                alpha := vnorm v;
-                if KE.R.to_float !alpha = 0.0 || not (finite_r !alpha) then
-                  breakdown := true
-                else begin
-                  inv_scale v !alpha;
-                  (* The Givens rotation eliminating beta from the lower
-                     bidiagonal, on the host. *)
-                  let rot =
-                    KE.R.sqrt
-                      (KE.R.add
-                         (KE.R.mul !rhobar !rhobar)
-                         (KE.R.mul !beta !beta))
-                  in
-                  let c = KE.R.div !rhobar rot in
-                  let s = KE.R.div !beta rot in
-                  let theta = KE.R.mul s !alpha in
-                  rhobar := rneg (KE.R.mul c !alpha);
-                  let phi = KE.R.mul c !phibar in
-                  phibar := KE.R.mul s !phibar;
-                  (* x += (phi/rho) w;  w := v - (theta/rho) w *)
-                  axpy sim ~threads (KE.of_real (KE.R.div phi rot)) w x;
-                  xpay sim ~threads
-                    (KE.of_real (rneg (KE.R.div theta rot)))
-                    v w;
-                  incr iter;
-                  resid := Float.abs (KE.R.to_float !phibar);
-                  history := Float.max !resid 0.0 :: !history;
-                  if !resid < 0.99 *. !best then begin
-                    best := !resid;
-                    stall := 0
-                  end
-                  else incr stall;
-                  if !stall >= stall_limit then breakdown := true;
-                  if armed g && !iter mod check_every = 0 then verify ()
+                inv_scale v !alpha;
+                (* The Givens rotation eliminating beta from the lower
+                   bidiagonal, on the host. *)
+                let rot =
+                  KE.R.sqrt
+                    (KE.R.add (KE.R.mul !rhobar !rhobar) (KE.R.mul !beta !beta))
+                in
+                let c = KE.R.div !rhobar rot in
+                let s = KE.R.div !beta rot in
+                let theta = KE.R.mul s !alpha in
+                rhobar := rneg (KE.R.mul c !alpha);
+                let phi = KE.R.mul c !phibar in
+                phibar := KE.R.mul s !phibar;
+                (* x += (phi/rho) w;  w := v - (theta/rho) w *)
+                axpy sim ~threads (KE.of_real (KE.R.div phi rot)) w x;
+                xpay sim ~threads (KE.of_real (rneg (KE.R.div theta rot))) v w;
+                incr iter;
+                resid := Float.abs (KE.R.to_float !phibar);
+                history := Float.max !resid 0.0 :: !history;
+                if !resid < 0.99 *. !best then begin
+                  best := !resid;
+                  stall := 0
                 end
+                else incr stall;
+                if !stall >= stall_limit then breakdown := true
               end
-            done;
-            if armed g && (!iter > g.ckpt_iter || !breakdown) then begin
-              let before = !iter and was = !breakdown in
-              verify ();
-              continue_ := !iter < before || was <> !breakdown
             end
-            else continue_ := false
-          done;
-          Sim.set_corruptor sim None;
+          in
+          recurrence sim ~stage:"lsqr.recurrence" ~iter ~breakdown
+            ~running:(fun () ->
+              (not !breakdown) && !iter < max_iter && !resid > floor_)
+            ~step ~ok:recurrence_ok ~snap ~restore;
           (vread x, !iter, List.rev !history)
         end
       end
@@ -1177,14 +1116,12 @@ module Make (K : Scalar.S) = struct
        escalates into the caller's retry classification instead of
        returning a silently degraded solution.  Unarmed non-convergence
        is a numerical property and is reported, not raised. *)
-    if (not converged) && Option.is_some fault then begin
-      (match List.find_map (fun (_, sim) -> Sim.fault_plan sim) !sims with
-      | Some p ->
-          Fault.Plan.note_detected p ~stage:"solver.converged";
-          Fault.Plan.note_escalation p ~stage:"solver.converged"
-      | None -> ());
-      raise (Fault.Plan.Injected (Fault.Plan.Bitflip, "solver.converged"))
-    end;
+    if not converged then
+      Option.iter
+        (fun p ->
+          Fault.Plan.rung p ~budget:0 ~stage:"solver.converged" ~replays:0
+            Fault.Plan.Detected)
+        (List.find_map (fun (_, sim) -> Sim.fault_plan sim) !sims);
     let iter =
       {
         iterations = !total_iters;

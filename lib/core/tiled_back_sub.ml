@@ -125,7 +125,9 @@ module Make (K : Scalar.S) = struct
     (match guard with
     | Some _ when executing ->
         Sim.set_corruptor sim
-          (Some (fun rng -> F.Bs.corrupt st rng ~flip:Fault.Plan.flip_bit))
+          (Some
+             (Fault.Plan.strike ~limbs:K.width ~raw:(F.Bs.staged st)
+                (F.Bs.regions st)))
     | _ -> ());
     (* U (inverted diagonal tiles included) is constant through stage 2:
        its checksum taken here convicts any corruption of the staged
@@ -198,47 +200,37 @@ module Make (K : Scalar.S) = struct
         Sim.launch sim ~stage:Stage.multiply_inverses ~cost:mul_cost (fun _ ->
             F.Bs.xi_block st ~r0 ~n)
       in
-      (try solve_tile () with
-      | Fault.Plan.Injected (Fault.Plan.Launch_fail, _) when guard <> None ->
-          (* The failed launch never ran its body, so x is untouched:
-             one stage-level replay before giving up. *)
-          (match guard with
-          | Some plan -> Fault.Plan.note_replay plan ~stage:"bs.tile"
-          | None -> ());
-          solve_tile ());
       (match guard with
-      | None -> ()
-      | Some plan ->
+      | None -> solve_tile ()
+      | Some plan -> (
+          (try solve_tile () with
+          | Fault.Plan.Injected (Fault.Plan.Launch_fail, _) as e ->
+              (* The failed launch never ran its body, so x is untouched:
+                 one stage-level replay before giving up. *)
+              Fault.Plan.rung plan ~budget:1 ~stage:"bs.tile" ~replays:0
+                (Fault.Plan.Escalated e);
+              solve_tile ());
           Sim.launch ~protected:true sim ~stage:Stage.abft_check
             ~cost:check_cost (fun _ -> ());
-          if executing then begin
-            (* The tile solve only writes x_i, so a failed verdict can
-               replay the launch in place — unless U itself no longer
-               matches its checksum, which nothing below this level can
-               repair. *)
-            let rec settle replays =
-              if not (tile_ok ~r0) then begin
-                Fault.Plan.note_detected plan ~stage:"bs.tile";
-                let u_intact =
-                  match vchk with
-                  | Some chk -> Fault.Checksum.matches chk (vchk_now ())
-                  | None -> true
-                in
-                if (not u_intact) || replays >= Fault.Plan.max_replays plan
-                then begin
-                  Fault.Plan.note_escalation plan ~stage:"bs.tile";
-                  raise
-                    (Fault.Plan.Injected (Fault.Plan.Bitflip, "bs.tile"))
-                end
-                else begin
-                  Fault.Plan.note_replay plan ~stage:"bs.tile";
-                  solve_tile ();
-                  settle (replays + 1)
-                end
-              end
-            in
-            settle 0
-          end);
+          (* The tile solve only writes x_i, so a failed verdict can
+             replay the launch in place — unless U itself no longer
+             matches its checksum, which nothing below this level can
+             repair. *)
+          let rec settle replays =
+            if not (tile_ok ~r0) then begin
+              let u_intact =
+                match vchk with
+                | Some chk -> Fault.Checksum.matches chk (vchk_now ())
+                | None -> true
+              in
+              Fault.Plan.rung plan
+                ?budget:(if u_intact then None else Some 0)
+                ~stage:"bs.tile" ~replays Fault.Plan.Detected;
+              solve_tile ();
+              settle (replays + 1)
+            end
+          in
+          if executing then settle 0));
       (* b_j := b_j - A_{j,i} x_i for all j < i, i blocks of n threads,
          counted as i concurrent launches like the paper does. *)
       if i > 0 then begin
@@ -272,27 +264,21 @@ module Make (K : Scalar.S) = struct
             let rec settle replays =
               update ();
               if executing && not (F.Bs.b_finite_below st ~r0) then begin
-                Fault.Plan.note_detected plan ~stage:"bs.update";
-                if replays < Fault.Plan.max_replays plan then begin
-                  restore ();
-                  Fault.Plan.note_replay plan ~stage:"bs.update";
-                  settle (replays + 1)
-                end
-                else begin
-                  Fault.Plan.note_escalation plan ~stage:"bs.update";
-                  raise
-                    (Fault.Plan.Injected (Fault.Plan.Bitflip, "bs.update"))
-                end
+                Fault.Plan.rung plan ~stage:"bs.update" ~replays
+                  Fault.Plan.Detected;
+                restore ();
+                settle (replays + 1)
               end
             in
             (try settle 0 with
-            | Fault.Plan.Injected (Fault.Plan.Launch_fail, _)
+            | Fault.Plan.Injected (Fault.Plan.Launch_fail, _) as e
               when executing ->
                 (* An escalated launch failure left b untouched mid-way
                    only on the failing relaunch path; restore and replay
                    once at stage level before giving up for good. *)
                 restore ();
-                Fault.Plan.note_replay plan ~stage:"bs.update";
+                Fault.Plan.rung plan ~budget:1 ~stage:"bs.update" ~replays:0
+                  (Fault.Plan.Escalated e);
                 settle 0)
       end
     done;

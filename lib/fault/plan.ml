@@ -89,9 +89,7 @@ let arm ?(salt = 0) cfg =
     escalations = 0;
   }
 
-let plan_config t = t.cfg
 let max_relaunches t = t.cfg.max_relaunches
-let max_replays t = t.cfg.max_replays
 let aux_rng t = t.aux_rng
 
 (* Metrics handles, resolved on first use against the default registry
@@ -251,6 +249,41 @@ let recovered tl = tl.relaunches + tl.retransfers + tl.replays
 let flip_bit x bit =
   Int64.float_of_bits
     (Int64.logxor (Int64.bits_of_float x) (Int64.shift_left 1L (bit land 63)))
+
+(* ---- the stage-level recovery ladder ---- *)
+
+type region = string * int * (int -> int -> (float -> float) -> unit)
+
+(* The one strike: an element weighted by region size, then a limb,
+   then a bit, all from the aux stream in that order. *)
+let strike ~limbs ~raw regions rng =
+  let total = List.fold_left (fun acc (_, size, _) -> acc + size) 0 regions in
+  if total = 0 then "nothing resident"
+  else
+    let rec find idx = function
+      | [] -> assert false
+      | (name, size, flip) :: rest ->
+          if idx < size then (name, idx, flip) else find (idx - size) rest
+    in
+    let name, idx, flip = find (Prng.int rng total) regions in
+    let limb = Prng.int rng limbs in
+    let bit = Prng.int rng 64 in
+    flip idx limb (fun w -> flip_bit w bit);
+    Printf.sprintf "%s[%d] plane %d bit %d%s" name idx limb bit
+      (if raw then " (raw)" else "")
+
+type cause = Detected | Escalated of exn
+
+let rung ?budget t ~stage ~replays cause =
+  (match cause with Detected -> note_detected t ~stage | Escalated _ -> ());
+  if replays < Option.value budget ~default:t.cfg.max_replays then
+    note_replay t ~stage
+  else
+    match cause with
+    | Detected ->
+        note_escalation t ~stage;
+        raise (Injected (Bitflip, stage))
+    | Escalated e -> raise e
 
 let pp_tally ppf tl =
   Format.fprintf ppf

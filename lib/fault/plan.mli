@@ -61,9 +61,7 @@ val arm : ?salt:int -> config -> t
     job (e.g. the QR sim and the back-substitution sim) draw independent
     fault streams from one campaign seed. *)
 
-val plan_config : t -> config
 val max_relaunches : t -> int
-val max_replays : t -> int
 
 val aux_rng : t -> Dompool.Prng.t
 (** The auxiliary stream used for corruption sites and detector probes;
@@ -109,6 +107,42 @@ val note_relaunch : t -> stage:string -> unit
 val note_retransfer : t -> unit
 val note_replay : t -> stage:string -> unit
 val note_escalation : t -> stage:string -> unit
+
+(** {1 The stage-level recovery ladder}
+
+    A solver stage (a QR panel, a back-substitution tile or update, a
+    run of CG or LSQR iterations) owns its detector and its snapshot;
+    what happens to the device state and to the plan when the detector
+    fires is written once, here. *)
+
+type region = string * int * (int -> int -> (float -> float) -> unit)
+(** [(name, size, flip)]: a device-resident array of [size] elements.
+    [flip i limb f] rewrites limb word [limb] of element [i] with [f]
+    applied to it. *)
+
+val strike :
+  limbs:int -> raw:bool -> region list -> Dompool.Prng.t -> string
+(** The bit-flip corruptor over a device state: draws an element
+    weighted by region size, then one of its [limbs] limb words, then
+    one of 64 bits, in that order, flips it and describes the strike
+    ("R[81] plane 0 bit 38", with " (raw)" when [raw]: the words are
+    staged limb-plane words, not a scalar's limbs).  With nothing
+    resident it draws nothing and says so. *)
+
+type cause =
+  | Detected  (** the stage's detector caught corrupted data *)
+  | Escalated of exn
+      (** a launch inside the stage escalated past its relaunch budget
+          (the simulator already noted the failure and the escalation) *)
+
+val rung : ?budget:int -> t -> stage:string -> replays:int -> cause -> unit
+(** One rung of the ladder for [stage], which has been replayed
+    [replays] times: notes a detection, then, while [replays < budget]
+    (by default the plan's replay budget), notes a replay and returns —
+    the caller restores its snapshot and reruns the stage.  Past the
+    budget a detection notes the escalation and raises
+    [Injected (Bitflip, stage)]; an escalated launch re-raises its
+    exception. *)
 
 (** {1 Tallies} *)
 

@@ -155,6 +155,16 @@ module Make (K : Scalar.S) = struct
   let stage_vec ~n ~get = stage ~rows:n ~cols:1 ~get:(fun i _ -> get i)
   let unstage_vec t ~store = unstage t ~store:(fun i _ s -> store i s)
 
+  (* The per-word flips a fault strike applies to one limb of element
+     [i]: in place on a staged plane word (the paper's device layout),
+     or through a boxed scalar's limb round-trip. *)
+  let flip_word t i limb f = Nd_flat.set t.p limb i (f (Nd_flat.get t.p limb i))
+
+  let flip_limb (a : K.t array) i limb f =
+    let limbs = K.to_planes a.(i) in
+    limbs.(limb) <- f limbs.(limb);
+    a.(i) <- K.of_planes limbs
+
   (* Read element [i] of a staged vector back as a boxed scalar (probe
      reads for verification; the hot paths never box). *)
   let read_el (t : planes) i =
@@ -426,9 +436,9 @@ module Make (K : Scalar.S) = struct
      the solver and shared by both arms, so device timing is path
      independent.
 
-     The fault plane closures ([flip], [check]) are passed in by the
-     solver: they come from [Fault], which this library deliberately
-     does not depend on. *)
+     The fault plane's strike and validators live in [Fault], which this
+     library deliberately does not depend on: [Bs] supplies its regions
+     and the [check] closure is passed in by the solver. *)
   module Bs = struct
     type repr = Flat of { vp : planes; bdp : planes; xp : planes } | Boxed
 
@@ -521,35 +531,17 @@ module Make (K : Scalar.S) = struct
             vp.p
       | Boxed -> Array.iter (fun s -> Array.iter f (K.to_planes s)) t.v
 
-    (* Bit-flip corruptor over the resident device state, one element
-       picked weighted by size, one limb plane, one bit ([flip]).  On the
-       flat arm faults strike the staggered limb planes directly (raw
-       word flips, exactly the paper's device layout); on the boxed arm
-       one scalar goes through a limb flip and the renormalizing
-       round-trip. *)
-    let corrupt t rng ~flip =
-      let dim = t.dim in
-      let pick = Dompool.Prng.int rng ((dim * dim) + dim + dim) in
-      let name, idx =
-        if pick < dim * dim then ("U", pick)
-        else if pick < (dim * dim) + dim then ("b", pick - (dim * dim))
-        else ("x", pick - (dim * dim) - dim)
+    (* The resident device state a fault strike picks from: raw plane
+       words on the flat arm, scalar limbs on the boxed arm. *)
+    let staged t = match t.repr with Flat _ -> true | Boxed -> false
+
+    let regions t =
+      let u, b, x =
+        match t.repr with
+        | Flat { vp; bdp; xp } -> (flip_word vp, flip_word bdp, flip_word xp)
+        | Boxed -> (flip_limb t.v, flip_limb t.bd, flip_limb t.x)
       in
-      match t.repr with
-      | Flat { vp; bdp; xp } ->
-          let pl = match name with "U" -> vp | "b" -> bdp | _ -> xp in
-          let p = Dompool.Prng.int rng (Array.length pl.p) in
-          let bit = Dompool.Prng.int rng 64 in
-          Nd_flat.set pl.p p idx (flip (Nd_flat.get pl.p p idx) bit);
-          Printf.sprintf "%s[%d] plane %d bit %d (raw)" name idx p bit
-      | Boxed ->
-          let arr = match name with "U" -> t.v | "b" -> t.bd | _ -> t.x in
-          let planes = K.to_planes arr.(idx) in
-          let p = Dompool.Prng.int rng (Array.length planes) in
-          let bit = Dompool.Prng.int rng 64 in
-          planes.(p) <- flip planes.(p) bit;
-          arr.(idx) <- K.of_planes planes;
-          Printf.sprintf "%s[%d] plane %d bit %d" name idx p bit
+      [ ("U", t.dim * t.dim, u); ("b", t.dim, b); ("x", t.dim, x) ]
 
     (* Every limb word of b below [r0] still finite? (The update replay
        verdict.) *)

@@ -61,6 +61,14 @@ module Make (K : Scalar.S) : sig
   val stage_vec : n:int -> get:(int -> K.t) -> planes
   val unstage_vec : planes -> store:(int -> K.t -> unit) -> unit
 
+  val flip_word : planes -> int -> int -> (float -> float) -> unit
+  (** [flip_word t i limb f] rewrites limb plane word [limb] of element
+      [i] in place with [f] applied to it: a fault strike on the staged
+      device layout. *)
+
+  val flip_limb : K.t array -> int -> int -> (float -> float) -> unit
+  (** The same strike on a boxed element, through its limb round-trip. *)
+
   type view = {
     vp : Multidouble.Nd_flat.planes;
     off : int;
@@ -188,10 +196,15 @@ module Make (K : Scalar.S) : sig
     (** Feed every limb word of the matrix to the callback, in the arm's
         own storage order — digest fodder for ABFT checksums. *)
 
-    val corrupt : t -> Dompool.Prng.t -> flip:(float -> int -> float) -> string
-    (** Flip one [flip]-selected bit of one size-weighted element of the
-        resident state: raw plane words on the flat arm, a scalar limb
-        round-trip on the boxed arm.  Returns a description. *)
+    val staged : t -> bool
+    (** The state lives on limb planes (the flat arm). *)
+
+    val regions :
+      t -> (string * int * (int -> int -> (float -> float) -> unit)) list
+    (** The resident state a fault strike picks from — U, b and x with
+        their sizes and per-word flips ({!flip_word} on the flat arm,
+        {!flip_limb} on the boxed one) — in the shape of
+        [Fault.Plan.region]. *)
 
     val b_finite_below : t -> r0:int -> bool
     val snapshot_b : t -> upto:int -> b_snapshot

@@ -413,8 +413,7 @@ let test_od_flat_fault () =
     (match flips.Report.residual with Some v -> v.Report.ok | None -> false)
 
 let test_od_bigarray_corrupt_detected () =
-  (* The staged planes live in Bigarray storage: a raw [Bs.corrupt]
-     strike on the flat arm must mutate exactly the words
+  (* The staged planes live in Bigarray storage: a raw strike on the flat arm must mutate exactly the words
      [Bs.iter_u_limbs] feeds the checksum, U flips convicting the digest
      and b/x flips leaving it untouched — the contract the stage-2
      detect/recover ladder stands on. *)
@@ -434,7 +433,9 @@ let test_od_bigarray_corrupt_detected () =
     check "digest reproducible" true
       (Fault.Checksum.matches digest
          (Fault.Checksum.of_iter (F.Bs.iter_u_limbs st)));
-    let where = F.Bs.corrupt st rng ~flip:Plan.flip_bit in
+    let where =
+      Plan.strike ~limbs:K.width ~raw:(F.Bs.staged st) (F.Bs.regions st) rng
+    in
     let now = Fault.Checksum.of_iter (F.Bs.iter_u_limbs st) in
     if String.length where > 0 && where.[0] = 'U' then begin
       incr struck_u;
