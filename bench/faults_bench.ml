@@ -206,17 +206,40 @@ let run () =
   close_out oc;
   pf "  [json written to %s]\n" path
 
-(* Smoke: a tiny fixed-seed double double campaign.  Every run must
-   detect-or-recover (final forward error ok), a second pass must replay
-   bit-identically, and a clean run must carry no fault record at all. *)
+(* The stage-level recovery ladder of every engine: the fault-armed
+   executed double double runs the golden corpus pins, each of which
+   completes through stage replays (QR panels, a back-substitution tile,
+   CG and LSQR recurrences). *)
+let ladder_runs () =
+  let run ?rows ?solver kind ~dim ~tile ~rate ~seed =
+    R.run
+      (R.request ?rows ?solver
+         ~fault:(Fault.Plan.config ~seed ~rate ())
+         ~execute:true ~kind ~prec:P.DD ~device ~dim ~tile ())
+  in
+  let iter solver ~seed =
+    run R.Solve ~solver ~rows:256 ~dim:16 ~tile:16 ~rate:0.05 ~seed
+  in
+  [
+    ("qr 32x32", run R.Qr ~dim:32 ~tile:8 ~rate:0.5 ~seed:2);
+    ("backsub 32", run R.Backsub ~dim:32 ~tile:8 ~rate:0.1 ~seed:1);
+    ("cg 256x16", iter Lsq_core.Solver.Cg_normal ~seed:6);
+    ("lsqr 256x16", iter Lsq_core.Solver.Lsqr ~seed:2);
+  ]
+
+(* Smoke: a tiny fixed-seed double double campaign and the ladder runs.
+   Every campaign run must detect-or-recover (final forward error ok),
+   every ladder run must replay a stage, a second pass of both must
+   replay bit-identically in tallies and residuals, and a clean run must
+   carry no fault record at all. *)
 let smoke () =
   pf "\n%s\n" (String.make 78 '-');
   pf "Fault smoke: seeded campaign, %dx%d tile=%d double double\n"
     recovery_dim recovery_dim recovery_tile;
   pf "%s\n" (String.make 78 '-');
   let runs = 4 and rate = 1e-2 and seed = 11 in
-  let pass () = campaign ~prec:P.DD ~runs ~rate ~seed in
-  let first = pass () in
+  let pass () = (campaign ~prec:P.DD ~runs ~rate ~seed, ladder_runs ()) in
+  let first, ladder = pass () in
   List.iteri
     (fun i r ->
       let inj =
@@ -231,13 +254,28 @@ let smoke () =
     Printf.eprintf "fault-smoke: a faulted run escaped recovery\n";
     exit 1
   end;
-  let second = pass () in
+  List.iter
+    (fun (name, (r : Report.t)) ->
+      let replays =
+        match r.Report.faults with Some f -> f.Report.replays | None -> 0
+      in
+      pf "  ladder %-12s %d stage replays\n" name replays;
+      if replays = 0 then begin
+        Printf.eprintf "fault-smoke: %s no longer replays a stage\n" name;
+        exit 1
+      end)
+    ladder;
+  let second, ladder' = pass () in
+  (* [compare], not [=]: a fault-struck residual may be NaN. *)
   let same =
     List.for_all2
       (fun (a : Report.t) (b : Report.t) ->
-        a.Report.faults = b.Report.faults
-        && a.Report.residual = b.Report.residual)
-      first second
+        compare
+          (a.Report.faults, a.Report.residual)
+          (b.Report.faults, b.Report.residual)
+        = 0)
+      (first @ List.map snd ladder)
+      (second @ List.map snd ladder')
   in
   if not same then begin
     Printf.eprintf "fault-smoke: campaign replay was not bit-identical\n";

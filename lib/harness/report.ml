@@ -160,11 +160,15 @@ let row_of_json j =
       };
   }
 
+(* A residual that is not a number (a fault-struck run's) goes on the
+   wire as null, read back as NaN; its [ok] is false either way. *)
 let json_of_residual r =
   Json.Obj
     [
       ("what", Json.Str r.what);
-      ("residual", Json.Float r.residual);
+      ( "residual",
+        if Float.is_finite r.residual then Json.Float r.residual else Json.Null
+      );
       ("eps", Json.Float r.eps);
       ("ok", Json.Bool r.ok);
     ]
@@ -172,7 +176,9 @@ let json_of_residual r =
 let residual_of_json j =
   {
     what = Json.(get_string (member "what" j));
-    residual = Json.(get_float (member "residual" j));
+    residual =
+      Option.value ~default:Float.nan
+        Json.(to_option get_float (member "residual" j));
     eps = Json.(get_float (member "eps" j));
     ok = Json.(get_bool (member "ok" j));
   }

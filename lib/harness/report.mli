@@ -43,7 +43,9 @@ end
     working precision's eps. *)
 type residual = {
   what : string;
-  residual : float;  (** relative, in units of [eps] *)
+  residual : float;
+      (** relative, in units of [eps]; a non-finite one is [null] on the
+          wire and reads back as NaN *)
   eps : float;
   ok : bool;
 }

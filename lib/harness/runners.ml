@@ -107,11 +107,7 @@ let next_tag = function
   | P.OD -> None
 
 let salted (cfg : Fault.Plan.config) =
-  Fault.Plan.config ~kinds:cfg.Fault.Plan.kinds
-    ~max_relaunches:cfg.Fault.Plan.max_relaunches
-    ~max_replays:cfg.Fault.Plan.max_replays
-    ~seed:(cfg.Fault.Plan.seed + 0x5bd1e995)
-    ~rate:cfg.Fault.Plan.rate ()
+  { cfg with Fault.Plan.seed = cfg.Fault.Plan.seed + 0x5bd1e995 }
 
 module Make (K : Scalar.S) = struct
   module S = Solver.Make (K)

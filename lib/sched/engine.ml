@@ -88,7 +88,7 @@ let backoff_pause_ms ~backoff_ms (job : Job.t) ~attempt =
 
 (* One synchronous run of the job proper; [Harness.Runners.run] decides
    how (plan, executed run, or the fault-tolerant solve). *)
-let run_job job = Harness.Runners.run (Job.request job)
+let run_job ?attempt job = Harness.Runners.run (Job.request ?attempt job)
 
 (* The full lifecycle of one job: validation, then up to [1 + retries]
    attempts under the cooperative wall-clock budget, with exponential
@@ -163,7 +163,7 @@ let settle ~backoff_ms ~queued_at (job : Job.t) =
                 try
                   if attempt <= job.Job.inject_failures then
                     raise Injected_failure
-                  else Ok (run_job job)
+                  else Ok (run_job ~attempt job)
                 with e -> Error (classify e)
               in
               attempt_times := (now_ms () -. t0) :: !attempt_times;

@@ -74,9 +74,10 @@ val classify : exn -> string * bool
 val now_ms : unit -> float
 (** The engine's wall clock (Unix epoch milliseconds). *)
 
-val run_job : Job.t -> Harness.Report.t
+val run_job : ?attempt:int -> Job.t -> Harness.Report.t
 (** Runs one job synchronously (no retry, timeout or failure injection):
-    {!Harness.Runners.run} of {!Job.request}.  That plans the job, or
+    {!Harness.Runners.run} of {!Job.request}, as its [attempt]-th attempt
+    (default 1), which picks its fault campaign.  That plans the job, or
     with [job.execute] runs it numerically and reports that run with
     its residual; an executed solve under an armed fault plane
     ({!Job.fault_config}) takes the fault-tolerant path, whose report

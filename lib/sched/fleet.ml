@@ -192,6 +192,8 @@ type t = {
   order : int Atomic.t;  (* completion rank *)
   total_steals : int Atomic.t;
   mutable started_at : float;  (* for utilization *)
+  mutable sink_failure : (exn * Printexc.raw_backtrace) option;
+      (* the first exception an [on_outcome] call raised *)
 }
 
 (* ---- metrics ---- *)
@@ -269,11 +271,16 @@ let classify_job (job : Job.t) =
 (* Fault-free roofline stage predictions on the device a job actually
    executed with, feeding the health plane's cost-model drift detector:
    fault-free measured breakdowns reproduce these exactly, so any gap is
-   either fault recovery or a miscalibrated model.  An executed CG or
-   LSQR solve reports the precision ladder it ran, which the plan (its
-   planned iterations at one rung) does not predict, so it has none. *)
+   a miscalibrated model.  Only jobs that run what the plan prices have
+   one.  A fault-armed job also re-accounts relaunched kernels and
+   reruns replayed stages, and an executed CG or LSQR solve reports the
+   precision ladder it ran, not the plan's one rung: neither has a
+   prediction. *)
 let predicted_stages (job : Job.t) =
-  if job.Job.execute && Lsq_core.Solver.is_iterative job.Job.solver then None
+  if
+    job.Job.fault_rate > 0.0
+    || (job.Job.execute && Lsq_core.Solver.is_iterative job.Job.solver)
+  then None
   else
     Option.map
       (List.map (fun (s : Obs.Roofline.stage) ->
@@ -526,6 +533,22 @@ let strand t inst entry =
 (* ---- execution ---- *)
 
 (* One claimed entry, start to finish; runs outside the fleet lock. *)
+(* Hands settled outcomes to [on_outcome].  A raising sink must not
+   take a worker down with jobs still queued, so the worker serves on
+   and the first exception reaches the caller at [shutdown]. *)
+let deliver t outcomes =
+  Option.iter
+    (fun f ->
+      List.iter
+        (fun o ->
+          try f o
+          with e ->
+            let bt = Printexc.get_raw_backtrace () in
+            Mutex.protect t.lock (fun () ->
+                if t.sink_failure = None then t.sink_failure <- Some (e, bt)))
+        outcomes)
+    t.on_outcome
+
 let execute t inst entry ~stolen =
   let job = effective_job t inst entry.q_job in
   let admitted_to = t.instances.(entry.q_admitted_to).id in
@@ -608,9 +631,7 @@ let execute t inst entry ~stolen =
           ("latency_ms", Obs.Log.Float latency_ms);
         ];
     (* Drift: fault-free roofline prediction vs the measured breakdown,
-       stage by stage.  Stages the model does not plan (e.g. the ABFT
-       checks of fault-tolerant runs) have no prediction and are
-       skipped. *)
+       stage by stage, for the jobs that have a prediction. *)
     (match predicted_stages job with
     | Some predicted ->
       List.iter
@@ -632,9 +653,7 @@ let execute t inst entry ~stolen =
           ("message", Obs.Log.Str f.Engine.message);
           ("timed_out", Obs.Log.Bool f.Engine.timed_out);
         ]);
-  match t.on_outcome with
-  | Some f -> ( try f outcome with _ -> ())
-  | None -> ()
+  deliver t [ outcome ]
 
 let idle inst = alive inst && not inst.running
 
@@ -695,9 +714,7 @@ let worker t () =
         if quarantined <> [] then Condition.broadcast t.changed;
         Mutex.unlock t.lock;
         Chaos.note_triggered kind ~instance:inst.id;
-        Option.iter
-          (fun f -> List.iter (fun o -> try f o with _ -> ()) quarantined)
-          t.on_outcome;
+        deliver t quarantined;
         serve ()
       | due ->
         (match due with
@@ -774,6 +791,7 @@ let create ?on_outcome ?(autostart = true) ?workers (config : Config.t) =
       order = Atomic.make 0;
       total_steals = Atomic.make 0;
       started_at = Engine.now_ms ();
+      sink_failure = None;
     }
   in
   if autostart then start t;
@@ -903,7 +921,10 @@ let shutdown t =
     Array.iter
       (fun inst -> Metrics.Gauge.set (util_gauge inst) (utilization t inst ~now))
       t.instances
-  end
+  end;
+  Option.iter
+    (fun (e, bt) -> Printexc.raise_with_backtrace e bt)
+    t.sink_failure
 
 (* A batch over a fresh fleet: submit everything (blocking on
    backpressure instead of rejecting — a batch has no client to answer),

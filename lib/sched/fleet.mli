@@ -126,7 +126,8 @@ val create :
     domains; any worker serves any instance, one job per instance at a
     time, and a job's launches run on the shared default domain pool.
     [on_outcome] is called from the worker domain that settled the job,
-    as each job finishes (exceptions it raises are swallowed).  With
+    as each job finishes; the worker serves on when it raises, and
+    {!shutdown} re-raises the first such exception.  With
     [autostart:false] submissions queue but nothing executes until
     {!start} — useful for deterministic placement tests.  Raises
     [Invalid_argument] when {!Config.validate} rejects the config. *)
@@ -160,7 +161,7 @@ val shutdown : t -> unit
 (** Stops admissions, lets the workers finish every queued job, joins
     them.  Idempotent; a never-started fleet just stops.  Crashed and
     hung instances hold no work: theirs was migrated when the strike
-    came. *)
+    came.  Re-raises the first exception an [on_outcome] call raised. *)
 
 val run :
   ?on_outcome:(Engine.outcome -> unit) ->
@@ -173,7 +174,8 @@ val run :
     the submitter instead of rejecting (a batch has no client to
     answer); [retain_outcomes] is forced on.  [on_outcome] is called as
     each job settles, from the worker domain that ran it — it must be
-    thread-safe.  Never raises on job failures. *)
+    thread-safe.  Never raises on job failures; once every job has
+    settled, re-raises the first exception [on_outcome] raised. *)
 
 (** A point-in-time view of one instance. *)
 type stats = {

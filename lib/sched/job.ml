@@ -57,13 +57,18 @@ let make ?(complex = false) ?rows ?(solver = Solver.Qr_direct)
     fault_kinds;
   }
 
-(* The armed fault plan of the job, or [None] for the (default)
-   fault-free run — keeping the zero-rate path bit-identical to a build
-   without the fault plane. *)
-let fault_config t =
+(* The armed fault plan of the job's [attempt]-th attempt, or [None] for
+   the (default) fault-free run — keeping the zero-rate path
+   bit-identical to a build without the fault plane.  A retry replaying
+   the first attempt's campaign would fail the same way, so attempt
+   k >= 2 salts the seed by k, on a stride of its own: the fault-tolerant
+   solve's replay adds a fixed 0x5bd1e995, which no attempt's salt
+   reaches. *)
+let fault_config ?(attempt = 1) t =
   if t.fault_rate > 0.0 then
     Some
-      (Fault.Plan.config ~kinds:t.fault_kinds ~seed:t.fault_seed
+      (Fault.Plan.config ~kinds:t.fault_kinds
+         ~seed:(t.fault_seed + ((attempt - 1) * 0x1b873593))
          ~rate:t.fault_rate ())
   else None
 
@@ -91,12 +96,12 @@ let kind_of_string s =
   | "solve" -> Solve
   | s -> invalid_arg (Printf.sprintf "unknown job kind '%s'" s)
 
-let request ?device t =
+let request ?device ?attempt t =
   let device =
     match device with Some d -> d | None -> Gpusim.Device.by_name t.device
   in
   Runners.request ~complex:t.complex ?rows:t.rows ~solver:t.solver
-    ?fault:(fault_config t) ~execute:t.execute ~kind:t.kind ~prec:t.prec
+    ?fault:(fault_config ?attempt t) ~execute:t.execute ~kind:t.kind ~prec:t.prec
     ~device ~dim:t.dim ~tile:t.tile ()
 
 let validate t =

@@ -82,13 +82,18 @@ val auto_device : string
 val is_auto : t -> bool
 (** The job leaves device selection to the fleet. *)
 
-val fault_config : t -> Fault.Plan.config option
-(** The armed fault plan of the job ([None] when [fault_rate] is 0).
-    Validate first: an out-of-range rate raises [Invalid_argument]. *)
+val fault_config : ?attempt:int -> t -> Fault.Plan.config option
+(** The armed fault plan of the job's [attempt]-th attempt (default 1;
+    [None] when [fault_rate] is 0).  Attempt 1 draws from [fault_seed];
+    each retry draws a fresh campaign from a seed salted by its attempt
+    number.  Validate first: an out-of-range rate raises
+    [Invalid_argument]. *)
 
-val request : ?device:Gpusim.Device.t -> t -> Harness.Runners.request
-(** The job as a runner request, on [device] when given and otherwise on
-    the device the job names.  Raises [Invalid_argument] on an unknown
+val request :
+  ?device:Gpusim.Device.t -> ?attempt:int -> t -> Harness.Runners.request
+(** The job as a runner request for its [attempt]-th attempt (see
+    {!fault_config}), on [device] when given and otherwise on the device
+    the job names.  Raises [Invalid_argument] on an unknown
     device (including an unplaced {!auto_device}) or an out-of-range
     fault rate. *)
 

@@ -867,6 +867,27 @@ let test_faulted_job_completes () =
   let clean = S.run_job (solve_job ~id:"clean-solve" ()) in
   check "clean job carries no fault record" true (clean.Report.faults = None)
 
+let test_retry_draws_a_fresh_campaign () =
+  (* Armed at rate 0.1, seed 8, this QR's first campaign escalates at a
+     panel check.  A retry replaying that campaign could only fail the
+     same way; the second attempt draws its own and completes. *)
+  let job =
+    Job.make ~execute:true ~fault_rate:0.1 ~fault_seed:8 ~retries:1
+      ~id:"retried" ~kind:Job.Qr ~device:"v100" ~prec:P.DD ~dim:32 ~tile:8 ()
+  in
+  (match S.run_job job with
+  | exception Plan.Injected (Plan.Bitflip, "qr.panel") -> ()
+  | _ -> Alcotest.fail "the first campaign no longer escalates");
+  let attempts, _, timing, status =
+    S.settle ~backoff_ms:0.0 ~queued_at:(S.now_ms ()) job
+  in
+  checki "two attempts" 2 attempts;
+  checki "two attempt times" 2 (List.length timing.S.attempt_ms);
+  match status with
+  | S.Completed r ->
+    check "the retry's report carries its tally" true (r.Report.faults <> None)
+  | S.Failed f -> Alcotest.failf "the retry failed too: %s" f.S.message
+
 let test_serialization () =
   (* Outcomes round-trip with the classification flag, for both values. *)
   let outcomes =
@@ -971,6 +992,8 @@ let () =
             test_failure_classification;
           Alcotest.test_case "faulted job completes" `Quick
             test_faulted_job_completes;
+          Alcotest.test_case "a retry draws a fresh campaign" `Quick
+            test_retry_draws_a_fresh_campaign;
           Alcotest.test_case "serialization" `Quick test_serialization;
         ] );
     ]

@@ -423,6 +423,21 @@ let test_iterative_no_false_drift () =
   check "direct stages calibrated" true
     (List.for_all (fun (d : Obs.Health.stage_drift) -> not d.drifted) drift)
 
+(* A fault-armed job re-accounts relaunched kernels and reruns replayed
+   stages, which the fault-free plan does not price: served, it feeds no
+   drift samples (this one used to log "R + YWTC" at 1.33x).  The same
+   QR unarmed still feeds them. *)
+let test_armed_no_drift () =
+  let qr ?fault_rate ~id () =
+    Job.make ?fault_rate ~fault_seed:1 ~id ~kind:Job.Qr ~device:"V100"
+      ~prec:P.DD ~dim:32 ~tile:8 ~execute:true ()
+  in
+  let drift, warnings = served_drift [ qr ~fault_rate:0.3 ~id:"armed" () ] in
+  checki "no model_drift record" 0 (List.length warnings);
+  checki "no drift samples" 0 (List.length drift);
+  let drift, _ = served_drift [ qr ~id:"unarmed" () ] in
+  check "the unarmed QR feeds drift" true (drift <> [])
+
 let () =
   Alcotest.run "fleet"
     [
@@ -451,5 +466,7 @@ let () =
         [
           Alcotest.test_case "executed iterative solves raise no drift"
             `Quick test_iterative_no_false_drift;
+          Alcotest.test_case "fault-armed jobs raise no drift" `Quick
+            test_armed_no_drift;
         ] );
     ]

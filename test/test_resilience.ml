@@ -604,6 +604,63 @@ let test_service_resume () =
       check "final replay: nothing pending" true (final.Jn.pending = []);
       checki "final replay: the torn line only" 1 final.Jn.malformed)
 
+(* A fault-struck QR whose residual is NaN (fault rate 0.3, seed 1):
+   its outcome goes on the wire like any other, under [serve] and under
+   [batch], and the journal settles it. *)
+let nan_residual_qr =
+  Job.make ~execute:true ~fault_rate:0.3 ~fault_seed:1 ~id:"q1" ~kind:Job.Qr
+    ~device:"V100" ~prec:P.DD ~dim:32 ~tile:8 ()
+
+let test_non_finite_residual_settles () =
+  let report_of line = Json.member "report" (Json.of_string line) in
+  let residual_of line = Json.member "residual" (report_of line) in
+  with_temp_journal (fun path ->
+      let s, lines = serve ~journal:path one_v100 [ job_line nan_residual_qr ] in
+      checki "submitted" 1 s.Sv.submitted;
+      checki "serve: exactly one line" 1 (List.length lines);
+      let line = List.hd lines in
+      checks "completed" "completed" (line_status line);
+      check "residual is null" true
+        (Json.member "residual" (residual_of line) = Json.Null);
+      check "not ok" false Json.(get_bool (member "ok" (residual_of line)));
+      let r = Jn.replay path in
+      checki "journal: committed" 1 (List.length r.Jn.committed);
+      check "journal: nothing pending" true (r.Jn.pending = []));
+  let path = Filename.temp_file "test_batch" ".jsonl" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      let outcomes = F.run (F.Config.batch ()) [ nan_residual_qr ] in
+      Out_channel.with_open_text path (fun oc -> S.write_jsonl oc outcomes);
+      let lines =
+        In_channel.with_open_text path In_channel.input_all
+        |> String.split_on_char '\n'
+        |> List.filter (fun l -> l <> "")
+      in
+      checki "batch: exactly one line" 1 (List.length lines);
+      match In_channel.with_open_text path S.read_jsonl with
+      | [ { S.status = S.Completed rep; _ } ] ->
+        check "reads back as NaN" true
+          (Float.is_nan (Option.get rep.Rep.residual).Rep.residual)
+      | _ -> Alcotest.fail "batch line is not one completed outcome")
+
+(* A raising outcome sink neither loses the other jobs nor vanishes:
+   every job still settles, and the exception reaches the caller. *)
+let test_sink_failure_reaches_caller () =
+  let settled = Atomic.make 0 in
+  match
+    F.run
+      ~on_outcome:(fun _ ->
+        Atomic.incr settled;
+        failwith "sink")
+      one_v100
+      [ quick "k0"; quick "k1"; quick "k2" ]
+  with
+  | _ -> Alcotest.fail "the sink's exception was dropped"
+  | exception Failure m ->
+    checks "the sink's exception" "sink" m;
+    checki "every job still settled" 3 (Atomic.get settled)
+
 let test_service_rejection () =
   with_temp_journal (fun path ->
       (* Depth 1 and jobs that hold the worker for a 50 ms backoff: of
@@ -786,6 +843,10 @@ let () =
             test_service_rejection;
           Alcotest.test_case "bad job lines are skipped" `Quick
             test_service_bad_lines;
+          Alcotest.test_case "a non-finite residual settles" `Quick
+            test_non_finite_residual_settles;
+          Alcotest.test_case "sink failures reach the caller" `Quick
+            test_sink_failure_reaches_caller;
           Alcotest.test_case "SIGTERM drains" `Quick
             (sigterm_drain ~elsewhere:false);
           Alcotest.test_case "SIGTERM on another thread drains" `Quick
