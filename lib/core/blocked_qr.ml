@@ -429,21 +429,13 @@ module Make (K : Scalar.S) = struct
       (match guard with
       | None -> ignore (do_panel () : bool)
       | Some plan ->
-          let snap =
-            if executing then
-              Some (Array.copy r, Array.copy q, Option.map V.copy rhs)
-            else None
-          in
+          let resident = r :: q :: Option.to_list rhs in
+          let snap = if executing then List.map Array.copy resident else [] in
           let restore () =
-            match snap with
-            | None -> ()
-            | Some (r0, q0, b0) ->
-                Array.blit r0 0 r 0 (Array.length r);
-                Array.blit q0 0 q 0 (Array.length q);
-                (match (b0, rhs) with
-                | Some src, Some dst ->
-                    Array.blit src 0 (dst : K.t array) 0 (Array.length src)
-                | _ -> ())
+            if executing then
+              List.iter2
+                (fun s d -> Array.blit s 0 d 0 (Array.length s))
+                snap resident
           in
           let rec attempt replays =
             let replay cause =

@@ -532,7 +532,6 @@ let strand t inst entry =
 
 (* ---- execution ---- *)
 
-(* One claimed entry, start to finish; runs outside the fleet lock. *)
 (* Hands settled outcomes to [on_outcome].  A raising sink must not
    take a worker down with jobs still queued, so the worker serves on
    and the first exception reaches the caller at [shutdown]. *)
@@ -549,6 +548,7 @@ let deliver t outcomes =
         outcomes)
     t.on_outcome
 
+(* One claimed entry, start to finish; runs outside the fleet lock. *)
 let execute t inst entry ~stolen =
   let job = effective_job t inst entry.q_job in
   let admitted_to = t.instances.(entry.q_admitted_to).id in

@@ -101,8 +101,8 @@ let request ?device ?attempt t =
     match device with Some d -> d | None -> Gpusim.Device.by_name t.device
   in
   Runners.request ~complex:t.complex ?rows:t.rows ~solver:t.solver
-    ?fault:(fault_config ?attempt t) ~execute:t.execute ~kind:t.kind ~prec:t.prec
-    ~device ~dim:t.dim ~tile:t.tile ()
+    ?fault:(fault_config ?attempt t) ~execute:t.execute ~kind:t.kind
+    ~prec:t.prec ~device ~dim:t.dim ~tile:t.tile ()
 
 let validate t =
   let err fmt = Printf.ksprintf (fun m -> Error m) fmt in
