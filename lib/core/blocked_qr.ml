@@ -32,14 +32,15 @@
    transfers and issues the launches; the device state and every launch
    body live in [Flat_kernels.Make(K).Qr], which has two arms:
    - flat, when executing with [Flat_kernels.available] (real,
-     uninstrumented scalars) and no armed fault plan: everything above
-     is staged limb planes, staged at the first transfer and unstaged
-     at the second, and every stage runs on the [Nd_flat] engines;
-   - boxed otherwise: the host [K.t] arrays, factored in place.  This
-     serves complex and [Counted] scalars and every fault-armed
-     factorization, whose corruptor, ABFT probe, finiteness sweeps and
-     snapshots read the host arrays.
-   The arms agree limb for limb, and plan-only runs allocate no data. *)
+     uninstrumented scalars), fault-armed or not: everything above is
+     staged limb planes, staged at the first transfer and unstaged at
+     the second, and every stage runs on the [Nd_flat] engines;
+   - boxed otherwise: the host [K.t] arrays, factored in place, for
+     complex and [Counted] scalars.
+   The fault plane's corruptor, ABFT probe, finiteness sweep and panel
+   snapshots go through the device state too, so they act on the planes
+   of the flat arm.  The arms agree limb for limb, struck or not, and
+   plan-only runs allocate no data. *)
 
 open Gpusim
 open Mdlinalg
@@ -155,23 +156,18 @@ module Make (K : Scalar.S) = struct
         ~a:(match a with Some a when executing -> a.M.a | _ -> [||])
         ~b:rhs
     in
-    let r = F.Qr.r st and q = F.Qr.q st in
     (* A bit-flip corruptor over everything the current panel holds on
        the device: R, Q, the panel's Y/W and (thin path) the right-hand
-       side.  Fault-armed factorizations run on the boxed arm, so every
-       strike is a scalar's limb round-trip. *)
-    let corruptor ~y ~w =
-      let region name arr = (name, Array.length arr, F.flip_limb arr) in
-      Fault.Plan.strike ~limbs:K.width ~raw:false
-        ([ region "R" r; region "Q" q; region "Y" y; region "W" w ]
-        @ match rhs with Some b -> [ region "b" b ] | None -> [])
+       side — raw plane words on the flat arm, a scalar's limbs on the
+       boxed one. *)
+    let corruptor p =
+      Fault.Plan.strike ~limbs:K.width ~raw:(F.Qr.staged st) (F.Qr.regions p)
     in
     (* ABFT panel verification, modeled as one cheap check kernel plus —
        when executing — a random probe through the aggregated reflectors
        (I + W Y^H is unitary, so it must preserve the probe's norm) and
-       finiteness sweeps over the regions the panel wrote.  Fault-armed
-       factorizations run on the boxed arm, so all of it reads the host
-       arrays. *)
+       a finiteness sweep over the regions the panel wrote, both read
+       from the device state. *)
     let abft_cost rows =
       {
         kernel with
@@ -188,14 +184,14 @@ module Make (K : Scalar.S) = struct
         working_set = f rows *. 8.0;
       }
     in
-    let probe_ok plan ~rows ~(y : K.t array) ~(w : K.t array) =
+    let probe_ok plan ~rows p =
       let rng = Fault.Plan.aux_rng plan in
       let u = V.init rows (fun _ -> K.random rng) in
       let yhu = V.create tile in
       for j = 0 to tile - 1 do
         let s = ref K.zero in
         for i = 0 to rows - 1 do
-          s := K.add !s (K.mul (K.conj y.((i * tile) + j)) u.(i))
+          s := K.add !s (K.mul (K.conj (F.Qr.y_at p ((i * tile) + j))) u.(i))
         done;
         yhu.(j) <- !s
       done;
@@ -203,7 +199,7 @@ module Make (K : Scalar.S) = struct
         V.init rows (fun i ->
             let s = ref u.(i) in
             for j = 0 to tile - 1 do
-              s := K.add !s (K.mul w.((i * tile) + j) yhu.(j))
+              s := K.add !s (K.mul (F.Qr.w_at p ((i * tile) + j)) yhu.(j))
             done;
             !s)
       in
@@ -212,27 +208,6 @@ module Make (K : Scalar.S) = struct
       Float.is_finite npu
       && Float.abs (npu -. nu)
          <= 64.0 *. f (rows * tile) *. K.R.eps *. Float.max nu 1e-300
-    in
-    let region_finite ~c0 =
-      let ok = ref true in
-      for i = c0 to mrows - 1 do
-        for j = c0 to ncols - 1 do
-          if not (K.is_finite r.((i * ncols) + j)) then ok := false
-        done
-      done;
-      if accumulate_q then
-        for i = 0 to mrows - 1 do
-          for j = c0 to mrows - 1 do
-            if not (K.is_finite q.((i * mrows) + j)) then ok := false
-          done
-        done;
-      (match rhs with
-      | Some b ->
-          for i = c0 to mrows - 1 do
-            if not (K.is_finite b.(i)) then ok := false
-          done
-      | None -> ());
-      !ok
     in
     for k = 0 to nt - 1 do
       (* The whole panel iteration — factorization, aggregation, Q and
@@ -246,7 +221,7 @@ module Make (K : Scalar.S) = struct
         let rows = mrows - c0 in
         let p = F.Qr.panel st ~c0 in
         if executing && guard <> None then
-          Sim.set_corruptor sim (Some (corruptor ~y:(F.Qr.y p) ~w:(F.Qr.w p)));
+          Sim.set_corruptor sim (Some (corruptor p));
       (* ---- Stage 1: panel factorization, column by column. ---- *)
       for l = 0 to tile - 1 do
         let c = c0 + l in
@@ -423,20 +398,13 @@ module Make (K : Scalar.S) = struct
           Sim.launch ~protected:true sim ~stage:Stage.abft_check
             ~cost:(abft_cost rows) noop;
           (not executing)
-          || probe_ok plan ~rows ~y:(F.Qr.y p) ~w:(F.Qr.w p)
-             && region_finite ~c0
+          || (probe_ok plan ~rows p && F.Qr.finite_from st ~c0)
       in
       (match guard with
       | None -> ignore (do_panel () : bool)
       | Some plan ->
-          let resident = r :: q :: Option.to_list rhs in
-          let snap = if executing then List.map Array.copy resident else [] in
-          let restore () =
-            if executing then
-              List.iter2
-                (fun s d -> Array.blit s 0 d 0 (Array.length s))
-                snap resident
-          in
+          let snap = if executing then Some (F.Qr.snapshot st) else None in
+          let restore () = Option.iter (F.Qr.restore st) snap in
           let rec attempt replays =
             let replay cause =
               Fault.Plan.rung plan ~stage:"qr.panel" ~replays cause;
@@ -455,6 +423,7 @@ module Make (K : Scalar.S) = struct
     (* Device -> host: Q and R (and the thin path's b). *)
     Sim.transfer sim (f ((mrows * mrows) + (mrows * ncols)) *. sb);
     F.Qr.unstage st;
+    let r = F.Qr.r st and q = F.Qr.q st in
     (* Clean the numerically annihilated subdiagonal of R. *)
     if executing then
       for j = 0 to ncols - 1 do

@@ -618,12 +618,24 @@ module Make (K : Scalar.S) = struct
      nothing reads its YWT: the flat arm neither allocates nor computes
      it, while [Blocked_qr] still launches and prices "Y*W^T".
 
+     The fault plane sees the same device state on either arm: the
+     strike regions ([regions]: R, Q, the panel's Y and W and the thin
+     path's b, with per-word flips), the ABFT probe's reads of Y and W
+     ([y_at], [w_at]), the finiteness sweep ([finite_from]) and the
+     panel snapshot ([snapshot], [restore]).  On the flat arm they act
+     on the planes, so a fault-armed factorization runs flat too.  Two
+     things keep it limb for limb identical to the boxed arm under a
+     strike.  [Sim] strikes after a launch's body ran, so the Householder
+     vector lives in a plane of its own ([hvp]) that "beta, v" reflects
+     into and "beta*R^T*v" and "update R" read, and [save_v] copies it
+     into Y after the launch, as the boxed arm does: a strike on Y
+     during "beta, v" never reaches v.  And a strike can hit Q before
+     the first panel's Q*WY^T, so an armed factorization takes the full
+     product there.
+
      The boxed arm works on host [K.t] arrays: complex and instrumented
-     scalars, and any factorization under an armed fault plan — its
-     corruptor, ABFT probe, finiteness sweeps and snapshots read the
-     host arrays ([r], [q], [y], [w]).  Both arms replay the same
-     operation sequence with the same argument order, so they agree
-     limb for limb. ---- *)
+     scalars.  Both arms replay the same operation sequence with the
+     same argument order, so they agree limb for limb. ---- *)
   module Qr = struct
     module V = Vec.Make (K)
 
@@ -637,10 +649,12 @@ module Make (K : Scalar.S) = struct
       ncols : int;
       tile : int;
       accumulate_q : bool;
+      fault_armed : bool;
       execute : bool;
       r : K.t array; (* row-major mrows*ncols *)
       q : K.t array; (* row-major mrows*mrows *)
       b : K.t array; (* the thin path's right-hand side, else empty *)
+      rhs : bool; (* the thin path: b is resident *)
       repr : repr;
     }
 
@@ -657,6 +671,7 @@ module Make (K : Scalar.S) = struct
       up : planes; (* Y^H v (compute W), W^H b (thin path) *)
       betap : planes; (* beta of column l at l *)
       nbetap : planes; (* -beta of column l at l *)
+      hvp : planes; (* the current Householder vector, from word 0 *)
     }
 
     type boxed_panel = {
@@ -683,11 +698,24 @@ module Make (K : Scalar.S) = struct
 
     (* Host -> device.  Nothing is allocated when not executing. *)
     let create ~execute ~fault_armed ~accumulate_q ~mrows ~ncols ~tile ~a ~b =
+      let rhs = Option.is_some b in
       let b = Option.value b ~default:[||] in
       let st repr ~r ~q =
-        { mrows; ncols; tile; accumulate_q; execute; r; q; b; repr }
+        {
+          mrows;
+          ncols;
+          tile;
+          accumulate_q;
+          fault_armed;
+          execute;
+          r;
+          q;
+          b;
+          rhs;
+          repr;
+        }
       in
-      if execute && (not fault_armed) && available () then
+      if execute && available () then
         let rp =
           stage ~rows:mrows ~cols:ncols ~get:(fun i j -> a.((i * ncols) + j))
         in
@@ -739,6 +767,7 @@ module Make (K : Scalar.S) = struct
                 up = vec tile;
                 betap = vec tile;
                 nbetap = vec tile;
+                hvp = vec rows;
               }
         | Boxed ->
             let mk n = if st.execute then Array.make n K.zero else [||] in
@@ -755,15 +784,12 @@ module Make (K : Scalar.S) = struct
       in
       { st; c0; rows; trail; betas = Array.make tile K.R.zero; v = [||]; arm }
 
-    let y p = match p.arm with Pboxed b -> b.y | Pflat _ -> [||]
-    let w p = match p.arm with Pboxed b -> b.w | Pflat _ -> [||]
-
     (* beta, v (block 0 only): the column of R below the diagonal, its
-       reflection and beta = 2 / v^H v.  The boxed arm keeps v for
-       [save_v]; the flat arm copies the column into Y, forms both sums
-       of squares there with [dot] (the ascending sum from zero that
-       [V.norm2] is), and boxes only the O(1) square root, phase and
-       division. *)
+       reflection and beta = 2 / v^H v, kept for [save_v] and the two
+       launches after it.  The flat arm copies the column into its v
+       plane, forms both sums of squares there with [dot] (the
+       ascending sum from zero that [V.norm2] is), and boxes only the
+       O(1) square root, phase and division. *)
     let beta_v p ~l blk =
       if blk = 0 then begin
         let st = p.st in
@@ -788,39 +814,42 @@ module Make (K : Scalar.S) = struct
         | Pflat f ->
             let { Nd_flat.make_ctx; clear; dot; store; _ } = the_plan () in
             let ctx = make_ctx () in
-            let y = f.yp.p and r = f.res.rp.p and tile = st.tile in
-            let top = (l * tile) + l in
+            let v = f.hvp.p and r = f.res.rp.p in
             for pl = 0 to K.width - 1 do
               for i = 0 to len - 1 do
-                Nd_flat.set y pl
-                  (top + (i * tile))
-                  (Nd_flat.get r pl (at + (i * pitch)))
+                Nd_flat.set v pl i (Nd_flat.get r pl (at + (i * pitch)))
               done
             done;
             (* beta's slot holds each sum of squares until beta is
                known. *)
             let sumsq () =
               clear ctx;
-              dot ctx y top tile y top tile len;
+              dot ctx v 0 1 v 0 1 len;
               store ctx f.betap.p l;
               K.re (read_el f.betap l)
             in
             reflect
               ~sigma:(K.R.sqrt (sumsq ()))
-              ~v0:(read_el f.yp top) ~set_v0:(write_el f.yp top) ~vv:sumsq;
+              ~v0:(read_el f.hvp 0) ~set_v0:(write_el f.hvp 0) ~vv:sumsq;
             write_el f.betap l (K.of_real p.betas.(l));
             write_el f.nbetap l (K.of_real (K.R.neg p.betas.(l)))
       end
 
     (* Host side, after the [beta_v] launch: save v into the
-       trapezoidal Y (rows below c0, zeros above c).  The flat arm wrote
-       it there already. *)
+       trapezoidal Y (rows below c0, zeros above c). *)
     let save_v p ~l =
+      let tile = p.st.tile in
       match p.arm with
       | Pboxed b ->
-          let tile = p.st.tile in
           Array.iteri (fun i vi -> b.y.(((l + i) * tile) + l) <- vi) p.v
-      | Pflat _ -> ()
+      | Pflat f ->
+          for pl = 0 to K.width - 1 do
+            for i = 0 to p.rows - l - 1 do
+              Nd_flat.set f.yp.p pl
+                (((l + i) * tile) + l)
+                (Nd_flat.get f.hvp.p pl i)
+            done
+          done
 
     (* beta*R^T*v: block [blk] forms wrow[blk] = beta v^H R[c:, c+blk]. *)
     let rtv p ~l blk =
@@ -837,9 +866,7 @@ module Make (K : Scalar.S) = struct
             in
             let ctx = make_ctx () in
             clear ctx;
-            dot ctx f.yp.p ((l * tile) + l) tile f.res.rp.p
-              ((c * st.ncols) + j)
-              st.ncols len;
+            dot ctx f.hvp.p 0 1 f.res.rp.p ((c * st.ncols) + j) st.ncols len;
             store ctx f.wrowp.p blk;
             mul_set ctx f.wrowp.p blk f.betap.p l;
             store ctx f.wrowp.p blk
@@ -867,10 +894,9 @@ module Make (K : Scalar.S) = struct
       | Pflat f ->
           let { Nd_flat.make_ctx; mul_set; sub_from; _ } = the_plan () in
           let ctx = make_ctx () in
-          let ytop = (l * tile) + l in
           for idx = lo to hi - 1 do
             let i = idx / w_ and jj = idx mod w_ in
-            mul_set ctx f.yp.p (ytop + (i * tile)) f.wrowp.p jj;
+            mul_set ctx f.hvp.p i f.wrowp.p jj;
             sub_from ctx f.res.rp.p (((c + i) * ncols) + c + jj)
           done
       | Pboxed b ->
@@ -1057,12 +1083,16 @@ module Make (K : Scalar.S) = struct
       end
 
     (* QWY = Q[:, c0:] * YWT^H (mrows x rows); the first panel's on the
-       flat arm is [first_qwy]. *)
+       flat arm is [first_qwy], unless a fault plan is armed: a strike
+       may have hit Q before this launch, and then Q is no longer the
+       identity. *)
     let qwy p =
       let st = p.st in
       let mrows = st.mrows and rows = p.rows and c0 = p.c0 in
       match p.arm with
-      | Pflat f when c0 = 0 && st.accumulate_q && finite f.ywtp ->
+      | Pflat f
+        when c0 = 0 && st.accumulate_q && (not st.fault_armed) && finite f.ywtp
+        ->
           first_qwy ~threads:st.tile ~rows f
       | Pflat f ->
           view_block ~threads:st.tile ~inner:rows
@@ -1197,6 +1227,118 @@ module Make (K : Scalar.S) = struct
             done;
             st.b.(c0 + i) <- K.add st.b.(c0 + i) !sum
           done
+
+    (* ---- The fault plane's view of the device state, on either arm.
+       [Blocked_qr] builds its corruptor, ABFT probe, finiteness sweep
+       and panel snapshot from these, so they read the planes on the
+       flat arm and the host arrays on the boxed one. ---- *)
+
+    let staged t = match t.repr with Flat _ -> true | Boxed -> false
+
+    (* The regions a strike picks from, in the order and with the sizes
+       of the boxed arm's host arrays: R, Q, the panel's Y and W, and the
+       thin path's b.  The boxed arm always holds an mrows-by-mrows Q, so
+       the flat arm reports one too and a strike on a Q it does not
+       accumulate changes nothing: the strike draws stay the same. *)
+    let regions p =
+      let st = p.st in
+      let r, q, y, w, b =
+        match p.arm with
+        | Pflat f ->
+            ( flip_word f.res.rp,
+              (if st.accumulate_q then flip_word f.res.qp
+               else fun _ _ _ -> ()),
+              flip_word f.yp,
+              flip_word f.wp,
+              flip_word f.res.bp )
+        | Pboxed bx ->
+            ( flip_limb st.r,
+              flip_limb st.q,
+              flip_limb bx.y,
+              flip_limb bx.w,
+              flip_limb st.b )
+      in
+      let yw = p.rows * st.tile in
+      [
+        ("R", st.mrows * st.ncols, r);
+        ("Q", st.mrows * st.mrows, q);
+        ("Y", yw, y);
+        ("W", yw, w);
+      ]
+      @ if st.rhs then [ ("b", st.mrows, b) ] else []
+
+    (* Element [i] of the panel's row-major Y and W (the ABFT probe's
+       reads). *)
+    let y_at p i =
+      match p.arm with Pflat f -> read_el f.yp i | Pboxed b -> b.y.(i)
+
+    let w_at p i =
+      match p.arm with Pflat f -> read_el f.wp i | Pboxed b -> b.w.(i)
+
+    (* Whether every limb word a panel at [c0] wrote is finite: R from
+       (c0, c0) on, the columns of Q from c0 on when Q is accumulated,
+       and b from c0 on. *)
+    let finite_from t ~c0 =
+      let ok = ref true in
+      (* Rows [i0, mrows) and columns [j0, pitch) of a row-major array
+         of row pitch [pitch]. *)
+      let window ~i0 ~j0 ~pitch finite =
+        for i = i0 to t.mrows - 1 do
+          for j = j0 to pitch - 1 do
+            if not (finite ((i * pitch) + j)) then ok := false
+          done
+        done
+      in
+      let r, q, b =
+        match t.repr with
+        | Flat { rp; qp; bp } ->
+            let word (x : planes) idx =
+              let fin = ref true in
+              for pl = 0 to K.width - 1 do
+                if not (Float.is_finite (Nd_flat.get x.p pl idx)) then
+                  fin := false
+              done;
+              !fin
+            in
+            (word rp, word qp, word bp)
+        | Boxed ->
+            let el (a : K.t array) idx = K.is_finite a.(idx) in
+            (el t.r, el t.q, el t.b)
+      in
+      window ~i0:c0 ~j0:c0 ~pitch:t.ncols r;
+      if t.accumulate_q then window ~i0:0 ~j0:c0 ~pitch:t.mrows q;
+      if t.rhs then window ~i0:c0 ~j0:0 ~pitch:1 b;
+      !ok
+
+    (* The panel snapshot: R, Q and b as they were before the panel, so
+       a replay starts from them again.  [Bigarray.Array1.blit] copies
+       a plane whole. *)
+    type snapshot = Planes of Nd_flat.fa list | Scalars of K.t array list
+
+    let live_planes { rp; qp; bp } =
+      List.concat_map (fun (x : planes) -> Array.to_list x.p) [ rp; qp; bp ]
+
+    let snapshot t =
+      match t.repr with
+      | Flat res ->
+          Planes
+            (List.map
+               (fun pl ->
+                 let saved = Nd_flat.make_plane (Nd_flat.plane_dim pl) in
+                 Bigarray.Array1.blit pl saved;
+                 saved)
+               (live_planes res))
+      | Boxed -> Scalars (List.map Array.copy [ t.r; t.q; t.b ])
+
+    let restore t snap =
+      match (snap, t.repr) with
+      | Planes saved, Flat res ->
+          List.iter2 Bigarray.Array1.blit saved (live_planes res)
+      | Scalars saved, Boxed ->
+          List.iter2
+            (fun s d -> Array.blit s 0 d 0 (Array.length s))
+            saved [ t.r; t.q; t.b ]
+      | _ -> invalid_arg "Flat_kernels.Qr: snapshot from a different path"
 
     (* Device -> host: R, Q and b back into the host arrays (nothing to
        do on the boxed arm, which factored in place). *)

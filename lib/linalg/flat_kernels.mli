@@ -224,10 +224,12 @@ module Make (K : Scalar.S) : sig
       {!Qr.create}, runs every stage of every panel on the staged planes
       (Y, W, YWT and the product outputs are planes too) and unstages
       R, Q and b once at {!Qr.unstage}.  The boxed arm factors the host
-      arrays in place; it serves complex and instrumented scalars and
-      every fault-armed factorization, whose corruptor, probe and
-      snapshots read the host arrays.  Both arms replay one operation
-      sequence, so the results are limb for limb identical. *)
+      arrays in place; it serves complex and instrumented scalars.  The
+      fault plane's operations ({!Qr.regions}, {!Qr.y_at}, {!Qr.w_at},
+      {!Qr.finite_from}, {!Qr.snapshot}) act on either arm's storage,
+      so a fault-armed factorization runs flat too.  Both arms replay
+      one operation sequence, so the results are limb for limb
+      identical, struck or not. *)
   module Qr : sig
     type t
 
@@ -249,8 +251,10 @@ module Make (K : Scalar.S) : sig
         ~a ~b]: the device state of one factorization of the row-major
         [mrows]-by-[ncols] [a] (not modified), with the thin path's
         right-hand side [b] (overwritten with Q^H b by the end).  Flat
-        when [execute], not [fault_armed] and {!available}; allocates
-        nothing when not [execute]. *)
+        when [execute] and {!available}; allocates nothing when not
+        [execute].  [fault_armed] only turns off the flat first panel's
+        identity shortcut in "Q*WY^T", which assumes that nothing wrote
+        Q before it: under an armed plan a strike may have. *)
 
     val r : t -> K.t array
     (** The host R, row-major: live on the boxed arm, filled by
@@ -261,14 +265,12 @@ module Make (K : Scalar.S) : sig
         accumulated and on both arms when not executing. *)
 
     val panel : t -> c0:int -> panel
-    val y : panel -> K.t array
-    val w : panel -> K.t array
-    (** The boxed panel's row-major rows-by-tile Y and W (empty on the
-        flat arm). *)
 
     val beta_v : panel -> l:int -> int -> unit
     val save_v : panel -> l:int -> unit
-    (** Host side, after the [beta_v] launch: v into column [l] of Y. *)
+    (** Host side, after the [beta_v] launch: v into column [l] of Y.
+        Until then v lives apart from Y, and the launches after it read
+        it there, so a strike on Y during the launch never reaches v. *)
 
     val rtv : panel -> l:int -> int -> unit
     val update_r : panel -> l:int -> int -> unit
@@ -285,6 +287,35 @@ module Make (K : Scalar.S) : sig
         "beta, v", "beta*R^T*v", "update R", the u and z launches of
         "compute W", "Y*W^T", "Q*WY^T", "Q + QWY", the two launches of
         the thin path's Q^H b, "YWT*C" and "R + YWTC". *)
+
+    val staged : t -> bool
+    (** The state lives on limb planes (the flat arm). *)
+
+    val regions :
+      panel -> (string * int * (int -> int -> (float -> float) -> unit)) list
+    (** The resident state a fault strike picks from, in the shape of
+        [Fault.Plan.region]: R, Q, the panel's Y and W and the thin
+        path's b, with their sizes and per-word flips ({!flip_word} on
+        the flat arm, {!flip_limb} on the boxed one).  Q counts
+        mrows * mrows words even when it is not accumulated (a strike
+        there changes nothing), as the boxed arm's Q does. *)
+
+    val y_at : panel -> int -> K.t
+    val w_at : panel -> int -> K.t
+    (** Element [i] of the panel's row-major rows-by-tile Y and W. *)
+
+    val finite_from : t -> c0:int -> bool
+    (** Every limb word a panel at column [c0] wrote is finite: R from
+        (c0, c0) on, Q's columns from c0 on when accumulated, and the
+        thin path's b from c0 on. *)
+
+    type snapshot
+
+    val snapshot : t -> snapshot
+    (** A copy of R, Q and b, taken before a panel. *)
+
+    val restore : t -> snapshot -> unit
+    (** Put a {!snapshot} back, for a panel replay. *)
 
     val unstage : t -> unit
     (** Device -> host: R, Q and b into the host arrays (nothing to do

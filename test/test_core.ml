@@ -452,6 +452,35 @@ let test_plan_launch_words () =
     Alcotest.failf "%.1f minor words per plan-only launch, budget 40"
       per_launch
 
+(* A fault-armed factorization runs on the limb planes as an unarmed
+   one does: its strikes, ABFT probe, finiteness sweeps and panel
+   snapshots act on the planes, so arming the plan must not bring back
+   the boxed arm's per-operation allocation (tens of millions of words
+   for this factorization).  A one-domain pool keeps every launch on
+   this domain, whose words [Gc.minor_words] counts. *)
+module Qdd = Blocked_qr.Make (Scalar.Dd)
+module Rdd = Randmat.Make (Scalar.Dd)
+
+let test_armed_qr_words () =
+  let a = Rdd.matrix (Dompool.Prng.create 4242) 64 64 in
+  let pool = Dompool.Domain_pool.create 1 in
+  Fun.protect
+    ~finally:(fun () -> Dompool.Domain_pool.shutdown pool)
+    (fun () ->
+      let sim =
+        Gpusim.Sim.create ~pool
+          ~fault:(Fault.Plan.config ~seed:1 ~rate:0.05 ())
+          ~device ~prec:Scalar.Dd.prec ()
+      in
+      let before = Gc.minor_words () in
+      ignore (Qdd.factor sim a ~tile:16);
+      let words = Gc.minor_words () -. before in
+      let tally : Fault.Plan.tally = Option.get (Gpusim.Sim.fault_tally sim) in
+      Alcotest.(check bool) "bit flips struck" true (tally.bitflips > 0);
+      if words > 2e6 then
+        Alcotest.failf "%.0f minor words for an armed 64x64 factorization, \
+                        budget 2M" words)
+
 let () =
   Alcotest.run "lsq_core"
     [
@@ -472,4 +501,6 @@ let () =
           Alcotest.test_case "allocation budget" `Quick
             test_plan_launch_words;
         ] );
+      ( "fault-armed qr",
+        [ Alcotest.test_case "allocation budget" `Quick test_armed_qr_words ] );
     ]

@@ -452,26 +452,33 @@ let test_od_bigarray_corrupt_detected () =
   done;
   check "campaign struck U at least once" true (!struck_u > 0)
 
-let test_fault_armed_qr_stays_boxed () =
-  (* A fault-armed factorization runs on the boxed arm of the QR device
-     state whatever the flat switch says: its corruptor, ABFT probe and
-     snapshots read the host arrays.  So the switch must change nothing
-     under a bit-flip campaign: not R, Q or Q^H b, not the tally, not
-     one corruption site. *)
-  let module K = Mdlinalg.Scalar.Dd in
-  let module M = Mdlinalg.Mat.Make (K) in
-  let module Qr = Lsq_core.Blocked_qr.Make (K) in
+(* ---- the fault-armed QR runs flat, limb for limb as the boxed arm ----
+
+   With the flat switch on, a fault-armed factorization of a real
+   scalar runs on the limb planes: strikes flip raw plane words, and
+   the probe, the finiteness sweep and the panel snapshots read the
+   planes.  With it off, the same campaign runs on the boxed host
+   arrays.  The two must agree on R, Q and Q^H b bit for bit, on the
+   tally, on the escalated site if any, and on every corruption site
+   but for the " (raw)" that marks a strike on the planes — which is
+   also what shows the flat arm ran. *)
+
+let corruption_sites () =
+  Json.of_string (Obs.Tracer.export ())
+  |> Json.member "traceEvents" |> Json.get_list
+  |> List.filter (fun e ->
+         Json.(get_string (member "name" e)) = "fault.corrupted")
+  |> List.map (fun e -> Json.(get_string (member "what" (member "args" e))))
+
+module Armed_qr (K : Mdlinalg.Scalar.S) = struct
+  module M = Mdlinalg.Mat.Make (K)
+  module Qr = Lsq_core.Blocked_qr.Make (K)
+  module Rand = Mdlinalg.Randmat.Make (K)
+
   let bits (a : K.t array) =
     Array.map (fun x -> Array.map Int64.bits_of_float (K.to_planes x)) a
-  in
-  let corruption_sites () =
-    Json.of_string (Obs.Tracer.export ())
-    |> Json.member "traceEvents" |> Json.get_list
-    |> List.filter (fun e ->
-           Json.(get_string (member "name" e)) = "fault.corrupted")
-    |> List.map (fun e -> Json.(get_string (member "what" (member "args" e))))
-  in
-  let campaign flat f =
+
+  let campaign ~flat cfg f =
     let prev = !Mdlinalg.Flat_kernels.enabled in
     Mdlinalg.Flat_kernels.enabled := flat;
     Fun.protect
@@ -480,33 +487,80 @@ let test_fault_armed_qr_stays_boxed () =
         Mdlinalg.Flat_kernels.enabled := prev)
       (fun () ->
         Obs.Tracer.start ();
-        let sim =
-          Sim.create ~device ~prec:P.DD
-            ~fault:(Plan.config ~kinds:[ Plan.Bitflip ] ~seed:7 ~rate:0.05 ())
-            ()
+        let sim = Sim.create ~device ~prec:K.prec ~fault:cfg () in
+        let out =
+          match f sim with
+          | out -> Ok out
+          | exception Plan.Injected (k, site) ->
+              Error (Plan.kind_name k ^ " at " ^ site)
         in
-        let out = f sim in
         (out, Option.get (Sim.fault_tally sim), corruption_sites ()))
-  in
-  let rng = Dompool.Prng.create 41 in
-  let a = M.random rng 24 16 in
-  let b = Array.init 24 (fun _ -> K.random rng) in
-  let same what run =
-    let out_f, tally_f, sites_f = campaign true run in
-    let out_b, tally_b, sites_b = campaign false run in
-    check (what ^ ": bit flips struck") true (tally_f.Plan.bitflips > 0);
-    check (what ^ ": corruptions recorded") true (sites_f <> []);
-    check (what ^ ": identical results") true (out_f = out_b);
-    check (what ^ ": identical tallies") true (tally_f = tally_b);
-    Alcotest.(check (list string)) (what ^ ": identical sites") sites_b sites_f
-  in
-  same "qr" (fun sim ->
-      let q, r = Qr.factor sim a ~tile:4 in
-      (bits q.M.a, bits r.M.a));
-  same "thin qr" (fun sim ->
-      let b = Array.copy b in
-      let r = Qr.factor_thin sim a ~b ~tile:4 in
-      (bits r.M.a, bits b))
+
+  let raw = " (raw)"
+
+  let strip site =
+    if String.ends_with ~suffix:raw site then
+      String.sub site 0 (String.length site - String.length raw)
+    else Alcotest.failf "flat strike %S is not on the planes" site
+
+  (* [same what cfg ~rows ~cols ~tile] runs [factor] and [factor_thin]
+     on both arms and returns the flat arm's tallies. *)
+  let same what cfg ~rows ~cols ~tile =
+    let rng = Dompool.Prng.create 4242 in
+    let a = Rand.matrix rng rows cols in
+    let b = Array.init rows (fun _ -> K.random rng) in
+    let compare what run =
+      let out_f, tally_f, sites_f = campaign ~flat:true cfg run in
+      let out_b, tally_b, sites_b = campaign ~flat:false cfg run in
+      let what = Printf.sprintf "%s %s" (P.name K.prec) what in
+      check (what ^ ": corruptions recorded") true (sites_f <> []);
+      check (what ^ ": identical results") true (out_f = out_b);
+      check (what ^ ": identical tallies") true (tally_f = tally_b);
+      Alcotest.(check (list string))
+        (what ^ ": identical sites") sites_b (List.map strip sites_f);
+      tally_f
+    in
+    [
+      compare (what ^ " qr") (fun sim ->
+          let q, r = Qr.factor sim a ~tile in
+          (bits q.M.a, bits r.M.a));
+      compare (what ^ " thin qr") (fun sim ->
+          let b = Array.copy b in
+          let r = Qr.factor_thin sim a ~b ~tile in
+          (bits r.M.a, bits b));
+    ]
+
+  let test () =
+    (* Seed 13 strikes an off-diagonal word of Q in the first panel
+       before its Q*WY^T, so the first panel must take the full
+       product. *)
+    let flips =
+      same "bit flips"
+        (Plan.config ~kinds:[ Plan.Bitflip ] ~seed:13 ~rate:0.1 ())
+        ~rows:24 ~cols:16 ~tile:4
+    in
+    List.iter
+      (fun (t : Plan.tally) -> check "bit flips struck" true (t.bitflips > 0))
+      flips;
+    (* The golden exec-qr-fault-replay job's campaign: every kind at
+       rate 0.5, seed 2, on a 32-by-32 tile-8 matrix. *)
+    let replays =
+      same "exec-qr-fault-replay" (Plan.config ~seed:2 ~rate:0.5 ())
+        ~rows:32 ~cols:32 ~tile:8
+    in
+    check "a panel replayed from its snapshot" true
+      (List.exists (fun (t : Plan.tally) -> t.replays > 0) replays)
+end
+
+let test_fault_armed_qr_is_flat () =
+  let module D = Armed_qr (Mdlinalg.Scalar.D) in
+  let module Dd = Armed_qr (Mdlinalg.Scalar.Dd) in
+  let module Qd = Armed_qr (Mdlinalg.Scalar.Qd) in
+  let module Od = Armed_qr (Mdlinalg.Scalar.Od) in
+  D.test ();
+  Dd.test ();
+  Qd.test ();
+  Od.test ()
 
 (* ---- every recovery site of the stage-level ladder, pinned ----
 
@@ -605,10 +659,10 @@ let recovery_sites =
       "injected 4 (flip 4, launch 0, transfer 0) detected 1 "
       ^ "recovered 0 (relaunch 0, retransfer 0, replay 0) escalated 1",
       [
-        "Y[26] plane 1 bit 30";
-        "Q[421] plane 0 bit 1";
-        "Q[358] plane 0 bit 53";
-        "Y[16] plane 0 bit 56";
+        "Y[26] plane 1 bit 30 (raw)";
+        "Q[421] plane 0 bit 1 (raw)";
+        "Q[358] plane 0 bit 53 (raw)";
+        "Y[16] plane 0 bit 56 (raw)";
         "detected@qr.panel";
         "escalate@qr.panel";
       ] );
@@ -618,11 +672,11 @@ let recovery_sites =
       "injected 5 (flip 5, launch 0, transfer 0) detected 1 "
       ^ "recovered 1 (relaunch 0, retransfer 0, replay 1) escalated 0",
       [
-        "Q[825] plane 0 bit 20";
-        "Q[242] plane 1 bit 34";
-        "R[81] plane 0 bit 38";
-        "W[59] plane 1 bit 37";
-        "Y[65] plane 0 bit 36";
+        "Q[825] plane 0 bit 20 (raw)";
+        "Q[242] plane 1 bit 34 (raw)";
+        "R[81] plane 0 bit 38 (raw)";
+        "W[59] plane 1 bit 37 (raw)";
+        "Y[65] plane 0 bit 36 (raw)";
         "detected@qr.panel";
         "replay@qr.panel";
       ] );
@@ -981,8 +1035,8 @@ let () =
             test_od_flat_fault;
           Alcotest.test_case "raw strikes on Bigarray planes detected" `Quick
             test_od_bigarray_corrupt_detected;
-          Alcotest.test_case "fault-armed QR stays boxed" `Quick
-            test_fault_armed_qr_stays_boxed;
+          Alcotest.test_case "fault-armed QR is flat and identical" `Quick
+            test_fault_armed_qr_is_flat;
           Alcotest.test_case "recovery sites" `Quick test_recovery_sites;
         ] );
       ( "scheduler",
