@@ -138,6 +138,14 @@ module Make (K : Scalar.S) = struct
       | Some _ when executing -> Some (vchk_now ())
       | _ -> None
     in
+    (* A replay rereads U, so it can repair a detection only while U
+       still matches its checksum; otherwise the ladder escalates at
+       once. *)
+    let replay_budget () =
+      match vchk with
+      | Some chk when not (Fault.Checksum.matches chk (vchk_now ())) -> Some 0
+      | _ -> None
+    in
     (* Read back element [i] of the staged solution (flat) or the host
        array (boxed). *)
     let x_at i = F.Bs.x_at st i in
@@ -213,19 +221,11 @@ module Make (K : Scalar.S) = struct
           Sim.launch ~protected:true sim ~stage:Stage.abft_check
             ~cost:check_cost (fun _ -> ());
           (* The tile solve only writes x_i, so a failed verdict can
-             replay the launch in place — unless U itself no longer
-             matches its checksum, which nothing below this level can
-             repair. *)
+             replay the launch in place. *)
           let rec settle replays =
             if not (tile_ok ~r0) then begin
-              let u_intact =
-                match vchk with
-                | Some chk -> Fault.Checksum.matches chk (vchk_now ())
-                | None -> true
-              in
-              Fault.Plan.rung plan
-                ?budget:(if u_intact then None else Some 0)
-                ~stage:"bs.tile" ~replays Fault.Plan.Detected;
+              Fault.Plan.rung plan ?budget:(replay_budget ()) ~stage:"bs.tile"
+                ~replays Fault.Plan.Detected;
               solve_tile ();
               settle (replays + 1)
             end
@@ -264,8 +264,8 @@ module Make (K : Scalar.S) = struct
             let rec settle replays =
               update ();
               if executing && not (F.Bs.b_finite_below st ~r0) then begin
-                Fault.Plan.rung plan ~stage:"bs.update" ~replays
-                  Fault.Plan.Detected;
+                Fault.Plan.rung plan ?budget:(replay_budget ())
+                  ~stage:"bs.update" ~replays Fault.Plan.Detected;
                 restore ();
                 settle (replays + 1)
               end

@@ -740,20 +740,30 @@ let recovery_sites =
         "detected@bs.update";
         "escalate@bs.update";
       ] );
-    ( "bs.update replays a detection",
+    ( "bs.update escalates at once on a struck U",
       (fun () -> bs_case (flips ~seed:658 ~rate:0.1 ())),
       "bitflip at bs.update",
-      "injected 1 (flip 1, launch 0, transfer 0) detected 3 "
-      ^ "recovered 2 (relaunch 0, retransfer 0, replay 2) escalated 1",
+      "injected 1 (flip 1, launch 0, transfer 0) detected 1 "
+      ^ "recovered 0 (relaunch 0, retransfer 0, replay 0) escalated 1",
       [
         "U[208] plane 0 bit 62 (raw)";
         "detected@bs.update";
-        "replay@bs.update";
-        "detected@bs.update";
-        "replay@bs.update";
-        "detected@bs.update";
         "escalate@bs.update";
       ] );
+    ( "bs.update replays a struck b",
+      (* Every b word is 1.5 (exponent 0x3ff), so flipping bit 62 of
+         plane 0 makes it infinite; U stays intact and a replay from
+         the snapshot repairs it. *)
+      (fun () ->
+        on_sim (flips ~seed:36134 ~rate:0.3 ()) (fun sim ->
+            let u = Rdd.upper (Dompool.Prng.create 3434) 8 in
+            let b = Array.make 8 (Kdd.of_float 1.5) in
+            ignore (Bdd.solve sim u b ~tile:4))),
+      "ok",
+      "injected 1 (flip 1, launch 0, transfer 0) detected 1 "
+      ^ "recovered 1 (relaunch 0, retransfer 0, replay 1) escalated 0",
+      [ "b[1] plane 0 bit 62 (raw)"; "detected@bs.update"; "replay@bs.update" ]
+    );
     ( "bs.update replays an escalated launch",
       (fun () -> bs_case (launches ~seed:11 ~rate:0.1 ())),
       "launch at back substitution",
