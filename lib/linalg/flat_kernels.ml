@@ -784,6 +784,18 @@ module Make (K : Scalar.S) = struct
       in
       { st; c0; rows; trail; betas = Array.make tile K.R.zero; v = [||]; arm }
 
+    (* Word [si + i*ss] of every limb plane of [src] into word
+       [di + i*ds] of [dst], for i < n.  The [Bigarray] primitives
+       compile to unboxed loads and stores. *)
+    let copy_words ~n (src : Nd_flat.planes) si ss (dst : Nd_flat.planes) di
+        ds =
+      for pl = 0 to K.width - 1 do
+        let s = src.(pl) and d = dst.(pl) in
+        for i = 0 to n - 1 do
+          Bigarray.Array1.set d (di + (i * ds)) (Bigarray.Array1.get s (si + (i * ss)))
+        done
+      done
+
     (* beta, v (block 0 only): the column of R below the diagonal, its
        reflection and beta = 2 / v^H v, kept for [save_v] and the two
        launches after it.  The flat arm copies the column into its v
@@ -814,12 +826,8 @@ module Make (K : Scalar.S) = struct
         | Pflat f ->
             let { Nd_flat.make_ctx; clear; dot; store; _ } = the_plan () in
             let ctx = make_ctx () in
-            let v = f.hvp.p and r = f.res.rp.p in
-            for pl = 0 to K.width - 1 do
-              for i = 0 to len - 1 do
-                Nd_flat.set v pl i (Nd_flat.get r pl (at + (i * pitch)))
-              done
-            done;
+            let v = f.hvp.p in
+            copy_words ~n:len f.res.rp.p at pitch v 0 1;
             (* beta's slot holds each sum of squares until beta is
                known. *)
             let sumsq () =
@@ -843,13 +851,7 @@ module Make (K : Scalar.S) = struct
       | Pboxed b ->
           Array.iteri (fun i vi -> b.y.(((l + i) * tile) + l) <- vi) p.v
       | Pflat f ->
-          for pl = 0 to K.width - 1 do
-            for i = 0 to p.rows - l - 1 do
-              Nd_flat.set f.yp.p pl
-                (((l + i) * tile) + l)
-                (Nd_flat.get f.hvp.p pl i)
-            done
-          done
+          copy_words ~n:(p.rows - l) f.hvp.p 0 1 f.yp.p ((l * tile) + l) tile
 
     (* beta*R^T*v: block [blk] forms wrow[blk] = beta v^H R[c:, c+blk]. *)
     let rtv p ~l blk =
@@ -977,13 +979,20 @@ module Make (K : Scalar.S) = struct
             ~getb:(fun k j -> K.conj b.w.((j * tile) + k))
             ~store:(fun i j s -> b.ywt.((i * rows) + j) <- s)
 
+    (* Whether every limb word of element [i] of [t] is finite. *)
+    let finite_el (t : planes) i =
+      let ok = ref true in
+      for pl = 0 to K.width - 1 do
+        if not (Float.is_finite (Bigarray.Array1.get t.p.(pl) i)) then
+          ok := false
+      done;
+      !ok
+
     (* Whether every limb word of [t] is finite. *)
     let finite (t : planes) =
       let ok = ref true in
-      for pl = 0 to K.width - 1 do
-        for i = 0 to (t.rows * t.cols) - 1 do
-          if not (Float.is_finite (Nd_flat.get t.p pl i)) then ok := false
-        done
+      for i = 0 to (t.rows * t.cols) - 1 do
+        if not (finite_el t i) then ok := false
       done;
       !ok
 
@@ -1291,16 +1300,7 @@ module Make (K : Scalar.S) = struct
       in
       let r, q, b =
         match t.repr with
-        | Flat { rp; qp; bp } ->
-            let word (x : planes) idx =
-              let fin = ref true in
-              for pl = 0 to K.width - 1 do
-                if not (Float.is_finite (Nd_flat.get x.p pl idx)) then
-                  fin := false
-              done;
-              !fin
-            in
-            (word rp, word qp, word bp)
+        | Flat { rp; qp; bp } -> (finite_el rp, finite_el qp, finite_el bp)
         | Boxed ->
             let el (a : K.t array) idx = K.is_finite a.(idx) in
             (el t.r, el t.q, el t.b)
