@@ -187,24 +187,7 @@ module Make (K : Scalar.S) = struct
     let probe_ok plan ~rows p =
       let rng = Fault.Plan.aux_rng plan in
       let u = V.init rows (fun _ -> K.random rng) in
-      let yhu = V.create tile in
-      for j = 0 to tile - 1 do
-        let s = ref K.zero in
-        for i = 0 to rows - 1 do
-          s := K.add !s (K.mul (K.conj (F.Qr.y_at p ((i * tile) + j))) u.(i))
-        done;
-        yhu.(j) <- !s
-      done;
-      let pu =
-        V.init rows (fun i ->
-            let s = ref u.(i) in
-            for j = 0 to tile - 1 do
-              s := K.add !s (K.mul (F.Qr.w_at p ((i * tile) + j)) yhu.(j))
-            done;
-            !s)
-      in
-      let nu = K.R.to_float (V.norm u) in
-      let npu = K.R.to_float (V.norm pu) in
+      let nu, npu = F.Qr.probe_norms p u in
       Float.is_finite npu
       && Float.abs (npu -. nu)
          <= 64.0 *. f (rows * tile) *. K.R.eps *. Float.max nu 1e-300

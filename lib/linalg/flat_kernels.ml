@@ -36,14 +36,15 @@
    A element NR times and each B panel across every row of the block.
 
    No dot-shaped loop here calls [mul_add] per element.  The matrix
-   product and the panel update make one [lanes] call per (k, tile),
-   and the matrix-vector products, [dot], the back substitution inner
-   products and the QR's column reductions one [dot] call per output,
-   so the engine runs the whole loop behind one indirect call
-   (hand-inlined at m = 1 and m = 2, where a call per element cost as
-   much as the arithmetic).  The elementwise kernels ([axpy], [xpay],
-   [scal], [rank1_sub], [ewadd], and the QR's "update R" and two
-   additions) keep the per-element operations.
+   product makes one [lanes] call per (tile, KC chunk), the panel update
+   one per row group, and the matrix-vector products one per group of
+   up to NR adjacent outputs (rows of A, or columns of A read along its
+   rows), so the engine runs the whole k loop of a register tile behind
+   one indirect call, with the accumulators in registers at m = 1 and
+   m = 2.  [dot], the back substitution's x_i and the QR's column
+   reductions make one [dot] call per output.  The elementwise kernels
+   ([axpy], [xpay], [scal], [rank1_sub], [ewadd], and the QR's "update
+   R" and two additions) keep the per-element operations.
 
    Staging an operand into planes costs O(elements) conversions, which
    only a kernel doing O(elements * inner) work on it amortizes.  So the
@@ -181,8 +182,9 @@ module Make (K : Scalar.S) = struct
      executed as the tiled microkernel described in the header: KC
      chunks outermost (the B panel of a chunk stays cache resident
      across every row of the block), then rows, then NR-lane column
-     tiles, each lane accumulating in its own context.  Partial sums
-     spill to the C planes between chunks — an exact limb copy.
+     tiles, each lane accumulating in its own context over the chunk's
+     whole k range in one [lanes] call.  Partial sums spill to the C
+     planes between chunks — an exact limb copy.
 
      The operands are strided views, so a product reads its operands
      where they live on the device: a transposed operand (W^H, YWT^H)
@@ -234,12 +236,11 @@ module Make (K : Scalar.S) = struct
                 for l = 0 to nl - 1 do
                   load (Array.unsafe_get ctxs l) cp (cbase + !j0 + l)
                 done;
-              let bbase = b.off + (!j0 * bstep) in
-              for k = !k0 to khi - 1 do
-                lanes ctxs ap (abase + (k * a.step)) 0 bp
-                  (bbase + (k * b.pitch))
-                  bstep nl
-              done;
+              lanes ctxs ap
+                (abase + (!k0 * a.step))
+                0 a.step bp
+                (b.off + (!j0 * bstep) + (!k0 * b.pitch))
+                bstep b.pitch nl (khi - !k0);
               for l = 0 to nl - 1 do
                 store (Array.unsafe_get ctxs l) cp (cbase + !j0 + l)
               done;
@@ -297,11 +298,12 @@ module Make (K : Scalar.S) = struct
   (* b_j := b_j - A_{j,i} x_i: block [rj] subtracts the full n-by-n tile
      product from its right-hand side tile.  The panel update runs as an
      MR-laned microkernel: up to [nr_tile] rows accumulate side by side,
-     each in its own context, so one read of x[r0 + c] feeds every lane
-     while the lanes walk their own rows of [v] — the same x reuse the
-     matrix product gets from its B panel.  Per row the sequence is
-     still clear, ascending-c multiply-accumulate, subtract: identical
-     to the untiled loop. *)
+     each in its own context, in one [lanes] call whose k loop walks the
+     tile's columns: x[r0 + c] is shared by every lane while the lanes
+     walk their own rows of [v] — the same x reuse the matrix product
+     gets from its B panel.  Per row the sequence is still clear,
+     ascending-c multiply-accumulate, subtract: identical to the untiled
+     loop. *)
   let bs_update_block ~dim ~r0 ~rj ~n (vp : planes) (xp : planes)
       (bdp : planes) =
     let { Nd_flat.make_ctx; clear; lanes; sub_from; _ } = the_plan () in
@@ -313,9 +315,7 @@ module Make (K : Scalar.S) = struct
       for l = 0 to nl - 1 do
         clear (Array.unsafe_get ctxs l)
       done;
-      for c = 0 to n - 1 do
-        lanes ctxs v (((rj + !r) * dim) + r0 + c) dim x (r0 + c) 0 nl
-      done;
+      lanes ctxs v (((rj + !r) * dim) + r0) dim 1 x r0 0 1 nl n;
       for l = 0 to nl - 1 do
         sub_from (Array.unsafe_get ctxs l) bd (rj + !r + l)
       done;
@@ -351,32 +351,41 @@ module Make (K : Scalar.S) = struct
      ascending-index multiply-accumulate / store, so the flat path stays
      bit-identical to the boxed accumulator loop. ---- *)
 
-  (* y[i] := sum_k a[i, k] * x[k] for rows [blk*threads, (blk+1)*threads). *)
-  let gemv_block ~threads (a : planes) (x : planes) (y : planes) blk =
-    let { Nd_flat.make_ctx; clear; dot; store; _ } = the_plan () in
-    let ctx = make_ctx () in
-    let m = a.rows and n = a.cols in
-    let lo = blk * threads in
-    let hi = min m (lo + threads) in
-    for i = lo to hi - 1 do
-      clear ctx;
-      dot ctx a.p (i * n) 1 x.p 0 1 n;
-      store ctx y.p i
-    done
+  (* y[o] := sum_k a[o*so + k*ka] * x[k] for the outputs [lo, hi), up
+     to [nr_tile] adjacent outputs at a time as the lanes of one [lanes]
+     call. *)
+  let gemv_lanes ~lo ~hi ~so ~ka ~kn (a : planes) (x : planes) (y : planes) =
+    if lo < hi then begin
+      let { Nd_flat.make_ctx; clear; lanes; store; _ } = the_plan () in
+      let ctxs = Array.init (min nr_tile (hi - lo)) (fun _ -> make_ctx ()) in
+      let o = ref lo in
+      while !o < hi do
+        let nl = min nr_tile (hi - !o) in
+        for l = 0 to nl - 1 do
+          clear (Array.unsafe_get ctxs l)
+        done;
+        lanes ctxs a.p (!o * so) so ka x.p 0 0 1 nl kn;
+        for l = 0 to nl - 1 do
+          store (Array.unsafe_get ctxs l) y.p (!o + l)
+        done;
+        o := !o + nl
+      done
+    end
 
-  (* y[j] := sum_i a[i, j] * x[i] — the transposed product walks each
-     column with the row pitch, the strided access of the cost model. *)
-  let gemv_t_block ~threads (a : planes) (x : planes) (y : planes) blk =
-    let { Nd_flat.make_ctx; clear; dot; store; _ } = the_plan () in
-    let ctx = make_ctx () in
-    let m = a.rows and n = a.cols in
+  (* y[i] := sum_k a[i, k] * x[k] for rows [blk*threads, (blk+1)*threads):
+     the lanes walk adjacent rows. *)
+  let gemv_block ~threads (a : planes) (x : planes) (y : planes) blk =
     let lo = blk * threads in
-    let hi = min n (lo + threads) in
-    for j = lo to hi - 1 do
-      clear ctx;
-      dot ctx a.p j n x.p 0 1 m;
-      store ctx y.p j
-    done
+    gemv_lanes ~lo ~hi:(min a.rows (lo + threads)) ~so:a.cols ~ka:1
+      ~kn:a.cols a x y
+
+  (* y[j] := sum_i a[i, j] * x[i]: the lanes are adjacent columns, so
+     each step reads a run of one row of A at unit stride (the cost
+     model still prices the device's column-strided walk). *)
+  let gemv_t_block ~threads (a : planes) (x : planes) (y : planes) blk =
+    let lo = blk * threads in
+    gemv_lanes ~lo ~hi:(min a.cols (lo + threads)) ~so:1 ~ka:a.cols
+      ~kn:a.rows a x y
 
   (* y[i] := x[i] + alpha * y[i] (the CG direction update p := r + beta p
      and LSQR's w recurrence). *)
@@ -620,8 +629,8 @@ module Make (K : Scalar.S) = struct
 
      The fault plane sees the same device state on either arm: the
      strike regions ([regions]: R, Q, the panel's Y and W and the thin
-     path's b, with per-word flips), the ABFT probe's reads of Y and W
-     ([y_at], [w_at]), the finiteness sweep ([finite_from]) and the
+     path's b, with per-word flips), the ABFT probe through Y and W
+     ([probe_norms]), the finiteness sweep ([finite_from]) and the
      panel snapshot ([snapshot], [restore]).  On the flat arm they act
      on the planes, so a fault-armed factorization runs flat too.  Two
      things keep it limb for limb identical to the boxed arm under a
@@ -1276,13 +1285,55 @@ module Make (K : Scalar.S) = struct
       ]
       @ if st.rhs then [ ("b", st.mrows, b) ] else []
 
-    (* Element [i] of the panel's row-major Y and W (the ABFT probe's
-       reads). *)
-    let y_at p i =
-      match p.arm with Pflat f -> read_el f.yp i | Pboxed b -> b.y.(i)
-
-    let w_at p i =
-      match p.arm with Pflat f -> read_el f.wp i | Pboxed b -> b.w.(i)
+    (* The ABFT probe through the panel's aggregated reflectors: |u| and
+       |u + W (Y^H u)| for a probe vector [u] of [rows] elements, as
+       floats.  Each arm runs the boxed sequences: Y^H u clears and
+       accumulates Y[i, j]^H u[i] over ascending i, each output of
+       u + W (Y^H u) starts from u[i] and accumulates W[i, j] (Y^H u)[j]
+       over ascending j, and a norm is the square root of the ascending
+       sum of squares from zero that [V.norm] is.  On the flat arm these
+       are the transposed matvec of Y, one [dot] per row and one [dot]
+       per norm, on the planes: only [u] is boxed, as drawn. *)
+    let probe_norms p (u : K.t array) =
+      let tile = p.st.tile and rows = p.rows in
+      match p.arm with
+      | Pflat f ->
+          let { Nd_flat.make_ctx; clear; load; dot; store; _ } = the_plan () in
+          let ctx = make_ctx () in
+          let up = stage_vec ~n:rows ~get:(Array.get u) in
+          let yhu = alloc ~rows:tile ~cols:1 and pu = alloc ~rows ~cols:1 in
+          gemv_t_block ~threads:tile f.yp up yhu 0;
+          for i = 0 to rows - 1 do
+            load ctx up.p i;
+            dot ctx f.wp.p (i * tile) 1 yhu.p 0 1 tile;
+            store ctx pu.p i
+          done;
+          let sumsq = alloc ~rows:1 ~cols:1 in
+          let norm (x : planes) =
+            clear ctx;
+            dot ctx x.p 0 1 x.p 0 1 rows;
+            store ctx sumsq.p 0;
+            K.R.to_float (K.R.sqrt (K.re (read_el sumsq 0)))
+          in
+          (norm up, norm pu)
+      | Pboxed b ->
+          let yhu =
+            V.init tile (fun j ->
+                let s = ref K.zero in
+                for i = 0 to rows - 1 do
+                  s := K.add !s (K.mul (K.conj b.y.((i * tile) + j)) u.(i))
+                done;
+                !s)
+          in
+          let pu =
+            V.init rows (fun i ->
+                let s = ref u.(i) in
+                for j = 0 to tile - 1 do
+                  s := K.add !s (K.mul b.w.((i * tile) + j) yhu.(j))
+                done;
+                !s)
+          in
+          (K.R.to_float (V.norm u), K.R.to_float (V.norm pu))
 
     (* Whether every limb word a panel at [c0] wrote is finite: R from
        (c0, c0) on, the columns of Q from c0 on when Q is accumulated,

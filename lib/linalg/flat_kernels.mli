@@ -132,13 +132,15 @@ module Make (K : Scalar.S) : sig
 
   val gemv_block : threads:int -> planes -> planes -> planes -> int -> unit
   (** [gemv_block ~threads a x y blk]: y[i] := sum_k a[i, k] * x[k] for
-      the output rows of one launch block.  Per element the untiled
+      the output rows of one launch block, up to [nr] rows at a time
+      as the lanes of one [lanes] call.  Per element the untiled
       clear / ascending multiply-accumulate / store sequence, so the
       flat path is bit-identical to the boxed accumulator loop. *)
 
   val gemv_t_block : threads:int -> planes -> planes -> planes -> int -> unit
-  (** The transposed product y[j] := sum_i a[i, j] * x[i] (strided
-      column walk). *)
+  (** The transposed product y[j] := sum_i a[i, j] * x[i], the same
+      way: up to [nr] adjacent columns as lanes, so A is read along its
+      rows. *)
 
   val xpay : n:int -> planes -> planes -> planes -> unit
   (** [xpay ~n alpha x y]: y[i] := x[i] + alpha * y[i] — the CG
@@ -225,7 +227,7 @@ module Make (K : Scalar.S) : sig
       (Y, W, YWT and the product outputs are planes too) and unstages
       R, Q and b once at {!Qr.unstage}.  The boxed arm factors the host
       arrays in place; it serves complex and instrumented scalars.  The
-      fault plane's operations ({!Qr.regions}, {!Qr.y_at}, {!Qr.w_at},
+      fault plane's operations ({!Qr.regions}, {!Qr.probe_norms},
       {!Qr.finite_from}, {!Qr.snapshot}) act on either arm's storage,
       so a fault-armed factorization runs flat too.  Both arms replay
       one operation sequence, so the results are limb for limb
@@ -300,9 +302,11 @@ module Make (K : Scalar.S) : sig
         mrows * mrows words even when it is not accumulated (a strike
         there changes nothing), as the boxed arm's Q does. *)
 
-    val y_at : panel -> int -> K.t
-    val w_at : panel -> int -> K.t
-    (** Element [i] of the panel's row-major rows-by-tile Y and W. *)
+    val probe_norms : panel -> K.t array -> float * float
+    (** [probe_norms p u] is (|u|, |u + W (Y^H u)|) for a probe vector
+        [u] of the panel's row count: the ABFT probe through the
+        aggregated reflectors, with the boxed operation sequence on
+        either arm (on the planes of Y and W on the flat one). *)
 
     val finite_from : t -> c0:int -> bool
     (** Every limb word a panel at column [c0] wrote is finite: R from

@@ -20,17 +20,23 @@
 
    Besides the per-element operations, a plan carries two loop-level
    ones, [dot] (one accumulator over a strided run of products) and
-   [lanes] (one product into each of several accumulators), which every
-   dot-shaped kernel of [Flat_kernels] is written against.  At m = 1 and
-   m = 2 a multiply-accumulate is a handful of flops, so one indirect
-   call per element through this record, the per-access plane lookups
-   and the round trip through [ctx.acc] cost about as much as the
-   arithmetic: those two engines hand-write both loops, with the planes
-   hoisted out of the loop and the arithmetic inlined ([dot] keeps its
-   accumulator in locals).  The wider engines derive both loops from
-   their own [mul_add] ([with_loops]): their arithmetic dwarfs a call.
-   Either way each loop replays the per-element [mul_add] sequence, in
-   ascending order, so no output bit depends on which form ran.
+   [lanes] (several accumulators, each over its own strided run: the
+   whole k loop of a register tile), which every dot-shaped kernel of
+   [Flat_kernels] is written against.  At m = 1 and m = 2 a
+   multiply-accumulate is a handful of flops, so one indirect call per
+   element through this record, the per-access plane lookups and the
+   round trip through [ctx.acc] cost about as much as the arithmetic:
+   those two engines hand-write the loop, with the planes hoisted out
+   of it and the arithmetic inlined.  Like a device thread keeping its
+   accumulator in registers for the whole inner product, [lanes] holds
+   the accumulators of four lanes at a time in local floats, loaded
+   from [ctx.acc] once and stored back once per call, so four
+   independent dependency chains overlap; the lanes left over after
+   the groups of four run the one-lane loop, which is [dot].  The wider
+   engines derive both loops from their own [mul_add] ([with_loops]):
+   their arithmetic dwarfs a call.  Either way every accumulator
+   replays the per-element [mul_add] sequence, in ascending order, so
+   no output bit depends on which form ran.
 
    Bit-identity is the contract that makes the flat plane safe to
    dispatch on a pure capability check: each engine replays the exact
@@ -162,8 +168,11 @@ type ctx = {
 
      dot c a ia sa b ib sb n    : for t = 0 .. n-1,
                                   c.acc += a[ia + t*sa] * b[ib + t*sb]
-     lanes cs a ia sa b ib sb nl: for l = 0 .. nl-1,
-                                  cs.(l).acc += a[ia + l*sa] * b[ib + l*sb]
+     lanes cs a ia sa ka b ib sb kb nl kn
+                                : for k = 0 .. kn-1, for l = 0 .. nl-1,
+                  cs.(l).acc += a[ia + l*sa + k*ka] * b[ib + l*sb + k*kb]
+
+   so [dot c a ia sa b ib sb n] is [lanes [| c |] a ia 0 sa b ib 0 sb 1 n].
 
    Argument order mirrors the generic kernel bodies ([K.add acc x],
    [K.sub x acc]) so ties in magnitude merges break identically. *)
@@ -179,7 +188,10 @@ type plan = {
   sub_from : ctx -> planes -> int -> unit;
   dot : ctx -> planes -> int -> int -> planes -> int -> int -> int -> unit;
   lanes :
-    ctx array -> planes -> int -> int -> planes -> int -> int -> int -> unit;
+    ctx array ->
+    planes -> int -> int -> int ->
+    planes -> int -> int -> int ->
+    int -> int -> unit;
 }
 
 let empty = [||]
@@ -195,9 +207,12 @@ let with_loops ~limbs ~make_ctx ~clear ~load ~store ~add ~mul_set ~mul_add
     for t = 0 to n - 1 do
       mul_add c a (ia + (t * sa)) b (ib + (t * sb))
     done
-  and lanes cs a ia sa b ib sb nl =
-    for l = 0 to nl - 1 do
-      mul_add (lane cs l) a (ia + (l * sa)) b (ib + (l * sb))
+  and lanes cs a ia sa ka b ib sb kb nl kn =
+    for k = 0 to kn - 1 do
+      let ik = ia + (k * ka) and jk = ib + (k * kb) in
+      for l = 0 to nl - 1 do
+        mul_add (lane cs l) a (ik + (l * sa)) b (jk + (l * sb))
+      done
     done
   in
   { limbs; make_ctx; clear; load; store; add; mul_set; mul_add;
@@ -247,11 +262,33 @@ module D = struct
     done;
     c.acc.(0) <- !s
 
-  let lanes cs (a : planes) ia sa (b : planes) ib sb nl =
+  (* Four lanes at a time, each accumulator in a local float for the
+     whole k loop; the lanes left over run [dot]. *)
+  let lanes cs (a : planes) ia sa ka (b : planes) ib sb kb nl kn =
     let a0 = plane a 0 and b0 = plane b 0 in
-    for l = 0 to nl - 1 do
-      let acc = (lane cs l).acc in
-      acc.(0) <- acc.(0) +. (word a0 (ia + (l * sa)) *. word b0 (ib + (l * sb)))
+    let sa2 = 2 * sa and sb2 = 2 * sb and sa3 = 3 * sa and sb3 = 3 * sb in
+    let g = ref 0 in
+    while !g + 4 <= nl do
+      let c0 = lane cs !g and c1 = lane cs (!g + 1) in
+      let c2 = lane cs (!g + 2) and c3 = lane cs (!g + 3) in
+      let ia0 = ia + (!g * sa) and ib0 = ib + (!g * sb) in
+      let s0 = ref c0.acc.(0) and s1 = ref c1.acc.(0) in
+      let s2 = ref c2.acc.(0) and s3 = ref c3.acc.(0) in
+      for k = 0 to kn - 1 do
+        let i = ia0 + (k * ka) and j = ib0 + (k * kb) in
+        s0 := !s0 +. (word a0 i *. word b0 j);
+        s1 := !s1 +. (word a0 (i + sa) *. word b0 (j + sb));
+        s2 := !s2 +. (word a0 (i + sa2) *. word b0 (j + sb2));
+        s3 := !s3 +. (word a0 (i + sa3) *. word b0 (j + sb3))
+      done;
+      c0.acc.(0) <- !s0;
+      c1.acc.(0) <- !s1;
+      c2.acc.(0) <- !s2;
+      c3.acc.(0) <- !s3;
+      g := !g + 4
+    done;
+    for l = !g to nl - 1 do
+      dot (lane cs l) a (ia + (l * sa)) ka b (ib + (l * sb)) kb kn
     done
 
   let plan =
@@ -402,12 +439,127 @@ module Dd = struct
     c.acc.(0) <- !acc_hi;
     c.acc.(1) <- !acc_lo
 
-  let lanes cs (a : planes) ia sa (b : planes) ib sb nl =
+  (* Four lanes at a time, each accumulator's two limbs in local floats
+     for the whole k loop (a helper taking the refs would box them), and
+     the lanes left over run [dot]. *)
+  let lanes cs (a : planes) ia sa ka (b : planes) ib sb kb nl kn =
     let a0 = plane a 0 and a1 = plane a 1 in
     let b0 = plane b 0 and b1 = plane b 1 in
-    for l = 0 to nl - 1 do
-      let i = ia + (l * sa) and j = ib + (l * sb) in
-      mul_add_parts (lane cs l) (word a0 i) (word a1 i) (word b0 j) (word b1 j)
+    let g = ref 0 in
+    while !g + 4 <= nl do
+      let c0 = lane cs !g and c1 = lane cs (!g + 1) in
+      let c2 = lane cs (!g + 2) and c3 = lane cs (!g + 3) in
+      let ia0 = ia + (!g * sa) and ib0 = ib + (!g * sb) in
+      let h0 = ref c0.acc.(0) and l0 = ref c0.acc.(1) in
+      let h1 = ref c1.acc.(0) and l1 = ref c1.acc.(1) in
+      let h2 = ref c2.acc.(0) and l2 = ref c2.acc.(1) in
+      let h3 = ref c3.acc.(0) and l3 = ref c3.acc.(1) in
+      for k = 0 to kn - 1 do
+        let i0 = ia0 + (k * ka) and j0 = ib0 + (k * kb) in
+        let i1 = i0 + sa and j1 = j0 + sb in
+        let i2 = i1 + sa and j2 = j1 + sb in
+        let i3 = i2 + sa and j3 = j2 + sb in
+        (* lane 0: acc := acc + a * b, as in [mul_add_parts] *)
+        let ahi = word a0 i0 and alo = word a1 i0 in
+        let bhi = word b0 j0 and blo = word b1 j0 in
+        let p = ahi *. bhi in
+        let e = Float.fma ahi bhi (-.p) in
+        let e = e +. ((ahi *. blo) +. (alo *. bhi)) in
+        let phi = p +. e in
+        let plo = e -. (phi -. p) in
+        let ahi = !h0 and alo = !l0 in
+        let s = ahi +. phi in
+        let bb = s -. ahi in
+        let e = (ahi -. (s -. bb)) +. (phi -. bb) in
+        let t1 = alo +. plo in
+        let bb2 = t1 -. alo in
+        let t2 = (alo -. (t1 -. bb2)) +. (plo -. bb2) in
+        let e = e +. t1 in
+        let s' = s +. e in
+        let e' = e -. (s' -. s) in
+        let e' = e' +. t2 in
+        let hi = s' +. e' in
+        h0 := hi;
+        l0 := e' -. (hi -. s');
+        (* lane 1: acc := acc + a * b, as in [mul_add_parts] *)
+        let ahi = word a0 i1 and alo = word a1 i1 in
+        let bhi = word b0 j1 and blo = word b1 j1 in
+        let p = ahi *. bhi in
+        let e = Float.fma ahi bhi (-.p) in
+        let e = e +. ((ahi *. blo) +. (alo *. bhi)) in
+        let phi = p +. e in
+        let plo = e -. (phi -. p) in
+        let ahi = !h1 and alo = !l1 in
+        let s = ahi +. phi in
+        let bb = s -. ahi in
+        let e = (ahi -. (s -. bb)) +. (phi -. bb) in
+        let t1 = alo +. plo in
+        let bb2 = t1 -. alo in
+        let t2 = (alo -. (t1 -. bb2)) +. (plo -. bb2) in
+        let e = e +. t1 in
+        let s' = s +. e in
+        let e' = e -. (s' -. s) in
+        let e' = e' +. t2 in
+        let hi = s' +. e' in
+        h1 := hi;
+        l1 := e' -. (hi -. s');
+        (* lane 2: acc := acc + a * b, as in [mul_add_parts] *)
+        let ahi = word a0 i2 and alo = word a1 i2 in
+        let bhi = word b0 j2 and blo = word b1 j2 in
+        let p = ahi *. bhi in
+        let e = Float.fma ahi bhi (-.p) in
+        let e = e +. ((ahi *. blo) +. (alo *. bhi)) in
+        let phi = p +. e in
+        let plo = e -. (phi -. p) in
+        let ahi = !h2 and alo = !l2 in
+        let s = ahi +. phi in
+        let bb = s -. ahi in
+        let e = (ahi -. (s -. bb)) +. (phi -. bb) in
+        let t1 = alo +. plo in
+        let bb2 = t1 -. alo in
+        let t2 = (alo -. (t1 -. bb2)) +. (plo -. bb2) in
+        let e = e +. t1 in
+        let s' = s +. e in
+        let e' = e -. (s' -. s) in
+        let e' = e' +. t2 in
+        let hi = s' +. e' in
+        h2 := hi;
+        l2 := e' -. (hi -. s');
+        (* lane 3: acc := acc + a * b, as in [mul_add_parts] *)
+        let ahi = word a0 i3 and alo = word a1 i3 in
+        let bhi = word b0 j3 and blo = word b1 j3 in
+        let p = ahi *. bhi in
+        let e = Float.fma ahi bhi (-.p) in
+        let e = e +. ((ahi *. blo) +. (alo *. bhi)) in
+        let phi = p +. e in
+        let plo = e -. (phi -. p) in
+        let ahi = !h3 and alo = !l3 in
+        let s = ahi +. phi in
+        let bb = s -. ahi in
+        let e = (ahi -. (s -. bb)) +. (phi -. bb) in
+        let t1 = alo +. plo in
+        let bb2 = t1 -. alo in
+        let t2 = (alo -. (t1 -. bb2)) +. (plo -. bb2) in
+        let e = e +. t1 in
+        let s' = s +. e in
+        let e' = e -. (s' -. s) in
+        let e' = e' +. t2 in
+        let hi = s' +. e' in
+        h3 := hi;
+        l3 := e' -. (hi -. s')
+      done;
+      c0.acc.(0) <- !h0;
+      c0.acc.(1) <- !l0;
+      c1.acc.(0) <- !h1;
+      c1.acc.(1) <- !l1;
+      c2.acc.(0) <- !h2;
+      c2.acc.(1) <- !l2;
+      c3.acc.(0) <- !h3;
+      c3.acc.(1) <- !l3;
+      g := !g + 4
+    done;
+    for l = !g to nl - 1 do
+      dot (lane cs l) a (ia + (l * sa)) ka b (ib + (l * sb)) kb kn
     done
 
   let plan =

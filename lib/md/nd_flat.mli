@@ -75,15 +75,20 @@ type ctx
 
     - [dot c a ia sa b ib sb n] — for [t] from 0 to [n-1] in ascending
       order, acc := acc + a\[ia + t*sa\] * b\[ib + t*sb\]
-    - [lanes cs a ia sa b ib sb nl] — for every lane [l < nl],
-      cs.(l)'s acc := acc + a\[ia + l*sa\] * b\[ib + l*sb\]
+    - [lanes cs a ia sa ka b ib sb kb nl kn] — for [k] from 0 to
+      [kn-1] in ascending order and every lane [l < nl], cs.(l)'s
+      acc := acc + a\[ia + l*sa + k*ka\] * b\[ib + l*sb + k*kb\]:
+      the whole k loop of a register tile
 
-    Strides may be 0 (a broadcast operand).  The [m = 1] and [m = 2]
-    engines hand-write both loops, with the planes hoisted and the
-    arithmetic inlined ([dot] keeps its accumulator in locals), because
-    there a call per element costs as much as the arithmetic; the wider
-    engines derive both from their own [mul_add].  Either way the result
-    is bit-identical to the per-element loop. *)
+    so [dot] is the one-lane case of [lanes].  Strides may be 0 (a
+    broadcast operand).  The [m = 1] and [m = 2] engines hand-write the
+    loop, with the planes hoisted and the arithmetic inlined, because
+    there a call per element costs as much as the arithmetic: [lanes]
+    keeps the accumulators of four lanes at a time in local floats for
+    the whole k loop (each loaded from and stored to its [ctx] once per
+    call) and runs the lanes left over through [dot].  The wider engines
+    derive both from their own [mul_add].  Either way every accumulator
+    is bit-identical to its per-element loop. *)
 type plan = {
   limbs : int;
   make_ctx : unit -> ctx;
@@ -96,7 +101,10 @@ type plan = {
   sub_from : ctx -> planes -> int -> unit;
   dot : ctx -> planes -> int -> int -> planes -> int -> int -> int -> unit;
   lanes :
-    ctx array -> planes -> int -> int -> planes -> int -> int -> int -> unit;
+    ctx array ->
+    planes -> int -> int -> int ->
+    planes -> int -> int -> int ->
+    int -> int -> unit;
 }
 
 val supported : int -> bool

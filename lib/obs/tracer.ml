@@ -43,7 +43,21 @@ let enabled_flag = Atomic.make false
 let start_us = Atomic.make 0.0
 let events : event Domain_buffer.t = Domain_buffer.create ()
 
-let enabled () = Atomic.get enabled_flag
+(* Per-domain mute ([muted]): the domain's own recording is off while
+   the trace runs on. *)
+let mute_key = Domain.DLS.new_key (fun () -> ref false)
+
+let enabled () =
+  Atomic.get enabled_flag && not !(Domain.DLS.get mute_key)
+
+let muted f =
+  if not (Atomic.get enabled_flag) then f ()
+  else begin
+    let m = Domain.DLS.get mute_key in
+    let was = !m in
+    m := true;
+    Fun.protect ~finally:(fun () -> m := was) f
+  end
 
 let now_us () = (Unix.gettimeofday () *. 1e6) -. Atomic.get start_us
 

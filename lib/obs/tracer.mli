@@ -30,8 +30,13 @@ val stop : unit -> unit
 (** Disables recording; the events stay available to {!export}. *)
 
 val enabled : unit -> bool
-(** Cheap (one atomic load): use it to skip argument construction on hot
-    paths. *)
+(** Whether this domain records: one atomic load when tracing is off.
+    Use it to skip argument construction on hot paths. *)
+
+val muted : (unit -> 'a) -> 'a
+(** [muted f] runs [f ()] with this domain's recording off (also
+    through {!enabled}), for work that is not part of what the trace
+    shows, such as a what-if plan; other domains record on. *)
 
 val span : ?cat:string -> ?args:(string * arg) list -> string -> (unit -> 'a) -> 'a
 (** [span name f] runs [f ()] and records a complete ("ph":"X") event

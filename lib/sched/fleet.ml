@@ -248,7 +248,14 @@ let roofline_stages (job : Job.t) ~device =
     match cached with
     | Some s -> s
     | None ->
-      let stages = try Some (R.roofline key) with _ -> None in
+      (* A what-if plan, not a launch of any job: one placement span
+         records its host time, and its launches stay out of the trace,
+         where they would read as kernels outside every job attempt. *)
+      let stages =
+        Obs.Tracer.span ~cat:"sched" "placement plan" (fun () ->
+            Obs.Tracer.muted (fun () ->
+                try Some (R.roofline key) with _ -> None))
+      in
       Mutex.lock roofline_lock;
       Hashtbl.replace roofline_memo key stages;
       Mutex.unlock roofline_lock;

@@ -477,9 +477,11 @@ let test_armed_qr_words () =
       let words = Gc.minor_words () -. before in
       let tally : Fault.Plan.tally = Option.get (Gpusim.Sim.fault_tally sim) in
       Alcotest.(check bool) "bit flips struck" true (tally.bitflips > 0);
-      if words > 2e6 then
+      (* About 0.47M words over fault seeds 1-10, 0.58M at the most:
+         only the ABFT probe's draws are boxed. *)
+      if words > 8e5 then
         Alcotest.failf "%.0f minor words for an armed 64x64 factorization, \
-                        budget 2M" words)
+                        budget 0.8M" words)
 
 let () =
   Alcotest.run "lsq_core"

@@ -87,6 +87,43 @@ module Equiv (K : Scalar.S) = struct
     done;
     check_vec "axpy" yf yg
 
+  (* The matrix-vector products against the boxed accumulator loop.
+     Thread counts that are not multiples of the 8 lanes, or of the
+     m = 1 and m = 2 engines' groups of four, leave lane tails. *)
+  let test_gemv_blocks () =
+    let rng = Dompool.Prng.create 10 in
+    List.iter
+      (fun (rows, cols, threads) ->
+        let a = Rand.matrix rng rows cols in
+        let x = Rand.vector rng cols and xt = Rand.vector rng rows in
+        let ap = F.stage ~rows ~cols ~get:(fun i j -> M.get a i j) in
+        let xp = F.stage_vec ~n:cols ~get:(fun j -> x.(j)) in
+        let xtp = F.stage_vec ~n:rows ~get:(fun i -> xt.(i)) in
+        let yp = F.alloc ~rows ~cols:1 and ytp = F.alloc ~rows:cols ~cols:1 in
+        for blk = 0 to ((rows + threads - 1) / threads) - 1 do
+          F.gemv_block ~threads ap xp yp blk
+        done;
+        for blk = 0 to ((cols + threads - 1) / threads) - 1 do
+          F.gemv_t_block ~threads ap xtp ytp blk
+        done;
+        let y = V.create rows and yt = V.create cols in
+        F.unstage_vec yp ~store:(Array.set y);
+        F.unstage_vec ytp ~store:(Array.set yt);
+        let want out n term =
+          V.init out (fun o ->
+              let s = ref K.zero in
+              for k = 0 to n - 1 do
+                s := K.add !s (term o k)
+              done;
+              !s)
+        in
+        let shape = Printf.sprintf "%dx%d threads %d" rows cols threads in
+        check_vec ("gemv " ^ shape) y
+          (want rows cols (fun i k -> K.mul (M.get a i k) x.(k)));
+        check_vec ("gemv_t " ^ shape) yt
+          (want cols rows (fun j k -> K.mul (M.get a k j) xt.(k))))
+      [ (37, 13, 5); (24, 17, 9); (3, 40, 40); (1, 1, 1) ]
+
   let test_rank1 () =
     let rng = Dompool.Prng.create 3 in
     let rows = 13 and cols = 9 in
@@ -353,6 +390,7 @@ module Equiv (K : Scalar.S) = struct
     [
       Alcotest.test_case (prefix ^ " dot") `Quick test_dot;
       Alcotest.test_case (prefix ^ " axpy") `Quick test_axpy;
+      Alcotest.test_case (prefix ^ " gemv blocks") `Quick test_gemv_blocks;
       Alcotest.test_case (prefix ^ " rank1") `Quick test_rank1;
       Alcotest.test_case (prefix ^ " ewadd") `Quick test_ewadd;
       Alcotest.test_case (prefix ^ " matmul blocks") `Quick test_matmul_blocks;
@@ -463,10 +501,24 @@ let test_bounds () =
           (raises (fun () -> p.Nd_flat.dot ctx a 0 1 a 0 1 5));
         check (tag "strided dot past the end") true
           (raises (fun () -> p.Nd_flat.dot ctx a 0 0 a 0 2 3));
+        let four = [| ctx; ctx; ctx; ctx |] in
+        check (tag "lanes in range") false
+          (raises (fun () -> p.Nd_flat.lanes four a 0 1 0 a 0 0 1 4 4));
         check (tag "lanes past the end") true
-          (raises (fun () -> p.Nd_flat.lanes [| ctx; ctx |] a 3 1 a 0 0 2));
+          (raises (fun () ->
+               p.Nd_flat.lanes [| ctx; ctx |] a 3 1 0 a 0 0 0 2 1));
+        (* Only the last k of the last lane, on the one-lane tail... *)
+        check (tag "lanes past the end at the last k") true
+          (raises (fun () ->
+               p.Nd_flat.lanes [| ctx; ctx |] a 0 1 1 a 0 0 0 2 4));
+        (* ...and of every lane of a group of four. *)
+        check (tag "lane group past the end at the last k") true
+          (raises (fun () -> p.Nd_flat.lanes four a 0 1 0 a 0 0 1 4 5));
         check (tag "lanes past the contexts") true
-          (raises (fun () -> p.Nd_flat.lanes [| ctx |] a 0 0 a 0 1 2)))
+          (raises (fun () -> p.Nd_flat.lanes [| ctx |] a 0 0 0 a 0 1 0 2 1));
+        check (tag "lane group past the contexts") true
+          (raises (fun () ->
+               p.Nd_flat.lanes [| ctx; ctx; ctx |] a 0 0 0 a 0 0 0 4 1)))
       [ 1; 2; 3; 4; 8 ]
 
 (* ---- allocation ----
@@ -544,8 +596,8 @@ let test_no_allocation () =
           p.Nd_flat.clear c;
           p.Nd_flat.dot c a 0 1 b 0 1 n);
       pin "lanes" (fun () ->
-          for t = 0 to (n / 8) - 1 do
-            p.Nd_flat.lanes lanes a (8 * t) 1 b (8 * t) 1 8
+          for nl = 1 to 8 do
+            p.Nd_flat.lanes lanes a 0 0 1 b 0 0 1 nl n
           done))
     [ 1; 2; 4; 8 ]
 

@@ -235,6 +235,67 @@ let test_steal_instant_args () =
         Json.(get_string (member "by" args)))
     steals
 
+(* Placement plans each new job shape on the reference device and on
+   the device it picked: what-if plans, not launches of any job.  A
+   traced batch records each as one "placement plan" span, and every
+   kernel span it holds is a launch of a job attempt, on that attempt's
+   domain and inside its span.  The shapes are new to this process, so
+   their plans are not memoized yet. *)
+let test_trace_kernels_in_attempts () =
+  let jobs =
+    [
+      Job.make ~id:"traced-qr" ~kind:Job.Qr ~device:Job.auto_device
+        ~prec:P.QD ~dim:640 ~tile:64 ();
+      Job.make ~id:"traced-solve" ~kind:Job.Solve ~device:Job.auto_device
+        ~prec:P.DD ~dim:704 ~tile:64 ();
+    ]
+  in
+  Obs.Tracer.start ();
+  let outcomes =
+    Fun.protect ~finally:Obs.Tracer.stop (fun () ->
+        F.run F.Config.default jobs)
+  in
+  let spans =
+    Json.get_list
+      (Json.member "traceEvents" (Json.of_string (Obs.Tracer.export ())))
+    |> List.filter (fun e -> Json.(get_string (member "ph" e)) = "X")
+  in
+  let named cat name =
+    List.filter
+      (fun e ->
+        Json.(get_string (member "cat" e)) = cat
+        && (name = "" || Json.(get_string (member "name" e)) = name))
+      spans
+  in
+  let attempts = named "sched" "attempt" and kernels = named "kernel" "" in
+  let bounds e =
+    let ts = Json.(get_float (member "ts" e)) in
+    (Json.(get_int (member "tid" e)), ts, ts +. Json.(get_float (member "dur" e)))
+  in
+  let inside k =
+    let tid, k0, k1 = bounds k in
+    List.exists
+      (fun a ->
+        let atid, a0, a1 = bounds a in
+        atid = tid && a0 <= k0 && k1 <= a1)
+      attempts
+  in
+  check "placement plans traced" true (named "sched" "placement plan" <> []);
+  check "every kernel span inside a job attempt" true
+    (List.for_all inside kernels);
+  let launches =
+    List.fold_left
+      (fun acc (o : S.outcome) ->
+        match o.S.status with
+        | S.Completed r -> acc + r.Harness.Report.launches
+        | S.Failed _ -> Alcotest.failf "%s failed" o.S.job.Job.id)
+      0 outcomes
+  in
+  checki "kernel spans count every job launch" launches
+    (List.fold_left
+       (fun acc k -> acc + Json.(get_int (member "count" (member "args" k))))
+       0 kernels)
+
 (* With stealing off, jobs only run where they were admitted. *)
 let test_no_steal () =
   let config =
@@ -453,6 +514,8 @@ let () =
           Alcotest.test_case "steal instant carries thief and owner" `Quick
             test_steal_instant_args;
           Alcotest.test_case "no stealing when disabled" `Quick test_no_steal;
+          Alcotest.test_case "kernel spans inside job attempts" `Quick
+            test_trace_kernels_in_attempts;
         ] );
       ( "admission",
         [ Alcotest.test_case "backpressure" `Quick test_backpressure ] );

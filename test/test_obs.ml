@@ -45,6 +45,29 @@ let test_recording () =
   T.stop ();
   checki "start clears" 0 (T.event_count ())
 
+(* [muted] turns off the calling domain's recording, nested spans and
+   instants included, and only that domain's: a domain spawned inside
+   records on. *)
+let test_muted () =
+  T.start ();
+  let inner_enabled, other_domain =
+    T.muted (fun () ->
+        T.span "hidden" (fun () -> T.instant "hidden mark");
+        (T.enabled (), Domain.join (Domain.spawn (fun () ->
+             T.instant "other domain";
+             T.enabled ()))))
+  in
+  T.span "shown" ignore;
+  T.stop ();
+  check "muted domain not enabled" false inner_enabled;
+  check "other domain enabled" true other_domain;
+  let names =
+    List.map
+      (fun e -> Json.(get_string (member "name" e)))
+      (Json.get_list (Json.member "traceEvents" (Json.of_string (T.export ()))))
+  in
+  Alcotest.(check (list string)) "recorded" [ "other domain"; "shown" ] names
+
 let test_export_schema () =
   T.start ();
   ignore (T.span ~cat:"a" "alpha" (fun () -> T.span ~cat:"b" "beta" Fun.id));
@@ -926,6 +949,7 @@ let () =
           Alcotest.test_case "disabled is transparent" `Quick
             test_disabled_transparent;
           Alcotest.test_case "recording" `Quick test_recording;
+          Alcotest.test_case "muted" `Quick test_muted;
           Alcotest.test_case "export schema" `Quick test_export_schema;
           Alcotest.test_case "span nesting" `Quick test_span_nesting;
           Alcotest.test_case "traced qr run" `Quick test_traced_qr_run;

@@ -370,16 +370,32 @@ module Flat_props (S : Md_sig.S) = struct
       vals;
     p
 
-  (* A strided operand of [count] steps: an offset, a stride of 0
-     (broadcast), 1 or a row pitch, and values covering every step. *)
+  (* A stride of 0 (broadcast), 1 or a row pitch. *)
+  let gen_stride =
+    Gen.(frequency [ (1, return 0); (1, return 1); (1, int_range 2 9) ])
+
+  (* A strided operand of [count] steps: an offset, a stride, and values
+     covering every step. *)
   let gen_strided count =
     let open Gen in
     let* off = int_range 0 3 in
-    let* stride = frequency [ (1, return 0); (1, return 1); (1, int_range 2 9) ] in
+    let* stride = gen_stride in
     let+ vals =
       array_size (return (off + (max 0 (count - 1) * stride) + 1)) gen_val
     in
     (off, stride, vals)
+
+  (* An operand of [nl] lanes by [kn] steps: an offset, a lane stride,
+     a step stride, and values covering every word read. *)
+  let gen_laned nl kn =
+    let open Gen in
+    let* off = int_range 0 3 and* sl = gen_stride and* sk = gen_stride in
+    let+ vals =
+      array_size
+        (return (off + (max 0 (nl - 1) * sl) + (max 0 (kn - 1) * sk) + 1))
+        gen_val
+    in
+    (off, sl, sk, vals)
 
   (* Read the accumulator back out through [store]. *)
   let acc_limbs ctx =
@@ -465,13 +481,17 @@ module Flat_props (S : Md_sig.S) = struct
               mul_add want ap (ia + (t * sa)) bp (ib + (t * sb))
             done;
             bits_eq (acc_limbs want) (acc_limbs got));
+        (* Every lane count up to 8 (the groups of four of the m = 1
+           and m = 2 engines and their one-lane tails) and k loops long
+           enough for accumulators to grow limb occupancy. *)
         to_alco ~count:200 "lanes = mul_add loop"
           Gen.(
-            let* nl = int_range 0 8 in
-            triple (return nl)
-              (pair (gen_strided nl) (gen_strided nl))
+            let* nl = int_range 0 8 and* kn = int_range 0 40 in
+            triple
+              (pair (return nl) (return kn))
+              (pair (gen_laned nl kn) (gen_laned nl kn))
               (array_size (return 8) gen_val))
-          (fun (nl, ((ia, sa, av), (ib, sb, bv)), init) ->
+          (fun ((nl, kn), ((ia, sa, ka, av), (ib, sb, kb, bv)), init) ->
             let ap = stage av and bp = stage bv and ip = stage init in
             let lanes_of () =
               Array.init 8 (fun l ->
@@ -480,13 +500,30 @@ module Flat_props (S : Md_sig.S) = struct
                   ctx)
             in
             let got = lanes_of () and want = lanes_of () in
-            lanes got ap ia sa bp ib sb nl;
+            lanes got ap ia sa ka bp ib sb kb nl kn;
             for l = 0 to nl - 1 do
-              mul_add want.(l) ap (ia + (l * sa)) bp (ib + (l * sb))
+              for k = 0 to kn - 1 do
+                mul_add want.(l) ap
+                  (ia + (l * sa) + (k * ka))
+                  bp
+                  (ib + (l * sb) + (k * kb))
+              done
             done;
             Array.for_all2
               (fun g w -> bits_eq (acc_limbs w) (acc_limbs g))
               got want);
+        to_alco ~count:100 "dot = one-lane lanes"
+          Gen.(
+            let* n = int_range 0 40 in
+            triple (return n) (pair (gen_strided n) (gen_strided n)) gen_val)
+          (fun (n, ((ia, sa, av), (ib, sb, bv)), c) ->
+            let ap = stage av and bp = stage bv and cp = stage [| c |] in
+            let got = make_ctx () and want = make_ctx () in
+            load got cp 0;
+            load want cp 0;
+            dot got ap ia sa bp ib sb n;
+            lanes [| want |] ap ia 0 sa bp ib 0 sb 1 n;
+            bits_eq (acc_limbs want) (acc_limbs got));
       ] )
 end
 
