@@ -42,6 +42,12 @@ run solve --execute --fault-rate 0.5 --dim 32 --tile 8 --prec 2d --fault-seed 3
 # solve; the printed solutions pin their digits.
 run psolve --prec 1d "x^2 + y^2 - 4; x*y - 1"
 run psolve --prec 2d "x^2 + y^2 - 4; x*y - 1"
+# The power series block Toeplitz solve (one QR of J0, then the tiled
+# back substitution) and mixed-precision refinement both run the
+# executed QR and back substitution; their printed errors pin the digits.
+run toeplitz
+run toeplitz --complex --prec 2d --block 4 --degree 4
+run refine --lo 2d --hi 4d --dim 32 --tile 8
 usage_error qr --dim 64 --rows 16 --tile 16
 usage_error roofline solve --solver cg --rows 16 --dim 64
 usage_error roofline solve --solver cg --rows 16 --dim 64 --tile 16
