@@ -641,10 +641,14 @@ let ablation_naive_bs () =
     "tiled lnch" "naive lnch";
   List.iter
     (fun dim ->
-      let tiled = Tiled.run_plan ~device:Device.v100 ~dim ~tile:(dim / 80) () in
-      let naive = Naive.run_plan ~device:Device.v100 ~dim () in
-      pf "%-8d %18.1f %18.1f %14d %14d\n" dim tiled.Tiled.kernel_ms
-        naive.Naive.kernel_ms tiled.Tiled.launches naive.Naive.launches)
+      let sim () =
+        Sim.create ~execute:false ~device:Device.v100 ~prec:P.QD ()
+      in
+      let tiled = sim () and naive = sim () in
+      Tiled.plan tiled ~dim ~tile:(dim / 80);
+      Naive.plan naive ~dim;
+      pf "%-8d %18.1f %18.1f %14d %14d\n" dim (Sim.kernel_ms tiled)
+        (Sim.kernel_ms naive) (Sim.launches tiled) (Sim.launches naive))
     [ 2560; 5120; 10240 ];
   pf
     "(replacing the final division by a multiplication with precomputed \

@@ -674,8 +674,6 @@ let toeplitz_cmd =
   let run device p blockdim degree complex =
     let (module K) = Lsq_core.Solver.scalar_of ~complex p in
     let module BT = Mdseries.Block_toeplitz.Make (K) in
-    let module Qrm = Lsq_core.Blocked_qr.Make (K) in
-    let module Bsm = Lsq_core.Tiled_back_sub.Make (K) in
     let module M = Mdlinalg.Mat.Make (K) in
     let module V = Mdlinalg.Vec.Make (K) in
     let rng = Dompool.Prng.create 7 in
@@ -690,7 +688,9 @@ let toeplitz_cmd =
     in
     let x_true = Array.init (degree + 1) (fun _ -> V.random rng blockdim) in
     let b = BT.apply j x_true in
-    let x, qr, bs = BT.solve_device ~device ~tile:blockdim j b in
+    let qr = Gpusim.Sim.create ~device ~prec:K.prec () in
+    let bs = Gpusim.Sim.create ~device ~prec:K.prec () in
+    let x = BT.solve_device ~qr ~bs ~tile:blockdim j b in
     let err = ref K.R.zero in
     Array.iteri
       (fun k p' ->
@@ -702,9 +702,9 @@ let toeplitz_cmd =
       (if complex then " complex" else "")
       device.Gpusim.Device.name;
     pf "  max order error        : %s\n" (K.R.to_string ~digits:3 !err);
-    pf "  QR of J0, kernels      : %.4f ms\n" qr.Qrm.kernel_ms;
-    pf "  Algorithm 1, kernels   : %.4f ms (%d launches)\n" bs.Bsm.kernel_ms
-      bs.Bsm.launches
+    pf "  QR of J0, kernels      : %.4f ms\n" (Gpusim.Sim.kernel_ms qr);
+    pf "  Algorithm 1, kernels   : %.4f ms (%d launches)\n"
+      (Gpusim.Sim.kernel_ms bs) (Gpusim.Sim.launches bs)
   in
   Cmd.v
     (Cmd.info "toeplitz"

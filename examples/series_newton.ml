@@ -22,7 +22,6 @@ module S = Series.Make (K)
 module BT = Block_toeplitz.Make (K)
 module M = Mat.Make (K)
 module V = Vec.Make (K)
-module Qr = Lsq_core.Blocked_qr.Make (K)
 
 let degree = 10
 
@@ -87,7 +86,9 @@ let () =
      accelerated path the paper motivates. *)
   let j = jacobian x in
   let b = BT.apply j x in
-  let sol, qr, bs = BT.solve_device ~tile:2 j b in
+  let sim () = Gpusim.Sim.create ~device:Gpusim.Device.v100 ~prec:K.prec () in
+  let qr = sim () in
+  let sol = BT.solve_device ~qr ~bs:(sim ()) ~tile:2 j b in
   let err = ref K.R.zero in
   Array.iteri
     (fun k p ->
@@ -99,8 +100,8 @@ let () =
      system):\n";
   Printf.printf "  reconstruction error   : %s\n"
     (K.R.to_string ~digits:3 !err);
-  Printf.printf "  QR kernel time         : %.4f ms\n" qr.Qr.kernel_ms;
-  ignore bs;
+  Printf.printf "  QR kernel time         : %.4f ms\n"
+    (Gpusim.Sim.kernel_ms qr);
   (* Sanity: the series evaluated inside its convergence disk solves f. *)
   let t = K.of_float 0.05 in
   let xv = S.eval (Array.map (fun p -> p.(0)) x) t in

@@ -25,16 +25,19 @@
    abstraction makes the same code cover both (§3, last paragraph).
 
    Residency.  As in the paper, the data stays on the device from the
-   transfer of A to the transfer of Q and R: R, Q and the thin path's b
-   for the whole factorization, each panel's Y, W, YWT and product
-   outputs for the panel (the flat arm allocates no YWT that nothing
-   reads, see step 2).  This module prices the launches and the two
-   transfers and issues the launches; the device state and every launch
-   body live in [Flat_kernels.Make(K).Qr], which has two arms:
+   transfer of A on: R, Q and the thin path's b for the whole
+   factorization, each panel's Y, W, YWT and product outputs for the
+   panel (the flat arm allocates no YWT that nothing reads, see step 2).
+   This module prices the launches and the two transfers (A in, Q and R
+   out) and issues the launches; the device state and every launch body
+   live in [Flat_kernels.Make(K).Qr], which [factor_resident] hands
+   over as it lies: the direct solve's back substitution adopts R and
+   Q^H b from it, and only [factor]/[factor_thin] unstage boxed Q and R.
+   The state has two arms:
    - flat, when executing with [Flat_kernels.available] (real,
      uninstrumented scalars), fault-armed or not: everything above is
-     staged limb planes, staged at the first transfer and unstaged at
-     the second, and every stage runs on the [Nd_flat] engines;
+     staged limb planes, staged at the first transfer, and every stage
+     runs on the [Nd_flat] engines;
    - boxed otherwise: the host [K.t] arrays, factored in place, for
      complex and [Counted] scalars.
    The fault plane's corruptor, ABFT probe, finiteness sweep and panel
@@ -60,18 +63,6 @@ module Make (K : Scalar.S) = struct
      instead of partially applying a stage body, so it allocates no
      closure. *)
   let noop (_ : int) = ()
-
-  type result = {
-    q : M.t;
-    r : M.t;
-    kernel_ms : float;
-    wall_ms : float;
-    kernel_gflops : float;
-    wall_gflops : float;
-    stages : Profile.row list;
-    launches : int;
-    faults : Fault.Plan.tally option;
-  }
 
   (* One thread per output element, the register-loading matrix product of
      the paper (no shared memory tiles; the high CGMA ratio of multiple
@@ -403,62 +394,45 @@ module Make (K : Scalar.S) = struct
           attempt 0)
     done;
     Sim.set_corruptor sim None;
-    (* Device -> host: Q and R (and the thin path's b). *)
+    (* Device -> host: Q and R (and the thin path's b).  The modeled
+       transfer is the paper's; the host unstages only on request. *)
     Sim.transfer sim (f ((mrows * mrows) + (mrows * ncols)) *. sb);
-    F.Qr.unstage st;
-    let r = F.Qr.r st and q = F.Qr.q st in
-    (* Clean the numerically annihilated subdiagonal of R. *)
-    if executing then
-      for j = 0 to ncols - 1 do
-        for i = j + 1 to mrows - 1 do
-          r.((i * ncols) + j) <- K.zero
-        done
-      done;
-    let mat rows cols a =
-      if executing && Array.length a = rows * cols then { M.rows; cols; a }
-      else M.create 0 0
-    in
-    (mat mrows mrows q, mat mrows ncols r)
+    st
+
+  (* The device state of an executed factorization of [a], handed over
+     as it lies: the full one for [rhs = None], the economy one with
+     Q^H [rhs] resident otherwise ([rhs] is not modified). *)
+  let factor_resident (sim : Sim.t) (a : M.t) ~rhs ~tile =
+    factor_gen ~accumulate_q:(Option.is_none rhs) ?rhs sim
+      ~mrows:(M.rows a) ~ncols:(M.cols a) ~tile ~a:(Some a)
 
   (* [factor sim a ~tile] returns (q, r) with a = q r, q unitary M-by-M
      and r upper triangular M-by-Nn, computed tile by tile on the
      simulated device. *)
   let factor (sim : Sim.t) (a : M.t) ~tile =
-    factor_gen sim ~mrows:(M.rows a) ~ncols:(M.cols a) ~tile ~a:(Some a)
+    let st = factor_resident sim a ~rhs:None ~tile in
+    if not sim.Sim.execute then (M.create 0 0, M.create 0 0)
+    else
+      let q, r, _ = F.Qr.unstage st in
+      let m = M.rows a in
+      ({ M.rows = m; cols = m; a = q }, { M.rows = m; cols = M.cols a; a = r })
 
   (* Economy factorization: returns R and overwrites [b] with Q^H b,
      never forming Q (the LAPACK xGELS shape). *)
   let factor_thin (sim : Sim.t) (a : M.t) ~(b : V.t) ~tile =
-    let _, r =
-      factor_gen ~accumulate_q:false ~rhs:b sim ~mrows:(M.rows a)
-        ~ncols:(M.cols a) ~tile ~a:(Some a)
-    in
-    r
+    let st = factor_resident sim a ~rhs:(Some b) ~tile in
+    if not sim.Sim.execute then M.create 0 0
+    else
+      let _, r, qtb = F.Qr.unstage st in
+      Array.blit qtb 0 b 0 (Array.length b);
+      { M.rows = M.rows a; cols = M.cols a; a = r }
 
   let plan_thin (sim : Sim.t) ~rows ~cols ~tile =
     ignore
       (factor_gen ~accumulate_q:false ~rhs:(V.create 0) sim ~mrows:rows
-         ~ncols:cols ~tile ~a:None)
+         ~ncols:cols ~tile ~a:None : F.Qr.t)
 
   (* Cost accounting only: no data is touched or allocated. *)
   let plan (sim : Sim.t) ~rows ~cols ~tile =
-    ignore (factor_gen sim ~mrows:rows ~ncols:cols ~tile ~a:None)
-
-  let result_of_sim sim q r =
-    {
-      q;
-      r;
-      kernel_ms = Sim.kernel_ms sim;
-      wall_ms = Sim.wall_ms sim;
-      kernel_gflops = Sim.kernel_gflops sim;
-      wall_gflops = Sim.wall_gflops sim;
-      stages = List.map (Profile.row sim.Sim.profile) Stage.qr_stages;
-      launches = Sim.launches sim;
-      faults = Sim.fault_tally sim;
-    }
-
-  let run ?fault ~device ~a ~tile () =
-    let sim = Sim.create ?fault ~device ~prec:K.prec () in
-    let q, r = factor sim a ~tile in
-    result_of_sim sim q r
+    ignore (factor_gen sim ~mrows:rows ~ncols:cols ~tile ~a:None : F.Qr.t)
 end

@@ -18,17 +18,20 @@
     [Fault.Plan.Injected]. *)
 
 module Make (K : Mdlinalg.Scalar.S) : sig
-  type result = {
-    q : Mdlinalg.Mat.Make(K).t;
-    r : Mdlinalg.Mat.Make(K).t;
-    kernel_ms : float;
-    wall_ms : float;
-    kernel_gflops : float;
-    wall_gflops : float;
-    stages : Gpusim.Profile.row list;  (** in {!Stage.qr_stages} order *)
-    launches : int;
-    faults : Fault.Plan.tally option;  (** when the sim armed a plan *)
-  }
+  val factor_resident :
+    Gpusim.Sim.t ->
+    Mdlinalg.Mat.Make(K).t ->
+    rhs:Mdlinalg.Vec.Make(K).t option ->
+    tile:int ->
+    Mdlinalg.Flat_kernels.Make(K).Qr.t
+  (** [factor_resident sim a ~rhs ~tile] factors [a] on [sim] and hands
+      over the device state as it lies, for the back substitution to
+      adopt ({!Mdlinalg.Flat_kernels.Make.Qr.thin_source},
+      [square_source]): the full factorization (Q accumulated) for
+      [rhs = None], the economy one with Q^H [rhs] resident for
+      [Some rhs] ([rhs] is not modified).  Needs rows >= cols and the
+      column count a multiple of [tile] ([Invalid_argument]
+      otherwise). *)
 
   val factor :
     Gpusim.Sim.t ->
@@ -36,8 +39,8 @@ module Make (K : Mdlinalg.Scalar.S) : sig
     tile:int ->
     Mdlinalg.Mat.Make(K).t * Mdlinalg.Mat.Make(K).t
   (** [factor sim a ~tile] is [(q, r)] with [a = q r], [q] unitary
-      M-by-M, [r] upper triangular; needs rows >= cols and the column
-      count a multiple of [tile] ([Invalid_argument] otherwise). *)
+      M-by-M, [r] upper triangular, unstaged from {!factor_resident}'s
+      state. *)
 
   val factor_thin :
     Gpusim.Sim.t ->
@@ -52,12 +55,4 @@ module Make (K : Mdlinalg.Scalar.S) : sig
   (** Cost accounting only: no data is touched or allocated. *)
 
   val plan_thin : Gpusim.Sim.t -> rows:int -> cols:int -> tile:int -> unit
-
-  val run :
-    ?fault:Fault.Plan.config ->
-    device:Gpusim.Device.t ->
-    a:Mdlinalg.Mat.Make(K).t ->
-    tile:int ->
-    unit ->
-    result
 end

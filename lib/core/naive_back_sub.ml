@@ -23,15 +23,10 @@ module Make (K : Scalar.S) = struct
     let o = Counter.make ~adds ~muls ~divs () in
     if K.is_complex then Counter.complexify o else o
 
-  type result = {
-    x : V.t;
-    kernel_ms : float;
-    wall_ms : float;
-    kernel_gflops : float;
-    launches : int;
-  }
+  (* Threads per block of the update kernel. *)
+  let threads = 128
 
-  let solve_gen (sim : Sim.t) ~dim ~threads ~data =
+  let solve_gen (sim : Sim.t) ~dim ~data =
     if data = None then sim.Sim.execute <- false;
     let u, bd =
       match data with
@@ -75,27 +70,11 @@ module Make (K : Scalar.S) = struct
     Sim.transfer sim (float_of_int dim *. scalar_bytes);
     x
 
-  let run ?(threads = 128) ~device ~u ~b () =
-    let dim = M.rows u in
-    let sim = Sim.create ~device ~prec:K.prec () in
-    let x = solve_gen sim ~dim ~threads ~data:(Some (u, b)) in
-    {
-      x;
-      kernel_ms = Sim.kernel_ms sim;
-      wall_ms = Sim.wall_ms sim;
-      kernel_gflops = Sim.kernel_gflops sim;
-      launches = Sim.launches sim;
-    }
+  (* [solve sim u b] solves U x = b for upper triangular [u] ([b] is
+     not modified). *)
+  let solve (sim : Sim.t) (u : M.t) (b : V.t) =
+    solve_gen sim ~dim:(M.rows u) ~data:(Some (u, b))
 
-  let run_plan ?(threads = 128) ~device ~dim () =
-    let sim = Sim.create ~execute:false ~device ~prec:K.prec () in
-    let x = solve_gen sim ~dim ~threads ~data:None in
-    ignore x;
-    {
-      x = V.create 0;
-      kernel_ms = Sim.kernel_ms sim;
-      wall_ms = Sim.wall_ms sim;
-      kernel_gflops = Sim.kernel_gflops sim;
-      launches = Sim.launches sim;
-    }
+  (* Cost accounting only: no data is touched or allocated. *)
+  let plan (sim : Sim.t) ~dim = ignore (solve_gen sim ~dim ~data:None : V.t)
 end

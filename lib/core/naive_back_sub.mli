@@ -4,22 +4,14 @@
     length dim, sub-warp kernels). *)
 
 module Make (K : Mdlinalg.Scalar.S) : sig
-  type result = {
-    x : Mdlinalg.Vec.Make(K).t;
-    kernel_ms : float;
-    wall_ms : float;
-    kernel_gflops : float;
-    launches : int;
-  }
+  val solve :
+    Gpusim.Sim.t ->
+    Mdlinalg.Mat.Make(K).t ->
+    Mdlinalg.Vec.Make(K).t ->
+    Mdlinalg.Vec.Make(K).t
+  (** [solve sim u b] solves U x = b for upper triangular [u] on the
+      simulator ([b] is not modified). *)
 
-  val run :
-    ?threads:int ->
-    device:Gpusim.Device.t ->
-    u:Mdlinalg.Mat.Make(K).t ->
-    b:Mdlinalg.Vec.Make(K).t ->
-    unit ->
-    result
-
-  val run_plan :
-    ?threads:int -> device:Gpusim.Device.t -> dim:int -> unit -> result
+  val plan : Gpusim.Sim.t -> dim:int -> unit
+  (** Cost accounting only: no data is touched or allocated. *)
 end

@@ -67,9 +67,10 @@ module Make_scalar (KL : Scalar.S) (KH : Scalar.S) = struct
     let n = MH.rows a in
     if n <> MH.cols a then invalid_arg "Refine.solve: square matrix required";
     let a_lo = demote_mat a in
-    let qr = Qr.run ~device ~a:a_lo ~tile () in
-    let q_adj = ML.adjoint qr.Qr.q in
-    let rn = ML.sub_matrix qr.Qr.r ~r0:0 ~r1:n ~c0:0 ~c1:n in
+    let sim = Gpusim.Sim.create ~device ~prec:KL.prec () in
+    let q, r = Qr.factor sim a_lo ~tile in
+    let q_adj = ML.adjoint q in
+    let rn = ML.sub_matrix r ~r0:0 ~r1:n ~c0:0 ~c1:n in
     (* One working-precision solve against the cached factorization. *)
     let solve_lo (rhs : VL.t) : VL.t =
       Tri.back_substitute rn (ML.matvec q_adj rhs)
@@ -102,7 +103,7 @@ module Make_scalar (KL : Scalar.S) (KH : Scalar.S) = struct
       x = !x;
       iterations = !iterations;
       residual_history = List.rev !history;
-      qr_kernel_ms = qr.Qr.kernel_ms;
+      qr_kernel_ms = Gpusim.Sim.kernel_ms sim;
     }
 end
 

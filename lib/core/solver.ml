@@ -248,19 +248,16 @@ module Make (K : Scalar.S) = struct
     Sim.launch qr_sim ~stage:"Q^T*b" ~cost body
 
   (* The back substitution phase after [qr_sim]'s factorization:
-     R[0:n, 0:n] x = (Q^H b)[0:n] executed for [Some (r, qtb)], its cost
-     plan alone for [None]. *)
-  let back_substitute ?fault ~device ~n ~tile qr_sim system =
+     R[0:n, 0:n] x = (Q^H b)[0:n] executed on the factorization's device
+     state for [Some source], its cost plan alone for [None]. *)
+  let back_substitute ?fault ~device ~n ~tile qr_sim source =
     let bs_sim =
-      Sim.create ~execute:(Option.is_some system) ?fault ~fault_salt:2 ~device
+      Sim.create ~execute:(Option.is_some source) ?fault ~fault_salt:2 ~device
         ~prec:K.prec ()
     in
     let x =
-      match system with
-      | Some (r, qtb) ->
-          Bs.solve bs_sim
-            (M.sub_matrix r ~r0:0 ~r1:n ~c0:0 ~c1:n)
-            (Array.sub qtb 0 n) ~tile
+      match source with
+      | Some source -> Bs.solve_resident bs_sim source ~dim:n ~tile
       | None ->
           Bs.plan bs_sim ~dim:n ~tile;
           V.create 0
@@ -272,44 +269,23 @@ module Make (K : Scalar.S) = struct
      applied to b during the factorization and Q is never formed — the
      xGELS shape, which saves the Q*WY^T update, the dominant kernel of
      the full factorization.  A square one accumulates Q and forms Q^H b
-     with one more kernel. *)
+     with one more kernel.  Either way the back substitution adopts the
+     factorization's device state: A and b are staged, only x is
+     unstaged. *)
   let solve_direct ?fault ~device ~(a : M.t) ~(b : V.t) ~tile () =
     let n = M.cols a and mrows = M.rows a in
     let qr_sim = Sim.create ?fault ~fault_salt:1 ~device ~prec:K.prec () in
-    let r, qtb =
-      if mrows > n then begin
-        let qtb = V.copy b in
-        (Qr.factor_thin qr_sim a ~b:qtb ~tile, qtb)
-      end
+    let source =
+      if mrows > n then
+        FT.Qr.thin_source (Qr.factor_resident qr_sim a ~rhs:(Some b) ~tile)
       else begin
-        let q, r = Qr.factor qr_sim a ~tile in
-        let qtb = V.create n in
-        (* On the flat planes each output is the transposed matvec's
-           clear / ascending mul_add / store, the boxed loop's sequence
-           (a real Q has conj = id). *)
-        if FT.available () then begin
-          let qp = FT.stage ~rows:mrows ~cols:n ~get:(M.get q)
-          and bp = FT.stage_vec ~n:mrows ~get:(Array.get b)
-          and yp = FT.alloc ~rows:n ~cols:1 in
-          launch_qtb qr_sim ~mrows ~n ~tile
-            (FT.gemv_t_block ~threads:tile qp bp yp);
-          FT.unstage_vec yp ~store:(Array.set qtb)
-        end
-        else
-          launch_qtb qr_sim ~mrows ~n ~tile (fun blk ->
-              let lo = blk * tile in
-              let hi = min n (lo + tile) in
-              for j = lo to hi - 1 do
-                let s = ref K.zero in
-                for i = 0 to mrows - 1 do
-                  s := K.add !s (K.mul (K.conj (M.get q i j)) b.(i))
-                done;
-                qtb.(j) <- !s
-              done);
-        (r, qtb)
+        let st = Qr.factor_resident qr_sim a ~rhs:None ~tile in
+        let body, source = FT.Qr.square_source st ~b ~threads:tile in
+        launch_qtb qr_sim ~mrows ~n ~tile body;
+        source
       end
     in
-    back_substitute ?fault ~device ~n ~tile qr_sim (Some (r, qtb))
+    back_substitute ?fault ~device ~n ~tile qr_sim (Some source)
 
   let plan_direct ?fault ~device ~rows ~cols ~tile () =
     let qr_sim =

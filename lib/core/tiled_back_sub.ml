@@ -26,35 +26,37 @@ module Make (K : Scalar.S) = struct
     let o = { Counter.adds; muls; divs; sqrts } in
     if K.is_complex then Counter.complexify o else o
 
-  type result = {
-    x : V.t;
-    kernel_ms : float;
-    wall_ms : float;
-    kernel_gflops : float;
-    wall_gflops : float;
-    stages : Profile.row list;
-    launches : int;
-    faults : Fault.Plan.tally option;
-  }
-
-  (* [solve_gen sim ~dim ~tile ~data] solves U x = b when [data] carries
-     the actual system, or only accounts the kernel costs when it is
+  (* [solve_gen sim ~dim ~tile ~source] solves U x = b on the device
+     state [source] gives, or only accounts the kernel costs when it is
      [None] (planning mode, used to time dimensions too large to hold). *)
-  let solve_gen (sim : Sim.t) ~dim ~tile ~data =
+  let solve_gen (sim : Sim.t) ~dim ~tile ~source =
     if dim mod tile <> 0 then
       invalid_arg "Tiled_back_sub: dimension must be a multiple of the tile";
-    if data = None then sim.Sim.execute <- false;
+    if Option.is_none source then sim.Sim.execute <- false;
     let n = tile in
     let nt = dim / n in
     let fn = float_of_int n in
-    (* Device state: the matrix with inverted diagonal tiles, the evolving
-       right-hand side and the solution. *)
-    let v, bd =
-      match data with
-      | Some (u, b) when sim.Sim.execute -> (M.copy u, V.copy b)
-      | _ -> (M.create 0 0, V.create 0)
+    let executing = sim.Sim.execute in
+    let guard = Sim.fault_plan sim in
+    (* Device state, behind the one dispatch point [F.Bs]: the matrix
+       whose diagonal tiles stage 1 inverts in place, the evolving
+       right-hand side and the solution — limb planes on the flat arm,
+       where every inner-product kernel runs allocation free and only
+       the solution is unstaged at the end, host arrays on the boxed
+       arm.  The modeled launch costs are shared by both arms, so
+       device timing is unchanged. *)
+    let st =
+      match source with
+      | Some src when executing -> Some (F.Bs.create ~dim src)
+      | _ -> None
     in
-    let x = V.create (if sim.Sim.execute then dim else 0) in
+    let on_st f blk = Option.iter (fun st -> f st blk) st in
+    (* Under an armed plan the ABFT recompute reads each inverted tile as
+       the inversion wrote it, so a strike on U after the inversion
+       shows as a mismatch. *)
+    let inverses =
+      Array.make (if guard <> None && executing then nt else 0) [||]
+    in
     (* Host -> device staging: U (upper half) and b. *)
     Sim.transfer sim
       ((float_of_int (dim * (dim + 1) / 2) +. float_of_int dim)
@@ -85,45 +87,49 @@ module Make (K : Scalar.S) = struct
           (float_of_int nt *. fn *. fn *. (fn +. 1.0) /. 6.0 *. scalar_bytes)
         ~working_set:(2.0 *. tile_bytes) true_ops
     in
-    Sim.launch sim ~stage:Stage.invert_tiles ~cost:invert_cost (fun blk ->
-        let r0 = blk * n in
-        let inv = M.create n n in
-        (* Thread k solves U v = e_k; the solution has zeros below row k,
-           so column k costs k(k+1)/2 update pairs and k+1 divisions. *)
-        for k = 0 to n - 1 do
-          let col = Array.make (k + 1) K.zero in
-          for i = k downto 0 do
-            let s = ref (if i = k then K.one else K.zero) in
-            for j = i + 1 to k do
-              s := K.sub !s (K.mul (M.get v (r0 + i) (r0 + j)) col.(j))
-            done;
-            col.(i) <- K.div !s (M.get v (r0 + i) (r0 + i))
-          done;
-          for i = 0 to k do
-            M.set inv i k col.(i)
-          done
-        done;
-        M.blit ~src:inv ~dst:v ~r0 ~c0:r0);
+    (* Tile inversion runs on scalars (it divides, which the flat
+       primitives do not cover): each block reads its tile's upper
+       triangle through [F.Bs.u_at] and writes the whole inverse back,
+       zeros below the diagonal. *)
+    Sim.launch sim ~stage:Stage.invert_tiles ~cost:invert_cost
+      (on_st (fun st blk ->
+           let r0 = blk * n in
+           let u = Array.make (n * n) K.zero in
+           for i = 0 to n - 1 do
+             for j = i to n - 1 do
+               u.((i * n) + j) <- F.Bs.u_at st (r0 + i) (r0 + j)
+             done
+           done;
+           let inv = Array.make (n * n) K.zero in
+           (* Thread k solves U v = e_k; the solution has zeros below row
+              k, so column k costs k(k+1)/2 update pairs and k+1
+              divisions. *)
+           for k = 0 to n - 1 do
+             let col = Array.make (k + 1) K.zero in
+             for i = k downto 0 do
+               let s = ref (if i = k then K.one else K.zero) in
+               for j = i + 1 to k do
+                 s := K.sub !s (K.mul u.((i * n) + j) col.(j))
+               done;
+               col.(i) <- K.div !s u.((i * n) + i)
+             done;
+             for i = 0 to k do
+               inv.((i * n) + k) <- col.(i)
+             done
+           done;
+           for i = 0 to n - 1 do
+             for j = 0 to n - 1 do
+               F.Bs.set_u st (r0 + i) (r0 + j) inv.((i * n) + j)
+             done
+           done;
+           if Array.length inverses > 0 then inverses.(blk) <- inv));
 
-    (* Device state for stage 2, behind the one dispatch point: when
-       flat execution is available, [F.Bs.create] stages the matrix
-       (with the now-inverted diagonal tiles), the right-hand side and
-       the solution into limb planes ONCE and every inner-product kernel
-       below runs on them allocation free, with only the solution
-       unstaged at the end; otherwise it works on the host arrays.  Tile
-       inversion stays generic (it divides, which the flat primitives do
-       not cover).  The modeled launch costs are shared by both arms, so
-       device timing is unchanged. *)
-    let st = F.Bs.create ~execute:sim.Sim.execute ~dim ~v:v.M.a ~bd ~x in
-
-    let guard = Sim.fault_plan sim in
-    let executing = sim.Sim.execute in
     (* Bit-flip corruptor: on the flat arm faults strike the staggered
        limb planes directly (raw word flips, exactly the paper's device
        layout); on the boxed arm one scalar goes through a limb flip
        and the renormalizing round-trip. *)
-    (match guard with
-    | Some _ when executing ->
+    (match (guard, st) with
+    | Some _, Some st ->
         Sim.set_corruptor sim
           (Some
              (Fault.Plan.strike ~limbs:K.width ~raw:(F.Bs.staged st)
@@ -132,37 +138,34 @@ module Make (K : Scalar.S) = struct
     (* U (inverted diagonal tiles included) is constant through stage 2:
        its checksum taken here convicts any corruption of the staged
        planes for the rest of the solve. *)
-    let vchk_now () = Fault.Checksum.of_iter (F.Bs.iter_u_limbs st) in
+    let vchk_now st = Fault.Checksum.of_iter (F.Bs.iter_u_limbs st) in
     let vchk =
       match guard with
-      | Some _ when executing -> Some (vchk_now ())
-      | _ -> None
+      | Some _ -> Option.map (fun st -> (st, vchk_now st)) st
+      | None -> None
     in
     (* A replay rereads U, so it can repair a detection only while U
        still matches its checksum; otherwise the ladder escalates at
        once. *)
     let replay_budget () =
       match vchk with
-      | Some chk when not (Fault.Checksum.matches chk (vchk_now ())) -> Some 0
+      | Some (st, chk) when not (Fault.Checksum.matches chk (vchk_now st)) ->
+          Some 0
       | _ -> None
     in
-    (* Read back element [i] of the staged solution (flat) or the host
-       array (boxed). *)
-    let x_at i = F.Bs.x_at st i in
-    let bd_at i = F.Bs.b_at st i in
     (* ABFT verification of one solved tile: the device result must match
        a host recompute of U_i^{-1} b_i within a few limb-widths, every
        limb must be finite, and on the flat path the raw limb expansions
        must still satisfy the renorm invariant. *)
-    let tile_ok ~r0 =
+    let tile_ok st ~r0 =
+      let inv = inverses.(r0 / n) in
       let ok = ref true in
       for r = 0 to n - 1 do
         let s = ref K.zero in
         for c = r to n - 1 do
-          s :=
-            K.add !s (K.mul (M.get v (r0 + r) (r0 + c)) (bd_at (r0 + c)))
+          s := K.add !s (K.mul inv.((r * n) + c) (F.Bs.b_at st (r0 + c)))
         done;
-        let xi = x_at (r0 + r) in
+        let xi = F.Bs.x_at st (r0 + r) in
         if not (K.is_finite xi) then ok := false
         else begin
           let diff = K.R.to_float (K.abs (K.sub xi !s)) in
@@ -205,8 +208,8 @@ module Make (K : Scalar.S) = struct
           ~working_set:(muls *. scalar_bytes) per
       in
       let solve_tile () =
-        Sim.launch sim ~stage:Stage.multiply_inverses ~cost:mul_cost (fun _ ->
-            F.Bs.xi_block st ~r0 ~n)
+        Sim.launch sim ~stage:Stage.multiply_inverses ~cost:mul_cost
+          (on_st (fun st _ -> F.Bs.xi_block st ~r0 ~n))
       in
       (match guard with
       | None -> solve_tile ()
@@ -222,15 +225,15 @@ module Make (K : Scalar.S) = struct
             ~cost:check_cost (fun _ -> ());
           (* The tile solve only writes x_i, so a failed verdict can
              replay the launch in place. *)
-          let rec settle replays =
-            if not (tile_ok ~r0) then begin
+          let rec settle st replays =
+            if not (tile_ok st ~r0) then begin
               Fault.Plan.rung plan ?budget:(replay_budget ()) ~stage:"bs.tile"
                 ~replays Fault.Plan.Detected;
               solve_tile ();
-              settle (replays + 1)
+              settle st (replays + 1)
             end
           in
-          if executing then settle 0));
+          Option.iter (fun st -> settle st 0) st));
       (* b_j := b_j - A_{j,i} x_i for all j < i, i blocks of n threads,
          counted as i concurrent launches like the paper does. *)
       if i > 0 then begin
@@ -246,7 +249,7 @@ module Make (K : Scalar.S) = struct
         in
         let update () =
           Sim.launch sim ~stage:Stage.back_substitution ~cost:upd_cost
-            (fun j -> F.Bs.update_block st ~r0 ~rj:(j * n) ~n)
+            (on_st (fun st j -> F.Bs.update_block st ~r0 ~rj:(j * n) ~n))
         in
         match guard with
         | None -> update ()
@@ -254,16 +257,17 @@ module Make (K : Scalar.S) = struct
             (* The update subtracts in place, so replaying it needs the
                pre-update prefix of b back first. *)
             let snap =
-              if executing then Some (F.Bs.snapshot_b st ~upto:r0) else None
+              Option.map (fun st -> (st, F.Bs.snapshot_b st ~upto:r0)) st
             in
             let restore () =
-              match snap with
-              | Some saved -> F.Bs.restore_b st saved
-              | None -> ()
+              Option.iter (fun (st, saved) -> F.Bs.restore_b st saved) snap
             in
             let rec settle replays =
               update ();
-              if executing && not (F.Bs.b_finite_below st ~r0) then begin
+              if
+                Option.fold st ~none:false ~some:(fun st ->
+                    not (F.Bs.b_finite_below st ~r0))
+              then begin
                 Fault.Plan.rung plan ?budget:(replay_budget ())
                   ~stage:"bs.update" ~replays Fault.Plan.Detected;
                 restore ();
@@ -282,45 +286,27 @@ module Make (K : Scalar.S) = struct
                 settle 0)
       end
     done;
-    F.Bs.unstage_x st;
+    let x = Option.fold st ~none:(V.create 0) ~some:F.Bs.unstage_x in
     (* Device -> host: the solution. *)
     Sim.transfer sim (float_of_int dim *. scalar_bytes);
     x
 
-  (* [solve sim u b ~tile] solves U x = b for upper triangular [u];
-     [tile] is the tile size n, which must divide the dimension. *)
+  let solve_resident (sim : Sim.t) source ~dim ~tile =
+    solve_gen sim ~dim ~tile ~source:(Some source)
+
+  (* [solve sim u b ~tile] solves U x = b for upper triangular [u]
+     (staged first, and not modified); [tile] is the tile size n, which
+     must divide the dimension. *)
   let solve (sim : Sim.t) (u : M.t) (b : V.t) ~tile =
     let dim = M.rows u in
     if dim <> M.cols u then invalid_arg "Tiled_back_sub: square U required";
     if Array.length b <> dim then
       invalid_arg "Tiled_back_sub: right-hand side length mismatch";
-    solve_gen sim ~dim ~tile ~data:(Some (u, b))
+    solve_gen sim ~dim ~tile
+      ~source:
+        (if sim.Sim.execute then Some (F.Bs.of_host ~dim ~u:u.M.a ~b) else None)
 
   (* Cost accounting only: no data is touched or allocated. *)
   let plan (sim : Sim.t) ~dim ~tile =
-    ignore (solve_gen sim ~dim ~tile ~data:None)
-
-  let result_of_sim sim x =
-    {
-      x;
-      kernel_ms = Sim.kernel_ms sim;
-      wall_ms = Sim.wall_ms sim;
-      kernel_gflops = Sim.kernel_gflops sim;
-      wall_gflops = Sim.wall_gflops sim;
-      stages = List.map (Profile.row sim.Sim.profile) Stage.bs_stages;
-      launches = Sim.launches sim;
-      faults = Sim.fault_tally sim;
-    }
-
-  let run ?fault ~device ~u ~b ~tile () =
-    let sim = Sim.create ?fault ~device ~prec:K.prec () in
-    let x = solve sim u b ~tile in
-    result_of_sim sim x
-
-  (* Timing-only run from the dimensions alone. *)
-  let run_plan ~device ~dim ~tile () =
-    let sim = Sim.create ~execute:false ~device ~prec:K.prec () in
-    plan sim ~dim ~tile;
-    result_of_sim sim (V.create 0)
-
+    ignore (solve_gen sim ~dim ~tile ~source:None : V.t)
 end

@@ -15,17 +15,6 @@
     budgets (or a corrupted U) escalate with [Fault.Plan.Injected]. *)
 
 module Make (K : Mdlinalg.Scalar.S) : sig
-  type result = {
-    x : Mdlinalg.Vec.Make(K).t;
-    kernel_ms : float;
-    wall_ms : float;
-    kernel_gflops : float;
-    wall_gflops : float;
-    stages : Gpusim.Profile.row list;  (** in {!Stage.bs_stages} order *)
-    launches : int;
-    faults : Fault.Plan.tally option;  (** when the sim armed a plan *)
-  }
-
   val solve :
     Gpusim.Sim.t ->
     Mdlinalg.Mat.Make(K).t ->
@@ -33,27 +22,20 @@ module Make (K : Mdlinalg.Scalar.S) : sig
     tile:int ->
     Mdlinalg.Vec.Make(K).t
   (** [solve sim u b ~tile] solves U x = b for upper triangular [u] on
-      the simulator; [tile] must divide the dimension
-      ([Invalid_argument] otherwise). *)
+      the simulator, staging [u] and [b] first (neither is modified);
+      [tile] must divide the dimension ([Invalid_argument]
+      otherwise). *)
+
+  val solve_resident :
+    Gpusim.Sim.t ->
+    Mdlinalg.Flat_kernels.Make(K).Bs.source ->
+    dim:int ->
+    tile:int ->
+    Mdlinalg.Vec.Make(K).t
+  (** [solve_resident sim source ~dim ~tile] solves the [dim]-by-[dim]
+      system on the device state [source] gives, adopted as it lies
+      (the direct solve's hand-off from the QR); only x is unstaged. *)
 
   val plan : Gpusim.Sim.t -> dim:int -> tile:int -> unit
   (** Cost accounting only: no data is touched or allocated. *)
-
-  val run :
-    ?fault:Fault.Plan.config ->
-    device:Gpusim.Device.t ->
-    u:Mdlinalg.Mat.Make(K).t ->
-    b:Mdlinalg.Vec.Make(K).t ->
-    tile:int ->
-    unit ->
-    result
-  (** One-call wrapper: fresh simulator, solve, collect the timings. *)
-
-  val run_plan :
-    device:Gpusim.Device.t ->
-    dim:int ->
-    tile:int ->
-    unit ->
-    result
-  (** Timing-only run from the dimensions alone ([x] is empty). *)
 end

@@ -39,6 +39,7 @@ type t = {
   clock : clock;
   fault : Fault.Plan.t option;
   mutable corruptor : (Dompool.Prng.t -> string) option;
+  metered : bool;
 }
 
 (* Handles resolve on first use via [Metrics.once]: a plain [lazy]
@@ -56,6 +57,17 @@ let m_kernel_ms =
   Obs.Metrics.once (fun () ->
       Obs.Metrics.histogram (Obs.Metrics.default ()) "sim.kernel_ms")
 
+(* What-if scope: a simulator created in it accrues its launches and
+   transfers as any other but counts them in no [sim.*] metric, and the
+   domain's trace records nothing while it lasts. *)
+let what_if_key = Domain.DLS.new_key (fun () -> ref false)
+
+let what_if f =
+  let w = Domain.DLS.get what_if_key in
+  let was = !w in
+  w := true;
+  Fun.protect ~finally:(fun () -> w := was) (fun () -> Obs.Tracer.muted f)
+
 let create ?(execute = true) ?pool ?fault ?(fault_salt = 0) ~device ~prec () =
   let pool =
     match pool with Some p -> p | None -> Dompool.Domain_pool.get_default ()
@@ -69,6 +81,7 @@ let create ?(execute = true) ?pool ?fault ?(fault_salt = 0) ~device ~prec () =
     clock = { transfer_ms = 0.0; host_ms = 0.0; peak_bytes = 0.0 };
     fault = Option.map (fun cfg -> Fault.Plan.arm ~salt:fault_salt cfg) fault;
     corruptor = None;
+    metered = not !(Domain.DLS.get what_if_key);
   }
 
 (* Ambient brownout slowdown: a browned-out device runs every kernel and
@@ -100,11 +113,11 @@ let reset t =
   t.clock.host_ms <- 0.0;
   t.clock.peak_bytes <- 0.0
 
-(* Cost accounting shared by [launch] and [launch_seq]: one roofline
-   evaluation feeds the modeled milliseconds and time terms to the
-   profile, the per-launch host cost goes to [host_ms], and the registry
-   tallies.  Returns the evaluation, which the tracer reads; a float
-   result would be boxed on every launch. *)
+(* Cost accounting of one launch: one roofline evaluation feeds the
+   modeled milliseconds and time terms to the profile, the per-launch
+   host cost goes to [host_ms], and the registry tallies (unless the
+   simulator is a what-if's).  Returns the evaluation, which the tracer
+   reads; a float result would be boxed on every launch. *)
 let account t ~stage ~(cost : Cost.launch) =
   let slowdown = ambient_slowdown () in
   let e = Cost.evaluate t.device t.prec cost in
@@ -112,8 +125,10 @@ let account t ~stage ~(cost : Cost.launch) =
   t.clock.host_ms <-
     t.clock.host_ms
     +. (float_of_int cost.Cost.count *. Cost.host_launch_ms t.device);
-  Obs.Metrics.Counter.add (m_launches ()) cost.Cost.count;
-  Obs.Metrics.Histogram.observe (m_kernel_ms ()) (e.Cost.ms *. slowdown);
+  if t.metered then begin
+    Obs.Metrics.Counter.add (m_launches ()) cost.Cost.count;
+    Obs.Metrics.Histogram.observe (m_kernel_ms ()) (e.Cost.ms *. slowdown)
+  end;
   e
 
 (* Runs [run] under a kernel span carrying the launch's shape and cost,
@@ -183,41 +198,26 @@ let with_faults t ~protected ~stage ~cost run =
   | Some plan when not protected -> run_faulted t plan ~stage ~cost run
   | _ -> run ()
 
-(* Runs the grid when executing: blocks in parallel on the pool, or in
-   increasing order on the calling domain when [seq]. *)
-let run_grid t ~seq ~(cost : Cost.launch) body =
+(* Runs the grid when executing: blocks in parallel on the pool. *)
+let run_grid t ~(cost : Cost.launch) body =
   if t.execute then
-    if seq then
-      for b = 0 to cost.Cost.blocks - 1 do
-        body b
-      done
-    else if cost.Cost.blocks = 1 then body 0
+    if cost.Cost.blocks = 1 then body 0
     else Dompool.Domain_pool.parallel_for ~chunk:1 t.pool 0 cost.Cost.blocks body
-
-(* The one launch path.  With the tracer off and no fault plan to draw
-   from, [traced] and [with_faults] would only call through, so the grid
-   runs directly and the launch allocates no closure. *)
-let dispatch t ~seq ~protected ~stage ~cost body =
-  let e = account t ~stage ~cost in
-  if (protected || Option.is_none t.fault) && not (Obs.Tracer.enabled ()) then
-    run_grid t ~seq ~cost body
-  else
-    traced t ~stage ~cost e (fun () ->
-        with_faults t ~protected ~stage ~cost (fun () ->
-            run_grid t ~seq ~cost body))
 
 (* [launch t ~stage ~cost body] accounts one kernel under [stage] and, when
    executing, runs [body block] for every block of the grid in parallel.
    [protected] launches (the solvers' ABFT check kernels) are exempt from
-   fault injection. *)
+   fault injection.  With the tracer off and no fault plan to draw from,
+   [traced] and [with_faults] would only call through, so the grid runs
+   directly and the launch allocates no closure. *)
 let launch ?(protected = false) t ~stage ~cost body =
-  dispatch t ~seq:false ~protected ~stage ~cost body
-
-(* [launch_seq] is [launch] for bodies that must see blocks in order
-   (e.g. when later blocks read results of earlier ones within one launch
-   would be a race; the simulator then serializes, the cost is unchanged). *)
-let launch_seq ?(protected = false) t ~stage ~cost body =
-  dispatch t ~seq:true ~protected ~stage ~cost body
+  let e = account t ~stage ~cost in
+  if (protected || Option.is_none t.fault) && not (Obs.Tracer.enabled ()) then
+    run_grid t ~cost body
+  else
+    traced t ~stage ~cost e (fun () ->
+        with_faults t ~protected ~stage ~cost (fun () ->
+            run_grid t ~cost body))
 
 (* Host <-> device staging of [bytes]; shows up in wall clock only.
    Transfer corruption is always caught (staged planes carry checksums
@@ -227,7 +227,7 @@ let transfer t bytes =
   t.clock.peak_bytes <- Float.max t.clock.peak_bytes bytes;
   let ms = Cost.transfer_ms t.device bytes *. ambient_slowdown () in
   t.clock.transfer_ms <- t.clock.transfer_ms +. ms;
-  Obs.Metrics.Counter.incr (m_transfers ());
+  if t.metered then Obs.Metrics.Counter.incr (m_transfers ());
   if Obs.Tracer.enabled () then
     Obs.Tracer.instant ~cat:"transfer"
       ~args:

@@ -37,6 +37,9 @@ type t = {
   clock : clock;
   fault : Fault.Plan.t option;
   mutable corruptor : (Dompool.Prng.t -> string) option;
+  metered : bool;
+      (** launches and transfers count in the [sim.*] metrics: false
+          exactly for a simulator created inside {!what_if} *)
 }
 
 val create :
@@ -64,6 +67,12 @@ val ambient_slowdown : unit -> float
 (** The slowdown factor currently in effect on this domain (1.0 when
     none). *)
 
+val what_if : (unit -> 'a) -> 'a
+(** [what_if f] runs [f] as a what-if, such as a placement plan: the
+    simulators it creates accrue their launches and transfers as always
+    but count them in no [sim.*] metric, and this domain records no
+    trace event while [f] runs ({!Obs.Tracer.muted}). *)
+
 val fault_plan : t -> Fault.Plan.t option
 val fault_tally : t -> Fault.Plan.tally option
 
@@ -86,16 +95,6 @@ val launch :
     when executing, runs [body block] for every block of the grid, blocks
     in parallel on the pool.  [protected] launches (ABFT check kernels)
     are exempt from fault injection. *)
-
-val launch_seq :
-  ?protected:bool ->
-  t ->
-  stage:string ->
-  cost:Cost.launch ->
-  (int -> unit) ->
-  unit
-(** [launch] with the blocks run in increasing order on the calling
-    domain (for bodies whose blocks must not race); same cost. *)
 
 val transfer : t -> float -> unit
 (** Stages that many bytes between host and device (wall clock only). *)

@@ -48,12 +48,15 @@
 
    Staging an operand into planes costs O(elements) conversions, which
    only a kernel doing O(elements * inner) work on it amortizes.  So the
-   solvers stage once per solve and keep their data resident: the back
-   substitution ([Bs]) stages its matrix and right-hand side once and
-   unstages only the solution, and the blocked QR ([Qr]) stages A (and
-   b) once, runs every stage of every panel — the elementwise additions
-   included, which could never pay for staging of their own — on the
-   staged planes, and unstages Q and R once.
+   solvers stage once per solve and keep their data resident.  The
+   blocked QR ([Qr]) stages A (and b) once and runs every stage of every
+   panel — the elementwise additions included, which could never pay
+   for staging of their own — on the staged planes.  The direct solve
+   then hands R and Q^H b to the back substitution ([Bs]) where they
+   lie, and only the solution is unstaged: A and b in, x out, as in the
+   paper.  Boxed Q and R are made only when a caller asks for them
+   ([Qr.unstage]), and a back substitution of a host system stages it
+   once ([Bs.of_host]).
 
    Block-level entry points take the same [blk] argument as the generic
    [Sim.launch] bodies and write the same disjoint index ranges, so they
@@ -433,87 +436,102 @@ module Make (K : Scalar.S) = struct
     done
 
   (* ---- The back substitution device state, both paths behind one
-     type.  [Tiled_back_sub] previously matched on a flat option at
-     every read, check, corruption and snapshot site; all of that now
-     lives here, so the solver is written once against this module.
+     type, so [Tiled_back_sub] is written once against this module.
 
-     The flat arm stages the matrix (with its inverted diagonal tiles),
-     the right-hand side and the solution into limb planes ONCE and
-     every inner-product kernel runs on them allocation free; only the
-     solution is unstaged at the end.  The boxed arm works on the host
-     [K.t] arrays directly.  The modeled launch costs are computed by
-     the solver and shared by both arms, so device timing is path
-     independent.
+     The state adopts its system as it lies ([source]): staged planes on
+     the flat arm — the leading words of a factorization's R and Q^H b,
+     or a host system staged once ([of_host]) — and host [K.t] arrays on
+     the boxed arm.  Tile inversion reads and writes U through [u_at] and
+     [set_u], every inner-product kernel runs on the planes allocation
+     free, and only the solution is unstaged at the end.  The modeled
+     launch costs are computed by the solver and shared by both arms,
+     so device timing is path independent.
 
      The fault plane's strike and validators live in [Fault], which this
      library deliberately does not depend on: [Bs] supplies its regions
      and the [check] closure is passed in by the solver. *)
   module Bs = struct
-    type repr = Flat of { vp : planes; bdp : planes; xp : planes } | Boxed
+    (* U's leading dim*dim words (row-major, pitch dim) and b's leading
+       dim words, adopted as they are: the solve inverts U's diagonal
+       tiles and updates b in place. *)
+    type source =
+      | Staged of { u : planes; b : planes }
+      | Host of { u : K.t array; b : K.t array }
 
-    type t = {
-      dim : int;
-      v : K.t array; (* row-major dim*dim, inverted diagonal tiles *)
-      bd : K.t array;
-      x : K.t array;
-      repr : repr;
-    }
+    type repr =
+      | Flat of { vp : planes; bdp : planes; xp : planes }
+      | Boxed of { v : K.t array; bd : K.t array; x : K.t array }
+
+    type t = { dim : int; repr : repr }
 
     (* A saved prefix of the right-hand side, for update replays. *)
     type b_snapshot = Planes of Nd_flat.planes | Scalars of K.t array
 
-    let create ~execute ~dim ~v ~bd ~x =
-      let repr =
-        if execute && available () then
-          Flat
-            {
-              vp = stage ~rows:dim ~cols:dim ~get:(fun i j -> v.((i * dim) + j));
-              bdp = stage_vec ~n:dim ~get:(fun i -> bd.(i));
-              xp = alloc ~rows:dim ~cols:1;
-            }
-        else Boxed
-      in
-      { dim; v; bd; x; repr }
+    let create ~dim = function
+      | Staged { u; b } ->
+          { dim; repr = Flat { vp = u; bdp = b; xp = alloc ~rows:dim ~cols:1 } }
+      | Host { u; b } ->
+          { dim; repr = Boxed { v = u; bd = b; x = Array.make dim K.zero } }
+
+    (* A host system: staged once on the flat arm, copied on the boxed
+       one (the solve writes into U and b). *)
+    let of_host ~dim ~u ~b =
+      if available () then
+        Staged
+          {
+            u = stage ~rows:dim ~cols:dim ~get:(fun i j -> u.((i * dim) + j));
+            b = stage_vec ~n:dim ~get:(Array.get b);
+          }
+      else Host { u = Array.copy u; b = Array.copy b }
+
+    (* Element (i, j) of U, read and written by the tile inversion. *)
+    let u_at t i j =
+      match t.repr with
+      | Flat { vp; _ } -> read_el vp ((i * t.dim) + j)
+      | Boxed { v; _ } -> v.((i * t.dim) + j)
+
+    let set_u t i j s =
+      match t.repr with
+      | Flat { vp; _ } -> write_el vp ((i * t.dim) + j) s
+      | Boxed { v; _ } -> v.((i * t.dim) + j) <- s
 
     (* x_i := U_i^{-1} b_i on the tile at diagonal offset [r0]; identical
        operation sequence on both arms. *)
     let xi_block t ~r0 ~n =
       match t.repr with
       | Flat { vp; bdp; xp } -> bs_xi_block ~dim:t.dim ~r0 ~n vp bdp xp
-      | Boxed ->
+      | Boxed { v; bd; x } ->
           let dim = t.dim in
           for r = 0 to n - 1 do
             let s = ref K.zero in
             for c = r to n - 1 do
-              s :=
-                K.add !s
-                  (K.mul t.v.(((r0 + r) * dim) + r0 + c) t.bd.(r0 + c))
+              s := K.add !s (K.mul v.(((r0 + r) * dim) + r0 + c) bd.(r0 + c))
             done;
-            t.x.(r0 + r) <- !s
+            x.(r0 + r) <- !s
           done
 
     (* b_j := b_j - A_{j,i} x_i for the block at row offset [rj]. *)
     let update_block t ~r0 ~rj ~n =
       match t.repr with
       | Flat { vp; bdp; xp } -> bs_update_block ~dim:t.dim ~r0 ~rj ~n vp xp bdp
-      | Boxed ->
+      | Boxed { v; bd; x } ->
           let dim = t.dim in
           for r = 0 to n - 1 do
             let s = ref K.zero in
             for c = 0 to n - 1 do
-              s :=
-                K.add !s
-                  (K.mul t.v.(((rj + r) * dim) + r0 + c) t.x.(r0 + c))
+              s := K.add !s (K.mul v.(((rj + r) * dim) + r0 + c) x.(r0 + c))
             done;
-            t.bd.(rj + r) <- K.sub t.bd.(rj + r) !s
+            bd.(rj + r) <- K.sub bd.(rj + r) !s
           done
 
     (* Probe reads for the ABFT tile verdict. *)
     let x_at t i =
-      match t.repr with Flat { xp; _ } -> read_el xp i | Boxed -> t.x.(i)
+      match t.repr with Flat { xp; _ } -> read_el xp i | Boxed { x; _ } -> x.(i)
 
     let b_at t i =
-      match t.repr with Flat { bdp; _ } -> read_el bdp i | Boxed -> t.bd.(i)
+      match t.repr with
+      | Flat { bdp; _ } -> read_el bdp i
+      | Boxed { bd; _ } -> bd.(i)
 
     (* On the flat path the raw limb expansion of x[i] must still satisfy
        the validator (the renorm invariant); the boxed representation
@@ -522,7 +540,7 @@ module Make (K : Scalar.S) = struct
       match t.repr with
       | Flat { xp; _ } ->
           check (Array.init K.width (fun pl -> Nd_flat.get xp.p pl i))
-      | Boxed -> true
+      | Boxed _ -> true
 
     (* Feed every limb word of the (constant through stage 2) matrix to
        [f]: plane-major over the staged planes, element-major over the
@@ -530,25 +548,29 @@ module Make (K : Scalar.S) = struct
        taken before the sweep convicts any corruption of exactly the
        words the kernels read. *)
     let iter_u_limbs t f =
+      let words = t.dim * t.dim in
       match t.repr with
       | Flat { vp; _ } ->
           Array.iter
             (fun plane ->
-              for i = 0 to Nd_flat.plane_dim plane - 1 do
+              for i = 0 to words - 1 do
                 f (Bigarray.Array1.unsafe_get plane i)
               done)
             vp.p
-      | Boxed -> Array.iter (fun s -> Array.iter f (K.to_planes s)) t.v
+      | Boxed { v; _ } ->
+          for i = 0 to words - 1 do
+            Array.iter f (K.to_planes v.(i))
+          done
 
     (* The resident device state a fault strike picks from: raw plane
        words on the flat arm, scalar limbs on the boxed arm. *)
-    let staged t = match t.repr with Flat _ -> true | Boxed -> false
+    let staged t = match t.repr with Flat _ -> true | Boxed _ -> false
 
     let regions t =
       let u, b, x =
         match t.repr with
         | Flat { vp; bdp; xp } -> (flip_word vp, flip_word bdp, flip_word xp)
-        | Boxed -> (flip_limb t.v, flip_limb t.bd, flip_limb t.x)
+        | Boxed { v; bd; x } -> (flip_limb v, flip_limb bd, flip_limb x)
       in
       [ ("U", t.dim * t.dim, u); ("b", t.dim, b); ("x", t.dim, x) ]
 
@@ -563,9 +585,9 @@ module Make (K : Scalar.S) = struct
               if not (Float.is_finite (Nd_flat.get bdp.p pl i)) then ok := false
             done
           done
-      | Boxed ->
+      | Boxed { bd; _ } ->
           for i = 0 to r0 - 1 do
-            if not (K.is_finite t.bd.(i)) then ok := false
+            if not (K.is_finite bd.(i)) then ok := false
           done);
       !ok
 
@@ -583,7 +605,7 @@ module Make (K : Scalar.S) = struct
                  Bigarray.Array1.blit (Bigarray.Array1.sub pl 0 upto) saved;
                  saved)
                bdp.p)
-      | Boxed -> Scalars (Array.sub t.bd 0 upto)
+      | Boxed { bd; _ } -> Scalars (Array.sub bd 0 upto)
 
     let restore_b t snap =
       match (snap, t.repr) with
@@ -593,15 +615,18 @@ module Make (K : Scalar.S) = struct
               let upto = Bigarray.Array1.dim sp in
               Bigarray.Array1.blit sp (Bigarray.Array1.sub bdp.p.(p) 0 upto))
             saved
-      | Scalars saved, Boxed -> Array.blit saved 0 t.bd 0 (Array.length saved)
+      | Scalars saved, Boxed { bd; _ } ->
+          Array.blit saved 0 bd 0 (Array.length saved)
       | _ -> invalid_arg "Flat_kernels.Bs: snapshot from a different path"
 
-    (* Write the staged solution back into the host array (identity on
-       the boxed arm, which solved in place). *)
+    (* Device -> host: the solution (the boxed arm's own array). *)
     let unstage_x t =
       match t.repr with
-      | Flat { xp; _ } -> unstage_vec xp ~store:(fun i s -> t.x.(i) <- s)
-      | Boxed -> ()
+      | Flat { xp; _ } ->
+          let x = Array.make t.dim K.zero in
+          unstage_vec xp ~store:(Array.set x);
+          x
+      | Boxed { x; _ } -> x
   end
 
   (* ---- The blocked Householder QR device state (Algorithm 2), both
@@ -660,6 +685,7 @@ module Make (K : Scalar.S) = struct
       accumulate_q : bool;
       fault_armed : bool;
       execute : bool;
+      (* The boxed arm's host arrays, empty on the flat arm: *)
       r : K.t array; (* row-major mrows*ncols *)
       q : K.t array; (* row-major mrows*mrows *)
       b : K.t array; (* the thin path's right-hand side, else empty *)
@@ -705,11 +731,12 @@ module Make (K : Scalar.S) = struct
       arm : arm;
     }
 
-    (* Host -> device.  Nothing is allocated when not executing. *)
+    (* Host -> device.  Nothing is allocated when not executing, and no
+       host array on the flat arm. *)
     let create ~execute ~fault_armed ~accumulate_q ~mrows ~ncols ~tile ~a ~b =
       let rhs = Option.is_some b in
       let b = Option.value b ~default:[||] in
-      let st repr ~r ~q =
+      let st repr ~r ~q ~b =
         {
           mrows;
           ncols;
@@ -728,24 +755,21 @@ module Make (K : Scalar.S) = struct
         let rp =
           stage ~rows:mrows ~cols:ncols ~get:(fun i j -> a.((i * ncols) + j))
         in
-        let qp, q =
+        let qp =
           if accumulate_q then
-            ( stage ~rows:mrows ~cols:mrows ~get:(fun i j ->
-                  if i = j then K.one else K.zero),
-              Array.make (mrows * mrows) K.zero )
-          else (alloc ~rows:0 ~cols:0, [||])
+            stage ~rows:mrows ~cols:mrows ~get:(fun i j ->
+                if i = j then K.one else K.zero)
+          else alloc ~rows:0 ~cols:0
         in
         let bp = stage_vec ~n:(Array.length b) ~get:(fun i -> b.(i)) in
-        st (Flat { rp; qp; bp }) ~r:(Array.make (mrows * ncols) K.zero) ~q
+        st (Flat { rp; qp; bp }) ~r:[||] ~q:[||] ~b:[||]
       else if execute then
         st Boxed ~r:(Array.copy a)
           ~q:
             (Array.init (mrows * mrows) (fun idx ->
                  if idx / mrows = idx mod mrows then K.one else K.zero))
-      else st Boxed ~r:[||] ~q:[||]
-
-    let r t = t.r
-    let q t = t.q
+          ~b:(Array.copy b)
+      else st Boxed ~r:[||] ~q:[||] ~b:[||]
 
     (* Whether anything reads a panel's YWT: Q*WY^T when Q is
        accumulated, YWT*C when trailing columns remain.  The thin path's
@@ -1391,15 +1415,102 @@ module Make (K : Scalar.S) = struct
             saved [ t.r; t.q; t.b ]
       | _ -> invalid_arg "Flat_kernels.Qr: snapshot from a different path"
 
-    (* Device -> host: R, Q and b back into the host arrays (nothing to
-       do on the boxed arm, which factored in place). *)
+    (* Zero the strictly lower part of R's leading [rows] rows, the
+       numerically annihilated subdiagonal: R reads upper triangular
+       wherever it leaves the factorization. *)
+    let clean_lower t ~rows =
+      let zero =
+        match t.repr with
+        | Flat { rp; _ } ->
+            fun idx ->
+              for pl = 0 to K.width - 1 do
+                Nd_flat.set rp.p pl idx 0.0
+              done
+        | Boxed -> fun idx -> t.r.(idx) <- K.zero
+      in
+      for i = 1 to rows - 1 do
+        for j = 0 to min i t.ncols - 1 do
+          zero ((i * t.ncols) + j)
+        done
+      done
+
+    (* Device -> host, on request ([Blocked_qr.factor], [factor_thin]):
+       Q (empty unless accumulated), R and the thin path's Q^H b, as
+       fresh host arrays from the planes or the boxed arm's own. *)
     let unstage t =
+      clean_lower t ~rows:t.mrows;
       match t.repr with
-      | Flat { rp; qp; bp; _ } ->
-          let into (dst : K.t array) cols i j s = dst.((i * cols) + j) <- s in
-          unstage rp ~store:(into t.r t.ncols);
-          if t.accumulate_q then unstage qp ~store:(into t.q t.mrows);
-          unstage_vec bp ~store:(fun i s -> t.b.(i) <- s)
-      | Boxed -> ()
+      | Flat { rp; qp; bp } ->
+          let host (x : planes) =
+            let a = Array.make (x.rows * x.cols) K.zero in
+            unstage x ~store:(fun i j s -> a.((i * x.cols) + j) <- s);
+            a
+          in
+          (host qp, host rp, host bp)
+      | Boxed -> (t.q, t.r, t.b)
+
+    (* ---- The hand-off to the back substitution.  The direct solve
+       keeps one device state from A to x: the back substitution adopts
+       U, R's leading ncols rows (the ncols-by-ncols upper triangle,
+       cleaned as [unstage] cleans it), and Q^H b where they lie.
+       Unarmed planes are normalized already, so they equal an unstage
+       and restage of themselves; a fault-armed factorization may leave
+       raw struck words, which that round trip renormalizes, so on an
+       armed run [adopt] rewrites every adopted word as the round trip
+       would. ---- *)
+
+    (* The leading [rows] rows of [x], in place. *)
+    let adopt t (x : planes) ~rows =
+      let words = rows * x.cols in
+      let v =
+        {
+          x with
+          rows;
+          p = Array.map (fun pl -> Bigarray.Array1.sub pl 0 words) x.p;
+        }
+      in
+      if t.fault_armed then
+        for i = 0 to words - 1 do
+          write_el v i (read_el v i)
+        done;
+      v
+
+    (* The thin path: Q^H b is the resident b's leading ncols words. *)
+    let thin_source t =
+      clean_lower t ~rows:t.ncols;
+      match t.repr with
+      | Flat { rp; bp; _ } ->
+          Bs.Staged
+            { u = adopt t rp ~rows:t.ncols; b = adopt t bp ~rows:t.ncols }
+      | Boxed -> Bs.Host { u = t.r; b = t.b }
+
+    (* The square path: the body of the "Q^T*b" launch over blocks of
+       [threads] outputs, Q^H b on the resident Q, and the source it
+       fills.  On the planes each output is the transposed matvec's
+       clear / ascending mul_add / store, the boxed loop's sequence (a
+       real Q has conj = id). *)
+    let square_source t ~b ~threads =
+      let n = t.ncols in
+      clean_lower t ~rows:n;
+      match t.repr with
+      | Flat { rp; qp; _ } ->
+          let qp = adopt t qp ~rows:t.mrows
+          and bp = stage_vec ~n:t.mrows ~get:(Array.get b)
+          and yp = alloc ~rows:n ~cols:1 in
+          ( gemv_t_block ~threads qp bp yp,
+            Bs.Staged { u = adopt t rp ~rows:n; b = yp } )
+      | Boxed ->
+          let qtb = Array.make n K.zero in
+          ( (fun blk ->
+              let lo = blk * threads in
+              for j = lo to min n (lo + threads) - 1 do
+                let s = ref K.zero in
+                for i = 0 to t.mrows - 1 do
+                  s :=
+                    K.add !s (K.mul (K.conj t.q.((i * t.mrows) + j)) b.(i))
+                done;
+                qtb.(j) <- !s
+              done),
+            Bs.Host { u = t.r; b = qtb } )
   end
 end

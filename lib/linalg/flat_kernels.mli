@@ -111,17 +111,6 @@ module Make (K : Scalar.S) : sig
       block: [store i j (sum_k geta i k * getb k j)] accumulated from
       [K.zero] in ascending [k] — the generic path and the oracle. *)
 
-  val bs_xi_block :
-    dim:int -> r0:int -> n:int -> planes -> planes -> planes -> unit
-  (** [bs_xi_block ~dim ~r0 ~n v bd x]: x_i := U_i^{-1} b_i on the tile
-      at diagonal offset [r0] of the staged [dim]-by-[dim] matrix [v]
-      with inverted diagonal tiles. *)
-
-  val bs_update_block :
-    dim:int -> r0:int -> rj:int -> n:int -> planes -> planes -> planes -> unit
-  (** [bs_update_block ~dim ~r0 ~rj ~n v x bd]: b_j := b_j - A_(j,i) x_i
-      for the block at row offset [rj]. *)
-
   val dot : n:int -> planes -> planes -> planes -> int -> unit
   (** [dot ~n a b out oidx]: out[oidx] := sum over [n] elements of
       a[i] * b[i]. *)
@@ -157,28 +146,36 @@ module Make (K : Scalar.S) : sig
   (** dst[i] := dst[i] + src[i] elementwise over whole planes. *)
 
   (** The back substitution device state, both paths behind one type:
-      the staged-planes arm when flat execution is on, the boxed host
-      arrays otherwise.  [Tiled_back_sub] is written once against this
-      module; the fault plane closures ([flip], [check]) are passed in
-      by the solver so this library does not depend on [Fault]. *)
+      staged planes on the flat arm, the boxed host arrays otherwise.
+      [Tiled_back_sub] is written once against this module; the fault
+      plane closures ([flip], [check]) are passed in by the solver so
+      this library does not depend on [Fault]. *)
   module Bs : sig
     type t
+
+    (** Where the system comes from, adopted as it lies (the solve
+        inverts U's diagonal tiles and updates b in place): the leading
+        [dim*dim] words of U (row-major, pitch [dim]) and the leading
+        [dim] words of b, as staged planes — a factorization's R and
+        Q^H b ({!Qr.thin_source}, {!Qr.square_source}) or a staged host
+        system ({!of_host}) — or as the boxed arm's host arrays. *)
+    type source =
+      | Staged of { u : planes; b : planes }
+      | Host of { u : K.t array; b : K.t array }
 
     type b_snapshot
     (** A saved prefix of the right-hand side, for update replays. *)
 
-    val create :
-      execute:bool ->
-      dim:int ->
-      v:K.t array ->
-      bd:K.t array ->
-      x:K.t array ->
-      t
-    (** [create ~execute ~dim ~v ~bd ~x] captures the device state for
-        one stage-2 sweep: [v] the row-major [dim*dim] matrix with
-        inverted diagonal tiles, [bd] the evolving right-hand side, [x]
-        the solution sink.  Stages all three into limb planes when
-        [execute] and {!available}. *)
+    val create : dim:int -> source -> t
+    (** The device state of one solve: [source] and a solution sink. *)
+
+    val of_host : dim:int -> u:K.t array -> b:K.t array -> source
+    (** A host system ([u] row-major): staged once when {!available},
+        copied otherwise; [u] and [b] are not modified. *)
+
+    val u_at : t -> int -> int -> K.t
+    val set_u : t -> int -> int -> K.t -> unit
+    (** Element (i, j) of U, for the tile inversion. *)
 
     val xi_block : t -> r0:int -> n:int -> unit
     (** x_i := U_i^{-1} b_i on the tile at diagonal offset [r0]. *)
@@ -212,9 +209,8 @@ module Make (K : Scalar.S) : sig
     val snapshot_b : t -> upto:int -> b_snapshot
     val restore_b : t -> b_snapshot -> unit
 
-    val unstage_x : t -> unit
-    (** Write the staged solution back into the host array (identity on
-        the boxed arm, which solved in place). *)
+    val unstage_x : t -> K.t array
+    (** Device -> host: the solution (the boxed arm's own array). *)
   end
 
   (** The blocked Householder QR device state, both paths behind one
@@ -223,10 +219,13 @@ module Make (K : Scalar.S) : sig
 
       The flat arm stages R (from A), Q (the identity, only when Q is
       accumulated) and the thin path's right-hand side once at
-      {!Qr.create}, runs every stage of every panel on the staged planes
-      (Y, W, YWT and the product outputs are planes too) and unstages
-      R, Q and b once at {!Qr.unstage}.  The boxed arm factors the host
-      arrays in place; it serves complex and instrumented scalars.  The
+      {!Qr.create} and runs every stage of every panel on the staged
+      planes (Y, W, YWT and the product outputs are planes too).  The
+      direct solve hands R and Q^H b to the back substitution where they
+      lie ({!Qr.thin_source}, {!Qr.square_source}); boxed R, Q and b
+      exist only when {!Qr.unstage} is asked for them.  The boxed arm
+      factors host arrays in place; it serves complex and instrumented
+      scalars.  The
       fault plane's operations ({!Qr.regions}, {!Qr.probe_norms},
       {!Qr.finite_from}, {!Qr.snapshot}) act on either arm's storage,
       so a fault-armed factorization runs flat too.  Both arms replay
@@ -252,19 +251,13 @@ module Make (K : Scalar.S) : sig
     (** [create ~execute ~fault_armed ~accumulate_q ~mrows ~ncols ~tile
         ~a ~b]: the device state of one factorization of the row-major
         [mrows]-by-[ncols] [a] (not modified), with the thin path's
-        right-hand side [b] (overwritten with Q^H b by the end).  Flat
-        when [execute] and {!available}; allocates nothing when not
-        [execute].  [fault_armed] only turns off the flat first panel's
-        identity shortcut in "Q*WY^T", which assumes that nothing wrote
-        Q before it: under an armed plan a strike may have. *)
-
-    val r : t -> K.t array
-    (** The host R, row-major: live on the boxed arm, filled by
-        {!unstage} on the flat arm. *)
-
-    val q : t -> K.t array
-    (** The host Q, as {!r}; empty on the flat arm when Q is not
-        accumulated and on both arms when not executing. *)
+        right-hand side [b] (not modified; the state holds Q^H b by the
+        end).  Flat when [execute] and {!available}, with no host array;
+        allocates nothing when not [execute].  [fault_armed] turns off
+        the flat first panel's identity shortcut in "Q*WY^T", which
+        assumes that nothing wrote Q before it (under an armed plan a
+        strike may have), and makes the hand-off renormalize
+        ({!thin_source}). *)
 
     val panel : t -> c0:int -> panel
 
@@ -321,8 +314,25 @@ module Make (K : Scalar.S) : sig
     val restore : t -> snapshot -> unit
     (** Put a {!snapshot} back, for a panel replay. *)
 
-    val unstage : t -> unit
-    (** Device -> host: R, Q and b into the host arrays (nothing to do
-        on the boxed arm). *)
+    val unstage : t -> K.t array * K.t array * K.t array
+    (** Device -> host, on request: [(q, r, b)] row-major, with R's
+        strictly lower part zero; [q] is empty unless Q is accumulated
+        and [b] unless the path is thin.  Fresh arrays on the flat arm,
+        the state's own on the boxed arm.  Only for an executed
+        factorization. *)
+
+    val thin_source : t -> Bs.source
+    (** The thin path's hand-off to the back substitution: R's leading
+        [ncols]-by-[ncols] block, its strictly lower part zeroed, and
+        the resident Q^H b, adopted where they lie.  After a fault-armed
+        factorization every adopted word is renormalized, as an
+        {!unstage} and restage would. *)
+
+    val square_source :
+      t -> b:K.t array -> threads:int -> (int -> unit) * Bs.source
+    (** The square path's hand-off: the body of the Q^H b launch over
+        blocks of [threads] outputs, on the resident Q (renormalized
+        after a fault-armed factorization, as {!thin_source}), and the
+        source it fills: R's leading block and that Q^H b. *)
   end
 end

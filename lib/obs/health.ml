@@ -43,7 +43,9 @@ let classes : (string, cls_state) Hashtbl.t = Hashtbl.create 8
 let slos : (string, float) Hashtbl.t = Hashtbl.create 8
 let budgets : (string, float) Hashtbl.t = Hashtbl.create 8
 let stages : (string, drift_state) Hashtbl.t = Hashtbl.create 8
-let tolerance = Atomic.make 0.25
+
+(* The allowed relative deviation of measured from predicted: ±25%. *)
+let tolerance = 0.25
 
 let locked f =
   Mutex.lock lock;
@@ -54,8 +56,7 @@ let reset () =
       Hashtbl.reset classes;
       Hashtbl.reset slos;
       Hashtbl.reset budgets;
-      Hashtbl.reset stages);
-  Atomic.set tolerance 0.25
+      Hashtbl.reset stages)
 
 let set_slo ~cls ~p95_ms =
   if not (Float.is_finite p95_ms) || p95_ms <= 0.0 then
@@ -69,13 +70,6 @@ let set_error_budget ~cls fraction =
   if not (Float.is_finite fraction) || fraction <= 0.0 || fraction > 1.0 then
     invalid_arg "Health.set_error_budget: fraction must be in (0,1]";
   locked (fun () -> Hashtbl.replace budgets cls fraction)
-
-let set_drift_tolerance tol =
-  if not (Float.is_finite tol) || tol <= 0.0 then
-    invalid_arg "Health.set_drift_tolerance: tolerance must be positive";
-  Atomic.set tolerance tol
-
-let drift_tolerance () = Atomic.get tolerance
 
 let cls_state name =
   match Hashtbl.find_opt classes name with
@@ -185,7 +179,7 @@ type stage_drift = {
   drifted : bool;
 }
 
-let stage_drift_locked tol (d : drift_state) =
+let stage_drift_locked (d : drift_state) =
   let ratio =
     if d.predicted_ms > 0.0 then d.measured_ms /. d.predicted_ms else 1.0
   in
@@ -195,7 +189,7 @@ let stage_drift_locked tol (d : drift_state) =
     measured_ms = d.measured_ms;
     ratio;
     samples = d.samples;
-    drifted = d.samples > 0 && Float.abs (ratio -. 1.0) > tol;
+    drifted = d.samples > 0 && Float.abs (ratio -. 1.0) > tolerance;
   }
 
 let observe_model ~stage ~predicted_ms ~measured_ms =
@@ -219,7 +213,7 @@ let observe_model ~stage ~predicted_ms ~measured_ms =
           d.predicted_ms <- d.predicted_ms +. predicted_ms;
           d.measured_ms <- d.measured_ms +. measured_ms;
           d.samples <- d.samples + 1;
-          let s = stage_drift_locked (Atomic.get tolerance) d in
+          let s = stage_drift_locked d in
           if s.drifted && not d.warned then begin
             d.warned <- true;
             Some s
@@ -240,14 +234,13 @@ let observe_model ~stage ~predicted_ms ~measured_ms =
             ("predicted_ms", Log.Float s.predicted_ms);
             ("measured_ms", Log.Float s.measured_ms);
             ("ratio", Log.Float s.ratio);
-            ("tolerance", Log.Float (Atomic.get tolerance));
+            ("tolerance", Log.Float tolerance);
             ("samples", Log.Int s.samples);
           ]
     | None -> ()
   end
 
 let drift () =
-  let tol = Atomic.get tolerance in
   locked (fun () ->
-      Hashtbl.fold (fun _ d acc -> stage_drift_locked tol d :: acc) stages []
+      Hashtbl.fold (fun _ d acc -> stage_drift_locked d :: acc) stages []
       |> List.sort (fun a b -> String.compare a.stage b.stage))

@@ -48,15 +48,9 @@ val status : unit -> class_status list
 val observe_model : stage:string -> predicted_ms:float -> measured_ms:float -> unit
 (** Accumulates one (predicted, measured) pair for [stage].  When the
     cumulative measured/predicted ratio leaves the tolerance band this
-    logs a [model_drift] warning — once per stage per excursion.
+    logs a [model_drift] warning — once per stage per excursion.  The
+    band allows measured to deviate from predicted by ±25%.
     Non-finite or negative inputs are ignored. *)
-
-val set_drift_tolerance : float -> unit
-(** Sets the allowed relative deviation of measured from predicted
-    (default [0.25], i.e. ±25%).  Raises [Invalid_argument] unless
-    positive and finite. *)
-
-val drift_tolerance : unit -> float
 
 type stage_drift = {
   stage : string;
@@ -71,6 +65,5 @@ val drift : unit -> stage_drift list
 (** Per-stage drift state, sorted by stage name. *)
 
 val reset : unit -> unit
-(** Clears windows, SLO/budget targets, and drift accumulators;
-    restores the default tolerance.  Intended for tests and bench
-    isolation. *)
+(** Clears windows, SLO/budget targets, and drift accumulators.
+    Intended for tests and bench isolation. *)

@@ -97,8 +97,8 @@ module Make (K : Scalar.S) = struct
      upper triangular — e.g. after the QR preprocessing of
      [solve_device] — so that is the precondition here.  The tile size
      must divide (d+1)n; the block dimension n is the natural choice. *)
-  let solve_flat ?(device = Gpusim.Device.v100) ?tile (j : mat_series)
-      (b : vec_series) : vec_series * Bs.result =
+  let solve_flat (sim : Gpusim.Sim.t) ?tile (j : mat_series)
+      (b : vec_series) : vec_series =
     let d = Array.length b - 1 in
     let n = block_dim j in
     (let j0 = j.(0) in
@@ -113,12 +113,8 @@ module Make (K : Scalar.S) = struct
     let l = flatten j ~degree:d in
     let u = block_reversed ~n l in
     let rhs = Array.init dim (fun i -> b.(d - (i / n)).(i mod n)) in
-    let res = Bs.run ~device ~u ~b:rhs ~tile () in
-    let x =
-      Array.init (d + 1) (fun k ->
-          Array.init n (fun i -> res.Bs.x.(((d - k) * n) + i)))
-    in
-    (x, res)
+    let x = Bs.solve sim u rhs ~tile in
+    Array.init (d + 1) (fun k -> Array.init n (fun i -> x.(((d - k) * n) + i)))
 
   (* The paper's pipeline for a general (nonsingular) diagonal block:
      factor J_0 = Q R once with the blocked accelerated Householder QR
@@ -128,19 +124,16 @@ module Make (K : Scalar.S) = struct
        J(t) x(t) = b(t)   <=>   (Q^H J(t)) x(t) = Q^H b(t),
 
      whose diagonal blocks Q^H J_0 = R are upper triangular. *)
-  let solve_device ?(device = Gpusim.Device.v100) ?tile (j : mat_series)
-      (b : vec_series) : vec_series * Lsq_core.Blocked_qr.Make(K).result * Bs.result =
+  let solve_device ~(qr : Gpusim.Sim.t) ~(bs : Gpusim.Sim.t) ?tile
+      (j : mat_series) (b : vec_series) : vec_series =
     let module Qr = Lsq_core.Blocked_qr.Make (K) in
     let n = block_dim j in
     let tile_qr = match tile with Some t -> t | None -> n in
-    let qr = Qr.run ~device ~a:j.(0) ~tile:tile_qr () in
-    let qh = M.adjoint qr.Qr.q in
-    let j' =
-      Array.mapi (fun k jk -> if k = 0 then qr.Qr.r else M.matmul qh jk) j
-    in
+    let q, r = Qr.factor qr j.(0) ~tile:tile_qr in
+    let qh = M.adjoint q in
+    let j' = Array.mapi (fun k jk -> if k = 0 then r else M.matmul qh jk) j in
     let b' = Array.map (fun bk -> M.matvec qh bk) b in
-    let x, bs = solve_flat ~device ?tile j' b' in
-    (x, qr, bs)
+    solve_flat bs ?tile j' b'
 
   (* Newton's method for vector power series: given the residual and the
      Jacobian of a square polynomial system as series functions, double

@@ -5,7 +5,6 @@
 module Make (K : Mdlinalg.Scalar.S) : sig
   module M : module type of Mdlinalg.Mat.Make (K)
   module V : module type of Mdlinalg.Vec.Make (K)
-  module Bs : module type of Lsq_core.Tiled_back_sub.Make (K)
 
   type mat_series = M.t array
   (** The blocks J_0, J_1, ..., J_d of a matrix power series. *)
@@ -31,24 +30,23 @@ module Make (K : Mdlinalg.Scalar.S) : sig
       blocks. *)
 
   val solve_flat :
-    ?device:Gpusim.Device.t ->
-    ?tile:int ->
-    mat_series ->
-    vec_series ->
-    vec_series * Bs.result
-  (** Solve the flat reversed system with Algorithm 1 on the simulated
-      device; requires upper triangular J_0 ([Invalid_argument]
-      otherwise) — e.g. after {!solve_device}'s QR preprocessing. *)
+    Gpusim.Sim.t -> ?tile:int -> mat_series -> vec_series -> vec_series
+  (** Solve the flat reversed system with Algorithm 1 on the simulator
+      (tile default: the block dimension); requires upper triangular
+      J_0 ([Invalid_argument] otherwise) — e.g. after {!solve_device}'s
+      QR preprocessing. *)
 
   val solve_device :
-    ?device:Gpusim.Device.t ->
+    qr:Gpusim.Sim.t ->
+    bs:Gpusim.Sim.t ->
     ?tile:int ->
     mat_series ->
     vec_series ->
-    vec_series * Lsq_core.Blocked_qr.Make(K).result * Bs.result
+    vec_series
   (** The paper's pipeline for a general diagonal block: factor
-      J_0 = Q R once with Algorithm 2, premultiply the system by Q^H,
-      then run the flat Algorithm-1 path. *)
+      J_0 = Q R once with Algorithm 2 on [qr], premultiply the system by
+      Q^H, then run the flat Algorithm-1 path on [bs]; each simulator
+      holds its phase's timings. *)
 
   val newton :
     degree:int ->

@@ -250,10 +250,11 @@ let roofline_stages (job : Job.t) ~device =
     | None ->
       (* A what-if plan, not a launch of any job: one placement span
          records its host time, and its launches stay out of the trace,
-         where they would read as kernels outside every job attempt. *)
+         where they would read as kernels outside every job attempt, and
+         out of the launch metrics, which count the jobs' launches. *)
       let stages =
         Obs.Tracer.span ~cat:"sched" "placement plan" (fun () ->
-            Obs.Tracer.muted (fun () ->
+            Gpusim.Sim.what_if (fun () ->
                 try Some (R.roofline key) with _ -> None))
       in
       Mutex.lock roofline_lock;

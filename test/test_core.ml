@@ -23,6 +23,8 @@ module Generic (K : Scalar.S) = struct
   module Ls = Solver.Make (K)
 
   let tol factor = K.R.of_float (factor *. K.R.eps)
+  let sim () = Gpusim.Sim.create ~device ~prec:K.prec ()
+  let bs u b ~tile = Bs.solve (sim ()) u b ~tile
 
   let below msg x bound =
     if K.R.compare x bound > 0 then
@@ -34,15 +36,15 @@ module Generic (K : Scalar.S) = struct
       (fun (dim, tile) ->
         let u = Rand.upper rng dim in
         let b, x_true = Rand.rhs_for rng u in
-        let res = Bs.run ~device ~u ~b ~tile () in
+        let x = bs u b ~tile in
         let x_host = Tri.back_substitute u b in
         below
           (Printf.sprintf "accelerated vs host (%d/%d)" dim tile)
-          (V.norm (V.sub res.Bs.x x_host))
+          (V.norm (V.sub x x_host))
           (K.R.mul (V.norm x_host) (tol 1e8));
-        below "residual" (Tri.residual u res.Bs.x b) (tol 1e6);
+        below "residual" (Tri.residual u x b) (tol 1e6);
         below "vs known solution"
-          (V.norm (V.sub res.Bs.x x_true))
+          (V.norm (V.sub x x_true))
           (K.R.mul (V.norm x_true) (tol 1e10)))
       [ (8, 4); (16, 4); (12, 3); (24, 8); (32, 8) ]
 
@@ -53,54 +55,55 @@ module Generic (K : Scalar.S) = struct
         let nt = dim / tile in
         let u = Rand.upper rng dim in
         let b = Rand.vector rng dim in
-        let res = Bs.run ~device ~u ~b ~tile () in
+        let sim = sim () in
+        ignore (Bs.solve sim u b ~tile : V.t);
         (* Algorithm 1 executes 1 + N(N+1)/2 kernel launches. *)
         Alcotest.(check int)
           (Printf.sprintf "launches at N=%d" nt)
           (1 + (nt * (nt + 1) / 2))
-          res.Bs.launches)
+          (Gpusim.Sim.launches sim))
       [ (8, 4); (24, 4); (40, 8) ]
 
   let test_back_sub_single_tile () =
     let rng = Dompool.Prng.create 102 in
     let u = Rand.upper rng 6 in
     let b, _ = Rand.rhs_for rng u in
-    let res = Bs.run ~device ~u ~b ~tile:6 () in
-    below "single tile" (Tri.residual u res.Bs.x b) (tol 1e6)
+    below "single tile" (Tri.residual u (bs u b ~tile:6) b) (tol 1e6)
 
   let test_naive_back_sub () =
     let rng = Dompool.Prng.create 110 in
     let dim = 24 in
     let u = Rand.upper rng dim in
     let b, _ = Rand.rhs_for rng u in
-    let naive = Nbs.run ~device ~u ~b () in
-    let tiled = Bs.run ~device ~u ~b ~tile:8 () in
+    let naive_sim = sim () in
+    let naive = Nbs.solve naive_sim u b in
+    let tiled = bs u b ~tile:8 in
     below "naive matches tiled"
-      (V.norm (V.sub naive.Nbs.x tiled.Bs.x))
-      (K.R.mul (V.norm tiled.Bs.x) (tol 1e8));
-    below "naive residual" (Tri.residual u naive.Nbs.x b) (tol 1e6);
+      (V.norm (V.sub naive tiled))
+      (K.R.mul (V.norm tiled) (tol 1e8));
+    below "naive residual" (Tri.residual u naive b) (tol 1e6);
     (* the classic algorithm needs ~2 dim launches *)
     Alcotest.(check int) "naive launches" ((2 * dim) - 1)
-      naive.Nbs.launches;
+      (Gpusim.Sim.launches naive_sim);
     (* and at a realistic dimension the simulated device charges the
        classic algorithm more time (at dim 24 everything is overhead) *)
-    let tiled_big = Bs.run_plan ~device ~dim:2560 ~tile:32 () in
-    let naive_big = Nbs.run_plan ~device ~dim:2560 () in
+    let tiled_big = sim () and naive_big = sim () in
+    Bs.plan tiled_big ~dim:2560 ~tile:32;
+    Nbs.plan naive_big ~dim:2560;
     check "tiled is cheaper" true
-      (tiled_big.Bs.kernel_ms < naive_big.Nbs.kernel_ms)
+      (Gpusim.Sim.kernel_ms tiled_big < Gpusim.Sim.kernel_ms naive_big)
 
   let test_back_sub_bad_args () =
     let rng = Dompool.Prng.create 103 in
     let u = Rand.upper rng 8 in
     let b = Rand.vector rng 8 in
     (try
-       ignore (Bs.run ~device ~u ~b ~tile:3 ());
+       ignore (bs u b ~tile:3 : V.t);
        Alcotest.fail "tile must divide dimension"
      with Invalid_argument _ -> ())
 
   let qr_properties name a tile =
-    let res = Qr.run ~device ~a ~tile () in
-    let q = res.Qr.q and r = res.Qr.r in
+    let q, r = Qr.factor (sim ()) a ~tile in
     below (name ^ ": orthogonality") (Hqr.orthogonality_defect q) (tol 1e6);
     below (name ^ ": A = QR") (Hqr.factorization_residual a q r) (tol 1e6);
     let ok = ref true in
@@ -137,14 +140,14 @@ module Generic (K : Scalar.S) = struct
     let rng = Dompool.Prng.create 107 in
     let n = 16 in
     let a = Rand.matrix rng n n in
-    let res = Qr.run ~device ~a ~tile:4 () in
+    let _, r = Qr.factor (sim ()) a ~tile:4 in
     let _, r_host = Hqr.factor a in
     let d = ref K.R.zero in
     for i = 0 to n - 1 do
       for j = 0 to n - 1 do
         let e =
           K.R.abs
-            (K.R.sub (K.abs (M.get res.Qr.r i j)) (K.abs (M.get r_host i j)))
+            (K.R.sub (K.abs (M.get r i j)) (K.abs (M.get r_host i j)))
         in
         if K.R.compare e !d > 0 then d := e
       done
@@ -483,6 +486,57 @@ let test_armed_qr_words () =
         Alcotest.failf "%.0f minor words for an armed 64x64 factorization, \
                         budget 0.8M" words)
 
+(* The executed direct solve keeps one device state from A to x: the
+   back substitution adopts the QR's R and Q^H b where they lie, so no
+   boxed Q or R is made and nothing is staged twice.  This drives the
+   square path's pieces as [Solver] does — [factor_resident], Q^H b on
+   the resident Q ([square_source]) and [solve_resident] — on
+   one-domain-pool sims, whose every launch runs on this domain, and pins
+   their words.  The count repeats from one solve to the next once the
+   first has resolved the metric handles. *)
+module Bdd = Tiled_back_sub.Make (Scalar.Dd)
+module Fdd = Flat_kernels.Make (Scalar.Dd)
+
+let test_handoff_words () =
+  let n = 64 and tile = 16 in
+  let rng = Dompool.Prng.create 4242 in
+  let a = Rdd.matrix rng n n and b = Rdd.vector rng n in
+  let pool = Dompool.Domain_pool.create 1 in
+  Fun.protect
+    ~finally:(fun () -> Dompool.Domain_pool.shutdown pool)
+    (fun () ->
+      let solve () =
+        let sim () = Gpusim.Sim.create ~pool ~device ~prec:Scalar.Dd.prec () in
+        let qr_sim = sim () and bs_sim = sim () in
+        let before = Gc.minor_words () in
+        let st = Qdd.factor_resident qr_sim a ~rhs:None ~tile in
+        let qtb, source = Fdd.Qr.square_source st ~b ~threads:tile in
+        Gpusim.Sim.launch qr_sim ~stage:"Q^T*b"
+          ~cost:
+            (Gpusim.Cost.launch ~blocks:(n / tile) ~threads:tile
+               Gpusim.Counter.zero)
+          qtb;
+        let x = Bdd.solve_resident bs_sim source ~dim:n ~tile in
+        (Gc.minor_words () -. before, x)
+      in
+      ignore (solve ());
+      let words, x = solve () in
+      let again, _ = solve () in
+      Alcotest.(check (float 0.0)) "the count repeats" words again;
+      let direct =
+        Sdd.solve ~method_:Solver.Qr_direct ~device ~a ~b ~tile ()
+      in
+      Alcotest.(check bool)
+        "the solver's x, bit for bit" true
+        (Array.for_all2
+           (fun u v -> Scalar.Dd.to_planes u = Scalar.Dd.to_planes v)
+           x direct.Sdd.x);
+      (* 660,381 words; 728,961 with the boxed Q/R round trip this
+         replaced. *)
+      if words > 7e5 then
+        Alcotest.failf "%.0f minor words for the 64x64 direct solve, \
+                        budget 0.7M" words)
+
 let () =
   Alcotest.run "lsq_core"
     [
@@ -505,4 +559,6 @@ let () =
         ] );
       ( "fault-armed qr",
         [ Alcotest.test_case "allocation budget" `Quick test_armed_qr_words ] );
+      ( "direct solve hand-off",
+        [ Alcotest.test_case "allocation budget" `Quick test_handoff_words ] );
     ]

@@ -424,11 +424,10 @@ let test_od_bigarray_corrupt_detected () =
   let el () = K.of_float (Dompool.Prng.sym_float rng) in
   let v = Array.init (dim * dim) (fun _ -> el ()) in
   let bd = Array.init dim (fun _ -> el ()) in
-  let x = Array.make dim K.zero in
   let struck_u = ref 0 in
   (* Fresh state per trial: one strike against a clean digest. *)
   for _ = 1 to 24 do
-    let st = F.Bs.create ~execute:true ~dim ~v ~bd ~x in
+    let st = F.Bs.create ~dim (F.Bs.of_host ~dim ~u:v ~b:bd) in
     let digest = Fault.Checksum.of_iter (F.Bs.iter_u_limbs st) in
     check "digest reproducible" true
       (Fault.Checksum.matches digest
@@ -470,6 +469,25 @@ let corruption_sites () =
          Json.(get_string (member "name" e)) = "fault.corrupted")
   |> List.map (fun e -> Json.(get_string (member "what" (member "args" e))))
 
+(* Runs [f] on one arm with the tracer on: its result or escalated
+   site, and the corruption sites the trace recorded. *)
+let on_arm ~flat f =
+  let prev = !Mdlinalg.Flat_kernels.enabled in
+  Mdlinalg.Flat_kernels.enabled := flat;
+  Fun.protect
+    ~finally:(fun () ->
+      Obs.Tracer.stop ();
+      Mdlinalg.Flat_kernels.enabled := prev)
+    (fun () ->
+      Obs.Tracer.start ();
+      let out =
+        match f () with
+        | out -> Ok out
+        | exception Plan.Injected (k, site) ->
+            Error (Plan.kind_name k ^ " at " ^ site)
+      in
+      (out, corruption_sites ()))
+
 module Armed_qr (K : Mdlinalg.Scalar.S) = struct
   module M = Mdlinalg.Mat.Make (K)
   module Qr = Lsq_core.Blocked_qr.Make (K)
@@ -479,22 +497,9 @@ module Armed_qr (K : Mdlinalg.Scalar.S) = struct
     Array.map (fun x -> Array.map Int64.bits_of_float (K.to_planes x)) a
 
   let campaign ~flat cfg f =
-    let prev = !Mdlinalg.Flat_kernels.enabled in
-    Mdlinalg.Flat_kernels.enabled := flat;
-    Fun.protect
-      ~finally:(fun () ->
-        Obs.Tracer.stop ();
-        Mdlinalg.Flat_kernels.enabled := prev)
-      (fun () ->
-        Obs.Tracer.start ();
-        let sim = Sim.create ~device ~prec:K.prec ~fault:cfg () in
-        let out =
-          match f sim with
-          | out -> Ok out
-          | exception Plan.Injected (k, site) ->
-              Error (Plan.kind_name k ^ " at " ^ site)
-        in
-        (out, Option.get (Sim.fault_tally sim), corruption_sites ()))
+    let sim = Sim.create ~device ~prec:K.prec ~fault:cfg () in
+    let out, sites = on_arm ~flat (fun () -> f sim) in
+    (out, Option.get (Sim.fault_tally sim), sites)
 
   let raw = " (raw)"
 
@@ -561,6 +566,64 @@ let test_fault_armed_qr_is_flat () =
   Dd.test ();
   Qd.test ();
   Od.test ()
+
+(* ---- the fault-armed direct solve hands off flat, limb for limb ----
+
+   The executed direct solve keeps one device state from A to x: the
+   QR's planes, Q^H b and the back substitution.  Under a campaign that
+   strikes both phases, the flat arm and the boxed arm must agree on x
+   bit for bit (or on the escalated site), on the merged tally and on
+   every corruption site but for the flat arm's " (raw)". *)
+
+module Armed_solve (K : Mdlinalg.Scalar.S) = struct
+  module A = Armed_qr (K)
+  module S = Lsq_core.Solver.Make (K)
+  module Rand = Mdlinalg.Randmat.Make (K)
+
+  let campaign ~flat cfg ~a ~b ~tile =
+    on_arm ~flat (fun () ->
+        let res =
+          S.solve ~method_:Lsq_core.Solver.Qr_direct ~fault:cfg ~device ~a ~b
+            ~tile ()
+        in
+        (A.bits res.S.x, Option.get res.S.faults))
+
+  (* Runs every campaign on both arms; returns how many struck. *)
+  let test () =
+    let struck = ref 0 in
+    List.iter
+      (fun (what, rows) ->
+        let rng = Dompool.Prng.create 4242 in
+        let a = Rand.matrix rng rows 16 in
+        let b = Array.init rows (fun _ -> K.random rng) in
+        List.iter
+          (fun rate ->
+            for seed = 1 to 10 do
+              let cfg = Plan.config ~seed ~rate () in
+              let out_f, sites_f = campaign ~flat:true cfg ~a ~b ~tile:4 in
+              let out_b, sites_b = campaign ~flat:false cfg ~a ~b ~tile:4 in
+              let what =
+                Printf.sprintf "%s %s solve, rate %g seed %d"
+                  (P.name K.prec) what rate seed
+              in
+              if sites_f <> [] then incr struck;
+              check (what ^ ": identical outcomes") true (out_f = out_b);
+              Alcotest.(check (list string))
+                (what ^ ": identical sites") sites_b
+                (List.map A.strip sites_f)
+            done)
+          [ 0.05; 0.5 ])
+      [ ("square", 16); ("thin", 24) ];
+    !struck
+end
+
+let test_fault_armed_solve_is_flat () =
+  let module D = Armed_solve (Mdlinalg.Scalar.D) in
+  let module Dd = Armed_solve (Mdlinalg.Scalar.Dd) in
+  let module Qd = Armed_solve (Mdlinalg.Scalar.Qd) in
+  let module Od = Armed_solve (Mdlinalg.Scalar.Od) in
+  let struck = D.test () + Dd.test () + Qd.test () + Od.test () in
+  check "the campaigns struck" true (struck > 0)
 
 (* ---- every recovery site of the stage-level ladder, pinned ----
 
@@ -1047,6 +1110,8 @@ let () =
             test_od_bigarray_corrupt_detected;
           Alcotest.test_case "fault-armed QR is flat and identical" `Quick
             test_fault_armed_qr_is_flat;
+          Alcotest.test_case "fault-armed direct solve is flat and identical"
+            `Quick test_fault_armed_solve_is_flat;
           Alcotest.test_case "recovery sites" `Quick test_recovery_sites;
         ] );
       ( "scheduler",

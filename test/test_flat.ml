@@ -379,11 +379,14 @@ module Equiv (K : Scalar.S) = struct
       (fun (dim, tile) ->
         let u = Rand.upper rng dim in
         let b, _ = Rand.rhs_for rng u in
-        let flat = with_flat true (fun () -> Bs.run ~device ~u ~b ~tile ()) in
-        let gen = with_flat false (fun () -> Bs.run ~device ~u ~b ~tile ()) in
-        check_vec (Printf.sprintf "bs x (%d/%d)" dim tile) flat.Bs.x gen.Bs.x;
-        check "same modeled ms" true
-          (flat.Bs.kernel_ms = gen.Bs.kernel_ms))
+        let run flat =
+          with_flat flat (fun () ->
+              let sim = Gpusim.Sim.create ~device ~prec:K.prec () in
+              (Bs.solve sim u b ~tile, Gpusim.Sim.kernel_ms sim))
+        in
+        let x_flat, ms_flat = run true and x_gen, ms_gen = run false in
+        check_vec (Printf.sprintf "bs x (%d/%d)" dim tile) x_flat x_gen;
+        check "same modeled ms" true (ms_flat = ms_gen))
       [ (8, 4); (24, 8); (32, 8) ]
 
   let tests prefix =

@@ -446,13 +446,6 @@ let test_sim_no_execute () =
   checki "body skipped" 0 !hits;
   checki "still accounted" 1 (Sim.launches sim)
 
-let test_sim_seq () =
-  let sim = Sim.create ~device:Device.v100 ~prec:P.QD () in
-  let order = ref [] in
-  let cost = Cost.launch ~blocks:5 ~threads:1 (ops 1.0) in
-  Sim.launch_seq sim ~stage:"s" ~cost (fun b -> order := b :: !order);
-  Alcotest.(check (list int)) "in order" [ 4; 3; 2; 1; 0 ] !order
-
 let test_sim_body_exception () =
   (* A raising kernel body must surface as an error on the launching
      domain, not vanish into the pool. *)
@@ -507,7 +500,6 @@ let () =
           Alcotest.test_case "profile" `Quick test_profile;
           Alcotest.test_case "sim executes" `Quick test_sim_execution;
           Alcotest.test_case "sim plan mode" `Quick test_sim_no_execute;
-          Alcotest.test_case "sim sequential" `Quick test_sim_seq;
           Alcotest.test_case "sim body exception" `Quick
             test_sim_body_exception;
         ] );

@@ -307,6 +307,39 @@ let test_sweeps_validate () =
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "unknown sweep accepted"
 
+(* ---- placement plans ---- *)
+
+(* Auto placement plans each new job shape on the reference device and
+   on the device it picked.  Those what-if plans are no launches of any
+   job, so the launch counter rises by exactly the reports' launches.
+   The plans are memoized per process, and no other test here places
+   these shapes. *)
+let test_plans_are_not_launches () =
+  let launches () =
+    Obs.Metrics.(Counter.value (counter (default ()) "sim.launches"))
+  in
+  let before = launches () in
+  let outcomes =
+    F.run F.Config.default
+      [
+        Job.make ~id:"plan-qr" ~kind:Job.Qr ~device:Job.auto_device
+          ~prec:P.QD ~dim:640 ~tile:64 ();
+        Job.make ~id:"plan-solve" ~kind:Job.Solve ~device:Job.auto_device
+          ~prec:P.DD ~dim:704 ~tile:64 ();
+      ]
+  in
+  let reported =
+    List.fold_left
+      (fun acc (o : S.outcome) ->
+        match o.S.status with
+        | S.Completed r -> acc + r.Report.launches
+        | S.Failed _ -> Alcotest.failf "%s failed" o.S.job.Job.id)
+      0 outcomes
+  in
+  checki "the reports' launches" 6868 reported;
+  checki "sim.launches rose by the reports' launches" reported
+    (launches () - before)
+
 let () =
   Alcotest.run "sched"
     [
@@ -338,4 +371,9 @@ let () =
         ] );
       ( "sweeps",
         [ Alcotest.test_case "all validate" `Quick test_sweeps_validate ] );
+      ( "placement",
+        [
+          Alcotest.test_case "plans are not launches" `Quick
+            test_plans_are_not_launches;
+        ] );
     ]

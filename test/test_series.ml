@@ -222,8 +222,9 @@ module T (K : Scalar.S) = struct
           else M.get j.(0) r c);
     let b = Array.init (dg + 1) (fun _ -> V.random rng n) in
     let xr = BT.solve_recursive j b in
-    let xf, res = BT.solve_flat ~tile:n j b in
-    check "launches" true (res.BT.Bs.launches > 0);
+    let sim = Gpusim.Sim.create ~device:Gpusim.Device.v100 ~prec:K.prec () in
+    let xf = BT.solve_flat sim ~tile:n j b in
+    check "launches" true (Gpusim.Sim.launches sim > 0);
     for k = 0 to dg do
       check
         (Printf.sprintf "flat matches recursive at order %d" k)
@@ -240,7 +241,10 @@ module T (K : Scalar.S) = struct
     let b = Array.init 3 (fun _ -> V.random rng 3) in
     (* J_0 dense: the flat path must refuse *)
     try
-      ignore (BT.solve_flat j b);
+      ignore
+        (BT.solve_flat
+           (Gpusim.Sim.create ~device:Gpusim.Device.v100 ~prec:K.prec ())
+           j b);
       Alcotest.fail "expected Invalid_argument"
     with Invalid_argument _ -> ()
 
@@ -250,7 +254,10 @@ module T (K : Scalar.S) = struct
     let j = rand_mat_series rng ~n ~degree:dg in
     let x_true = Array.init (dg + 1) (fun _ -> V.random rng n) in
     let b = BT.apply j x_true in
-    let x, _, _ = BT.solve_device ~tile:n j b in
+    let sim () =
+      Gpusim.Sim.create ~device:Gpusim.Device.v100 ~prec:K.prec ()
+    in
+    let x = BT.solve_device ~qr:(sim ()) ~bs:(sim ()) ~tile:n j b in
     for k = 0 to dg do
       check
         (Printf.sprintf "device solve order %d" k)
