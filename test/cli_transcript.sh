@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Usage: cli_transcript.sh LSQ_CLI
+# Usage: cli_transcript.sh LSQ_CLI TELEMETRY_FIXTURE
 #
 # Prints a transcript of fixed lsq_cli runs: each command line, then
 # its stdout (and, for the usage errors, its stderr), then its exit
@@ -9,6 +9,7 @@
 # `dune promote`.
 set -u
 cli=$1
+telemetry=$2
 run() {
   printf '$ lsq_cli %s\n' "$*"
   "$cli" "$@"
@@ -48,6 +49,20 @@ run psolve --prec 2d "x^2 + y^2 - 4; x*y - 1"
 run toeplitz
 run toeplitz --complex --prec 2d --block 4 --degree 4
 run refine --lo 2d --hi 4d --dim 32 --tile 8
+# The catalogues: Table 2's devices and Table 1's operation counts.
+run devices
+run precisions
+# Condition numbers and the precision their digits at risk call for.
+run cond
+run cond --family vandermonde
+# A seeded fault campaign replays bit-identically.
+run faults --prec 2d --dim 32 --tile 8 --runs 3 --fault-rate 0.01
+# A paper table as a batch; with --out the outcome lines go to the file
+# and stdout carries only the summary.
+run batch --sweep table3 --out /dev/null
+# The one-shot monitor renders the last snapshot of a fixed telemetry
+# file.
+run monitor "$telemetry"
 usage_error qr --dim 64 --rows 16 --tile 16
 usage_error roofline solve --solver cg --rows 16 --dim 64
 usage_error roofline solve --solver cg --rows 16 --dim 64 --tile 16
