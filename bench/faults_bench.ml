@@ -83,53 +83,15 @@ let overhead_rows () =
 
 (* ---- recovery (executed campaigns) ---- *)
 
-type recovery_row = {
-  r_prec : P.tag;
-  r_runs : int;
-  r_rate : float;
-  r_injected : int;
-  r_detected : int;
-  r_replays : int;
-  r_escalations : int;
-  r_refined_runs : int;
-  r_recovered_runs : int;
-}
-
 let recovery_dim = 32
 let recovery_tile = 8
 
 let campaign ~prec ~runs ~rate ~seed =
-  List.init runs (fun i ->
-      let fault = Fault.Plan.config ~seed:(seed + i) ~rate () in
-      solve ~fault ~execute:true prec ~dim:recovery_dim ~tile:recovery_tile)
-
-let recovered (r : Report.t) =
-  match r.Report.residual with Some v -> v.Report.ok | None -> false
-
-let recovery_row ~prec ~runs ~rate ~seed =
-  let reports = campaign ~prec ~runs ~rate ~seed in
-  let tally f r = match r.Report.faults with Some x -> f x | None -> 0 in
-  let sum f = List.fold_left (fun acc r -> acc + tally f r) 0 reports in
-  {
-    r_prec = prec;
-    r_runs = runs;
-    r_rate = rate;
-    r_injected = sum Report.faults_injected;
-    r_detected = sum (fun f -> f.Report.detected);
-    r_replays =
-      sum (fun f ->
-          f.Report.relaunches + f.Report.retransfers + f.Report.replays);
-    r_escalations = sum (fun f -> f.Report.escalations);
-    r_refined_runs =
-      List.length
-        (List.filter
-           (fun r ->
-             match r.Report.faults with
-             | Some f -> f.Report.refined
-             | None -> false)
-           reports);
-    r_recovered_runs = List.length (List.filter recovered reports);
-  }
+  R.campaign
+    (R.request
+       ~fault:(Fault.Plan.config ~seed ~rate ())
+       ~kind:R.Solve ~prec ~device ~dim:recovery_dim ~tile:recovery_tile ())
+    ~runs
 
 let recovery_rows () =
   pf "\n%s\n" (String.make 78 '-');
@@ -142,11 +104,14 @@ let recovery_rows () =
     (fun prec ->
       List.map
         (fun rate ->
-          let r = recovery_row ~prec ~runs:6 ~rate ~seed:500 in
+          let c =
+            Report.Campaign.of_reports
+              (campaign ~prec ~runs:6 ~rate ~seed:500)
+          in
           pf "%-6s %6d %8g %9d %9d %8d %6d %8d %6d/%-3d\n%!" (P.label prec)
-            r.r_runs rate r.r_injected r.r_detected r.r_replays
-            r.r_escalations r.r_refined_runs r.r_recovered_runs r.r_runs;
-          r)
+            c.runs rate c.injected c.detected c.replays c.escalations
+            c.refined_runs c.recovered_runs c.runs;
+          (prec, rate, c))
         [ 1e-3; 1e-2 ])
     [ P.DD; P.QD; P.OD ]
 
@@ -174,24 +139,22 @@ let json_of_rows overhead recovery =
       ( "recovery",
         Json.Arr
           (List.map
-             (fun r ->
+             (fun (prec, rate, (c : Report.Campaign.t)) ->
                Json.Obj
                  [
-                   ("prec", Json.Str (P.label r.r_prec));
+                   ("prec", Json.Str (P.label prec));
                    ("dim", Json.Int recovery_dim);
                    ("tile", Json.Int recovery_tile);
-                   ("rate", Json.Float r.r_rate);
-                   ("runs", Json.Int r.r_runs);
-                   ("injected", Json.Int r.r_injected);
-                   ("detected", Json.Int r.r_detected);
-                   ("replays", Json.Int r.r_replays);
-                   ("escalations", Json.Int r.r_escalations);
-                   ("refined_runs", Json.Int r.r_refined_runs);
-                   ("recovered_runs", Json.Int r.r_recovered_runs);
+                   ("rate", Json.Float rate);
+                   ("runs", Json.Int c.runs);
+                   ("injected", Json.Int c.injected);
+                   ("detected", Json.Int c.detected);
+                   ("replays", Json.Int c.replays);
+                   ("escalations", Json.Int c.escalations);
+                   ("refined_runs", Json.Int c.refined_runs);
+                   ("recovered_runs", Json.Int c.recovered_runs);
                    ( "recovery_rate",
-                     Json.Float
-                       (float_of_int r.r_recovered_runs
-                       /. float_of_int r.r_runs) );
+                     Json.Float (Report.Campaign.recovery_rate c) );
                  ])
              recovery) );
     ]
@@ -248,9 +211,9 @@ let smoke () =
         | None -> 0
       in
       pf "  run %d (seed %d): %d injected, %s\n" i (seed + i) inj
-        (if recovered r then "recovered" else "NOT RECOVERED"))
+        (if Report.recovered r then "recovered" else "NOT RECOVERED"))
     first;
-  if not (List.for_all recovered first) then begin
+  if not (List.for_all Report.recovered first) then begin
     Printf.eprintf "fault-smoke: a faulted run escaped recovery\n";
     exit 1
   end;
@@ -288,7 +251,7 @@ let smoke () =
     Printf.eprintf "fault-smoke: clean run carries a fault record\n";
     exit 1
   end;
-  if not (recovered clean) then begin
+  if not (Report.recovered clean) then begin
     Printf.eprintf "fault-smoke: clean run failed its residual check\n";
     exit 1
   end;

@@ -1,8 +1,10 @@
 (* Regenerates every table and figure of the paper's evaluation section.
 
-   Each printer runs the experiment through the simulator's cost model and
-   prints the same rows the paper reports; the aggregate lines carry the
-   paper's measured values for side-by-side comparison.  Absolute
+   Tables 3-10 run the plan-only jobs of their [Sched.Sweep] grid through
+   [Sched.Engine.run_job], as [lsq_cli batch --sweep] does; this file
+   holds only the paper's reference values and the printing.  Each
+   printer prints the same rows the paper reports; the aggregate lines
+   carry the paper's measured values for side-by-side comparison.  Absolute
    milliseconds need not match a physical testbed — the claims under test
    are the shapes: who wins, the overhead factors of doubling the
    precision, where teraflop performance starts, and which stages
@@ -132,338 +134,304 @@ let table2 () =
         (Device.cores d) d.Device.ghz d.Device.host_cpu d.Device.host_ghz)
     Device.catalog
 
+(* ---- Tables 3-10: the Sched.Sweep grids ----
+
+   Each table's runs are its sweep's plan-only jobs, in sweep order,
+   through [Sched.Engine.run_job] — the grids the batch CLI and the
+   performance ledger run.  What stays here is the paper's reference
+   values and the printing. *)
+
+module Job = Sched.Job
+
+let sweep table =
+  List.map (fun j -> (j, Sched.Engine.run_job j)) (Sched.Sweep.jobs table)
+
+let reports runs = List.map snd runs
+let kernel_ms (r : Harness.Report.t) = r.Harness.Report.kernel_ms
+
+(* "NxT": N tiles of T. *)
+let tiles_label (j : Job.t) =
+  Printf.sprintf "%dx%d" (j.Job.dim / j.Job.tile) j.Job.tile
+
+(* Consecutive runs sharing [key], in order. *)
+let group_by key runs =
+  List.fold_right
+    (fun r acc ->
+      match acc with
+      | (k, rs) :: rest when k = key r -> (k, r :: rs) :: rest
+      | _ -> (key r, [ r ]) :: acc)
+    runs []
+
+(* One stage table per group of runs under its own heading, with the
+   paper's (kernels, wall, kernel flops, wall flops) rows in group
+   order; a grid and a reference list that disagree in length raise. *)
+let group_tables ~key ~heading ~col paper runs =
+  let groups = group_by key runs in
+  List.iter2
+    (fun (k, runs) (pk, pw, pkf, pwf) ->
+      pf "\n-- %s --\n" (heading k);
+      stage_table ~cols:(List.map col runs) ?paper_kernels:pk ?paper_wall:pw
+        ?paper_kflops:pkf ?paper_wflops:pwf (reports runs))
+    groups paper;
+  groups
+
+let on_device = Printf.sprintf "times on the %s"
+let in_precision p = P.name p ^ " precision"
+
 let table3 () =
   title "Table 3"
     "blocked Householder QR, double double, 1024x1024, 8 tiles of 128";
-  let runs =
-    List.map (fun d -> Harness.Runners.qr P.DD d ~n:1024 ~tile:128) Device.catalog
-  in
+  let runs = sweep "table3" in
   stage_table
-    ~cols:(List.map (fun d -> d.Device.name) Device.catalog)
+    ~cols:(List.map (fun (j, _) -> j.Job.device) runs)
     ~paper_kernels:[ 8888.3; 5506.1; 712.4; 451.5; 3968.2 ]
     ~paper_wall:[ 9083.0; 5682.0; 826.0; 568.0; 4700.0 ]
     ~paper_kflops:[ 115.8; 187.0; 1445.3; 2280.4; 259.5 ]
     ~paper_wflops:[ 113.4; 181.2; 1247.2; 1812.7; 219.1 ]
-    runs;
-  (match runs with
+    (reports runs);
+  match reports runs with
   | [ c2050; _; _; v100; _ ] ->
     pf "\nC2050 over V100 kernel-time ratio: %.1f (paper: 19.6)\n"
-      (c2050.Harness.Report.kernel_ms /. v100.Harness.Report.kernel_ms)
-  | _ -> ())
-
-let qr_precisions device =
-  List.map (fun p -> Harness.Runners.qr p device ~n:1024 ~tile:128) [ P.D; P.DD; P.QD; P.OD ]
+      (kernel_ms c2050 /. kernel_ms v100)
+  | _ -> ()
 
 let table4 () =
   title "Table 4"
     "blocked Householder QR at 1d/2d/4d/8d, 1024x1024, 8 tiles of 128";
-  let specs =
+  (* Per device: the four reference rows, then the paper's dd->qd and
+     qd->od overhead factors. *)
+  let paper =
     [
-      ( Device.rtx2080,
-        [ 338.6; 3999.5; 35826.7; 160802.8 ],
+      ( [ 338.6; 3999.5; 35826.7; 160802.8 ],
         [ 562.0; 4708.0; 37087.0; 163219.0 ],
         [ 141.5; 257.4; 284.1; 299.7 ],
-        [ 85.2; 218.7; 274.5; 295.3 ] );
-      ( Device.p100,
-        [ 256.2; 712.7; 5187.0; 20547.5 ],
+        [ 85.2; 218.7; 274.5; 295.3 ],
+        ("9.0", "4.5") );
+      ( [ 256.2; 712.7; 5187.0; 20547.5 ],
         [ 311.0; 827.0; 5381.0; 20870.0 ],
         [ 180.6; 1444.6; 1962.4; 2345.4 ],
-        [ 154.0; 1244.8; 1891.5; 2309.2 ] );
-      ( Device.v100,
-        [ 158.4; 446.8; 3167.0; 11754.6 ],
+        [ 154.0; 1244.8; 1891.5; 2309.2 ],
+        ("7.3", "4.0") );
+      ( [ 158.4; 446.8; 3167.0; 11754.6 ],
         [ 206.0; 560.0; 3356.0; 12059.0 ],
         [ 302.5; 2304.3; 3214.0; 4099.9 ],
-        [ 232.8; 1837.3; 3033.0; 3996.3 ] );
+        [ 232.8; 1837.3; 3033.0; 3996.3 ],
+        ("7.1", "3.7") );
     ]
   in
-  let all = ref [] in
-  List.iter
-    (fun (d, pk, pw, pkf, pwf) ->
-      pf "\n-- times on the %s --\n" d.Device.name;
-      let runs = qr_precisions d in
-      all := (d.Device.name, runs) :: !all;
-      stage_table
-        ~cols:(List.map P.label [ P.D; P.DD; P.QD; P.OD ])
-        ~paper_kernels:pk ~paper_wall:pw ~paper_kflops:pkf ~paper_wflops:pwf
-        runs)
-    specs;
+  let groups =
+    group_tables
+      ~key:(fun (j, _) -> j.Job.device)
+      ~heading:on_device
+      ~col:(fun (j, _) -> P.label j.Job.prec)
+      (List.map
+         (fun (pk, pw, pkf, pwf, _) -> (Some pk, Some pw, Some pkf, Some pwf))
+         paper)
+      (sweep "table4")
+  in
   pf "\ncost overhead factors of doubling the precision (kernel times):\n";
-  List.iter
-    (fun (name, runs) ->
-      match runs with
+  List.iter2
+    (fun (name, runs) (_, _, _, _, (qd_paper, od_paper)) ->
+      match reports runs with
       | [ _; dd; qd; od ] ->
         pf
           "  %-10s dd->qd %.1f (paper %s, predicted 11.7)   qd->od %.1f \
            (paper %s, predicted 5.4)\n"
           name
-          (qd.Harness.Report.kernel_ms /. dd.Harness.Report.kernel_ms)
-          (match name with
-          | "RTX 2080" -> "9.0"
-          | "P100" -> "7.3"
-          | _ -> "7.1")
-          (od.Harness.Report.kernel_ms /. qd.Harness.Report.kernel_ms)
-          (match name with
-          | "RTX 2080" -> "4.5"
-          | "P100" -> "4.0"
-          | _ -> "3.7")
+          (kernel_ms qd /. kernel_ms dd)
+          qd_paper
+          (kernel_ms od /. kernel_ms qd)
+          od_paper
       | _ -> ())
-    (List.rev !all);
-  List.rev !all
+    groups paper;
+  groups
+
+(* A figure's bars: per group, the kernel time of each run [label]
+   names. *)
+let bars label groups =
+  List.map
+    (fun (name, runs) ->
+      ( name,
+        List.filter_map
+          (fun (j, r) -> Option.map (fun l -> (l, kernel_ms r)) (label j))
+          runs ))
+    groups
 
 let figure1 table4_runs =
   title "Figure 1" "log2 kernel times of QR at 2d/4d/8d (data of Table 4)";
   bar_chart ~csv:"figure1" ~title:"QR on 1024x1024, 8 tiles of 128"
     ~groups:
-      (List.map
-         (fun (name, runs) ->
-           match runs with
-           | [ _; dd; qd; od ] ->
-             ( name,
-               [
-                 ("2d", dd.Harness.Report.kernel_ms);
-                 ("4d", qd.Harness.Report.kernel_ms);
-                 ("8d", od.Harness.Report.kernel_ms);
-               ] )
-           | _ -> (name, []))
+      (bars
+         (fun j -> if j.Job.prec = P.D then None else Some (P.label j.Job.prec))
          table4_runs)
     ()
 
 let table5 () =
   title "Table 5"
     "real vs complex double double QR at dimension 512 on the V100";
-  let tiles = [ (16, 32); (8, 64); (4, 128); (2, 256) ] in
-  let cols = List.map (fun (n, t) -> Printf.sprintf "%dx%d" n t) tiles in
-  pf "\n-- on real matrices --\n";
-  stage_table ~cols
-    ~paper_kernels:[ 53.2; 94.0; 100.5; 161.6 ]
-    ~paper_wall:[ 101.0; 170.0; 155.0; 208.0 ]
-    ~paper_kflops:[ 428.4; 785.9; 1089.8; 777.3 ]
-    ~paper_wflops:[ 226.6; 434.5; 707.4; 603.3 ]
-    (List.map
-       (fun (_, t) -> Harness.Runners.qr P.DD Device.v100 ~n:512 ~tile:t)
-       tiles);
-  pf "\n-- on complex matrices --\n";
-  stage_table ~cols
-    ~paper_kernels:[ 97.4; 227.4; 238.5; 420.8 ]
-    (List.map
-       (fun (_, t) ->
-         Harness.Runners.(
-           run
-             (request ~complex:true ~kind:Qr ~prec:P.DD ~device:Device.v100
-                ~dim:512 ~tile:t ())))
-       tiles)
+  ignore
+    (group_tables
+       ~key:(fun (j, _) -> j.Job.complex)
+       ~heading:(fun complex ->
+         if complex then "on complex matrices" else "on real matrices")
+       ~col:(fun (j, _) -> tiles_label j)
+       [
+         ( Some [ 53.2; 94.0; 100.5; 161.6 ],
+           Some [ 101.0; 170.0; 155.0; 208.0 ],
+           Some [ 428.4; 785.9; 1089.8; 777.3 ],
+           Some [ 226.6; 434.5; 707.4; 603.3 ] );
+         (Some [ 97.4; 227.4; 238.5; 420.8 ], None, None, None);
+       ]
+       (sweep "table5"))
 
 let table6 () =
   title "Table 6"
     "blocked Householder QR for increasing dimension (tiles of 128), V100";
-  let dims = [ 512; 1024; 1536; 2048 ] in
-  let cols = List.map string_of_int dims in
-  let paper =
-    [
-      ( P.DD,
-        Some [ 100.5; 238.2; 1521.5; 26815.0 ],
-        Some [ 155.0; 321.0; 1627.0; 27230.0 ],
-        Some [ 1089.7; 1839.0; 2475.1; 1087.8 ] );
-      ( P.QD,
-        Some [ 674.3; 3136.5; 13431.2; 34372.5 ],
-        Some [ 777.0; 3366.0; 13835.0; 34960.0 ],
-        Some [ 1605.7; 3245.3; 2366.8; 2097.0 ] );
-      ( P.OD,
-        Some [ 2490.8; 12280.1; 44679.8; 107769.2 ],
-        Some [ 2681.0; 12735.0; 45419.0; 108800.0 ],
-        Some [ 2058.2; 3924.4; 3368.5; 3166.4 ] );
-    ]
+  let groups =
+    group_tables
+      ~key:(fun (j, _) -> j.Job.prec)
+      ~heading:in_precision
+      ~col:(fun (j, _) -> string_of_int j.Job.dim)
+      [
+        ( Some [ 100.5; 238.2; 1521.5; 26815.0 ],
+          Some [ 155.0; 321.0; 1627.0; 27230.0 ],
+          Some [ 1089.7; 1839.0; 2475.1; 1087.8 ],
+          None );
+        ( Some [ 674.3; 3136.5; 13431.2; 34372.5 ],
+          Some [ 777.0; 3366.0; 13835.0; 34960.0 ],
+          Some [ 1605.7; 3245.3; 2366.8; 2097.0 ],
+          None );
+        ( Some [ 2490.8; 12280.1; 44679.8; 107769.2 ],
+          Some [ 2681.0; 12735.0; 45419.0; 108800.0 ],
+          Some [ 2058.2; 3924.4; 3368.5; 3166.4 ],
+          None );
+      ]
+      (sweep "table6")
   in
-  let out = ref [] in
-  List.iter
-    (fun (p, pk, pw, pkf) ->
-      pf "\n-- %s precision --\n" (P.name p);
-      let runs =
-        List.map (fun n -> Harness.Runners.qr p Device.v100 ~n ~tile:128) dims
-      in
-      out := (p, runs) :: !out;
-      stage_table ~cols ?paper_kernels:pk ?paper_wall:pw ?paper_kflops:pkf
-        runs)
-    paper;
-  let out = List.rev !out in
-  (match List.assoc_opt P.DD out with
+  (match Option.map reports (List.assoc_opt P.DD groups) with
   | Some [ _; r1024; _; r2048 ] ->
     pf
       "\ndouble double kernel time 1024 -> 2048 grows %.0fx (cubic alone \
        would be 8x; the paper observes the same sharp drop, ~113x)\n"
-      (r2048.Harness.Report.kernel_ms /. r1024.Harness.Report.kernel_ms)
+      (kernel_ms r2048 /. kernel_ms r1024)
   | _ -> ());
-  out
+  groups
 
 let figure2 table6_runs =
   title "Figure 2" "log2 kernel times of QR for increasing dimension (V100)";
   bar_chart ~csv:"figure2" ~title:"QR with tiles of 128"
     ~groups:
-      (List.map
-         (fun (p, runs) ->
-           ( P.label p,
-             List.map2
-               (fun n r -> (string_of_int n, r.Harness.Report.kernel_ms))
-               [ 512; 1024; 1536; 2048 ] runs ))
-         table6_runs)
+      (bars
+         (fun j -> Some (string_of_int j.Job.dim))
+         (List.map (fun (p, runs) -> (P.label p, runs)) table6_runs))
     ()
 
 let table7 () =
   title "Table 7"
     "back substitution in four precisions on growing problems, V100";
-  let sizes p =
-    if p = P.OD then [ (64, 80); (128, 80); (128, 160) ]
-    else [ (64, 80); (128, 80); (256, 80) ]
-  in
-  let paper =
-    [
-      (P.D, [ 3.0; 8.9; 41.0 ], [ 47.0; 147.0; 526.0 ], [ 14.5; 28.5; 39.9 ]);
-      ( P.DD,
-        [ 5.0; 17.3; 67.4 ],
-        [ 82.0; 286.0; 966.0 ],
-        [ 190.6; 318.7; 525.1 ] );
-      ( P.QD,
-        [ 31.7; 88.8; 312.7 ],
-        [ 187.0; 619.0; 2268.0 ],
-        [ 299.4; 614.2; 1122.3 ] );
-      ( P.OD,
-        [ 140.7; 316.2; 613.1 ],
-        [ 465.0; 1400.0; 84448.0 ],
-        [ 321.3; 820.1; 1166.7 ] );
-    ]
-  in
-  let out = ref [] in
-  List.iter
-    (fun (p, pk, pw, pkf) ->
-      pf "\n-- %s precision --\n" (P.name p);
-      let runs =
-        List.map
-          (fun (n, nt) -> Harness.Runners.bs p Device.v100 ~dim:(n * nt) ~tile:n)
-          (sizes p)
-      in
-      out := (p, runs) :: !out;
-      stage_table
-        ~cols:(List.map (fun (n, nt) -> Printf.sprintf "%dx%d" n nt) (sizes p))
-        ~paper_kernels:pk ~paper_wall:pw ~paper_kflops:pkf runs)
-    paper;
-  List.rev !out
+  group_tables
+    ~key:(fun (j, _) -> j.Job.prec)
+    ~heading:in_precision
+    ~col:(fun (j, _) ->
+      Printf.sprintf "%dx%d" j.Job.tile (j.Job.dim / j.Job.tile))
+    (List.map
+       (fun (pk, pw, pkf) -> (Some pk, Some pw, Some pkf, None))
+       [
+         ([ 3.0; 8.9; 41.0 ], [ 47.0; 147.0; 526.0 ], [ 14.5; 28.5; 39.9 ]);
+         ( [ 5.0; 17.3; 67.4 ],
+           [ 82.0; 286.0; 966.0 ],
+           [ 190.6; 318.7; 525.1 ] );
+         ( [ 31.7; 88.8; 312.7 ],
+           [ 187.0; 619.0; 2268.0 ],
+           [ 299.4; 614.2; 1122.3 ] );
+         ( [ 140.7; 316.2; 613.1 ],
+           [ 465.0; 1400.0; 84448.0 ],
+           [ 321.3; 820.1; 1166.7 ] );
+       ])
+    (sweep "table7")
 
 let figure3 table7_runs =
   title "Figure 3"
     "log2 back substitution kernel times at 5120/10240/20480 (V100)";
   bar_chart ~csv:"figure3" ~title:"tiled back substitution"
     ~groups:
-      (List.map
-         (fun (p, runs) ->
-           ( P.label p,
-             List.map2
-               (fun d r -> (string_of_int d, r.Harness.Report.kernel_ms))
-               [ 5120; 10240; 20480 ] runs ))
-         table7_runs)
+      (bars
+         (fun j -> Some (string_of_int j.Job.dim))
+         (List.map (fun (p, runs) -> (P.label p, runs)) table7_runs))
     ()
 
 let table8 () =
   title "Table 8"
     "tiled back substitution, quad double, N=80 tiles of n=32..256";
-  let ns = [ 32; 64; 96; 128; 160; 192; 224; 256 ] in
-  let cols = List.map string_of_int ns in
-  let paper =
-    [
-      ( Device.rtx2080,
-        [ 106.8; 267.7; 524.4; 907.2; 1465.1; 2170.4; 3096.3; 4392.3 ],
-        [ 17.4; 35.5; 49.6; 60.1; 67.0; 73.8; 78.6; 79.9 ] );
-      ( Device.p100,
-        [ 24.3; 49.6; 78.7; 119.0; 176.4; 259.8; 332.3; 431.7 ],
-        [ 76.4; 191.5; 330.6; 458.3; 556.7; 616.1; 732.2; 813.1 ] );
-      ( Device.v100,
-        [ 19.6; 37.8; 59.2; 86.4; 145.0; 184.6; 237.1; 314.5 ],
-        [ 94.9; 250.9; 439.6; 631.7; 677.4; 867.0; 1025.9; 1115.9 ] );
-    ]
+  let groups =
+    group_tables
+      ~key:(fun (j, _) -> j.Job.device)
+      ~heading:on_device
+      ~col:(fun (j, _) -> string_of_int j.Job.tile)
+      (List.map
+         (fun (pk, pkf) -> (Some pk, None, Some pkf, None))
+         [
+           ( [ 106.8; 267.7; 524.4; 907.2; 1465.1; 2170.4; 3096.3; 4392.3 ],
+             [ 17.4; 35.5; 49.6; 60.1; 67.0; 73.8; 78.6; 79.9 ] );
+           ( [ 24.3; 49.6; 78.7; 119.0; 176.4; 259.8; 332.3; 431.7 ],
+             [ 76.4; 191.5; 330.6; 458.3; 556.7; 616.1; 732.2; 813.1 ] );
+           ( [ 19.6; 37.8; 59.2; 86.4; 145.0; 184.6; 237.1; 314.5 ],
+             [ 94.9; 250.9; 439.6; 631.7; 677.4; 867.0; 1025.9; 1115.9 ] );
+         ])
+      (sweep "table8")
   in
-  let out = ref [] in
-  List.iter
-    (fun (d, pk, pkf) ->
-      pf "\n-- times on the %s --\n" d.Device.name;
-      let runs =
-        List.map (fun n -> Harness.Runners.bs P.QD d ~dim:(80 * n) ~tile:n) ns
-      in
-      out := (d.Device.name, runs) :: !out;
-      stage_table ~cols ~paper_kernels:pk ~paper_kflops:pkf runs)
-    paper;
-  let out = List.rev !out in
-  (match (List.assoc_opt "P100" out, List.assoc_opt "V100" out) with
+  (match (List.assoc_opt "P100" groups, List.assoc_opt "V100" groups) with
   | Some p100, Some v100 ->
-    let nth l i = (List.nth l i).Harness.Report.kernel_ms in
+    let nth l i = kernel_ms (snd (List.nth l i)) in
     pf "\nP100/V100 kernel-time ratio at n=224: %.1f (paper: 3.1)\n"
       (nth p100 6 /. nth v100 6);
     pf "P100/V100 kernel-time ratio at n=256: %.1f (paper: 2.6)\n"
       (nth p100 7 /. nth v100 7)
   | _ -> ());
-  out
+  groups
 
 let figure4 table8_runs =
   title "Figure 4"
     "log2 back substitution kernel times, quad double, N=80 (three GPUs)";
   bar_chart ~csv:"figure4" ~title:"tiled back substitution, n = 32..256"
-    ~groups:
-      (List.map
-         (fun (name, runs) ->
-           ( name,
-             List.map2
-               (fun n r -> (string_of_int n, r.Harness.Report.kernel_ms))
-               [ 32; 64; 96; 128; 160; 192; 224; 256 ]
-               runs ))
-         table8_runs)
+    ~groups:(bars (fun j -> Some (string_of_int j.Job.tile)) table8_runs)
     ()
 
 let table9 () =
   title "Table 9"
     "back substitution, quad double, dimension 20480 = N x n, V100";
-  let combos = [ (320, 64); (160, 128); (80, 256) ] in
+  let runs = sweep "table9" in
   stage_table
-    ~cols:(List.map (fun (nt, n) -> Printf.sprintf "%dx%d" nt n) combos)
+    ~cols:(List.map (fun (j, _) -> tiles_label j) runs)
     ~paper_kernels:[ 147.1; 175.0; 308.9 ]
     ~paper_wall:[ 2620.0; 2265.0; 2071.0 ]
     ~paper_kflops:[ 683.0; 861.1; 1136.1 ]
     ~paper_wflops:[ 38.3; 66.5; 169.5 ]
-    (List.map
-       (fun (_, n) -> Harness.Runners.bs P.QD Device.v100 ~dim:20480 ~tile:n)
-       combos)
+    (reports runs)
 
 let table10 () =
   title "Table 10"
     "least squares solving in four precisions, 1024x1024, 8 tiles of 128";
-  let precisions = [ P.D; P.DD; P.QD; P.OD ] in
-  let specs =
+  let paper =
     [
-      ( Device.rtx2080,
-        [ 327.4; 4082.2; 36128.9; 164626.8 ],
+      ( [ 327.4; 4082.2; 36128.9; 164626.8 ],
         [ 1.7; 20.8; 192.0; 895.1 ],
         [ 145.6; 251.0; 280.3; 291.3 ] );
-      ( Device.p100,
-        [ 268.9; 707.8; 5193.0; 20508.2 ],
+      ( [ 268.9; 707.8; 5193.0; 20508.2 ],
         [ 4.0; 7.5; 40.8; 181.8 ],
         [ 175.6; 1439.9; 1945.5; 2330.1 ] );
-      ( Device.v100,
-        [ 157.9; 451.1; 3020.6; 11924.5 ],
+      ( [ 157.9; 451.1; 3020.6; 11924.5 ],
         [ 2.0; 4.0; 28.0; 114.5 ],
         [ 299.6; 2262.9; 3340.0; 4004.4 ] );
     ]
   in
-  List.iter
-    (fun (d, pqr, pbs, pkf) ->
-      pf "\n-- times on the %s --\n" d.Device.name;
-      let runs =
-        List.map
-          (fun prec ->
-            Harness.Runners.(
-              run
-                (request ~kind:Solve ~prec ~device:d ~dim:1024 ~tile:128 ())))
-          precisions
-      in
+  List.iter2
+    (fun (name, group) (pqr, pbs, pkf) ->
+      pf "\n-- %s --\n" (on_device name);
+      let runs = reports group in
       let qr_of r = Harness.Report.part r Lsq_core.Solver.qr_part in
       let bs_of r = Harness.Report.part r Lsq_core.Solver.bs_part in
-      header "stage" (List.map P.label precisions);
+      header "stage" (List.map (fun (j, _) -> P.label j.Job.prec) group);
       row ~paper:pqr "QR kernel time"
         (List.map (fun r -> (qr_of r).Harness.Report.Part.kernel_ms) runs);
       row "QR wall time"
@@ -484,14 +452,15 @@ let table10 () =
         (List.map (fun r -> r.Harness.Report.kernel_gflops) runs);
       row "total wall flops"
         (List.map (fun r -> r.Harness.Report.wall_gflops) runs);
-      (match runs with
+      match runs with
       | [ _; _; qd; _ ] ->
         pf "QR/BS kernel-time ratio at 4d: %.0f (paper: ~108, i.e. closer \
             to 100 than 1000)\n"
           ((qr_of qd).Harness.Report.Part.kernel_ms
           /. (bs_of qd).Harness.Report.Part.kernel_ms)
-      | _ -> ()))
-    specs
+      | _ -> ())
+    (group_by (fun (j, _) -> j.Job.device) (sweep "table10"))
+    paper
 
 (* ------------------------------------------------------------------ *)
 (* Ablations beyond the paper                                          *)
@@ -593,14 +562,7 @@ let ablation_refinement () =
   let module RandH = Mdlinalg.Randmat.Make (R.KH) in
   let rng = Dompool.Prng.create 1771 in
   let n = 128 in
-  let a = RandH.matrix rng n n in
-  let a =
-    MH.init n n (fun i j ->
-        if i = j then
-          Multidouble.Quad_double.add (MH.get a i j)
-            (Multidouble.Quad_double.of_int 8)
-        else MH.get a i j)
-  in
+  let a = RandH.shifted rng n ~shift:8.0 in
   let x_true = RandH.vector rng n in
   let b = MH.matvec a x_true in
   let err x =
@@ -758,19 +720,13 @@ let ablation_stability () =
     module V = Mdlinalg.Vec.Make (K)
     module Qr = Mdlinalg.Host_qr.Make (K)
     module Ch = Mdlinalg.Cholesky.Make (K)
+    module Rand = Mdlinalg.Randmat.Make (K)
 
     let errors () =
       (* a Vandermonde fit, condition ~1e8: the normal equations square
          it while QR does not *)
       let m = 20 and n = 12 in
-      let point i = R.div (R.of_int (i + 1)) (R.of_int m) in
-      let a =
-        M.init m n (fun i k ->
-            let rec pow acc e =
-              if e = 0 then acc else pow (R.mul acc (point i)) (e - 1)
-            in
-            pow R.one k)
-      in
+      let a = Rand.vandermonde m n in
       let x_true = V.init n (fun i -> R.of_int (i + 1)) in
       let b = M.matvec a x_true in
       let err x =

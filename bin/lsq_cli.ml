@@ -436,42 +436,10 @@ let faults_cmd =
   let run device p dim tile complex runs rate seed kinds json obs =
     let req = request ~complex R.Solve device p ~dim ~tile in
     if runs < 1 then usage_error "--runs must be at least 1";
+    let fault = fault_config_of ~rate ~seed ~kinds in
     with_observability obs (fun () ->
-        let reports =
-          List.init runs (fun i ->
-              let fault = fault_config_of ~rate ~seed:(seed + i) ~kinds in
-              R.run { req with fault; execute = true })
-        in
-        let ok (r : Harness.Report.t) =
-          match r.Harness.Report.residual with
-          | Some v -> v.Harness.Report.ok
-          | None -> false
-        in
-        let tally f (r : Harness.Report.t) =
-          match r.Harness.Report.faults with Some x -> f x | None -> 0
-        in
-        let sum f = List.fold_left (fun acc r -> acc + tally f r) 0 reports in
-        let injected = sum Harness.Report.faults_injected in
-        let detected = sum (fun f -> f.Harness.Report.detected) in
-        let replays =
-          sum (fun f ->
-              f.Harness.Report.relaunches + f.Harness.Report.retransfers
-              + f.Harness.Report.replays)
-        in
-        let escalations = sum (fun f -> f.Harness.Report.escalations) in
-        let refined_runs =
-          List.length
-            (List.filter
-               (fun (r : Harness.Report.t) ->
-                 match r.Harness.Report.faults with
-                 | Some f -> f.Harness.Report.refined
-                 | None -> false)
-               reports)
-        in
-        let recovered_runs = List.length (List.filter ok reports) in
-        let rate_pct =
-          100.0 *. float_of_int recovered_runs /. float_of_int runs
-        in
+        let reports = R.campaign { req with fault } ~runs in
+        let c = Harness.Report.Campaign.of_reports reports in
         if json then
           print_endline
             (Obs.Json.to_string
@@ -489,15 +457,15 @@ let faults_cmd =
                           ("fault_rate", Obs.Json.Float rate);
                           ("fault_seed", Obs.Json.Int seed);
                         ] );
-                    ("injected", Obs.Json.Int injected);
-                    ("detected", Obs.Json.Int detected);
-                    ("replays", Obs.Json.Int replays);
-                    ("escalations", Obs.Json.Int escalations);
-                    ("refined_runs", Obs.Json.Int refined_runs);
-                    ("recovered_runs", Obs.Json.Int recovered_runs);
+                    ("injected", Obs.Json.Int c.injected);
+                    ("detected", Obs.Json.Int c.detected);
+                    ("replays", Obs.Json.Int c.replays);
+                    ("escalations", Obs.Json.Int c.escalations);
+                    ("refined_runs", Obs.Json.Int c.refined_runs);
+                    ("recovered_runs", Obs.Json.Int c.recovered_runs);
                     ( "recovery_rate",
                       Obs.Json.Float
-                        (float_of_int recovered_runs /. float_of_int runs) );
+                        (Harness.Report.Campaign.recovery_rate c) );
                     ( "reports",
                       Obs.Json.Arr
                         (List.map Harness.Report.to_json reports) );
@@ -514,23 +482,25 @@ let faults_cmd =
           pf "rate %g per launch, seeds %d..%d\n" rate seed (seed + runs - 1);
           List.iteri
             (fun i (r : Harness.Report.t) ->
-              let inj = tally Harness.Report.faults_injected r in
-              let refined =
+              let inj, refined =
                 match r.Harness.Report.faults with
-                | Some f -> f.Harness.Report.refined
-                | None -> false
+                | Some f ->
+                  (Harness.Report.faults_injected f, f.Harness.Report.refined)
+                | None -> (0, false)
               in
               pf "  run %2d (seed %d): %3d injected, %s%s\n" i (seed + i) inj
-                (if ok r then "recovered" else "NOT RECOVERED")
+                (if Harness.Report.recovered r then "recovered"
+                 else "NOT RECOVERED")
                 (if refined then " (refined)" else ""))
             reports;
-          pf "  %-24s %12d\n" "faults injected" injected;
-          pf "  %-24s %12d\n" "faults detected" detected;
-          pf "  %-24s %12d\n" "relaunches+replays" replays;
-          pf "  %-24s %12d\n" "escalations" escalations;
-          pf "  %-24s %12d\n" "refined runs" refined_runs;
-          pf "  %-24s %9d/%-2d (%.1f%%)\n" "recovery rate" recovered_runs runs
-            rate_pct
+          pf "  %-24s %12d\n" "faults injected" c.injected;
+          pf "  %-24s %12d\n" "faults detected" c.detected;
+          pf "  %-24s %12d\n" "relaunches+replays" c.replays;
+          pf "  %-24s %12d\n" "escalations" c.escalations;
+          pf "  %-24s %12d\n" "refined runs" c.refined_runs;
+          pf "  %-24s %9d/%-2d (%.1f%%)\n" "recovery rate" c.recovered_runs
+            runs
+            (100.0 *. float_of_int c.recovered_runs /. float_of_int runs)
         end)
   in
   Cmd.v
@@ -628,12 +598,7 @@ let refine_cmd =
     let module Rf = Lsq_core.Refine.Make (L) (H) in
     let module Rand = Mdlinalg.Randmat.Make (Rf.KH) in
     let rng = Dompool.Prng.create 99 in
-    let a = Rand.matrix rng dim dim in
-    let a =
-      Rf.MH.init dim dim (fun i j ->
-          if i = j then H.add (Rf.MH.get a i j) (H.of_int 8)
-          else Rf.MH.get a i j)
-    in
+    let a = Rand.shifted rng dim ~shift:8.0 in
     let x_true = Rand.vector rng dim in
     let b = Rf.MH.matvec a x_true in
     let res = Rf.solve ~device ~a ~b ~tile () in
@@ -674,17 +639,13 @@ let toeplitz_cmd =
   let run device p blockdim degree complex =
     let (module K) = Lsq_core.Solver.scalar_of ~complex p in
     let module BT = Mdseries.Block_toeplitz.Make (K) in
-    let module M = Mdlinalg.Mat.Make (K) in
+    let module Rand = Mdlinalg.Randmat.Make (K) in
     let module V = Mdlinalg.Vec.Make (K) in
     let rng = Dompool.Prng.create 7 in
     let j =
       Array.init (degree + 1) (fun k ->
-          let m = M.random rng blockdim blockdim in
-          if k = 0 then
-            M.init blockdim blockdim (fun i j' ->
-                if i = j' then K.add (M.get m i j') (K.of_float 6.0)
-                else M.get m i j')
-          else m)
+          if k = 0 then Rand.shifted rng blockdim ~shift:6.0
+          else Rand.matrix rng blockdim blockdim)
     in
     let x_true = Array.init (degree + 1) (fun _ -> V.random rng blockdim) in
     let b = BT.apply j x_true in
@@ -783,23 +744,14 @@ let cond_cmd =
   let run p dim family wanted =
     let (module R) = Multidouble.Registry.module_of_tag p in
     let module K = Mdlinalg.Scalar.Real (R) in
-    let module M = Mdlinalg.Mat.Make (K) in
+    let module Rand = Mdlinalg.Randmat.Make (K) in
     let module C = Mdlinalg.Cond.Make (K) in
     let module Svd = Mdlinalg.Jacobi_svd.Make (K) in
     let a =
       match family with
-      | `Hilbert ->
-        M.init dim dim (fun i j -> R.div R.one (R.of_int (i + j + 1)))
-      | `Vandermonde ->
-        M.init dim dim (fun i k ->
-            let x = R.div (R.of_int (i + 1)) (R.of_int dim) in
-            let rec pow acc e =
-              if e = 0 then acc else pow (R.mul acc x) (e - 1)
-            in
-            pow R.one k)
-      | `Random ->
-        let rng = Dompool.Prng.create 4 in
-        M.random rng dim dim
+      | `Hilbert -> Rand.hilbert dim
+      | `Vandermonde -> Rand.vandermonde dim dim
+      | `Random -> Rand.matrix (Dompool.Prng.create 4) dim dim
     in
     (try
        let c1 = C.cond1 a in
@@ -809,14 +761,8 @@ let cond_cmd =
     pf "kappa_2  = %s\n" (R.to_string ~digits:4 c2);
     let risk = Float.log10 (Float.max 1.0 (R.to_float c2)) in
     pf "digits at risk ~ %.1f\n" risk;
-    let safe =
-      List.find_opt
-        (fun q ->
-          (float_of_int (P.limbs q) *. 16.0) -. risk >= float_of_int wanted)
-        P.all
-    in
     pf "cheapest precision leaving %d trusted digits: %s\n" wanted
-      (match safe with
+      (match P.cheapest ~less:risk ~digits:(float_of_int wanted) with
       | Some q -> Printf.sprintf "%s (%s)" (P.name q) (P.label q)
       | None -> "beyond octo double")
   in

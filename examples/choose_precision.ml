@@ -11,16 +11,13 @@
 open Mdlinalg
 module P = Multidouble.Precision
 
-(* A graded family: Hilbert-like matrices of growing condition number. *)
+(* A graded family: Hilbert matrices of growing condition number. *)
 module Build (R : Multidouble.Md_sig.S) = struct
   module K = Scalar.Real (R)
-  module M = Mat.Make (K)
   module C = Cond.Make (K)
+  module Rand = Randmat.Make (K)
 
-  let hilbert n =
-    M.init n n (fun i j -> R.div R.one (R.of_int (i + j + 1)))
-
-  let digits_at_risk n = C.digits_at_risk (hilbert n)
+  let digits_at_risk n = C.digits_at_risk (Rand.hilbert n)
 end
 
 let () =
@@ -31,13 +28,8 @@ let () =
   List.iter
     (fun n ->
       let risk = B.digits_at_risk n in
-      let safe =
-        List.find_opt
-          (fun p -> (float_of_int (P.limbs p) *. 16.0) -. risk >= wanted_digits)
-          P.all
-      in
       Printf.printf "%6d %16.1f %28s\n" n risk
-        (match safe with
+        (match P.cheapest ~less:risk ~digits:wanted_digits with
         | Some p -> Printf.sprintf "%s (%s)" (P.name p) (P.label p)
         | None -> "more than octo double"))
     [ 4; 8; 12; 16; 24; 32 ];
@@ -52,7 +44,8 @@ let () =
     let module M = Mat.Make (K) in
     let module V = Vec.Make (K) in
     let module S = Lsq_core.Solver.Make (K) in
-    let h = M.init n n (fun i j -> R.div R.one (R.of_int (i + j + 1))) in
+    let module Rand = Randmat.Make (K) in
+    let h = Rand.hilbert n in
     let x_true = V.init n (fun i -> R.of_int (i + 1)) in
     let b = M.matvec h x_true in
     let res =

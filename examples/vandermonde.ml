@@ -27,16 +27,10 @@ module Fit (R : Multidouble.Md_sig.S) = struct
         let c = R.div R.one (R.of_int (k + 1)) in
         if k land 1 = 1 then R.neg c else c)
 
-  (* Sample points on [0, 1]; the Vandermonde matrix of their powers. *)
+  (* Sample points on (0, 1]; the Vandermonde matrix of their powers. *)
   let build () =
-    let point i =
-      R.div (R.of_int (i + 1)) (R.of_int samples)
-    in
-    let a =
-      M.init samples (degree + 1) (fun i k ->
-          let rec pow acc n = if n = 0 then acc else pow (R.mul acc (point i)) (n - 1) in
-          pow R.one k)
-    in
+    let module Rand = Randmat.Make (K) in
+    let a = Rand.vandermonde samples (degree + 1) in
     let b = M.matvec a coeffs in
     (a, b)
 

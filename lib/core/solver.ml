@@ -882,18 +882,15 @@ module Make (K : Scalar.S) = struct
 
   (* ---- the precision ladder around the iterative engines ---- *)
 
-  (* Roughly sixteen decimal digits per limb word, minus a safety
-     margin: the smallest precision whose digits cover the estimated
-     loss [log10 cond(A^H A)] plus the margin starts the ladder. *)
+  (* The smallest precision whose digits ([P.cheapest]) cover the
+     estimated loss [log10 cond(A^H A)] plus a safety margin starts the
+     ladder; the target when none below it does. *)
   let start_margin = 6.0
 
   let pick_start ~digits =
-    let target_limbs = P.limbs K.prec in
-    let fits tag =
-      P.limbs tag <= target_limbs
-      && (16.0 *. float_of_int (P.limbs tag)) -. start_margin >= digits
-    in
-    match List.find_opt fits P.all with Some t -> t | None -> K.prec
+    match P.cheapest ~less:start_margin ~digits with
+    | Some t when P.limbs t <= P.limbs K.prec -> t
+    | _ -> K.prec
 
   (* ---- the host-side products around the ladder ----
 

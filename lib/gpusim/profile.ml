@@ -170,3 +170,15 @@ let total_ops t =
 
 let total_launches t =
   Hashtbl.fold (fun _ (e : entry) acc -> acc + e.launches) t.table 0
+
+(* Per-stage roofline diagnostics: flops from the Table 1 multipliers,
+   bytes and time terms straight from the cost model's accounting. *)
+let roofline (device : Device.t) prec rows =
+  List.map
+    (fun r ->
+      Obs.Roofline.classify ~stage:r.stage ~ms:r.ms ~launches:r.launches
+        ~flops:(Counter.flops prec r.ops)
+        ~bytes:(r.cold_bytes +. r.thread_bytes)
+        ~compute_ms:r.compute_ms ~memory_ms:r.memory_ms
+        ~peak_gflops:device.Device.dp_peak_gflops)
+    rows

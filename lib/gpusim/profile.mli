@@ -49,3 +49,9 @@ val stage_launches : t -> string -> int
 val total_ms : t -> float
 val total_ops : t -> Counter.ops
 val total_launches : t -> int
+
+val roofline :
+  Device.t -> Multidouble.Precision.tag -> row list -> Obs.Roofline.stage list
+(** Per-stage roofline diagnostics of [rows] at a precision on a device:
+    flops from the Table 1 multipliers, bytes and compute/memory time
+    terms straight from the cost model's accounting. *)

@@ -276,18 +276,8 @@ let launches t = Profile.total_launches t.profile
    launches. *)
 let breakdown t = Profile.rows t.profile
 
-(* Per-stage roofline diagnostics: flops from the Table 1 multipliers,
-   bytes and time terms straight from the cost model's accounting. *)
-let roofline t =
-  List.map
-    (fun (r : Profile.row) ->
-      Obs.Roofline.classify ~stage:r.Profile.stage ~ms:r.Profile.ms
-        ~launches:r.Profile.launches
-        ~flops:(Counter.flops t.prec r.Profile.ops)
-        ~bytes:(r.Profile.cold_bytes +. r.Profile.thread_bytes)
-        ~compute_ms:r.Profile.compute_ms ~memory_ms:r.Profile.memory_ms
-        ~peak_gflops:t.device.Device.dp_peak_gflops)
-    (Profile.rows t.profile)
+(* Per-stage roofline diagnostics against this simulator's device. *)
+let roofline t = Profile.roofline t.device t.prec (Profile.rows t.profile)
 
 (* Gigaflops over the time spent by the kernels ("kernel flops"). *)
 let kernel_gflops t =

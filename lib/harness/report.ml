@@ -113,6 +113,45 @@ let part_opt t name = List.find_opt (fun p -> p.Part.name = name) t.parts
 
 let stage_ms t = List.map (fun r -> (r.Row.stage, r.Row.ms)) t.stages
 
+(* Whether the run's final residual check passed. *)
+let recovered t = match t.residual with Some v -> v.ok | None -> false
+
+module Campaign = struct
+  type report = t
+
+  type t = {
+    runs : int;
+    injected : int;
+    detected : int;
+    replays : int;
+    escalations : int;
+    refined_runs : int;
+    recovered_runs : int;
+  }
+
+  let of_reports (reports : report list) =
+    let sum f =
+      List.fold_left
+        (fun acc (r : report) ->
+          match r.faults with Some x -> acc + f x | None -> acc)
+        0 reports
+    in
+    let count p = List.length (List.filter p reports) in
+    {
+      runs = List.length reports;
+      injected = sum faults_injected;
+      detected = sum (fun f -> f.detected);
+      replays = sum (fun f -> f.relaunches + f.retransfers + f.replays);
+      escalations = sum (fun f -> f.escalations);
+      refined_runs =
+        count (fun (r : report) ->
+            match r.faults with Some f -> f.refined | None -> false);
+      recovered_runs = count recovered;
+    }
+
+  let recovery_rate c = float_of_int c.recovered_runs /. float_of_int c.runs
+end
+
 (* ---- JSON ---- *)
 
 let json_of_part (p : Part.t) =

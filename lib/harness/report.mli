@@ -119,6 +119,30 @@ val stage_ms : t -> (string * float) list
 (** The schema-1 view of {!field-stages}: stage names paired with their
     kernel milliseconds. *)
 
+val recovered : t -> bool
+(** The run's final residual check passed ([false] without a
+    residual). *)
+
+(** The tally of a seeded fault campaign, one report per run. *)
+module Campaign : sig
+  type report := t
+
+  type t = {
+    runs : int;
+    injected : int;  (** {!faults_injected}, summed *)
+    detected : int;
+    replays : int;  (** relaunches + retransfers + stage replays *)
+    escalations : int;
+    refined_runs : int;  (** runs the refinement fallback repaired *)
+    recovered_runs : int;  (** runs that are {!recovered} *)
+  }
+
+  val of_reports : report list -> t
+
+  val recovery_rate : t -> float
+  (** [recovered_runs / runs]. *)
+end
+
 val to_json : t -> Json.t
 val of_json : Json.t -> t
 (** Raises [Json.Error] on a malformed document or a schema-version

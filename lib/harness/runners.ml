@@ -329,17 +329,7 @@ module Make (K : Scalar.S) = struct
         S.plan ~method_:m ~device:r.device ~rows:(rows_of r) ~cols:r.dim
           ~tile:r.tile ()
       in
-      List.map
-        (fun (row : Gpusim.Profile.row) ->
-          Obs.Roofline.classify ~stage:row.Gpusim.Profile.stage
-            ~ms:row.Gpusim.Profile.ms ~launches:row.Gpusim.Profile.launches
-            ~flops:(Gpusim.Counter.flops K.prec row.Gpusim.Profile.ops)
-            ~bytes:
-              (row.Gpusim.Profile.cold_bytes +. row.Gpusim.Profile.thread_bytes)
-            ~compute_ms:row.Gpusim.Profile.compute_ms
-            ~memory_ms:row.Gpusim.Profile.memory_ms
-            ~peak_gflops:r.device.Gpusim.Device.dp_peak_gflops)
-        p.S.stages
+      Gpusim.Profile.roofline r.device K.prec p.S.stages
 end
 
 let run r =
@@ -347,6 +337,16 @@ let run r =
   let (module K) = Solver.scalar_of ~complex:r.complex r.prec in
   let module X = Make (K) in
   X.run r
+
+let campaign r ~runs =
+  List.init runs (fun i ->
+      let fault =
+        Option.map
+          (fun (c : Fault.Plan.config) ->
+            { c with Fault.Plan.seed = c.Fault.Plan.seed + i })
+          r.fault
+      in
+      run { r with fault; execute = true })
 
 let roofline r =
   check r;

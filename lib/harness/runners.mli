@@ -69,6 +69,12 @@ val run : request -> Report.t
     an iterative one its ladder rungs, plus the solver record.
     @raise Invalid_argument when {!validate} fails. *)
 
+val campaign : request -> runs:int -> Report.t list
+(** A seeded fault campaign: [runs] executed runs of the request, the
+    [i]-th with its fault plan's seed advanced by [i] (an executed solve
+    takes the fault-tolerant path).  Tally it with
+    {!Report.Campaign.of_reports}. *)
+
 val roofline : request -> Obs.Roofline.stage list
 (** Per-stage roofline diagnostics of the fault-free plan ([fault] and
     [execute] are ignored): the QR stages, the back substitution stages,

@@ -92,3 +92,10 @@ let predicted_overhead ~lo ~hi = average_flops hi /. average_flops lo
 
 (* Bytes of one number in the staggered representation. *)
 let bytes p = 8 * limbs p
+
+(* Roughly sixteen decimal digits per limb word: the first precision
+   with 16·limbs − less ≥ digits, i.e. whose digits cover both. *)
+let cheapest ~less ~digits =
+  List.find_opt
+    (fun p -> (16.0 *. float_of_int (limbs p)) -. less >= digits)
+    all

@@ -57,3 +57,9 @@ val predicted_overhead : lo:tag -> hi:tag -> float
 
 val bytes : tag -> int
 (** Bytes of one number in the staggered device representation. *)
+
+val cheapest : less:float -> digits:float -> tag option
+(** The paper's §1.1 trade of digits for cost: the first tag of {!all}
+    whose roughly sixteen decimal digits per limb, less [less], still
+    hold [digits] ([16·limbs − less ≥ digits]).  [None] when not even
+    octo double does, as for a NaN or +∞ [digits]. *)

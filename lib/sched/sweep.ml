@@ -1,6 +1,8 @@
-(* Job generators reproducing the paper's tables as batches: the same
-   device / precision / shape grids the table printers in bench/ sweep,
-   expressed as scheduler jobs. *)
+(* Job generators reproducing the paper's tables as batches: the one
+   definition of each table's device / precision / shape grid.  The
+   table printers in bench/tables.ml, [lsq_cli batch --sweep] and the
+   performance ledger's paper_tables workload all run these jobs, in
+   this order. *)
 
 module P = Multidouble.Precision
 module D = Gpusim.Device

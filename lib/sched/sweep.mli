@@ -1,6 +1,7 @@
 (** Job generators that reproduce a whole table of the paper's
     evaluation section as one batch — the sweeps behind
-    [lsq_cli batch --sweep NAME]. *)
+    [lsq_cli batch --sweep NAME], the bench's table printers and the
+    performance ledger's paper_tables workload. *)
 
 val names : string list
 (** The available sweeps: ["table3"] .. ["table10"], plus ["fleet"] — a

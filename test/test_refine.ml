@@ -21,13 +21,8 @@ module Check (Lo : Multidouble.Md_sig.S) (Hi : Multidouble.Md_sig.S) = struct
   let run () =
     let rng = Dompool.Prng.create 404 in
     let n = 24 in
-    let a = RandH.matrix rng n n in
-    (* Make it comfortably nonsingular. *)
-    let a =
-      MH.init n n (fun i j ->
-          if i = j then Hi.add (MH.get a i j) (Hi.of_int 8)
-          else MH.get a i j)
-    in
+    (* Comfortably nonsingular. *)
+    let a = RandH.shifted rng n ~shift:8.0 in
     let x_true = RandH.vector rng n in
     let b = MH.matvec a x_true in
     let res = R.solve ~a ~b ~tile:8 () in
@@ -80,15 +75,10 @@ let test_promote_demote () =
 
 let test_complex_refinement () =
   let module R = Refine.Make_scalar (Scalar.Zdd) (Scalar.Zqd) in
-  let module KH = Scalar.Zqd in
+  let module RandH = Randmat.Make (Scalar.Zqd) in
   let rng = Dompool.Prng.create 406 in
   let n = 16 in
-  let a = R.MH.random rng n n in
-  let a =
-    R.MH.init n n (fun i j ->
-        if i = j then KH.add (R.MH.get a i j) (KH.of_float 8.0)
-        else R.MH.get a i j)
-  in
+  let a = RandH.shifted rng n ~shift:8.0 in
   let x_true = R.VH.random rng n in
   let b = R.MH.matvec a x_true in
   let res = R.solve ~a ~b ~tile:8 () in

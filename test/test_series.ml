@@ -184,14 +184,10 @@ module T (K : Scalar.S) = struct
   (* ---- block Toeplitz ---- *)
 
   let rand_mat_series rng ~n ~degree : BT.mat_series =
+    let module Rand = Randmat.Make (K) in
     Array.init (degree + 1) (fun k ->
-        let m = M.random rng n n in
-        if k = 0 then
-          (* diagonally dominant J_0: safely invertible *)
-          M.init n n (fun i j ->
-              if i = j then K.add (M.get m i j) (K.of_float 6.0)
-              else M.get m i j)
-        else m)
+        (* diagonally dominant J_0: safely invertible *)
+        if k = 0 then Rand.shifted rng n ~shift:6.0 else M.random rng n n)
 
   let test_toeplitz_recursive () =
     let rng = Dompool.Prng.create 66 in

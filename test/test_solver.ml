@@ -195,6 +195,21 @@ let test_singular_estimate () =
       check "single rung" true (List.map fst it.Solver.ladder = [ P.DD ]))
     [ true; false ]
 
+(* The one digits-for-cost rule behind the ladder start, [lsq_cli
+   cond] and the choose_precision example: 16·limbs − less ≥ digits.
+   At equality the rung qualifies; past octo double, and for NaN or
+   infinite digits, nothing does, and [pick_start] keeps the target. *)
+let test_precision_rule () =
+  let pick less digits = P.cheapest ~less ~digits in
+  check "16 - 6 = 10 is 1d" true (pick 6.0 10.0 = Some P.D);
+  check "just past 1d is 2d" true (pick 6.0 (Float.succ 10.0) = Some P.DD);
+  check "32 - 6 = 26 is 2d" true (pick 6.0 26.0 = Some P.DD);
+  check "64 - 13.5 = 50.5 is 4d" true (pick 13.5 50.5 = Some P.QD);
+  check "128 - 0 = 128 is 8d" true (pick 0.0 128.0 = Some P.OD);
+  check "beyond octo double" true (pick 0.0 (Float.succ 128.0) = None);
+  check "infinite digits" true (pick 6.0 Float.infinity = None);
+  check "NaN digits" true (pick 6.0 Float.nan = None)
+
 (* The staged ladder estimate runs [Cond.cond1_float]; it must give the
    boxed plain double [cond1]'s bits, with [Singular] read as infinity,
    on random, zero-column and NaN-bearing matrices. *)
@@ -323,7 +338,10 @@ let () =
   Alcotest.run "solver-engine"
     [
       ( "dispatch",
-        [ Alcotest.test_case "method names" `Quick test_method_names ] );
+        [
+          Alcotest.test_case "method names" `Quick test_method_names;
+          Alcotest.test_case "precision rule" `Quick test_precision_rule;
+        ] );
       ( "agreement",
         [
           Alcotest.test_case "engines agree" `Slow test_engines_agree;
