@@ -359,6 +359,12 @@ module Generic (S : Md_sig.S) = struct
       ] )
 end
 
+(* Triple double: the generic expansion at m = 3. *)
+module Triple_double = Expansion.Make (struct
+  let limbs = 3
+  let name = "triple double"
+end)
+
 module G1 = Generic (Float_double)
 module G2 = Generic (Double_double)
 module G3 = Generic (Triple_double)

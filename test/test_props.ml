@@ -9,6 +9,12 @@ open Mdlinalg
 let to_alco ?(count = 100) name gen law =
   QCheck_alcotest.to_alcotest (QCheck2.Test.make ~count ~name gen law)
 
+(* Triple double: the generic expansion at m = 3. *)
+module Triple_double = Expansion.Make (struct
+  let limbs = 3
+  let name = "triple double"
+end)
+
 module Props (S : Md_sig.S) = struct
   open QCheck2
 
