@@ -107,7 +107,11 @@ let spills (d : Device.t) (l : launch) =
    producing it is one small allocation and reading it none. *)
 type eval = { ms : float; compute_s : float; dram_s : float; cache_s : float }
 
-let evaluate (d : Device.t) (p : Multidouble.Precision.tag) (l : launch) =
+(* The roofline at a given occupancy [occ], the one body of the model.
+   Inlined into its two callers below, so [occ] stays unboxed: a call
+   would box it on every launch. *)
+let[@inline] roofline (d : Device.t) (p : Multidouble.Precision.tag)
+    (l : launch) occ =
   let o = match l.padded with Some o -> o | None -> l.ops in
   (* [Counter.flops], written out so the sum stays unboxed. *)
   let w = Counter.weights p in
@@ -115,7 +119,6 @@ let evaluate (d : Device.t) (p : Multidouble.Precision.tag) (l : launch) =
     (o.adds *. w.adds) +. (o.muls *. w.muls) +. (o.divs *. w.divs)
     +. (o.sqrts *. w.sqrts)
   in
-  let occ = occupancy d ~blocks:l.blocks ~threads:l.threads in
   let peak = d.dp_peak_gflops *. 1e9 *. arithmetic_efficiency in
   let compute_s = flops /. (peak *. fmax occ 1e-6) in
   let dram_s = l.cold_bytes /. (d.dram_gb_s *. 1e9) in
@@ -142,6 +145,51 @@ let evaluate (d : Device.t) (p : Multidouble.Precision.tag) (l : launch) =
     dram_s;
     cache_s;
   }
+
+let evaluate d p (l : launch) =
+  roofline d p l (occupancy d ~blocks:l.blocks ~threads:l.threads)
+
+(* The occupancy term memoized on [(blocks, threads)] for one device: a
+   direct-mapped table, each slot holding one key and its occupancy.
+   Every slot starts as the key (0, 0) with its true value, so a hit
+   always returns what [occupancy] computes, bit for bit, and a miss
+   computes it and takes the slot.  Mutable and unsynchronized: a memo
+   belongs to one simulator, whose accounting runs on one domain. *)
+type memo = {
+  device : Device.t;
+  memo_blocks : int array;
+  memo_threads : int array;
+  memo_occ : float array;
+}
+
+(* A power of two.  A plan's launches share their [threads] and sweep
+   [blocks] over consecutive small values, which land in distinct
+   slots. *)
+let memo_slots = 128
+
+let memo (d : Device.t) =
+  {
+    device = d;
+    memo_blocks = Array.make memo_slots 0;
+    memo_threads = Array.make memo_slots 0;
+    memo_occ = Array.make memo_slots (occupancy d ~blocks:0 ~threads:0);
+  }
+
+let evaluate_memo m p (l : launch) =
+  let blocks = l.blocks and threads = l.threads in
+  let i = (blocks + (threads * 61)) land (memo_slots - 1) in
+  let occ =
+    if m.memo_blocks.(i) = blocks && m.memo_threads.(i) = threads then
+      m.memo_occ.(i)
+    else begin
+      let o = occupancy m.device ~blocks ~threads in
+      m.memo_blocks.(i) <- blocks;
+      m.memo_threads.(i) <- threads;
+      m.memo_occ.(i) <- o;
+      o
+    end
+  in
+  roofline m.device p l occ
 
 let kernel_ms d p l = (evaluate d p l).ms
 

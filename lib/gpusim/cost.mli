@@ -94,6 +94,18 @@ val evaluate : Device.t -> Multidouble.Precision.tag -> launch -> eval
 (** The model, evaluated once; {!kernel_ms} and {!terms} are views of
     it. *)
 
+type memo
+(** One device's {!occupancy} term, memoized on [(blocks, threads)] in a
+    small direct-mapped table (a few hundred words).  Mutable and
+    unsynchronized: use a memo from one domain at a time. *)
+
+val memo : Device.t -> memo
+
+val evaluate_memo : memo -> Multidouble.Precision.tag -> launch -> eval
+(** [evaluate_memo (memo d) p l] equals [evaluate d p l] bit for bit:
+    the same roofline body, at the occupancy the table holds for the
+    launch's shape or computes on a miss. *)
+
 val kernel_ms : Device.t -> Multidouble.Precision.tag -> launch -> float
 (** Modeled milliseconds of one launch. *)
 

@@ -18,16 +18,55 @@
 
    Plan-only jobs at the paper's dimensions are thousands of launches
    whose only work is this accounting, so one launch evaluates the
-   roofline once ([Cost.evaluate]) and feeds the profile's unboxed sums
-   straight from it; with the tracer off and no fault plan armed it
-   allocates no closure either. *)
+   roofline once and feeds the profile's unboxed sums straight from it;
+   with the tracer off and no fault plan armed it allocates no closure
+   either.  Two more things are resolved once per simulator rather than
+   once per launch, and neither moves an output bit:
 
-(* The wall-clock terms outside the kernels.  A flat float record, so
-   the per-launch [host_ms] update stores unboxed. *)
+   - The occupancy term.  It depends only on the device and the launch's
+     (blocks, threads), and a plan repeats a few hundred shapes, so each
+     simulator keeps a small direct-mapped memo of it ([Cost.memo]).  A
+     hit returns the value [Cost.occupancy] computed for that key, and
+     the roofline body is the one [Cost.evaluate] runs.  The memo is
+     per simulator, not global, because one simulator's accounting runs
+     on one domain while fleet workers plan concurrently.
+   - The [sim.launches] and [sim.kernel_ms] shards of the creating
+     domain.  A launch accounted there adds to them directly; the
+     registry path would reach the same shards with the same values in
+     the same order.  A launch accounted on any other domain falls back
+     to the registry path, which writes that domain's own shard, so no
+     shard is ever written by two domains.
+
+   The traced path samples a running device-ms total kept in [clock], in
+   launch order, instead of folding the profile on every launch;
+   [kernel_ms] and the reports keep the fold. *)
+
+(* The wall-clock terms outside the kernels, and the running device
+   clock the trace's counter track samples.  A flat float record, so the
+   per-launch updates store unboxed. *)
 type clock = {
   mutable transfer_ms : float;
   mutable host_ms : float;
   mutable peak_bytes : float; (* largest resident data set, for RAM model *)
+  mutable device_ms : float; (* kernel ms, summed in launch order *)
+}
+
+(* A domain's ambient simulator settings: whether it is in a what-if
+   scope (see [what_if]) and its brownout slowdown (see
+   [with_slowdown]).  The record's identity also tells the domain that
+   created a simulator from any other.  Not all floats, so [slowdown]
+   stays boxed and a launch passes it on without boxing it again. *)
+type domain_state = { mutable what_if : bool; mutable slowdown : float }
+
+let domain_key =
+  Domain.DLS.new_key (fun () -> { what_if = false; slowdown = 1.0 })
+
+(* The [sim.*] metric shards of the domain that created the simulator,
+   taken once at [create]. *)
+type meter = {
+  home : domain_state;
+  launches_shard : Obs.Metrics.Counter.shard;
+  kernel_ms_shard : Obs.Metrics.Histogram.shard;
 }
 
 type t = {
@@ -37,6 +76,8 @@ type t = {
   mutable execute : bool;
   profile : Profile.t;
   clock : clock;
+  memo : Cost.memo;
+  meter : meter;
   fault : Fault.Plan.t option;
   mutable corruptor : (Dompool.Prng.t -> string) option;
   metered : bool;
@@ -60,28 +101,37 @@ let m_kernel_ms =
 (* What-if scope: a simulator created in it accrues its launches and
    transfers as any other but counts them in no [sim.*] metric, and the
    domain's trace records nothing while it lasts. *)
-let what_if_key = Domain.DLS.new_key (fun () -> ref false)
-
 let what_if f =
-  let w = Domain.DLS.get what_if_key in
-  let was = !w in
-  w := true;
-  Fun.protect ~finally:(fun () -> w := was) (fun () -> Obs.Tracer.muted f)
+  let d = Domain.DLS.get domain_key in
+  let was = d.what_if in
+  d.what_if <- true;
+  Fun.protect
+    ~finally:(fun () -> d.what_if <- was)
+    (fun () -> Obs.Tracer.muted f)
 
 let create ?(execute = true) ?pool ?fault ?(fault_salt = 0) ~device ~prec () =
   let pool =
     match pool with Some p -> p | None -> Dompool.Domain_pool.get_default ()
   in
+  let here = Domain.DLS.get domain_key in
   {
     device;
     prec;
     pool;
     execute;
     profile = Profile.create ();
-    clock = { transfer_ms = 0.0; host_ms = 0.0; peak_bytes = 0.0 };
+    clock =
+      { transfer_ms = 0.0; host_ms = 0.0; peak_bytes = 0.0; device_ms = 0.0 };
+    memo = Cost.memo device;
+    meter =
+      {
+        home = here;
+        launches_shard = Obs.Metrics.Counter.shard (m_launches ());
+        kernel_ms_shard = Obs.Metrics.Histogram.shard (m_kernel_ms ());
+      };
     fault = Option.map (fun cfg -> Fault.Plan.arm ~salt:fault_salt cfg) fault;
     corruptor = None;
-    metered = not !(Domain.DLS.get what_if_key);
+    metered = not here.what_if;
   }
 
 (* Ambient brownout slowdown: a browned-out device runs every kernel and
@@ -90,18 +140,17 @@ let create ?(execute = true) ?pool ?fault ?(fault_salt = 0) ~device ~prec () =
    running concurrently on healthy instances.  Read at accounting time on
    the launching domain (kernel bodies may run on pool domains, but
    [account]/[transfer] never do). *)
-let slowdown_key = Domain.DLS.new_key (fun () -> 1.0)
-
-let ambient_slowdown () = Domain.DLS.get slowdown_key
+let ambient_slowdown () = (Domain.DLS.get domain_key).slowdown
 
 let with_slowdown factor f =
   if Float.is_nan factor || factor < 1.0 then
     invalid_arg
       (Printf.sprintf "Gpusim.Sim.with_slowdown: factor %g must be >= 1"
          factor);
-  let prev = Domain.DLS.get slowdown_key in
-  Domain.DLS.set slowdown_key (prev *. factor);
-  Fun.protect ~finally:(fun () -> Domain.DLS.set slowdown_key prev) f
+  let d = Domain.DLS.get domain_key in
+  let prev = d.slowdown in
+  d.slowdown <- prev *. factor;
+  Fun.protect ~finally:(fun () -> d.slowdown <- prev) f
 
 let fault_plan t = t.fault
 let fault_tally t = Option.map Fault.Plan.snapshot t.fault
@@ -111,23 +160,36 @@ let reset t =
   Profile.reset t.profile;
   t.clock.transfer_ms <- 0.0;
   t.clock.host_ms <- 0.0;
-  t.clock.peak_bytes <- 0.0
+  t.clock.peak_bytes <- 0.0;
+  t.clock.device_ms <- 0.0
 
-(* Cost accounting of one launch: one roofline evaluation feeds the
-   modeled milliseconds and time terms to the profile, the per-launch
-   host cost goes to [host_ms], and the registry tallies (unless the
-   simulator is a what-if's).  Returns the evaluation, which the tracer
-   reads; a float result would be boxed on every launch. *)
+(* Cost accounting of one launch: one roofline evaluation (at the
+   memoized occupancy) feeds the modeled milliseconds and time terms to
+   the profile and the running device clock, the per-launch host cost
+   goes to [host_ms], and the registry tallies (unless the simulator is
+   a what-if's) — through the shards taken at [create] on the creating
+   domain, through the registry on any other.  Returns the evaluation,
+   which the tracer reads; a float result would be boxed on every
+   launch. *)
 let account t ~stage ~(cost : Cost.launch) =
-  let slowdown = ambient_slowdown () in
-  let e = Cost.evaluate t.device t.prec cost in
+  let here = Domain.DLS.get domain_key in
+  let slowdown = here.slowdown in
+  let e = Cost.evaluate_memo t.memo t.prec cost in
   Profile.record t.profile ~stage ~slowdown cost e;
+  let ms = e.Cost.ms *. slowdown in
+  t.clock.device_ms <- t.clock.device_ms +. ms;
   t.clock.host_ms <-
     t.clock.host_ms
     +. (float_of_int cost.Cost.count *. Cost.host_launch_ms t.device);
   if t.metered then begin
-    Obs.Metrics.Counter.add (m_launches ()) cost.Cost.count;
-    Obs.Metrics.Histogram.observe (m_kernel_ms ()) (e.Cost.ms *. slowdown)
+    if here == t.meter.home then begin
+      Obs.Metrics.Counter.shard_add t.meter.launches_shard cost.Cost.count;
+      Obs.Metrics.Histogram.shard_observe t.meter.kernel_ms_shard ms
+    end
+    else begin
+      Obs.Metrics.Counter.add (m_launches ()) cost.Cost.count;
+      Obs.Metrics.Histogram.observe (m_kernel_ms ()) ms
+    end
   end;
   e
 
@@ -149,7 +211,7 @@ let traced t ~stage ~(cost : Cost.launch) (e : Cost.eval) run =
       ]
     in
     Obs.Tracer.span ~cat:"kernel" ~args stage run;
-    Obs.Tracer.counter "sim.device_ms" (Profile.total_ms t.profile)
+    Obs.Tracer.counter "sim.device_ms" t.clock.device_ms
   end
 
 (* Fault envelope around one kernel launch.  Drawn once per issued

@@ -26,7 +26,12 @@
 
 type clock
 (** Transfer, host-launch and peak-footprint accumulators behind
-    {!wall_ms}. *)
+    {!wall_ms}, and the running device clock of the trace's counter
+    track. *)
+
+type meter
+(** The creating domain and its shards of the [sim.launches] and
+    [sim.kernel_ms] metrics, taken at {!create}. *)
 
 type t = {
   device : Device.t;
@@ -35,6 +40,8 @@ type t = {
   mutable execute : bool;
   profile : Profile.t;
   clock : clock;
+  memo : Cost.memo;  (** the device's occupancy term per launch shape *)
+  meter : meter;
   fault : Fault.Plan.t option;
   mutable corruptor : (Dompool.Prng.t -> string) option;
   metered : bool;

@@ -15,13 +15,13 @@
 module Cells = Domain_buffer.Cells
 
 module Counter = struct
-  type t = int ref Cells.t
+  type shard = int ref
+  type t = shard Cells.t
 
   let make () : t = Cells.create (fun () -> ref 0)
-
-  let add t n =
-    let s = Cells.get t in
-    s := !s + n
+  let shard t = Cells.get t
+  let shard_add (s : shard) n = s := !s + n
+  let add t n = shard_add (shard t) n
 
   let incr t = add t 1
   let value t = List.fold_left (fun acc (_, s) -> acc + !s) 0 (Cells.all t)
@@ -68,8 +68,11 @@ module Histogram = struct
   (* [counts.(i)] tallies observations with [v <= bounds.(i)] (first
      matching bucket); [counts.(length bounds)] is the overflow bucket.
      [sum] is one unboxed float, so adding to it allocates nothing. *)
-  type shard = { counts : int array; sum : float array }
-  type t = { bounds : float array; shards : shard Cells.t }
+  type cell = { counts : int array; sum : float array }
+  type t = { bounds : float array; shards : cell Cells.t }
+
+  (* A domain's cell with the bounds it is bucketed by. *)
+  type shard = { bounds_of : float array; cell : cell }
 
   let make bounds =
     let n = Array.length bounds + 1 in
@@ -79,19 +82,22 @@ module Histogram = struct
         Cells.create (fun () -> { counts = Array.make n 0; sum = [| 0.0 |] });
     }
 
+  let shard t = { bounds_of = t.bounds; cell = Cells.get t.shards }
+
   (* Loops rather than local recursive functions: one observation per
      kernel launch, and a closure per call would dominate its cost. *)
-  let observe t v =
-    let n = Array.length t.bounds in
+  let[@inline] observe_cell bounds s v =
+    let n = Array.length bounds in
     let i = ref 0 in
-    while !i < n && not (v <= t.bounds.(!i)) do
+    while !i < n && not (v <= bounds.(!i)) do
       incr i
     done;
-    let s = Cells.get t.shards in
     let i = !i in
     s.counts.(i) <- s.counts.(i) + 1;
     s.sum.(0) <- s.sum.(0) +. v
 
+  let shard_observe { bounds_of; cell } v = observe_cell bounds_of cell v
+  let observe t v = observe_cell t.bounds (Cells.get t.shards) v
   let shards t = List.map snd (Cells.all t.shards)
 
   let bucket_counts t =

@@ -20,6 +20,17 @@ module Counter : sig
 
   val value : t -> int
   (** The sum over every domain's shard. *)
+
+  type shard
+
+  val shard : t -> shard
+  (** The calling domain's shard, for a caller that updates one counter
+      many times from one domain: [shard_add (shard t) n] is [add t n]
+      without finding the shard again.  It stays valid across {!reset},
+      which zeroes shards in place.  Update it only from the domain that
+      took it: it is that domain's plain word. *)
+
+  val shard_add : shard -> int -> unit
 end
 
 module Gauge : sig
@@ -46,6 +57,14 @@ module Histogram : sig
   val quantile : t -> float -> float
   (** [quantile t q] estimates the [q]-quantile ([0 <= q <= 1]) of the
       observed distribution — see the top-level {!quantile}. *)
+
+  type shard
+
+  val shard : t -> shard
+  (** The calling domain's shard, as {!Counter.shard}:
+      [shard_observe (shard t) v] is [observe t v]. *)
+
+  val shard_observe : shard -> float -> unit
 end
 
 type t

@@ -347,6 +347,150 @@ let test_accounting_bit_exact () =
         P.all)
     Device.catalog
 
+(* ---- the occupancy memo and the metric shards ---- *)
+
+module M = Obs.Metrics
+
+(* A seeded sweep of launches over blocks 0..5000 and threads 1..1024,
+   several stages, some with [count > 1].  Every fourth launch comes
+   back after a twin with blocks 4096 apart and after one with threads
+   512 apart: each twin takes the same slot in any power-of-two memo of
+   up to 512 slots, so colliding keys evict each other, and a key
+   compared on one coordinate only would hit on the wrong entry. *)
+let memo_sweep seed =
+  let rng = Random.State.make [| seed |] in
+  let stages = [| "a"; "b"; "c" |] in
+  let launch ~blocks ~threads =
+    let f = float_of_int (1 + Random.State.int rng 1000) in
+    ( stages.(Random.State.int rng 3),
+      Cost.launch
+        ~count:(if Random.State.int rng 4 = 0 then 2 + Random.State.int rng 9
+                else 1)
+        ~blocks ~threads ~cold_bytes:(f *. 1e4) ~thread_bytes:(f *. 3e5)
+        ~working_set:(f *. 1e5) ~strided:(Random.State.bool rng)
+        (Counter.make ~adds:(f *. 1e5) ~muls:(f *. 1e5) ~divs:f ()) )
+  in
+  List.concat
+    (List.init 400 (fun i ->
+         let threads = 1 + Random.State.int rng 1024 in
+         if i mod 4 = 0 then
+           let blocks = Random.State.int rng 905 in
+           let twin = if threads > 512 then threads - 512 else threads + 512 in
+           [
+             launch ~blocks ~threads;
+             launch ~blocks:(blocks + 4096) ~threads;
+             launch ~blocks ~threads;
+             launch ~blocks ~threads:twin;
+             launch ~blocks ~threads;
+           ]
+         else [ launch ~blocks:(Random.State.int rng 5001) ~threads ]))
+
+(* The direct path: [Cost.evaluate] into a profile, the counts into a
+   registry's [sim.*] metrics, [passes] times over the launches. *)
+let direct_path d p ~slowdown ~passes launches =
+  let profile = Profile.create () in
+  let reg = M.create () in
+  let c = M.counter reg "sim.launches" in
+  let h = M.histogram reg "sim.kernel_ms" in
+  for _ = 1 to passes do
+    List.iter
+      (fun (stage, (l : Cost.launch)) ->
+        let e = Cost.evaluate d p l in
+        Profile.record profile ~stage ~slowdown l e;
+        M.Counter.add c l.Cost.count;
+        M.Histogram.observe h (e.Cost.ms *. slowdown))
+      launches
+  done;
+  (profile, c, h)
+
+let check_rows tag (want : Profile.row list) (got : Profile.row list) =
+  checki (tag ^ " rows") (List.length want) (List.length got);
+  List.iter2
+    (fun (a : Profile.row) (b : Profile.row) ->
+      let tag = tag ^ " " ^ a.Profile.stage in
+      Alcotest.(check string) tag a.Profile.stage b.Profile.stage;
+      checki (tag ^ " launches") a.Profile.launches b.Profile.launches;
+      List.iter2
+        (fun (what, x) y -> check_bits (tag ^ " " ^ what) x y)
+        [
+          ("ms", a.Profile.ms); ("adds", a.Profile.ops.Counter.adds);
+          ("muls", a.Profile.ops.Counter.muls);
+          ("divs", a.Profile.ops.Counter.divs);
+          ("sqrts", a.Profile.ops.Counter.sqrts);
+          ("cold", a.Profile.cold_bytes); ("thread", a.Profile.thread_bytes);
+          ("compute_ms", a.Profile.compute_ms);
+          ("memory_ms", a.Profile.memory_ms);
+        ]
+        [
+          b.Profile.ms; b.Profile.ops.Counter.adds; b.Profile.ops.Counter.muls;
+          b.Profile.ops.Counter.divs; b.Profile.ops.Counter.sqrts;
+          b.Profile.cold_bytes; b.Profile.thread_bytes; b.Profile.compute_ms;
+          b.Profile.memory_ms;
+        ])
+    want got
+
+(* The [sim.*] metrics of the default registry against one pass of the
+   direct path, [shards] times over: each of that many domains counted
+   the same launches into its own shard.  [sim.launches] also equals the
+   simulator's own launch count. *)
+let check_metrics tag ~shards sim c h =
+  let snap = M.snapshot (M.default ()) in
+  (match List.assoc_opt "sim.launches" snap with
+  | Some (M.Counter n) ->
+    checki (tag ^ " sim.launches") (shards * M.Counter.value c) n;
+    checki (tag ^ " sim.launches of the profile") (Sim.launches sim) n
+  | _ -> Alcotest.fail "sim.launches missing");
+  match List.assoc_opt "sim.kernel_ms" snap with
+  | Some (M.Histogram { counts; count; sum; _ }) ->
+    Alcotest.(check (array int)) (tag ^ " buckets")
+      (Array.map (( * ) shards) (M.Histogram.bucket_counts h))
+      counts;
+    checki (tag ^ " count") (shards * M.Histogram.count h) count;
+    check_bits (tag ^ " sum") (float_of_int shards *. M.Histogram.sum h) sum
+  | _ -> Alcotest.fail "sim.kernel_ms missing"
+
+let test_memo_and_shards () =
+  List.iteri
+    (fun k (d : Device.t) ->
+      List.iter
+        (fun slowdown ->
+          let launches = memo_sweep (17 + k) in
+          let p = List.nth P.all (k mod List.length P.all) in
+          M.reset (M.default ());
+          let sim = Sim.create ~execute:false ~device:d ~prec:p () in
+          Sim.with_slowdown slowdown (fun () ->
+              List.iter
+                (fun (stage, cost) -> Sim.launch sim ~stage ~cost ignore)
+                launches);
+          let profile, c, h = direct_path d p ~slowdown ~passes:1 launches in
+          let tag = Printf.sprintf "%s x%g" d.Device.name slowdown in
+          check_rows tag (Profile.rows profile) (Sim.breakdown sim);
+          check_bits (tag ^ " kernel_ms") (Profile.total_ms profile)
+            (Sim.kernel_ms sim);
+          check_metrics tag ~shards:1 sim c h)
+        [ 1.0; 1.5 ])
+    Device.catalog
+
+let test_shards_other_domain () =
+  (* Created here, launched here and then from a spawned domain, which
+     counts through the registry: every launch is counted, and each
+     domain's shard holds the direct path's sum. *)
+  let d = Device.rtx2080 and p = P.OD in
+  let launches = memo_sweep 5 in
+  M.reset (M.default ());
+  let sim = Sim.create ~execute:false ~device:d ~prec:p () in
+  let run () =
+    List.iter (fun (stage, cost) -> Sim.launch sim ~stage ~cost ignore) launches
+  in
+  run ();
+  Domain.join (Domain.spawn run);
+  let profile, _, _ = direct_path d p ~slowdown:1.0 ~passes:2 launches in
+  let _, c, h = direct_path d p ~slowdown:1.0 ~passes:1 launches in
+  check_rows "two domains" (Profile.rows profile) (Sim.breakdown sim);
+  check_bits "two domains kernel_ms" (Profile.total_ms profile)
+    (Sim.kernel_ms sim);
+  check_metrics "two domains" ~shards:2 sim c h
+
 (* ---- stages are keyed by content ---- *)
 
 let unit_launch = Cost.launch ~blocks:4 ~threads:32 (Counter.make ~adds:64.0 ())
@@ -512,5 +656,9 @@ let () =
           Alcotest.test_case "reset clears the lookup" `Quick test_stage_reset;
           Alcotest.test_case "more stages than the cache" `Quick
             test_stage_overflow;
+          Alcotest.test_case "memo and shards equal the direct path" `Quick
+            test_memo_and_shards;
+          Alcotest.test_case "launched from another domain" `Quick
+            test_shards_other_domain;
         ] );
     ]

@@ -441,6 +441,47 @@ let test_traced_equals_untraced () =
   check "span sum agrees to rounding" true
     (Float.abs (M.Histogram.sum refill -. sum) <= 1e-12 *. sum)
 
+let test_device_clock_track () =
+  (* The [sim.device_ms] track samples the simulator's running total of
+     modeled kernel milliseconds, summed in launch order; [kernel_ms]
+     folds the profile's per-stage sums.  After every launch the two
+     agree to rounding. *)
+  let module G = Gpusim in
+  let sim = G.Sim.create ~execute:false ~device:G.Device.p100 ~prec:P.QD () in
+  let stages = [| "s0"; "s1"; "s2"; "s3"; "s4" |] in
+  let folds = ref [] in
+  T.start ();
+  G.Sim.with_slowdown 1.5 (fun () ->
+      for i = 0 to 299 do
+        let cost =
+          G.Cost.launch ~count:(1 + (i mod 3))
+            ~blocks:(1 + (i * 37 mod 500))
+            ~threads:(32 + (i mod 200))
+            ~cold_bytes:(1e4 *. float_of_int (1 + (i mod 7)))
+            (G.Counter.make ~adds:(1e5 *. float_of_int (1 + i)) ())
+        in
+        G.Sim.launch sim ~stage:stages.(i mod 5) ~cost ignore;
+        folds := G.Profile.total_ms sim.G.Sim.profile :: !folds
+      done);
+  T.stop ();
+  let track =
+    List.filter_map
+      (fun e ->
+        if Json.(get_string (member "name" e)) = "sim.device_ms" then
+          Some Json.(get_float (member "value" (member "args" e)))
+        else None)
+      Json.(get_list (member "traceEvents" (of_string (T.export ()))))
+  in
+  (* Both sequences rise, so sorting recovers launch order whatever the
+     timestamps tie-break. *)
+  let sorted = List.sort Float.compare in
+  checki "one sample per launch" 300 (List.length track);
+  List.iter2
+    (fun fold v ->
+      if Float.abs (v -. fold) > 1e-12 *. fold then
+        Alcotest.failf "device clock %.17g against the profile's %.17g" v fold)
+    (sorted !folds) (sorted track)
+
 (* ---- roofline ---- *)
 
 let test_roofline_classification () =
@@ -975,6 +1016,8 @@ let () =
             test_sim_metrics_counted;
           Alcotest.test_case "traced equals untraced" `Quick
             test_traced_equals_untraced;
+          Alcotest.test_case "device clock track" `Quick
+            test_device_clock_track;
         ] );
       ( "log",
         [
