@@ -18,7 +18,10 @@
 
    2. Overhead.  The resilience plane armed but quiet (chaos drawn at
       rate 0) must cost <= 1.10x the wall time of a plain fleet on the
-      same batch (min of 5 runs each). *)
+      same batch (min of 10 runs each, each run repeating the batch for
+      at least 100 ms, after a warm-up).  [selftest] (the gate-selftest
+      item) injects a 1.20x slowdown into the armed side and requires
+      the same gate to fail it. *)
 
 module P = Multidouble.Precision
 module Json = Obs.Json
@@ -256,17 +259,22 @@ let phase_chaos () =
 
 (* ---- phase 2: chaos-off overhead ---- *)
 
-let phase_overhead () =
+let budget = 1.10
+
+let rounds = 10
+
+(* The best-of-[rounds] seconds per batch of a plain and an armed
+   fleet, the armed side [slow]ed. *)
+let best_times ~slow =
   let jobs =
     List.init 96 (fun i -> solve ~id:(Printf.sprintf "ov-%03d" i) ())
   in
-  let run config =
-    let t0 = Unix.gettimeofday () in
-    let outcomes = F.run config jobs in
-    let dt = Unix.gettimeofday () -. t0 in
-    if List.length outcomes <> List.length jobs then
-      fail "chaos-smoke: overhead run lost outcomes";
-    dt
+  (* One run, as seconds per batch. *)
+  let run ?slow config =
+    Gate_timing.per_rep ?slow (fun () ->
+        let outcomes = F.run config jobs in
+        if List.length outcomes <> List.length jobs then
+          fail "chaos-smoke: overhead run lost outcomes")
   in
   let plain =
     { F.Config.default with max_queue_depth = F.Config.unbounded }
@@ -276,22 +284,44 @@ let phase_overhead () =
   let armed =
     { plain with F.Config.chaos = Some (Chaos.config ~seed:7 ~rate:0.0 ()) }
   in
-  (* Best of 5 per side, the runs interleaved (and the order swapped
-     every round) so that drift in background load lands on both sides
-     rather than on whichever block ran second. *)
+  (* A batch runs slower for the first second of the process. *)
+  for _ = 1 to 3 do
+    ignore (run plain +. run armed : float)
+  done;
+  (* The runs interleaved (and the order swapped every round) so that
+     drift in background load lands on both sides rather than on
+     whichever block ran second. *)
   let base_s = ref Float.infinity and armed_s = ref Float.infinity in
-  for round = 1 to 5 do
+  for round = 1 to rounds do
     let p () = base_s := Float.min !base_s (run plain)
-    and a () = armed_s := Float.min !armed_s (run armed) in
+    and a () = armed_s := Float.min !armed_s (run ~slow armed) in
     if round mod 2 = 1 then (p (); a ()) else (a (); p ())
   done;
-  let base_s = !base_s and armed_s = !armed_s in
+  (!base_s, !armed_s)
+
+let phase_overhead () =
+  let base_s, armed_s = best_times ~slow:1.0 in
   let overhead = armed_s /. base_s in
-  pf "  overhead: plain %.4f s, armed %.4f s -> %.3fx (budget 1.10x)\n"
-    base_s armed_s overhead;
-  if overhead > 1.10 then
-    fail "chaos-smoke: resilience-plane overhead %.3fx exceeds 1.10x" overhead;
+  pf "  overhead: plain %.4f s, armed %.4f s a batch -> %.3fx (budget \
+      %.2fx)\n"
+    base_s armed_s overhead budget;
+  if overhead > budget then
+    fail "chaos-smoke: resilience-plane overhead %.3fx exceeds %.2fx" overhead
+      budget;
   overhead
+
+(* The gate's self-test: a 1.20x slowdown injected into the armed side
+   must fail it, or the gate cannot resolve its bound. *)
+let selftest () =
+  let base_s, armed_s = best_times ~slow:1.20 in
+  let injected = armed_s /. base_s in
+  pf "  chaos-smoke gate: an injected 1.20x slowdown reads %.3fx (budget \
+      %.2fx)\n"
+    injected budget;
+  if injected <= budget then
+    fail "gate-selftest: chaos-smoke passed an injected 1.20x slowdown \
+          (%.3fx)"
+      injected
 
 let smoke () =
   pf "\n%s\nChaos smoke: device chaos, migration, journal\n%s\n"

@@ -52,6 +52,13 @@ let items : (string * (unit -> unit)) list =
     ("fault-smoke", Faults_bench.smoke);
     ("telemetry-smoke", Telemetry_bench.smoke);
     ("chaos-smoke", Chaos_bench.smoke);
+    ( "gate-selftest",
+      fun () ->
+        Printf.printf "\n%s\nGate self-test: injected slowdowns must fail the \
+            wall-clock gates\n%s\n"
+          (String.make 100 '-') (String.make 100 '-');
+        Telemetry_bench.selftest ();
+        Chaos_bench.selftest () );
     ("iter-smoke", Iter_bench.smoke);
   ]
 

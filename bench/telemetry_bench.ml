@@ -6,8 +6,10 @@
    (known types, declared-before-use, cumulative buckets), the drift
    detector stays quiet on the default cost model and flags an
    artificially miscalibrated one, and the export overhead — the median
-   on/off ratio of alternating pairs — lands in BENCH_obs.json.  Part of the
-   @bench-smoke regression gate; exits 1 on any mismatch. *)
+   on/off ratio of alternating pairs — lands in BENCH_obs.json.  Part of
+   the @bench-smoke regression gate; exits 1 on any mismatch.
+   [selftest] (the gate-selftest item) injects a 1.10x slowdown into the
+   on side and requires the same gate to fail it. *)
 
 module Json = Obs.Json
 module Tel = Obs.Telemetry
@@ -18,15 +20,13 @@ module M = Obs.Metrics
 let pf = Printf.printf
 let fail fmt = Printf.ksprintf (fun m -> prerr_endline m; exit 1) fmt
 
-let run_sweep () =
+let sweep () =
   let jobs = Sched.Sweep.jobs "fleet" in
-  let t0 = Unix.gettimeofday () in
   let outcomes = F.run F.Config.default jobs in
-  let wall_s = Unix.gettimeofday () -. t0 in
   if List.length outcomes <> List.length jobs then
     fail "telemetry-smoke: %d outcomes for %d jobs" (List.length outcomes)
-      (List.length jobs);
-  wall_s
+      (List.length jobs)
+
 
 let fresh_registries () =
   M.reset (M.default ());
@@ -34,12 +34,12 @@ let fresh_registries () =
 
 let run_off () =
   fresh_registries ();
-  run_sweep ()
+  Gate_timing.per_rep sweep
 
 (* Telemetry on: buffered debug-level logging riding the stream, the
    exporter ticking fast on its own domain.  Each on-run rewrites both
    files, so the streams validated below are the last run's. *)
-let run_on ~jsonl ~prom =
+let run_on ~slow ~jsonl ~prom =
   fresh_registries ();
   Obs.Log.set_level Obs.Log.Debug;
   Obs.Log.set_sink Obs.Log.Buffered;
@@ -48,7 +48,7 @@ let run_on ~jsonl ~prom =
       ~prom:(Obs.Telemetry.File prom)
       (Obs.Telemetry.File jsonl)
   in
-  let wall_s = run_sweep () in
+  let wall_s = Gate_timing.per_rep ~slow sweep in
   Obs.Telemetry.stop exporter;
   Obs.Log.set_sink Obs.Log.Off;
   Obs.Log.set_level Obs.Log.Info;
@@ -59,11 +59,49 @@ let run_on ~jsonl ~prom =
    and the process's warm-up land on both sides of a pair instead of
    on one side of a best-of-n. *)
 let pairs = 10
+let budget = 1.05
+
+(* [pairs] alternating off/on pairs, the on side [slow]ed. *)
+let time_pairs ~slow ~jsonl ~prom =
+  List.init pairs (fun i ->
+      if i mod 2 = 1 then
+        let on = run_on ~slow ~jsonl ~prom in
+        (true, run_off (), on)
+      else
+        let off = run_off () in
+        (false, off, run_on ~slow ~jsonl ~prom))
 
 let median xs =
   let a = Array.of_list (List.sort Float.compare xs) in
   let n = Array.length a in
   if n mod 2 = 1 then a.(n / 2) else 0.5 *. (a.((n / 2) - 1) +. a.(n / 2))
+
+let median_ratio timed =
+  median (List.map (fun (_, off, (on, _)) -> on /. off) timed)
+
+(* A sweep runs ~3x slower for the first second of the process. *)
+let warm_up ~jsonl ~prom =
+  for _ = 1 to 3 do
+    ignore (run_off () : float);
+    ignore (run_on ~slow:1.0 ~jsonl ~prom : float * int)
+  done
+
+(* The gate's self-test: a 1.10x slowdown injected into the on side
+   must fail it, or the gate cannot resolve its bound. *)
+let selftest () =
+  let jsonl = Filename.temp_file "telemetry" ".jsonl" in
+  let prom = Filename.temp_file "telemetry" ".prom" in
+  warm_up ~jsonl ~prom;
+  let injected = median_ratio (time_pairs ~slow:1.10 ~jsonl ~prom) in
+  Sys.remove jsonl;
+  Sys.remove prom;
+  pf "  telemetry-smoke gate: an injected 1.10x slowdown reads %.3fx \
+      (budget %.2fx)\n"
+    injected budget;
+  if injected <= budget then
+    fail "gate-selftest: telemetry-smoke passed an injected 1.10x \
+          slowdown (%.3fx)"
+      injected
 
 let read_lines path =
   let ic = open_in path in
@@ -176,17 +214,9 @@ let smoke () =
   let jsonl = Filename.temp_file "telemetry" ".jsonl" in
   let prom = Filename.temp_file "telemetry" ".prom" in
 
-  (* Pairs alternate which side runs first. *)
-  let timed =
-    List.init pairs (fun i ->
-        if i mod 2 = 1 then
-          let on = run_on ~jsonl ~prom in
-          (true, run_off (), on)
-        else
-          let off = run_off () in
-          (false, off, run_on ~jsonl ~prom))
-  in
-  let overhead = median (List.map (fun (_, off, (on, _)) -> on /. off) timed) in
+  warm_up ~jsonl ~prom;
+  let timed = time_pairs ~slow:1.0 ~jsonl ~prom in
+  let overhead = median_ratio timed in
   let _, _, (_, ticks) = List.nth timed (pairs - 1) in
   if ticks < 2 then fail "telemetry-smoke: only %d exporter ticks" ticks;
 
@@ -287,12 +317,12 @@ let smoke () =
 
   List.iter
     (fun (on_first, off, (on, _)) ->
-      pf "  %s: off %.3f s, on %.3f s, ratio %.3fx\n"
+      pf "  %s: off %.4f s, on %.4f s a sweep, ratio %.3fx\n"
         (if on_first then "on first " else "off first") off on (on /. off))
     timed;
-  pf "  overhead %.3fx (median of %d pairs); last on-run %d ticks, %d \
-      snapshots, %d log lines\n"
-    overhead pairs ticks (List.length snapshots) log_lines;
+  pf "  overhead %.3fx (median of %d pairs, each side >= %.2f s); last \
+      on-run %d ticks, %d snapshots, %d log lines\n"
+    overhead pairs Gate_timing.min_side_s ticks (List.length snapshots) log_lines;
   pf "  prometheus: %d families, %d samples; drift quiet on defaults, \
       flags 2x miscalibration\n"
     families samples;
@@ -307,8 +337,8 @@ let smoke () =
                  Json.Obj
                    [
                      ("on_first", Json.Bool on_first);
-                     ("wall_off_s", Json.Float off);
-                     ("wall_on_s", Json.Float on);
+                     ("off_s_per_sweep", Json.Float off);
+                     ("on_s_per_sweep", Json.Float on);
                      ("ratio", Json.Float (on /. off));
                    ])
                timed) );
@@ -331,7 +361,7 @@ let smoke () =
   Sys.remove prom;
   pf "  [json written to %s]\n" path;
   (* Gated after the write, so a failing run still leaves its pairs. *)
-  if overhead > 1.05 then
-    fail "telemetry-smoke: median export overhead %.3fx exceeds the 1.05x \
+  if overhead > budget then
+    fail "telemetry-smoke: median export overhead %.3fx exceeds the %.2fx \
           budget"
-      overhead
+      overhead budget
